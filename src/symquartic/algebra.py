@@ -2,11 +2,14 @@
 
 Provides the building blocks used by every other module:
 
-* ``Rational`` -- exact arbitrary-precision rationals (``fractions.Fraction``).
 * ``UniPoly`` -- univariate polynomials whose coefficients live in any exact
   field (rationals, rational functions, algebraic number fields), with
   Euclidean division, gcd, squarefree (Yun) decomposition, Sturm sequences
   and certified real-root isolation.
+* ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
+  decision: the real roots of finitely many rational polynomials cut an
+  interval into open cells, each with a rational sample, and each root
+  (breakpoint) has an isolating interval and an irreducible owner factor.
 * ``RatFunc`` -- the field of univariate rational functions over the
   rationals (used for coefficients depending on a symbol such as the
   variable count ``n`` or the weight ``alpha``).
@@ -25,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -59,20 +60,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "UniPoly":
-        return UniPoly([c])
-
-    @staticmethod
-    def x(field_one=_ONE) -> "UniPoly":
-        return UniPoly([field_one * 0, field_one])
-
-    @staticmethod
-    def from_ints(ints: Iterable[int]) -> "UniPoly":
-        return UniPoly([Fraction(i) for i in ints])
 
     # -- basic structure ---------------------------------------------------
 
@@ -413,7 +400,6 @@ def isolate_real_roots(
     if hi <= lo or p.degree <= 0:
         return []
     q = squarefree_part_field(p)
-    chain = sturm_chain(q)
 
     def count_open(a: Fraction, b: Fraction) -> int:
         return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
@@ -471,18 +457,22 @@ def isolate_real_roots(
 def refine_root_interval(
     p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a root of p below the given width."""
+    """Shrink an isolating interval of a root of p below the given width.
+
+    The root must be simple (p changes sign across it), as every root of a
+    squarefree p is; callers pass squarefree parts, Yun factors or minimal
+    polynomials, so no squarefree part is taken here.
+    """
     if lo == hi:
         return lo, hi
-    q = squarefree_part_field(p)
-    slo = _sign_of(q(lo))
-    if slo == 0 or q(hi) == 0:
+    slo = _sign_of(p(lo))
+    if slo == 0 or p(hi) == 0:
         # endpoint became a root: collapse
         r = lo if slo == 0 else hi
         return r, r
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sm = _sign_of(q(mid))
+        sm = _sign_of(p(mid))
         if sm == 0:
             return mid, mid
         if sm == slo:
@@ -490,6 +480,91 @@ def refine_root_interval(
         else:
             hi = mid
     return lo, hi
+
+
+@dataclass(frozen=True)
+class Cells:
+    """The cells into which the real roots of some rational polynomials cut
+    an open interval (see ``cells``).
+
+    ``product`` is the monic squarefree product of the polynomials.
+    ``breakpoints`` are the sorted isolating intervals of its roots in the
+    open interval: a point ``(r, r)`` at a rational root, otherwise an
+    interval whose endpoints are not roots; they lie strictly apart and
+    strictly inside the interval.  ``samples`` holds one rational in each
+    of the ``len(breakpoints) + 1`` open cells, left to right.
+    """
+
+    product: UniPoly
+    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    samples: tuple[Fraction, ...]
+
+    def owners(self) -> list[UniPoly]:
+        """The monic irreducible factor of ``product`` that vanishes at each
+        breakpoint's root, in breakpoint order (factors over Q on demand)."""
+        if not self.breakpoints:
+            return []
+        factors = [fac for fac in irreducible_factors(self.product) if fac.degree >= 1]
+
+        def owns(fac: UniPoly, lo: Fraction, hi: Fraction) -> bool:
+            # endpoints of a non-point breakpoint are not roots
+            if lo == hi:
+                return fac(lo) == 0
+            return count_roots_open(fac, lo, hi) >= 1
+
+        return [
+            next(fac for fac in factors if owns(fac, lo, hi))
+            for lo, hi in self.breakpoints
+        ]
+
+
+def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
+    """Cut the open interval (lo, hi) at the real roots of the polynomials.
+
+    Callers pass polynomials in a parameter across whose roots alone their
+    answer can change.  The answer on [lo, hi] is then decided by testing
+    ``lo``, ``hi``, one sample per open cell and each breakpoint (exactly,
+    at the root of its owner factor, when its interval is not a point).
+    When ``lo == hi`` the single sample is ``lo``.
+    """
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    product = UniPoly([_ONE])
+    for q in polys:
+        product = product * squarefree_part_field(q)
+    product = squarefree_part_field(product)
+
+    # roots at exactly lo or hi do not subdivide (lo, hi) but would confuse
+    # interval refinement when they coincide with an interval endpoint
+    interior = product
+    for r in (lo, hi):
+        if interior(r) == 0:
+            interior = interior.exact_div(UniPoly([-r, _ONE]))
+
+    # refine so every non-point interval sits strictly inside (lo, hi) and
+    # strictly to the right of the previous interval; the roots themselves
+    # are strictly interior, so repeated halving always terminates
+    breakpoints = []
+    prev_hi = lo
+    for a, b in isolate_real_roots(product, lo, hi):
+        while a != b and (a <= prev_hi or b >= hi):
+            a, b = refine_root_interval(interior, a, b, (b - a) / 2)
+        breakpoints.append((a, b))
+        prev_hi = b
+
+    def middle(a: Fraction, b: Fraction) -> Fraction:
+        return simplest_rational_between((3 * a + b) / 4, (a + 3 * b) / 4)
+
+    samples = []
+    prev_hi = lo
+    for a, b in breakpoints:
+        # sample the cell left of this root: after refinement prev_hi < a
+        # for point intervals (a == b is the root itself, stay below it),
+        # and a itself is a non-root strictly between the roots otherwise
+        samples.append(middle(prev_hi, a) if a == b else a)
+        prev_hi = b
+    samples.append(middle(prev_hi, hi))
+    return Cells(product, tuple(breakpoints), tuple(samples))
 
 
 def resultant(f: UniPoly, g: UniPoly):
@@ -737,12 +812,6 @@ class AlgebraicField:
         if isinstance(rep, (int, Fraction)):
             rep = UniPoly([Fraction(rep)])
         return AlgElem(self, rep % self.minpoly)
-
-    def theta(self) -> "AlgElem":
-        return self.elem(UniPoly([_ZERO, _ONE]))
-
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
 
     def refine(self) -> None:
         if self._lo == self._hi:
@@ -998,11 +1067,6 @@ class MultiPoly:
                     v *= x**k
             total += v
         return total
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
 
 # ---------------------------------------------------------------------------

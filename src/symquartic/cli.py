@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .algebra import MultiPoly, UniPoly, disc_binary_quartic
+from .algebra import MultiPoly, UniPoly, binary_quartic_nonneg, disc_binary_quartic
 from .dualcone import (
     DualFunctional,
     boundary_family_functional,
@@ -64,6 +64,7 @@ from .symfunc import (
     m_to_p,
     p_to_m,
     phi_alpha_coeffs,
+    restrict_alpha,
 )
 
 _ZERO = Fraction(0)
@@ -374,17 +375,8 @@ def _min_value(h) -> Fraction | None:
         return None
 
     def dominated(level: Fraction) -> bool:
-        # p(x) - level >= 0 for all real x: even degree with positive lead,
-        # so nonnegative iff no real root of odd multiplicity
-        from .algebra import count_real_roots, yun_decomposition
-
-        shifted = p - UniPoly([level])
-        if shifted.is_zero():
-            return True
-        for factor, mult in yun_decomposition(shifted):
-            if mult % 2 == 1 and factor.degree >= 1 and count_real_roots(factor) > 0:
-                return False
-        return True
+        # p(x) - level >= 0 for all real x
+        return binary_quartic_nonneg(tuple(h[:4]) + (h[4] - level,))
 
     hi = p(_ZERO)
     if dominated(hi):
@@ -424,8 +416,6 @@ def cmd_plotdata(args) -> int:
             value = delta(alpha) if not delta.is_zero() else _ZERO
             rows.append((alpha, fmt_val(value)))
     else:
-        from .symfunc import restrict_alpha
-
         for i in range(args.samples + 1):
             alpha = Fraction(i, args.samples)
             value = _min_value(restrict_alpha(f, alpha))
@@ -560,9 +550,7 @@ def _sigma_prime_identity_holds(n: int) -> bool:
             lhs = brute_symmetrize(lhs_poly, n).scale(Fraction(n - 1, 2 * n)).specialize(n)
             plus = tuple(sorted((a + b,) + mu1 + mu2, reverse=True))
             minus = tuple(sorted((a, b) + mu1 + mu2, reverse=True))
-            from .symfunc import p_to_m as _p_to_m
-
-            rhs = _p_to_m(form_from_dict(4, {plus: 1, minus: -1}, n)).specialize(n)
+            rhs = p_to_m(form_from_dict(4, {plus: 1, minus: -1}, n)).specialize(n)
             if lhs != rhs:
                 return False
     return True

@@ -45,20 +45,6 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(gen(k, k))
 
 
-def contains_subpartition(parts: Partition, m: int) -> bool:
-    """True iff some subset of the parts sums to m."""
-    if m < 0:
-        return False
-    if m == 0:
-        return True
-    achievable = {0}
-    for p in parts:
-        achievable |= {s + p for s in achievable if s + p <= m}
-        if m in achievable:
-            return True
-    return m in achievable
-
-
 GridPoint = tuple[Fraction, ...]
 
 

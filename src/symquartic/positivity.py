@@ -7,9 +7,11 @@ w in the grid W_n.
 Limit cone: f is in the limit nonnegativity cone iff Phi^alpha(x, y) =
 Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  The
 nonnegativity status can only change across finitely many critical alpha
-values; the decision isolates them exactly, samples one rational alpha per
-open subinterval, and tests the endpoints as scalars.  Boundary status is
-certified by exact real-root detection at algebraic critical values.
+values.  The shared cell engine (``algebra.cells``) cuts (0, 1) at them;
+the decision tests one rational alpha per open cell and the endpoints as
+scalars.  Boundary status reuses the same cells: it looks for a real
+projective zero at each cell sample and, exactly, at each critical value
+in the algebraic field of its owner factor.
 """
 
 from __future__ import annotations
@@ -19,20 +21,16 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraicField,
+    Cells,
     RatFunc,
     UniPoly,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
+    cells,
     count_real_roots,
-    count_roots_open,
     disc_binary_quartic,
-    irreducible_factors,
-    isolate_real_roots,
-    refine_root_interval,
     resultant,
-    simplest_rational_between,
-    squarefree_part_field,
     yun_decomposition,
 )
 from .partitions import w_grid
@@ -166,74 +164,28 @@ def _critical_polys(f: SymFormP) -> list[UniPoly]:
     return out
 
 
-def _cells(f: SymFormP):
-    """Breakpoints (isolating intervals in (0,1)) and open-cell sample points.
-
-    Returns (breakpoints, samples): breakpoints is a sorted list of
-    (lo, hi) isolating intervals of the critical alpha values in (0, 1),
-    refined until strictly separated from 0, 1 and from each other;
-    samples is one rational alpha strictly inside each of the k+1 open
-    cells delimited by the k critical values.
-    """
-    polys = _critical_polys(f)
-    if not polys:
-        return [], [Fraction(1, 2)]
-    product = UniPoly([_ONE])
-    for q in polys:
-        product = product * squarefree_part_field(q)
-    product = squarefree_part_field(product)
-    brk = isolate_real_roots(product, _ZERO, _ONE)
-
-    # roots at exactly 0 or 1 do not subdivide (0, 1) but would confuse
-    # interval refinement when they coincide with an interval endpoint
-    interior = product
-    for r in (_ZERO, _ONE):
-        if interior(r) == 0:
-            interior = interior.exact_div(UniPoly([-r, _ONE]))
-
-    # refine so every non-point interval sits strictly inside (0, 1) and
-    # strictly to the right of the previous interval; the roots themselves
-    # are strictly interior, so repeated halving always terminates
-    refined = []
-    prev_hi = _ZERO
-    for lo, hi in brk:
-        while lo != hi and (lo <= prev_hi or hi >= 1):
-            lo, hi = refine_root_interval(interior, lo, hi, (hi - lo) / 2)
-        refined.append((lo, hi))
-        prev_hi = hi
-    brk = refined
-
-    def middle(a: Fraction, b: Fraction) -> Fraction:
-        return simplest_rational_between((3 * a + b) / 4, (a + 3 * b) / 4)
-
-    samples = []
-    prev_hi = _ZERO
-    for lo, hi in brk:
-        # sample the cell left of this root: after refinement prev_hi < lo
-        # for point intervals (lo == hi is the root itself, stay below it),
-        # and lo itself is a non-root strictly between the roots otherwise
-        samples.append(middle(prev_hi, lo) if lo == hi else lo)
-        prev_hi = hi
-    samples.append(middle(prev_hi, _ONE))
-    return brk, samples
+def _limit_nonneg(f: SymFormP) -> tuple[NonnegVerdict, Cells | None]:
+    """The limit-cone verdict and the alpha-cells of f it was decided on
+    (None when the scalar alpha in {0, 1} test decides)."""
+    if f.degree != 4:
+        raise ValueError("decision implemented for degree 4")
+    if f.is_zero():
+        return NonnegVerdict("IN"), None
+    total = sum(f.coeffs, _ZERO)  # Phi^{1/2}(1,1); the alpha in {0,1} test
+    if total < 0:
+        return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ZERO, _ONE))), None
+    alpha_cells = cells(_critical_polys(f), _ZERO, _ONE)
+    for alpha in alpha_cells.samples:
+        h = restrict_alpha(f, alpha)
+        if not binary_quartic_nonneg(h):
+            point = binary_quartic_negative_point(h)
+            return NonnegVerdict("OUT", ((alpha, 1 - alpha), point)), alpha_cells
+    return NonnegVerdict("IN"), alpha_cells
 
 
 def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope)."""
-    if f.degree != 4:
-        raise ValueError("decision implemented for degree 4")
-    if f.is_zero():
-        return NonnegVerdict("IN")
-    total = sum(f.coeffs, _ZERO)  # Phi^{1/2}(1,1); the alpha in {0,1} test
-    if total < 0:
-        return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ZERO, _ONE)))
-    _, samples = _cells(f)
-    for alpha in samples:
-        h = restrict_alpha(f, alpha)
-        if not binary_quartic_nonneg(h):
-            point = binary_quartic_negative_point(h)
-            return NonnegVerdict("OUT", ((alpha, 1 - alpha), point))
-    return NonnegVerdict("IN")
+    return _limit_nonneg(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +205,10 @@ def _has_real_projective_zero(h: tuple[Fraction, ...]) -> bool:
     return count_real_roots(p) > 0
 
 
-def _real_zero_at_algebraic(f: SymFormP, minpoly: UniPoly, lo, hi) -> bool:
+def _real_zero_at_algebraic(cs, minpoly: UniPoly, lo, hi) -> bool:
     """Does Phi^{alpha*} have a real projective zero, alpha* the root of the
-    irreducible minpoly isolated by (lo, hi)?  Fully exact."""
-    cs = phi_alpha_coeffs(f)
+    irreducible minpoly isolated by (lo, hi)?  ``cs`` are the alpha-polynomial
+    coefficients of Phi^alpha (``phi_alpha_coeffs``).  Fully exact."""
     if minpoly.degree == 1:
         alpha = -minpoly.coeffs[0] / minpoly.coeffs[1]
         return _has_real_projective_zero(tuple(c(alpha) for c in cs))
@@ -282,7 +234,7 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     """
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
-    verdict = is_nonneg_limit(f)
+    verdict, alpha_cells = _limit_nonneg(f)
     if verdict.status == "OUT":
         return BoundaryVerdict("OUTSIDE")
     cs = phi_alpha_coeffs(f)
@@ -290,27 +242,10 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
         # the x^4 coefficient vanishes identically: a real projective zero
         # at (1, 0) for every alpha
         return BoundaryVerdict("BOUNDARY", (Fraction(1, 2), Fraction(1, 2)))
-    brk, samples = _cells(f)
-    for alpha in samples:
+    for alpha in alpha_cells.samples:
         if _has_real_projective_zero(restrict_alpha(f, alpha)):
             return BoundaryVerdict("BOUNDARY", (alpha, alpha))
-    if brk:
-        product = UniPoly([_ONE])
-        for q in _critical_polys(f):
-            product = product * squarefree_part_field(q)
-        factors = [
-            fac
-            for fac in irreducible_factors(squarefree_part_field(product))
-            if fac.degree >= 1
-        ]
-        for lo, hi in brk:
-            # identify the irreducible factor owning this root; interval
-            # endpoints are non-roots of the product unless lo == hi
-            for fac in factors:
-                if lo == hi:
-                    owns = fac(lo) == 0
-                else:
-                    owns = count_roots_open(fac, lo, hi) >= 1
-                if owns and _real_zero_at_algebraic(f, fac, lo, hi):
-                    return BoundaryVerdict("BOUNDARY", (lo, hi))
+    for (lo, hi), owner in zip(alpha_cells.breakpoints, alpha_cells.owners()):
+        if _real_zero_at_algebraic(cs, owner, lo, hi):
+            return BoundaryVerdict("BOUNDARY", (lo, hi))
     return BoundaryVerdict("INTERIOR")

@@ -18,13 +18,18 @@ lies in the span of the alpha-block, so gamma = 0 is forced there.
 The matching equations leave two free parameters (gamma and b11 = u); for
 fixed gamma the PSD constraints on u are linear lower bounds intersected
 with one concave-quadratic condition, so feasibility is decided exactly by
-a one-dimensional analysis, and feasibility over gamma by isolating the
-roots of the finitely many polynomials (in gamma) at which the
-one-dimensional answer can change.  The feasible (gamma, u) region is
-convex (the blocks are affine in (gamma, u)), hence the feasible gamma
-values form one closed interval and a scan over exact rational candidates
-is complete up to the single-irrational-point degeneracy, which is handled
-by exact arithmetic in the algebraic field of the breakpoint.
+a one-dimensional analysis.  Feasibility over gamma is decided on the
+cells of the shared cell engine (``algebra.cells``), cut at the roots of
+the finitely many polynomials (in gamma) at which the one-dimensional
+answer can change: the scan tests both ends of the admissible gamma range,
+every rational breakpoint and one rational sample per open cell.  The
+feasible (gamma, u) region is convex (the blocks are affine in (gamma,
+u)), hence the feasible gamma values form one closed interval, and the
+scan misses it only when it is a single breakpoint inside an isolating
+interval.  That breakpoint is tested exactly at the root of its owner
+factor: a linear owner gives a rational root and a certificate, a higher
+degree owner gives an irrational gamma, tested by exact arithmetic in its
+algebraic field.
 """
 
 from __future__ import annotations
@@ -32,17 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    AlgebraicField,
-    SymMat2,
-    UniPoly,
-    count_roots_open,
-    irreducible_factors,
-    isolate_real_roots,
-    psd2,
-    simplest_rational_between,
-    squarefree_part_field,
-)
+from .algebra import AlgebraicField, SymMat2, UniPoly, cells, psd2
 from .symfunc import LIMIT, SymFormP
 
 _ZERO = Fraction(0)
@@ -272,48 +267,35 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     if lo > hi:
         return SosVerdict("OUT")
 
-    product = UniPoly([_ONE])
-    for q in _breakpoint_polys(f):
-        product = product * squarefree_part_field(q)
-    product = squarefree_part_field(product)
-    intervals = isolate_real_roots(product, lo, hi)
-
-    candidates = {lo, hi}
-    prev = lo
-    for a, b in intervals:
-        if a == b:
-            candidates.add(a)
-        if a > prev:
-            candidates.add(simplest_rational_between((3 * prev + a) / 4, (prev + 3 * a) / 4))
-        prev = max(prev, b)
-    if prev < hi:
-        candidates.add(simplest_rational_between((3 * prev + hi) / 4, (prev + 3 * hi) / 4))
-    for gamma in sorted(candidates):
-        if gamma < lo or gamma > hi:
-            continue
+    gamma_cells = cells(_breakpoint_polys(f), lo, hi)
+    point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
+    for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
         ok, u = _u_feasible(f.coeffs, n, gamma)
         if ok:
             return SosVerdict("IN", certificate=_assemble(f, gamma, u))
 
-    # remaining possibility: feasibility only at an irrational breakpoint
-    factors = [p for p in irreducible_factors(product) if p.degree >= 2]
-    for a, b in intervals:
+    # remaining possibility: feasibility only at a single breakpoint that
+    # sits inside an isolating interval; breakpoints lie in (lo, hi), so
+    # gamma > 0 there
+    for (a, b), owner in zip(gamma_cells.breakpoints, gamma_cells.owners()):
         if a == b:
-            continue
-        for fac in factors:
-            if count_roots_open(fac, a, b) >= 1:
-                field = AlgebraicField(fac, a, b)
-                gamma_star = field.elem(UniPoly([_ZERO, _ONE]))
-                if _sign(gamma_star) >= 0 and _u_feasible(f.coeffs, n, gamma_star)[0]:
-                    return SosVerdict(
-                        "IN",
-                        note=(
-                            "feasible only at a single irrational gamma "
-                            f"isolated by ({a}, {b}); no rational certificate "
-                            "exists in this parametrization"
-                        ),
-                    )
-                break
+            continue  # tested above
+        if owner.degree == 1:
+            gamma = -owner.coeffs[0]  # the owner is monic
+            ok, u = _u_feasible(f.coeffs, n, gamma)
+            if ok:
+                return SosVerdict("IN", certificate=_assemble(f, gamma, u))
+        elif _u_feasible(
+            f.coeffs, n, AlgebraicField(owner, a, b).elem(UniPoly([_ZERO, _ONE]))
+        )[0]:
+            return SosVerdict(
+                "IN",
+                note=(
+                    "feasible only at a single irrational gamma "
+                    f"isolated by ({a}, {b}); no rational certificate "
+                    "exists in this parametrization"
+                ),
+            )
     return SosVerdict("OUT")
 
 

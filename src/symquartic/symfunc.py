@@ -29,7 +29,6 @@ from itertools import permutations
 from math import factorial
 
 from .algebra import (
-    MultiPoly,
     NoLimitError,
     RatFunc,
     UniPoly,
@@ -473,32 +472,6 @@ def evaluate(f: SymFormP, point) -> Fraction:
             for a in parts:
                 v *= p_val(a)
             total += v
-    return total
-
-
-def phi_form(f: SymFormP, d: int | None = None) -> MultiPoly:
-    """The test form Phi_f(s_1..s_d, t_1..t_d) = sum c_lambda prod_i
-    (s_1 t_1^{lambda_i} + ... + s_d t_d^{lambda_i}).
-
-    Variables are ordered s_1..s_d, t_1..t_d.  For degree 2d the default is
-    d = degree/2.
-    """
-    if d is None:
-        if f.degree % 2:
-            raise ValueError("degree must be even to infer d")
-        d = f.degree // 2
-    nv = 2 * d
-    total = MultiPoly(nv)
-    for parts, c in zip(partitions_of(f.degree), f.coeffs):
-        if not c:
-            continue
-        prod = MultiPoly.const(c, nv)
-        for a in parts:
-            factor = MultiPoly(nv)
-            for i in range(d):
-                factor = factor + MultiPoly.var(i, nv) * MultiPoly.var(d + i, nv, a)
-            prod = prod * factor
-        total = total + prod
     return total
 
 

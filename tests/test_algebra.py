@@ -13,6 +13,7 @@ from symquartic.algebra import (
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
+    cells,
     count_real_roots,
     count_roots_open,
     disc_binary_quartic,
@@ -143,6 +144,39 @@ class TestRootMachinery:
         )
         factors = irreducible_factors(p)
         assert sorted(f.degree for f in factors) == [1, 2]
+
+
+class TestCells:
+    @staticmethod
+    def lin(r):
+        return UniPoly([-Fraction(r), Fraction(1)])
+
+    def test_breakpoints_samples_and_owners(self):
+        half_sq = UniPoly([Fraction(-1, 2), Fraction(0), Fraction(1)])  # x^2 - 1/2
+        polys = [
+            self.lin(0) * self.lin(1),  # roots at the ends cut nothing
+            self.lin(Fraction(1, 3)),  # rational, never hit by bisection
+            self.lin(Fraction(1, 2)) ** 2,  # a double root counts once
+            half_sq * self.lin(Fraction(1, 3)),  # sqrt(1/2), 1/3 again
+        ]
+        cs = cells(polys, Fraction(0), Fraction(1))
+        assert len(cs.breakpoints) == 3
+        assert len(cs.samples) == 4
+        prev = Fraction(0)
+        for (a, b), s, s_next in zip(cs.breakpoints, cs.samples, cs.samples[1:]):
+            assert prev < a <= b < 1  # strictly apart and inside
+            assert prev < s <= a and (s < a or a < b) and b < s_next
+            prev = b
+        assert prev < cs.samples[-1] < 1
+        assert all(cs.product(s) != 0 for s in cs.samples)
+        owners = cs.owners()
+        assert owners == [self.lin(Fraction(1, 3)), self.lin(Fraction(1, 2)), half_sq]
+
+    def test_degenerate_intervals(self):
+        assert cells([], Fraction(0), Fraction(1)).samples == (Fraction(1, 2),)
+        point = cells([self.lin(2)], Fraction(2), Fraction(2))
+        assert point.breakpoints == () and point.samples == (Fraction(2),)
+        assert point.owners() == []
 
 
 class TestAlgebraicField:

@@ -182,6 +182,32 @@ class TestPlotdataCommand:
         assert [r[1] for r in rows] == expected
         assert rows[0][0] == "0"
 
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            (
+                {"4": "1", "2,2": "-1", "2,1,1": "1/2"},
+                ["1/2", "64879/524288", "0", "71645/1048576", "0"],
+            ),
+            (
+                {"4": "1", "3,1": "-3"},
+                ["-2", "-805254531/16777216", "-inf", "-inf", "-inf"],
+            ),
+        ],
+        ids=["positive-min", "negative-min"],
+    )
+    def test_minval_bisection(self, tmp_path, capsys, coeffs, expected):
+        # minima away from x = 0: dyadic lower bounds within 2^-20 from the
+        # bisection, found below p(0) - 1 in the second form
+        path = write_form(tmp_path, p_form(coeffs, scope="limit"))
+        assert main(["plotdata", "--what", "minval", "--samples", "4", "--limit", path]) == 0
+        rows = [
+            line.split("\t")
+            for line in capsys.readouterr().out.strip().splitlines()
+            if not line.startswith("#")
+        ]
+        assert [r[1] for r in rows] == expected
+
     def test_zero_samples_rejected(self, tmp_path):
         path = write_form(tmp_path, self.EX)
         assert main(["plotdata", "--what", "disc", "--samples", "0", "--limit", path]) == 2

@@ -13,7 +13,7 @@ from symquartic.sos import (
     sos_membership,
     sos_membership_limit,
 )
-from symquartic.symfunc import LIMIT, form_from_dict
+from symquartic.symfunc import LIMIT, SymFormP, form_from_dict
 
 from conftest import choi_lam_multipoly, random_form
 
@@ -95,13 +95,38 @@ class TestLimitMembership:
             sos_membership_limit(form_from_dict(4, {(4,): 1}, 4))
 
 
+# Forms expand_certificate(rank-1 A, rank-1 B, gamma), SOS by construction,
+# whose feasible gamma lies in an open cell between two breakpoint
+# intervals that share an endpoint; canonical coefficient order.
+_RANK_ONE_SOS = {
+    "rank1-n5": (5, ("127/60", "98/15", "-421/240", "-109/24", "-5/48")),
+    "rank1-n7": (7, ("44/49", "167/49", "-965/2352", "-73/24", "7/48")),
+    "rank1-n6": (6, ("7/144", "13/72", "59/240", "-181/80", "323/80")),
+}
+# Forms expand_certificate(rank-1 A, rank-1 B, 1/3) whose two PSD regions in
+# the (gamma, u) plane touch at one point: gamma = 1/3 is the only feasible
+# value, a rational breakpoint inside a non-point isolating interval.
+_SINGLE_GAMMA_SOS = {
+    "single-gamma-n5a": (5, ("73/75", "158/75", "-131/150", "-26/15", "1/6")),
+    "single-gamma-n5b": (5, ("94/225", "-92/75", "407/900", "1/5", "1/6")),
+}
+
+
 class TestNumericMembership:
-    def test_p4_in_every_scope(self):
-        for n in (4, 5, 9):
-            f = form_from_dict(4, {(4,): 1}, n)
-            verdict = sos_membership(f)
-            assert verdict.status == "IN"
-            assert expand_certificate(verdict.certificate) == f
+    @pytest.mark.parametrize(
+        "n, coeffs",
+        [(n, (1, 0, 0, 0, 0)) for n in (4, 5, 9)]
+        + list(_RANK_ONE_SOS.values())
+        + list(_SINGLE_GAMMA_SOS.values()),
+        ids=["p4-n4", "p4-n5", "p4-n9"] + list(_RANK_ONE_SOS) + list(_SINGLE_GAMMA_SOS),
+    )
+    def test_in_with_certificate(self, n, coeffs):
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        verdict = sos_membership(f)
+        assert verdict.status == "IN"
+        assert verdict.certificate is not None
+        assert verdict.note is None
+        assert expand_certificate(verdict.certificate) == f
 
     def test_negative_form_out(self):
         assert sos_membership(form_from_dict(4, {(4,): -1}, 4)).status == "OUT"
