@@ -386,12 +386,13 @@ def root_bound(p: UniPoly) -> Fraction:
 def isolate_real_roots(
     p: UniPoly, lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals, each containing exactly one distinct real
-    root of p in the open interval (lo, hi).
+    """Disjoint rational intervals, each containing exactly one real root of
+    the squarefree polynomial p in the open interval (lo, hi).
 
     Intervals are sorted; a root that is itself rational may be reported as a
     degenerate point interval ``(r, r)``.  Non-degenerate intervals have
-    endpoints that are not roots of p.
+    endpoints that are not roots of p.  No squarefree part is taken here:
+    callers pass squarefree products or Yun factors.
     """
     if p.is_zero():
         raise ValueError("indeterminate root set")
@@ -399,7 +400,7 @@ def isolate_real_roots(
     hi = Fraction(hi)
     if hi <= lo or p.degree <= 0:
         return []
-    q = squarefree_part_field(p)
+    q = p
 
     def count_open(a: Fraction, b: Fraction) -> int:
         return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
@@ -1172,14 +1173,10 @@ def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
 def binary_quartic_strictly_positive(h: Sequence[Fraction]) -> bool:
     """True iff h(x, y) > 0 for all real (x, y) != (0, 0)."""
     h = [Fraction(c) for c in h]
-    p = _quartic_x_poly(h)
-    if p.is_zero() or h[0] <= 0:
+    if h[0] <= 0:  # h(1, 0) <= 0
         return False
-    if p.degree < 4:
-        return False  # real projective zero at (1, 0)
-    if not binary_quartic_nonneg(h):
-        return False
-    return count_real_roots(squarefree_part_field(p)) == 0
+    # degree 4 with a positive leading coefficient: positive iff no real root
+    return count_real_roots(_quartic_x_poly(h)) == 0
 
 
 def binary_quartic_negative_point(

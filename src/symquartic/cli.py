@@ -64,7 +64,6 @@ from .symfunc import (
     m_to_p,
     p_to_m,
     phi_alpha_coeffs,
-    restrict_alpha,
 )
 
 _ZERO = Fraction(0)
@@ -416,9 +415,10 @@ def cmd_plotdata(args) -> int:
             value = delta(alpha) if not delta.is_zero() else _ZERO
             rows.append((alpha, fmt_val(value)))
     else:
+        cs = phi_alpha_coeffs(f)
         for i in range(args.samples + 1):
             alpha = Fraction(i, args.samples)
-            value = _min_value(restrict_alpha(f, alpha))
+            value = _min_value(tuple(c(alpha) for c in cs))
             rows.append((alpha, "-inf" if value is None else fmt_val(value)))
     for alpha, value in rows:
         print(f"{fmt_val(alpha)}\t{value}")

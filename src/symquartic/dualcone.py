@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import SymMat2, UniPoly, irreducible_factors, psd2
-from .symfunc import LIMIT, SymFormP, restrict_alpha
+from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -253,8 +253,10 @@ def certify_boundary(f: SymFormP):
 
     if sum(f.coeffs, _ZERO) == 0:
         return point_eval_functional((_ONE,) * n)
+    cs = phi_alpha_coeffs(f)
     for k in range(1, n):
-        h = restrict_alpha(f, Fraction(k, n))
+        alpha = Fraction(k, n)
+        h = tuple(c(alpha) for c in cs)
         for x, y in _rational_projective_roots(h):
             v = (x,) * k + (y,) * (n - k)
             ell = point_eval_functional(v)

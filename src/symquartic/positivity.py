@@ -1,9 +1,5 @@
 """Nonnegativity decisions for symmetric quartics.
 
-Finite n: by the half-degree principle a symmetric quartic is nonnegative
-iff the binary quartic Phi_f(w, x, y) is nonnegative for every weight pair
-w in the grid W_n.
-
 Limit cone: f is in the limit nonnegativity cone iff Phi^alpha(x, y) =
 Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  The
 nonnegativity status can only change across finitely many critical alpha
@@ -12,12 +8,23 @@ the decision tests one rational alpha per open cell and the endpoints as
 scalars.  Boundary status reuses the same cells: it looks for a real
 projective zero at each cell sample and, exactly, at each critical value
 in the algebraic field of its owner factor.
+
+Finite n: by the half-degree principle a symmetric quartic is nonnegative
+(strictly positive) iff Phi^alpha is, for every weight alpha = k/n of the
+grid W_n.  On the open alpha-cells both properties are constant, so from
+``_CELL_MIN_N`` on the decisions test only the grid weights the cells pick:
+k = 0 and n, the weights inside each breakpoint's isolating interval
+refined to width 1/n, and the first weight right of each interval.  That
+is a bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
+all n + 1 weights, because building the cells then costs more than the
+walk.  On both paths ``is_nonneg`` returns the first failing grid weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 from .algebra import (
     AlgebraicField,
@@ -30,11 +37,11 @@ from .algebra import (
     cells,
     count_real_roots,
     disc_binary_quartic,
+    refine_root_interval,
     resultant,
     yun_decomposition,
 )
-from .partitions import w_grid
-from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs, restrict_alpha
+from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -65,6 +72,34 @@ class BoundaryVerdict:
 # ---------------------------------------------------------------------------
 
 
+#: Below this n the finite-n decisions walk all n + 1 grid weights: building
+#: the alpha-cells costs a flat 7-11 ms, a direct weight test 0.4-0.7 ms, and
+#: the two cross at n = 16-20 (mean over 22 nonnegative forms, 2-vCPU VM).
+_CELL_MIN_N = 18
+
+
+def _tested_ks(cs, n: int) -> list[int]:
+    """Ascending k whose weights (k/n, (n-k)/n) decide Phi^alpha >= 0 (and
+    > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f.
+
+    Below ``_CELL_MIN_N`` this is every k.  Otherwise: k = 0 and n, every
+    k/n in each breakpoint interval refined to width <= 1/n (which holds
+    the breakpoint itself when it is some k/n), and the smallest k/n to the
+    right of each breakpoint interval and of 0.  The status is constant on
+    the open cells, and the first grid weight of every cell is in the list,
+    so the first failing k is the first failing k of the whole grid.
+    """
+    if n < _CELL_MIN_N:
+        return list(range(n + 1))
+    alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
+    width = Fraction(1, n)
+    ks = {0, 1, n}
+    for a, b in alpha_cells.breakpoints:
+        a, b = refine_root_interval(alpha_cells.product, a, b, width)
+        ks.update(range(ceil(a * n), floor(b * n) + 2))
+    return sorted(ks)
+
+
 def is_nonneg(f: SymFormP) -> NonnegVerdict:
     """Half-degree-principle decision over the grid W_n (numeric scope)."""
     if f.scope is LIMIT:
@@ -72,11 +107,13 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     n = f.scope
-    for w in w_grid(n, 2):
-        h = restrict_alpha(f, w[0])
+    cs = phi_alpha_coeffs(f)
+    for k in _tested_ks(cs, n):
+        alpha = Fraction(k, n)
+        h = tuple(c(alpha) for c in cs)
         if not binary_quartic_nonneg(h):
             point = binary_quartic_negative_point(h)
-            return NonnegVerdict("OUT", (w, point))
+            return NonnegVerdict("OUT", ((alpha, 1 - alpha), point))
     return NonnegVerdict("IN")
 
 
@@ -94,10 +131,12 @@ def is_strictly_positive(f: SymFormP) -> bool:
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
         return False
-    for w in w_grid(n, 2):
-        if w[0] == 0 or w[1] == 0:
+    cs = phi_alpha_coeffs(f)
+    for k in _tested_ks(cs, n):
+        if k == 0 or k == n:
             continue  # covered by the scalar test above
-        if not binary_quartic_strictly_positive(restrict_alpha(f, w[0])):
+        alpha = Fraction(k, n)
+        if not binary_quartic_strictly_positive(tuple(c(alpha) for c in cs)):
             return False
     return True
 
@@ -107,17 +146,25 @@ def is_strictly_positive(f: SymFormP) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _phi_x_poly(f: SymFormP) -> tuple[UniPoly, tuple[UniPoly, ...]]:
-    """Phi^alpha(x, 1) as a polynomial in x over Q(alpha), together with the
-    raw alpha-polynomial coefficients (descending x-order)."""
-    cs = phi_alpha_coeffs(f)  # descending x-order, UniPoly in alpha
-    p = UniPoly([RatFunc(c) for c in reversed(cs)])
-    return p, cs
+def _alpha_discriminant(cs) -> UniPoly:
+    """A positive multiple of the alpha-discriminant of Phi^alpha, computed
+    over the integers.
+
+    The discriminant is homogeneous of degree 6 in the five coefficients,
+    so clearing their common denominator scales it by a positive constant
+    and leaves its roots and signs alone; ``Fraction`` arithmetic here
+    spends most of its time normalising.  The result has ``Fraction``
+    coefficients again, because ``UniPoly`` division on ints gives floats.
+    """
+    den = lcm(*(c.denominator for u in cs for c in u.coeffs))
+    ints = [UniPoly([c.numerator * (den // c.denominator) for c in u.coeffs]) for u in cs]
+    return UniPoly([Fraction(c) for c in disc_binary_quartic(ints).coeffs])
 
 
-def _critical_polys(f: SymFormP) -> list[UniPoly]:
+def _critical_polys(cs) -> list[UniPoly]:
     """Polynomials in alpha whose roots in (0,1) delimit the cells on which
-    the sign/root structure of Phi^alpha is constant.
+    the sign/root structure of Phi^alpha is constant; ``cs`` are the
+    alpha-polynomial coefficients of Phi^alpha (``phi_alpha_coeffs``).
 
     Generic case: the alpha-discriminant and the leading coefficient.  When
     either vanishes identically, fall back to a complete decomposition from
@@ -126,9 +173,8 @@ def _critical_polys(f: SymFormP) -> list[UniPoly]:
     pairwise resultants, the factor-coefficient denominators, and all raw
     coefficient polynomials.
     """
-    p, cs = _phi_x_poly(f)
     lead = cs[0]
-    delta = disc_binary_quartic(cs)  # UniPoly in alpha
+    delta = _alpha_discriminant(cs)
     out: list[UniPoly] = []
 
     def add(poly: UniPoly) -> None:
@@ -143,6 +189,7 @@ def _critical_polys(f: SymFormP) -> list[UniPoly]:
     # degenerate family: complete decomposition
     for c in cs:
         add(c)
+    p = UniPoly([RatFunc(c) for c in reversed(cs)])  # Phi^alpha(x, 1)
     if p.is_zero():
         return out
     factors = [fac for fac, _k in yun_decomposition(p)]
@@ -164,19 +211,18 @@ def _critical_polys(f: SymFormP) -> list[UniPoly]:
     return out
 
 
-def _limit_nonneg(f: SymFormP) -> tuple[NonnegVerdict, Cells | None]:
+def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
     """The limit-cone verdict and the alpha-cells of f it was decided on
-    (None when the scalar alpha in {0, 1} test decides)."""
-    if f.degree != 4:
-        raise ValueError("decision implemented for degree 4")
+    (None when the scalar alpha in {0, 1} test decides); ``cs`` are the
+    alpha-polynomial coefficients of Phi^alpha."""
     if f.is_zero():
         return NonnegVerdict("IN"), None
     total = sum(f.coeffs, _ZERO)  # Phi^{1/2}(1,1); the alpha in {0,1} test
     if total < 0:
         return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ZERO, _ONE))), None
-    alpha_cells = cells(_critical_polys(f), _ZERO, _ONE)
+    alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
     for alpha in alpha_cells.samples:
-        h = restrict_alpha(f, alpha)
+        h = tuple(c(alpha) for c in cs)
         if not binary_quartic_nonneg(h):
             point = binary_quartic_negative_point(h)
             return NonnegVerdict("OUT", ((alpha, 1 - alpha), point)), alpha_cells
@@ -185,7 +231,7 @@ def _limit_nonneg(f: SymFormP) -> tuple[NonnegVerdict, Cells | None]:
 
 def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope)."""
-    return _limit_nonneg(f)[0]
+    return _limit_nonneg(f, phi_alpha_coeffs(f))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +280,16 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     """
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
-    verdict, alpha_cells = _limit_nonneg(f)
+    cs = phi_alpha_coeffs(f)
+    verdict, alpha_cells = _limit_nonneg(f, cs)
     if verdict.status == "OUT":
         return BoundaryVerdict("OUTSIDE")
-    cs = phi_alpha_coeffs(f)
     if cs[0].is_zero():
         # the x^4 coefficient vanishes identically: a real projective zero
         # at (1, 0) for every alpha
         return BoundaryVerdict("BOUNDARY", (Fraction(1, 2), Fraction(1, 2)))
     for alpha in alpha_cells.samples:
-        if _has_real_projective_zero(restrict_alpha(f, alpha)):
+        if _has_real_projective_zero(tuple(c(alpha) for c in cs)):
             return BoundaryVerdict("BOUNDARY", (alpha, alpha))
     for (lo, hi), owner in zip(alpha_cells.breakpoints, alpha_cells.owners()):
         if _real_zero_at_algebraic(cs, owner, lo, hi):

@@ -246,6 +246,8 @@ class TestBinaryQuartics:
         assert binary_quartic_strictly_positive((1, 0, 0, 0, 1))
         assert not binary_quartic_strictly_positive((1, 0, 0, 0, 0))
         assert not binary_quartic_strictly_positive((1, 0, -3, 0, 1))
+        assert not binary_quartic_strictly_positive((1, 0, -2, 0, 1))  # (x^2 - y^2)^2
+        assert binary_quartic_strictly_positive((1, 0, 2, 0, 1))  # (x^2 + y^2)^2
 
 
 class TestSimplestRational:

@@ -105,6 +105,20 @@ class TestCheckCommand:
         assert f.coeffs == CHOI_LAM_P_VECTOR
 
 
+    def test_huge_n_bounded_time(self, tmp_path, capsys):
+        # n = 10^6 + 1 grid weights would take minutes; the alpha-cells
+        # decide it from a handful of them
+        inside = write_form(tmp_path, TestPlotdataCommand.EX, "in.form")
+        assert main(["check", "nonneg", "--n", "1000000", inside]) == 0
+        assert "status: IN" in capsys.readouterr().out
+        # negative only on a window of weights around 1/2
+        window = write_form(
+            tmp_path, p_form({"4": "1", "2,2": "-1000001/1000000", "1,1,1,1": "1"}), "out.form"
+        )
+        assert main(["check", "nonneg", "--n", "1000000", window]) == 1
+        assert "status: OUT" in capsys.readouterr().out
+
+
 class TestConvertCommand:
     def test_round_trip_p_to_m_to_p(self, tmp_path, capsys):
         src = write_form(tmp_path, p_form({"4": "1", "3,1": "-1/2", "2,1,1": "2"}))
