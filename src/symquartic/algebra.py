@@ -6,6 +6,17 @@ Provides the building blocks used by every other module:
   field (rationals, rational functions, algebraic number fields), with
   Euclidean division, gcd, squarefree (Yun) decomposition, Sturm sequences
   and certified real-root isolation.
+* the integer core behind them: a polynomial with rational (``int`` or
+  ``Fraction``) coefficients is carried as the primitive integer polynomial
+  that is a positive multiple of it, a list of ints.  Roots, multiplicities
+  and signs do not see a positive factor, so gcds and squarefree parts
+  (primitive PRS), Yun decompositions, Sturm chains (sign-corrected
+  pseudo-remainders with the content divided out), root counting and
+  isolation run on ints, and the sign at a rational p/q is that of the
+  homogeneous integer Horner value sum c_i p^i q^(d-i).  ``Fraction`` is
+  built only where a ``UniPoly`` is handed out.  Euclid over the
+  coefficient field remains only for ``RatFunc`` and ``AlgElem``
+  coefficients.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
   interval into open cells, each with a rational sample, and each root
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -48,9 +60,11 @@ def _sign_of(value) -> int:
 class UniPoly:
     """Univariate polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
-    Coefficients may be ``Fraction`` (the common case) or elements of any
-    exact field implementing +, -, *, /, bool() (False iff zero).  The zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Coefficients may be ``int`` or ``Fraction`` (the common case, both
+    exact: division and the root machinery never leave the rationals) or
+    elements of any exact field implementing +, -, *, /, bool() (False iff
+    zero).  The zero polynomial has an empty coefficient tuple and degree
+    -1.
     """
 
     __slots__ = ("coeffs",)
@@ -155,7 +169,7 @@ class UniPoly:
         return result
 
     def _one(self):
-        if self.coeffs:
+        if self.coeffs and not _is_rational(self.coeffs[-1]):
             c = self.coeffs[-1]
             return c / c
         return _ONE
@@ -166,7 +180,7 @@ class UniPoly:
         if isinstance(other, int):
             other = Fraction(other)
         if isinstance(other, Fraction):
-            if self.coeffs and not isinstance(self.coeffs[-1], Fraction):
+            if self.coeffs and not _is_rational(self.coeffs[-1]):
                 other = self.coeffs[-1] / self.coeffs[-1] * other
             return UniPoly([other]) if other else UniPoly()
         try:
@@ -197,7 +211,8 @@ class UniPoly:
     # -- Euclidean structure ----------------------------------------------
 
     def divmod(self, other: "UniPoly"):
-        """Exact quotient and remainder over the coefficient field."""
+        """Exact quotient and remainder over the coefficient field (the
+        rationals for ``int`` coefficients)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -206,6 +221,8 @@ class UniPoly:
             return UniPoly(), self
         quot = [None] * (dq + 1)
         dlead = other.lead
+        if isinstance(dlead, int):
+            dlead = Fraction(dlead)
         for i in range(dq, -1, -1):
             c = rem[i + other.degree]
             if not c:
@@ -230,6 +247,225 @@ class UniPoly:
         return q
 
 
+def _is_rational(c) -> bool:
+    return isinstance(c, (int, Fraction))
+
+
+def _rational(p: UniPoly) -> bool:
+    """Are all coefficients of p rational (``int`` or ``Fraction``)?"""
+    return all(map(_is_rational, p.coeffs))
+
+
+# -- the integer core --------------------------------------------------------
+#
+# A "zpoly" is a list of ints, ascending like ``UniPoly.coeffs``, with no
+# trailing zero.  ``_zpoly`` turns a rational polynomial into the primitive
+# zpoly that is a positive multiple of it; every other helper keeps its
+# results positive multiples of the exact rational answer (and primitive
+# where it says so), so signs are read off the ints directly.
+
+
+def _zsplit(coeffs: Sequence) -> tuple[list[int], int, int]:
+    """(z, g, den) with the polynomial of these rational coefficients equal
+    to (g / den) * z, z primitive and g, den positive (z = [] and g = 0 for
+    zero)."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    den = lcm(*(c.denominator for c in cs))
+    z = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*z)
+    return ([c // g for c in z] if g > 1 else z), g, den
+
+
+def _zpoly(coeffs: Sequence) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of the
+    polynomial with these rational coefficients (``[]`` for zero)."""
+    return _zsplit(coeffs)[0]
+
+
+def _monic(z: list[int]) -> UniPoly:
+    """The monic rational polynomial of a nonzero zpoly."""
+    lead = z[-1]
+    return UniPoly([Fraction(c, lead) for c in z])
+
+
+def _zprim(z: list[int]) -> list[int]:
+    """Divide out the (positive) content."""
+    g = gcd(*z)
+    return [c // g for c in z] if g > 1 else z
+
+
+def _zlinear(r: Fraction) -> list[int]:
+    """The primitive zpoly of x - r, r rational."""
+    return [-r.numerator, r.denominator]
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _ztrim(z: list[int]) -> list[int]:
+    while z and not z[-1]:
+        z.pop()
+    return z
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return _ztrim([x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))])
+
+
+def _zderiv(z: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(z) if i]
+
+
+def _zrem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b over Q (b nonzero).
+
+    Each reduction step scales the partial remainder by |lc(b)|/g and
+    subtracts a multiple of b; when a step cancels more than the leading
+    term, fewer steps run than deg a - deg b + 1, which is why the scale is
+    kept positive per step instead of fixing the sign of lc(b)**k after.
+    """
+    lb = b[-1]
+    if lb < 0:
+        b = [-c for c in b]
+        lb = -lb
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        lr = r[-1]
+        shift = len(r) - 1 - db
+        g = gcd(lr, lb)
+        m, lr = lb // g, lr // g
+        head = r[:shift] if m == 1 else [m * c for c in r[:shift]]
+        r = _ztrim(head + [m * x - lr * y for x, y in zip(r[shift:-1], b)])
+    return r
+
+
+def _zquo(a: list[int], b: list[int]) -> list[int]:
+    """The exact quotient a / b for a zpoly b that divides a over Q and is
+    primitive, so that the quotient has integer coefficients (Gauss)."""
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        if c:
+            c, m = divmod(c, lb)
+            if m:
+                raise ValueError("inexact polynomial division")
+            q[i] = c
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    if any(r[:db]):
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _zpositive(z: list[int]) -> list[int]:
+    return z if z[-1] > 0 else [-c for c in z]
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with a positive leading coefficient (primitive PRS);
+    at least one argument is nonzero."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _zprim(a)
+    while b:
+        b = _zprim(b)
+        a, b = b, _zrem(a, b)
+    return _zpositive(a)
+
+
+def _zsqf(z: list[int]) -> list[int]:
+    """Primitive squarefree part, positive leading coefficient."""
+    if len(z) <= 2:
+        return _zpositive(_zprim(z))
+    g = _zgcd(z, _zderiv(z))
+    return _zpositive(_zquo(z, g) if len(g) > 1 else z)
+
+
+def _zyun(z: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's decomposition of a primitive zpoly with a positive leading
+    coefficient: pairs (D_k, k), D_k primitive, squarefree, pairwise coprime
+    and nonconstant, with z = prod D_k**k.  The pair b, c is divided by
+    the same gcds, so it stays one common multiple of its rational
+    counterpart and c - b' is exact."""
+    dz = _zderiv(z)
+    a = _zgcd(z, dz)
+    b, c = _zquo(z, a), _zquo(dz, a)
+    out = []
+    k = 1
+    while len(b) > 1:
+        d = _zsub(c, _zderiv(b))
+        fac = _zgcd(b, d)
+        if len(fac) > 1:
+            out.append((fac, k))
+            b, c = _zquo(b, fac), _zquo(d, fac)
+        else:
+            c = d
+        k += 1
+    return out
+
+
+def _zsturm(z: list[int]) -> list[list[int]]:
+    """Sturm chain of a nonzero zpoly: z, z', then negated remainders,
+    each a positive multiple of its term of the Euclidean chain over Q,
+    with the content divided out; stops at the last nonzero term."""
+    chain = [z]
+    dz = _zderiv(z)
+    if dz:
+        chain.append(_zprim(dz))
+    while len(chain[-1]) > 1:
+        r = _zrem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_zprim([-c for c in r]))
+    return chain
+
+
+def _zsign(z: list[int], x: Fraction) -> int:
+    """The sign of z(x), x = p/q, from the homogeneous integer Horner sum
+    q**deg(z) * z(p/q) = sum c_i p^i q^(d-i)."""
+    p, q = x.numerator, x.denominator
+    acc = 0
+    qk = 1
+    for c in reversed(z):
+        acc = acc * p + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(signs: Sequence[int]) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def _zvariations(chain: list[list[int]], x: Fraction) -> int:
+    return _variations([_zsign(z, x) for z in chain])
+
+
+def _count_from_chain(chain: Sequence[Sequence]) -> int:
+    """Distinct real roots from a Sturm chain (coefficient sequences):
+    sign variations at -infinity minus those at +infinity."""
+    at_pos = [_sign_of(c[-1]) for c in chain]
+    at_neg = [-s if len(c) % 2 == 0 else s for s, c in zip(at_pos, chain)]
+    return _variations(at_neg) - _variations(at_pos)
+
+
+# -- public gcd, squarefree and Sturm functions ------------------------------
+
+
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic greatest common divisor over the coefficient field.
 
@@ -237,6 +473,8 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
+    if _rational(p) and _rational(q):
+        return _monic(_zgcd(_zpoly(p.coeffs), _zpoly(q.coeffs)))
     a, b = p, q
     while not b.is_zero():
         a, b = b, a % b
@@ -251,9 +489,11 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    p = p.monic()
     if p.degree == 0:
         return []
+    if _rational(p):
+        return [(_monic(fac), k) for fac, k in _zyun(_zpositive(_zpoly(p.coeffs)))]
+    p = p.monic()
     out: list[tuple[UniPoly, int]] = []
     dp = p.derivative()
     a = poly_gcd(p, dp)
@@ -262,7 +502,7 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     k = 1
     while b.degree > 0:
         d = c - b.derivative()
-        fac = poly_gcd(b, d) if not (b.is_zero() and d.is_zero()) else UniPoly([_ONE])
+        fac = poly_gcd(b, d)
         if fac.degree > 0:
             out.append((fac, k))
         b2 = b.exact_div(fac)
@@ -272,10 +512,24 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-# -- Sturm machinery over the rationals (or any ordered field) -------------
+def squarefree_part_field(p: UniPoly) -> UniPoly:
+    """Squarefree part over the coefficient field (monic)."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.degree == 0:
+        return UniPoly([p._one()])
+    if _rational(p):
+        return _monic(_zsqf(_zpoly(p.coeffs)))
+    g = poly_gcd(p, p.derivative())
+    return p.exact_div(g).monic()
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
+    """Sturm chain of p: p, p', then negated remainders, up to the last
+    nonzero term.  For rational p the terms are primitive integer positive
+    multiples of the Euclidean chain's terms (same signs everywhere)."""
+    if _rational(p):
+        return [UniPoly(z) for z in _zsturm(_zpoly(p.coeffs))] if p else []
     chain = [p, p.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))
@@ -284,110 +538,79 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
-def _variations(signs: Sequence[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _chain_variations_at(chain: Sequence[UniPoly], x) -> int:
-    return _variations([_sign_of(q(x)) for q in chain])
-
-
-def _chain_variations_at_inf(chain: Sequence[UniPoly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero():
-            signs.append(0)
-            continue
-        s = _sign_of(q.lead)
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def count_real_roots(p: UniPoly) -> int:
     """Number of distinct real roots of p (any exact ordered field coeffs)."""
     if p.is_zero():
         raise ValueError("zero polynomial has indeterminate root set")
     if p.degree == 0:
         return 0
-    chain = sturm_chain(squarefree_part_field(p))
-    return _chain_variations_at_inf(chain, False) - _chain_variations_at_inf(chain, True)
-
-
-def squarefree_part_field(p: UniPoly) -> UniPoly:
-    """Squarefree part over the coefficient field (monic)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return UniPoly([p._one()])
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    if _rational(p):
+        return _count_from_chain(_zsturm(_zsqf(_zpoly(p.coeffs))))
+    return _count_from_chain([q.coeffs for q in sturm_chain(squarefree_part_field(p))])
 
 
 def sturm_count(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
+    """Number of distinct real roots of the rational polynomial p in the
+    half-open interval (lo, hi].
 
     Requires ``p(lo) != 0``; raises ``ValueError("endpoint root")`` otherwise.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has indeterminate root set")
+    z = _zpoly(p.coeffs)
     lo = Fraction(lo)
     hi = Fraction(hi)
-    if p(lo) == 0:
+    if _zsign(z, lo) == 0:
         raise ValueError("endpoint root")
     if hi <= lo:
         return 0
-    q = squarefree_part_field(p)
+    q = _zsqf(z)
     extra = 0
-    if q(hi) == 0:
+    if _zsign(q, hi) == 0:
         # deflate the rational root at hi, count it separately
-        q = q.exact_div(UniPoly([-hi, _ONE]))
+        q = _zquo(q, _zlinear(hi))
         extra = 1
-        if q(lo) == 0 or q(hi) == 0:  # pragma: no cover - squarefree => simple
-            raise ValueError("endpoint root")
-    if q.degree <= 0:
+    if len(q) <= 1:
         return extra
-    chain = sturm_chain(q)
-    return _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi) + extra
+    chain = _zsturm(q)
+    return _zvariations(chain, lo) - _zvariations(chain, hi) + extra
 
 
 def count_roots_open(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p strictly inside (lo, hi).
+    """Number of distinct real roots of the rational polynomial p strictly
+    inside (lo, hi).
 
     Unlike ``sturm_count``, endpoints are allowed to be roots (they are not
     counted)."""
     if p.is_zero():
         raise ValueError("zero polynomial has indeterminate root set")
+    z = _zpoly(p.coeffs)
     lo = Fraction(lo)
     hi = Fraction(hi)
     if hi <= lo:
         return 0
-    q = squarefree_part_field(p)
-    while not q.is_zero() and q.degree > 0 and q(lo) == 0:
-        q = q.exact_div(UniPoly([-lo, _ONE]))
-    while not q.is_zero() and q.degree > 0 and q(hi) == 0:
-        q = q.exact_div(UniPoly([-hi, _ONE]))
-    if q.degree <= 0:
+    q = _zsqf(z)
+    for r in (lo, hi):
+        if len(q) > 1 and _zsign(q, r) == 0:
+            q = _zquo(q, _zlinear(r))
+    if len(q) <= 1:
         return 0
-    chain = sturm_chain(q)
-    return _chain_variations_at(chain, lo) - _chain_variations_at(chain, hi)
+    chain = _zsturm(q)
+    return _zvariations(chain, lo) - _zvariations(chain, hi)
 
 
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: all real roots of p lie in (-B, B)."""
-    if p.is_zero() or p.degree <= 0:
+def _zroot_bound(z: list[int]) -> Fraction:
+    """Cauchy bound of a zpoly: all real roots lie in (-B, B)."""
+    if len(z) <= 1:
         return _ONE
-    lead = abs(p.lead)
-    return _ONE + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return _ONE + Fraction(max(abs(c) for c in z[:-1]), abs(z[-1]))
 
 
 def isolate_real_roots(
     p: UniPoly, lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, each containing exactly one real root of
-    the squarefree polynomial p in the open interval (lo, hi).
+    the squarefree rational polynomial p in the open interval (lo, hi).
 
     Intervals are sorted; a root that is itself rational may be reported as a
     degenerate point interval ``(r, r)``.  Non-degenerate intervals have
@@ -400,57 +623,56 @@ def isolate_real_roots(
     hi = Fraction(hi)
     if hi <= lo or p.degree <= 0:
         return []
-    q = p
+    q = _zpoly(p.coeffs)
+
+    # roots exactly at lo/hi are outside the open interval: deflate them so
+    # that the Sturm chain endpoints are non-roots without skipping interior
+    # roots
+    for r in (lo, hi):
+        while _zsign(q, r) == 0:
+            q = _zquo(q, _zlinear(r))
+            if len(q) <= 1:
+                return []
+    chain = _zsturm(q)
+    variations: dict[Fraction, int] = {}
 
     def count_open(a: Fraction, b: Fraction) -> int:
-        return _chain_variations_at(chain, a) - _chain_variations_at(chain, b)
+        for x in (a, b):
+            if x not in variations:
+                variations[x] = _zvariations(chain, x)
+        return variations[a] - variations[b]
 
     def nonroot_point(a: Fraction, b: Fraction) -> Fraction:
         """A rational in (a,b) that is not a root of q."""
         x = (a + b) / 2
         step = (b - a) / 4
-        while q(x) == 0:
+        while _zsign(q, x) == 0:
             x = x + step
             step /= 2
         return x
 
+    # bisect (a, b), a and b non-roots of q, until each piece holds at most
+    # one root; an explicit stack, as close roots need deep bisection
     out: list[tuple[Fraction, Fraction]] = []
-
-    def refine(a: Fraction, b: Fraction) -> None:
-        """a, b non-roots of q; isolate all roots in (a, b)."""
+    todo = [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
         k = count_open(a, b)
         if k == 0:
-            return
+            continue
         if k == 1:
             # bisect once more so that the interval is away from other roots,
             # collapsing to a point interval when the root is hit exactly
             mid = (a + b) / 2
-            if q(mid) == 0:
+            if _zsign(q, mid) == 0:
                 out.append((mid, mid))
-                return
-            if count_open(a, mid) == 1:
+            elif count_open(a, mid) == 1:
                 out.append((a, mid))
             else:
                 out.append((mid, b))
-            return
+            continue
         mid = nonroot_point(a, b)
-        refine(a, mid)
-        refine(mid, b)
-
-    # roots exactly at lo/hi are outside the open interval: deflate them so
-    # that the Sturm chain endpoints are non-roots without skipping interior
-    # roots
-    a, b = lo, hi
-    while q(a) == 0:
-        q = q.exact_div(UniPoly([-a, _ONE]))
-        if q.degree <= 0:
-            return []
-    while q(b) == 0:
-        q = q.exact_div(UniPoly([-b, _ONE]))
-        if q.degree <= 0:
-            return []
-    chain = sturm_chain(q)
-    refine(a, b)
+        todo += [(mid, b), (a, mid)]
     out.sort()
     return out
 
@@ -458,7 +680,8 @@ def isolate_real_roots(
 def refine_root_interval(
     p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a root of p below the given width.
+    """Shrink an isolating interval of a root of the rational polynomial p
+    below the given width.
 
     The root must be simple (p changes sign across it), as every root of a
     squarefree p is; callers pass squarefree parts, Yun factors or minimal
@@ -466,14 +689,15 @@ def refine_root_interval(
     """
     if lo == hi:
         return lo, hi
-    slo = _sign_of(p(lo))
-    if slo == 0 or p(hi) == 0:
+    z = _zpoly(p.coeffs)
+    slo = _zsign(z, lo)
+    if slo == 0 or _zsign(z, hi) == 0:
         # endpoint became a root: collapse
         r = lo if slo == 0 else hi
         return r, r
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sm = _sign_of(p(mid))
+        sm = _zsign(z, mid)
         if sm == 0:
             return mid, mid
         if sm == slo:
@@ -488,7 +712,8 @@ class Cells:
     """The cells into which the real roots of some rational polynomials cut
     an open interval (see ``cells``).
 
-    ``product`` is the monic squarefree product of the polynomials.
+    ``product`` is the squarefree product of the polynomials, as the
+    primitive integer polynomial with a positive leading coefficient.
     ``breakpoints`` are the sorted isolating intervals of its roots in the
     open interval: a point ``(r, r)`` at a rational root, otherwise an
     interval whose endpoints are not roots; they lie strictly apart and
@@ -520,7 +745,8 @@ class Cells:
 
 
 def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
-    """Cut the open interval (lo, hi) at the real roots of the polynomials.
+    """Cut the open interval (lo, hi) at the real roots of the rational
+    polynomials.
 
     Callers pass polynomials in a parameter across whose roots alone their
     answer can change.  The answer on [lo, hi] is then decided by testing
@@ -530,26 +756,31 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
-    product = UniPoly([_ONE])
+    product = [1]  # the lcm of the squarefree parts: squarefree itself
     for q in polys:
-        product = product * squarefree_part_field(q)
-    product = squarefree_part_field(product)
+        if q.is_zero():
+            raise ValueError("zero polynomial")
+        part = _zsqf(_zpoly(q.coeffs))
+        common = _zgcd(product, part)
+        product = _zmul(product, _zquo(part, common) if len(common) > 1 else part)
 
     # roots at exactly lo or hi do not subdivide (lo, hi) but would confuse
     # interval refinement when they coincide with an interval endpoint
     interior = product
     for r in (lo, hi):
-        if interior(r) == 0:
-            interior = interior.exact_div(UniPoly([-r, _ONE]))
+        if _zsign(interior, r) == 0:
+            interior = _zquo(interior, _zlinear(r))
+    interior_poly = UniPoly(interior)
 
     # refine so every non-point interval sits strictly inside (lo, hi) and
     # strictly to the right of the previous interval; the roots themselves
     # are strictly interior, so repeated halving always terminates
     breakpoints = []
     prev_hi = lo
-    for a, b in isolate_real_roots(product, lo, hi):
+    product_poly = UniPoly(product)
+    for a, b in isolate_real_roots(product_poly, lo, hi):
         while a != b and (a <= prev_hi or b >= hi):
-            a, b = refine_root_interval(interior, a, b, (b - a) / 2)
+            a, b = refine_root_interval(interior_poly, a, b, (b - a) / 2)
         breakpoints.append((a, b))
         prev_hi = b
 
@@ -565,7 +796,7 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
         samples.append(middle(prev_hi, a) if a == b else a)
         prev_hi = b
     samples.append(middle(prev_hi, hi))
-    return Cells(product, tuple(breakpoints), tuple(samples))
+    return Cells(product_poly, tuple(breakpoints), tuple(samples))
 
 
 def resultant(f: UniPoly, g: UniPoly):
@@ -615,15 +846,19 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = UniPoly([_ONE])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.lead
-            if lead != 1:
-                num = num.scale(_ONE / lead)
-                den = den.scale(_ONE / lead)
+        elif den.degree > 0:
+            # lowest terms over the integers: num / den = s * zn / zd
+            zn, gn, dn = _zsplit(num.coeffs)
+            zd, gd, dd = _zsplit(den.coeffs)
+            g = _zgcd(zn, zd)
+            if len(g) > 1:
+                zn, zd = _zquo(zn, g), _zquo(zd, g)
+            s = Fraction(gn * dd, dn * gd * zd[-1])
+            num = UniPoly([c * s for c in zn])
+            den = _monic(zd)
+        elif den.lead != 1:
+            num = num.scale(_ONE / den.lead)
+            den = UniPoly([_ONE])
         self.num = num
         self.den = den
 
@@ -735,7 +970,7 @@ class RatFunc:
         if dn < dd:
             return _ZERO
         if dn == dd:
-            return self.num.lead / self.den.lead
+            return Fraction(self.num.lead) / self.den.lead
         raise NoLimitError("rational function diverges as the symbol grows")
 
     def is_constant(self) -> bool:
@@ -746,7 +981,7 @@ class RatFunc:
             raise ValueError("not a constant rational function")
         if not self:
             return _ZERO
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return Fraction(self.num.coeffs[0]) / self.den.coeffs[0]
 
 
 class NoLimitError(ValueError):
@@ -830,15 +1065,15 @@ class AlgebraicField:
         if rep.degree == 0:
             return _sign_of(rep.coeffs[0])
         # rep(theta) != 0 because deg rep < deg minpoly and minpoly irreducible
+        z = _zpoly(rep.coeffs)
         while True:
             lo, hi = self._lo, self._hi
             if lo == hi:
-                return _sign_of(rep(lo))
-            if rep(lo) != 0 and rep(hi) != 0:
-                slo, shi = _sign_of(rep(lo)), _sign_of(rep(hi))
-                if slo == shi and sturm_count(rep, lo, hi) == 0:
-                    # rep has constant sign on [lo, hi] ∋ theta
-                    return slo
+                return _zsign(z, lo)
+            slo = _zsign(z, lo)
+            if slo != 0 and slo == _zsign(z, hi) and sturm_count(rep, lo, hi) == 0:
+                # rep has constant sign on [lo, hi] ∋ theta
+                return slo
             self.refine()
 
 
@@ -1107,39 +1342,48 @@ def psd2(m: SymMat2) -> bool:
 def disc_binary_quartic(h: Sequence):
     """Discriminant of a binary quartic, classical normalization.
 
-    Works generically: the five coefficients may be Fractions, UniPoly
-    (e.g. polynomials in a weight parameter) or any commutative ring
-    elements.  The normalization is the classical quartic discriminant
-    Res(h, h')/a4 extended to the coefficient tuple, which satisfies
-    disc(x^4 + p x^2 + q x + r) = classical and makes the factored form
-    16 (alpha-1)^3 (c+d)^2 alpha^3 Q1 Q2^2 of the boundary-family
-    discriminant hold exactly with constant 16.
+    The five coefficients are rationals, or ``UniPoly`` with rational
+    coefficients (e.g. polynomials in a weight parameter); the result is a
+    rational or a ``UniPoly`` accordingly.  The normalization is the
+    classical quartic discriminant Res(h, h')/a4 extended to the
+    coefficient tuple, which satisfies disc(x^4 + p x^2 + q x + r) =
+    classical and makes the factored form 16 (alpha-1)^3 (c+d)^2 alpha^3
+    Q1 Q2^2 of the boundary-family discriminant hold exactly with constant
+    16.
+
+    Computed over the integers: with D the common denominator of the
+    coefficients, disc(D h) = D^6 disc(h) = (4 I^3 - J^2) / 27 for the
+    invariants I and J of the integer quartic D h.
     """
-    a, b, c, d, e = h
-    return (
-        256 * (a * a * a) * (e * e * e)
-        - 192 * (a * a) * b * d * (e * e)
-        - 128 * (a * a) * (c * c) * (e * e)
-        + 144 * (a * a) * c * (d * d) * e
-        - 27 * (a * a) * (d * d * d * d)
-        + 144 * a * (b * b) * c * (e * e)
-        - 6 * a * (b * b) * (d * d) * e
-        - 80 * a * b * (c * c) * d * e
-        + 18 * a * b * c * (d * d * d)
-        + 16 * a * (c * c * c * c) * e
-        - 4 * a * (c * c * c) * (d * d)
-        - 27 * (b * b * b * b) * (e * e)
-        + 18 * (b * b * b) * c * d * e
-        - 4 * (b * b * b) * (d * d * d)
-        - 4 * (b * b) * (c * c * c) * e
-        + (b * b) * (c * c) * (d * d)
+    polys = any(isinstance(u, UniPoly) for u in h)
+    rows = [u.coeffs if isinstance(u, UniPoly) else (u,) for u in h]
+    den = lcm(*(c.denominator for row in rows for c in row))
+    a, b, c, d, e = (
+        _ztrim([x.numerator * (den // x.denominator) for x in row]) for row in rows
     )
 
+    def add(*terms):
+        out = [0] * max((len(t) for _k, t in terms), default=0)
+        for k, t in terms:
+            for i, x in enumerate(t):
+                out[i] += k * x
+        return _ztrim(out)
 
-def _quartic_x_poly(h: Sequence[Fraction]) -> UniPoly:
-    """h(x, 1) as a UniPoly in x (ascending coefficients)."""
-    a4, a3, a2, a1, a0 = (Fraction(c) for c in h)
-    return UniPoly([a0, a1, a2, a3, a4])
+    mul = _zmul
+    cc = mul(c, c)
+    inv_i = add((12, mul(a, e)), (-3, mul(b, d)), (1, cc))
+    inv_j = add(
+        (72, mul(mul(a, c), e)),
+        (9, mul(mul(b, c), d)),
+        (-27, mul(a, mul(d, d))),
+        (-27, mul(e, mul(b, b))),
+        (-2, mul(cc, c)),
+    )
+    disc = add((4, mul(inv_i, mul(inv_i, inv_i))), (-1, mul(inv_j, inv_j)))
+    scale = 27 * den**6
+    if not polys:
+        return Fraction(disc[0], scale) if disc else _ZERO
+    return UniPoly([Fraction(x, scale) for x in disc])
 
 
 def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
@@ -1150,33 +1394,26 @@ def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
     the leading behavior is negative/odd or some odd-multiplicity factor
     has a real root.
     """
-    h = [Fraction(c) for c in h]
-    p = _quartic_x_poly(h)
-    if p.is_zero():
+    z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
+    if not z:
         return True
-    if h[0] < 0:  # h(1, 0) < 0
+    if len(z) % 2 == 0 or z[-1] < 0:
+        # h(1, 0) < 0, or odd x-degree: h(x, 1) changes sign for large |x|
         return False
-    d = p.degree
-    if d == 0:
-        return p.coeffs[0] >= 0
-    if d % 2 == 1:
-        # odd x-degree: h(x,1) changes sign for large |x|
-        return False
-    if p.lead < 0:
-        return False
-    for fac, mult in yun_decomposition(p):
-        if mult % 2 == 1 and count_real_roots(fac) > 0:
-            return False
-    return True
+    if len(z) == 1:
+        return True
+    return not any(
+        mult % 2 == 1 and _count_from_chain(_zsturm(fac)) > 0
+        for fac, mult in _zyun(z)
+    )
 
 
 def binary_quartic_strictly_positive(h: Sequence[Fraction]) -> bool:
     """True iff h(x, y) > 0 for all real (x, y) != (0, 0)."""
-    h = [Fraction(c) for c in h]
     if h[0] <= 0:  # h(1, 0) <= 0
         return False
     # degree 4 with a positive leading coefficient: positive iff no real root
-    return count_real_roots(_quartic_x_poly(h)) == 0
+    return _count_from_chain(_zsturm(_zsqf(_zpoly(h[::-1])))) == 0
 
 
 def binary_quartic_negative_point(
@@ -1186,40 +1423,35 @@ def binary_quartic_negative_point(
 
     The returned witness evaluates strictly negative exactly.
     """
-    h = [Fraction(c) for c in h]
     if binary_quartic_nonneg(h):
         return None
-    p = _quartic_x_poly(h)
     if h[0] < 0:
         return (_ONE, _ZERO)
-    if p.is_zero():  # pragma: no cover - nonneg would have been True
-        return None
-
-    def val(x: Fraction) -> Fraction:
-        return p(x)
+    z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
 
     # search outward: leading behavior negative or odd degree
-    bound = root_bound(p)
+    bound = _zroot_bound(z)
     for x in (bound, -bound):
-        if val(x) < 0:
+        if _zsign(z, x) < 0:
             return (x, _ONE)
     # a sign change exists at an odd-multiplicity root: bisect around it
-    for fac, mult in yun_decomposition(p):
+    for fac, mult in _zyun(z):
         if mult % 2 == 0:
             continue
-        b = root_bound(fac)
-        for lo, hi in isolate_real_roots(fac, -b, b):
+        b = _zroot_bound(fac)
+        fac_poly = UniPoly(fac)
+        for lo, hi in isolate_real_roots(fac_poly, -b, b):
             width = (hi - lo) if hi > lo else _ONE
             for _ in range(4096):
                 lo2, hi2 = (
                     (lo - width, hi + width) if lo == hi else (lo, hi)
                 )
                 for x in (lo2, hi2):
-                    if val(x) < 0:
+                    if _zsign(z, x) < 0:
                         return (x, _ONE)
                 width /= 2
                 if lo != hi:
-                    lo, hi = refine_root_interval(fac, lo, hi, width)
+                    lo, hi = refine_root_interval(fac_poly, lo, hi, width)
     raise AssertionError("negative value certified but no witness found")
 
 

@@ -18,18 +18,21 @@ optional ``description``, and either ``coefficients`` (partition string
 -> exact rational string, parts comma-joined in decreasing order) or
 ``monomials`` (list of {"exponents": [...], "coefficient": "..."}).
 Unknown fields are rejected; the Unicode minus sign is accepted in
-rational strings.  All verdict output is exact; decimals appear only in
-plot data under ``--decimal``.
+rational strings, and a rational whose numerator or denominator could
+exceed ``MAX_LITERAL_BITS`` is refused (exit 2).  All verdict output is
+exact; decimals appear only in plot data under ``--decimal``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import log2
 
 from .algebra import MultiPoly, UniPoly, binary_quartic_nonneg, disc_binary_quartic
 from .dualcone import (
@@ -79,12 +82,44 @@ class FormFileError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+#: Largest bit length of the numerator or the denominator of a rational
+#: literal; a longer one is refused before it is built, so that a literal
+#: such as "1e1000000" costs no time or memory.
+MAX_LITERAL_BITS = 4096
+_DECIMAL = re.compile(r"[-+]?([0-9_]*)(?:\.([0-9_]*))?(?:[eE]([-+]?[0-9_]+))?")
+
+
+def _literal_bits(text: str) -> float:
+    """An upper bound on the bit lengths of the numerator and denominator
+    of ``Fraction(text)``, from the digits of the literal: of each side of
+    a ``p/q``, or of a decimal plus the size of its exponent."""
+    if "/" in text:
+        digits = max(len(side) for side in text.split("/"))
+    else:
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            return 0.0  # not a literal Fraction accepts
+        whole, frac, exponent = match.groups()
+        digits = len(whole) + len(frac or "")
+        if exponent is not None:
+            if len(exponent) > 12:
+                return float("inf")
+            digits += abs(int(exponent.replace("_", "")))
+    return digits * log2(10)
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, int):
+        if text.bit_length() > MAX_LITERAL_BITS:
+            raise FormFileError(f"integer literal longer than {MAX_LITERAL_BITS} bits")
         return Fraction(text)
     if not isinstance(text, str):
         raise FormFileError(f"rational value must be a string, got {text!r}")
     cleaned = text.strip().replace("−", "-")
+    if _literal_bits(cleaned) > MAX_LITERAL_BITS:
+        raise FormFileError(
+            f"rational literal {cleaned[:40]!r} may exceed {MAX_LITERAL_BITS} bits"
+        )
     try:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:

@@ -72,15 +72,44 @@ class BoundaryVerdict:
 # ---------------------------------------------------------------------------
 
 
-#: Below this n the finite-n decisions walk all n + 1 grid weights: building
-#: the alpha-cells costs a flat 7-11 ms, a direct weight test 0.4-0.7 ms, and
-#: the two cross at n = 16-20 (mean over 22 nonnegative forms, 2-vCPU VM).
-_CELL_MIN_N = 18
+#: Below this n the finite-n decisions walk all n + 1 grid weights.  Mean
+#: over the 21 distinct nonnegative forms of the benchmark's large_n seeds
+#: 1-2, min of 3 runs, 2-vCPU VM: a direct weight test costs about 0.1 ms,
+#: the cell path a flat 1.6-2.3 ms per is_nonneg and 0.7-1.0 ms per
+#: is_strictly_positive; the walk and the cells cross at n = 16-20 for
+#: is_nonneg, 10-12 for is_strictly_positive and 14-16 for the pair.
+_CELL_MIN_N = 16
+
+
+def _alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
+    """The alpha-polynomial coefficients of Phi^alpha (``phi_alpha_coeffs``)
+    times their common denominator: five integer polynomials, a positive
+    multiple of Phi^alpha at every alpha.
+
+    The decisions below read only signs, real zeros and critical alpha
+    values of Phi^alpha, which a positive factor leaves alone, and a
+    negative point of a positive multiple is a negative point of Phi^alpha.
+    """
+    cs = phi_alpha_coeffs(f)
+    den = lcm(*(c.denominator for u in cs for c in u.coeffs))
+    return tuple(
+        UniPoly([c.numerator * (den // c.denominator) for c in u.coeffs]) for u in cs
+    )
+
+
+def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
+    """q**4 times the binary quartic of the integer coefficients ``cs``
+    (``_alpha_coeffs``) at alpha = p/q: a positive integer multiple of
+    Phi^alpha, by homogeneous integer Horner."""
+    p, q = alpha.numerator, alpha.denominator
+    w = [p**j * q ** (4 - j) for j in range(5)]
+    return tuple(sum(c * x for c, x in zip(u.coeffs, w)) for u in cs)
 
 
 def _tested_ks(cs, n: int) -> list[int]:
     """Ascending k whose weights (k/n, (n-k)/n) decide Phi^alpha >= 0 (and
-    > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f.
+    > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f
+    (``_alpha_coeffs``).
 
     Below ``_CELL_MIN_N`` this is every k.  Otherwise: k = 0 and n, every
     k/n in each breakpoint interval refined to width <= 1/n (which holds
@@ -107,10 +136,10 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     n = f.scope
-    cs = phi_alpha_coeffs(f)
+    cs = _alpha_coeffs(f)
     for k in _tested_ks(cs, n):
         alpha = Fraction(k, n)
-        h = tuple(c(alpha) for c in cs)
+        h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):
             point = binary_quartic_negative_point(h)
             return NonnegVerdict("OUT", ((alpha, 1 - alpha), point))
@@ -131,12 +160,11 @@ def is_strictly_positive(f: SymFormP) -> bool:
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
         return False
-    cs = phi_alpha_coeffs(f)
+    cs = _alpha_coeffs(f)
     for k in _tested_ks(cs, n):
         if k == 0 or k == n:
             continue  # covered by the scalar test above
-        alpha = Fraction(k, n)
-        if not binary_quartic_strictly_positive(tuple(c(alpha) for c in cs)):
+        if not binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, n))):
             return False
     return True
 
@@ -146,25 +174,10 @@ def is_strictly_positive(f: SymFormP) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_discriminant(cs) -> UniPoly:
-    """A positive multiple of the alpha-discriminant of Phi^alpha, computed
-    over the integers.
-
-    The discriminant is homogeneous of degree 6 in the five coefficients,
-    so clearing their common denominator scales it by a positive constant
-    and leaves its roots and signs alone; ``Fraction`` arithmetic here
-    spends most of its time normalising.  The result has ``Fraction``
-    coefficients again, because ``UniPoly`` division on ints gives floats.
-    """
-    den = lcm(*(c.denominator for u in cs for c in u.coeffs))
-    ints = [UniPoly([c.numerator * (den // c.denominator) for c in u.coeffs]) for u in cs]
-    return UniPoly([Fraction(c) for c in disc_binary_quartic(ints).coeffs])
-
-
 def _critical_polys(cs) -> list[UniPoly]:
     """Polynomials in alpha whose roots in (0,1) delimit the cells on which
     the sign/root structure of Phi^alpha is constant; ``cs`` are the
-    alpha-polynomial coefficients of Phi^alpha (``phi_alpha_coeffs``).
+    alpha-polynomial coefficients of Phi^alpha (``_alpha_coeffs``).
 
     Generic case: the alpha-discriminant and the leading coefficient.  When
     either vanishes identically, fall back to a complete decomposition from
@@ -174,7 +187,7 @@ def _critical_polys(cs) -> list[UniPoly]:
     coefficient polynomials.
     """
     lead = cs[0]
-    delta = _alpha_discriminant(cs)
+    delta = disc_binary_quartic(cs)
     out: list[UniPoly] = []
 
     def add(poly: UniPoly) -> None:
@@ -214,7 +227,7 @@ def _critical_polys(cs) -> list[UniPoly]:
 def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
     """The limit-cone verdict and the alpha-cells of f it was decided on
     (None when the scalar alpha in {0, 1} test decides); ``cs`` are the
-    alpha-polynomial coefficients of Phi^alpha."""
+    alpha-polynomial coefficients of Phi^alpha (``_alpha_coeffs``)."""
     if f.is_zero():
         return NonnegVerdict("IN"), None
     total = sum(f.coeffs, _ZERO)  # Phi^{1/2}(1,1); the alpha in {0,1} test
@@ -222,7 +235,7 @@ def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
         return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ZERO, _ONE))), None
     alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
     for alpha in alpha_cells.samples:
-        h = tuple(c(alpha) for c in cs)
+        h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):
             point = binary_quartic_negative_point(h)
             return NonnegVerdict("OUT", ((alpha, 1 - alpha), point)), alpha_cells
@@ -231,7 +244,7 @@ def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
 
 def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope)."""
-    return _limit_nonneg(f, phi_alpha_coeffs(f))[0]
+    return _limit_nonneg(f, _alpha_coeffs(f))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +252,9 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _has_real_projective_zero(h: tuple[Fraction, ...]) -> bool:
+def _has_real_projective_zero(h: tuple) -> bool:
     """Real projective zero of a rational binary quartic (possibly zero)."""
-    p = UniPoly(list(reversed([Fraction(c) for c in h])))
+    p = UniPoly(h[::-1])
     if p.is_zero():
         return True
     if h[0] == 0:
@@ -254,10 +267,10 @@ def _has_real_projective_zero(h: tuple[Fraction, ...]) -> bool:
 def _real_zero_at_algebraic(cs, minpoly: UniPoly, lo, hi) -> bool:
     """Does Phi^{alpha*} have a real projective zero, alpha* the root of the
     irreducible minpoly isolated by (lo, hi)?  ``cs`` are the alpha-polynomial
-    coefficients of Phi^alpha (``phi_alpha_coeffs``).  Fully exact."""
+    coefficients of Phi^alpha (``_alpha_coeffs``).  Fully exact."""
     if minpoly.degree == 1:
         alpha = -minpoly.coeffs[0] / minpoly.coeffs[1]
-        return _has_real_projective_zero(tuple(c(alpha) for c in cs))
+        return _has_real_projective_zero(_phi_at(cs, alpha))
     field = AlgebraicField(minpoly, lo, hi)
     elems = [field.elem(c % minpoly) for c in cs]
     if all(not e for e in elems):
@@ -280,7 +293,7 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     """
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
-    cs = phi_alpha_coeffs(f)
+    cs = _alpha_coeffs(f)
     verdict, alpha_cells = _limit_nonneg(f, cs)
     if verdict.status == "OUT":
         return BoundaryVerdict("OUTSIDE")
@@ -289,7 +302,7 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
         # at (1, 0) for every alpha
         return BoundaryVerdict("BOUNDARY", (Fraction(1, 2), Fraction(1, 2)))
     for alpha in alpha_cells.samples:
-        if _has_real_projective_zero(tuple(c(alpha) for c in cs)):
+        if _has_real_projective_zero(_phi_at(cs, alpha)):
             return BoundaryVerdict("BOUNDARY", (alpha, alpha))
     for (lo, hi), owner in zip(alpha_cells.breakpoints, alpha_cells.owners()):
         if _real_zero_at_algebraic(cs, owner, lo, hi):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import (
     NoLimitError,
@@ -475,35 +475,54 @@ def evaluate(f: SymFormP, point) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _phi_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each partition lambda of 4, in canonical order, the binary
+    quartic Phi_{p_lambda}(alpha, 1-alpha, x, y): five integer coefficient
+    tuples in alpha (ascending, length 5), in descending x-order.
+
+    p_a contributes the binary form (1-alpha) y^a + alpha x^a, and
+    p_lambda is the product over the parts of lambda.
+    """
+    alpha = UniPoly([0, 1])
+    one_minus = UniPoly([1, -1])
+    tables = []
+    for parts in partitions_of(4):
+        prod = [UniPoly([1])]  # index = x-degree
+        for a in parts:
+            new = [UniPoly()] * (len(prod) + a)
+            for i, u in enumerate(prod):
+                new[i] = new[i] + u * one_minus
+                new[i + a] = new[i + a] + u * alpha
+            prod = new
+        tables.append(
+            tuple((prod[4 - i].coeffs + (0,) * 5)[:5] for i in range(5))
+        )
+    return tuple(tables)
+
+
 def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
     """Coefficients of Phi_f(alpha, 1-alpha, x, y) as a binary quartic whose
     coefficients are polynomials in alpha.
 
     Returns a 5-tuple in descending x-order: entry i is the UniPoly (in
-    alpha) coefficient of x^{4-i} y^i.
+    alpha) coefficient of x^{4-i} y^i.  Phi^alpha is linear in f, so this
+    is sum_lambda c_lambda Phi_lambda over the integer tables of
+    ``_phi_tables``, summed over the common denominator of the c_lambda.
     """
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
-    alpha = UniPoly([_ZERO, _ONE])
-    one_minus = UniPoly([_ONE, -_ONE])
-    zero = UniPoly()
-    total = [zero] * 5  # index = x-degree 0..4
-    for parts, c in zip(partitions_of(4), f.coeffs):
-        if not c:
-            continue
-        prod = [UniPoly([c])]  # degree-0 binary form
-        for a in parts:
-            factor = [one_minus] + [zero] * (a - 1) + [alpha]
-            new = [zero] * (len(prod) + a)
-            for i, u in enumerate(prod):
-                if u.is_zero():
-                    continue
-                new[i] = new[i] + u * factor[0]
-                new[i + a] = new[i + a] + u * factor[a]
-            prod = new
-        for i in range(5):
-            total[i] = total[i] + prod[i]
-    return tuple(total[4 - i] for i in range(5))
+    den = lcm(*(c.denominator for c in f.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    out = []
+    for i in range(5):
+        acc = [0] * 5
+        for num, table in zip(nums, _phi_tables()):
+            if num:
+                for j, t in enumerate(table[i]):
+                    acc[j] += num * t
+        out.append(UniPoly([Fraction(c, den) for c in acc]))
+    return tuple(out)
 
 
 def restrict_alpha(f: SymFormP, alpha) -> tuple[Fraction, ...]:

@@ -25,6 +25,7 @@ from symquartic.algebra import (
     resultant,
     simplest_rational_between,
     squarefree_part_field,
+    sturm_chain,
     sturm_count,
     yun_decomposition,
 )
@@ -105,6 +106,18 @@ class TestRootMachinery:
         for (lo, hi), r in zip(intervals, roots):
             assert lo <= r <= hi
 
+    def test_isolate_roots_closer_than_the_recursion_limit(self):
+        # sqrt(2) and sqrt(2 + 2^-1200) are about 2^-1202 apart: about 1200
+        # nested bisections, more than Python's default recursion depth
+        x2 = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
+        p = x2 * (x2 - Fraction(1, 2**1200))
+        intervals = isolate_real_roots(p, Fraction(0), Fraction(2))
+        assert len(intervals) == 2
+        (a1, b1), (a2, b2) = intervals
+        assert b1 <= a2
+        for lo, hi in intervals:
+            assert p(lo) * p(hi) < 0
+
     def test_refine_root_interval_shrinks(self):
         p = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])  # x^2 - 2
         (lo, hi), = isolate_real_roots(p, Fraction(0), Fraction(2))
@@ -144,6 +157,126 @@ class TestRootMachinery:
         )
         factors = irreducible_factors(p)
         assert sorted(f.degree for f in factors) == [1, 2]
+
+
+class TestIntegerCoefficients:
+    """``int`` coefficients take the same exact path as ``Fraction`` ones."""
+
+    def test_no_float_leak(self):
+        q, r = UniPoly([1, 2, 1]).divmod(UniPoly([1, 3]))
+        assert q == UniPoly([Fraction(5, 9), Fraction(1, 3)])
+        assert r == UniPoly([Fraction(4, 9)])
+        sq = squarefree_part_field(UniPoly([1, 2, 1]))
+        assert sq == UniPoly([1, 1])
+        for c in q.coeffs + r.coeffs + sq.coeffs:
+            assert isinstance(c, Fraction)
+        assert count_real_roots(UniPoly([1, 0, -2])) == 2
+
+    @pytest.mark.parametrize(
+        "ints",
+        [[1, 2, 1], [-2, 0, 1], [0, -1, 0, 1], [4, -4, -3, 2, 1], [-6, 11, -6, 1]],
+    )
+    def test_same_answers_as_fractions(self, ints):
+        p, pf = UniPoly(ints), UniPoly([Fraction(c) for c in ints])
+        q, qf = p.derivative(), pf.derivative()
+        assert poly_gcd(p, q) == poly_gcd(pf, qf)
+        assert yun_decomposition(p) == yun_decomposition(pf)
+        sq = squarefree_part_field(p)
+        assert sq == squarefree_part_field(pf)
+        assert count_real_roots(p) == count_real_roots(pf)
+        assert isolate_real_roots(sq, -10, 10) == isolate_real_roots(
+            squarefree_part_field(pf), Fraction(-10), Fraction(10)
+        )
+        assert count_roots_open(p, -10, 10) == count_real_roots(p)
+
+
+def euclid_sturm(p: UniPoly) -> list[UniPoly]:
+    """Reference Sturm chain by field division over Q."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        r = chain[-2] % chain[-1]
+        if r.is_zero():
+            break
+        chain.append(-r)
+    return chain
+
+
+class TestSturmSignRule:
+    """The pseudo-remainder of a by b is lc(b)**k times the remainder over
+    Q, k the number of reduction steps taken.  When one step cancels more
+    than the leading term, k < deg a - deg b + 1, so with lc(b) < 0 a sign
+    keyed on the degree difference comes out wrong.  Each chain below has
+    such a step: a divisor with a negative leading coefficient and a step
+    that drops two degrees (k = 1 where deg a - deg b + 1 = 2)."""
+
+    CHAINS = [
+        [-1, 3, 0, -1],  # -x^3 + 3x - 1: p' = -3x^2 + 3, p mod p' = 2x - 1
+        [-2, -4, 1, 0, 0, 1, 0, -3],  # two such steps, the second inside
+        [4, -3, 4, 0, 2, -1, 0, -2],
+        [0, -1, -4, 0, 0, -1],
+    ]
+
+    @pytest.mark.parametrize("ints", CHAINS)
+    def test_chain_terms_are_positive_multiples(self, ints):
+        p = UniPoly(ints)
+        chain, ref = sturm_chain(p), euclid_sturm(p)
+        assert len(chain) == len(ref)
+        for term, want in zip(chain, ref):
+            assert term.degree == want.degree
+            ratio = Fraction(want.lead) / term.lead
+            assert ratio > 0
+            assert term.scale(ratio) == want
+            assert all(isinstance(c, int) for c in term.coeffs)
+
+    @pytest.mark.parametrize("ints", CHAINS)
+    def test_counts_and_isolation_vs_sympy(self, ints):
+        p = UniPoly(ints)
+        expected = int(to_sympy(p).count_roots())
+        assert count_real_roots(p) == expected
+        assert count_real_roots(p.scale(-1)) == expected
+        bound = Fraction(1 + max(abs(c) for c in ints))
+        intervals = isolate_real_roots(p, -bound, bound)
+        assert len(intervals) == expected
+        for lo, hi in intervals:
+            assert (lo == hi and p(lo) == 0) or p(lo) * p(hi) < 0
+            assert count_roots_open(p, lo - 1, hi + 1) >= 1
+
+
+big_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**220), max_value=2**220),
+    st.integers(min_value=1, max_value=2**210),
+)
+
+
+@st.composite
+def factored_pair(draw):
+    """Two rational polynomials of degree <= 14 with coefficients of 200+
+    bits, sharing a factor, one with repeated factors."""
+
+    def poly(max_degree):
+        coeffs = draw(st.lists(big_rationals, min_size=2, max_size=max_degree + 1))
+        p = UniPoly(coeffs)
+        return p if p.degree >= 1 else UniPoly([coeffs[0] or 1, 1])
+
+    common, rep, p_rest, q_rest = poly(3), poly(2), poly(3), poly(3)
+    return common * rep * rep * p_rest, common * q_rest
+
+
+class TestCrossCheckSympy:
+    @given(factored_pair())
+    @settings(max_examples=25, deadline=None)
+    def test_gcd_sqf_and_roots(self, pair):
+        p, q = pair
+        sp, sq = to_sympy(p), to_sympy(q)
+        assert p.degree <= 14
+        assert to_sympy(poly_gcd(p, q)) == sympy.gcd(sp, sq).monic()
+        part = squarefree_part_field(p)
+        assert to_sympy(part) == sp.sqf_part().monic()
+        roots = int(sp.sqf_part().count_roots())
+        assert count_real_roots(p) == roots
+        bound = Fraction(1) + max(abs(c) for c in part.coeffs[:-1])
+        assert len(isolate_real_roots(part, -bound, bound)) == roots
 
 
 class TestCells:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symquartic.cli import (
     CHOI_LAM_P_VECTOR,
+    MAX_LITERAL_BITS,
     FormFileError,
     bundled_choi_lam,
     load_form_file,
@@ -39,6 +45,33 @@ class TestParsing:
         assert parse_rational("−5/8") == Fraction(-5, 8)
         with pytest.raises(FormFileError):
             parse_rational("1.5.2")
+
+    def test_literal_bit_bound(self):
+        # about 1200 decimal digits per side stays below the bound
+        near = "3" * 1200 + "/" + "7" * 1200
+        assert parse_rational(near).denominator.bit_length() <= MAX_LITERAL_BITS
+        assert parse_rational("-25e-1200") == Fraction(-25, 10**1200)
+        for text in ("1e1000000", "1e-1000000", "1" * 1300, "1/" + "3" * 1300,
+                     "2.5e" + "9" * 30, "1_0e1_000_000"):
+            with pytest.raises(FormFileError):
+                parse_rational(text)
+        with pytest.raises(FormFileError):
+            parse_rational(1 << (MAX_LITERAL_BITS + 1))
+
+    @pytest.mark.parametrize("literal", ["1e1000000", "-7e-999999999", "9" * 5000])
+    def test_hostile_literal_exits_2_fast(self, tmp_path, literal):
+        path = write_form(tmp_path, p_form({"4": literal, "2,2": "1"}))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "symquartic.cli", "check", "nonneg", "--n", "4", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert time.monotonic() - start < 30
 
     def test_unknown_field_rejected(self, tmp_path):
         path = write_form(tmp_path, p_form({"4": "1"}, extra_field=1))

@@ -102,10 +102,16 @@ class TestSubstitutionIdentity:
         # restricting the weight to theta_1/n and evaluating at (x, y) equals
         # evaluating p_lambda at the point with theta_1 coordinates x and
         # theta_2 = n - theta_1 coordinates y
+        # unit forms, then rational combinations (Phi^alpha is summed over
+        # the common denominator of the coefficients)
         rng = random.Random(17)
+        combos = [
+            {lam: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for lam in partitions_of(4)}
+            for _ in range(3)
+        ]
         for n in range(4, 9):
-            for lam in partitions_of(4):
-                f = form_from_dict(4, {lam: 1}, n)
+            for coeffs in [{lam: 1} for lam in partitions_of(4)] + combos:
+                f = form_from_dict(4, coeffs, n)
                 for theta1 in range(n + 1):
                     h = restrict_alpha(f, Fraction(theta1, n))
                     x, y = random_point(rng, 2)
