@@ -4,8 +4,8 @@ Provides the building blocks used by every other module:
 
 * ``UniPoly`` -- univariate polynomials whose coefficients live in any exact
   field (rationals, rational functions, algebraic number fields), with
-  Euclidean division, gcd, squarefree (Yun) decomposition, Sturm sequences
-  and certified real-root isolation.
+  Euclidean division, gcd, squarefree (Yun) decomposition, Sturm sequences,
+  certified real-root isolation and rational roots.
 * the integer core behind them: a polynomial with rational (``int`` or
   ``Fraction``) coefficients is carried as the primitive integer polynomial
   that is a positive multiple of it, a list of ints.  Roots, multiplicities
@@ -705,6 +705,31 @@ def refine_root_interval(
         else:
             hi = mid
     return lo, hi
+
+
+def rational_roots(p: UniPoly) -> list[Fraction]:
+    """The distinct rational roots of a nonzero rational polynomial, sorted.
+
+    By the rational root theorem a root a/b in lowest terms of the
+    primitive integer squarefree part z has b | lc(z), so every rational
+    root lies on the grid (1/lc(z)) Z.  Each isolating interval is refined
+    below that spacing and the one grid point it can hold is tested
+    exactly; no integer is factored.
+    """
+    if p.is_zero():
+        raise ValueError("indeterminate root set")
+    z = _zsqf(_zpoly(p.coeffs))
+    if len(z) <= 1:
+        return []
+    lead, poly, bound = z[-1], UniPoly(z), _zroot_bound(z)
+    out = []
+    for a, b in isolate_real_roots(poly, -bound, bound):
+        if a != b:
+            a, b = refine_root_interval(poly, a, b, Fraction(1, 2 * lead))
+        r = Fraction(-((-a.numerator * lead) // a.denominator), lead)  # ceil
+        if r <= b and _zsign(z, r) == 0:
+            out.append(r)
+    return out
 
 
 @dataclass(frozen=True)

@@ -351,12 +351,14 @@ def cmd_check(args) -> int:
                 out.append(f"certificate block A: {_mat_str(cert.A)}")
                 out.append(f"certificate block B: {_mat_str(cert.B)}")
                 out.append("certificate verified: true")
-        else:
-            if scope is not LIMIT:
-                ell = find_separating_functional(f)
-                if ell is not None:
-                    out.extend(_functional_lines(ell, scope))
-                    out.append(f"separator pairing: {fmt(pair(ell, f))}")
+        elif scope is not LIMIT:
+            ell = find_separating_functional(f)
+            pairing = pair(ell, f)
+            if not (pairing < 0 and dual_membership(ell, scope)):
+                raise AssertionError("separator failed re-verification")
+            out.extend(_functional_lines(ell, scope))
+            out.append(f"separator pairing: {fmt(pairing)}")
+            out.append("separator verified: true")
     print("\n".join(out))
     return 0 if verdict.status == "IN" else 1
 
@@ -499,13 +501,9 @@ def _repro_choi_lam():
     _check(lines, ok, "nonneg status", "IN", is_nonneg(f).status)
     _check(lines, ok, "sos status", "OUT", sos_membership(f).status)
     ell = find_separating_functional(f)
-    if ell is None:
-        ok.append(False)
-        lines.append("separator: none found [MISMATCH]")
-    else:
-        lines.extend(_functional_lines(ell, 4))
-        _check(lines, ok, "separator pairing negative", True, pair(ell, f) < 0)
-        _check(lines, ok, "separator dual-feasible at n=4", True, dual_membership(ell, 4))
+    lines.extend(_functional_lines(ell, 4))
+    _check(lines, ok, "separator pairing negative", True, pair(ell, f) < 0)
+    _check(lines, ok, "separator dual-feasible at n=4", True, dual_membership(ell, 4))
     return all(ok), lines
 
 

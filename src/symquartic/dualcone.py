@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SymMat2, UniPoly, irreducible_factors, psd2
+from .algebra import SymMat2, UniPoly, psd2, rational_roots
 from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
@@ -206,14 +206,8 @@ def _rational_projective_roots(h) -> list[tuple[Fraction, Fraction]]:
     p = UniPoly(list(reversed([Fraction(x) for x in h])))
     if p.is_zero():
         return [(_ONE, _ZERO)]
-    roots: list[tuple[Fraction, Fraction]] = []
-    if h[0] == 0:
-        roots.append((_ONE, _ZERO))
-    if p.degree >= 1:
-        for fac in irreducible_factors(p):
-            if fac.degree == 1:
-                roots.append((-fac.coeffs[0] / fac.coeffs[1], _ONE))
-    return roots
+    at_infinity = [(_ONE, _ZERO)] if h[0] == 0 else []
+    return at_infinity + [(r, _ONE) for r in rational_roots(p)]
 
 
 def _family_inversions(f: SymFormP) -> list[DualFunctional]:

@@ -30,6 +30,21 @@ interval.  That breakpoint is tested exactly at the root of its owner
 factor: a linear owner gives a rational root and a certificate, a higher
 degree owner gives an irrational gamma, tested by exact arithmetic in its
 algebraic field.
+
+An OUT verdict at a numeric scope is backed by a rational dual functional
+(``find_separating_functional``), found by a search that is complete:
+
+1. the SOS cone is closed, so a form outside it pairs negatively with some
+   extreme ray of the dual cone K*, and a face-dimension count shows that
+   both 2x2 dual blocks have rank <= 1 on every extreme ray;
+2. those rays lie in two rational charts: the two-parameter s-chart
+   l(s, z) (y1111 = 1) and the segment (1 + w, 0, 1, 0, 0),
+   0 <= w <= (n-2)^2/(n-1) (y1111 = 0), whose two ends suffice;
+3. in the s-chart the two-row block tau is >= 0 exactly on the closure of
+   {tau > 0}, so the s-chart separates iff the open set {q < 0, tau > 0}
+   (q the pairing with f) is nonempty; it is cut out by the signs of two
+   quadratics in z, so one sample per open cell of a two-level cell
+   decomposition (over s, then over z) finds a point of it if it has one.
 """
 
 from __future__ import annotations
@@ -37,7 +52,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraicField, SymMat2, UniPoly, cells, psd2
+from .algebra import (
+    AlgebraicField,
+    SymMat2,
+    UniPoly,
+    _zpoly,
+    _zroot_bound,
+    cells,
+    psd2,
+    simplest_rational_between,
+)
+from .dualcone import DualFunctional, dual_membership, pair
 from .symfunc import LIMIT, SymFormP
 
 _ZERO = Fraction(0)
@@ -71,12 +96,12 @@ class SosVerdict:
     """IN/OUT verdict.  IN normally carries a verified rational
     certificate; ``note`` flags the degenerate case where the only
     feasible decomposition sits at a single irrational gamma and no
-    rational certificate exists in this parametrization.  OUT may carry a
-    separating dual functional (see ``find_separating_functional``)."""
+    rational certificate exists in this parametrization.  An OUT verdict
+    at a numeric scope is backed by the separating dual functional that
+    ``find_separating_functional`` returns."""
 
     status: str  # "IN" | "OUT"
     certificate: SosCertificate | None = None
-    separator: object | None = None
     note: str | None = None
 
 
@@ -300,53 +325,122 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 
 
 # ---------------------------------------------------------------------------
-# best-effort dual separator for OUT verdicts
+# exact, complete dual separators for OUT verdicts
 # ---------------------------------------------------------------------------
 
 
-def find_separating_functional(f: SymFormP, n: int | None = None):
-    """A dual functional ell with PSD blocks and ell(f) < 0, if the search
-    finds one (the form should be outside the SOS cone at scope n).
-
-    Searches, in order: point evaluations at two-value points
-    (t, ..., t, u, ..., u); the boundary-family functionals built from a
-    rational (a, b, c, d) grid; the special functional (1,0,1,0,0).
-    Returns None if nothing in the search space separates.
-    """
-    from .dualcone import (
-        DualFunctional,
-        boundary_family_functional,
-        dual_membership,
-        pair,
-        point_eval_functional,
+def _chart_quadratic(v) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """The pairing of the s-chart functional l(s, z) with the coefficient
+    vector v, as a quadratic a z^2 + b z + c in z; a, b, c are polynomials
+    in s.  With t = 1 + s^2: a = v4, b = v31 s and
+    c = (v4 + v22) t^2 + (v31 + v211) t + v1111."""
+    v4, v31, v22, v211, v1111 = v
+    sq, lin = v4 + v22, v31 + v211
+    return (
+        UniPoly([v4]),
+        UniPoly([_ZERO, v31]),
+        UniPoly([sq + lin + v1111, _ZERO, 2 * sq + lin, _ZERO, sq]),
     )
 
-    if n is None:
-        n = f.scope
-    if n is LIMIT or not isinstance(n, int) or n < 4:
+
+def _s_projection(q, tau) -> list[UniPoly]:
+    """Polynomials in s across whose roots alone the number and the order
+    of the real z-roots of q and tau can change: the discriminant of each
+    (for q of z-degree 1 its leading coefficient, of z-degree 0 q itself)
+    and their resultant.  The resultant vanishes identically only when q
+    is a multiple of tau (f a multiple of the scalar-block generator), and
+    then q < 0 < tau holds nowhere or on all of {tau > 0}."""
+    (a1, b1, c1), (a2, b2, c2) = q, tau
+    ac, ab, bc = a1 * c2 - a2 * c1, a1 * b2 - a2 * b1, b1 * c2 - b2 * c1
+    polys = [
+        b1 * b1 - a1 * c1.scale(4) if a1 else b1 if b1 else c1,
+        b2 * b2 - a2 * c2.scale(4),
+        ac * ac - ab * bc,
+    ]
+    return [p for p in polys if p.degree > 0]
+
+
+def _root_bound(polys) -> Fraction:
+    """A bound B > 0 with every real root of the polynomials in (-B, B)."""
+    return max((_zroot_bound(_zpoly(p.coeffs)) for p in polys), default=_ONE)
+
+
+def _simple_samples(lo: Fraction, hi: Fraction, polys) -> list[Fraction]:
+    """A rational of small height in each open cell that the real roots of
+    the polynomials cut (lo, hi) into: the simplest one in the middle half
+    of the gap between neighbouring isolating intervals."""
+    ends = [lo] + [x for ab in cells(polys, lo, hi).breakpoints for x in ab] + [hi]
+    return [
+        simplest_rational_between((3 * a + b) / 4, (a + 3 * b) / 4)
+        for a, b in zip(ends[::2], ends[1::2])
+    ]
+
+
+def find_separating_functional(f: SymFormP):
+    """A rational dual functional ell with ell(f) < 0 that is nonnegative on
+    every symmetric square at the form's scope n >= 4; None exactly when f
+    is a symmetric sum of squares.
+
+    Every returned functional is checked exactly (``pair`` < 0 and
+    ``dual_membership``).  Raises ValueError for LIMIT scope.
+
+    The search is complete:
+
+    1. Extreme rays.  The dual cone K* is the preimage of
+       PSD_2 x PSD_2 x R_+ (trivial block, hook block, two-row block tau)
+       under an injective linear map of R^5, so an extreme ray of K* needs
+       a face of that product of dimension <= 3 (the face meets the
+       5-dimensional image in a line).  A rank-2 block spans a face of
+       dimension 3, so the other block and tau would vanish, which forces
+       the first block back to rank <= 1 (both blocks zero force ell = 0);
+       so at every extreme ray both blocks have rank <= 1 and tau >= 0.  The
+       SOS cone is closed and spans all five dimensions, so K* is pointed
+       and the conic hull of its extreme rays, and f is outside the SOS
+       cone iff some extreme ray ell of K* has ell(f) < 0.
+    2. Two rational charts.  Scaled to y1111 = 1, rank <= 1 blocks are the
+       s-chart l(s, z) = (z^2 + t^2, s z + t, t^2, t, 1), t = 1 + s^2
+       (trivial block (t, 1)(t, 1)^T, hook block (z, s)(z, s)^T); with
+       y1111 = 0 they are (1 + w, 0, 1, 0, 0), and tau >= 0 there means
+       0 <= w <= (n-2)^2/(n-1).  On that segment ell(f) is linear in w, so
+       its two ends are tested.
+    3. An open set.  On the s-chart
+       tau = ((n-2)^2 s^4 - (n-1)(z - 2s)^2) / 2, so {tau >= 0} is the
+       closure of {tau > 0}, and a separating ray with tau = 0 has
+       separating neighbours with tau > 0.  The s-chart thus separates iff
+       the open set {q < 0, tau > 0}, q = l(s, z)(f), is nonempty.  It is
+       symmetric under (s, z) -> (-s, -z) and defined by the signs of two
+       quadratics in z, so it is nonempty iff it holds a sample of the
+       open cells cut over s > 0 at the roots of ``_s_projection`` and, at
+       each s-sample, over z at the roots of the two quadratics.  Samples
+       are rational, so the separator l(s, z) is.
+    """
+    if f.degree != 4:
+        raise ValueError("decision implemented for degree 4")
+    n = f.scope
+    if n is LIMIT or n < 4:
         raise ValueError("separator search requires a numeric scope >= 4")
 
-    small = [Fraction(v) for v in (1, -1, 2, -2)] + [
-        Fraction(s, 2) for s in (1, -1, 3, -3)
-    ]
-    for k in range(1, n + 1):
-        for t in small:
-            for u in small + [_ZERO]:
-                v = [t] * k + [u] * (n - k)
-                ell = point_eval_functional(v)
-                if pair(ell, f) < 0 and dual_membership(ell, n):
-                    return ell
-
-    grid = [Fraction(p, q) for q in (1, 2, 4, 5, 10) for p in range(-8, 9) if p]
-    for a in (Fraction(1),):
-        for c in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)):
-            for b in grid:
-                for d in grid:
-                    ell = boundary_family_functional(a, b, c, d)
-                    if pair(ell, f) < 0 and dual_membership(ell, n):
-                        return ell
-
-    ell = DualFunctional(_ONE, _ZERO, _ONE, _ZERO, _ZERO)
-    if pair(ell, f) < 0 and dual_membership(ell, n):
+    def verified(ell):
+        if not (pair(ell, f) < 0 and dual_membership(ell, n)):
+            raise AssertionError("internal error: separator failed verification")
         return ell
+
+    c = f.coeffs
+    for w in (_ZERO, Fraction((n - 2) ** 2, n - 1)):
+        if (1 + w) * c[0] + c[2] < 0:
+            return verified(DualFunctional(1 + w, _ZERO, _ONE, _ZERO, _ZERO))
+
+    # the pairing with the scalar-block generator is tau / n^2
+    quads = [_chart_quadratic(v) for v in (c, _gamma_gen_coeffs(n))]
+    s_polys = _s_projection(*quads)
+    for s in _simple_samples(_ZERO, _root_bound(s_polys), s_polys):
+        zq, ztau = (UniPoly([c0(s), b0(s), a0(s)]) for a0, b0, c0 in quads)
+        z_polys = [p for p in (zq, ztau) if p.degree > 0]
+        bound = _root_bound(z_polys)
+        t = 1 + s * s
+        for z in _simple_samples(-bound, bound, z_polys):
+            if zq(z) < 0 and ztau(z) > 0:
+                return verified(DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE))
+    if sos_membership(f).status == "OUT":
+        raise AssertionError("internal error: no separator found for an SOS-OUT form")
     return None

@@ -197,10 +197,14 @@ def test_a7_cone_inclusions():
             assert is_nonneg(f4).status == "IN"
         if sos(f8).status == "IN":
             assert sos(f4).status == "IN"
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 8):
             fn = f8.with_scope(n)
             if sos(fn).status == "IN":
                 assert is_nonneg(fn).status == "IN"
+            else:
+                ell = find_separating_functional(fn)
+                assert ell is not None
+                assert pair(ell, fn) < 0 and dual_membership(ell, n)
     report("A7 cone inclusions on 100 random forms", 60, t0)
 
 

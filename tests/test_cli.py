@@ -131,6 +131,21 @@ class TestCheckCommand:
         assert main(["check", "nonneg", "--n", "4", path]) == 0
         assert main(["check", "sos", "--n", "4", path]) == 1
 
+    def test_sos_out_prints_verified_separator(self, tmp_path, capsys):
+        # nonnegative but not SOS at n = 5; the former grid search found no
+        # separator for it and printed none
+        path = write_form(tmp_path, p_form(
+            {"4": "9/16", "3,1": "-21/8", "2,2": "27/16", "2,1,1": "7/16",
+             "1,1,1,1": "-1/1024"}, scope=5))
+        assert main(["check", "sos", "--n", "5", path]) == 1
+        out = capsys.readouterr().out
+        assert "status: OUT" in out
+        assert "separator: y4=" in out
+        assert "separator block two-row: " in out
+        assert "separator verified: true" in out
+        pairing = next(line for line in out.splitlines() if line.startswith("separator pairing:"))
+        assert pairing.split(": ")[1].startswith("-")
+
     def test_bundled_form_p_vector(self):
         from symquartic.cli import form_to_p
 

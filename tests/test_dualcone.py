@@ -175,3 +175,54 @@ class TestCertifyBoundary:
         f = form_from_dict(4, {(4,): -1}, 4)
         with pytest.raises(ValueError):
             certify_boundary(f)
+
+
+class TestRationalProjectiveRoots:
+    @staticmethod
+    def sympy_roots(h):
+        """Rational projective zeros from sympy's factorization of the
+        homogeneous quartic h[0] x^4 + h[1] x^3 y + ... + h[4] y^4."""
+        import sympy
+
+        x, y = sympy.symbols("x y")
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** (4 - i) * y**i
+                   for i, c in enumerate(h))
+        out = set()
+        for fac, _ in sympy.factor_list(expr, x, y)[1]:
+            p = sympy.Poly(fac, x, y)
+            if p.total_degree() == 1:
+                cx, cy = p.coeff_monomial(x), p.coeff_monomial(y)
+                # cx x + cy y = 0 at (x, y) = (-cy/cx, 1), or at (1, 0)
+                out.add((Fraction(-cy / cx), Fraction(1)) if cx else (Fraction(1), Fraction(0)))
+        return out
+
+    def test_matches_sympy_factor_list(self):
+        from symquartic.dualcone import _rational_projective_roots
+
+        def times(h, g):
+            """Product of homogeneous forms given by descending coefficients."""
+            out = [Fraction(0)] * (len(h) + len(g) - 1)
+            for i, a in enumerate(h):
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+            return out
+
+        rng = random.Random(2718)
+        with_infinity = 0
+        for _ in range(40):
+            # two or four linear forms a x + b y (a = 0 puts a root at
+            # infinity, repeats are allowed) times quadratics that may or
+            # may not split
+            h = [Fraction(1)]
+            for _ in range(rng.choice((2, 4))):
+                a = 0 if rng.random() < 0.15 else Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                h = times(h, [a, Fraction(rng.randint(-9, 9), rng.randint(1, 6)) or 1])
+            while len(h) < 5:
+                h = times(h, [Fraction(rng.randint(-5, 5)) for _ in range(3)])
+            if not any(h):
+                continue
+            got = _rational_projective_roots(h)
+            assert len(got) == len(set(got))
+            assert set(got) == self.sympy_roots(h)
+            with_infinity += (Fraction(1), Fraction(0)) in got
+        assert with_infinity > 0
