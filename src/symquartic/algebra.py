@@ -2,30 +2,30 @@
 
 Provides the building blocks used by every other module:
 
-* ``UniPoly`` -- univariate polynomials whose coefficients live in any exact
-  field (rationals, rational functions, algebraic number fields), with
-  Euclidean division, gcd, squarefree (Yun) decomposition, Sturm sequences,
-  certified real-root isolation and rational roots.
-* the integer core behind them: a polynomial with rational (``int`` or
-  ``Fraction``) coefficients is carried as the primitive integer polynomial
-  that is a positive multiple of it, a list of ints.  Roots, multiplicities
-  and signs do not see a positive factor, so gcds and squarefree parts
-  (primitive PRS), Yun decompositions, Sturm chains (sign-corrected
-  pseudo-remainders with the content divided out), root counting and
-  isolation run on ints, and the sign at a rational p/q is that of the
-  homogeneous integer Horner value sum c_i p^i q^(d-i).  ``Fraction`` is
-  built only where a ``UniPoly`` is handed out.  Euclid over the
-  coefficient field remains only for ``RatFunc`` and ``AlgElem``
-  coefficients.
+* ``UniPoly`` -- univariate polynomials with rational (``int`` or
+  ``Fraction``) coefficients, with Euclidean division, gcd, squarefree
+  (Yun) decomposition, Sturm sequences, certified real-root isolation and
+  rational roots.
+* the integer core behind them: a rational polynomial is carried as the
+  primitive integer polynomial that is a positive multiple of it, a list
+  of ints.  Roots, multiplicities and signs do not see a positive factor,
+  so gcds and squarefree parts (primitive PRS), Yun decompositions, Sturm
+  chains (sign-corrected pseudo-remainders with the content divided out),
+  root counting and isolation run on ints, and the sign at a rational p/q
+  is that of the homogeneous integer Horner value sum c_i p^i q^(d-i).
+  ``Fraction`` is built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
   interval into open cells, each with a rational sample, and each root
-  (breakpoint) has an isolating interval and an irreducible owner factor.
+  (breakpoint) has an isolating interval on their squarefree product.
+* ``AlgebraicField`` -- the sign of a rational polynomial at a real root
+  isolated by a rational interval, the one algebraic step of the
+  decisions.  It is a sign query on integer polynomials: a gcd and a Sturm
+  count, with no field arithmetic and no factoring, so the root may be
+  given by any squarefree polynomial (in practice a cell product).
 * ``RatFunc`` -- the field of univariate rational functions over the
-  rationals (used for coefficients depending on a symbol such as the
-  variable count ``n`` or the weight ``alpha``).
-* ``AlgebraicField`` / ``AlgElem`` -- exact arithmetic and sign
-  determination in a real algebraic number field Q(theta).
+  rationals, a scalar for coefficients depending on the variable-count
+  symbol ``n``.
 * ``MultiPoly`` -- sparse multivariate polynomials over the rationals.
 * ``SymMat2`` -- symmetric rational 2x2 matrices with an exact PSD test.
 * binary-quartic helpers: discriminant, nonnegativity decision, negative
@@ -45,26 +45,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _sign_of(value) -> int:
-    """Sign (-1, 0, +1) of a coefficient: a Fraction or anything with .sign()."""
-    if isinstance(value, Fraction) or isinstance(value, int):
-        return (value > 0) - (value < 0)
-    return value.sign()
-
-
 # ---------------------------------------------------------------------------
-# Univariate polynomials over an exact field
+# Univariate polynomials over the rationals
 # ---------------------------------------------------------------------------
 
 
 class UniPoly:
     """Univariate polynomial; ``coeffs[i]`` is the coefficient of x**i.
 
-    Coefficients may be ``int`` or ``Fraction`` (the common case, both
-    exact: division and the root machinery never leave the rationals) or
-    elements of any exact field implementing +, -, *, /, bool() (False iff
-    zero).  The zero polynomial has an empty coefficient tuple and degree
-    -1.
+    Coefficients are ``int`` or ``Fraction``, both exact: division and the
+    root machinery never leave the rationals.  The zero polynomial has an
+    empty coefficient tuple and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -159,7 +150,7 @@ class UniPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = UniPoly([self._one()]) if self.coeffs or k == 0 else UniPoly()
+        result = UniPoly([_ONE]) if self.coeffs or k == 0 else UniPoly()
         base = self
         while k:
             if k & 1:
@@ -168,25 +159,12 @@ class UniPoly:
             k >>= 1
         return result
 
-    def _one(self):
-        if self.coeffs and not _is_rational(self.coeffs[-1]):
-            c = self.coeffs[-1]
-            return c / c
-        return _ONE
-
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             return other
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
-            if self.coeffs and not _is_rational(self.coeffs[-1]):
-                other = self.coeffs[-1] / self.coeffs[-1] * other
-            return UniPoly([other]) if other else UniPoly()
-        try:
-            return UniPoly([other]) if other else UniPoly()
-        except TypeError:
-            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            return UniPoly([Fraction(other)])
+        return NotImplemented
 
     def scale(self, s) -> "UniPoly":
         return UniPoly([c * s for c in self.coeffs])
@@ -194,8 +172,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self.coeffs:
             return self
-        inv = self._one() / self.lead
-        return self.scale(inv)
+        return self.scale(_ONE / self.lead)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * i for i, c in enumerate(self.coeffs) if i > 0])
@@ -211,8 +188,7 @@ class UniPoly:
     # -- Euclidean structure ----------------------------------------------
 
     def divmod(self, other: "UniPoly"):
-        """Exact quotient and remainder over the coefficient field (the
-        rationals for ``int`` coefficients)."""
+        """Exact quotient and remainder over the rationals."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -226,7 +202,7 @@ class UniPoly:
         for i in range(dq, -1, -1):
             c = rem[i + other.degree]
             if not c:
-                quot[i] = c * 0
+                quot[i] = _ZERO
                 continue
             q = c / dlead
             quot[i] = q
@@ -245,15 +221,6 @@ class UniPoly:
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
         return q
-
-
-def _is_rational(c) -> bool:
-    return isinstance(c, (int, Fraction))
-
-
-def _rational(p: UniPoly) -> bool:
-    """Are all coefficients of p rational (``int`` or ``Fraction``)?"""
-    return all(map(_is_rational, p.coeffs))
 
 
 # -- the integer core --------------------------------------------------------
@@ -458,7 +425,7 @@ def _zvariations(chain: list[list[int]], x: Fraction) -> int:
 def _count_from_chain(chain: Sequence[Sequence]) -> int:
     """Distinct real roots from a Sturm chain (coefficient sequences):
     sign variations at -infinity minus those at +infinity."""
-    at_pos = [_sign_of(c[-1]) for c in chain]
+    at_pos = [(c[-1] > 0) - (c[-1] < 0) for c in chain]
     at_neg = [-s if len(c) % 2 == 0 else s for s, c in zip(at_pos, chain)]
     return _variations(at_neg) - _variations(at_pos)
 
@@ -467,18 +434,13 @@ def _count_from_chain(chain: Sequence[Sequence]) -> int:
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor over the coefficient field.
+    """Monic greatest common divisor.
 
     Raises ``ValueError`` when both arguments are zero (gcd undefined).
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd of two zero polynomials is undefined")
-    if _rational(p) and _rational(q):
-        return _monic(_zgcd(_zpoly(p.coeffs), _zpoly(q.coeffs)))
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return _monic(_zgcd(_zpoly(p.coeffs), _zpoly(q.coeffs)))
 
 
 def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -491,62 +453,30 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    if _rational(p):
-        return [(_monic(fac), k) for fac, k in _zyun(_zpositive(_zpoly(p.coeffs)))]
-    p = p.monic()
-    out: list[tuple[UniPoly, int]] = []
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    k = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        fac = poly_gcd(b, d)
-        if fac.degree > 0:
-            out.append((fac, k))
-        b2 = b.exact_div(fac)
-        c = d.exact_div(fac)
-        b = b2
-        k += 1
-    return out
+    return [(_monic(fac), k) for fac, k in _zyun(_zpositive(_zpoly(p.coeffs)))]
 
 
 def squarefree_part_field(p: UniPoly) -> UniPoly:
-    """Squarefree part over the coefficient field (monic)."""
+    """Squarefree part (monic)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return UniPoly([p._one()])
-    if _rational(p):
-        return _monic(_zsqf(_zpoly(p.coeffs)))
-    g = poly_gcd(p, p.derivative())
-    return p.exact_div(g).monic()
+    return _monic(_zsqf(_zpoly(p.coeffs)))
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Sturm chain of p: p, p', then negated remainders, up to the last
-    nonzero term.  For rational p the terms are primitive integer positive
-    multiples of the Euclidean chain's terms (same signs everywhere)."""
-    if _rational(p):
-        return [UniPoly(z) for z in _zsturm(_zpoly(p.coeffs))] if p else []
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
+    nonzero term.  The terms are primitive integer positive multiples of
+    the Euclidean chain's terms (same signs everywhere)."""
+    return [UniPoly(z) for z in _zsturm(_zpoly(p.coeffs))] if p else []
 
 
 def count_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of p (any exact ordered field coeffs)."""
+    """Number of distinct real roots of p."""
     if p.is_zero():
         raise ValueError("zero polynomial has indeterminate root set")
     if p.degree == 0:
         return 0
-    if _rational(p):
-        return _count_from_chain(_zsturm(_zsqf(_zpoly(p.coeffs))))
-    return _count_from_chain([q.coeffs for q in sturm_chain(squarefree_part_field(p))])
+    return _count_from_chain(_zsturm(_zsqf(_zpoly(p.coeffs))))
 
 
 def sturm_count(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
@@ -743,30 +673,13 @@ class Cells:
     open interval: a point ``(r, r)`` at a rational root, otherwise an
     interval whose endpoints are not roots; they lie strictly apart and
     strictly inside the interval.  ``samples`` holds one rational in each
-    of the ``len(breakpoints) + 1`` open cells, left to right.
+    of the ``len(breakpoints) + 1`` open cells, left to right.  A
+    breakpoint's root is ``AlgebraicField(product, lo, hi)``.
     """
 
     product: UniPoly
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     samples: tuple[Fraction, ...]
-
-    def owners(self) -> list[UniPoly]:
-        """The monic irreducible factor of ``product`` that vanishes at each
-        breakpoint's root, in breakpoint order (factors over Q on demand)."""
-        if not self.breakpoints:
-            return []
-        factors = [fac for fac in irreducible_factors(self.product) if fac.degree >= 1]
-
-        def owns(fac: UniPoly, lo: Fraction, hi: Fraction) -> bool:
-            # endpoints of a non-point breakpoint are not roots
-            if lo == hi:
-                return fac(lo) == 0
-            return count_roots_open(fac, lo, hi) >= 1
-
-        return [
-            next(fac for fac in factors if owns(fac, lo, hi))
-            for lo, hi in self.breakpoints
-        ]
 
 
 def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
@@ -776,7 +689,7 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
     Callers pass polynomials in a parameter across whose roots alone their
     answer can change.  The answer on [lo, hi] is then decided by testing
     ``lo``, ``hi``, one sample per open cell and each breakpoint (exactly,
-    at the root of its owner factor, when its interval is not a point).
+    by sign queries at the root, when its interval is not a point).
     When ``lo == hi`` the single sample is ``lo``.
     """
     lo = Fraction(lo)
@@ -825,14 +738,15 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
 
 
 def resultant(f: UniPoly, g: UniPoly):
-    """Resultant of two univariate polynomials over their coefficient field.
+    """Resultant of two rational polynomials (zero when they share a root).
 
-    Computed by the Euclidean recursion; returns a field element (zero when
-    the polynomials share a root)."""
+    Computed by the Euclidean recursion.  No decision calls it: the
+    projections are signed subresultant determinants over the integers
+    (``positivity``)."""
     if f.is_zero() or g.is_zero():
         return _ZERO
     if g.degree == 0:
-        return g.coeffs[0] ** f.degree if f.degree > 0 else f._one()
+        return g.coeffs[0] ** f.degree if f.degree > 0 else _ONE
     if f.degree == 0:
         return f.coeffs[0] ** g.degree
     if f.degree < g.degree:
@@ -840,7 +754,7 @@ def resultant(f: UniPoly, g: UniPoly):
         return sign * resultant(g, f)
     r = f % g
     if r.is_zero():
-        return g.lead * 0
+        return _ZERO
     sign = -1 if (f.degree * g.degree) % 2 else 1
     return sign * (g.lead ** (f.degree - r.degree)) * resultant(g, r)
 
@@ -854,8 +768,8 @@ class RatFunc:
     """Element of Q(t): quotient of two rational-coefficient polynomials.
 
     Normalized with a monic denominator and reduced to lowest terms.  Used
-    for coefficients depending on the variable-count symbol ``n`` (and for
-    computations over Q(alpha)).
+    as a scalar for coefficients depending on the variable-count symbol
+    ``n``.
     """
 
     __slots__ = ("num", "den")
@@ -974,9 +888,6 @@ class RatFunc:
             k >>= 1
         return out
 
-    def sign(self) -> int:  # pragma: no cover - not meaningful for symbols
-        raise TypeError("rational functions have no intrinsic sign")
-
     # -- evaluation and limits --------------------------------------------
 
     def at(self, value) -> Fraction:
@@ -1022,16 +933,16 @@ def ratfunc_falling_factorial(r: int) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Real algebraic numbers
+# Signs at isolated real roots
 # ---------------------------------------------------------------------------
 
 
 def irreducible_factors(p: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of p over Q (without multiplicities).
 
-    Delegates the factorization itself to sympy; everything downstream
-    re-verifies products and degrees, so a factorization bug would surface
-    as an exact-arithmetic failure rather than a silent wrong verdict.
+    Delegates the factorization to sympy, which only the ``test`` extra
+    installs; no decision calls this function (they use sign queries at
+    isolated roots, ``AlgebraicField``).
     """
     import sympy
 
@@ -1051,159 +962,45 @@ def irreducible_factors(p: UniPoly) -> list[UniPoly]:
 
 
 class AlgebraicField:
-    """The real algebraic number field Q(theta), theta a root of an
-    irreducible rational polynomial isolated by a rational interval.
+    """A real algebraic number theta: the one root of the squarefree
+    rational polynomial m in the interval (lo, hi), whose endpoints are not
+    roots of m; or theta = lo when lo == hi.
 
-    Supports exact field arithmetic on elements (polynomials in theta) and
-    exact sign determination by interval refinement.
+    m need not be irreducible, so a cell product and a breakpoint's
+    isolating interval (``Cells``) serve as they are.  The interval is
+    refined in place as sign queries need it.
     """
 
-    def __init__(self, minpoly: UniPoly, lo: Fraction, hi: Fraction):
-        self.minpoly = minpoly.monic()
+    def __init__(self, m: UniPoly, lo: Fraction, hi: Fraction):
+        self.modulus = m
+        self._m = _zpoly(m.coeffs)
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
-        if self.minpoly.degree < 1:
-            raise ValueError("minimal polynomial must be nonconstant")
-        # normalize: make sure the endpoints are not roots (unless degree 1)
-        if self.minpoly.degree == 1:
-            r = -self.minpoly.coeffs[0]
-            self._lo = self._hi = r
 
-    def elem(self, rep) -> "AlgElem":
-        if isinstance(rep, (int, Fraction)):
-            rep = UniPoly([Fraction(rep)])
-        return AlgElem(self, rep % self.minpoly)
+    def sign_of_poly(self, p: UniPoly) -> int:
+        """Exact sign of p(theta).
 
-    def refine(self) -> None:
-        if self._lo == self._hi:
-            return
-        lo, hi = refine_root_interval(
-            self.minpoly, self._lo, self._hi, (self._hi - self._lo) / 2
-        )
-        self._lo, self._hi = lo, hi
-
-    def sign_of_poly(self, rep: UniPoly) -> int:
-        """Exact sign of rep(theta)."""
-        rep = rep % self.minpoly
-        if rep.is_zero():
+        g = gcd(m, p) divides m, so it has at most one root in (lo, hi),
+        and a simple one: p(theta) = 0 exactly when g changes sign across
+        the interval.  Otherwise the interval is bisected on m until p has
+        no root on [lo, hi], where its sign is that at lo.
+        """
+        z = _zpoly(p.coeffs)
+        lo, hi = self._lo, self._hi
+        if len(z) <= 1 or lo == hi:
+            return _zsign(z, lo) if z else 0
+        g = _zgcd(self._m, z)
+        if _zsign(g, lo) != _zsign(g, hi):
             return 0
-        if rep.degree == 0:
-            return _sign_of(rep.coeffs[0])
-        # rep(theta) != 0 because deg rep < deg minpoly and minpoly irreducible
-        z = _zpoly(rep.coeffs)
-        while True:
-            lo, hi = self._lo, self._hi
-            if lo == hi:
-                return _zsign(z, lo)
-            slo = _zsign(z, lo)
-            if slo != 0 and slo == _zsign(z, hi) and sturm_count(rep, lo, hi) == 0:
-                # rep has constant sign on [lo, hi] ∋ theta
-                return slo
-            self.refine()
-
-
-class AlgElem:
-    """An element of an AlgebraicField, represented mod the minimal poly."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: AlgebraicField, rep: UniPoly):
-        self.field = field
-        self.rep = rep
-
-    def _co(self, other):
-        if isinstance(other, AlgElem):
-            if other.field is not self.field:
-                raise ValueError("mixed algebraic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.elem(other)
-        return None
-
-    def __bool__(self):
-        return not self.rep.is_zero()
-
-    def __eq__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self.rep == o.rep
-
-    def __hash__(self):
-        return hash((id(self.field), self.rep))
-
-    def __repr__(self):
-        return f"AlgElem({list(self.rep.coeffs)!r})"
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return AlgElem(self.field, (self.rep + o.rep) % self.field.minpoly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgElem(self.field, -self.rep)
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return AlgElem(self.field, (self.rep * o.rep) % self.field.minpoly)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "AlgElem":
-        if not self:
-            raise ZeroDivisionError("inverse of zero algebraic number")
-        # extended Euclid: a*rep + b*minpoly = gcd = const (irreducible modulus)
-        a, b = self.rep, self.field.minpoly
-        s_prev, s_cur = UniPoly([_ONE]), UniPoly()
-        while not b.is_zero():
-            q, r = a.divmod(b)
-            a, b = b, r
-            s_prev, s_cur = s_cur, s_prev - q * s_cur
-        if a.degree != 0:
-            raise ZeroDivisionError("zero divisor (modulus not irreducible?)")
-        inv = s_prev.scale(_ONE / a.coeffs[0])
-        return AlgElem(self.field, inv % self.field.minpoly)
-
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.elem(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def sign(self) -> int:
-        return self.field.sign_of_poly(self.rep)
+        chain = _zsturm(_zsqf(z))
+        while lo != hi:
+            if _zsign(z, lo) and _zsign(z, hi) and (
+                _zvariations(chain, lo) == _zvariations(chain, hi)
+            ):
+                break  # no root of p on [lo, hi]
+            lo, hi = refine_root_interval(self.modulus, lo, hi, (hi - lo) / 2)
+        self._lo, self._hi = lo, hi
+        return _zsign(z, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,21 @@ nonnegativity status can only change across finitely many critical alpha
 values.  The shared cell engine (``algebra.cells``) cuts (0, 1) at them;
 the decision tests one rational alpha per open cell and the endpoints as
 scalars.  Boundary status reuses the same cells: it looks for a real
-projective zero at each cell sample and, exactly, at each critical value
-in the algebraic field of its owner factor.
+projective zero at each cell sample and, exactly, at each critical value.
+
+The critical values come from one projection over Z[alpha].  With P =
+Phi^alpha(x, 1) (top coefficients that vanish identically dropped), the
+principal signed subresultant (Sturm-Habicht) coefficients of P and dP/dx
+are integer polynomials in alpha, Sylvester-Habicht determinants of at
+most 7 x 7 evaluated fraction-free (Bareiss).  Where lc(P) != 0, the first
+of them that is not identically zero vanishes exactly where deg gcd(P,
+P') rises, so on the cells cut at the roots of both P has a constant
+number of distinct roots of constant multiplicities, and every verdict is
+constant.  In the generic case that coefficient is +-lc(P) disc(P), and the
+discriminant of ``disc_binary_quartic`` is used as it is.  At an
+irrational critical alpha the number of real roots of P is read from the
+signs of all these coefficients (permanences minus variations), each one
+sign query at the isolated root (``algebra.AlgebraicField``).
 
 Finite n: by the half-degree principle a symmetric quartic is nonnegative
 (strictly positive) iff Phi^alpha is, for every weight alpha = k/n of the
@@ -29,8 +42,10 @@ from math import ceil, floor, lcm
 from .algebra import (
     AlgebraicField,
     Cells,
-    RatFunc,
     UniPoly,
+    _zmul,
+    _zquo,
+    _zsub,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
@@ -38,8 +53,6 @@ from .algebra import (
     count_real_roots,
     disc_binary_quartic,
     refine_root_interval,
-    resultant,
-    yun_decomposition,
 )
 from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
 
@@ -174,54 +187,100 @@ def is_strictly_positive(f: SymFormP) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _x_poly(cs) -> list[list[int]]:
+    """P = Phi^alpha(x, 1) over Z[alpha] for the alpha-coefficients ``cs``
+    (``_alpha_coeffs``): ``P[i]`` is the coefficient of x^i as an integer
+    list in alpha, and top coefficients that vanish identically are
+    dropped."""
+    P = [list(c.coeffs) for c in reversed(cs)]
+    while P and not P[-1]:
+        P.pop()
+    return P
+
+
+def _bareiss_det(m: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[alpha] (entries integer
+    lists), fraction-free: each 2 x 2 cross product is divided exactly by
+    the previous pivot."""
+    m = [row[:] for row in m]
+    size, negate, prev = len(m), False, [1]
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            negate = not negate
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                cross = _zsub(_zmul(m[i][j], pivot), _zmul(m[i][k], m[k][j]))
+                m[i][j] = _zquo(cross, prev) if cross else []
+        prev = pivot
+    det = m[-1][-1]
+    return [-c for c in det] if negate else det
+
+
+def _signed_subresultants(P: list[list[int]]) -> list[list[int]]:
+    """The principal signed subresultant coefficients sRes_d, ..., sRes_0
+    of P (``_x_poly``, degree d in x) and dP/dx, integer lists in alpha.
+
+    sRes_d = lc(P) and sRes_{d-1} = d lc(P); for j <= d - 2, sRes_j is the
+    determinant of the first 2d - 1 - 2j columns of the Sylvester-Habicht
+    matrix, whose rows are x^(d-2-j) P, ..., P, then P', ..., x^(d-1-j) P'
+    (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 4).
+    Their values at an alpha with lc(P) != 0 are those of P at that alpha.
+    """
+    d = len(P) - 1
+    dP = [_zmul([i], P[i]) for i in range(1, d + 1)]
+    out = [P[-1], dP[-1]] if d >= 1 else [P[-1]]
+    for j in range(d - 2, -1, -1):
+        rows = [(P, s) for s in range(d - 2 - j, -1, -1)] + [(dP, s) for s in range(d - j)]
+        cols = range(2 * d - 2 - j, j - 1, -1)
+        out.append(_bareiss_det([
+            [poly[e - s] if 0 <= e - s < len(poly) else [] for e in cols]
+            for poly, s in rows
+        ]))
+    return out
+
+
+def _real_root_count(signs: list[int]) -> int:
+    """Distinct real roots of a polynomial from the signs of its principal
+    signed subresultant coefficients sRes_d, ..., sRes_0 (the first one
+    nonzero): permanences minus variations, where consecutive nonzero
+    entries k apart count (-1)^(k(k-1)/2) times their sign product if k
+    is odd, and nothing if k is even."""
+    total, prev, gap = 0, signs[0], 0
+    for s in signs[1:]:
+        gap += 1
+        if s:
+            if gap % 2:
+                total += (-1) ** (gap * (gap - 1) // 2) * prev * s
+            prev, gap = s, 0
+    return total
+
+
 def _critical_polys(cs) -> list[UniPoly]:
     """Polynomials in alpha whose roots in (0,1) delimit the cells on which
     the sign/root structure of Phi^alpha is constant; ``cs`` are the
     alpha-polynomial coefficients of Phi^alpha (``_alpha_coeffs``).
 
-    Generic case: the alpha-discriminant and the leading coefficient.  When
-    either vanishes identically, fall back to a complete decomposition from
-    the squarefree (Yun) structure of Phi^alpha(x,1) over Q(alpha): leading
-    coefficients and discriminants of the squarefree factors, their
-    pairwise resultants, the factor-coefficient denominators, and all raw
-    coefficient polynomials.
+    The leading coefficient of P = Phi^alpha(x, 1) and the first principal
+    signed subresultant coefficient of P and P' that is not identically
+    zero (``_signed_subresultants``); generically that is +-lc disc, and
+    then the alpha-discriminant stands for it.
     """
     lead = cs[0]
-    delta = disc_binary_quartic(cs)
-    out: list[UniPoly] = []
-
-    def add(poly: UniPoly) -> None:
-        if not poly.is_zero() and poly.degree > 0:
-            out.append(poly)
-
-    if not delta.is_zero() and not lead.is_zero():
-        add(delta)
-        add(lead)
-        return out
-
-    # degenerate family: complete decomposition
-    for c in cs:
-        add(c)
-    p = UniPoly([RatFunc(c) for c in reversed(cs)])  # Phi^alpha(x, 1)
-    if p.is_zero():
-        return out
-    factors = [fac for fac, _k in yun_decomposition(p)]
-    for fac in factors:
-        for coef in fac.coeffs:
-            add(coef.den)
-            # numerators of non-lead coefficients are not structural, skip
-        if fac.degree >= 1:
-            # roots of the discriminant of the factor (real/complex changes)
-            if fac.degree >= 2:
-                d = resultant(fac, fac.derivative())
-                if isinstance(d, RatFunc):
-                    add(d.num)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            r = resultant(factors[i], factors[j])
-            if isinstance(r, RatFunc):
-                add(r.num)
-    return out
+    if not lead.is_zero():
+        delta = disc_binary_quartic(cs)
+        if not delta.is_zero():
+            return [p for p in (delta, lead) if p.degree > 0]
+    P = _x_poly(cs)
+    if not P:
+        return []
+    sres = _signed_subresultants(P)
+    first = next(c for c in reversed(sres) if c)
+    return [UniPoly(c) for c in (sres[0], first) if len(c) > 1]
 
 
 def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
@@ -264,23 +323,14 @@ def _has_real_projective_zero(h: tuple) -> bool:
     return count_real_roots(p) > 0
 
 
-def _real_zero_at_algebraic(cs, minpoly: UniPoly, lo, hi) -> bool:
-    """Does Phi^{alpha*} have a real projective zero, alpha* the root of the
-    irreducible minpoly isolated by (lo, hi)?  ``cs`` are the alpha-polynomial
-    coefficients of Phi^alpha (``_alpha_coeffs``).  Fully exact."""
-    if minpoly.degree == 1:
-        alpha = -minpoly.coeffs[0] / minpoly.coeffs[1]
-        return _has_real_projective_zero(_phi_at(cs, alpha))
-    field = AlgebraicField(minpoly, lo, hi)
-    elems = [field.elem(c % minpoly) for c in cs]
-    if all(not e for e in elems):
-        return True
-    if not elems[0]:
-        return True  # leading coefficient vanishes: zero at infinity
-    p = UniPoly(list(reversed(elems)))
-    if p.degree < 1:
-        return False
-    return count_real_roots(p) > 0
+def _real_zero_at_algebraic(sres, field: AlgebraicField) -> bool:
+    """Does Phi^{alpha*} have a real projective zero, alpha* the root that
+    ``field`` isolates?  ``sres`` are the principal signed subresultant
+    coefficients of Phi^alpha(x, 1) of x-degree 4 (``_signed_subresultants``).
+    A zero leading coefficient is a zero at (1, 0); otherwise the real
+    roots are counted from one sign query per coefficient."""
+    signs = [field.sign_of_poly(UniPoly(c)) for c in sres]
+    return signs[0] == 0 or _real_root_count(signs) > 0
 
 
 def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
@@ -304,7 +354,13 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     for alpha in alpha_cells.samples:
         if _has_real_projective_zero(_phi_at(cs, alpha)):
             return BoundaryVerdict("BOUNDARY", (alpha, alpha))
-    for (lo, hi), owner in zip(alpha_cells.breakpoints, alpha_cells.owners()):
-        if _real_zero_at_algebraic(cs, owner, lo, hi):
+    sres = None
+    for lo, hi in alpha_cells.breakpoints:
+        if lo == hi:
+            hit = _has_real_projective_zero(_phi_at(cs, lo))
+        else:
+            sres = sres or _signed_subresultants(_x_poly(cs))
+            hit = _real_zero_at_algebraic(sres, AlgebraicField(alpha_cells.product, lo, hi))
+        if hit:
             return BoundaryVerdict("BOUNDARY", (lo, hi))
     return BoundaryVerdict("INTERIOR")

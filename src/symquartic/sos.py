@@ -15,21 +15,22 @@ with the alpha-block [[a11, a12], [a12, a22]] and the beta-block
 scalar-block generator degenerates to (1/2)(p_2 - p_1^2)^2, which already
 lies in the span of the alpha-block, so gamma = 0 is forced there.
 
-The matching equations leave two free parameters (gamma and b11 = u); for
-fixed gamma the PSD constraints on u are linear lower bounds intersected
-with one concave-quadratic condition, so feasibility is decided exactly by
-a one-dimensional analysis.  Feasibility over gamma is decided on the
-cells of the shared cell engine (``algebra.cells``), cut at the roots of
-the finitely many polynomials (in gamma) at which the one-dimensional
-answer can change: the scan tests both ends of the admissible gamma range,
-every rational breakpoint and one rational sample per open cell.  The
-feasible (gamma, u) region is convex (the blocks are affine in (gamma,
-u)), hence the feasible gamma values form one closed interval, and the
-scan misses it only when it is a single breakpoint inside an isolating
-interval.  That breakpoint is tested exactly at the root of its owner
-factor: a linear owner gives a rational root and a certificate, a higher
-degree owner gives an irrational gamma, tested by exact arithmetic in its
-algebraic field.
+The matching equations leave two free parameters (gamma and b11 = u) and
+fix the other block entries as polynomials in gamma (``_block_polys``).
+For fixed gamma the PSD constraints on u are three lower bounds (0, from
+a11 >= 0 and, cleared of b22, from det B >= 0) and one concave quadratic
+Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
+polynomials in gamma (``_conditions``, ``_feasible``).  Feasibility over
+gamma is decided on the cells of the shared cell engine
+(``algebra.cells``), cut at the roots of those polynomials: the scan tests
+both ends of the admissible gamma range, every rational breakpoint and one
+rational sample per open cell.  The feasible (gamma, u) region is convex
+(the blocks are affine in (gamma, u)), hence the feasible gamma values
+form one closed interval, and the scan misses it only when it is a single
+breakpoint inside an isolating interval.  That breakpoint is tested by
+sign queries at the root (``algebra.AlgebraicField``).  If it is feasible,
+a condition polynomial vanishes there; a rational root of it in the
+interval is the certificate's gamma, and otherwise gamma is irrational.
 
 An OUT verdict at a numeric scope is backed by a rational dual functional
 (``find_separating_functional``), found by a search that is complete:
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     AlgebraicField,
@@ -60,6 +62,7 @@ from .algebra import (
     _zroot_bound,
     cells,
     psd2,
+    rational_roots,
     simplest_rational_between,
 )
 from .dualcone import DualFunctional, dual_membership, pair
@@ -147,72 +150,77 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
 # ---------------------------------------------------------------------------
 
 
-def _sign(x) -> int:
-    """Exact sign of a Fraction or of an algebraic-field element."""
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    return x.sign()
-
-
-def _u_feasible(c, scope, gamma):
-    """Feasibility of the free parameter u = b11 at a fixed gamma.
-
-    ``gamma`` may be a Fraction or an algebraic-field element; all tests
-    are exact sign evaluations.  Returns (feasible, u) where u is a
-    witness value (the smallest rational one when gamma is rational:
-    either the binding lower bound or the vertex of the concave
-    determinant quadratic).
-    """
-    c4, c31, c22, c211, c1111 = c
-    if scope is LIMIT:
-        w1 = w2 = w3 = _ZERO  # gamma multipliers vanish at gamma = 0
-    else:
-        n = scope
-        w1 = Fraction(n - 1, 2 * n * n)  # b22 slope
-        w2 = Fraction(n - 1, n * n)  # -b12 slope
-        w3 = Fraction((n - 2) * (n - 2), 2 * n * n)  # -a22 slope
-    b22 = c4 + gamma * w1
-    b12 = c31 / 2 - gamma * w2
-    a22 = c22 + c4 - gamma * w3
-    s_b22 = _sign(b22)
-    if s_b22 < 0 or _sign(a22) < 0:
-        return False, None
-    if s_b22 == 0 and _sign(b12) != 0:
-        return False, None
-    # lower bounds on u
-    lower = gamma / 2 - c1111  # a11 >= 0
-    if _sign(lower) < 0:
-        lower = _ZERO  # u >= 0
-    if s_b22 > 0:
-        hook = b12 * b12 / b22  # u * b22 >= b12^2
-        if _sign(hook - lower) > 0:
-            lower = hook
-    # concave quadratic Q(u) = a11 a22 - a12^2 = -u^2/4 + q1 u + q0
-    s = c211 + 2 * b12 + gamma
-    q1 = a22 + s / 2
-    q0 = (c1111 - gamma / 2) * a22 - s * s / 4
-    q_at_lower = -lower * lower / 4 + q1 * lower + q0
-    if _sign(q_at_lower) >= 0:
-        return True, lower
-    vertex = 2 * q1
-    disc = q1 * q1 + q0  # Q(vertex)
-    if _sign(disc) >= 0 and _sign(vertex - lower) > 0:
-        return True, vertex
-    return False, None
-
-
-def _assemble(f: SymFormP, gamma: Fraction, u: Fraction) -> SosCertificate:
+def _block_polys(f: SymFormP) -> tuple[UniPoly, ...]:
+    """The block entries that the matching equations fix, as polynomials
+    in gamma: b22, b12, a22, s = 2 a12 + u and a11 - u (u = b11)."""
     c4, c31, c22, c211, c1111 = f.coeffs
-    if f.scope is LIMIT:
-        b22, b12, a22 = c4, c31 / 2, c22 + c4
-    else:
-        n = f.scope
-        b22 = c4 + gamma * Fraction(n - 1, 2 * n * n)
-        b12 = c31 / 2 - gamma * Fraction(n - 1, n * n)
-        a22 = c22 + c4 - gamma * Fraction((n - 2) * (n - 2), 2 * n * n)
-    s = c211 + 2 * b12 + gamma
+    g4, g31, g22, g211, g1111 = _gamma_gen_coeffs(f.scope)
+    return (
+        UniPoly([c4, -g4]),
+        UniPoly([c31 / 2, -g31 / 2]),
+        UniPoly([c22 + c4, -g4 - g22]),
+        UniPoly([c211 + c31, -g211 - g31]),
+        UniPoly([c1111, -g1111]),
+    )
+
+
+def _conditions(b22, b12, a22, s, a11_u) -> tuple:
+    """The ten quantities whose signs decide u-feasibility, from the block
+    entries (``_block_polys``) as numbers at one gamma or as polynomials
+    in gamma.
+
+    4 det A = -u^2 + 2 v u + r, with the vertex v = 2 a22 + s and
+    r = 4 a22 (a11 - u) - s^2; the lower bounds L on u are 0,
+    l1 = -(a11 - u) and b12^2/b22.  The list: b22, b12, a22, 4 det A at
+    v, then 4 det A at each L and v - L for each L, the last of both
+    multiplied by b22^2 and b22.  Each is homogeneous in the entries, so
+    entries scaled by a common positive factor give the same signs."""
+    l1, hook = -a11_u, b12 * b12
+    v = a22 * 2 + s
+    r = a22 * a11_u * 4 - s * s
+    return (
+        b22,
+        b12,
+        a22,
+        v * v + r,
+        r,
+        (v * 2 - l1) * l1 + r,
+        (v * b22 * 2 - hook) * hook + r * b22 * b22,
+        v,
+        v - l1,
+        v * b22 - hook,
+    )
+
+
+def _feasible(signs) -> bool:
+    """u-feasibility at one gamma from the signs of ``_conditions``.
+
+    B is PSD iff u >= 0, b22 >= 0, u b22 >= b12^2 (so b22 = 0 forces
+    b12 = 0); A is PSD iff a22 >= 0, a11 >= 0 and det A >= 0, a concave
+    quadratic in u.  {det A >= 0} is empty unless det A >= 0 at the
+    vertex, and then it reaches above a lower bound L iff det A >= 0 at L
+    or the vertex is >= L."""
+    b22, b12, a22, q_top, *rest = signs
+    return (
+        min(b22, a22, q_top) >= 0
+        and (b22 > 0 or b12 == 0)
+        and all(q >= 0 or v >= 0 for q, v in zip(rest[:3], rest[3:]))
+    )
+
+
+def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
+    """The certificate at a feasible rational gamma, from the block entries
+    there (``_block_polys`` at gamma), with the smallest feasible u: the
+    largest lower bound if det A >= 0 there, else the vertex."""
+    b22, b12, a22, s, a11_u = entries
+    u = max(-a11_u, _ZERO)
+    if b22 > 0:
+        u = max(u, b12 * b12 / b22)
+    v = 2 * a22 + s
+    if u * u > 2 * v * u + 4 * a22 * a11_u - s * s:
+        u = v
     cert = SosCertificate(
-        SymMat2(c1111 + u - gamma / 2, (s - u) / 2, a22),
+        SymMat2(a11_u + u, (s - u) / 2, a22),
         SymMat2(u, b12, b22),
         gamma,
         f.scope,
@@ -220,6 +228,18 @@ def _assemble(f: SymFormP, gamma: Fraction, u: Fraction) -> SosCertificate:
     if not cert.is_valid() or expand_certificate(cert) != f:
         raise AssertionError("internal error: certificate failed verification")
     return cert
+
+
+def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
+    """The certificate at a rational gamma, or None if u is infeasible
+    there.  The signs are read on the entries times their common
+    denominator, in integer arithmetic."""
+    entries = [p(gamma) for p in blocks]
+    den = lcm(*(e.denominator for e in entries))
+    scaled = [e.numerator * (den // e.denominator) for e in entries]
+    if not _feasible([(x > 0) - (x < 0) for x in _conditions(*scaled)]):
+        return None
+    return _certificate(f, entries, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -233,44 +253,8 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
         raise ValueError("use sos_membership for numeric scopes")
-    ok, u = _u_feasible(f.coeffs, LIMIT, _ZERO)
-    if not ok:
-        return SosVerdict("OUT")
-    return SosVerdict("IN", certificate=_assemble(f, _ZERO, u))
-
-
-def _breakpoint_polys(f: SymFormP) -> list[UniPoly]:
-    """Polynomials in gamma across whose roots u-feasibility can change."""
-    c4, c31, c22, c211, c1111 = f.coeffs
-    n = f.scope
-    w1 = Fraction(n - 1, 2 * n * n)
-    w2 = Fraction(n - 1, n * n)
-    w3 = Fraction((n - 2) * (n - 2), 2 * n * n)
-    b22 = UniPoly([c4, w1])
-    b12 = UniPoly([c31 / 2, -w2])
-    a22 = UniPoly([c22 + c4, -w3])
-    s = UniPoly([c211 + c31, 1 - 2 * w2])
-    cp = UniPoly([c1111, -_HALF])  # c1111 - gamma/2
-    l1 = -cp  # lower bound a11 >= 0
-    q1 = a22 + s.scale(_HALF)
-    q0 = a22 * cp - (s * s).scale(Fraction(1, 4))
-    disc = q1 * q1 + q0
-    b12sq = b12 * b12
-    polys = [
-        b22,
-        b12,
-        a22,
-        disc,
-        q0,  # Q at u = 0
-        (l1 * l1).scale(Fraction(-1, 4)) + q1 * l1 + q0,  # Q at u = l1
-        (b12sq * b12sq).scale(Fraction(-1, 4))
-        + q1 * b12sq * b22
-        + q0 * b22 * b22,  # Q at u = b12^2/b22, cleared by b22^2
-        q1,  # vertex vs 0
-        q1.scale(Fraction(2)) - l1,  # vertex vs l1
-        q1.scale(Fraction(2)) * b22 - b12sq,  # vertex vs b12^2/b22, cleared
-    ]
-    return [p for p in polys if not p.is_zero() and p.degree > 0]
+    cert = _certificate_at(f, _block_polys(f), _ZERO)
+    return SosVerdict("OUT") if cert is None else SosVerdict("IN", certificate=cert)
 
 
 def sos_membership(f: SymFormP) -> SosVerdict:
@@ -292,35 +276,38 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     if lo > hi:
         return SosVerdict("OUT")
 
-    gamma_cells = cells(_breakpoint_polys(f), lo, hi)
+    blocks = _block_polys(f)
+    conditions = _conditions(*blocks)
+    gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
-        ok, u = _u_feasible(f.coeffs, n, gamma)
-        if ok:
-            return SosVerdict("IN", certificate=_assemble(f, gamma, u))
+        cert = _certificate_at(f, blocks, gamma)
+        if cert is not None:
+            return SosVerdict("IN", certificate=cert)
 
     # remaining possibility: feasibility only at a single breakpoint that
     # sits inside an isolating interval; breakpoints lie in (lo, hi), so
     # gamma > 0 there
-    for (a, b), owner in zip(gamma_cells.breakpoints, gamma_cells.owners()):
+    for a, b in gamma_cells.breakpoints:
         if a == b:
             continue  # tested above
-        if owner.degree == 1:
-            gamma = -owner.coeffs[0]  # the owner is monic
-            ok, u = _u_feasible(f.coeffs, n, gamma)
-            if ok:
-                return SosVerdict("IN", certificate=_assemble(f, gamma, u))
-        elif _u_feasible(
-            f.coeffs, n, AlgebraicField(owner, a, b).elem(UniPoly([_ZERO, _ONE]))
-        )[0]:
-            return SosVerdict(
-                "IN",
-                note=(
-                    "feasible only at a single irrational gamma "
-                    f"isolated by ({a}, {b}); no rational certificate "
-                    "exists in this parametrization"
-                ),
-            )
+        root = AlgebraicField(gamma_cells.product, a, b)
+        signs = [root.sign_of_poly(p) for p in conditions]
+        if not _feasible(signs):
+            continue
+        # the root is a root of some condition of positive degree (<= 4)
+        vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
+        for gamma in rational_roots(vanishing):
+            if a < gamma < b:
+                return SosVerdict("IN", certificate=_certificate_at(f, blocks, gamma))
+        return SosVerdict(
+            "IN",
+            note=(
+                "feasible only at a single irrational gamma "
+                f"isolated by ({a}, {b}); no rational certificate "
+                "exists in this parametrization"
+            ),
+        )
     return SosVerdict("OUT")
 
 

@@ -302,31 +302,87 @@ class TestCells:
             prev = b
         assert prev < cs.samples[-1] < 1
         assert all(cs.product(s) != 0 for s in cs.samples)
-        owners = cs.owners()
-        assert owners == [self.lin(Fraction(1, 3)), self.lin(Fraction(1, 2)), half_sq]
+        # each breakpoint isolates a root of the factor it came from
+        for (a, b), factor in zip(
+            cs.breakpoints, [self.lin(Fraction(1, 3)), self.lin(Fraction(1, 2)), half_sq]
+        ):
+            root = AlgebraicField(cs.product, a, b)
+            assert root.sign_of_poly(factor) == 0
+            assert root.sign_of_poly(half_sq - Fraction(1, 8)) != 0
 
     def test_degenerate_intervals(self):
         assert cells([], Fraction(0), Fraction(1)).samples == (Fraction(1, 2),)
         point = cells([self.lin(2)], Fraction(2), Fraction(2))
         assert point.breakpoints == () and point.samples == (Fraction(2),)
-        assert point.owners() == []
 
 
 class TestAlgebraicField:
     def test_sqrt2_signs(self):
         minpoly = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
         field = AlgebraicField(minpoly, Fraction(1), Fraction(2))
-        root = field.elem(UniPoly([Fraction(0), Fraction(1)]))
-        # root = sqrt(2): root^2 - 2 = 0, root - 1 > 0, root - 3/2 < 0
-        assert not (root * root - 2)
-        assert (root - 1).sign() > 0
-        assert (root - Fraction(3, 2)).sign() < 0
+        # theta = sqrt(2): theta^2 - 2 = 0, theta - 1 > 0, theta - 3/2 < 0
+        assert field.sign_of_poly(UniPoly([-2, 0, 1])) == 0
+        assert field.sign_of_poly(UniPoly([-1, 1])) > 0
+        assert field.sign_of_poly(UniPoly([Fraction(-3, 2), 1])) < 0
+        # (theta - 1)^3 - (5 sqrt(2) - 7) = 0, a sign that needs refinement
+        cube = UniPoly([-1, 1]) ** 3
+        assert field.sign_of_poly(cube - UniPoly([-7, 5])) == 0
+        assert field.sign_of_poly(cube - UniPoly([Fraction(-7), Fraction(4999, 1000)])) > 0
+        assert field.sign_of_poly(UniPoly()) == 0
+        assert field.sign_of_poly(UniPoly([-3])) < 0
 
-    def test_inverse(self):
-        minpoly = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
-        field = AlgebraicField(minpoly, Fraction(1), Fraction(2))
-        root = field.elem(UniPoly([Fraction(0), Fraction(1)]))
-        assert not (root * (1 / root) - 1)
+    def test_reducible_modulus_shared_factor(self):
+        # m = (x^2 - 2)(x - 1)(x^2 - 3), squarefree but reducible; the
+        # interval (1/2, 5/4) isolates its root 1, (17/10, 9/5) sqrt(3)
+        m = UniPoly([-2, 0, 1]) * UniPoly([-1, 1]) * UniPoly([-3, 0, 1])
+        at_one = AlgebraicField(m, Fraction(1, 2), Fraction(5, 4))
+        assert at_one.sign_of_poly(UniPoly([-1, 1]) * UniPoly([-2, 0, 1])) == 0
+        assert at_one.sign_of_poly(UniPoly([-2, 0, 1])) < 0  # shares a factor of m
+        assert at_one.sign_of_poly(UniPoly([-3, 0, 1]) ** 2) > 0
+        at_sqrt3 = AlgebraicField(m, Fraction(17, 10), Fraction(9, 5))
+        assert at_sqrt3.sign_of_poly(UniPoly([-2, 0, 1]) * UniPoly([-3, 0, 1])) == 0
+        assert at_sqrt3.sign_of_poly(UniPoly([-2, 0, 1]) * UniPoly([-1, 1])) > 0
+        assert at_sqrt3.sign_of_poly(UniPoly([Fraction(-173, 100), 1])) > 0
+        assert at_sqrt3.sign_of_poly(UniPoly([Fraction(-1733, 1000), 1])) < 0
+
+    def test_point_interval(self):
+        m = UniPoly([-1, 0, 4]) * UniPoly([-2, 0, 1])  # roots +-1/2, +-sqrt(2)
+        half = AlgebraicField(m, Fraction(1, 2), Fraction(1, 2))
+        assert half.sign_of_poly(UniPoly([-1, 2])) == 0
+        assert half.sign_of_poly(UniPoly([-2, 0, 1])) < 0
+        assert half.sign_of_poly(UniPoly([0, 1])) > 0
+        assert half.sign_of_poly(UniPoly([7])) > 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_signs_at_roots_match_sympy(self, data):
+        """At each real root of a random squarefree product of linear and
+        quadratic factors, the sign query agrees with sympy's exact sign
+        of p at that root (its isolating interval comes from cells)."""
+        small = st.integers(min_value=-5, max_value=5)
+
+        def factor():
+            if data.draw(st.booleans()):
+                return UniPoly([data.draw(small), data.draw(st.integers(1, 3))])
+            return UniPoly([data.draw(small), data.draw(small), data.draw(st.integers(1, 3))])
+
+        product = UniPoly([1])
+        for _ in range(data.draw(st.integers(1, 4))):
+            product = product * factor()
+        if product.degree < 1:
+            return
+        p = factor() * factor() + UniPoly([data.draw(small)])
+        if data.draw(st.booleans()):
+            p = p * factor()  # often a factor in common with the product
+        cs = cells([product], Fraction(-20), Fraction(20))
+        roots = sorted(sympy.Poly(to_sympy(product).as_expr(), _x).real_roots())
+        roots = list(dict.fromkeys(roots))
+        assert len(roots) == len(cs.breakpoints)
+        p_expr = to_sympy(p).as_expr()
+        for (a, b), r in zip(cs.breakpoints, roots):
+            assert a <= r <= b
+            want = sympy.sign(sympy.simplify(p_expr.subs(_x, r)))
+            assert AlgebraicField(cs.product, a, b).sign_of_poly(p) == int(want)
 
 
 class TestMatrices:

@@ -282,3 +282,61 @@ class TestReproCommands:
     )
     def test_quick_repros_pass(self, name):
         assert main(["repro", name]) == 0
+
+
+#: Run in a fresh interpreter by ``TestNoSympyAtRuntime``: every CLI command
+#: and the boundary decision of the example-6.10 form, then report whether
+#: sympy was imported.
+_NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from symquartic.cli import main
+from symquartic.positivity import boundary_status_limit
+from symquartic.symfunc import LIMIT, SymFormP
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+f = SymFormP(4, (Fraction(1), Fraction(-13, 5), Fraction(0), Fraction(179, 100),
+                 Fraction(-51, 400)), LIMIT)
+print(json.dumps([codes, boundary_status_limit(f).status, "sympy" in sys.modules]))
+"""
+
+
+class TestNoSympyAtRuntime:
+    def test_commands_do_not_import_sympy(self, tmp_path):
+        example = write_form(tmp_path, TestPlotdataCommand.EX, "example.form")
+        # nonnegative but not SOS at n = 5, with a breakpoint of the gamma
+        # scan inside an isolating interval
+        near = write_form(tmp_path, p_form(
+            {"4": "9/16", "3,1": "-21/8", "2,2": "27/16", "2,1,1": "7/16",
+             "1,1,1,1": "-1e-10"}, scope=5), "near.form")
+        runs = [
+            (["check", "nonneg", "--n", "4", example], 0),
+            (["check", "nonneg", "--limit", example], 0),
+            (["check", "sos", "--n", "4", example], 0),
+            (["check", "sos", "--limit", example], 0),
+            (["check", "nonneg", "--n", "5", near], 0),
+            (["check", "sos", "--n", "5", near], 1),
+            (["convert", "--to", "m", "--n", "4", example], 0),
+            (["convert", "--to", "p", "--limit", example], 0),
+            (["plotdata", "--what", "disc", "--samples", "4", "--limit", example], 0),
+            (["plotdata", "--what", "minval", "--samples", "4", "--limit", example], 0),
+        ] + [
+            (["repro", name], 0)
+            for name in ("choi-lam", "example-6-10", "disc-factorization", "q-blocks",
+                         "limit-equality")
+        ]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SYMPY_SCRIPT, json.dumps([argv for argv, _ in runs])],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, boundary, sympy_loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [code for _, code in runs]
+        assert boundary == "BOUNDARY"
+        assert not sympy_loaded

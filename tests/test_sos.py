@@ -1,14 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from symquartic.algebra import SymMat2, psd2
+import sympy
+
+from symquartic.algebra import AlgebraicField, SymMat2, UniPoly, cells, psd2
 from symquartic.dualcone import DualFunctional, dual_blocks, dual_membership, pair
 from symquartic.positivity import is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
+    _block_polys,
+    _certificate_at,
     _chart_quadratic,
+    _conditions,
+    _feasible,
     _gamma_gen_coeffs,
     expand_certificate,
     find_separating_functional,
@@ -293,3 +300,163 @@ class TestSeparatorCharts:
             for s in self.GRID[::4]:
                 for z in self.GRID[::3]:
                     assert a(s) * z * z + b(s) * z + c(s) == pair(_s_chart(s, z), f)
+
+
+def reference_entries(c, n, gamma):
+    """b22, b12, a22, s = 2 a12 + u and a11 - u at gamma, from the slopes
+    of the scalar-block generator, written out independently of
+    ``_block_polys``."""
+    c4, c31, c22, c211, c1111 = c
+    w1 = Fraction(n - 1, 2 * n * n)
+    w2 = Fraction(n - 1, n * n)
+    w3 = Fraction((n - 2) * (n - 2), 2 * n * n)
+    b12 = c31 / 2 - gamma * w2
+    return c4 + gamma * w1, b12, c22 + c4 - gamma * w3, c211 + 2 * b12 + gamma, c1111 - gamma / 2
+
+
+def reference_u_feasible(entries, sign):
+    """The u-feasibility test as it stood before the sign predicate: lower
+    bounds and the concave determinant quadratic evaluated in the field of
+    the entries, with ``sign`` its exact sign.  Returns (feasible, u)."""
+    b22, b12, a22, s, a11_u = entries
+    s_b22 = sign(b22)
+    if s_b22 < 0 or sign(a22) < 0:
+        return False, None
+    if s_b22 == 0 and sign(b12) != 0:
+        return False, None
+    lower = -a11_u
+    if sign(lower) < 0:
+        lower = Fraction(0)
+    if s_b22 > 0:
+        hook = b12 * b12 / b22
+        if sign(hook - lower) > 0:
+            lower = hook
+    q1 = a22 + s / 2
+    q0 = a11_u * a22 - s * s / 4
+    if sign(-lower * lower / 4 + q1 * lower + q0) >= 0:
+        return True, lower
+    vertex = 2 * q1
+    if sign(q1 * q1 + q0) >= 0 and sign(vertex - lower) > 0:
+        return True, vertex
+    return False, None
+
+
+def _fraction_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _sympy_sign(x):
+    return int(sympy.sign(sympy.expand(x)))
+
+
+def _feasibility_forms():
+    """Forms near the SOS boundary (rank-one certificate expansions, some
+    lowered by 1/1024) and box forms, each with its scope."""
+    rng = random.Random(97)
+
+    def small():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+
+    def rank1():
+        a, b = small(), small()
+        return SymMat2(a * a, a * b, b * b)
+
+    out = []
+    for i in range(30):
+        n = rng.choice((4, 5, 6, 9))
+        if i % 3:
+            cert = SosCertificate(rank1(), rank1(), Fraction(rng.randint(0, 4), 3), n)
+            coeffs = list(expand_certificate(cert).coeffs)
+            if i % 3 == 2:
+                coeffs[i % 5] -= Fraction(1, 1024)
+            out.append(SymFormP(4, tuple(coeffs), n))
+        else:
+            out.append(random_form(rng, n))
+    return out
+
+
+class TestFeasibilityPredicate:
+    def test_matches_reference_at_rational_gamma(self):
+        rng = random.Random(101)
+        feasible = infeasible = 0
+        for f in _feasibility_forms():
+            blocks = _block_polys(f)
+            gammas = [Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in range(12)]
+            gammas += [Fraction(k, 3) for k in range(5)]  # the certificates' gammas
+            for gamma in gammas:
+                entries = reference_entries(f.coeffs, f.scope, gamma)
+                assert tuple(p(gamma) for p in blocks) == entries
+                signs = [_fraction_sign(x) for x in _conditions(*entries)]
+                ok, u = reference_u_feasible(entries, _fraction_sign)
+                assert _feasible(signs) == ok, (f.coeffs, f.scope, gamma)
+                cert = _certificate_at(f, blocks, gamma)
+                if ok:
+                    feasible += 1
+                    assert cert.B.m11 == u and cert.gamma == gamma
+                else:
+                    infeasible += 1
+                    assert cert is None
+        assert feasible > 20 and infeasible > 20
+
+    def test_matches_reference_on_small_entries(self):
+        """Every sign pattern of small integer block entries, including
+        ties between the lower bounds and the vertex."""
+        feasible = 0
+        for entries in itertools.product(range(-2, 3), repeat=5):
+            entries = tuple(Fraction(e) for e in entries)
+            signs = [_fraction_sign(x) for x in _conditions(*entries)]
+            ok, _u = reference_u_feasible(entries, _fraction_sign)
+            assert _feasible(signs) == ok, entries
+            feasible += ok
+        assert feasible > 100
+
+    def test_polynomials_evaluate_to_the_scalar_conditions(self):
+        for f in _feasibility_forms()[:6]:
+            blocks = _block_polys(f)
+            polys = _conditions(*blocks)
+            for gamma in (Fraction(0), Fraction(2, 7), Fraction(5)):
+                assert [p(gamma) for p in polys] == list(
+                    _conditions(*(p(gamma) for p in blocks))
+                )
+
+    def test_matches_sympy_at_quadratic_irrational_gamma(self):
+        """gamma = r + s sqrt(t): the sign queries at gamma, isolated on its
+        minimal polynomial, agree with sympy's exact signs of the condition
+        polynomials, and the predicate with the reference test run in
+        sympy's exact arithmetic."""
+        rng = random.Random(103)
+        feasible = infeasible = 0
+        g = sympy.Symbol("g")
+        for f in _feasibility_forms():
+            for _ in range(2):
+                r = Fraction(rng.randint(0, 12), rng.randint(1, 8))
+                sq = Fraction(rng.randint(1, 3), rng.randint(2, 24))
+                t = rng.choice((2, 3, 5, 7))
+                exact = sympy.Rational(r.numerator, r.denominator) + sympy.Rational(
+                    sq.numerator, sq.denominator
+                ) * sympy.sqrt(t)
+                minpoly = UniPoly([r * r - sq * sq * t, -2 * r, 1])
+                cs = cells([minpoly], Fraction(-1), Fraction(200))
+                (a, b), = [ab for ab in cs.breakpoints if ab[0] <= exact <= ab[1]]
+                root = AlgebraicField(minpoly, a, b)
+                polys = _conditions(*_block_polys(f))
+                signs = [root.sign_of_poly(p) for p in polys]
+                want = [
+                    _sympy_sign(sympy.Poly(
+                        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+                        or [0], g,
+                    ).as_expr().subs(g, exact))
+                    for p in polys
+                ]
+                assert signs == want
+                ok, _u = reference_u_feasible(
+                    reference_entries(
+                        tuple(sympy.Rational(c.numerator, c.denominator) for c in f.coeffs),
+                        f.scope, exact,
+                    ),
+                    _sympy_sign,
+                )
+                assert _feasible(signs) == ok
+                feasible += ok
+                infeasible += not ok
+        assert feasible > 5 and infeasible > 5
