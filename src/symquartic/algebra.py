@@ -216,12 +216,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
 
 # -- the integer core --------------------------------------------------------
 #
@@ -430,17 +424,7 @@ def _count_from_chain(chain: Sequence[Sequence]) -> int:
     return _variations(at_neg) - _variations(at_pos)
 
 
-# -- public gcd, squarefree and Sturm functions ------------------------------
-
-
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor.
-
-    Raises ``ValueError`` when both arguments are zero (gcd undefined).
-    """
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    return _monic(_zgcd(_zpoly(p.coeffs), _zpoly(q.coeffs)))
+# -- public squarefree and Sturm functions ----------------------------------
 
 
 def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -463,13 +447,6 @@ def squarefree_part_field(p: UniPoly) -> UniPoly:
     return _monic(_zsqf(_zpoly(p.coeffs)))
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm chain of p: p, p', then negated remainders, up to the last
-    nonzero term.  The terms are primitive integer positive multiples of
-    the Euclidean chain's terms (same signs everywhere)."""
-    return [UniPoly(z) for z in _zsturm(_zpoly(p.coeffs))] if p else []
-
-
 def count_real_roots(p: UniPoly) -> int:
     """Number of distinct real roots of p."""
     if p.is_zero():
@@ -479,39 +456,11 @@ def count_real_roots(p: UniPoly) -> int:
     return _count_from_chain(_zsturm(_zsqf(_zpoly(p.coeffs))))
 
 
-def sturm_count(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of the rational polynomial p in the
-    half-open interval (lo, hi].
-
-    Requires ``p(lo) != 0``; raises ``ValueError("endpoint root")`` otherwise.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has indeterminate root set")
-    z = _zpoly(p.coeffs)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if _zsign(z, lo) == 0:
-        raise ValueError("endpoint root")
-    if hi <= lo:
-        return 0
-    q = _zsqf(z)
-    extra = 0
-    if _zsign(q, hi) == 0:
-        # deflate the rational root at hi, count it separately
-        q = _zquo(q, _zlinear(hi))
-        extra = 1
-    if len(q) <= 1:
-        return extra
-    chain = _zsturm(q)
-    return _zvariations(chain, lo) - _zvariations(chain, hi) + extra
-
-
 def count_roots_open(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of the rational polynomial p strictly
     inside (lo, hi).
 
-    Unlike ``sturm_count``, endpoints are allowed to be roots (they are not
-    counted)."""
+    Endpoints are allowed to be roots (they are not counted)."""
     if p.is_zero():
         raise ValueError("zero polynomial has indeterminate root set")
     z = _zpoly(p.coeffs)

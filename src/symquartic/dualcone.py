@@ -76,13 +76,18 @@ def point_eval_functional(v) -> DualFunctional:
     return DualFunctional(p[3], p[2] * p[0], p[1] * p[1], p[1] * p[0] ** 2, p[0] ** 4)
 
 
+def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
+    """The trivial and hook 2x2 blocks, which do not depend on n."""
+    y4, y31, y22, y211, y1111 = ell.as_tuple()
+    return SymMat2(y22, y211, y1111), SymMat2(y4 - y22, y31 - y211, y211 - y1111)
+
+
 def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction]:
     """The trivial/hook 2x2 blocks and the scalar two-row block at size n."""
     if n < 4:
         raise ValueError("n must be at least 4")
     y4, y31, y22, y211, y1111 = ell.as_tuple()
-    m_triv = SymMat2(y22, y211, y1111)
-    m_hook = SymMat2(y4 - y22, y31 - y211, y211 - y1111)
+    m_triv, m_hook = _square_blocks(ell)
     m_tworow = (
         Fraction(n * n, 2) * y1111
         - n * n * y211
@@ -93,8 +98,12 @@ def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction
     return m_triv, m_hook, m_tworow
 
 
-def dual_membership(ell: DualFunctional, n: int) -> bool:
-    """True iff ell is nonnegative on all symmetric squares at size n."""
+def dual_membership(ell: DualFunctional, n) -> bool:
+    """True iff ell is nonnegative on all symmetric squares at size n; for
+    n = LIMIT, on the limit SOS cone, where the two-row block drops out:
+    divided by n^2 it tends to (1/2) (1, -1) M_triv (1, -1)^T >= 0."""
+    if n is LIMIT:
+        return all(psd2(m) for m in _square_blocks(ell))
     m_triv, m_hook, m_tworow = dual_blocks(ell, n)
     return psd2(m_triv) and psd2(m_hook) and m_tworow >= 0
 

@@ -1,14 +1,16 @@
 """Nonnegativity decisions for symmetric quartics.
 
 Limit cone: f is in the limit nonnegativity cone iff Phi^alpha(x, y) =
-Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  The
-nonnegativity status can only change across finitely many critical alpha
-values.  The shared cell engine (``algebra.cells``) cuts (0, 1) at them;
-the decision tests one rational alpha per open cell and the endpoints as
-scalars.  Boundary status reuses the same cells: it looks for a real
-projective zero at each cell sample and, exactly, at each critical value.
+Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  For
+quartics this cone equals the limit SOS cone (Blekherman & Riener,
+arXiv:1205.3102), so both limit decisions read the signs of the gamma = 0
+blocks of ``sos``; IN needs no theorem, as a sum of squares is
+nonnegative.  OUT still carries a negative point, found by testing the
+endpoints as scalars and one rational alpha per open alpha-cell; finding
+none would contradict the theorem, and raises.
 
-The critical values come from one projection over Z[alpha].  With P =
+The critical alpha values that cut those cells (and the finite-n cells
+below) come from one projection over Z[alpha].  With P =
 Phi^alpha(x, 1) (top coefficients that vanish identically dropped), the
 principal signed subresultant (Sturm-Habicht) coefficients of P and dP/dx
 are integer polynomials in alpha, Sylvester-Habicht determinants of at
@@ -17,10 +19,7 @@ of them that is not identically zero vanishes exactly where deg gcd(P,
 P') rises, so on the cells cut at the roots of both P has a constant
 number of distinct roots of constant multiplicities, and every verdict is
 constant.  In the generic case that coefficient is +-lc(P) disc(P), and the
-discriminant of ``disc_binary_quartic`` is used as it is.  At an
-irrational critical alpha the number of real roots of P is read from the
-signs of all these coefficients (permanences minus variations), each one
-sign query at the isolated root (``algebra.AlgebraicField``).
+discriminant of ``disc_binary_quartic`` is used as it is.
 
 Finite n: by the half-degree principle a symmetric quartic is nonnegative
 (strictly positive) iff Phi^alpha is, for every weight alpha = k/n of the
@@ -40,8 +39,6 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 
 from .algebra import (
-    AlgebraicField,
-    Cells,
     UniPoly,
     _zmul,
     _zquo,
@@ -50,10 +47,11 @@ from .algebra import (
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
     cells,
-    count_real_roots,
     disc_binary_quartic,
     refine_root_interval,
 )
+from .dualcone import DualFunctional
+from .sos import sos_boundary_limit, sos_membership_limit
 from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
@@ -73,11 +71,13 @@ class NonnegVerdict:
 @dataclass(frozen=True)
 class BoundaryVerdict:
     """INTERIOR / BOUNDARY / OUTSIDE relative to the limit cone; BOUNDARY
-    carries an isolating interval for an alpha in (0,1) at which Phi^alpha
-    has a repeated real projective root."""
+    carries in ``witness`` a nonzero functional y of the limit dual cone
+    (``dualcone.dual_membership(y, LIMIT)``) with y(f) = 0, which supports
+    the cone at f."""
 
     status: str  # "INTERIOR" | "BOUNDARY" | "OUTSIDE"
-    alpha_witness: tuple[Fraction, Fraction] | None = None
+    witness: DualFunctional | None = None
+    alpha_witness = None  # the former alpha interval; bench/queries.py reads it
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,8 @@ def is_strictly_positive(f: SymFormP) -> bool:
     """
     if f.scope is LIMIT:
         raise ValueError("strict positivity test requires a numeric scope")
+    if f.degree != 4:
+        raise ValueError("decision implemented for degree 4")
     n = f.scope
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
@@ -244,22 +246,6 @@ def _signed_subresultants(P: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _real_root_count(signs: list[int]) -> int:
-    """Distinct real roots of a polynomial from the signs of its principal
-    signed subresultant coefficients sRes_d, ..., sRes_0 (the first one
-    nonzero): permanences minus variations, where consecutive nonzero
-    entries k apart count (-1)^(k(k-1)/2) times their sign product if k
-    is odd, and nothing if k is even."""
-    total, prev, gap = 0, signs[0], 0
-    for s in signs[1:]:
-        gap += 1
-        if s:
-            if gap % 2:
-                total += (-1) ** (gap * (gap - 1) // 2) * prev * s
-            prev, gap = s, 0
-    return total
-
-
 def _critical_polys(cs) -> list[UniPoly]:
     """Polynomials in alpha whose roots in (0,1) delimit the cells on which
     the sign/root structure of Phi^alpha is constant; ``cs`` are the
@@ -283,84 +269,52 @@ def _critical_polys(cs) -> list[UniPoly]:
     return [UniPoly(c) for c in (sres[0], first) if len(c) > 1]
 
 
-def _limit_nonneg(f: SymFormP, cs) -> tuple[NonnegVerdict, Cells | None]:
-    """The limit-cone verdict and the alpha-cells of f it was decided on
-    (None when the scalar alpha in {0, 1} test decides); ``cs`` are the
-    alpha-polynomial coefficients of Phi^alpha (``_alpha_coeffs``)."""
-    if f.is_zero():
-        return NonnegVerdict("IN"), None
-    total = sum(f.coeffs, _ZERO)  # Phi^{1/2}(1,1); the alpha in {0,1} test
-    if total < 0:
-        return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ZERO, _ONE))), None
-    alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
-    for alpha in alpha_cells.samples:
+def _limit_negative_point(f: SymFormP):
+    """A witness ((alpha, 1 - alpha), (x, y)) with Phi_f < 0 there, or
+    None if Phi^alpha >= 0 for every alpha in [0, 1]: the scalar test at
+    alpha in {0, 1}, then one rational alpha per open alpha-cell."""
+    if sum(f.coeffs, _ZERO) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
+        return (_ZERO, _ONE), (_ZERO, _ONE)
+    cs = _alpha_coeffs(f)
+    for alpha in cells(_critical_polys(cs), _ZERO, _ONE).samples:
         h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):
-            point = binary_quartic_negative_point(h)
-            return NonnegVerdict("OUT", ((alpha, 1 - alpha), point)), alpha_cells
-    return NonnegVerdict("IN"), alpha_cells
+            return (alpha, 1 - alpha), binary_quartic_negative_point(h)
+    return None
+
+
+def _require_limit_quartic(f: SymFormP) -> None:
+    if f.degree != 4:
+        raise ValueError("decision implemented for degree 4")
+    if f.scope is not LIMIT:
+        raise ValueError("LIMIT-scope decision; use is_nonneg for numeric scopes")
 
 
 def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
-    """Membership in the limit nonnegativity cone (LIMIT scope)."""
-    return _limit_nonneg(f, _alpha_coeffs(f))[0]
+    """Membership in the limit nonnegativity cone (LIMIT scope).
 
-
-# ---------------------------------------------------------------------------
-# boundary certification in the limit cone
-# ---------------------------------------------------------------------------
-
-
-def _has_real_projective_zero(h: tuple) -> bool:
-    """Real projective zero of a rational binary quartic (possibly zero)."""
-    p = UniPoly(h[::-1])
-    if p.is_zero():
-        return True
-    if h[0] == 0:
-        return True  # zero at (1, 0)
-    if p.degree < 1:
-        return False
-    return count_real_roots(p) > 0
-
-
-def _real_zero_at_algebraic(sres, field: AlgebraicField) -> bool:
-    """Does Phi^{alpha*} have a real projective zero, alpha* the root that
-    ``field`` isolates?  ``sres`` are the principal signed subresultant
-    coefficients of Phi^alpha(x, 1) of x-degree 4 (``_signed_subresultants``).
-    A zero leading coefficient is a zero at (1, 0); otherwise the real
-    roots are counted from one sign query per coefficient."""
-    signs = [field.sign_of_poly(UniPoly(c)) for c in sres]
-    return signs[0] == 0 or _real_root_count(signs) > 0
+    IN exactly when f is in the limit SOS cone, which is sound because a
+    sum of squares is nonnegative.  Otherwise the alpha-cells are searched
+    for the negative point that the OUT verdict carries; finding none
+    would contradict the paper's degree-4 theorem, and raises.
+    """
+    _require_limit_quartic(f)
+    if sos_membership_limit(f).status == "IN":
+        return NonnegVerdict("IN")
+    witness = _limit_negative_point(f)
+    if witness is None:
+        raise AssertionError(
+            "internal error: limit SOS OUT but Phi^alpha >= 0 on [0, 1], "
+            "contradicting the degree-4 limit theorem"
+        )
+    return NonnegVerdict("OUT", witness)
 
 
 def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
-    """INTERIOR/BOUNDARY/OUTSIDE status relative to the limit cone.
-
-    A nonnegative quartic family lies on the boundary iff some alpha in
-    (0, 1) gives Phi^alpha a repeated real projective root; since a
-    nonnegative binary quartic vanishes to even order at every real zero,
-    this is equivalent to Phi^alpha having any real projective zero.
-    """
+    """INTERIOR/BOUNDARY/OUTSIDE status relative to the limit cone, which is
+    the limit SOS cone (degree-4 theorem), read off the gamma = 0 blocks
+    (``sos.sos_boundary_limit``)."""
+    _require_limit_quartic(f)
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
-    cs = _alpha_coeffs(f)
-    verdict, alpha_cells = _limit_nonneg(f, cs)
-    if verdict.status == "OUT":
-        return BoundaryVerdict("OUTSIDE")
-    if cs[0].is_zero():
-        # the x^4 coefficient vanishes identically: a real projective zero
-        # at (1, 0) for every alpha
-        return BoundaryVerdict("BOUNDARY", (Fraction(1, 2), Fraction(1, 2)))
-    for alpha in alpha_cells.samples:
-        if _has_real_projective_zero(_phi_at(cs, alpha)):
-            return BoundaryVerdict("BOUNDARY", (alpha, alpha))
-    sres = None
-    for lo, hi in alpha_cells.breakpoints:
-        if lo == hi:
-            hit = _has_real_projective_zero(_phi_at(cs, lo))
-        else:
-            sres = sres or _signed_subresultants(_x_poly(cs))
-            hit = _real_zero_at_algebraic(sres, AlgebraicField(alpha_cells.product, lo, hi))
-        if hit:
-            return BoundaryVerdict("BOUNDARY", (lo, hi))
-    return BoundaryVerdict("INTERIOR")
+    return BoundaryVerdict(*sos_boundary_limit(f))

@@ -13,7 +13,10 @@ can be matched by the block decomposition
 with the alpha-block [[a11, a12], [a12, a22]] and the beta-block
 [[b11, b12], [b12, b22]] both PSD and gamma >= 0.  In the limit cone the
 scalar-block generator degenerates to (1/2)(p_2 - p_1^2)^2, which already
-lies in the span of the alpha-block, so gamma = 0 is forced there.
+lies in the span of the alpha-block, so gamma = 0 is forced there, and
+the signs at gamma = 0 decide membership, the interior (both blocks
+definite) and a supporting functional on the boundary
+(``sos_boundary_limit``).
 
 The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as polynomials in gamma (``_block_polys``).
@@ -208,6 +211,18 @@ def _feasible(signs) -> bool:
     )
 
 
+def _strictly_feasible(signs) -> bool:
+    """Some u makes both blocks positive definite, from the signs of
+    ``_conditions``: ``_feasible`` with strict inequalities.
+
+    B is positive definite iff u > 0, b22 > 0 and u b22 > b12^2; A is iff
+    a22 > 0 and det A > 0 (a11 > 0 follows).  {det A > 0} is an open
+    interval around the vertex, empty unless det A > 0 there, and it
+    reaches above a lower bound L iff det A > 0 at L or the vertex is > L."""
+    b22, _, a22, q_top, *rest = signs
+    return min(b22, a22, q_top) > 0 and all(q > 0 or v > 0 for q, v in zip(rest[:3], rest[3:]))
+
+
 def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
     """The certificate at a feasible rational gamma, from the block entries
     there (``_block_polys`` at gamma), with the smallest feasible u: the
@@ -230,16 +245,21 @@ def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
     return cert
 
 
-def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
-    """The certificate at a rational gamma, or None if u is infeasible
-    there.  The signs are read on the entries times their common
+def _signs_at(blocks, gamma: Fraction) -> tuple[list[Fraction], list[int]]:
+    """The block entries (``_block_polys``) at a rational gamma and the
+    signs of ``_conditions`` there, read on the entries times their common
     denominator, in integer arithmetic."""
     entries = [p(gamma) for p in blocks]
     den = lcm(*(e.denominator for e in entries))
     scaled = [e.numerator * (den // e.denominator) for e in entries]
-    if not _feasible([(x > 0) - (x < 0) for x in _conditions(*scaled)]):
-        return None
-    return _certificate(f, entries, gamma)
+    return entries, [(x > 0) - (x < 0) for x in _conditions(*scaled)]
+
+
+def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
+    """The certificate at a rational gamma, or None if u is infeasible
+    there."""
+    entries, signs = _signs_at(blocks, gamma)
+    return _certificate(f, entries, gamma) if _feasible(signs) else None
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +275,59 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("use sos_membership for numeric scopes")
     cert = _certificate_at(f, _block_polys(f), _ZERO)
     return SosVerdict("OUT") if cert is None else SosVerdict("IN", certificate=cert)
+
+
+def _kernel(m: SymMat2) -> tuple[Fraction, Fraction] | None:
+    """A rational kernel vector of a singular PSD block (e_2 for the zero
+    block); None when the block is definite."""
+    if m.det():
+        return None
+    if m.m12:
+        return -m.m12, m.m11
+    return (_ZERO, _ONE) if m.m22 == 0 else (_ONE, _ZERO)
+
+
+def sos_boundary_limit(f: SymFormP) -> tuple[str, DualFunctional | None]:
+    """("OUTSIDE" | "INTERIOR" | "BOUNDARY", y) for the limit SOS cone
+    (LIMIT scope); at a BOUNDARY form y is a supporting functional.
+
+    The cone is the image of PSD_2 x PSD_2 under the block map (A, B) -> f,
+    which is onto R^5, so its interior is the image of definite pairs.  A
+    functional y pairs with it as tr(Y_A A) + tr(Y_B B), Y_A = [[y1111,
+    y211], [y211, y22]], Y_B = [[y211 - y1111, y31 - y211], [y31 - y211,
+    y4 - y22]] (both PSD on the limit dual cone), and blocks come from some
+    y iff they pair to 0 with the map's kernel direction (da11 = db11 = 1,
+    da12 = -1/2).  For kernel vectors k of a singular A and j of a singular
+    B, Y_A = lam k k^T and Y_B = mu j j^T pair to 0 with f and to
+    lam k1 (k1 - k2) + mu j1^2 with the direction; lam, mu >= 0, not both
+    0, make that 0 unless moving along the direction makes both blocks
+    definite, which a boundary form rules out.
+    """
+    if f.degree != 4 or f.scope is not LIMIT:
+        raise ValueError("limit boundary status needs a degree-4 LIMIT-scope form")
+    entries, signs = _signs_at(_block_polys(f), _ZERO)
+    if not _feasible(signs):
+        return "OUTSIDE", None
+    if _strictly_feasible(signs):
+        return "INTERIOR", None
+    cert = _certificate(f, entries, _ZERO)
+    k, j = _kernel(cert.A), _kernel(cert.B)
+    kdir = None if k is None else k[0] * (k[0] - k[1])
+    jdir = None if j is None else j[0] * j[0]
+    if jdir == 0:
+        lam, mu = _ZERO, _ONE
+    elif kdir == 0:
+        lam, mu = _ONE, _ZERO
+    elif kdir is not None and jdir is not None and kdir < 0:
+        lam, mu = jdir, -kdir
+    else:
+        raise AssertionError("internal error: boundary certificate has definite blocks")
+    (k1, k2), (j1, j2) = k or (_ZERO, _ZERO), j or (_ZERO, _ZERO)
+    ya11, ya12, ya22 = lam * k1 * k1, lam * k1 * k2, lam * k2 * k2
+    y = DualFunctional(mu * j2 * j2 + ya22, mu * j1 * j2 + ya12, ya22, ya12, ya11)
+    if not any(y.as_tuple()) or pair(y, f) != 0 or not dual_membership(y, LIMIT):
+        raise AssertionError("internal error: supporting functional failed verification")
+    return "BOUNDARY", y
 
 
 def sos_membership(f: SymFormP) -> SosVerdict:

@@ -131,10 +131,6 @@ def _p_expr(coeffs: dict, degree: int) -> SymFuncM:
     return total
 
 
-def _scale_ratfunc(f: SymFuncM, s: RatFunc) -> SymFuncM:
-    return f.scale(s)
-
-
 def _limit_syfm(f: SymFuncM) -> SymFuncM:
     """Entrywise n -> infinity limit, as a constant-coefficient SymFuncM."""
     return SymFuncM({p: RatFunc(v) for p, v in f.limit().items()})

@@ -182,7 +182,7 @@ def test_a6_limit_cone_equality_sample():
     t0 = time.monotonic()
     good, lines = _repro_limit_equality()
     assert good, "\n".join(lines)
-    report("A6 limit-cone verdict agreement on 500 sampled forms", 300, t0)
+    report("A6 limit-cone witnesses verified on 500 sampled forms", 300, t0)
 
 
 def test_a7_cone_inclusions():

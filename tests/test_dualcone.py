@@ -47,6 +47,36 @@ class TestPairing:
             assert dual_membership(point_eval_functional(v), n)
 
 
+class TestLimitDualCone:
+    def test_two_row_block_drops_out(self):
+        # f -> c4: trivial block 0, hook block e1 e1^T, two-row block
+        # (1 - n)/2 < 0 at every n, yet it is nonnegative on the limit cone
+        ell = DualFunctional(1, 0, 0, 0, 0)
+        assert dual_membership(ell, LIMIT)
+        assert not any(dual_membership(ell, n) for n in range(4, 40))
+
+    def test_indefinite_blocks_rejected(self):
+        assert not dual_membership(DualFunctional(0, 0, 1, 0, 0), LIMIT)  # hook
+        assert not dual_membership(DualFunctional(1, 0, 0, 0, 1), LIMIT)  # trivial
+
+    def test_point_evaluations_are_limit_members(self):
+        # a form of the limit cone is nonnegative at every n, so every
+        # point evaluation is nonnegative on it
+        rng = random.Random(97)
+        for _ in range(25):
+            v = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 9)))
+            assert dual_membership(point_eval_functional(v), LIMIT)
+
+    def test_example_functional(self):
+        # example 6.10: the two-row block (25n^2 - 149n + 149)/800 is
+        # negative at n = 4 and positive from n = 5 on
+        params = BoundaryParams(1, Fraction(-13, 10), 1, Fraction(-5, 4))
+        ell = boundary_family_functional(params.a, params.b, params.c, params.d)
+        assert not dual_membership(ell, 4)
+        assert all(dual_membership(ell, n) for n in range(5, 13))
+        assert dual_membership(ell, LIMIT)
+
+
 class TestDualBlocks:
     def test_small_n_rejected(self):
         ell = point_eval_functional((1, 1, 1, 1))

@@ -14,11 +14,10 @@ from symquartic.algebra import (
     binary_quartic_strictly_positive,
     count_real_roots,
 )
+from symquartic.dualcone import DualFunctional, dual_membership, pair
 from symquartic.positivity import (
     _alpha_coeffs,
     _critical_polys,
-    _has_real_projective_zero,
-    _real_root_count,
     _signed_subresultants,
     _x_poly,
     boundary_status_limit,
@@ -26,6 +25,7 @@ from symquartic.positivity import (
     is_nonneg_limit,
     is_strictly_positive,
 )
+from symquartic.sampling import equivalence_sample
 from symquartic.sos import sos_membership_limit
 from symquartic.symfunc import (
     LIMIT,
@@ -277,9 +277,15 @@ class TestLimitCone:
 
 
 class TestBoundaryStatus:
-    def test_p22_interior(self):
+    def test_p22_boundary(self):
+        # p_(2,2) - eps p_4 is negative at (1, 0, ..., 0) once n > 1/eps, so
+        # p_(2,2) lies on the boundary of the limit cone; adding p_4 moves it
+        # inside
         f = form_from_dict(4, {(2, 2): 1}, LIMIT)
-        assert boundary_status_limit(f).status == "INTERIOR"
+        verdict = boundary_status_limit(f)
+        assert (verdict.status, verdict.witness) == ("BOUNDARY", DualFunctional(1, 0, 0, 0, 0))
+        g = form_from_dict(4, {(2, 2): 1, (4,): 1}, LIMIT)
+        assert boundary_status_limit(g).status == "INTERIOR"
 
     def test_p1111_boundary(self):
         f = form_from_dict(4, {(1, 1, 1, 1): 1}, LIMIT)
@@ -294,7 +300,8 @@ class TestBoundaryStatus:
             boundary_status_limit(SymFormP(4, (0,) * 5, LIMIT))
 
     def test_example_boundary_witness(self):
-        # the known double roots sit at 1/2 +- (7/298) sqrt(149)
+        # example 6.10: the supporting functional is the paper's, up to a
+        # positive factor
         f = SymFormP(
             4,
             (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)),
@@ -302,15 +309,60 @@ class TestBoundaryStatus:
         )
         verdict = boundary_status_limit(f)
         assert verdict.status == "BOUNDARY"
-        lo, hi = verdict.alpha_witness
-        root_sq = Fraction(149) * Fraction(7, 298) ** 2
-        matched = False
-        for sign in (-1, 1):
-            # check (candidate - 1/2)^2 == root_sq for some value in [lo, hi]
-            a, b = sorted(((lo - Fraction(1, 2)) * sign, (hi - Fraction(1, 2)) * sign))
-            if a * abs(a) <= root_sq <= b * abs(b):
-                matched = True
-        assert matched
+        paper = (Fraction(397, 200), Fraction(63, 40), Fraction(25, 16), Fraction(5, 4), 1)
+        ratios = {y / p for y, p in zip(verdict.witness.as_tuple(), paper)}
+        assert len(ratios) == 1 and ratios.pop() > 0
+        assert verdict.alpha_witness is None
+
+    def test_zero_x4_coefficient_is_boundary(self):
+        # c4 = 0 puts a zero of Phi^alpha at alpha -> 0, (x, y) = (1, 0):
+        # the functional f -> c4 supports the cone there
+        f = SymFormP(4, (0, 0, Fraction(89, 16), Fraction(7, 8), Fraction(-39, 16)), LIMIT)
+        verdict = boundary_status_limit(f)
+        assert verdict.status == "BOUNDARY"
+        assert verdict.witness == DualFunctional(1, 0, 0, 0, 0)
+        assert is_nonneg_limit(f - form_from_dict(4, {(4,): Fraction(1, 10**6)}, LIMIT)).status == "OUT"
+
+    def test_numeric_scope_rejected(self):
+        f = SymFormP(4, (1, 0, -1, 0, 1), 6)
+        with pytest.raises(ValueError):
+            is_nonneg_limit(f)
+        with pytest.raises(ValueError):
+            boundary_status_limit(f)
+
+    def test_strict_positivity_rejects_other_degrees(self):
+        with pytest.raises(ValueError):
+            is_strictly_positive(SymFormP(2, (1, -1), 6))
+
+
+#: The five basis products p_lambda, canonical order, at LIMIT scope.
+BASIS = [SymFormP(4, tuple(int(i == j) for j in range(5)), LIMIT) for i in range(5)]
+
+
+def test_perturbation_gate():
+    """Every boundary verdict on the equivalence sample, checked by
+    perturbing the form: an INTERIOR form minus 10^-6 p_lambda stays
+    nonnegative for each lambda, and a BOUNDARY form minus 10^-6 p_4 is
+    OUT with a negative witness.  The second holds because every nonzero
+    y of the limit dual cone has y4 > 0 (y4 - y22 >= 0, y22 >= 0, and
+    y22 = 0 forces y211 = 0, then y31 = y211 and y1111 = 0), so the
+    supporting functional pairs negatively with the perturbed form."""
+    eps = Fraction(1, 10**6)
+    seen = dict.fromkeys(("INTERIOR", "BOUNDARY", "OUTSIDE"), 0)
+    for f in equivalence_sample():
+        verdict = boundary_status_limit(f)
+        if verdict.status == "INTERIOR":
+            for p in BASIS:
+                assert is_nonneg_limit(f - p.scale(eps)).status == "IN", f.coeffs
+        elif verdict.status == "BOUNDARY":
+            y = verdict.witness
+            assert pair(y, f) == 0 and dual_membership(y, LIMIT) and y.y4 > 0
+            g = f - BASIS[0].scale(eps)
+            out = is_nonneg_limit(g)
+            assert out.status == "OUT", f.coeffs
+            assert witness_value(g, out) < 0
+        seen[verdict.status] += 1
+    assert seen == {"INTERIOR": 326, "BOUNDARY": 17, "OUTSIDE": 157}
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +375,15 @@ F = Fraction
 #: identically, with the verdicts and witnesses that the Yun decomposition
 #: over Q(alpha) gave before this projection: (is_nonneg_limit,
 #: boundary_status_limit, sos_membership_limit, then (n, is_nonneg,
-#: is_strictly_positive) for n = 4, 16, 64, 1000).  The limit witnesses of
-#: two forms moved, because the raw coefficient polynomials of the Yun
-#: projection no longer cut the alpha-cells; they are marked and
-#: re-verified below.
+#: is_strictly_positive) for n = 4, 16, 64, 1000).  The limit witness of
+#: one form moved, because the raw coefficient polynomials of the Yun
+#: projection no longer cut the alpha-cells; it is marked and re-verified
+#: below.  The boundary column holds the supporting functionals of the
+#: gamma = 0 blocks, re-verified below (pairing 0, limit dual cone).
 ONE_ZERO, HALF = (F(1), F(0)), (F(1, 2), F(1, 2))
+#: The functional f -> c4, which supports the limit cone at every form
+#: with c4 = 0.
+C4 = DualFunctional(1, 0, 0, 0, 0)
 
 
 def _finite(status, witnesses, strict):
@@ -344,17 +400,19 @@ def _grid(point):
 
 DEGENERATE = {
     # (a p_2 + b p_1^2)^2: Phi^alpha is the square of a quadratic
-    "square_p2_p1sq_1": ((0, 0, 1, -2, 1), ("IN", None), ("BOUNDARY", (F(1, 2), F(1, 2))),
+    "square_p2_p1sq_1": ((0, 0, 1, -2, 1), ("IN", None), ("BOUNDARY", C4),
                          "IN", _finite("IN", None, False)),
-    # moved: boundary witness 1/16 under the Yun projection, 1/2 now
-    "square_p2_p1sq_2": ((0, 0, 4, -12, 9), ("IN", None), ("BOUNDARY", (F(1, 2), F(1, 2))),
+    "square_p2_p1sq_2": ((0, 0, 4, -12, 9), ("IN", None), ("BOUNDARY", C4),
                          "IN", _finite("IN", None, False)),
-    "square_p2_p1sq_3": ((0, 0, 1, 1, F(1, 4)), ("IN", None), ("INTERIOR", None),
+    # moved: INTERIOR under the alpha-cell scan, which missed the zero at
+    # alpha -> 0 that c4 = 0 puts there (f - 10^-6 p_4 is OUT)
+    "square_p2_p1sq_3": ((0, 0, 1, 1, F(1, 4)), ("IN", None), ("BOUNDARY", C4),
                          "IN", _finite("IN", None, True)),
     # p_4 - p_(2,2) = mean of (x_i^2 - p_2)^2, plus (p_2 - p_1^2)^2
-    "p4_minus_p22": ((1, 0, -1, 0, 0), ("IN", None), ("BOUNDARY", (F(1, 2), F(1, 2))),
+    "p4_minus_p22": ((1, 0, -1, 0, 0), ("IN", None), ("BOUNDARY", DualFunctional(1, 0, 1, 0, 0)),
                      "IN", _finite("IN", None, False)),
-    "p4_minus_p22_plus_square": ((1, 0, 0, -2, 1), ("IN", None), ("BOUNDARY", (F(1, 2), F(1, 2))),
+    "p4_minus_p22_plus_square": ((1, 0, 0, -2, 1), ("IN", None),
+                                 ("BOUNDARY", DualFunctional(1, 1, 1, 1, 1)),
                                  "IN", _finite("IN", None, False)),
     "p22_minus_p4": ((-1, 0, 1, 0, 0), ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
                      "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
@@ -392,13 +450,30 @@ DEGENERATE = {
                           ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
                           "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
     "bench_large_n": ((F(9, 4), F(-15, 2), F(-2), F(53, 4), F(-6)), ("IN", None),
-                      ("BOUNDARY", (F(1, 2), F(1, 2))), "IN", _finite("IN", None, False)),
+                      ("BOUNDARY", DualFunctional(*[F(1, 16)] * 5)), "IN",
+                      _finite("IN", None, False)),
 }
 
 
 def _generic_forms():
     rng = random.Random(83)
     return [tuple(F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(5)) for _ in range(12)]
+
+
+def sturm_habicht_count(signs: list[int]) -> int:
+    """Distinct real roots of a polynomial from the signs of its principal
+    signed subresultant coefficients sRes_d, ..., sRes_0 (the first one
+    nonzero): permanences minus variations, where consecutive nonzero
+    entries k apart count (-1)^(k(k-1)/2) times their sign product if k
+    is odd, and nothing if k is even (Basu, Pollack & Roy, ch. 4)."""
+    total, prev, gap = 0, signs[0], 0
+    for s in signs[1:]:
+        gap += 1
+        if s:
+            if gap % 2:
+                total += (-1) ** (gap * (gap - 1) // 2) * prev * s
+            prev, gap = s, 0
+    return total
 
 
 class TestProjection:
@@ -439,8 +514,10 @@ class TestProjection:
 
     @pytest.mark.parametrize("coeffs", [c for c, *_ in DEGENERATE.values()] + _generic_forms())
     def test_root_count_from_coefficient_signs(self, coeffs):
-        """At random rational alpha with lc(P) != 0, permanences minus
-        variations of the sRes signs count the real roots of P(alpha, .)."""
+        """At random rational alpha with lc(P) != 0, the signs of the sRes
+        count the real roots of P(alpha, .) by the Sturm-Habicht rule
+        (``sturm_habicht_count``), which holds only with the signs of
+        signed subresultants."""
         P = _x_poly(_alpha_coeffs(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)))
         sres = _signed_subresultants(P)
         rng = random.Random(str(coeffs))
@@ -450,7 +527,7 @@ class TestProjection:
             if _zsign(P[-1], alpha) == 0:
                 continue
             spec = UniPoly([sum(c * alpha**k for k, c in enumerate(coef)) for coef in P])
-            assert _real_root_count([_zsign(c, alpha) for c in sres]) == count_real_roots(spec)
+            assert sturm_habicht_count([_zsign(c, alpha) for c in sres]) == count_real_roots(spec)
             tested += 1
         assert tested >= 30
 
@@ -465,7 +542,7 @@ class TestProjection:
                     P = [[c] if c else [] for c in low] + [[lead]]
                     signs = [_zsign(c, F(0)) for c in _signed_subresultants(P)]
                     want = count_real_roots(UniPoly(list(low) + [lead]))
-                    assert _real_root_count(signs) == want, (low, lead)
+                    assert sturm_habicht_count(signs) == want, (low, lead)
 
     def test_generic_critical_polys_are_disc_and_lead(self):
         for coeffs in _generic_forms():
@@ -485,10 +562,10 @@ class TestProjection:
         if verdict.status == "OUT":
             assert witness_value(f, verdict) < 0
         status = boundary_status_limit(f)
-        assert (status.status, status.alpha_witness) == boundary
+        assert (status.status, status.witness) == boundary
         if status.status == "BOUNDARY":
-            alpha = status.alpha_witness[0]
-            assert _has_real_projective_zero(restrict_alpha(f, alpha))
+            y = status.witness
+            assert any(y.as_tuple()) and pair(y, f) == 0 and dual_membership(y, LIMIT)
         assert sos_membership_limit(f).status == sos
         for n, want, witness, strict in finite:
             g = f.with_scope(n)
