@@ -4,7 +4,7 @@ Provides the building blocks used by every other module:
 
 * ``UniPoly`` -- univariate polynomials with rational (``int`` or
   ``Fraction``) coefficients, with Euclidean division, gcd, squarefree
-  (Yun) decomposition, Sturm sequences, certified real-root isolation and
+  (Yun) decomposition, certified real-root isolation and counting, and
   rational roots.
 * the integer core behind them: a rational polynomial is carried as the
   primitive integer polynomial that is a positive multiple of it, a list
@@ -13,6 +13,9 @@ Provides the building blocks used by every other module:
   chains (sign-corrected pseudo-remainders with the content divided out),
   root counting and isolation run on ints, and the sign at a rational p/q
   is that of the homogeneous integer Horner value sum c_i p^i q^(d-i).
+  Root isolation is Descartes (Vincent-Collins-Akritas) bisection on
+  integer Taylor shifts; Sturm chains serve one-off counts
+  (``count_real_roots``, ``count_roots_open``) and the sign queries.
   ``Fraction`` is built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
@@ -28,7 +31,8 @@ Provides the building blocks used by every other module:
   symbol ``n``.
 * ``MultiPoly`` -- sparse multivariate polynomials over the rationals.
 * ``SymMat2`` -- symmetric rational 2x2 matrices with an exact PSD test.
-* binary-quartic helpers: discriminant, nonnegativity decision, negative
+* binary-quartic helpers: discriminant, closed-form nonnegativity and
+  strict-positivity tests (signs of four integer invariants), negative
   point search.
 
 Everything is immutable and pure; no floating point is used anywhere.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -485,6 +490,26 @@ def _zroot_bound(z: list[int]) -> Fraction:
     return _ONE + Fraction(max(abs(c) for c in z[:-1]), abs(z[-1]))
 
 
+def _ztaylor(z: list[int], a: int = 1) -> list[int]:
+    """z(t + a) for an integer a.  Stored descending, one Taylor-shift pass
+    is a running (Horner) sum over a prefix, so the d passes run in
+    ``accumulate``."""
+    r = z[::-1]
+    step = None if a == 1 else (lambda s, c: s * a + c)
+    for m in range(len(r), 1, -1):
+        r[:m] = accumulate(r[:m], step)
+    r.reverse()
+    return r
+
+
+def _descartes01(z: list[int]) -> int:
+    """The sign variations of (t + 1)^d z(1 / (t + 1)): by Descartes' rule
+    an upper bound on the number of roots of z in the open interval (0, 1),
+    of the same parity, so exact when it is 0 or 1.  Roots at 0 or 1 are
+    not counted."""
+    return _variations([(c > 0) - (c < 0) for c in _ztaylor(z[::-1])])
+
+
 def isolate_real_roots(
     p: UniPoly, lo: Fraction, hi: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
@@ -495,6 +520,15 @@ def isolate_real_roots(
     degenerate point interval ``(r, r)``.  Non-degenerate intervals have
     endpoints that are not roots of p.  No squarefree part is taken here:
     callers pass squarefree products or Yun factors.
+
+    Descartes (Vincent-Collins-Akritas) bisection on integer polynomials:
+    (lo, hi) is mapped once onto (0, 1) over a common denominator, and a
+    node z of the bisection tree (the roots of p in a dyadic subinterval,
+    as roots of z in (0, 1)) has the halves 2^d z(t/2) and its Taylor shift
+    by 1.  A node is dropped when ``_descartes01`` is 0 and accepted when it
+    is 1 and neither end of the node is a root of p (z(0), z(1) nonzero); a
+    root at a midpoint is emitted as a point interval.  ``Fraction`` is
+    built only for the output.
     """
     if p.is_zero():
         raise ValueError("indeterminate root set")
@@ -503,57 +537,40 @@ def isolate_real_roots(
     if hi <= lo or p.degree <= 0:
         return []
     q = _zpoly(p.coeffs)
+    d = len(q) - 1
 
-    # roots exactly at lo/hi are outside the open interval: deflate them so
-    # that the Sturm chain endpoints are non-roots without skipping interior
-    # roots
-    for r in (lo, hi):
-        while _zsign(q, r) == 0:
-            q = _zquo(q, _zlinear(r))
-            if len(q) <= 1:
-                return []
-    chain = _zsturm(q)
-    variations: dict[Fraction, int] = {}
+    # x = (a + w t) / den maps t in (0, 1) onto (lo, hi)
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    z = [c * den ** (d - i) for i, c in enumerate(q)]  # den^d q(y / den)
+    if a:
+        z = _ztaylor(z, a)
+    z = _zprim([c * w**i for i, c in enumerate(z)])
 
-    def count_open(a: Fraction, b: Fraction) -> int:
-        for x in (a, b):
-            if x not in variations:
-                variations[x] = _zvariations(chain, x)
-        return variations[a] - variations[b]
-
-    def nonroot_point(a: Fraction, b: Fraction) -> Fraction:
-        """A rational in (a,b) that is not a root of q."""
-        x = (a + b) / 2
-        step = (b - a) / 4
-        while _zsign(q, x) == 0:
-            x = x + step
-            step /= 2
-        return x
-
-    # bisect (a, b), a and b non-roots of q, until each piece holds at most
-    # one root; an explicit stack, as close roots need deep bisection
-    out: list[tuple[Fraction, Fraction]] = []
-    todo = [(lo, hi)]
+    # a node (z, k, j) stands for (x(k, j), x(k, j + 1)), x(k, j) the
+    # image of t = j / 2^k; an explicit stack, as close roots need deep
+    # bisection
+    ends: list[tuple[int, int, int]] = []
+    todo = [(z, 0, 0)]
     while todo:
-        a, b = todo.pop()
-        k = count_open(a, b)
-        if k == 0:
+        z, k, j = todo.pop()
+        count = _descartes01(z)
+        if count == 0:
             continue
-        if k == 1:
-            # bisect once more so that the interval is away from other roots,
-            # collapsing to a point interval when the root is hit exactly
-            mid = (a + b) / 2
-            if _zsign(q, mid) == 0:
-                out.append((mid, mid))
-            elif count_open(a, mid) == 1:
-                out.append((a, mid))
-            else:
-                out.append((mid, b))
+        if count == 1 and z[0] and sum(z):
+            ends.append((k, j, j + 1))
             continue
-        mid = nonroot_point(a, b)
-        todo += [(mid, b), (a, mid)]
-    out.sort()
-    return out
+        left = [c << (d - i) for i, c in enumerate(z)]  # 2^d z(t / 2)
+        right = _ztaylor(left)
+        if not right[0]:  # z(1/2) = 0
+            ends.append((k + 1, 2 * j + 1, 2 * j + 1))
+        todo += [(right, k + 1, 2 * j + 1), (left, k + 1, 2 * j)]
+
+    def x(k: int, j: int) -> Fraction:
+        return Fraction((a << k) + w * j, den << k)
+
+    return sorted((x(k, i), x(k, j)) for k, i, j in ends)
 
 
 def refine_root_interval(
@@ -1157,13 +1174,39 @@ def disc_binary_quartic(h: Sequence):
     return UniPoly([Fraction(x, scale) for x in disc])
 
 
+def _quartic_signs(z: list[int]) -> tuple[int, int, int, int]:
+    """The signs of (Delta, P, D, R) for the integer quartic
+    a x^4 + b x^3 + c x^2 + d x + e, z = [e, d, c, b, a]:
+    27 Delta = 4 I^3 - J^2 (the discriminant of ``disc_binary_quartic``),
+    P = 8ac - 3b^2, D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4
+    and R = b^3 + 8a^2 d - 4abc.  With a > 0 they fix the real-root
+    pattern (Rees 1922)."""
+    e, d, c, b, a = z
+
+    def sign(v: int) -> int:
+        return (v > 0) - (v < 0)
+
+    i = c * c - 3 * b * d + 12 * a * e
+    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c * c * c
+    bb, aa = b * b, a * a
+    return (
+        sign(4 * i * i * i - j * j),
+        sign(8 * a * c - 3 * bb),
+        sign(64 * aa * a * e - 16 * aa * c * c + 16 * a * bb * c - 16 * aa * b * d - 3 * bb * bb),
+        sign(bb * b + 8 * aa * d - 4 * a * b * c),
+    )
+
+
 def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
     """True iff h(x, y) >= 0 for all real (x, y); fully exact.
 
-    Checks the point at infinity h(1,0), then decides nonnegativity of
-    h(x, 1) via squarefree (Yun) decomposition: a sign change exists iff
-    the leading behavior is negative/odd or some odd-multiplicity factor
-    has a real root.
+    Odd x-degree of h(x, 1) or a negative leading coefficient (h(1, 0) < 0)
+    make h change sign, a constant is its sign and a quadratic is
+    nonnegative iff its discriminant is <= 0.  A quartic with a > 0 is read
+    from ``_quartic_signs``: it changes sign iff it has a simple real root,
+    that is iff Delta < 0 (two simple real roots), or P < 0 and D < 0
+    (with Delta > 0 four simple real roots; with Delta = 0 a double and two
+    simple ones, or a triple and a simple one).
     """
     z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
     if not z:
@@ -1173,18 +1216,24 @@ def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
         return False
     if len(z) == 1:
         return True
-    return not any(
-        mult % 2 == 1 and _count_from_chain(_zsturm(fac)) > 0
-        for fac, mult in _zyun(z)
-    )
+    if len(z) == 3:
+        return z[1] * z[1] <= 4 * z[0] * z[2]
+    delta, p, d, _r = _quartic_signs(z)
+    return delta >= 0 and not (p < 0 and d < 0)
 
 
 def binary_quartic_strictly_positive(h: Sequence[Fraction]) -> bool:
-    """True iff h(x, y) > 0 for all real (x, y) != (0, 0)."""
+    """True iff h(x, y) > 0 for all real (x, y) != (0, 0).
+
+    With h(1, 0) > 0, iff h(x, 1) has no real root (``_quartic_signs``):
+    four non-real simple roots (Delta > 0, not (P < 0 and D < 0)) or two
+    non-real double ones (Delta = D = R = 0, P > 0)."""
     if h[0] <= 0:  # h(1, 0) <= 0
         return False
-    # degree 4 with a positive leading coefficient: positive iff no real root
-    return _count_from_chain(_zsturm(_zsqf(_zpoly(h[::-1])))) == 0
+    delta, p, d, r = _quartic_signs(_zpoly(h[::-1]))
+    if delta > 0:
+        return not (p < 0 and d < 0)
+    return delta == 0 and d == 0 and p > 0 and r == 0
 
 
 def binary_quartic_negative_point(

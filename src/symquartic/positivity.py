@@ -87,11 +87,12 @@ class BoundaryVerdict:
 
 #: Below this n the finite-n decisions walk all n + 1 grid weights.  Mean
 #: over the 21 distinct nonnegative forms of the benchmark's large_n seeds
-#: 1-2, min of 3 runs, 2-vCPU VM: a direct weight test costs about 0.1 ms,
-#: the cell path a flat 1.6-2.3 ms per is_nonneg and 0.7-1.0 ms per
-#: is_strictly_positive; the walk and the cells cross at n = 16-20 for
-#: is_nonneg, 10-12 for is_strictly_positive and 14-16 for the pair.
-_CELL_MIN_N = 16
+#: 1-2, min of 3 runs, three sweeps, 2-vCPU VM: a direct weight test costs
+#: about 0.02 ms (the closed-form quartic test), the cell path a flat
+#: 0.6-0.9 ms per is_nonneg and 0.4-0.7 ms per is_strictly_positive; the
+#: walk and the cells cross at n = 32-40 for is_nonneg, 28-32 for
+#: is_strictly_positive and 32-36 for the pair.
+_CELL_MIN_N = 32
 
 
 def _alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:

@@ -350,7 +350,12 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         return SosVerdict("OUT")
 
     blocks = _block_polys(f)
-    conditions = _conditions(*blocks)
+    # the conditions on the blocks times their common denominator: integer
+    # polynomials, with the signs and roots of the rational ones
+    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
+    conditions = _conditions(
+        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
+    )
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):

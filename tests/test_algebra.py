@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from symquartic.algebra import (
     AlgebraicField,
     SymMat2,
     UniPoly,
+    _count_from_chain,
     _zgcd,
     _zpoly,
+    _zsqf,
     _zsturm,
+    _zyun,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
@@ -282,6 +286,98 @@ class TestCrossCheckSympy:
         assert len(isolate_real_roots(part, -bound, bound)) == roots
 
 
+def linear(r) -> UniPoly:
+    return UniPoly([-Fraction(r), Fraction(1)])
+
+
+small_polys = st.lists(
+    st.integers(min_value=-9, max_value=9), min_size=1, max_size=4
+).map(lambda cs: UniPoly(cs) if any(cs) else UniPoly([1]))
+
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=16)
+)
+
+
+@st.composite
+def mignotte(draw):
+    """x^d - 2 (a x - 1)^2: two real roots about a^(-(d+2)/2) apart, near
+    1/a."""
+    d, a = draw(st.integers(min_value=3, max_value=12)), draw(st.integers(min_value=2, max_value=60))
+    p = UniPoly([0] * d + [1]) - UniPoly([-1, a]) ** 2 * 2
+    bound = Fraction(1 + max(abs(c) for c in p.coeffs[:-1]))
+    return p, -bound, bound
+
+
+@st.composite
+def close_pair(draw):
+    """(x - r)(x - r - 2^-k) q on an interval around r."""
+    r, k, q = draw(small_rationals), draw(st.integers(min_value=1, max_value=300)), draw(small_polys)
+    p = linear(r) * linear(r + Fraction(1, 2**k)) * q
+    lo = r - draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(7, 2)]))
+    return p, lo, lo + draw(st.sampled_from([Fraction(2), Fraction(5, 3), Fraction(9)]))
+
+
+@st.composite
+def dyadic_roots(draw):
+    """Roots exactly at lo, hi and at dyadic points of (lo, hi), which the
+    bisection meets as node ends and midpoints."""
+    lo = draw(small_rationals)
+    hi = lo + draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(8)]))
+    ks = draw(st.lists(st.integers(min_value=1, max_value=31), min_size=1, max_size=4, unique=True))
+    p = draw(small_polys)
+    for r in [lo, hi] + [lo + (hi - lo) * Fraction(k, 32) for k in ks]:
+        p = p * linear(r)
+    return p, lo, hi
+
+
+class TestDescartesIsolation:
+    """``isolate_real_roots`` against sympy on clustered roots and roots at
+    the ends and midpoints of the bisection: as many intervals as roots in
+    the open interval, sorted, each holding one root, and non-point
+    intervals with ends that are not roots."""
+
+    @staticmethod
+    def check(case):
+        p, lo, hi = case
+        p = squarefree_part_field(p)
+        sp = to_sympy(p)
+        want = int(sp.count_roots(lo, hi)) - sum(1 for r in (lo, hi) if p(r) == 0)
+        intervals = isolate_real_roots(p, lo, hi)
+        assert len(intervals) == want
+        assert intervals == sorted(intervals)
+        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
+            assert b1 <= a2 and (a1 != b1 and a2 != b2 or b1 < a2)
+        for a, b in intervals:
+            assert lo <= a <= b <= hi
+            if a == b:
+                assert lo < a < hi and p(a) == 0
+            else:
+                assert p(a) != 0 and p(b) != 0
+                assert count_roots_open(p, a, b) == 1
+
+    @given(mignotte())
+    @settings(max_examples=40, deadline=None)
+    def test_mignotte(self, case):
+        self.check(case)
+
+    @given(close_pair())
+    @settings(max_examples=60, deadline=None)
+    def test_close_pairs(self, case):
+        self.check(case)
+
+    @given(dyadic_roots())
+    @settings(max_examples=60, deadline=None)
+    def test_roots_at_ends_and_midpoints(self, case):
+        self.check(case)
+
+    def test_midpoint_root_is_a_point(self):
+        # x (x - 1/2)(x - 1) on (0, 1): 0 and 1 lie outside, 1/2 is the
+        # first midpoint
+        p = linear(0) * linear(Fraction(1, 2)) * linear(1)
+        assert isolate_real_roots(p, 0, 1) == [(Fraction(1, 2), Fraction(1, 2))]
+
+
 class TestCells:
     @staticmethod
     def lin(r):
@@ -398,6 +494,26 @@ class TestMatrices:
         assert not psd2(SymMat2(Fraction(0), Fraction(1), Fraction(2)))
 
 
+def yun_sturm_nonneg(h) -> bool:
+    """Reference: nonnegativity of the binary quartic h from Yun's
+    decomposition of h(x, 1) and a Sturm count of each odd-multiplicity
+    factor, the decision the closed-form test replaced."""
+    z = _zpoly(h[::-1])
+    if not z:
+        return True
+    if len(z) % 2 == 0 or z[-1] < 0:
+        return False
+    return len(z) == 1 or not any(
+        mult % 2 == 1 and _count_from_chain(_zsturm(fac)) > 0 for fac, mult in _zyun(z)
+    )
+
+
+def sturm_strictly_positive(h) -> bool:
+    """Reference: h(1, 0) > 0 and a Sturm count of 0 real roots of the
+    squarefree part of h(x, 1)."""
+    return h[0] > 0 and _count_from_chain(_zsturm(_zsqf(_zpoly(h[::-1])))) == 0
+
+
 class TestBinaryQuartics:
     def test_disc_examples(self):
         # x^4 -> (1, 0, 0, 0, 0): discriminant 0 (quadruple root)
@@ -433,6 +549,43 @@ class TestBinaryQuartics:
                 c * x ** (4 - i) * y**i for i, c in enumerate(h)
             )
             assert value < 0
+
+    def test_closed_form_matches_yun_sturm_on_box(self):
+        mismatches = [
+            h for h in itertools.product(range(-3, 4), repeat=5)
+            if binary_quartic_nonneg(h) != yun_sturm_nonneg(h)
+            or binary_quartic_strictly_positive(h) != sturm_strictly_positive(h)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("family", ["l2q", "q2", "l3m", "l4", "four_real"])
+    def test_closed_form_matches_yun_sturm_on_multiple_roots(self, family):
+        rng = random.Random(family)
+
+        def r():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        def quad():  # x^2 + b x + c, real or complex roots
+            return UniPoly([r(), r(), 1])
+
+        pool = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]
+        seen = set()
+        for _ in range(400):
+            l, m, s, t = linear(r()), linear(r()), linear(r()), linear(r())
+            p = {
+                "l2q": l * l * quad(),
+                "q2": quad() ** 2,
+                "l3m": l**3 * m,
+                "l4": l**4,
+                # roots from a small pool, so that some coincide in pairs
+                "four_real": linear(rng.choice(pool)) * linear(rng.choice(pool))
+                * linear(rng.choice(pool)) * linear(rng.choice(pool)),
+            }[family].scale(r() or 1)
+            h = tuple(reversed(p.coeffs))
+            seen.add(yun_sturm_nonneg(h))
+            assert binary_quartic_nonneg(h) == yun_sturm_nonneg(h), h
+            assert binary_quartic_strictly_positive(h) == sturm_strictly_positive(h), h
+        assert seen == {True, False}
 
     def test_strict_positivity(self):
         assert binary_quartic_strictly_positive((1, 0, 0, 0, 1))

@@ -166,6 +166,27 @@ class TestCheckCommand:
         assert main(["check", "nonneg", "--n", "1000000", window]) == 1
         assert "status: OUT" in capsys.readouterr().out
 
+    def test_close_gamma_roots_bounded_time(self, tmp_path):
+        # (1, 0, -1 + 10^-400, 0, 1): at n = 6 the gamma range is
+        # (0, 4.5 * 10^-400), and two gamma-condition roots about 10^-1200
+        # apart lie about 10^-800 below its upper end; on a 2-vCPU VM,
+        # bisection with Sturm chains took about 35 s and Descartes
+        # bisection on integer Taylor shifts about 1 s
+        k = 400
+        path = write_form(tmp_path, p_form({"4": "1", "2,2": f"{1 - 10**k}/{10**k}", "1,1,1,1": "1"}))
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "symquartic.cli", "check", "sos", "--n", "6", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0, proc.stderr
+        assert "status: IN" in proc.stdout
+        assert elapsed < 5, elapsed
+
 
 class TestConvertCommand:
     def test_round_trip_p_to_m_to_p(self, tmp_path, capsys):
