@@ -30,6 +30,9 @@ refined to width 1/n, and the first weight right of each interval.  That
 is a bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
 all n + 1 weights, because building the cells then costs more than the
 walk.  On both paths ``is_nonneg`` returns the first failing grid weight.
+From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
+built once per form object (``_cell_grid``, ``symfunc.per_form``), so
+asking both questions about one form pays for one cell build.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .algebra import (
 )
 from .dualcone import DualFunctional
 from .sos import sos_boundary_limit, sos_membership_limit
-from .symfunc import LIMIT, SymFormP, phi_alpha_coeffs
+from .symfunc import LIMIT, SymFormP, per_form, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -91,7 +94,9 @@ class BoundaryVerdict:
 #: about 0.02 ms (the closed-form quartic test), the cell path a flat
 #: 0.6-0.9 ms per is_nonneg and 0.4-0.7 ms per is_strictly_positive; the
 #: walk and the cells cross at n = 32-40 for is_nonneg, 28-32 for
-#: is_strictly_positive and 32-36 for the pair.
+#: is_strictly_positive and 32-36 for the pair.  These are per call, each
+#: call on a fresh form object, as measured when every call built its own
+#: cells; now the pair on one object pays for one cell build (``_cell_grid``).
 _CELL_MIN_N = 32
 
 
@@ -120,27 +125,45 @@ def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
     return tuple(sum(c * x for c, x in zip(u.coeffs, w)) for u in cs)
 
 
-def _tested_ks(cs, n: int) -> list[int]:
+def _tested_ks(cs, n: int) -> tuple[int, ...]:
     """Ascending k whose weights (k/n, (n-k)/n) decide Phi^alpha >= 0 (and
     > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f
-    (``_alpha_coeffs``).
+    (``_alpha_coeffs``), from ``_CELL_MIN_N`` on.
 
-    Below ``_CELL_MIN_N`` this is every k.  Otherwise: k = 0 and n, every
-    k/n in each breakpoint interval refined to width <= 1/n (which holds
-    the breakpoint itself when it is some k/n), and the smallest k/n to the
-    right of each breakpoint interval and of 0.  The status is constant on
-    the open cells, and the first grid weight of every cell is in the list,
-    so the first failing k is the first failing k of the whole grid.
+    These are k = 0 and n, every k/n in each breakpoint interval refined to
+    width <= 1/n (which holds the breakpoint itself when it is some k/n),
+    and the smallest k/n to the right of each breakpoint interval and of 0.
+    The status is constant on the open cells, and the first grid weight of
+    every cell is in the list, so the first failing k is the first failing
+    k of the whole grid.
     """
-    if n < _CELL_MIN_N:
-        return list(range(n + 1))
     alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
     width = Fraction(1, n)
     ks = {0, 1, n}
     for a, b in alpha_cells.breakpoints:
         a, b = refine_root_interval(alpha_cells.product, a, b, width)
         ks.update(range(ceil(a * n), floor(b * n) + 2))
-    return sorted(ks)
+    return tuple(sorted(ks))
+
+
+@per_form
+def _cell_grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...]]:
+    """The alpha-coefficients of f and ``_tested_ks``, built once per form
+    object: ``is_nonneg`` and ``is_strictly_positive`` both read them."""
+    cs = _alpha_coeffs(f)
+    return cs, _tested_ks(cs, f.scope)
+
+
+def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
+    """The alpha-coefficients of f (``_alpha_coeffs``) and the ascending k
+    whose weights decide it on W_n: from ``_CELL_MIN_N`` on those of
+    ``_cell_grid``, below it every k.  The walk keeps nothing on the form,
+    as recomputing its coefficients costs little beside the walk itself,
+    while holding them costs memory for as long as the form lives."""
+    n = f.scope
+    if n < _CELL_MIN_N:
+        return _alpha_coeffs(f), range(n + 1)
+    return _cell_grid(f)
 
 
 def is_nonneg(f: SymFormP) -> NonnegVerdict:
@@ -150,8 +173,8 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     n = f.scope
-    cs = _alpha_coeffs(f)
-    for k in _tested_ks(cs, n):
+    cs, ks = _grid(f)
+    for k in ks:
         alpha = Fraction(k, n)
         h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):
@@ -176,8 +199,8 @@ def is_strictly_positive(f: SymFormP) -> bool:
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
         return False
-    cs = _alpha_coeffs(f)
-    for k in _tested_ks(cs, n):
+    cs, ks = _grid(f)
+    for k in ks:
         if k == 0 or k == n:
             continue  # covered by the scalar test above
         if not binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, n))):

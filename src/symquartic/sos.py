@@ -69,7 +69,7 @@ from .algebra import (
     simplest_rational_between,
 )
 from .dualcone import DualFunctional, dual_membership, pair
-from .symfunc import LIMIT, SymFormP
+from .symfunc import LIMIT, SymFormP, per_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -267,14 +267,29 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 # ---------------------------------------------------------------------------
 
 
+@per_form
+def _gamma_zero(f: SymFormP) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The block entries at gamma = 0 and the signs of ``_conditions``
+    there (``_signs_at``), once per form object (``symfunc.per_form``):
+    both limit decisions read them."""
+    entries, signs = _signs_at(_block_polys(f), _ZERO)
+    return tuple(entries), tuple(signs)
+
+
+@per_form
 def sos_membership_limit(f: SymFormP) -> SosVerdict:
-    """Membership in the limit SOS cone (LIMIT scope; gamma = 0 forced)."""
+    """Membership in the limit SOS cone (LIMIT scope; gamma = 0 forced).
+
+    Decided once per form object (``symfunc.per_form``), so the verdict
+    and its certificate that ``is_nonneg_limit`` reads are built once."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
         raise ValueError("use sos_membership for numeric scopes")
-    cert = _certificate_at(f, _block_polys(f), _ZERO)
-    return SosVerdict("OUT") if cert is None else SosVerdict("IN", certificate=cert)
+    entries, signs = _gamma_zero(f)
+    if not _feasible(signs):
+        return SosVerdict("OUT")
+    return SosVerdict("IN", certificate=_certificate(f, entries, _ZERO))
 
 
 def _kernel(m: SymMat2) -> tuple[Fraction, Fraction] | None:
@@ -305,7 +320,7 @@ def sos_boundary_limit(f: SymFormP) -> tuple[str, DualFunctional | None]:
     """
     if f.degree != 4 or f.scope is not LIMIT:
         raise ValueError("limit boundary status needs a degree-4 LIMIT-scope form")
-    entries, signs = _signs_at(_block_polys(f), _ZERO)
+    entries, signs = _gamma_zero(f)
     if not _feasible(signs):
         return "OUTSIDE", None
     if _strictly_feasible(signs):

@@ -22,9 +22,9 @@ of rational functions in n, never by a combinatorial closed formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import permutations
 from math import factorial, lcm
 
@@ -77,6 +77,7 @@ class SymFormP:
     degree: int
     coeffs: tuple[Fraction, ...]
     scope: object  # int n or LIMIT
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plist = partitions_of(self.degree)
@@ -88,6 +89,10 @@ class SymFormP:
         _check_scope(self.scope)
         if self.scope is not LIMIT and self.scope < self.degree:
             raise ValueError("variable count must be at least the degree")
+
+    def __reduce__(self):
+        # a copy or an unpickled form is a new object with an empty memo
+        return SymFormP, (self.degree, self.coeffs, self.scope)
 
     def coeff(self, parts: Partition) -> Fraction:
         return self.coeffs[partitions_of(self.degree).index(tuple(parts))]
@@ -113,6 +118,28 @@ class SymFormP:
     def scale(self, s) -> "SymFormP":
         s = Fraction(s)
         return SymFormP(self.degree, tuple(c * s for c in self.coeffs), self.scope)
+
+
+def per_form(fn):
+    """Decorator: compute ``fn(f)`` once per form object ``f`` and keep the
+    result in ``f._memo``, keyed by ``fn``.
+
+    The memo is tied to the object, never to its value: an equal but
+    distinct form (``SymFormP(f.degree, f.coeffs, f.scope)``), a rescaled
+    one (``f.scale(2)``), a copy and an unpickled form each compute again,
+    and the result goes away with the object.  So decisions that read the
+    same data about one form share it, and nothing is shared across forms.
+    An exception is not cached: the next call runs ``fn`` again.
+    """
+
+    @wraps(fn)
+    def once(f):
+        memo = f._memo
+        if fn not in memo:
+            memo[fn] = fn(f)
+        return memo[fn]
+
+    return once
 
 
 def form_from_dict(degree: int, coeffs: dict, scope) -> SymFormP:

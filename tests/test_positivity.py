@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import symquartic.positivity as positivity
@@ -12,6 +14,7 @@ from symquartic.algebra import (
     _zsign,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
+    cells,
     count_real_roots,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
@@ -170,9 +173,11 @@ class TestFiniteNOracle:
                 first_bad, strict = grid_nonneg(hs), grid_strictly_positive(hs)
                 outs += first_bad is not None
                 strict_differs += first_bad is None and not strict
-                # the cell path, then the direct walk, at every n
+                # the cell path, then the direct walk, at every n; a fresh
+                # form object each time, as the tested weights are kept on it
                 for cells_from_n in (n, n + 1):
                     monkeypatch.setattr(positivity, "_CELL_MIN_N", cells_from_n)
+                    f = SymFormP(4, f.coeffs, n)
                     verdict = is_nonneg(f)
                     assert verdict.status == ("IN" if first_bad is None else "OUT"), (coeffs, n)
                     if first_bad is not None:
@@ -210,6 +215,74 @@ class TestStrictPositivity:
 
     def test_negative_not_strict(self):
         assert not is_strictly_positive(form_from_dict(4, {(4,): -1}, 4))
+
+
+class TestOneCellBuildPerForm:
+    """``is_nonneg`` and ``is_strictly_positive`` share the alpha-cells of
+    one form object; an equal or rescaled object builds its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cells(*args)
+
+        monkeypatch.setattr(positivity, "cells", counted)
+        return calls
+
+    @pytest.mark.parametrize("first_nonneg", [True, False])
+    def test_pair_builds_cells_once(self, builds, first_nonneg):
+        f = SymFormP(4, EXAMPLE_6_10, 64)
+        if first_nonneg:
+            nonneg, strict = is_nonneg(f), is_strictly_positive(f)
+        else:
+            strict, nonneg = is_strictly_positive(f), is_nonneg(f)
+        assert len(builds) == 1
+        assert nonneg.status == "IN" and strict
+
+    def test_equal_and_scaled_forms_build_again(self, builds):
+        f = SymFormP(4, EXAMPLE_6_10, 64)
+        is_nonneg(f)
+        g = SymFormP(4, f.coeffs, 64)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert is_nonneg(g) == is_nonneg(f)
+        assert len(builds) == 2
+        is_strictly_positive(f.scale(2))
+        assert len(builds) == 3
+        is_strictly_positive(f)
+        is_strictly_positive(g)
+        assert len(builds) == 3
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(
+    st.one_of(
+        st.tuples(*[_small] * 5),
+        st.builds(boundary_coeffs, _small.filter(bool), _small, _small, _small),
+    ),
+    st.sampled_from((32, 64, 1000, LIMIT)),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_shared_object_verdicts_equal_fresh(coeffs, scope, reverse):
+    """The verdicts of one form object asked every question of its scope,
+    in either order and twice, equal those of a fresh object per question."""
+    if scope is LIMIT:
+        queries = [is_nonneg_limit, sos_membership_limit]
+        if any(coeffs):
+            queries.append(boundary_status_limit)
+    else:
+        queries = [is_nonneg, is_strictly_positive]
+    if reverse:
+        queries.reverse()
+    f = SymFormP(4, coeffs, scope)
+    shared = [q(f) for q in queries]
+    assert shared == [q(SymFormP(4, coeffs, scope)) for q in queries]
+    assert shared == [q(f) for q in queries]
 
 
 class TestLimitCone:

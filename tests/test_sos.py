@@ -6,17 +6,20 @@ import pytest
 
 import sympy
 
+import symquartic.sos as sos
 from symquartic.algebra import AlgebraicField, SymMat2, UniPoly, cells, psd2
 from symquartic.dualcone import DualFunctional, dual_blocks, dual_membership, pair
-from symquartic.positivity import is_nonneg, is_nonneg_limit
+from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
     _block_polys,
+    _certificate,
     _certificate_at,
     _chart_quadratic,
     _conditions,
     _feasible,
     _gamma_gen_coeffs,
+    _signs_at,
     expand_certificate,
     find_separating_functional,
     sos_membership,
@@ -102,6 +105,40 @@ class TestLimitMembership:
     def test_numeric_scope_rejected(self):
         with pytest.raises(ValueError):
             sos_membership_limit(form_from_dict(4, {(4,): 1}, 4))
+
+
+class TestLimitOncePerForm:
+    def test_certificate_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _certificate(*args)
+
+        monkeypatch.setattr(sos, "_certificate", counted)
+        f = form_from_dict(4, {(4,): 1, (2, 2): -1}, LIMIT)
+        assert is_nonneg_limit(f).status == "IN"
+        verdict = sos_membership_limit(f)
+        assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
+        assert len(calls) == 1
+        g = SymFormP(4, f.coeffs, LIMIT)
+        assert f == g and hash(f) == hash(g)
+        assert sos_membership_limit(g) == verdict
+        assert len(calls) == 2
+
+    def test_gamma_zero_signs_read_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _signs_at(*args)
+
+        monkeypatch.setattr(sos, "_signs_at", counted)
+        f = form_from_dict(4, {(4,): 1, (2, 2): 1}, LIMIT)
+        assert is_nonneg_limit(f).status == "IN"
+        assert sos_membership_limit(f).status == "IN"
+        assert boundary_status_limit(f).status == "INTERIOR"
+        assert len(calls) == 1
 
 
 # Forms expand_certificate(rank-1 A, rank-1 B, gamma), SOS by construction,

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from symquartic.symfunc import (
     form_from_dict,
     m_to_p,
     p_to_m,
+    per_form,
     phi_alpha_coeffs,
     restrict_alpha,
 )
@@ -25,6 +28,27 @@ def random_point(rng, n):
 
 
 class TestSymFormP:
+    def test_per_form_memo_is_per_object(self):
+        calls = []
+
+        @per_form
+        def probe(f):
+            calls.append(f)
+            if len(calls) == 1:
+                raise ValueError("first call fails")
+            return len(calls)
+
+        f = SymFormP(4, (1, 0, 0, 0, 0), 4)
+        with pytest.raises(ValueError):
+            probe(f)
+        assert probe(f) == probe(f) == 2  # an exception is not kept, a result is
+        g = SymFormP(4, f.coeffs, 4)
+        assert (g, hash(g), repr(g)) == (f, hash(f), repr(f))
+        assert probe(g) == 3
+        assert probe(f.scale(1)) == 4
+        assert probe(copy.copy(f)) == 5
+        assert probe(pickle.loads(pickle.dumps(f))) == 6
+
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             SymFormP(4, (1, 2, 3), 4)
