@@ -23,17 +23,20 @@ fix the other block entries as polynomials in gamma (``_block_polys``).
 For fixed gamma the PSD constraints on u are three lower bounds (0, from
 a11 >= 0 and, cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
-polynomials in gamma (``_conditions``, ``_feasible``).  Feasibility over
-gamma is decided on the cells of the shared cell engine
-(``algebra.cells``), cut at the roots of those polynomials: the scan tests
-both ends of the admissible gamma range, every rational breakpoint and one
-rational sample per open cell.  The feasible (gamma, u) region is convex
-(the blocks are affine in (gamma, u)), hence the feasible gamma values
-form one closed interval, and the scan misses it only when it is a single
-breakpoint inside an isolating interval.  That breakpoint is tested by
-sign queries at the root (``algebra.AlgebraicField``).  If it is feasible,
-a condition polynomial vanishes there; a rational root of it in the
-interval is the certificate's gamma, and otherwise gamma is irrational.
+polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
+(gamma, u) region is convex (the blocks are affine in (gamma, u)), hence
+the feasible gamma values form one closed interval in the admissible
+range [lo, hi].  So ``sos_membership`` tests the two ends first, and a
+feasible end decides IN with no cell built.  Only when both ends are
+infeasible, so that the interval lies inside (lo, hi), is feasibility
+decided on the cells of the shared cell engine (``algebra.cells``), cut
+at the roots of those polynomials: the scan tests every rational
+breakpoint and one rational sample per open cell, and misses the interval
+only when it is a single breakpoint inside an isolating interval.  That
+breakpoint is tested by sign queries at the root
+(``algebra.AlgebraicField``).  If it is feasible, a condition polynomial
+vanishes there; a rational root of it in the interval is the
+certificate's gamma, and otherwise gamma is irrational.
 
 An OUT verdict at a numeric scope is backed by a rational dual functional
 (``find_separating_functional``), found by a search that is complete:
@@ -255,6 +258,16 @@ def _signs_at(blocks, gamma: Fraction) -> tuple[list[Fraction], list[int]]:
     return entries, [(x > 0) - (x < 0) for x in _conditions(*scaled)]
 
 
+def _integer_conditions(blocks) -> tuple[UniPoly, ...]:
+    """``_conditions`` on the block polynomials times their common
+    denominator: integer polynomials in gamma, with the signs and roots of
+    the rational ones."""
+    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
+    return _conditions(
+        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
+    )
+
+
 def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
     """The certificate at a rational gamma, or None if u is infeasible
     there."""
@@ -281,7 +294,8 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
     """Membership in the limit SOS cone (LIMIT scope; gamma = 0 forced).
 
     Decided once per form object (``symfunc.per_form``), so the verdict
-    and its certificate that ``is_nonneg_limit`` reads are built once."""
+    and its certificate that ``is_nonneg_limit`` and
+    ``sos_boundary_limit`` read are built once."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
@@ -320,12 +334,12 @@ def sos_boundary_limit(f: SymFormP) -> tuple[str, DualFunctional | None]:
     """
     if f.degree != 4 or f.scope is not LIMIT:
         raise ValueError("limit boundary status needs a degree-4 LIMIT-scope form")
-    entries, signs = _gamma_zero(f)
+    _, signs = _gamma_zero(f)
     if not _feasible(signs):
         return "OUTSIDE", None
     if _strictly_feasible(signs):
         return "INTERIOR", None
-    cert = _certificate(f, entries, _ZERO)
+    cert = sos_membership_limit(f).certificate
     k, j = _kernel(cert.A), _kernel(cert.B)
     kdir = None if k is None else k[0] * (k[0] - k[1])
     jdir = None if j is None else j[0] * j[0]
@@ -365,15 +379,18 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         return SosVerdict("OUT")
 
     blocks = _block_polys(f)
-    # the conditions on the blocks times their common denominator: integer
-    # polynomials, with the signs and roots of the rational ones
-    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
-    conditions = _conditions(
-        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
-    )
+    # the feasible gammas form one closed interval in [lo, hi], so a
+    # feasible end decides IN on its own, before any cell is built
+    for gamma in (lo, hi):
+        cert = _certificate_at(f, blocks, gamma)
+        if cert is not None:
+            return SosVerdict("IN", certificate=cert)
+
+    # both ends infeasible: the interval, if any, lies in (lo, hi)
+    conditions = _integer_conditions(blocks)
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
-    for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
+    for gamma in sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi}):
         cert = _certificate_at(f, blocks, gamma)
         if cert is not None:
             return SosVerdict("IN", certificate=cert)

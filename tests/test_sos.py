@@ -1,13 +1,24 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sympy
 
 import symquartic.sos as sos
-from symquartic.algebra import AlgebraicField, SymMat2, UniPoly, cells, psd2
+from symquartic.algebra import (
+    AlgebraicField,
+    SymMat2,
+    UniPoly,
+    cells,
+    psd2,
+    rational_roots,
+)
 from symquartic.dualcone import DualFunctional, dual_blocks, dual_membership, pair
 from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
@@ -121,6 +132,10 @@ class TestLimitOncePerForm:
         verdict = sos_membership_limit(f)
         assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
         assert len(calls) == 1
+        # the supporting functional of a BOUNDARY form reads that certificate
+        boundary = boundary_status_limit(f)
+        assert boundary.status == "BOUNDARY" and pair(boundary.witness, f) == 0
+        assert len(calls) == 1
         g = SymFormP(4, f.coeffs, LIMIT)
         assert f == g and hash(f) == hash(g)
         assert sos_membership_limit(g) == verdict
@@ -158,6 +173,18 @@ _SINGLE_GAMMA_SOS = {
 }
 
 
+@pytest.fixture
+def gamma_cell_builds(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cells(*args)
+
+    monkeypatch.setattr(sos, "cells", counted)
+    return calls
+
+
 class TestNumericMembership:
     @pytest.mark.parametrize(
         "n, coeffs",
@@ -166,13 +193,19 @@ class TestNumericMembership:
         + list(_SINGLE_GAMMA_SOS.values()),
         ids=["p4-n4", "p4-n5", "p4-n9"] + list(_RANK_ONE_SOS) + list(_SINGLE_GAMMA_SOS),
     )
-    def test_in_with_certificate(self, n, coeffs):
+    def test_in_with_certificate(self, gamma_cell_builds, n, coeffs):
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         verdict = sos_membership(f)
         assert verdict.status == "IN"
         assert verdict.certificate is not None
         assert verdict.note is None
         assert expand_certificate(verdict.certificate) == f
+        # p4 is feasible at gamma = lo = 0 and builds no gamma-cells; the
+        # other forms are feasible only inside the range and take the scan
+        if coeffs == (1, 0, 0, 0, 0):
+            assert verdict.certificate.gamma == 0 and gamma_cell_builds == []
+        else:
+            assert len(gamma_cell_builds) >= 1
 
     def test_negative_form_out(self):
         assert sos_membership(form_from_dict(4, {(4,): -1}, 4)).status == "OUT"
@@ -212,6 +245,135 @@ class TestNumericMembership:
                 ins += 1
                 assert is_nonneg_limit(f).status == "IN"
         assert ins > 0
+
+
+def reference_membership(f):
+    """The full sorted scan of ``sos_membership`` before its ends-first
+    test: cells over the whole admissible range, then lo, hi, every point
+    breakpoint and every cell sample in increasing order, then the sign
+    queries at the irrational breakpoints.  Returns (verdict, lo)."""
+    n = f.scope
+    c4, _c31, c22, _c211, _c1111 = f.coeffs
+    lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
+    if c22 + c4 < 0:
+        return sos.SosVerdict("OUT"), lo
+    hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) * (n - 2))
+    if lo > hi:
+        return sos.SosVerdict("OUT"), lo
+    blocks = _block_polys(f)
+    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
+    conditions = _conditions(
+        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
+    )
+    gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
+    point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
+    for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
+        cert = _certificate_at(f, blocks, gamma)
+        if cert is not None:
+            return sos.SosVerdict("IN", certificate=cert), lo
+    for a, b in gamma_cells.breakpoints:
+        if a == b:
+            continue
+        root = AlgebraicField(gamma_cells.product, a, b)
+        signs = [root.sign_of_poly(p) for p in conditions]
+        if not _feasible(signs):
+            continue
+        vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
+        for gamma in rational_roots(vanishing):
+            if a < gamma < b:
+                return sos.SosVerdict("IN", certificate=_certificate_at(f, blocks, gamma)), lo
+        return sos.SosVerdict("IN", note="irrational"), lo
+    return sos.SosVerdict("OUT"), lo
+
+
+class TestEndsFirst:
+    """``sos_membership`` tests both ends of the admissible gamma range
+    before it builds the gamma-cells; a feasible end decides IN (p4, feasible
+    at lo, is in ``TestNumericMembership``)."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_feasible_only_at_hi_builds_no_cells(self, gamma_cell_builds, n):
+        # core group 9 of the finite_scan workload: infeasible at lo = 0
+        f = SymFormP(4, tuple(Fraction(c) for c in ("0", "3", "11/3", "-4", "3/2")), n)
+        hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
+        assert _certificate_at(f, _block_polys(f), Fraction(0)) is None
+        verdict = sos_membership(f)
+        assert verdict.status == "IN" and verdict.certificate.gamma == hi
+        assert expand_certificate(verdict.certificate) == f
+        assert gamma_cell_builds == []
+        if n == 4:
+            assert hi == Fraction(88, 3)
+            # the full scan returned the smallest feasible sample
+            assert reference_membership(f)[0].certificate.gamma == Fraction(121, 64)
+
+
+class TestCloseGammaRoots:
+    def test_cells_of_close_roots_bounded_time(self):
+        """The gamma-cells of (1, 0, -1 + 10^-400, 0, 1) at n = 6, which
+        ``sos_membership`` no longer builds (the form is feasible at
+        gamma = 0): two condition roots about 10^-1200 apart lie about
+        10^-800 below the upper end hi = 4.5 * 10^-400, so Descartes
+        bisection has to separate them about 2600 levels deep.  It took
+        about 0.8 s in-process on a 2-vCPU VM."""
+        k, n = 400, 6
+        coeffs = (1, 0, Fraction(1 - 10**k, 10**k), 0, 1)
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
+        conditions = sos._integer_conditions(_block_polys(f))
+        start = time.monotonic()
+        gamma_cells = cells([p for p in conditions if p.degree > 0], Fraction(0), hi)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, elapsed
+        (a1, b1), (a2, b2) = gamma_cells.breakpoints
+        assert 0 < a1 <= b1 < a2 <= b2 < hi
+        # both roots lie in [a1, b2]: within 10^-(3k-2) of each other and
+        # within 10^-(2k-2) below hi
+        assert b2 - a1 < Fraction(1, 10 ** (3 * k - 2))
+        assert hi - a1 < Fraction(1, 10 ** (2 * k - 2))
+        for a, b in gamma_cells.breakpoints:
+            assert gamma_cells.product(a) * gamma_cells.product(b) < 0
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _membership_forms(draw):
+    """Box forms, and expansions of rank-one blocks at a gamma >= 0, some
+    lowered in one coefficient: these put the feasible gammas at an end,
+    strictly inside the range, at a single point or nowhere."""
+    n = draw(st.integers(4, 9))
+    if draw(st.booleans()):
+        return SymFormP(4, draw(st.tuples(*[_small] * 5)), n)
+    a, b, c, d = (draw(_small) for _ in range(4))
+    gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+    cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, n)
+    coeffs = list(expand_certificate(cert).coeffs)
+    coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, Fraction(1, 1024))))
+    return SymFormP(4, tuple(coeffs), n)
+
+
+def _with_cell_path_examples(test):
+    for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values()):
+        test = example(SymFormP(4, tuple(Fraction(c) for c in coeffs), n))(test)
+    return test
+
+
+@_with_cell_path_examples
+@given(_membership_forms())
+@settings(max_examples=80, deadline=None)
+def test_ends_first_matches_full_scan(f):
+    """Statuses equal those of the full sorted scan, and the certificate is
+    the same whenever the full scan's gamma is lo.  The forms whose feasible
+    gammas lie inside the range are always among the examples."""
+    got = sos_membership(f)
+    want, lo = reference_membership(f)
+    assert got.status == want.status
+    assert (got.note is None) == (want.note is None)
+    if got.certificate is not None:
+        assert expand_certificate(got.certificate) == f
+    if want.certificate is not None and want.certificate.gamma == lo:
+        assert got.certificate == want.certificate
 
 
 class TestSeparation:
