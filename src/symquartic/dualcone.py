@@ -66,14 +66,29 @@ def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
     return sum((c * y for c, y in zip(f.coeffs, ell.as_tuple())), _ZERO)
 
 
+def _power_mean_functional(p1, p2, p3, p4) -> DualFunctional:
+    """y_lambda = p_lambda, the products of the given power means."""
+    return DualFunctional(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
+
+
 def point_eval_functional(v) -> DualFunctional:
     """The functional f -> f(v): y_lambda = p_lambda(v)."""
     v = [Fraction(x) for x in v]
     if not v:
         raise ValueError("point must have at least one coordinate")
     n = len(v)
-    p = [Fraction(sum(x**i for x in v), n) for i in (1, 2, 3, 4)]
-    return DualFunctional(p[3], p[2] * p[0], p[1] * p[1], p[1] * p[0] ** 2, p[0] ** 4)
+    return _power_mean_functional(*(Fraction(sum(x**i for x in v), n) for i in (1, 2, 3, 4)))
+
+
+def weighted_point_functional(weights, point) -> DualFunctional:
+    """The functional f -> Phi_f(w, x, y) of a nonnegativity witness
+    ((w1, w2), (x, y)): y_lambda = p_lambda with p_i = w1 x^i + w2 y^i.
+
+    For w1 = k/n, w2 = 1 - w1 this is the evaluation at the point with k
+    coordinates x and n - k coordinates y, so it lies in the dual cone at
+    size n."""
+    (w1, w2), (x, y) = weights, point
+    return _power_mean_functional(*(w1 * x**i + w2 * y**i for i in (1, 2, 3, 4)))
 
 
 def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:

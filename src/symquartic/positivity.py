@@ -21,13 +21,18 @@ number of distinct roots of constant multiplicities, and every verdict is
 constant.  In the generic case that coefficient is +-lc(P) disc(P), and the
 discriminant of ``disc_binary_quartic`` is used as it is.
 
-Finite n: by the half-degree principle a symmetric quartic is nonnegative
-(strictly positive) iff Phi^alpha is, for every weight alpha = k/n of the
-grid W_n.  On the open alpha-cells both properties are constant, so from
-``_CELL_MIN_N`` on the decisions test only the grid weights the cells pick:
-k = 0 and n, the weights inside each breakpoint's isolating interval
-refined to width 1/n, and the first weight right of each interval.  That
-is a bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
+Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
+not depend on n, so when they are feasible f is a sum of squares, hence
+nonnegative, at every n, and when they are strictly feasible f is strictly
+positive at every n (``is_nonneg``, ``is_strictly_positive``).  Only forms
+outside the limit cone (for ``is_strictly_positive``, outside its
+interior) reach the grid.  By the half-degree principle a symmetric
+quartic is nonnegative (strictly positive) iff Phi^alpha is, for every
+weight alpha = k/n of the grid W_n.  On the open alpha-cells both
+properties are constant, so from ``_CELL_MIN_N`` on the decisions test
+only the grid weights the cells pick: k = 0 and n, the weights inside each
+breakpoint's isolating interval refined to width 1/n, and the first weight
+right of each interval.  That is a bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
 all n + 1 weights, because building the cells then costs more than the
 walk.  On both paths ``is_nonneg`` returns the first failing grid weight.
 From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
@@ -54,7 +59,13 @@ from .algebra import (
     refine_root_interval,
 )
 from .dualcone import DualFunctional
-from .sos import sos_boundary_limit, sos_membership_limit
+from .sos import (
+    _feasible,
+    _gamma_zero,
+    _strictly_feasible,
+    sos_boundary_limit,
+    sos_membership_limit,
+)
 from .symfunc import LIMIT, SymFormP, per_form, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
@@ -88,16 +99,21 @@ class BoundaryVerdict:
 # ---------------------------------------------------------------------------
 
 
-#: Below this n the finite-n decisions walk all n + 1 grid weights.  Mean
-#: over the 21 distinct nonnegative forms of the benchmark's large_n seeds
-#: 1-2, min of 3 runs, three sweeps, 2-vCPU VM: a direct weight test costs
-#: about 0.02 ms (the closed-form quartic test), the cell path a flat
-#: 0.6-0.9 ms per is_nonneg and 0.4-0.7 ms per is_strictly_positive; the
-#: walk and the cells cross at n = 32-40 for is_nonneg, 28-32 for
-#: is_strictly_positive and 32-36 for the pair.  These are per call, each
-#: call on a fresh form object, as measured when every call built its own
-#: cells; now the pair on one object pays for one cell build (``_cell_grid``).
-_CELL_MIN_N = 32
+#: Below this n the finite-n decisions walk all n + 1 grid weights.  Only
+#: forms that the gamma = 0 step leaves open reach either path, so it was
+#: measured on those, at n = 12..96: 24 boundary-family members (seeded as
+#: in the benchmark's workloads) with p_4 lowered by 1/64..1/1024, outside
+#: the limit cone and mostly OUT (17-24 of them at each n); 12 lowered by
+#: 10^-7, outside yet nearly all IN (11-12); and 12 unlowered ones, which
+#: only ``is_strictly_positive`` takes to the grid.  Mean per call on fresh
+#: form objects, min of 3 runs, 2-vCPU VM: the cell path costs a flat
+#: 0.4 ms (unlowered, strict), 0.8 ms (1/64..1/1024) and 1.1 ms (10^-7, one
+#: question or both); the walk and the cells cross at n = 52-56 for
+#: is_strictly_positive on the unlowered forms and for the pair on the
+#: 10^-7 forms, near n = 110 for either question alone on those, and above
+#: n = 96 on the mostly-OUT forms, whose walk stops at the first failing
+#: weight.
+_CELL_MIN_N = 56
 
 
 def _alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
@@ -166,12 +182,23 @@ def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
     return _cell_grid(f)
 
 
+@per_form
 def is_nonneg(f: SymFormP) -> NonnegVerdict:
-    """Half-degree-principle decision over the grid W_n (numeric scope)."""
+    """Nonnegativity at the form's numeric scope n, decided once per form
+    object (``symfunc.per_form``).
+
+    IN when the gamma = 0 blocks of ``sos`` are feasible: their entries do
+    not depend on n, and f = (p_1^2, p_2) A (p_1^2, p_2)^T plus the mean
+    over i of the hook square of B is then a sum of squares at every n.
+    Otherwise the half-degree principle decides it on the grid W_n, and
+    OUT carries the first failing grid weight.
+    """
     if f.scope is LIMIT:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
+    if _feasible(_gamma_zero(f)[1]):
+        return NonnegVerdict("IN")
     n = f.scope
     cs, ks = _grid(f)
     for k in ks:
@@ -186,10 +213,14 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
 def is_strictly_positive(f: SymFormP) -> bool:
     """True iff f > 0 away from the origin (numeric scope).
 
-    At interior grid weights this is strict positivity of the binary
-    quartic; at the two zero-weight endpoints the binary form degenerates
-    to a scalar times y^4 (the x variable carries weight zero), so only the
-    scalar sum of coefficients must be positive.
+    After the scalar test below, True when the gamma = 0 blocks of ``sos``
+    are strictly feasible: A positive definite gives
+    f >= lambda_min(A) p_2^2 > 0 at every n, as the hook square of B is
+    >= 0.  Otherwise the grid W_n decides it.  At interior grid weights
+    this is strict positivity of the binary quartic; at the two
+    zero-weight endpoints the binary form degenerates to a scalar times
+    y^4 (the x variable carries weight zero), so only the scalar sum of
+    coefficients must be positive.
     """
     if f.scope is LIMIT:
         raise ValueError("strict positivity test requires a numeric scope")
@@ -199,6 +230,8 @@ def is_strictly_positive(f: SymFormP) -> bool:
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
         return False
+    if _strictly_feasible(_gamma_zero(f)[1]):
+        return True
     cs, ks = _grid(f)
     for k in ks:
         if k == 0 or k == n:

@@ -71,7 +71,7 @@ from .algebra import (
     rational_roots,
     simplest_rational_between,
 )
-from .dualcone import DualFunctional, dual_membership, pair
+from .dualcone import DualFunctional, dual_membership, pair, weighted_point_functional
 from .symfunc import LIMIT, SymFormP, per_form
 
 _ZERO = Fraction(0)
@@ -481,6 +481,11 @@ def find_separating_functional(f: SymFormP):
     Every returned functional is checked exactly (``pair`` < 0 and
     ``dual_membership``).  Raises ValueError for LIMIT scope.
 
+    When f is not nonnegative at n, the point evaluation at the negative
+    point of ``positivity.is_nonneg`` separates, and it is tried after the
+    two segment ends below and before the s-chart search, which remains
+    for the nonnegative forms outside the SOS cone.
+
     The search is complete:
 
     1. Extreme rays.  The dual cone K* is the preimage of
@@ -526,6 +531,15 @@ def find_separating_functional(f: SymFormP):
     for w in (_ZERO, Fraction((n - 2) ** 2, n - 1)):
         if (1 + w) * c[0] + c[2] < 0:
             return verified(DualFunctional(1 + w, _ZERO, _ONE, _ZERO, _ZERO))
+
+    # a negative point of f is a point evaluation pairing negatively with
+    # it; is_nonneg is kept on the form object, so this is a read when the
+    # caller has asked it already (positivity imports this module)
+    from .positivity import is_nonneg
+
+    nonneg = is_nonneg(f)
+    if nonneg.status == "OUT":
+        return verified(weighted_point_functional(*nonneg.witness))
 
     # the pairing with the scalar-block generator is tau / n^2
     quads = [_chart_quadratic(v) for v in (c, _gamma_gen_coeffs(n))]

@@ -13,6 +13,7 @@ from symquartic.dualcone import (
     pair,
     point_eval_functional,
     special_functional,
+    weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
@@ -45,6 +46,19 @@ class TestPairing:
             n = rng.choice([4, 5, 7])
             v = tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
             assert dual_membership(point_eval_functional(v), n)
+
+    def test_weighted_point_is_the_expanded_point(self):
+        # weights (k/n, 1 - k/n) at (x, y): the point with k coordinates x
+        # and n - k coordinates y
+        rng = random.Random(97)
+        for _ in range(20):
+            n = rng.choice([4, 5, 7, 64])
+            k = rng.randint(0, n)
+            x, y = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2))
+            w = (Fraction(k, n), Fraction(n - k, n))
+            ell = weighted_point_functional(w, (x, y))
+            assert ell == point_eval_functional((x,) * k + (y,) * (n - k))
+            assert dual_membership(ell, n)
 
 
 class TestLimitDualCone:

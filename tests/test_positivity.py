@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import symquartic.positivity as positivity
 from symquartic.algebra import (
+    SymMat2,
     UniPoly,
     _zsign,
     binary_quartic_nonneg,
@@ -29,7 +30,15 @@ from symquartic.positivity import (
     is_strictly_positive,
 )
 from symquartic.sampling import equivalence_sample
-from symquartic.sos import sos_membership_limit
+from symquartic.sos import (
+    SosCertificate,
+    _certificate,
+    _feasible,
+    _gamma_zero,
+    _strictly_feasible,
+    expand_certificate,
+    sos_membership_limit,
+)
 from symquartic.symfunc import (
     LIMIT,
     SymFormP,
@@ -158,14 +167,30 @@ def oracle_sample():
     return forms
 
 
+#: Example 6.10 lowered by 10^-6 p_(2,2): outside the limit cone, so gamma = 0
+#: decides neither question, yet nonnegative and strictly positive at
+#: n = 32..100 (its negative window is missed by their grids) and OUT at
+#: n = 1000 and beyond.
+NEAR_6_10 = EXAMPLE_6_10[:2] + (EXAMPLE_6_10[2] - Fraction(1, 10**6),) + EXAMPLE_6_10[3:]
+
+
+def _gamma_zero_off(monkeypatch):
+    """Make the gamma = 0 step of ``is_nonneg`` and ``is_strictly_positive``
+    decide nothing, so that every form reaches the grid."""
+    monkeypatch.setattr(positivity, "_feasible", lambda signs: False)
+    monkeypatch.setattr(positivity, "_strictly_feasible", lambda signs: False)
+
+
 class TestFiniteNOracle:
-    """``is_nonneg`` and ``is_strictly_positive`` test only grid weights
-    chosen from the alpha-cells (from a threshold n on); they must agree
-    with the walk over all n + 1 weights."""
+    """``is_nonneg`` and ``is_strictly_positive`` decide the forms of the
+    limit cone (its interior) at gamma = 0, and test only grid weights
+    chosen from the alpha-cells (from a threshold n on) for the others; all
+    three paths must agree with the walk over all n + 1 weights."""
 
     def test_agrees_with_full_grid(self, monkeypatch):
         sizes = (4, 5, 12, 31, 33, 60)
         outs = strict_differs = 0
+        decided = dict.fromkeys(("nonneg", "strict", "in_by_grid"), 0)
         for i, coeffs in enumerate(oracle_sample()):
             for n in sizes if i < 6 else sizes[i % 2 :: 2]:
                 f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
@@ -173,10 +198,23 @@ class TestFiniteNOracle:
                 first_bad, strict = grid_nonneg(hs), grid_strictly_positive(hs)
                 outs += first_bad is not None
                 strict_differs += first_bad is None and not strict
-                # the cell path, then the direct walk, at every n; a fresh
-                # form object each time, as the tested weights are kept on it
-                for cells_from_n in (n, n + 1):
-                    monkeypatch.setattr(positivity, "_CELL_MIN_N", cells_from_n)
+                # the gamma = 0 step: sound wherever it decides
+                signs = _gamma_zero(f)[1]
+                if _feasible(signs):
+                    decided["nonneg"] += 1
+                    assert first_bad is None, (coeffs, n)
+                elif first_bad is None:
+                    decided["in_by_grid"] += 1
+                if _strictly_feasible(signs):
+                    decided["strict"] += 1
+                    assert strict, (coeffs, n)
+                # the decisions as shipped, then the cell path and the
+                # direct walk with the gamma = 0 step off, at every n; a
+                # fresh form object each time, as verdicts are kept on it
+                for cells_from_n in (None, n, n + 1):
+                    if cells_from_n is not None:
+                        _gamma_zero_off(monkeypatch)
+                        monkeypatch.setattr(positivity, "_CELL_MIN_N", cells_from_n)
                     f = SymFormP(4, f.coeffs, n)
                     verdict = is_nonneg(f)
                     assert verdict.status == ("IN" if first_bad is None else "OUT"), (coeffs, n)
@@ -185,22 +223,43 @@ class TestFiniteNOracle:
                         assert w == (Fraction(first_bad, n), Fraction(n - first_bad, n))
                         assert witness_value(f, verdict) < 0
                     assert is_strictly_positive(f) == strict, (coeffs, n)
+                monkeypatch.undo()
         assert outs > 0 and strict_differs > 0
+        # gamma = 0 decides some questions, and leaves others to the grid
+        assert 0 < decided["strict"] < decided["nonneg"], decided
+        assert decided["in_by_grid"] > 0, decided
 
     def test_cost_independent_of_n(self, monkeypatch):
         calls = []
 
-        def counted(h):
-            calls.append(h)
-            return binary_quartic_nonneg(h)
+        def counted(test):
+            def wrapper(h):
+                calls.append(h)
+                return test(h)
 
-        monkeypatch.setattr(positivity, "binary_quartic_nonneg", counted)
-        counts = []
-        for n in (10**3, 10**6):
+            return wrapper
+
+        monkeypatch.setattr(positivity, "binary_quartic_nonneg", counted(binary_quartic_nonneg))
+        monkeypatch.setattr(
+            positivity,
+            "binary_quartic_strictly_positive",
+            counted(binary_quartic_strictly_positive),
+        )
+
+        def count(query, coeffs, n):
             calls.clear()
-            assert is_nonneg(SymFormP(4, EXAMPLE_6_10, n)).status == "IN"
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 10
+            return query(SymFormP(4, coeffs, n)), len(calls)
+
+        # example 6.10 is on the boundary of the limit cone: strictly
+        # positive at every n, with zeros at irrational weights, so gamma = 0
+        # leaves the question to the cells; the lowered form is outside the
+        # cone and OUT at both sizes
+        sizes = (10**3, 10**6)
+        strict = [count(is_strictly_positive, EXAMPLE_6_10, n) for n in sizes]
+        assert strict[0] == strict[1] and strict[0][0] and 0 < strict[0][1] <= 10
+        for n in sizes:
+            verdict, tests = count(is_nonneg, NEAR_6_10, n)
+            assert verdict.status == "OUT" and 0 < tests <= 10
 
 
 class TestStrictPositivity:
@@ -219,7 +278,8 @@ class TestStrictPositivity:
 
 class TestOneCellBuildPerForm:
     """``is_nonneg`` and ``is_strictly_positive`` share the alpha-cells of
-    one form object; an equal or rescaled object builds its own."""
+    one form object; an equal or rescaled object builds its own.  Forms
+    that gamma = 0 decides build none."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -234,7 +294,7 @@ class TestOneCellBuildPerForm:
 
     @pytest.mark.parametrize("first_nonneg", [True, False])
     def test_pair_builds_cells_once(self, builds, first_nonneg):
-        f = SymFormP(4, EXAMPLE_6_10, 64)
+        f = SymFormP(4, NEAR_6_10, 64)
         if first_nonneg:
             nonneg, strict = is_nonneg(f), is_strictly_positive(f)
         else:
@@ -243,7 +303,7 @@ class TestOneCellBuildPerForm:
         assert nonneg.status == "IN" and strict
 
     def test_equal_and_scaled_forms_build_again(self, builds):
-        f = SymFormP(4, EXAMPLE_6_10, 64)
+        f = SymFormP(4, NEAR_6_10, 64)
         is_nonneg(f)
         g = SymFormP(4, f.coeffs, 64)
         assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
@@ -254,6 +314,18 @@ class TestOneCellBuildPerForm:
         is_strictly_positive(f)
         is_strictly_positive(g)
         assert len(builds) == 3
+
+    def test_gamma_zero_builds_no_cells(self, builds):
+        # p_4 + p_(2,2) is in the interior of the limit cone, example 6.10 on
+        # its boundary: gamma = 0 answers both questions, resp. is_nonneg
+        interior = form_from_dict(4, {(4,): 1, (2, 2): 1}, 64)
+        assert is_nonneg(interior).status == "IN" and is_strictly_positive(interior)
+        assert builds == []
+        boundary = SymFormP(4, EXAMPLE_6_10, 64)
+        assert is_nonneg(boundary).status == "IN"
+        assert builds == []
+        assert is_strictly_positive(boundary)
+        assert len(builds) == 1
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -283,6 +355,55 @@ def test_shared_object_verdicts_equal_fresh(coeffs, scope, reverse):
     shared = [q(f) for q in queries]
     assert shared == [q(SymFormP(4, coeffs, scope)) for q in queries]
     assert shared == [q(f) for q in queries]
+
+
+_psd2 = st.builds(lambda a, b, t: SymMat2(a * a + t, a * b, b * b + t), _small, _small, _small.map(abs))
+
+#: Box forms, boundary-family members and expansions of gamma = 0 blocks:
+#: infeasible, feasible and strictly feasible at gamma = 0.
+_gamma_zero_forms = st.one_of(
+    st.tuples(*[_small] * 5),
+    st.builds(boundary_coeffs, _small.filter(bool), _small, _small, _small),
+    st.builds(
+        lambda A, B: expand_certificate(SosCertificate(A, B, Fraction(0), LIMIT)).coeffs,
+        _psd2,
+        _psd2,
+    ),
+)
+
+
+@given(_gamma_zero_forms)
+@example(EXAMPLE_6_10)
+@example((1, 0, 1, 0, 0))
+@settings(max_examples=60, deadline=None)
+def test_gamma_zero_certificate_at_every_n(coeffs):
+    """Feasible gamma = 0 blocks are one certificate for every n: it is
+    valid and re-expands to f at each n, and ``is_nonneg`` is IN there.
+    The entries and signs at gamma = 0 do not depend on n."""
+    forms = [SymFormP(4, coeffs, n) for n in (4, 7, 64, 10**6)]
+    entries, signs = _gamma_zero(forms[0])
+    assert all(_gamma_zero(f) == (entries, signs) for f in forms)
+    if not _feasible(signs):
+        return
+    for f in forms:
+        cert = _certificate(f, entries, Fraction(0))
+        assert cert.is_valid() and cert.gamma == 0
+        assert expand_certificate(cert) == f
+        assert is_nonneg(f).status == "IN"
+
+
+@given(_gamma_zero_forms)
+@example((1, 0, 1, 0, 0))
+@settings(max_examples=60, deadline=None)
+def test_strictly_feasible_gamma_zero_is_strictly_positive(coeffs):
+    """Strictly feasible gamma = 0 blocks give strict positivity on the
+    whole grid W_n, and ``is_strictly_positive`` says so."""
+    if not _strictly_feasible(_gamma_zero(SymFormP(4, coeffs, 4))[1]):
+        return
+    for n in (4, 5, 33):
+        f = SymFormP(4, coeffs, n)
+        assert grid_strictly_positive(grid_quartics(f))
+        assert is_strictly_positive(f)
 
 
 class TestLimitCone:

@@ -19,7 +19,13 @@ from symquartic.algebra import (
     psd2,
     rational_roots,
 )
-from symquartic.dualcone import DualFunctional, dual_blocks, dual_membership, pair
+from symquartic.dualcone import (
+    DualFunctional,
+    dual_blocks,
+    dual_membership,
+    pair,
+    weighted_point_functional,
+)
 from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
@@ -36,7 +42,7 @@ from symquartic.sos import (
     sos_membership,
     sos_membership_limit,
 )
-from symquartic.symfunc import LIMIT, SymFormP, form_from_dict
+from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
 
 from conftest import choi_lam_multipoly, random_form
 
@@ -307,6 +313,51 @@ class TestEndsFirst:
             assert reference_membership(f)[0].certificate.gamma == Fraction(121, 64)
 
 
+def scan_candidates(f):
+    """The block polynomials and the sorted gamma candidates of the scan in
+    ``sos_membership``, or None when an end of the admissible range is
+    feasible or the range is empty (no scan runs)."""
+    n = f.scope
+    c4, _c31, c22, _c211, _c1111 = f.coeffs
+    lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
+    hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) ** 2)
+    blocks = _block_polys(f)
+    if c22 + c4 < 0 or lo > hi or any(_certificate_at(f, blocks, g) for g in (lo, hi)):
+        return None
+    conditions = sos._integer_conditions(blocks)
+    gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
+    point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
+    return blocks, sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi})
+
+
+class TestScanOrder:
+    """The sorted scan starts at the sample of the cell between the lower
+    end lo and the first condition root.  The feasible gammas form a closed
+    interval; with lo infeasible its left end is a condition root, so that
+    first cell is never feasible, and a scan that skipped its first
+    candidate would decide every form alike.  The second candidate is the
+    first that can be feasible, and the forms below are feasible there
+    alone."""
+
+    @pytest.mark.parametrize(
+        "n, coeffs, gamma",
+        [
+            (6, ("1/6", "22/9", "5/2", "-15", "17"), Fraction(63, 8)),
+            (4, ("1/16", "-9/4", "43/144", "8", "1"), Fraction(91, 36)),
+        ],
+    )
+    def test_only_feasible_candidate_is_second(self, gamma_cell_builds, n, coeffs, gamma):
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        blocks, candidates = scan_candidates(f)
+        feasible = [g for g in candidates if _certificate_at(f, blocks, g) is not None]
+        assert feasible == [gamma] and candidates.index(gamma) == 1
+        gamma_cell_builds.clear()
+        verdict = sos_membership(f)
+        assert verdict.status == "IN" and verdict.certificate.gamma == gamma
+        assert expand_certificate(verdict.certificate) == f
+        assert len(gamma_cell_builds) == 1
+
+
 class TestCloseGammaRoots:
     def test_cells_of_close_roots_bounded_time(self):
         """The gamma-cells of (1, 0, -1 + 10^-400, 0, 1) at n = 6, which
@@ -374,6 +425,18 @@ def test_ends_first_matches_full_scan(f):
         assert expand_certificate(got.certificate) == f
     if want.certificate is not None and want.certificate.gamma == lo:
         assert got.certificate == want.certificate
+
+
+@_with_cell_path_examples
+@given(_membership_forms())
+@settings(max_examples=80, deadline=None)
+def test_first_scan_candidate_is_never_feasible(f):
+    """Forms that reach the scan, from the examples of the cell path and the
+    membership strategy (``TestScanOrder``)."""
+    scan = scan_candidates(f)
+    if scan is not None and scan[1]:
+        blocks, candidates = scan
+        assert _certificate_at(f, blocks, candidates[0]) is None
 
 
 class TestSeparation:
@@ -450,6 +513,29 @@ class TestSeparation:
                 ins += 1
                 assert ell is None
         assert nonneg_outs > 0 and ins > 0
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_negative_point_gives_point_evaluation(self, n):
+        """A form that is not nonnegative, yet passes both segment ends, is
+        separated by the point evaluation at the negative point that
+        ``is_nonneg`` keeps on the form; a nonnegative form outside the SOS
+        cone (``test_nonneg_not_sos_example``) still takes the s-chart."""
+        rng = random.Random(2000 + n)
+        seen = 0
+        for _ in range(40):
+            f = random_form(rng, n)
+            c = f.coeffs
+            ends = (Fraction(0), Fraction((n - 2) ** 2, n - 1))
+            nonneg = is_nonneg(f)
+            if nonneg.status == "IN" or any((1 + w) * c[0] + c[2] < 0 for w in ends):
+                continue
+            seen += 1
+            ell = find_separating_functional(f)
+            assert ell == weighted_point_functional(*nonneg.witness)
+            (k_n, _), (x, y) = nonneg.witness
+            k = int(k_n * n)
+            assert pair(ell, f) == evaluate(f, (x,) * k + (y,) * (n - k)) < 0
+        assert seen > 0
 
     def test_sos_forms_have_no_separator(self):
         for n in (4, 5, 8):
