@@ -53,6 +53,7 @@ from .positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from .sos import (
     expand_certificate,
     find_separating_functional,
+    sos_boundary,
     sos_membership,
     sos_membership_limit,
 )
@@ -527,6 +528,15 @@ def _repro_example_6_10():
     for n in range(4, 13):
         expected = Fraction(25 * n * n - 149 * n + 149, 800)
         _check(lines, ok, f"block two-row at n={n}", fmt(expected), fmt(dual_blocks(ell, n)[2]))
+    for n in range(4, 13):
+        # A2: strictly inside at n = 4, supported by ell from n = 5 on
+        status, y = sos_boundary(f.with_scope(n))
+        ratios = set() if y is None else {a / b for a, b in zip(y.as_tuple(), ell.as_tuple())}
+        multiple = len(ratios) == 1 and min(ratios) > 0
+        _check(
+            lines, ok, f"SOS boundary at n={n} (status, y a positive multiple of ell)",
+            ("INTERIOR", False) if n == 4 else ("BOUNDARY", True), (status, multiple),
+        )
     k = UniPoly([_ZERO, _ONE])
     printed = (
         UniPoly([Fraction(10000), Fraction(-37399), Fraction(37399)])

@@ -63,7 +63,7 @@ from .sos import (
     _feasible,
     _gamma_zero,
     _strictly_feasible,
-    sos_boundary_limit,
+    sos_boundary,
     sos_membership_limit,
 )
 from .symfunc import LIMIT, SymFormP, per_form, phi_alpha_coeffs
@@ -370,8 +370,6 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
 def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     """INTERIOR/BOUNDARY/OUTSIDE status relative to the limit cone, which is
     the limit SOS cone (degree-4 theorem), read off the gamma = 0 blocks
-    (``sos.sos_boundary_limit``)."""
+    (``sos.sos_boundary``); the zero form raises ValueError."""
     _require_limit_quartic(f)
-    if f.is_zero():
-        raise ValueError("boundary status of the zero form is undefined")
-    return BoundaryVerdict(*sos_boundary_limit(f))
+    return BoundaryVerdict(*sos_boundary(f))

@@ -14,9 +14,7 @@ with the alpha-block [[a11, a12], [a12, a22]] and the beta-block
 [[b11, b12], [b12, b22]] both PSD and gamma >= 0.  In the limit cone the
 scalar-block generator degenerates to (1/2)(p_2 - p_1^2)^2, which already
 lies in the span of the alpha-block, so gamma = 0 is forced there, and
-the signs at gamma = 0 decide membership, the interior (both blocks
-definite) and a supporting functional on the boundary
-(``sos_boundary_limit``).
+the signs at gamma = 0 decide membership.
 
 The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as polynomials in gamma (``_block_polys``).
@@ -37,6 +35,15 @@ breakpoint is tested by sign queries at the root
 (``algebra.AlgebraicField``).  If it is feasible, a condition polynomial
 vanishes there; a rational root of it in the interval is the
 certificate's gamma, and otherwise gamma is irrational.
+
+The boundary status (``sos_boundary``) is decided at every scope by one
+routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
+exactly when some gamma > 0 (gamma = 0 at LIMIT) admits a u that makes
+both blocks definite (``_strictly_feasible``): at LIMIT the gamma = 0
+signs say so, at a numeric n one sample per open gamma-cell does.  A
+boundary form is supported by a functional y read off the face of its
+certificate (facial reduction: Y_A A = 0, Y_B B = 0, gamma y(gen) = 0),
+checked exactly (y != 0, y(f) = 0, y in the dual cone).
 
 An OUT verdict at a numeric scope is backed by a rational dual functional
 (``find_separating_functional``), found by a search that is complete:
@@ -295,7 +302,7 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
 
     Decided once per form object (``symfunc.per_form``), so the verdict
     and its certificate that ``is_nonneg_limit`` and
-    ``sos_boundary_limit`` read are built once."""
+    ``sos_boundary`` read are built once."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
@@ -306,57 +313,17 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
     return SosVerdict("IN", certificate=_certificate(f, entries, _ZERO))
 
 
-def _kernel(m: SymMat2) -> tuple[Fraction, Fraction] | None:
-    """A rational kernel vector of a singular PSD block (e_2 for the zero
-    block); None when the block is definite."""
-    if m.det():
+def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
+    """The admissible gamma range [lo, hi] at the form's numeric scope, from
+    b22 >= 0 (increasing in gamma) and a22 >= 0 (strictly decreasing), or
+    None when it is empty and f is outside the cone."""
+    n = f.scope
+    c4, _, c22, _, _ = f.coeffs
+    if c22 + c4 < 0:
         return None
-    if m.m12:
-        return -m.m12, m.m11
-    return (_ZERO, _ONE) if m.m22 == 0 else (_ONE, _ZERO)
-
-
-def sos_boundary_limit(f: SymFormP) -> tuple[str, DualFunctional | None]:
-    """("OUTSIDE" | "INTERIOR" | "BOUNDARY", y) for the limit SOS cone
-    (LIMIT scope); at a BOUNDARY form y is a supporting functional.
-
-    The cone is the image of PSD_2 x PSD_2 under the block map (A, B) -> f,
-    which is onto R^5, so its interior is the image of definite pairs.  A
-    functional y pairs with it as tr(Y_A A) + tr(Y_B B), Y_A = [[y1111,
-    y211], [y211, y22]], Y_B = [[y211 - y1111, y31 - y211], [y31 - y211,
-    y4 - y22]] (both PSD on the limit dual cone), and blocks come from some
-    y iff they pair to 0 with the map's kernel direction (da11 = db11 = 1,
-    da12 = -1/2).  For kernel vectors k of a singular A and j of a singular
-    B, Y_A = lam k k^T and Y_B = mu j j^T pair to 0 with f and to
-    lam k1 (k1 - k2) + mu j1^2 with the direction; lam, mu >= 0, not both
-    0, make that 0 unless moving along the direction makes both blocks
-    definite, which a boundary form rules out.
-    """
-    if f.degree != 4 or f.scope is not LIMIT:
-        raise ValueError("limit boundary status needs a degree-4 LIMIT-scope form")
-    _, signs = _gamma_zero(f)
-    if not _feasible(signs):
-        return "OUTSIDE", None
-    if _strictly_feasible(signs):
-        return "INTERIOR", None
-    cert = sos_membership_limit(f).certificate
-    k, j = _kernel(cert.A), _kernel(cert.B)
-    kdir = None if k is None else k[0] * (k[0] - k[1])
-    jdir = None if j is None else j[0] * j[0]
-    if jdir == 0:
-        lam, mu = _ZERO, _ONE
-    elif kdir == 0:
-        lam, mu = _ONE, _ZERO
-    elif kdir is not None and jdir is not None and kdir < 0:
-        lam, mu = jdir, -kdir
-    else:
-        raise AssertionError("internal error: boundary certificate has definite blocks")
-    (k1, k2), (j1, j2) = k or (_ZERO, _ZERO), j or (_ZERO, _ZERO)
-    ya11, ya12, ya22 = lam * k1 * k1, lam * k1 * k2, lam * k2 * k2
-    y = DualFunctional(mu * j2 * j2 + ya22, mu * j1 * j2 + ya12, ya22, ya12, ya11)
-    if not any(y.as_tuple()) or pair(y, f) != 0 or not dual_membership(y, LIMIT):
-        raise AssertionError("internal error: supporting functional failed verification")
-    return "BOUNDARY", y
+    lo = _ZERO if c4 >= 0 else Fraction(-c4) * Fraction(2 * n * n, n - 1)
+    hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) * (n - 2))
+    return None if lo > hi else (lo, hi)
 
 
 def sos_membership(f: SymFormP) -> SosVerdict:
@@ -365,18 +332,12 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         raise ValueError("decision implemented for degree 4")
     if f.scope is LIMIT:
         raise ValueError("use sos_membership_limit for LIMIT-scope forms")
-    n = f.scope
-    if n < 4:
+    if f.scope < 4:
         raise ValueError("scope must be at least 4")
-    c4, c31, c22, c211, c1111 = f.coeffs
-    # admissible gamma range from b22 >= 0 (increasing) and a22 >= 0
-    # (strictly decreasing in gamma)
-    lo = _ZERO if c4 >= 0 else Fraction(-c4) * Fraction(2 * n * n, n - 1)
-    if c22 + c4 < 0:
+    gamma_range = _gamma_range(f)
+    if gamma_range is None:
         return SosVerdict("OUT")
-    hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) * (n - 2))
-    if lo > hi:
-        return SosVerdict("OUT")
+    lo, hi = gamma_range
 
     blocks = _block_polys(f)
     # the feasible gammas form one closed interval in [lo, hi], so a
@@ -390,7 +351,9 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     conditions = _integer_conditions(blocks)
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
-    for gamma in sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi}):
+    # lo is infeasible, so the closed feasible interval starts at a condition
+    # root and the first cell, (lo, first root), is never feasible
+    for gamma in sorted((point_breaks | set(gamma_cells.samples[1:])) - {lo, hi}):
         cert = _certificate_at(f, blocks, gamma)
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
@@ -419,6 +382,137 @@ def sos_membership(f: SymFormP) -> SosVerdict:
             ),
         )
     return SosVerdict("OUT")
+
+
+# ---------------------------------------------------------------------------
+# boundary status
+# ---------------------------------------------------------------------------
+
+
+def _has_interior_gamma(f: SymFormP) -> bool:
+    """Some gamma in (lo, hi), the interior of the admissible range of an
+    SOS form, admits a u that makes both blocks definite.
+
+    Those gammas form an open interval (the projection of an open convex
+    set), and ``_strictly_feasible`` is constant on the open cells cut at
+    the roots of the conditions, so one sample per open cell decides it.
+    Every sample is > lo >= 0."""
+    lo, hi = _gamma_range(f)
+    if lo == hi:
+        return False
+    blocks = _block_polys(f)
+    conditions = [p for p in _integer_conditions(blocks) if p.degree > 0]
+    return any(
+        _strictly_feasible(_signs_at(blocks, gamma)[1])
+        for gamma in cells(conditions, lo, hi).samples
+    )
+
+
+def _kernel(m: SymMat2) -> tuple[Fraction, Fraction] | None:
+    """A rational kernel vector of a singular PSD block (e_2 for the zero
+    block); None when the block is definite."""
+    if m.det():
+        return None
+    if m.m12:
+        return -m.m12, m.m11
+    return (_ZERO, _ONE) if m.m22 == 0 else (_ONE, _ZERO)
+
+
+def _supporting_functional(cert: SosCertificate) -> DualFunctional:
+    """The functional y that ``sos_boundary`` reads off the face of a
+    boundary form's certificate (facial reduction on the blocks).
+
+    y pairs with the certificate as tr(Y_A A) + tr(Y_B B) + gamma y(gen),
+    with Y_A = [[y1111, y211], [y211, y22]], Y_B = [[y211 - y1111,
+    y31 - y211], [y31 - y211, y4 - y22]] and y(gen) the two-row block over
+    n^2; y is in the dual cone iff Y_A, Y_B are PSD and y(gen) >= 0 (no
+    y(gen) condition at LIMIT).  So y supports the form iff Y_A A = 0,
+    Y_B B = 0 and gamma y(gen) = 0, and Y_A = lam k k^T for a kernel
+    vector k of a singular A forces Y_B11 = lam beta, beta = k1 (k2 - k1)
+    (the map's u-direction).
+
+    - When B e_2 = 0 (j = e_2 or B = 0), Y_B22 is free.  At LIMIT,
+      lam = 0 and Y_B = e_2 e_2^T give y = (1, 0, 0, 0, 0).  At a numeric
+      n that y has y(gen) < 0, so lam = 1; x = Y_B12 = -g31 beta / (2 g4)
+      and z = Y_B22 = x^2 / beta (0 when beta = 0) make y(gen) as large
+      as the PSD condition on Y_B allows, and at gamma > 0 z is raised
+      until y(gen) = 0.
+    - Otherwise Y_B is 0 (B definite) or mu j j^T with j1 != 0, and
+      mu j1^2 = lam beta fixes y up to scale: lam = 1, mu = 0 when beta
+      = 0, else lam = j1^2, mu = beta.
+    - At a numeric n, lam = 0 leaves y = (z, 0, 0, 0, 0) with y(gen) < 0:
+      a definite A has no supporting functional, and A = 0 takes the
+      all-ones point evaluation (k = (1, 1), beta = 0, y(gen) = 0).
+
+    The candidate is unique up to these choices, so when it fails the
+    verification in ``sos_boundary`` the form has no supporting functional.
+    """
+    A, B, numeric = cert.A, cert.B, cert.scope is not LIMIT
+    if numeric and not (A.m11 or A.m12 or A.m22):
+        return DualFunctional(_ONE, _ONE, _ONE, _ONE, _ONE)
+    k, j = _kernel(A), _kernel(B)
+    free = j is not None and j[0] == 0
+    if free and not numeric:
+        return DualFunctional(_ONE, _ZERO, _ZERO, _ZERO, _ZERO)
+    if k is None:
+        raise AssertionError("internal error: boundary certificate has a definite alpha-block")
+    (k1, k2), lam, x, z = k, _ONE, _ZERO, _ZERO
+    beta = k1 * (k2 - k1)
+    if free:
+        g4, g31 = _gamma_gen_coeffs(cert.scope)[:2]
+        x = -g31 * beta / (2 * g4)
+        z = x * x / beta if beta else _ZERO
+    elif j is not None and beta:
+        j1, j2 = j
+        lam, x, z = j1 * j1, beta * j1 * j2, beta * j2 * j2
+    y = DualFunctional(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
+    if free and cert.gamma > 0:
+        gen = _gamma_gen_coeffs(cert.scope)
+        y_gen = sum((g * v for g, v in zip(gen, y.as_tuple())), _ZERO)
+        y = DualFunctional(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
+    return y
+
+
+def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
+    """("OUTSIDE" | "INTERIOR" | "BOUNDARY", y) for the SOS cone at the
+    form's scope, a numeric n >= 4 or LIMIT; at a BOUNDARY form y is a
+    supporting functional of the cone: y != 0, y(f) = 0 and y in the dual
+    cone at that scope, all checked here.
+
+    The cone is the image of PSD_2 x PSD_2 x R_+ under the block map
+    (A, B, gamma) -> f (gamma = 0 at LIMIT), which is onto R^5, so its
+    interior is the image of definite blocks with gamma > 0.  At LIMIT
+    the gamma = 0 signs decide that (``_strictly_feasible``); at a
+    numeric n one sample per open gamma-cell does (``_has_interior_gamma``).
+    A boundary form gets y from the face of its certificate
+    (``_supporting_functional``), and y = None only when the one feasible
+    gamma is irrational (the ``note`` of ``sos_membership``), which leaves
+    no strictly feasible gamma.  The zero form raises ValueError.
+    """
+    if f.degree != 4:
+        raise ValueError("decision implemented for degree 4")
+    if f.is_zero():
+        raise ValueError("boundary status of the zero form is undefined")
+    if f.scope is LIMIT:
+        _, signs = _gamma_zero(f)
+        if not _feasible(signs):
+            return "OUTSIDE", None
+        if _strictly_feasible(signs):
+            return "INTERIOR", None
+        cert = sos_membership_limit(f).certificate
+    else:
+        verdict = sos_membership(f)
+        if verdict.status == "OUT":
+            return "OUTSIDE", None
+        if verdict.certificate is None:
+            return "BOUNDARY", None
+        if _has_interior_gamma(f):
+            return "INTERIOR", None
+        cert = verdict.certificate
+    y = _supporting_functional(cert)
+    if not any(y.as_tuple()) or pair(y, f) != 0 or not dual_membership(y, f.scope):
+        raise AssertionError("internal error: supporting functional failed verification")
+    return "BOUNDARY", y
 
 
 # ---------------------------------------------------------------------------

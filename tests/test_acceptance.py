@@ -14,7 +14,6 @@ from symquartic.cli import (
 )
 from symquartic.dualcone import (
     boundary_family_functional,
-    certify_boundary,
     dual_blocks,
     dual_membership,
     pair,
@@ -27,7 +26,7 @@ from symquartic.identities import (
 )
 from symquartic.partitions import partitions_of
 from symquartic.positivity import is_nonneg, is_strictly_positive
-from symquartic.sos import find_separating_functional, sos_membership
+from symquartic.sos import find_separating_functional, sos_boundary, sos_membership
 from symquartic.specht import (
     Tableau,
     brute_symmetrize,
@@ -106,12 +105,17 @@ def test_a2_boundary_family_golden_example():
     for n in range(4, 13):
         fn = f.with_scope(n)
         assert sos_membership(fn).status == "IN"
-        cert = certify_boundary(fn)
+        status, y = sos_boundary(fn)
         if n == 4:
-            assert cert is None  # strictly interior at the smallest size
+            assert status == "INTERIOR"  # strictly interior at the smallest size
         else:
-            assert pair(cert, fn) == 0
-            assert dual_membership(cert, n)
+            # on the boundary, supported by the paper's functional up to a
+            # positive factor
+            assert status == "BOUNDARY"
+            ratios = {a / b for a, b in zip(y.as_tuple(), ell.as_tuple())}
+            assert len(ratios) == 1 and ratios.pop() > 0
+            assert pair(y, fn) == 0
+            assert dual_membership(y, n)
     report("A2 boundary-family golden example", 60, t0)
 
 

@@ -6,16 +6,15 @@ import pytest
 from symquartic.dualcone import (
     DualFunctional,
     boundary_family_functional,
-    certify_boundary,
     dual_blocks,
     dual_membership,
-    kernel_system_rows,
     pair,
     point_eval_functional,
-    special_functional,
     weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
+from symquartic.positivity import boundary_status_limit
+from symquartic.sos import sos_boundary
 from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
 
 
@@ -116,13 +115,6 @@ class TestDualBlocks:
 
 
 class TestKernelSystem:
-    def test_nullspace_dimension_one(self):
-        from symquartic.dualcone import _nullspace
-
-        rows = kernel_system_rows(1, Fraction(-13, 10), 1, Fraction(-5, 4))
-        basis = _nullspace(rows)
-        assert len(basis) == 1
-
     def test_family_functional_annihilates_family_form(self):
         rng = random.Random(97)
         for _ in range(20):
@@ -157,10 +149,9 @@ class TestKernelSystem:
         for n in range(4, 13):
             _, _, m_tworow = dual_blocks(ell, n)
             assert m_tworow == Fraction(25 * n * n - 149 * n + 149, 800)
-
-    def test_special_functional(self):
-        ell = special_functional()
-        assert ell.as_tuple() == (1, 0, 1, 0, 0)
+        # f -> c_(4) + c_(2^2), the end w = 0 of the separator segment
+        # (1 + w, 0, 1, 0, 0): in the dual cone at every n
+        ell = DualFunctional(1, 0, 1, 0, 0)
         for n in (4, 5, 9):
             _, _, m_tworow = dual_blocks(ell, n)
             assert m_tworow == Fraction((n - 2) ** 2, 2)
@@ -168,6 +159,8 @@ class TestKernelSystem:
 
 
 class TestCertifyBoundary:
+    """Boundary certificates at a numeric scope, from ``sos.sos_boundary``."""
+
     EX_COEFFS = (
         Fraction(1),
         Fraction(-13, 5),
@@ -185,14 +178,16 @@ class TestCertifyBoundary:
 
     def test_interior_form_returns_none(self):
         f = form_from_dict(4, {(4,): 1}, 4)
-        assert certify_boundary(f) is None
+        assert sos_boundary(f) == ("INTERIOR", None)
 
     def test_boundary_family_example(self):
+        # the paper's functional, up to a positive factor
         for n in range(5, 13):
             f = SymFormP(4, self.EX_COEFFS, n)
-            ell = certify_boundary(f)
-            assert ell is not None
-            assert ell.as_tuple() == self.EX_ELL
+            status, ell = sos_boundary(f)
+            assert status == "BOUNDARY"
+            ratios = {y / e for y, e in zip(ell.as_tuple(), self.EX_ELL)}
+            assert len(ratios) == 1 and ratios.pop() > 0
             assert pair(ell, f) == 0
             assert dual_membership(ell, n)
 
@@ -200,73 +195,23 @@ class TestCertifyBoundary:
         # at size 4 the two-row block of the family functional is negative
         # and the form sits strictly inside the cone
         f = SymFormP(4, self.EX_COEFFS, 4)
-        assert certify_boundary(f) is None
+        assert sos_boundary(f) == ("INTERIOR", None)
 
     def test_point_zero_certificate(self):
         # p_4 - p_(2,2) vanishes at the all-ones point
         f = form_from_dict(4, {(4,): 1, (2, 2): -1}, 4)
-        ell = certify_boundary(f)
-        assert ell is not None
+        status, ell = sos_boundary(f)
+        assert status == "BOUNDARY"
+        assert ell == point_eval_functional((1,) * 4)
         assert pair(ell, f) == 0
         assert dual_membership(ell, 4)
 
-    def test_limit_scope_rejected(self):
-        f = form_from_dict(4, {(4,): 1}, LIMIT)
-        with pytest.raises(ValueError):
-            certify_boundary(f)
+    def test_limit_scope_agrees_with_boundary_status_limit(self):
+        for coeffs in ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (1, 0, -1, 0, 0), (-1, 0, 0, 0, 0), self.EX_COEFFS):
+            f = SymFormP(4, coeffs, LIMIT)
+            verdict = boundary_status_limit(f)
+            assert sos_boundary(f) == (verdict.status, verdict.witness)
 
-    def test_non_sos_rejected(self):
+    def test_non_sos_outside(self):
         f = form_from_dict(4, {(4,): -1}, 4)
-        with pytest.raises(ValueError):
-            certify_boundary(f)
-
-
-class TestRationalProjectiveRoots:
-    @staticmethod
-    def sympy_roots(h):
-        """Rational projective zeros from sympy's factorization of the
-        homogeneous quartic h[0] x^4 + h[1] x^3 y + ... + h[4] y^4."""
-        import sympy
-
-        x, y = sympy.symbols("x y")
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** (4 - i) * y**i
-                   for i, c in enumerate(h))
-        out = set()
-        for fac, _ in sympy.factor_list(expr, x, y)[1]:
-            p = sympy.Poly(fac, x, y)
-            if p.total_degree() == 1:
-                cx, cy = p.coeff_monomial(x), p.coeff_monomial(y)
-                # cx x + cy y = 0 at (x, y) = (-cy/cx, 1), or at (1, 0)
-                out.add((Fraction(-cy / cx), Fraction(1)) if cx else (Fraction(1), Fraction(0)))
-        return out
-
-    def test_matches_sympy_factor_list(self):
-        from symquartic.dualcone import _rational_projective_roots
-
-        def times(h, g):
-            """Product of homogeneous forms given by descending coefficients."""
-            out = [Fraction(0)] * (len(h) + len(g) - 1)
-            for i, a in enumerate(h):
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-            return out
-
-        rng = random.Random(2718)
-        with_infinity = 0
-        for _ in range(40):
-            # two or four linear forms a x + b y (a = 0 puts a root at
-            # infinity, repeats are allowed) times quadratics that may or
-            # may not split
-            h = [Fraction(1)]
-            for _ in range(rng.choice((2, 4))):
-                a = 0 if rng.random() < 0.15 else Fraction(rng.randint(1, 9), rng.randint(1, 6))
-                h = times(h, [a, Fraction(rng.randint(-9, 9), rng.randint(1, 6)) or 1])
-            while len(h) < 5:
-                h = times(h, [Fraction(rng.randint(-5, 5)) for _ in range(3)])
-            if not any(h):
-                continue
-            got = _rational_projective_roots(h)
-            assert len(got) == len(set(got))
-            assert set(got) == self.sympy_roots(h)
-            with_infinity += (Fraction(1), Fraction(0)) in got
-        assert with_infinity > 0
+        assert sos_boundary(f) == ("OUTSIDE", None)

@@ -21,11 +21,13 @@ from symquartic.algebra import (
 )
 from symquartic.dualcone import (
     DualFunctional,
+    boundary_family_functional,
     dual_blocks,
     dual_membership,
     pair,
     weighted_point_functional,
 )
+from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
@@ -39,6 +41,7 @@ from symquartic.sos import (
     _signs_at,
     expand_certificate,
     find_separating_functional,
+    sos_boundary,
     sos_membership,
     sos_membership_limit,
 )
@@ -331,13 +334,12 @@ def scan_candidates(f):
 
 
 class TestScanOrder:
-    """The sorted scan starts at the sample of the cell between the lower
-    end lo and the first condition root.  The feasible gammas form a closed
-    interval; with lo infeasible its left end is a condition root, so that
-    first cell is never feasible, and a scan that skipped its first
-    candidate would decide every form alike.  The second candidate is the
-    first that can be feasible, and the forms below are feasible there
-    alone."""
+    """The full sorted scan (``scan_candidates``) starts at the sample of
+    the cell between the lower end lo and the first condition root.  The
+    feasible gammas form a closed interval; with lo infeasible its left end
+    is a condition root, so that first cell is never feasible, and
+    ``sos_membership`` skips it.  The second candidate is the first that
+    can be feasible, and the forms below are feasible there alone."""
 
     @pytest.mark.parametrize(
         "n, coeffs, gamma",
@@ -437,6 +439,154 @@ def test_first_scan_candidate_is_never_feasible(f):
     if scan is not None and scan[1]:
         blocks, candidates = scan
         assert _certificate_at(f, blocks, candidates[0]) is None
+
+
+# ---------------------------------------------------------------------------
+# boundary status at a numeric scope
+# ---------------------------------------------------------------------------
+
+_BLOCK_ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _block(rng, kind):
+    """A zero, rank-one or definite 2x2 block; rank-one vectors from
+    ``_BLOCK_ENTRIES``, so that kernels along e_1, e_2 and (1, 1) occur."""
+    if kind == "zero":
+        return zero2()
+    p, q = rng.choice([(p, q) for p in _BLOCK_ENTRIES for q in _BLOCK_ENTRIES if p or q])
+    r = 0 if kind == "rank1" else Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return SymMat2(p * p + r, p * q, q * q + r)
+
+
+def boundary_sample(seed=0, count=400):
+    """Block expansions with A, B each zero, rank one or definite and
+    gamma = 0 or > 0 at n = 4..9, and every tenth form a boundary-family
+    member; all are SOS by construction."""
+    rng = random.Random(seed)
+    kinds = ("zero", "rank1", "definite")
+    out = []
+    for i in range(count):
+        n = rng.randint(4, 9)
+        if i % 10 == 9:
+            a, b, c, d = (Fraction(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1))
+                          for _ in range(4))
+            out.append(boundary_family_form(BoundaryParams(a, b, c, d)).with_scope(n))
+            continue
+        A, B = (_block(rng, rng.choice(kinds)) for _ in range(2))
+        gamma = rng.choice((0, Fraction(rng.randint(1, 8), rng.randint(1, 4))))
+        f = expand_certificate(SosCertificate(A, B, Fraction(gamma), n))
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+def face_case(cert):
+    """The case of ``sos._supporting_functional`` that a boundary form's
+    certificate takes at a numeric scope."""
+    A, B = cert.A, cert.B
+    if not (A.m11 or A.m12 or A.m22):
+        return "A = 0"
+    j = sos._kernel(B)
+    if j is not None and j[0] == 0:
+        return "B e_2 = 0, gamma > 0" if cert.gamma else "B e_2 = 0, gamma = 0"
+    k1, k2 = sos._kernel(A)
+    return "rank-1 B, beta > 0" if k1 * (k2 - k1) else "beta = 0"
+
+
+def assert_supports(y, f):
+    assert any(y.as_tuple()) and pair(y, f) == 0 and dual_membership(y, f.scope)
+
+
+class TestSosBoundary:
+    def test_missed_boundary_regression(self):
+        # the former two-value-point / family-inversion search found no
+        # functional here; f - 2^-k p_4 is SOS-OUT for every k below
+        f = SymFormP(4, tuple(Fraction(c) for c in ("-15/196", "15/49", "547/392", "-23/4", "91/16")), 7)
+        status, y = sos_boundary(f)
+        assert status == "BOUNDARY"
+        assert y == DualFunctional(
+            Fraction(42957, 512), Fraction(1539, 64), Fraction(6561, 256), Fraction(729, 64), Fraction(81, 16)
+        )
+        assert_supports(y, f)
+        p4 = SymFormP(4, (1, 0, 0, 0, 0), 7)
+        assert all(sos_membership(f - p4.scale(Fraction(1, 2**k))).status == "OUT" for k in (4, 10, 20, 40))
+
+    def test_zero_form_rejected(self):
+        for scope in (4, 9, LIMIT):
+            with pytest.raises(ValueError):
+                sos_boundary(SymFormP(4, (0,) * 5, scope))
+
+    def test_outside(self):
+        assert sos_boundary(form_from_dict(4, {(4,): -1}, 5)) == ("OUTSIDE", None)
+
+    @pytest.mark.parametrize("name", list(_SINGLE_GAMMA_SOS))
+    def test_single_feasible_gamma_is_boundary(self, name):
+        # one feasible gamma leaves no strictly feasible neighbour
+        n, coeffs = _SINGLE_GAMMA_SOS[name]
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        status, y = sos_boundary(f)
+        assert status == "BOUNDARY"
+        assert_supports(y, f)
+
+    def test_irrational_gamma_is_boundary_without_functional(self, monkeypatch):
+        note = sos.SosVerdict("IN", note="feasible only at a single irrational gamma")
+        monkeypatch.setattr(sos, "sos_membership", lambda f: note)
+        assert sos_boundary(SymFormP(4, (1, 0, 0, 0, 0), 5)) == ("BOUNDARY", None)
+
+    def test_example_family_functional(self):
+        # example 6.10: strictly inside at n = 4, on the boundary from n = 5
+        # on, supported by the paper's functional up to a positive factor
+        params = BoundaryParams(1, Fraction(-13, 10), 1, Fraction(-5, 4))
+        paper = boundary_family_functional(params.a, params.b, params.c, params.d)
+        f = boundary_family_form(params)
+        assert sos_boundary(f.with_scope(4)) == ("INTERIOR", None)
+        for n in range(5, 13):
+            status, y = sos_boundary(f.with_scope(n))
+            ratios = {a / b for a, b in zip(y.as_tuple(), paper.as_tuple())}
+            assert status == "BOUNDARY" and len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_boundary_sample_decided():
+    """Every form of the seeded block-expansion sample (all SOS) is
+    INTERIOR or BOUNDARY with a verified supporting functional, and every
+    case of ``sos._supporting_functional`` occurs."""
+    seen = set()
+    statuses = {"INTERIOR": 0, "BOUNDARY": 0}
+    for f in boundary_sample():
+        status, y = sos_boundary(f)
+        statuses[status] += 1
+        if status == "BOUNDARY":
+            assert_supports(y, f)
+            seen.add(face_case(sos_membership(f).certificate))
+    assert min(statuses.values()) > 0
+    assert seen == {
+        "A = 0", "B e_2 = 0, gamma = 0", "B e_2 = 0, gamma > 0", "rank-1 B, beta > 0", "beta = 0"
+    }
+
+
+def test_finite_perturbation_gate():
+    """On the seeded sample: a BOUNDARY form minus 2^-k p_4 is SOS-OUT for
+    every k tried, because every nonzero y of the dual cone at n has
+    y4 > 0 (y4 - y22 >= 0, y22 >= 0, and y22 = 0 forces y211 = 0, then
+    y31 = y211 and y1111 = 0), so the supporting functional pairs
+    negatively with it; an INTERIOR form minus 2^-k p_lambda stays SOS for
+    some k, for each lambda."""
+    statuses = {"INTERIOR": 0, "BOUNDARY": 0}
+    for f in boundary_sample(seed=1):
+        status, y = sos_boundary(f)
+        statuses[status] += 1
+        n = f.scope
+        basis = [SymFormP(4, tuple(int(i == j) for j in range(5)), n) for i in range(5)]
+        if status == "BOUNDARY":
+            assert y.y4 > 0
+            for k in (4, 10, 20, 40):
+                assert sos_membership(f - basis[0].scale(Fraction(1, 2**k))).status == "OUT", f
+        else:
+            for p in basis:
+                assert any(
+                    sos_membership(f - p.scale(Fraction(1, 2**k))).status == "IN" for k in (4, 10, 20, 40)
+                ), (f, p)
+    assert min(statuses.values()) > 0
 
 
 class TestSeparation:
