@@ -149,9 +149,12 @@ class TestKernelSystem:
         for n in range(4, 13):
             _, _, m_tworow = dual_blocks(ell, n)
             assert m_tworow == Fraction(25 * n * n - 149 * n + 149, 800)
+
+    def test_special_functional(self):
         # f -> c_(4) + c_(2^2), the end w = 0 of the separator segment
         # (1 + w, 0, 1, 0, 0): in the dual cone at every n
         ell = DualFunctional(1, 0, 1, 0, 0)
+        assert ell.as_tuple() == (1, 0, 1, 0, 0)
         for n in (4, 5, 9):
             _, _, m_tworow = dual_blocks(ell, n)
             assert m_tworow == Fraction((n - 2) ** 2, 2)
