@@ -9,23 +9,22 @@ Provides the building blocks used by every other module:
 * the integer core behind them: a rational polynomial is carried as the
   primitive integer polynomial that is a positive multiple of it, a list
   of ints.  Roots, multiplicities and signs do not see a positive factor,
-  so gcds and squarefree parts (primitive PRS), Yun decompositions, Sturm
-  chains (sign-corrected pseudo-remainders with the content divided out),
-  root counting and isolation run on ints, and the sign at a rational p/q
-  is that of the homogeneous integer Horner value sum c_i p^i q^(d-i).
-  Root isolation is Descartes (Vincent-Collins-Akritas) bisection on
-  integer Taylor shifts; Sturm chains serve one-off counts
-  (``count_real_roots``, ``count_roots_open``) and the sign queries.
-  ``Fraction`` is built only where a ``UniPoly`` is handed out.
+  so gcds and squarefree parts (primitive PRS), Yun decompositions, root
+  counting and isolation run on ints, and the sign at a rational p/q is
+  that of the homogeneous integer Horner value sum c_i p^i q^(d-i).  The
+  one root engine is Descartes (Vincent-Collins-Akritas) bisection on
+  integer Taylor shifts: it isolates and counts roots, finds the negative
+  points of binary quartics and decides the sign queries.  ``Fraction`` is
+  built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
   interval into open cells, each with a rational sample, and each root
   (breakpoint) has an isolating interval on their squarefree product.
 * ``AlgebraicField`` -- the sign of a rational polynomial at a real root
   isolated by a rational interval, the one algebraic step of the
-  decisions.  It is a sign query on integer polynomials: a gcd and a Sturm
-  count, with no field arithmetic and no factoring, so the root may be
-  given by any squarefree polynomial (in practice a cell product).
+  decisions.  It is a sign query on integer polynomials: a gcd and a
+  Descartes count, with no field arithmetic and no factoring, so the root
+  may be given by any squarefree polynomial (in practice a cell product).
 * ``RatFunc`` -- the field of univariate rational functions over the
   rationals, a scalar for coefficients depending on the variable-count
   symbol ``n``.
@@ -384,22 +383,6 @@ def _zyun(z: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _zsturm(z: list[int]) -> list[list[int]]:
-    """Sturm chain of a nonzero zpoly: z, z', then negated remainders,
-    each a positive multiple of its term of the Euclidean chain over Q,
-    with the content divided out; stops at the last nonzero term."""
-    chain = [z]
-    dz = _zderiv(z)
-    if dz:
-        chain.append(_zprim(dz))
-    while len(chain[-1]) > 1:
-        r = _zrem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_zprim([-c for c in r]))
-    return chain
-
-
 def _zsign(z: list[int], x: Fraction) -> int:
     """The sign of z(x), x = p/q, from the homogeneous integer Horner sum
     q**deg(z) * z(p/q) = sum c_i p^i q^(d-i)."""
@@ -412,24 +395,7 @@ def _zsign(z: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(signs: Sequence[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _zvariations(chain: list[list[int]], x: Fraction) -> int:
-    return _variations([_zsign(z, x) for z in chain])
-
-
-def _count_from_chain(chain: Sequence[Sequence]) -> int:
-    """Distinct real roots from a Sturm chain (coefficient sequences):
-    sign variations at -infinity minus those at +infinity."""
-    at_pos = [(c[-1] > 0) - (c[-1] < 0) for c in chain]
-    at_neg = [-s if len(c) % 2 == 0 else s for s, c in zip(at_pos, chain)]
-    return _variations(at_neg) - _variations(at_pos)
-
-
-# -- public squarefree and Sturm functions ----------------------------------
+# -- public squarefree functions --------------------------------------------
 
 
 def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -450,37 +416,6 @@ def squarefree_part_field(p: UniPoly) -> UniPoly:
     if p.is_zero():
         raise ValueError("zero polynomial")
     return _monic(_zsqf(_zpoly(p.coeffs)))
-
-
-def count_real_roots(p: UniPoly) -> int:
-    """Number of distinct real roots of p."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has indeterminate root set")
-    if p.degree == 0:
-        return 0
-    return _count_from_chain(_zsturm(_zsqf(_zpoly(p.coeffs))))
-
-
-def count_roots_open(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of the rational polynomial p strictly
-    inside (lo, hi).
-
-    Endpoints are allowed to be roots (they are not counted)."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has indeterminate root set")
-    z = _zpoly(p.coeffs)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if hi <= lo:
-        return 0
-    q = _zsqf(z)
-    for r in (lo, hi):
-        if len(q) > 1 and _zsign(q, r) == 0:
-            q = _zquo(q, _zlinear(r))
-    if len(q) <= 1:
-        return 0
-    chain = _zsturm(q)
-    return _zvariations(chain, lo) - _zvariations(chain, hi)
 
 
 def _zroot_bound(z: list[int]) -> Fraction:
@@ -507,7 +442,24 @@ def _descartes01(z: list[int]) -> int:
     an upper bound on the number of roots of z in the open interval (0, 1),
     of the same parity, so exact when it is 0 or 1.  Roots at 0 or 1 are
     not counted."""
-    return _variations([(c > 0) - (c < 0) for c in _ztaylor(z[::-1])])
+    cs = [c for c in _ztaylor(z[::-1]) if c]
+    return sum(1 for a, b in zip(cs, cs[1:]) if (a > 0) != (b > 0))
+
+
+def _zonto01(q: list[int], lo: Fraction, hi: Fraction) -> tuple[list[int], int, int, int]:
+    """(z, a, w, den) with x = (a + w t) / den mapping t in (0, 1) onto
+    (lo, hi), lo < hi, over the common denominator den, and z the primitive
+    zpoly that is a positive multiple of q(x(t)): the roots of q in
+    (lo, hi) are those of z in (0, 1), and z(0), z(1) have the signs of
+    q(lo), q(hi)."""
+    d = len(q) - 1
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+    z = [c * den ** (d - i) for i, c in enumerate(q)]  # den^d q(y / den)
+    if a:
+        z = _ztaylor(z, a)
+    return _zprim([c * w**i for i, c in enumerate(z)]), a, w, den
 
 
 def isolate_real_roots(
@@ -519,7 +471,7 @@ def isolate_real_roots(
     Intervals are sorted; a root that is itself rational may be reported as a
     degenerate point interval ``(r, r)``.  Non-degenerate intervals have
     endpoints that are not roots of p.  No squarefree part is taken here:
-    callers pass squarefree products or Yun factors.
+    callers pass squarefree parts and products.
 
     Descartes (Vincent-Collins-Akritas) bisection on integer polynomials:
     (lo, hi) is mapped once onto (0, 1) over a common denominator, and a
@@ -536,17 +488,8 @@ def isolate_real_roots(
     hi = Fraction(hi)
     if hi <= lo or p.degree <= 0:
         return []
-    q = _zpoly(p.coeffs)
-    d = len(q) - 1
-
-    # x = (a + w t) / den maps t in (0, 1) onto (lo, hi)
-    den = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    w = hi.numerator * (den // hi.denominator) - a
-    z = [c * den ** (d - i) for i, c in enumerate(q)]  # den^d q(y / den)
-    if a:
-        z = _ztaylor(z, a)
-    z = _zprim([c * w**i for i, c in enumerate(z)])
+    d = p.degree
+    z, a, w, den = _zonto01(_zpoly(p.coeffs), lo, hi)
 
     # a node (z, k, j) stands for (x(k, j), x(k, j + 1)), x(k, j) the
     # image of t = j / 2^k; an explicit stack, as close roots need deep
@@ -573,6 +516,25 @@ def isolate_real_roots(
     return sorted((x(k, i), x(k, j)) for k, i, j in ends)
 
 
+def count_real_roots(p: UniPoly) -> int:
+    """Number of distinct real roots of p."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has indeterminate root set")
+    z = _zsqf(_zpoly(p.coeffs))
+    bound = _zroot_bound(z)
+    return len(isolate_real_roots(UniPoly(z), -bound, bound))
+
+
+def count_roots_open(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of the rational polynomial p strictly
+    inside (lo, hi).
+
+    Endpoints are allowed to be roots (they are not counted)."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has indeterminate root set")
+    return len(isolate_real_roots(UniPoly(_zsqf(_zpoly(p.coeffs))), lo, hi))
+
+
 def refine_root_interval(
     p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -580,8 +542,8 @@ def refine_root_interval(
     below the given width.
 
     The root must be simple (p changes sign across it), as every root of a
-    squarefree p is; callers pass squarefree parts, Yun factors or minimal
-    polynomials, so no squarefree part is taken here.
+    squarefree p is; callers pass squarefree parts and products, so no
+    squarefree part is taken here.
     """
     if lo == hi:
         return lo, hi
@@ -948,8 +910,11 @@ class AlgebraicField:
 
         g = gcd(m, p) divides m, so it has at most one root in (lo, hi),
         and a simple one: p(theta) = 0 exactly when g changes sign across
-        the interval.  Otherwise the interval is bisected on m until p has
-        no root on [lo, hi], where its sign is that at lo.
+        the interval.  Otherwise the interval is bisected on m until p is
+        nonzero at both ends and the Descartes count of p on (lo, hi)
+        (``_descartes01`` after ``_zonto01``) is 0, which is exact: p has
+        no root on [lo, hi] and its sign is that at lo.  The count reaches
+        0 once the interval is short enough, because p(theta) != 0.
         """
         z = _zpoly(p.coeffs)
         lo, hi = self._lo, self._hi
@@ -958,11 +923,8 @@ class AlgebraicField:
         g = _zgcd(self._m, z)
         if _zsign(g, lo) != _zsign(g, hi):
             return 0
-        chain = _zsturm(_zsqf(z))
         while lo != hi:
-            if _zsign(z, lo) and _zsign(z, hi) and (
-                _zvariations(chain, lo) == _zvariations(chain, hi)
-            ):
+            if _zsign(z, lo) and _zsign(z, hi) and _descartes01(_zonto01(z, lo, hi)[0]) == 0:
                 break  # no root of p on [lo, hi]
             lo, hi = refine_root_interval(self.modulus, lo, hi, (hi - lo) / 2)
         self._lo, self._hi = lo, hi
@@ -1242,36 +1204,28 @@ def binary_quartic_negative_point(
     """A rational point (x, y) with h(x, y) < 0, or None if h >= 0.
 
     The returned witness evaluates strictly negative exactly.
+
+    Past h(1, 0) and x = +-B, B the Cauchy bound, h(x, 1) is positive
+    outside (-B, B), so it is negative on some open cell between two
+    neighbouring real roots.  Of the isolating intervals of those roots
+    (of the squarefree part), a non-point one has its inner end, not a
+    root, inside that cell; when both are points, their midpoint is.  So
+    the interval ends, then the midpoints of neighbouring ends, hold a
+    negative point.
     """
     if binary_quartic_nonneg(h):
         return None
     if h[0] < 0:
         return (_ONE, _ZERO)
     z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
-
-    # search outward: leading behavior negative or odd degree
     bound = _zroot_bound(z)
     for x in (bound, -bound):
         if _zsign(z, x) < 0:
             return (x, _ONE)
-    # a sign change exists at an odd-multiplicity root: bisect around it
-    for fac, mult in _zyun(z):
-        if mult % 2 == 0:
-            continue
-        b = _zroot_bound(fac)
-        fac_poly = UniPoly(fac)
-        for lo, hi in isolate_real_roots(fac_poly, -b, b):
-            width = (hi - lo) if hi > lo else _ONE
-            for _ in range(4096):
-                lo2, hi2 = (
-                    (lo - width, hi + width) if lo == hi else (lo, hi)
-                )
-                for x in (lo2, hi2):
-                    if _zsign(z, x) < 0:
-                        return (x, _ONE)
-                width /= 2
-                if lo != hi:
-                    lo, hi = refine_root_interval(fac_poly, lo, hi, width)
+    ends = [x for ab in isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound) for x in ab]
+    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        if _zsign(z, x) < 0:
+            return (x, _ONE)
     raise AssertionError("negative value certified but no witness found")
 
 

@@ -69,6 +69,7 @@ from math import lcm
 
 from .algebra import (
     AlgebraicField,
+    Cells,
     SymMat2,
     UniPoly,
     _zpoly,
@@ -326,6 +327,17 @@ def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
     return None if lo > hi else (lo, hi)
 
 
+@per_form
+def _gamma_cells(f: SymFormP) -> tuple[tuple[UniPoly, ...], Cells]:
+    """The conditions (``_integer_conditions``) and the cells that their
+    roots cut the admissible gamma range into, once per form object
+    (``symfunc.per_form``): the scan of ``sos_membership`` and
+    ``_has_interior_gamma`` both read them."""
+    lo, hi = _gamma_range(f)
+    conditions = _integer_conditions(_block_polys(f))
+    return conditions, cells([p for p in conditions if p.degree > 0], lo, hi)
+
+
 def sos_membership(f: SymFormP) -> SosVerdict:
     """Membership in the symmetric-SOS cone at the form's numeric scope."""
     if f.degree != 4:
@@ -348,8 +360,7 @@ def sos_membership(f: SymFormP) -> SosVerdict:
             return SosVerdict("IN", certificate=cert)
 
     # both ends infeasible: the interval, if any, lies in (lo, hi)
-    conditions = _integer_conditions(blocks)
-    gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
+    conditions, gamma_cells = _gamma_cells(f)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     # lo is infeasible, so the closed feasible interval starts at a condition
     # root and the first cell, (lo, first root), is never feasible
@@ -401,10 +412,9 @@ def _has_interior_gamma(f: SymFormP) -> bool:
     if lo == hi:
         return False
     blocks = _block_polys(f)
-    conditions = [p for p in _integer_conditions(blocks) if p.degree > 0]
     return any(
         _strictly_feasible(_signs_at(blocks, gamma)[1])
-        for gamma in cells(conditions, lo, hi).samples
+        for gamma in _gamma_cells(f)[1].samples
     )
 
 

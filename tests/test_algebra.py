@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -11,11 +12,9 @@ from symquartic.algebra import (
     AlgebraicField,
     SymMat2,
     UniPoly,
-    _count_from_chain,
     _zgcd,
     _zpoly,
-    _zsqf,
-    _zsturm,
+    _zrem,
     _zyun,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
@@ -212,7 +211,8 @@ class TestSturmSignRule:
     """The pseudo-remainder of a by b is lc(b)**k times the remainder over
     Q, k the number of reduction steps taken.  When one step cancels more
     than the leading term, k < deg a - deg b + 1, so with lc(b) < 0 a sign
-    keyed on the degree difference comes out wrong.  Each chain below has
+    keyed on the degree difference comes out wrong; ``_zrem`` scales each
+    step by a positive factor instead.  Each Euclidean chain below has
     such a step: a divisor with a negative leading coefficient and a step
     that drops two degrees (k = 1 where deg a - deg b + 1 = 2)."""
 
@@ -225,11 +225,15 @@ class TestSturmSignRule:
 
     @pytest.mark.parametrize("ints", CHAINS)
     def test_chain_terms_are_positive_multiples(self, ints):
-        p = UniPoly(ints)
-        chain, ref = [UniPoly(z) for z in _zsturm(_zpoly(p.coeffs))], euclid_sturm(p)
-        assert len(chain) == len(ref)
-        for term, want in zip(chain, ref):
+        """Along the chain, ``_zrem`` of the integer terms is a positive
+        integer multiple of the remainder over Q."""
+        chain = euclid_sturm(UniPoly(ints))
+        assert len(chain) >= 3
+        for a, b in zip(chain, chain[1:]):
+            term, want = UniPoly(_zrem(_zpoly(a.coeffs), _zpoly(b.coeffs))), a % b
             assert term.degree == want.degree
+            if want.is_zero():
+                continue
             ratio = Fraction(want.lead) / term.lead
             assert ratio > 0
             assert term.scale(ratio) == want
@@ -371,6 +375,18 @@ class TestDescartesIsolation:
     def test_roots_at_ends_and_midpoints(self, case):
         self.check(case)
 
+    @given(dyadic_roots(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_count_roots_open_vs_sympy(self, case, double_lo):
+        """Roots exactly at lo and hi (a double one at lo when drawn) are
+        left out; sympy counts the distinct roots of [lo, hi]."""
+        p, lo, hi = case
+        if double_lo:
+            p = p * linear(lo)
+        want = int(to_sympy(p).count_roots(lo, hi)) - 2
+        assert count_roots_open(p, lo, hi) == want
+        assert count_roots_open(p, hi, lo) == 0
+
     def test_midpoint_root_is_a_point(self):
         # x (x - 1/2)(x - 1) on (0, 1): 0 and 1 lie outside, 1/2 is the
         # first midpoint
@@ -452,6 +468,24 @@ class TestAlgebraicField:
         assert half.sign_of_poly(UniPoly([0, 1])) > 0
         assert half.sign_of_poly(UniPoly([7])) > 0
 
+    def test_root_of_p_next_to_theta(self):
+        """p has a root within 2^-200 of theta = sqrt(2) but p(theta) != 0:
+        the interval is bisected past that root until the Descartes count of
+        p on it is 0."""
+        r = Fraction(isqrt(2 << 400), 1 << 200)  # r < sqrt(2) < r + 2^-200
+        assert r * r < 2 < (r + Fraction(1, 1 << 200)) ** 2
+        tiny = Fraction(1, 1 << 400)
+        cases = [
+            (UniPoly([-r, 1]), 1),
+            (UniPoly([-r - Fraction(1, 1 << 200), 1]), -1),
+            (UniPoly([-2 - tiny, 0, 1]), -1),  # root sqrt(2 + 2^-400)
+            (UniPoly([-2 + tiny, 0, 1]) * UniPoly([1, 0, 1]), 1),
+        ]
+        for p, want in cases:
+            field = AlgebraicField(UniPoly([-2, 0, 1]), Fraction(1), Fraction(2))
+            assert field.sign_of_poly(p) == want
+            assert field._hi - field._lo < Fraction(1, 1 << 200)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_signs_at_roots_match_sympy(self, data):
@@ -496,7 +530,7 @@ class TestMatrices:
 
 def yun_sturm_nonneg(h) -> bool:
     """Reference: nonnegativity of the binary quartic h from Yun's
-    decomposition of h(x, 1) and a Sturm count of each odd-multiplicity
+    decomposition of h(x, 1) and a real-root count of each odd-multiplicity
     factor, the decision the closed-form test replaced."""
     z = _zpoly(h[::-1])
     if not z:
@@ -504,14 +538,13 @@ def yun_sturm_nonneg(h) -> bool:
     if len(z) % 2 == 0 or z[-1] < 0:
         return False
     return len(z) == 1 or not any(
-        mult % 2 == 1 and _count_from_chain(_zsturm(fac)) > 0 for fac, mult in _zyun(z)
+        mult % 2 == 1 and count_real_roots(UniPoly(fac)) > 0 for fac, mult in _zyun(z)
     )
 
 
 def sturm_strictly_positive(h) -> bool:
-    """Reference: h(1, 0) > 0 and a Sturm count of 0 real roots of the
-    squarefree part of h(x, 1)."""
-    return h[0] > 0 and _count_from_chain(_zsturm(_zsqf(_zpoly(h[::-1])))) == 0
+    """Reference: h(1, 0) > 0 and no real root of h(x, 1)."""
+    return h[0] > 0 and count_real_roots(UniPoly(h[::-1])) == 0
 
 
 class TestBinaryQuartics:
@@ -586,6 +619,23 @@ class TestBinaryQuartics:
             assert binary_quartic_nonneg(h) == yun_sturm_nonneg(h), h
             assert binary_quartic_strictly_positive(h) == sturm_strictly_positive(h), h
         assert seen == {True, False}
+
+    def test_negative_point_next_to_a_close_root(self):
+        """x (x - e)^3 and x (x - e)(x^2 + 1), e = 2^-5000, are negative
+        only on (0, e); the witness is an end of e's isolating interval."""
+        e = Fraction(1, 2**5000)
+        for p in (linear(0) * linear(e) ** 3, linear(0) * linear(e) * UniPoly([1, 0, 1])):
+            h = tuple(reversed(p.coeffs))
+            x, y = binary_quartic_negative_point(h)
+            assert y == 1 and 0 < x < e and p(x) < 0
+
+    def test_negative_point_between_point_roots(self):
+        """x (x - 1)(x^2 + 1) is negative only on (0, 1), and isolation
+        returns both roots as points (0 and 1 are the first bisection
+        midpoints of (-2, 2)), so the witness is their midpoint."""
+        p = linear(0) * linear(1) * UniPoly([1, 0, 1])
+        assert isolate_real_roots(p, -2, 2) == [(0, 0), (1, 1)]
+        assert binary_quartic_negative_point(tuple(reversed(p.coeffs))) == (Fraction(1, 2), 1)
 
     def test_strict_positivity(self):
         assert binary_quartic_strictly_positive((1, 0, 0, 0, 1))

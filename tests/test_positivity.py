@@ -626,17 +626,17 @@ DEGENERATE = {
     # alpha (1 - alpha)(x - y)^2 times a binary quadratic that is
     # indefinite only near alpha = 0 and 1, where no root of the leading
     # coefficient falls: only the subresultant coefficient cuts there
-    "window_1": ((2, 0, 9, -23, 12), ("OUT", ((F(1, 64), F(63, 64)), (F(-5939, 8884), F(1)))),
+    "window_1": ((2, 0, 9, -23, 12), ("OUT", ((F(1, 64), F(63, 64)), (F(-6207, 8884), F(1)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
-                  (64, "OUT", ((F(1, 64), F(63, 64)), (F(-5939, 8884), F(1))), False),
-                  (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-1496753, 1005494), F(1))),
+                  (64, "OUT", ((F(1, 64), F(63, 64)), (F(-6207, 8884), F(1))), False),
+                  (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-1734765, 2010988), F(1))),
                    False)]),
-    "window_2": ((5, 0, 5, -21, 11), ("OUT", ((F(1, 64), F(63, 64)), (F(-60683, 84436), F(1)))),
+    "window_2": ((5, 0, 5, -21, 11), ("OUT", ((F(1, 64), F(63, 64)), (F(-5637, 7676), F(1)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
-                  (64, "OUT", ((F(1, 64), F(63, 64)), (F(-60683, 84436), F(1))), False),
-                  (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-14988011, 20039956), F(1))),
+                  (64, "OUT", ((F(1, 64), F(63, 64)), (F(-5637, 7676), F(1))), False),
+                  (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-15944055, 20039956), F(1))),
                    False)]),
     # the degenerate forms of the benchmark's pinned (core) passes;
     # moved: limit witness weight 1/4 under the Yun projection, 1/2 now

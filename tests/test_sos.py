@@ -520,13 +520,16 @@ class TestSosBoundary:
         assert sos_boundary(form_from_dict(4, {(4,): -1}, 5)) == ("OUTSIDE", None)
 
     @pytest.mark.parametrize("name", list(_SINGLE_GAMMA_SOS))
-    def test_single_feasible_gamma_is_boundary(self, name):
-        # one feasible gamma leaves no strictly feasible neighbour
+    def test_single_feasible_gamma_is_boundary(self, gamma_cell_builds, name):
+        # one feasible gamma leaves no strictly feasible neighbour; both
+        # ends are infeasible, and the membership scan and the interior
+        # test read one build of the gamma-cells
         n, coeffs = _SINGLE_GAMMA_SOS[name]
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         status, y = sos_boundary(f)
         assert status == "BOUNDARY"
         assert_supports(y, f)
+        assert len(gamma_cell_builds) == 1
 
     def test_irrational_gamma_is_boundary_without_functional(self, monkeypatch):
         note = sos.SosVerdict("IN", note="feasible only at a single irrational gamma")
