@@ -5,21 +5,24 @@ Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  For
 quartics this cone equals the limit SOS cone (Blekherman & Riener,
 arXiv:1205.3102), so both limit decisions read the signs of the gamma = 0
 blocks of ``sos``; IN needs no theorem, as a sum of squares is
-nonnegative.  OUT still carries a negative point, found by testing the
-endpoints as scalars and one rational alpha per open alpha-cell; finding
-none would contradict the theorem, and raises.
+nonnegative.  OUT carries a negative point read off the same gamma = 0
+entries in closed form (``_limit_negative_point``): over two-point
+measures of mean 1, Phi_f is a quadratic in p_2 plus the variance times a
+quadratic in x + y, whose minimum picks a rational variance, and one
+binary-quartic search then picks a rational point.  No alpha-polynomial
+is built.  Finding no point would contradict the theorem, and raises.
 
-The critical alpha values that cut those cells (and the finite-n cells
-below) come from one projection over Z[alpha].  With P =
-Phi^alpha(x, 1) (top coefficients that vanish identically dropped), the
-principal signed subresultant (Sturm-Habicht) coefficients of P and dP/dx
-are integer polynomials in alpha, Sylvester-Habicht determinants of at
-most 7 x 7 evaluated fraction-free (Bareiss).  Where lc(P) != 0, the first
-of them that is not identically zero vanishes exactly where deg gcd(P,
-P') rises, so on the cells cut at the roots of both P has a constant
-number of distinct roots of constant multiplicities, and every verdict is
-constant.  In the generic case that coefficient is +-lc(P) disc(P), and the
-discriminant of ``disc_binary_quartic`` is used as it is.
+At finite n, the critical alpha values that cut the alpha-cells (below)
+come from one projection over Z[alpha].  With P = Phi^alpha(x, 1) (top
+coefficients that vanish identically dropped), the principal signed
+subresultant (Sturm-Habicht) coefficients of P and dP/dx are integer
+polynomials in alpha, Sylvester-Habicht determinants of at most 7 x 7
+evaluated fraction-free (Bareiss).  Where lc(P) != 0, the first of them
+that is not identically zero vanishes exactly where deg gcd(P, P')
+rises, so on the cells cut at the roots of both P has a constant number
+of distinct roots of constant multiplicities, and every verdict is
+constant.  In the generic case that coefficient is +-lc(P) disc(P), and
+the discriminant of ``disc_binary_quartic`` is used as it is.
 
 Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
 not depend on n, so when they are feasible f is a sum of squares, hence
@@ -70,6 +73,7 @@ from .symfunc import LIMIT, SymFormP, per_form, phi_alpha_coeffs
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def is_strictly_positive(f: SymFormP) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# limit cone: critical alpha values and cells
+# critical alpha values of the finite-n cells
 # ---------------------------------------------------------------------------
 
 
@@ -326,18 +330,81 @@ def _critical_polys(cs) -> list[UniPoly]:
     return [UniPoly(c) for c in (sres[0], first) if len(c) > 1]
 
 
+# ---------------------------------------------------------------------------
+# limit cone
+# ---------------------------------------------------------------------------
+
+
 def _limit_negative_point(f: SymFormP):
     """A witness ((alpha, 1 - alpha), (x, y)) with Phi_f < 0 there, or
-    None if Phi^alpha >= 0 for every alpha in [0, 1]: the scalar test at
-    alpha in {0, 1}, then one rational alpha per open alpha-cell."""
+    None if no two-point measure makes Phi_f negative, read off the
+    gamma = 0 entries (b22, b12, a22, s, c0) of ``sos._gamma_zero``.
+
+    A measure with mean 1, variance v and x + y = b has p_2 = w = 1 + v,
+    p_3 = w + b v and p_4 = w^2 + b^2 v, so Phi_f = F(v, b) =
+    a22 w^2 + s w + c0 + v (b22 b^2 + 2 b12 b).  The branches: the
+    coefficient sum (v = 0); a22 < 0 at mean 0; b22 < 0 at the point
+    (1, 0) and a small alpha; else a rational v > 0 with
+    inf_b F(v, .) < 0 (``_negative_variance``) and a rational point on it.
+
+    For rational t != 0, x = 1 + v/t, y = 1 - t and
+    alpha = t^2 / (v + t^2) have mean 1 and variance v, and
+    b = 2 + v/t - t runs over all of R as t runs over (0, oo).  With
+    t b = v + 2t - t^2, t^2 F(v, b(t)) is a binary quartic in (t, 1), with
+    t^4 coefficient v b22 >= 0 and value v^3 b22 >= 0 at t = 0; so
+    ``binary_quartic_negative_point`` finds a point (t, y') on it with
+    y' != 0 and t != 0.
+    """
     if sum(f.coeffs, _ZERO) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
         return (_ZERO, _ONE), (_ZERO, _ONE)
-    cs = _alpha_coeffs(f)
-    for alpha in cells(_critical_polys(cs), _ZERO, _ONE).samples:
-        h = _phi_at(cs, alpha)
-        if not binary_quartic_nonneg(h):
-            return (alpha, 1 - alpha), binary_quartic_negative_point(h)
-    return None
+    (b22, b12, a22, s, c0), _ = _gamma_zero(f)
+    if a22 < 0:  # mean 0: p_2 = p_4 = 1, p_1 = p_3 = 0, Phi_f = a22
+        return (_HALF, _HALF), (_ONE, -_ONE)
+    if b22 < 0:
+        # at (1, 0), Phi_f / alpha = c4 + (c31 + c22) alpha + c211 alpha^2
+        # + c1111 alpha^3 <= c4 + alpha rest for alpha <= 1, which is < 0 at
+        # alpha = |c4| / (|c4| + rest)
+        _, c31, c22, c211, c1111 = f.coeffs
+        rest = abs(c31 + c22) + abs(c211) + abs(c1111)
+        alpha = b22 / (b22 - rest)
+        return (alpha, 1 - alpha), (_ONE, _ZERO)
+    v = _negative_variance(b22, b12, a22, s, c0)
+    if v is None:
+        return None
+    w = 1 + v
+    tx, ty = binary_quartic_negative_point((
+        v * b22,
+        -v * (4 * b22 + 2 * b12),
+        (a22 * w + s) * w + c0 + v * (b22 * (4 - 2 * v) + 4 * b12),
+        v * v * (4 * b22 + 2 * b12),
+        v * v * v * b22,
+    ))
+    t = tx / ty
+    alpha = t * t / (v + t * t)
+    return (alpha, 1 - alpha), (1 + v / t, 1 - t)
+
+
+def _negative_variance(b22, b12, a22, s, c0) -> Fraction | None:
+    """A rational v > 0 with inf_b F(v, b) < 0 (``_limit_negative_point``)
+    when b22, a22 >= 0 and the coefficient sum is >= 0, or None if there
+    is none.
+
+    With b22 = 0 != b12, F is linear in b and v = 1 will do.  Otherwise
+    inf_b F(v, .) = G(w) = a22 w^2 + (s - k) w + c0 + k at w = 1 + v, with
+    k = b12^2 / b22 (0 when b22 = 0), and G(1) is the coefficient sum.
+    G < 0 somewhere on w > 1 iff it is at the vertex (a22 > 0), or, when
+    a22 = 0, iff the slope s - k is negative, and then at
+    w = 1 + (c0 + k) / (k - s), where G = s - k.
+    """
+    if b22 == 0 and b12 != 0:
+        return _ONE
+    k = b12 * b12 / b22 if b22 else _ZERO
+    if a22 > 0:
+        w = (k - s) / (2 * a22)
+        if w > 1 and (a22 * w + s - k) * w + c0 + k < 0:
+            return w - 1
+        return None
+    return (c0 + k) / (k - s) if s < k else None
 
 
 def _require_limit_quartic(f: SymFormP) -> None:
@@ -351,9 +418,10 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope).
 
     IN exactly when f is in the limit SOS cone, which is sound because a
-    sum of squares is nonnegative.  Otherwise the alpha-cells are searched
-    for the negative point that the OUT verdict carries; finding none
-    would contradict the paper's degree-4 theorem, and raises.
+    sum of squares is nonnegative.  Otherwise the OUT verdict carries a
+    negative point read off the gamma = 0 entries that decided it
+    (``_limit_negative_point``), with no alpha-cells; finding none would
+    contradict the paper's degree-4 theorem, and raises.
     """
     _require_limit_quartic(f)
     if sos_membership_limit(f).status == "IN":

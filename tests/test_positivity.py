@@ -22,6 +22,7 @@ from symquartic.dualcone import DualFunctional, dual_membership, pair
 from symquartic.positivity import (
     _alpha_coeffs,
     _critical_polys,
+    _negative_variance,
     _signed_subresultants,
     _x_poly,
     boundary_status_limit,
@@ -32,6 +33,7 @@ from symquartic.positivity import (
 from symquartic.sampling import equivalence_sample
 from symquartic.sos import (
     SosCertificate,
+    SosVerdict,
     _certificate,
     _feasible,
     _gamma_zero,
@@ -428,14 +430,26 @@ class TestLimitCone:
         assert is_nonneg_limit(f).status == "OUT"
 
     def test_regression_cell_inside_isolating_interval(self):
-        # this form is negative only on a thin alpha-window near 0.03 that
-        # sits inside an isolating interval of the critical polynomial; a
-        # sampler visiting only gaps between intervals misses it
+        # Phi^alpha of this form is negative only for alpha in (0, r) and
+        # (1 - r, 1), with r ~ 0.0604 a critical root inside its isolating
+        # interval (1/32, 1/16); a sampler visiting only gaps between
+        # intervals misses that thin window.  The limit witness is read off
+        # the gamma = 0 entries and samples no alpha, so the window guards
+        # the finite-n decisions: OUT at every n >= 17, with the first
+        # failing grid weight 1/n, on the walk (n = 20) and on the cell path
+        # (n >= _CELL_MIN_N)
         f = SymFormP(4, (0, 1, 1, -2, Fraction(3, 2)), LIMIT)
         verdict = is_nonneg_limit(f)
         assert verdict.status == "OUT"
         assert witness_value(f, verdict) < 0
-        assert is_nonneg(f.with_scope(20)).status == "OUT"
+        assert is_nonneg(f.with_scope(16)).status == "IN"
+        for n in (20, 56, 64, 1000):
+            assert (n < positivity._CELL_MIN_N) == (n == 20)
+            g = f.with_scope(n)
+            verdict = is_nonneg(g)
+            assert verdict.status == "OUT"
+            assert verdict.witness[0] == (Fraction(1, n), Fraction(n - 1, n))
+            assert witness_value(g, verdict) < 0
 
     def test_limit_implies_every_finite_n(self):
         rng = random.Random(53)
@@ -566,15 +580,20 @@ def test_perturbation_gate():
 F = Fraction
 
 #: Families whose alpha-discriminant or x^4 coefficient vanishes
-#: identically, with the verdicts and witnesses that the Yun decomposition
-#: over Q(alpha) gave before this projection: (is_nonneg_limit,
+#: identically, with their verdicts and witnesses: (is_nonneg_limit,
 #: boundary_status_limit, sos_membership_limit, then (n, is_nonneg,
-#: is_strictly_positive) for n = 4, 16, 64, 1000).  The limit witness of
-#: one form moved, because the raw coefficient polynomials of the Yun
-#: projection no longer cut the alpha-cells; it is marked and re-verified
-#: below.  The boundary column holds the supporting functionals of the
-#: gamma = 0 blocks, re-verified below (pairing 0, limit dual cone).
+#: is_strictly_positive) for n = 4, 16, 64, 1000).  The finite-n columns
+#: are those that the Yun decomposition over Q(alpha) gave before this
+#: projection.  The limit witnesses are the closed-form ones that
+#: ``_limit_negative_point`` reads off the gamma = 0 entries: the
+#: coefficient sum, the mean-0 point MEAN_ZERO when a22 = c22 + c4 < 0,
+#: the point (1, 0) when c4 < 0, else a two-point measure of variance v;
+#: each is re-verified below.  The boundary column holds the supporting
+#: functionals of the gamma = 0 blocks, re-verified below (pairing 0,
+#: limit dual cone).
 ONE_ZERO, HALF = (F(1), F(0)), (F(1, 2), F(1, 2))
+#: Weights 1/2, 1/2 at the points 1, -1: p_1 = p_3 = 0 and p_2 = p_4 = 1.
+MEAN_ZERO = (HALF, (F(1), F(-1)))
 #: The functional f -> c4, which supports the limit cone at every form
 #: with c4 = 0.
 C4 = DualFunctional(1, 0, 0, 0, 0)
@@ -610,38 +629,43 @@ DEGENERATE = {
                                  "IN", _finite("IN", None, False)),
     "p22_minus_p4": ((-1, 0, 1, 0, 0), ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
                      "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
-    "negated_square_1": ((0, 0, -1, 2, -1), ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
+    "negated_square_1": ((0, 0, -1, 2, -1), ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                          "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
     "negated_square_2": ((0, 0, -4, 12, -9), ("OUT", ((F(0), F(1)), (F(0), F(1)))),
                          ("OUTSIDE", None), "OUT",
                          _finite("OUT", [((F(0), F(1)), (F(1), F(1)))] * 4, False)),
     # the x^4 coefficient of Phi^alpha vanishes identically
-    "lc_zero_1": ((0, 1, -1, 0, 0), ("OUT", (HALF, (F(-3), F(1)))), ("OUTSIDE", None),
+    "lc_zero_1": ((0, 1, -1, 0, 0), ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                   "OUT", _finite("OUT", _grid((F(-3), F(1))), False)),
-    "lc_zero_2": ((0, -1, 1, 0, 0), ("OUT", (HALF, (F(3), F(1)))), ("OUTSIDE", None),
+    # c4 = 0 != c31: variance v = 1, F linear in x + y
+    "lc_zero_2": ((0, -1, 1, 0, 0), ("OUT", ((F(4, 5), F(1, 5)), (F(1, 2), F(3)))),
+                  ("OUTSIDE", None),
                   "OUT", _finite("OUT", _grid((F(3), F(1))), False)),
-    "lc_zero_3": ((0, F(3, 2), F(-3, 2), 0, 0), ("OUT", (HALF, (F(-3), F(1)))), ("OUTSIDE", None),
+    "lc_zero_3": ((0, F(3, 2), F(-3, 2), 0, 0), ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                   "OUT", _finite("OUT", _grid((F(-3), F(1))), False)),
     # s (p_4 - p_(2,2)) + (p_2 - p_1^2)(a p_2 + b p_1^2): Phi^alpha is
     # alpha (1 - alpha)(x - y)^2 times a binary quadratic that is
     # indefinite only near alpha = 0 and 1, where no root of the leading
-    # coefficient falls: only the subresultant coefficient cuts there
-    "window_1": ((2, 0, 9, -23, 12), ("OUT", ((F(1, 64), F(63, 64)), (F(-6207, 8884), F(1)))),
+    # coefficient falls: only the subresultant coefficient cuts the
+    # finite-n cells there.  The limit witness sits at the vertex
+    # w = 1 + v of a22 w^2 + s w + c0, just above w = 1
+    "window_1": ((2, 0, 9, -23, 12),
+                 ("OUT", ((F(275, 33043), F(32768, 33043)), (F(-73, 55), F(261, 256)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
                   (64, "OUT", ((F(1, 64), F(63, 64)), (F(-6207, 8884), F(1))), False),
                   (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-1734765, 2010988), F(1))),
                    False)]),
-    "window_2": ((5, 0, 5, -21, 11), ("OUT", ((F(1, 64), F(63, 64)), (F(-5637, 7676), F(1)))),
+    "window_2": ((5, 0, 5, -21, 11),
+                 ("OUT", ((F(3125, 265269), F(262144, 265269)), (F(-131, 125), F(1049, 1024)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
                   (64, "OUT", ((F(1, 64), F(63, 64)), (F(-5637, 7676), F(1))), False),
                   (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-15944055, 20039956), F(1))),
                    False)]),
-    # the degenerate forms of the benchmark's pinned (core) passes;
-    # moved: limit witness weight 1/4 under the Yun projection, 1/2 now
+    # the degenerate forms of the benchmark's pinned (core) passes
     "bench_limit_sweep": ((F(-7, 8), F(-17, 8), F(-1, 8), F(5, 4), F(15, 8)),
-                          ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
+                          ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                           "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
     "bench_large_n": ((F(9, 4), F(-15, 2), F(-2), F(53, 4), F(-6)), ("IN", None),
                       ("BOUNDARY", DualFunctional(*[F(1, 16)] * 5)), "IN",
@@ -766,3 +790,128 @@ class TestProjection:
             verdict = is_nonneg(g)
             assert (verdict.status, verdict.witness) == (want, witness), n
             assert is_strictly_positive(g) == strict, n
+
+
+# ---------------------------------------------------------------------------
+# the limit witness from the gamma = 0 entries
+# ---------------------------------------------------------------------------
+
+
+def _from_gamma_zero(b22, b12, a22, s, c0):
+    """The form whose gamma = 0 entries (``sos._gamma_zero``) are these:
+    (b22, b12, a22, s, c0) = (c4, c31/2, c22 + c4, c211 + c31, c1111)."""
+    return tuple(F(c) for c in (b22, 2 * b12, a22 - b22, s - 2 * b12, c0))
+
+
+def _witness_branch(coeffs):
+    """The branch of ``_limit_negative_point`` that a form outside the
+    limit cone takes, from its coefficients: the gamma = 0 entries are
+    b22 = c4, b12 = c31/2 and a22 = c22 + c4."""
+    c4, c31, c22, _, _ = coeffs
+    if sum(coeffs) < 0:
+        return "sum"
+    if c22 + c4 < 0:
+        return "mean_zero"
+    if c4 < 0:
+        return "point_1_0"
+    if c4 == 0:
+        return "linear" if c31 else "flat"
+    return "vertex" if c22 + c4 > 0 else "slope"
+
+
+#: One form per branch of the limit witness, with its witness where the
+#: branch fixes it: Choi-Lam takes the a22 = 0 slope at v = 13/4, and
+#: -p_4 + 10 p_(2,2) needs alpha = 1/11 at (1, 0), where alpha = 1/2 fails.
+LIMIT_WITNESS_FORMS = {
+    "sum": ((0, 0, 0, 0, -1), ((F(0), F(1)), (F(0), F(1)))),
+    "mean_zero": ((0, 0, -1, 2, -1), MEAN_ZERO),
+    "point_1_0": ((-1, 0, 10, 0, 0), ((F(1, 11), F(10, 11)), ONE_ZERO)),
+    "linear": ((0, -1, 1, 0, 0), ((F(4, 5), F(1, 5)), (F(1, 2), F(3)))),
+    "vertex": ((2, 0, 9, -23, 12), ((F(275, 33043), F(32768, 33043)), (F(-73, 55), F(261, 256)))),
+    "slope": ((8, F(-160, 3), -8, 128, F(-128, 3)),
+              ((F(34225, 47537), F(13312, 47537)), (F(-23, 185), F(249, 64)))),
+    "flat": ((0, 0, 1, -3, F(21, 10)), None),
+}
+
+
+def _limit_witness_sample():
+    """Seeded forms whose gamma = 0 entries are drawn from small sets with
+    zeros in them, so that every branch of the limit witness is taken."""
+    rng = random.Random(97)
+    entry = [0, 0, 1, -1, 2, F(1, 2), F(-1, 3), 3, -4]
+    return [
+        _from_gamma_zero(*(rng.choice(entry) for _ in range(3)),
+                         F(rng.randint(-12, 12), rng.randint(1, 3)),
+                         F(rng.randint(-12, 12), rng.randint(1, 3)))
+        for _ in range(600)
+    ]
+
+
+class TestLimitWitness:
+    """The OUT witness of ``is_nonneg_limit``, read off the gamma = 0
+    entries (``_limit_negative_point``)."""
+
+    @pytest.mark.parametrize("branch", list(LIMIT_WITNESS_FORMS))
+    def test_each_branch(self, branch):
+        coeffs, pinned = LIMIT_WITNESS_FORMS[branch]
+        f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
+        assert _witness_branch(f.coeffs) == branch
+        verdict = is_nonneg_limit(f)
+        assert verdict.status == "OUT"
+        assert witness_value(f, verdict) < 0
+        if pinned is not None:
+            assert verdict.witness == pinned
+
+    def test_seeded_sample_reaches_every_branch(self):
+        reached = set()
+        for coeffs in _limit_witness_sample():
+            f = SymFormP(4, coeffs, LIMIT)
+            verdict = is_nonneg_limit(f)
+            if verdict.status == "IN":
+                continue
+            reached.add(_witness_branch(coeffs))
+            (alpha, beta), _ = verdict.witness
+            assert 0 <= alpha <= 1 and alpha + beta == 1
+            assert witness_value(f, verdict) < 0, coeffs
+        assert reached == set(LIMIT_WITNESS_FORMS)
+
+    def test_no_witness_inside_the_cone(self, monkeypatch):
+        """Inside the limit cone no branch applies: ``_negative_variance``
+        finds no variance, and an OUT verdict forced on such a form raises
+        instead of returning a point."""
+        inside = [
+            SymFormP(4, c, LIMIT)
+            for c in _limit_witness_sample()
+            if is_nonneg_limit(SymFormP(4, c, LIMIT)).status == "IN"
+        ]
+        assert len(inside) > 50
+        for f in inside:
+            assert _negative_variance(*_gamma_zero(f)[0]) is None, f.coeffs
+        monkeypatch.setattr(positivity, "sos_membership_limit", lambda f: SosVerdict("OUT"))
+        with pytest.raises(AssertionError, match="degree-4 limit theorem"):
+            is_nonneg_limit(SymFormP(4, EXAMPLE_6_10, LIMIT))
+
+    @pytest.fixture
+    def alpha_work(self, monkeypatch):
+        """Calls to the alpha-polynomial machinery from ``positivity``."""
+        calls = []
+        for name in ("phi_alpha_coeffs", "cells", "disc_binary_quartic"):
+            real = getattr(positivity, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(positivity, name, counted)
+        return calls
+
+    def test_no_alpha_cells_at_limit(self, alpha_work):
+        forms = [c for c, _ in LIMIT_WITNESS_FORMS.values()] + _limit_witness_sample()[:200]
+        outs = 0
+        for coeffs in forms:
+            outs += is_nonneg_limit(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)).status == "OUT"
+        assert outs > 100
+        assert alpha_work == []
+        # the finite-n cell path still counts: Choi-Lam at n = 64
+        is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64))
+        assert {"phi_alpha_coeffs", "cells"} <= set(alpha_work)
