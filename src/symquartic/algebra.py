@@ -30,9 +30,11 @@ Provides the building blocks used by every other module:
   symbol ``n``.
 * ``MultiPoly`` -- sparse multivariate polynomials over the rationals.
 * ``SymMat2`` -- symmetric rational 2x2 matrices with an exact PSD test.
-* binary-quartic helpers: discriminant, closed-form nonnegativity and
-  strict-positivity tests (signs of four integer invariants), negative
-  point search.
+* binary-quartic helpers: the invariants (27 Delta, P, D, R), written
+  once over ints and integer polynomials; from them the discriminant, the
+  closed-form nonnegativity and strict-positivity tests (Rees 1922) and
+  the polynomials in a parameter across whose roots alone those tests
+  can change their verdict; negative point search.
 
 Everything is immutable and pure; no floating point is used anywhere.
 """
@@ -139,12 +141,12 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if not self.coeffs or not other.coeffs:
                 return UniPoly()
-            out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    prod = a * b
-                    out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-            return UniPoly([c if c is not None else _ZERO for c in out])
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        out[i + j] += a * b
+            return UniPoly(out)
         # scalar multiply
         return UniPoly([c * other for c in self.coeffs])
 
@@ -650,18 +652,15 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
         breakpoints.append((a, b))
         prev_hi = b
 
-    def middle(a: Fraction, b: Fraction) -> Fraction:
-        return simplest_rational_between((3 * a + b) / 4, (a + 3 * b) / 4)
-
     samples = []
     prev_hi = lo
     for a, b in breakpoints:
         # sample the cell left of this root: after refinement prev_hi < a
         # for point intervals (a == b is the root itself, stay below it),
         # and a itself is a non-root strictly between the roots otherwise
-        samples.append(middle(prev_hi, a) if a == b else a)
+        samples.append(simplest_in_middle(prev_hi, a) if a == b else a)
         prev_hi = b
-    samples.append(middle(prev_hi, hi))
+    samples.append(simplest_in_middle(prev_hi, hi))
     return Cells(product_poly, tuple(breakpoints), tuple(samples))
 
 
@@ -669,8 +668,8 @@ def resultant(f: UniPoly, g: UniPoly):
     """Resultant of two rational polynomials (zero when they share a root).
 
     Computed by the Euclidean recursion.  No decision calls it: the
-    projections are signed subresultant determinants over the integers
-    (``positivity``)."""
+    finite-n alpha-cells are cut at the roots of the invariants that the
+    binary-quartic tests read (``binary_quartic_critical_polys``)."""
     if f.is_zero() or g.is_zero():
         return _ZERO
     if g.degree == 0:
@@ -1089,6 +1088,27 @@ def psd2(m: SymMat2) -> bool:
 # descending x-order: h = a4 x^4 + a3 x^3 y + a2 x^2 y^2 + a1 x y^3 + a0 y^4.
 
 
+def _quartic_invariants(a, b, c, d, e) -> tuple:
+    """(27 Delta, P, D, R) of the quartic a x^4 + b x^3 + c x^2 + d x + e,
+    whose coefficients are ints, or integer ``UniPoly`` in a parameter: the
+    same expressions serve numbers and polynomials.
+
+    27 Delta = 4 I^3 - J^2 for the invariants I and J, so Delta is the
+    discriminant of ``disc_binary_quartic``; P = 8ac - 3b^2,
+    D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4 and
+    R = b^3 + 8a^2 d - 4abc.  With a != 0 their signs fix the real-root
+    pattern (Rees 1922)."""
+    aa, bb, cc, ac, ae, bd = a * a, b * b, c * c, a * c, a * e, b * d
+    i = cc - 3 * bd + 12 * ae
+    j = 72 * ac * e + 9 * bd * c - 27 * a * d * d - 27 * bb * e - 2 * cc * c
+    return (
+        4 * i * i * i - j * j,
+        8 * ac - 3 * bb,
+        16 * aa * (4 * ae - cc - bd) + bb * (16 * ac - 3 * bb),
+        b * (bb - 4 * ac) + 8 * aa * d,
+    )
+
+
 def disc_binary_quartic(h: Sequence):
     """Discriminant of a binary quartic, classical normalization.
 
@@ -1102,61 +1122,54 @@ def disc_binary_quartic(h: Sequence):
     16.
 
     Computed over the integers: with D the common denominator of the
-    coefficients, disc(D h) = D^6 disc(h) = (4 I^3 - J^2) / 27 for the
-    invariants I and J of the integer quartic D h.
+    coefficients, disc(D h) = D^6 disc(h) = (4 I^3 - J^2) / 27
+    (``_quartic_invariants`` of the integer quartic D h).
     """
     polys = any(isinstance(u, UniPoly) for u in h)
     rows = [u.coeffs if isinstance(u, UniPoly) else (u,) for u in h]
     den = lcm(*(c.denominator for row in rows for c in row))
-    a, b, c, d, e = (
-        _ztrim([x.numerator * (den // x.denominator) for x in row]) for row in rows
-    )
-
-    def add(*terms):
-        out = [0] * max((len(t) for _k, t in terms), default=0)
-        for k, t in terms:
-            for i, x in enumerate(t):
-                out[i] += k * x
-        return _ztrim(out)
-
-    mul = _zmul
-    cc = mul(c, c)
-    inv_i = add((12, mul(a, e)), (-3, mul(b, d)), (1, cc))
-    inv_j = add(
-        (72, mul(mul(a, c), e)),
-        (9, mul(mul(b, c), d)),
-        (-27, mul(a, mul(d, d))),
-        (-27, mul(e, mul(b, b))),
-        (-2, mul(cc, c)),
-    )
-    disc = add((4, mul(inv_i, mul(inv_i, inv_i))), (-1, mul(inv_j, inv_j)))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     scale = 27 * den**6
     if not polys:
-        return Fraction(disc[0], scale) if disc else _ZERO
-    return UniPoly([Fraction(x, scale) for x in disc])
+        return Fraction(_quartic_invariants(*(row[0] for row in ints))[0], scale)
+    disc = _quartic_invariants(*(UniPoly(row) for row in ints))[0]
+    return UniPoly([Fraction(x, scale) for x in disc.coeffs])
 
 
-def _quartic_signs(z: list[int]) -> tuple[int, int, int, int]:
-    """The signs of (Delta, P, D, R) for the integer quartic
-    a x^4 + b x^3 + c x^2 + d x + e, z = [e, d, c, b, a]:
-    27 Delta = 4 I^3 - J^2 (the discriminant of ``disc_binary_quartic``),
-    P = 8ac - 3b^2, D = 64a^3 e - 16a^2 c^2 + 16ab^2 c - 16a^2 bd - 3b^4
-    and R = b^3 + 8a^2 d - 4abc.  With a > 0 they fix the real-root
-    pattern (Rees 1922)."""
+def _quartic_signs(z: list[int]) -> list[int]:
+    """The signs of (Delta, P, D, R) (``_quartic_invariants``) for the
+    integer quartic with ascending coefficients z = [e, d, c, b, a]."""
     e, d, c, b, a = z
+    return [(v > 0) - (v < 0) for v in _quartic_invariants(a, b, c, d, e)]
 
-    def sign(v: int) -> int:
-        return (v > 0) - (v < 0)
 
-    i = c * c - 3 * b * d + 12 * a * e
-    j = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c * c * c
-    bb, aa = b * b, a * a
-    return (
-        sign(4 * i * i * i - j * j),
-        sign(8 * a * c - 3 * bb),
-        sign(64 * aa * a * e - 16 * aa * c * c + 16 * a * bb * c - 16 * aa * b * d - 3 * bb * bb),
-        sign(bb * b + 8 * aa * d - 4 * a * b * c),
-    )
+def binary_quartic_critical_polys(cs) -> list[UniPoly]:
+    """Polynomials in a parameter across whose real roots alone the verdicts
+    of ``binary_quartic_nonneg`` and ``binary_quartic_strictly_positive``
+    can change, for the binary quartic whose coefficients ``cs`` (descending
+    x-order) are integer ``UniPoly`` in that parameter.
+
+    Only nonconstant polynomials are returned, as the constant ones keep
+    their signs.  With lc = cs[0] and (27 Delta, P, D, R) of
+    ``_quartic_invariants``:
+
+    * lc, Delta not identically zero: 27 Delta and lc.  Where neither
+      vanishes the roots are simple and their real count is constant, and
+      both tests depend only on it.
+    * Delta identically zero, lc not: lc, P, D and R.  Both tests are
+      functions of their signs.
+    * lc identically zero: the other four coefficients and a1^2 - 4 a2 a0.
+      Nonnegativity reads which coefficient is the top nonzero one, its
+      sign and that discriminant; strict positivity fails everywhere.
+    """
+    lead = cs[0]
+    if lead.is_zero():
+        _, a3, a2, a1, a0 = cs
+        polys = (a3, a2, a1, a0, a1 * a1 - 4 * a2 * a0)
+    else:
+        delta, p, d, r = _quartic_invariants(*cs)
+        polys = (delta, lead) if delta else (lead, p, d, r)
+    return [q for q in polys if q.degree > 0]
 
 
 def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
@@ -1259,3 +1272,10 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
         return ia + 1 / rec(1 / (b - ia), 1 / frac_a)
 
     return rec(lo, hi)
+
+
+def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational (``simplest_rational_between``) in the middle
+    half of [lo, hi]: a sample of small height away from both ends, the
+    one sample rule of the cell decompositions."""
+    return simplest_rational_between((3 * lo + hi) / 4, (lo + 3 * hi) / 4)

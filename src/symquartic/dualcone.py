@@ -35,6 +35,7 @@ from .symfunc import LIMIT, SymFormP
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,30 @@ def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
     return SymMat2(y22, y211, y1111), SymMat2(y4 - y22, y31 - y211, y211 - y1111)
 
 
+def gamma_gen_coeffs(scope) -> tuple[Fraction, ...]:
+    """Canonical-order coefficients of the scalar-block generator of the
+    SOS cone at a numeric scope n, or LIMIT; a functional pairs with it to
+    its two-row block over n^2."""
+    if scope is LIMIT:
+        return (_ZERO, _ZERO, _HALF, Fraction(-1), _HALF)
+    n = scope
+    return (
+        Fraction(1 - n, 2 * n * n),
+        Fraction(2 * n - 2, n * n),
+        Fraction(n * n - 3 * n + 3, 2 * n * n),
+        Fraction(-1),
+        _HALF,
+    )
+
+
 def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction]:
-    """The trivial/hook 2x2 blocks and the scalar two-row block at size n."""
+    """The trivial/hook 2x2 blocks and the scalar two-row block at size n,
+    n^2 times the pairing of ell with the scalar-block generator."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    y4, y31, y22, y211, y1111 = ell.as_tuple()
     m_triv, m_hook = _square_blocks(ell)
-    m_tworow = (
-        Fraction(n * n, 2) * y1111
-        - n * n * y211
-        + (2 * n - 2) * y31
-        + Fraction(n * n - 3 * n + 3, 2) * y22
-        + Fraction(1 - n, 2) * y4
-    )
+    gen = gamma_gen_coeffs(n)
+    m_tworow = n * n * sum((g * y for g, y in zip(gen, ell.as_tuple())), _ZERO)
     return m_triv, m_hook, m_tworow
 
 

@@ -12,17 +12,12 @@ quadratic in x + y, whose minimum picks a rational variance, and one
 binary-quartic search then picks a rational point.  No alpha-polynomial
 is built.  Finding no point would contradict the theorem, and raises.
 
-At finite n, the critical alpha values that cut the alpha-cells (below)
-come from one projection over Z[alpha].  With P = Phi^alpha(x, 1) (top
-coefficients that vanish identically dropped), the principal signed
-subresultant (Sturm-Habicht) coefficients of P and dP/dx are integer
-polynomials in alpha, Sylvester-Habicht determinants of at most 7 x 7
-evaluated fraction-free (Bareiss).  Where lc(P) != 0, the first of them
-that is not identically zero vanishes exactly where deg gcd(P, P')
-rises, so on the cells cut at the roots of both P has a constant number
-of distinct roots of constant multiplicities, and every verdict is
-constant.  In the generic case that coefficient is +-lc(P) disc(P), and
-the discriminant of ``disc_binary_quartic`` is used as it is.
+At finite n, the alpha-cells (below) are cut at the roots of the
+polynomials whose signs the binary-quartic tests read
+(``binary_quartic_critical_polys``): on each open cell
+``binary_quartic_nonneg`` and ``binary_quartic_strictly_positive`` keep
+their verdicts at every alpha.  For a generic form these are the
+alpha-discriminant and the leading coefficient of Phi^alpha(x, 1).
 
 Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
 not depend on n, so when they are feasible f is a sum of squares, hence
@@ -51,14 +46,11 @@ from math import ceil, floor, lcm
 
 from .algebra import (
     UniPoly,
-    _zmul,
-    _zquo,
-    _zsub,
+    binary_quartic_critical_polys,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
     cells,
-    disc_binary_quartic,
     refine_root_interval,
 )
 from .dualcone import DualFunctional
@@ -150,14 +142,16 @@ def _tested_ks(cs, n: int) -> tuple[int, ...]:
     > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f
     (``_alpha_coeffs``), from ``_CELL_MIN_N`` on.
 
-    These are k = 0 and n, every k/n in each breakpoint interval refined to
-    width <= 1/n (which holds the breakpoint itself when it is some k/n),
-    and the smallest k/n to the right of each breakpoint interval and of 0.
-    The status is constant on the open cells, and the first grid weight of
-    every cell is in the list, so the first failing k is the first failing
-    k of the whole grid.
+    The alpha-cells are cut at the roots in (0, 1) of
+    ``binary_quartic_critical_polys``, so both binary-quartic tests keep
+    their verdicts on each open cell.  The tested k are k = 0 and n, every
+    k/n in each breakpoint interval refined to width <= 1/n (which holds
+    the breakpoint itself when it is some k/n), and the smallest k/n to
+    the right of each breakpoint interval and of 0.  The first grid weight
+    of every cell is in the list, so the first failing k is the first
+    failing k of the whole grid.
     """
-    alpha_cells = cells(_critical_polys(cs), _ZERO, _ONE)
+    alpha_cells = cells(binary_quartic_critical_polys(cs), _ZERO, _ONE)
     width = Fraction(1, n)
     ks = {0, 1, n}
     for a, b in alpha_cells.breakpoints:
@@ -243,91 +237,6 @@ def is_strictly_positive(f: SymFormP) -> bool:
         if not binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, n))):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# critical alpha values of the finite-n cells
-# ---------------------------------------------------------------------------
-
-
-def _x_poly(cs) -> list[list[int]]:
-    """P = Phi^alpha(x, 1) over Z[alpha] for the alpha-coefficients ``cs``
-    (``_alpha_coeffs``): ``P[i]`` is the coefficient of x^i as an integer
-    list in alpha, and top coefficients that vanish identically are
-    dropped."""
-    P = [list(c.coeffs) for c in reversed(cs)]
-    while P and not P[-1]:
-        P.pop()
-    return P
-
-
-def _bareiss_det(m: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[alpha] (entries integer
-    lists), fraction-free: each 2 x 2 cross product is divided exactly by
-    the previous pivot."""
-    m = [row[:] for row in m]
-    size, negate, prev = len(m), False, [1]
-    for k in range(size - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            negate = not negate
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                cross = _zsub(_zmul(m[i][j], pivot), _zmul(m[i][k], m[k][j]))
-                m[i][j] = _zquo(cross, prev) if cross else []
-        prev = pivot
-    det = m[-1][-1]
-    return [-c for c in det] if negate else det
-
-
-def _signed_subresultants(P: list[list[int]]) -> list[list[int]]:
-    """The principal signed subresultant coefficients sRes_d, ..., sRes_0
-    of P (``_x_poly``, degree d in x) and dP/dx, integer lists in alpha.
-
-    sRes_d = lc(P) and sRes_{d-1} = d lc(P); for j <= d - 2, sRes_j is the
-    determinant of the first 2d - 1 - 2j columns of the Sylvester-Habicht
-    matrix, whose rows are x^(d-2-j) P, ..., P, then P', ..., x^(d-1-j) P'
-    (Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 4).
-    Their values at an alpha with lc(P) != 0 are those of P at that alpha.
-    """
-    d = len(P) - 1
-    dP = [_zmul([i], P[i]) for i in range(1, d + 1)]
-    out = [P[-1], dP[-1]] if d >= 1 else [P[-1]]
-    for j in range(d - 2, -1, -1):
-        rows = [(P, s) for s in range(d - 2 - j, -1, -1)] + [(dP, s) for s in range(d - j)]
-        cols = range(2 * d - 2 - j, j - 1, -1)
-        out.append(_bareiss_det([
-            [poly[e - s] if 0 <= e - s < len(poly) else [] for e in cols]
-            for poly, s in rows
-        ]))
-    return out
-
-
-def _critical_polys(cs) -> list[UniPoly]:
-    """Polynomials in alpha whose roots in (0,1) delimit the cells on which
-    the sign/root structure of Phi^alpha is constant; ``cs`` are the
-    alpha-polynomial coefficients of Phi^alpha (``_alpha_coeffs``).
-
-    The leading coefficient of P = Phi^alpha(x, 1) and the first principal
-    signed subresultant coefficient of P and P' that is not identically
-    zero (``_signed_subresultants``); generically that is +-lc disc, and
-    then the alpha-discriminant stands for it.
-    """
-    lead = cs[0]
-    if not lead.is_zero():
-        delta = disc_binary_quartic(cs)
-        if not delta.is_zero():
-            return [p for p in (delta, lead) if p.degree > 0]
-    P = _x_poly(cs)
-    if not P:
-        return []
-    sres = _signed_subresultants(P)
-    first = next(c for c in reversed(sres) if c)
-    return [UniPoly(c) for c in (sres[0], first) if len(c) > 1]
 
 
 # ---------------------------------------------------------------------------

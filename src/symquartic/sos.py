@@ -77,14 +77,19 @@ from .algebra import (
     cells,
     psd2,
     rational_roots,
-    simplest_rational_between,
+    simplest_in_middle,
 )
-from .dualcone import DualFunctional, dual_membership, pair, weighted_point_functional
+from .dualcone import (
+    DualFunctional,
+    dual_membership,
+    gamma_gen_coeffs,
+    pair,
+    weighted_point_functional,
+)
 from .symfunc import LIMIT, SymFormP, per_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -122,20 +127,6 @@ class SosVerdict:
     note: str | None = None
 
 
-def _gamma_gen_coeffs(scope) -> tuple[Fraction, ...]:
-    """Canonical-order coefficients of the scalar-block generator."""
-    if scope is LIMIT:
-        return (_ZERO, _ZERO, _HALF, Fraction(-1), _HALF)
-    n = scope
-    return (
-        Fraction(1 - n, 2 * n * n),
-        Fraction(2 * n - 2, n * n),
-        Fraction(n * n - 3 * n + 3, 2 * n * n),
-        Fraction(-1),
-        _HALF,
-    )
-
-
 def expand_certificate(cert: SosCertificate) -> SymFormP:
     """The exact coefficient vector of the block decomposition."""
     scope = cert.scope
@@ -145,7 +136,7 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
     elif not isinstance(scope, int) or scope < 4:
         raise ValueError("certificate scope must be an integer >= 4 or LIMIT")
     A, B, g = cert.A, cert.B, cert.gamma
-    g4, g31, g22, g211, g1111 = _gamma_gen_coeffs(scope)
+    g4, g31, g22, g211, g1111 = gamma_gen_coeffs(scope)
     return SymFormP(
         4,
         (
@@ -168,7 +159,7 @@ def _block_polys(f: SymFormP) -> tuple[UniPoly, ...]:
     """The block entries that the matching equations fix, as polynomials
     in gamma: b22, b12, a22, s = 2 a12 + u and a11 - u (u = b11)."""
     c4, c31, c22, c211, c1111 = f.coeffs
-    g4, g31, g22, g211, g1111 = _gamma_gen_coeffs(f.scope)
+    g4, g31, g22, g211, g1111 = gamma_gen_coeffs(f.scope)
     return (
         UniPoly([c4, -g4]),
         UniPoly([c31 / 2, -g31 / 2]),
@@ -469,7 +460,7 @@ def _supporting_functional(cert: SosCertificate) -> DualFunctional:
     (k1, k2), lam, x, z = k, _ONE, _ZERO, _ZERO
     beta = k1 * (k2 - k1)
     if free:
-        g4, g31 = _gamma_gen_coeffs(cert.scope)[:2]
+        g4, g31 = gamma_gen_coeffs(cert.scope)[:2]
         x = -g31 * beta / (2 * g4)
         z = x * x / beta if beta else _ZERO
     elif j is not None and beta:
@@ -477,7 +468,7 @@ def _supporting_functional(cert: SosCertificate) -> DualFunctional:
         lam, x, z = j1 * j1, beta * j1 * j2, beta * j2 * j2
     y = DualFunctional(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
     if free and cert.gamma > 0:
-        gen = _gamma_gen_coeffs(cert.scope)
+        gen = gamma_gen_coeffs(cert.scope)
         y_gen = sum((g * v for g, v in zip(gen, y.as_tuple())), _ZERO)
         y = DualFunctional(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
     return y
@@ -571,10 +562,7 @@ def _simple_samples(lo: Fraction, hi: Fraction, polys) -> list[Fraction]:
     the polynomials cut (lo, hi) into: the simplest one in the middle half
     of the gap between neighbouring isolating intervals."""
     ends = [lo] + [x for ab in cells(polys, lo, hi).breakpoints for x in ab] + [hi]
-    return [
-        simplest_rational_between((3 * a + b) / 4, (a + 3 * b) / 4)
-        for a, b in zip(ends[::2], ends[1::2])
-    ]
+    return [simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2])]
 
 
 def find_separating_functional(f: SymFormP):
@@ -646,7 +634,7 @@ def find_separating_functional(f: SymFormP):
         return verified(weighted_point_functional(*nonneg.witness))
 
     # the pairing with the scalar-block generator is tau / n^2
-    quads = [_chart_quadratic(v) for v in (c, _gamma_gen_coeffs(n))]
+    quads = [_chart_quadratic(v) for v in (c, gamma_gen_coeffs(n))]
     s_polys = _s_projection(*quads)
     for s in _simple_samples(_ZERO, _root_bound(s_polys), s_polys):
         zq, ztau = (UniPoly([c0(s), b0(s), a0(s)]) for a0, b0, c0 in quads)

@@ -3,28 +3,28 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.matrices import DomainMatrix
 
 import symquartic.positivity as positivity
 from symquartic.algebra import (
     SymMat2,
     UniPoly,
-    _zsign,
+    _quartic_invariants,
+    binary_quartic_critical_polys,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
     cells,
     count_real_roots,
+    disc_binary_quartic,
+    yun_decomposition,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
 from symquartic.positivity import (
     _alpha_coeffs,
-    _critical_polys,
     _negative_variance,
-    _signed_subresultants,
-    _x_poly,
+    _phi_at,
+    _tested_ks,
     boundary_status_limit,
     is_nonneg,
     is_nonneg_limit,
@@ -646,8 +646,9 @@ DEGENERATE = {
     # s (p_4 - p_(2,2)) + (p_2 - p_1^2)(a p_2 + b p_1^2): Phi^alpha is
     # alpha (1 - alpha)(x - y)^2 times a binary quadratic that is
     # indefinite only near alpha = 0 and 1, where no root of the leading
-    # coefficient falls: only the subresultant coefficient cuts the
-    # finite-n cells there.  The limit witness sits at the vertex
+    # coefficient falls.  The discriminant vanishes identically, and the
+    # roots of D and R (Rees' invariants) in (1/64, 1/32) and (31/32, 63/64)
+    # cut the finite-n cells there.  The limit witness sits at the vertex
     # w = 1 + v of a22 w^2 + s w + c0, just above w = 1
     "window_1": ((2, 0, 9, -23, 12),
                  ("OUT", ((F(275, 33043), F(32768, 33043)), (F(-73, 55), F(261, 256)))),
@@ -678,103 +679,137 @@ def _generic_forms():
     return [tuple(F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(5)) for _ in range(12)]
 
 
-def sturm_habicht_count(signs: list[int]) -> int:
-    """Distinct real roots of a polynomial from the signs of its principal
-    signed subresultant coefficients sRes_d, ..., sRes_0 (the first one
-    nonzero): permanences minus variations, where consecutive nonzero
-    entries k apart count (-1)^(k(k-1)/2) times their sign product if k
-    is odd, and nothing if k is even (Basu, Pollack & Roy, ch. 4)."""
-    total, prev, gap = 0, signs[0], 0
-    for s in signs[1:]:
-        gap += 1
-        if s:
-            if gap % 2:
-                total += (-1) ** (gap * (gap - 1) // 2) * prev * s
-            prev, gap = s, 0
-    return total
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def real_roots_from_signs(h) -> tuple[bool, bool]:
+    """(a real root of odd multiplicity, a real root) of h(x, 1) != 0 for the
+    integer quartic h = (a4, ..., a0), from the signs that
+    ``binary_quartic_critical_polys`` projects.  With a4 != 0, Rees' table
+    on (Delta, P, D, R): Delta < 0 gives two simple real roots; Delta > 0
+    four simple real ones if P < 0 and D < 0, else none; Delta = 0 a
+    double root and two simple ones or a triple and a simple one if P < 0
+    and D < 0, else only roots of even multiplicity, all non-real exactly
+    when D = R = 0 < P.  With a4 = 0, the degree of h(x, 1) and, for a
+    quadratic, a1^2 - 4 a2 a0."""
+    a4, _, a2, a1, a0 = h
+    if a4:
+        delta, p, d, r = (_sign(v) for v in _quartic_invariants(*h))
+        odd = p < 0 and d < 0
+        if delta:
+            return delta < 0 or odd, delta < 0 or odd
+        return odd, not (d == 0 and r == 0 and p > 0)
+    degree = max(i for i, c in enumerate(h[::-1]) if c)
+    if degree == 2:
+        return a1 * a1 > 4 * a2 * a0, a1 * a1 >= 4 * a2 * a0
+    return degree % 2 == 1, degree % 2 == 1
+
+
+def real_roots_exact(h) -> tuple[bool, bool]:
+    """The same two facts from the squarefree decomposition of h(x, 1) and
+    a real-root count of each factor."""
+    factors = [(count_real_roots(q), m) for q, m in yun_decomposition(UniPoly(h[::-1]))]
+    return any(c and m % 2 for c, m in factors), any(c for c, _ in factors)
 
 
 class TestProjection:
-    @pytest.mark.parametrize("coeffs", [c for c, *_ in DEGENERATE.values()] + _generic_forms()[:4])
-    def test_subresultants_are_sylvester_determinants(self, coeffs):
-        """sRes_j of P and P' is (-1)^((d-j)(d-j-1)/2) times the standard
-        principal subresultant coefficient: the determinant of the rows
-        x^(d-2-j) P, ..., P, x^(d-1-j) P', ..., P' on the columns
-        x^(2d-2-j), ..., x^j (sympy, over Z[alpha])."""
-        P = _x_poly(_alpha_coeffs(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)))
-        d = len(P) - 1
-        a, x = sympy.symbols("a x")
-        P_expr = sum(sympy.Poly(c[::-1] or [0], a).as_expr() * x**i for i, c in enumerate(P))
-        Q_expr = sympy.diff(P_expr, x)
-
-        def row(expr, shift, cols):
-            poly = sympy.Poly(sympy.expand(expr * x**shift), x)
-            return [poly.coeff_monomial(x**e) for e in cols]
-
-        sres = _signed_subresultants(P)
-        assert len(sres) == d + 1
-        assert sres[0] == P[-1]
-        for j in range(d - 2, -1, -1):
-            cols = range(2 * d - 2 - j, j - 1, -1)
-            rows = [row(P_expr, s, cols) for s in range(d - 2 - j, -1, -1)]
-            rows += [row(Q_expr, s, cols) for s in range(d - 1 - j, -1, -1)]
-            ring = sympy.ZZ[a]
-            psc = ring.to_sympy(
-                DomainMatrix.from_list_sympy(len(rows), len(rows), rows).convert_to(ring).det()
-            )
-            ours = sympy.Poly(sres[d - j][::-1] or [0], a).as_expr()
-            assert sympy.expand(ours - (-1) ** ((d - j) * (d - j - 1) // 2) * psc) == 0
-        if d == 4 and sres[4]:
-            # sRes_0 = Res(P, P') = lc(P) disc(P), as d = 4
-            disc = sympy.discriminant(P_expr, x)
-            lead = sympy.Poly(P[-1][::-1], a).as_expr()
-            assert sympy.expand(sympy.Poly(sres[4][::-1], a).as_expr() - lead * disc) == 0
-
     @pytest.mark.parametrize("coeffs", [c for c, *_ in DEGENERATE.values()] + _generic_forms())
     def test_root_count_from_coefficient_signs(self, coeffs):
-        """At random rational alpha with lc(P) != 0, the signs of the sRes
-        count the real roots of P(alpha, .) by the Sturm-Habicht rule
-        (``sturm_habicht_count``), which holds only with the signs of
-        signed subresultants."""
-        P = _x_poly(_alpha_coeffs(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)))
-        sres = _signed_subresultants(P)
+        """At random rational alpha, whether P = Phi^alpha(x, 1) has a real
+        root, and one of odd multiplicity, which is all that the two
+        binary-quartic tests read, follows from the signs of the
+        invariants (``real_roots_from_signs``)."""
+        cs = _alpha_coeffs(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT))
         rng = random.Random(str(coeffs))
         tested = 0
         for _ in range(40):
-            alpha = F(rng.randint(-30, 30), rng.randint(1, 12))
-            if _zsign(P[-1], alpha) == 0:
-                continue
-            spec = UniPoly([sum(c * alpha**k for k, c in enumerate(coef)) for coef in P])
-            assert sturm_habicht_count([_zsign(c, alpha) for c in sres]) == count_real_roots(spec)
-            tested += 1
+            h = _phi_at(cs, F(rng.randint(-30, 30), rng.randint(1, 12)))
+            if any(h):
+                assert real_roots_from_signs(h) == real_roots_exact(h), h
+                tested += 1
         assert tested >= 30
 
     def test_root_count_on_sparse_polynomials(self):
-        """Constant-coefficient P with coefficients in {-1, 0, 1, 2}: sparse
-        polynomials such as x^4 + 1 and x^4 + x make principal
-        coefficients vanish, so that nonzero entries lie two and three
-        apart."""
+        """Constant-coefficient P of degree 1 to 4 with coefficients in
+        {-1, 0, 1, 2}: sparse polynomials such as x^4, x^4 + 2x^2 + 1 and
+        x^4 - x^3 reach the rows of Rees' table with Delta = 0."""
         for d in range(1, 5):
             for low in itertools.product((-1, 0, 1, 2), repeat=d):
                 for lead in (1, -2):
-                    P = [[c] if c else [] for c in low] + [[lead]]
-                    signs = [_zsign(c, F(0)) for c in _signed_subresultants(P)]
-                    want = count_real_roots(UniPoly(list(low) + [lead]))
-                    assert sturm_habicht_count(signs) == want, (low, lead)
+                    h = (0,) * (4 - d) + (lead,) + low[::-1]
+                    assert real_roots_from_signs(h) == real_roots_exact(h), h
 
     def test_generic_critical_polys_are_disc_and_lead(self):
         for coeffs in _generic_forms():
             cs = _alpha_coeffs(SymFormP(4, coeffs, LIMIT))
-            polys = _critical_polys(cs)
-            assert polys[0] == positivity.disc_binary_quartic(cs)
+            polys = binary_quartic_critical_polys(cs)
+            delta = disc_binary_quartic(cs)
+            ratio = polys[0].lead / delta.lead
+            assert ratio > 0 and polys[0] == delta.scale(ratio)
             assert polys[-1] == cs[0]
+
+    def test_cells_agree_with_the_walk_on_degenerate_families(self):
+        """Forms whose Phi^alpha has an identically zero discriminant (the
+        forms that vanish on the diagonal, and +-(u p_2 + v p_1^2)^2 moved
+        along one of them) or leading coefficient (multiples of
+        p_(3,1) - p_(2,2)): over ``_tested_ks`` the first failing k and
+        strict positivity are those of the walk over all n + 1 weights.
+
+        The diagonal forms are drawn with s (p_4 - p_(2,2)) and
+        c (p_(2,1^2) - p_(1^4)) positive and d (p_(2,2) - p_(2,1^2))
+        negative, which mostly makes Phi^alpha fail on a window inside
+        (0, 1): there only the cells find the first failing k."""
+        rng = random.Random(61)
+        diagonal = [(1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 1, -1), (0, 0, 1, -1, 0)]
+
+        def small():
+            return F(rng.randint(-6, 6), rng.randint(1, 3))
+
+        def positive():
+            return F(rng.randint(1, 6), rng.randint(1, 3))
+
+        forms = []
+        for _ in range(16):
+            weights = (positive(), small(), positive(), -positive())
+            forms.append([sum(w * g[i] for w, g in zip(weights, diagonal)) for i in range(5)])
+            u, v, t, sign = small(), small(), rng.choice((0, small())), rng.choice((1, -1))
+            g = rng.choice(diagonal)
+            square = (0, 0, u * u, 2 * u * v, v * v)
+            forms.append([sign * q + t * gi for q, gi in zip(square, g)])
+            m = small()
+            forms.append([m * c for c in (0, 1, -1, 0, 0)])
+        kinds, outcomes, inside = set(), set(), 0
+        for coeffs in forms:
+            cs = _alpha_coeffs(SymFormP(4, tuple(coeffs), LIMIT))
+            if not any(cs):
+                continue
+            kinds.add("lc" if cs[0].is_zero() else "disc" if disc_binary_quartic(cs).is_zero() else "generic")
+            for n in (56, 57, 64, 97, 128, 200):
+                hs = [_phi_at(cs, F(k, n)) for k in range(n + 1)]
+                ks = _tested_ks(cs, n)
+
+                def first_failing(over):
+                    return next((k for k in over if not binary_quartic_nonneg(hs[k])), None)
+
+                def strict(over):
+                    return all(binary_quartic_strictly_positive(hs[k]) for k in over if 0 < k < n)
+
+                want = first_failing(range(n + 1))
+                assert first_failing(ks) == want, (coeffs, n)
+                assert strict(ks) == strict(range(n + 1)), (coeffs, n)
+                outcomes.add((want is None, strict(ks)))
+                inside += want is not None and want > 1
+        assert {"lc", "disc"} <= kinds
+        assert outcomes == {(True, True), (True, False), (False, False)}
+        assert inside >= 24
 
     @pytest.mark.parametrize("name", list(DEGENERATE))
     def test_degenerate_families_pinned(self, name):
         coeffs, nonneg, boundary, sos, finite = DEGENERATE[name]
         f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
         cs = _alpha_coeffs(f)
-        assert cs[0].is_zero() or positivity.disc_binary_quartic(cs).is_zero()
+        assert cs[0].is_zero() or disc_binary_quartic(cs).is_zero()
         verdict = is_nonneg_limit(f)
         assert (verdict.status, verdict.witness) == nonneg
         if verdict.status == "OUT":
@@ -895,7 +930,7 @@ class TestLimitWitness:
     def alpha_work(self, monkeypatch):
         """Calls to the alpha-polynomial machinery from ``positivity``."""
         calls = []
-        for name in ("phi_alpha_coeffs", "cells", "disc_binary_quartic"):
+        for name in ("phi_alpha_coeffs", "cells", "binary_quartic_critical_polys"):
             real = getattr(positivity, name)
 
             def counted(*args, _name=name, _real=real):
@@ -914,4 +949,4 @@ class TestLimitWitness:
         assert alpha_work == []
         # the finite-n cell path still counts: Choi-Lam at n = 64
         is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64))
-        assert {"phi_alpha_coeffs", "cells"} <= set(alpha_work)
+        assert set(alpha_work) == {"phi_alpha_coeffs", "cells", "binary_quartic_critical_polys"}

@@ -24,6 +24,7 @@ from symquartic.dualcone import (
     boundary_family_functional,
     dual_blocks,
     dual_membership,
+    gamma_gen_coeffs,
     pair,
     weighted_point_functional,
 )
@@ -37,7 +38,6 @@ from symquartic.sos import (
     _chart_quadratic,
     _conditions,
     _feasible,
-    _gamma_gen_coeffs,
     _signs_at,
     expand_certificate,
     find_separating_functional,
@@ -692,7 +692,7 @@ class TestSeparation:
 
     def test_sos_forms_have_no_separator(self):
         for n in (4, 5, 8):
-            gen = SymFormP(4, _gamma_gen_coeffs(n), n)
+            gen = SymFormP(4, gamma_gen_coeffs(n), n)
             assert find_separating_functional(gen) is None
             assert find_separating_functional(gen.scale(0)) is None
             ell = find_separating_functional(gen.scale(-1))
