@@ -1158,17 +1158,21 @@ def binary_quartic_critical_polys(cs) -> list[UniPoly]:
       both tests depend only on it.
     * Delta identically zero, lc not: lc, P, D and R.  Both tests are
       functions of their signs.
-    * lc identically zero: the other four coefficients and a1^2 - 4 a2 a0.
-      Nonnegativity reads which coefficient is the top nonzero one, its
-      sign and that discriminant; strict positivity fails everywhere.
+    * lc identically zero: none.  The callers' cs are Phi^alpha of a form
+      f (``positivity._alpha_coeffs``), whose x^4 coefficient is
+      sum_lambda c_lambda alpha^len(lambda); it vanishes identically only
+      when c4 = c211 = c1111 = 0 and c31 = -c22, so on multiples
+      m (p_(3,1) - p_(2,2)).  There Phi^alpha = m alpha (1 - alpha)
+      x y (x - y)^2, and the signs that both tests read (the top nonzero
+      coefficient, a1^2 - 4 a2 a0 of a quadratic) are constant on
+      (0, 1): every polynomial among them has its roots at alpha in
+      {0, 1}, which cut no open alpha-cell.
     """
     lead = cs[0]
     if lead.is_zero():
-        _, a3, a2, a1, a0 = cs
-        polys = (a3, a2, a1, a0, a1 * a1 - 4 * a2 * a0)
-    else:
-        delta, p, d, r = _quartic_invariants(*cs)
-        polys = (delta, lead) if delta else (lead, p, d, r)
+        return []
+    delta, p, d, r = _quartic_invariants(*cs)
+    polys = (delta, lead) if delta else (lead, p, d, r)
     return [q for q in polys if q.degree > 0]
 
 

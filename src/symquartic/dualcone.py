@@ -35,7 +35,6 @@ from .symfunc import LIMIT, SymFormP
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -98,20 +97,23 @@ def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
     return SymMat2(y22, y211, y1111), SymMat2(y4 - y22, y31 - y211, y211 - y1111)
 
 
+def _gamma_gen_ints(scope) -> tuple[int, tuple[int, ...]]:
+    """(m, m gen): the scalar-block generator gen at a numeric scope n, or
+    LIMIT, as integers over m = 2n^2 (m = 2 at LIMIT), in canonical order;
+    written once here, and divided out by ``gamma_gen_coeffs``."""
+    if scope is LIMIT:
+        return 2, (0, 0, 1, -2, 1)
+    n = scope
+    nn = n * n
+    return 2 * nn, (1 - n, 4 * n - 4, nn - 3 * n + 3, -2 * nn, nn)
+
+
 def gamma_gen_coeffs(scope) -> tuple[Fraction, ...]:
     """Canonical-order coefficients of the scalar-block generator of the
     SOS cone at a numeric scope n, or LIMIT; a functional pairs with it to
     its two-row block over n^2."""
-    if scope is LIMIT:
-        return (_ZERO, _ZERO, _HALF, Fraction(-1), _HALF)
-    n = scope
-    return (
-        Fraction(1 - n, 2 * n * n),
-        Fraction(2 * n - 2, n * n),
-        Fraction(n * n - 3 * n + 3, 2 * n * n),
-        Fraction(-1),
-        _HALF,
-    )
+    m, gen = _gamma_gen_ints(scope)
+    return tuple(Fraction(g, m) for g in gen)
 
 
 def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction]:

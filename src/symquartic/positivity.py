@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd
 
 from .algebra import (
     UniPoly,
@@ -57,11 +57,12 @@ from .dualcone import DualFunctional
 from .sos import (
     _feasible,
     _gamma_zero,
+    _gamma_zero_signs,
     _strictly_feasible,
     sos_boundary,
     sos_membership_limit,
 )
-from .symfunc import LIMIT, SymFormP, per_form, phi_alpha_coeffs
+from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, per_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -117,15 +118,18 @@ def _alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
     times their common denominator: five integer polynomials, a positive
     multiple of Phi^alpha at every alpha.
 
-    The decisions below read only signs, real zeros and critical alpha
-    values of Phi^alpha, which a positive factor leaves alone, and a
-    negative point of a positive multiple is a negative point of Phi^alpha.
+    They are read off the integer sums of ``symfunc._phi_alpha_ints``,
+    den Phi^alpha, as acc // gcd(den, content of acc): the lcm of the
+    reduced denominators of acc / den is den / gcd(den, content), so these
+    are the same integers as clearing the Fractions of
+    ``phi_alpha_coeffs`` by their lcm, and no witness moves.  The
+    decisions below read only signs, real zeros and critical alpha values
+    of Phi^alpha, which a positive factor leaves alone, and a negative
+    point of a positive multiple is a negative point of Phi^alpha.
     """
-    cs = phi_alpha_coeffs(f)
-    den = lcm(*(c.denominator for u in cs for c in u.coeffs))
-    return tuple(
-        UniPoly([c.numerator * (den // c.denominator) for c in u.coeffs]) for u in cs
-    )
+    den, accs = _phi_alpha_ints(f)
+    g = gcd(den, *(c for acc in accs for c in acc))
+    return tuple(UniPoly([c // g for c in acc]) for acc in accs)
 
 
 def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
@@ -195,7 +199,7 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
-    if _feasible(_gamma_zero(f)[1]):
+    if _feasible(_gamma_zero_signs(f)):
         return NonnegVerdict("IN")
     n = f.scope
     cs, ks = _grid(f)
@@ -228,7 +232,7 @@ def is_strictly_positive(f: SymFormP) -> bool:
     total = sum(f.coeffs, _ZERO)
     if total <= 0:
         return False
-    if _strictly_feasible(_gamma_zero(f)[1]):
+    if _strictly_feasible(_gamma_zero_signs(f)):
         return True
     cs, ks = _grid(f)
     for k in ks:

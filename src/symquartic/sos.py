@@ -17,9 +17,12 @@ lies in the span of the alpha-block, so gamma = 0 is forced there, and
 the signs at gamma = 0 decide membership.
 
 The matching equations leave two free parameters (gamma and b11 = u) and
-fix the other block entries as polynomials in gamma (``_block_polys``).
-For fixed gamma the PSD constraints on u are three lower bounds (0, from
-a11 >= 0 and, cleared of b22, from det B >= 0) and one concave quadratic
+fix the other block entries as affine functions of gamma, kept as integer
+linear forms over one positive scale (``_block_polys``).  The decisions
+read only signs, so they run in integers; Fractions are made only for a
+certificate or a limit witness (``_entries_at``).  For fixed gamma the
+PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
+cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
 polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
 (gamma, u) region is convex (the blocks are affine in (gamma, u)), hence
@@ -81,6 +84,7 @@ from .algebra import (
 )
 from .dualcone import (
     DualFunctional,
+    _gamma_gen_ints,
     dual_membership,
     gamma_gen_coeffs,
     pair,
@@ -155,24 +159,36 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
 # ---------------------------------------------------------------------------
 
 
-def _block_polys(f: SymFormP) -> tuple[UniPoly, ...]:
-    """The block entries that the matching equations fix, as polynomials
-    in gamma: b22, b12, a22, s = 2 a12 + u and a11 - u (u = b11)."""
-    c4, c31, c22, c211, c1111 = f.coeffs
-    g4, g31, g22, g211, g1111 = gamma_gen_coeffs(f.scope)
-    return (
-        UniPoly([c4, -g4]),
-        UniPoly([c31 / 2, -g31 / 2]),
-        UniPoly([c22 + c4, -g4 - g22]),
-        UniPoly([c211 + c31, -g211 - g31]),
-        UniPoly([c1111, -g1111]),
+@per_form
+def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The block entries that the matching equations fix, as integer linear
+    forms in gamma over one positive scale: (S, ((C_i, G_i), ...)) with
+    entry_i = (C_i + G_i gamma) / S for b22, b12, a22, s = 2 a12 + u and
+    a11 - u (u = b11), once per form object (``symfunc.per_form``).
+
+    S = 2 m den, with den the lcm of the form's denominators and m the
+    denominator of the integer scalar-block generator
+    (``dualcone._gamma_gen_ints``).  Every condition of ``_conditions`` is
+    homogeneous in the entries, so S changes no sign and no root in gamma,
+    and the witnesses, built from the entries themselves, do not see it."""
+    coeffs = f.coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    n4, n31, n22, n211, n1111 = (c.numerator * (den // c.denominator) for c in coeffs)
+    m, (g4, g31, g22, g211, g1111) = _gamma_gen_ints(f.scope)
+    m2, den2 = 2 * m, 2 * den
+    return m2 * den, (
+        (m2 * n4, -den2 * g4),
+        (m * n31, -den * g31),
+        (m2 * (n22 + n4), -den2 * (g4 + g22)),
+        (m2 * (n211 + n31), -den2 * (g211 + g31)),
+        (m2 * n1111, -den2 * g1111),
     )
 
 
 def _conditions(b22, b12, a22, s, a11_u) -> tuple:
     """The ten quantities whose signs decide u-feasibility, from the block
-    entries (``_block_polys``) as numbers at one gamma or as polynomials
-    in gamma.
+    entries (``_block_polys``), scaled, as integers at one gamma or as
+    integer polynomials in gamma.
 
     4 det A = -u^2 + 2 v u + r, with the vertex v = 2 a22 + s and
     r = 4 a22 (a11 - u) - s^2; the lower bounds L on u are 0,
@@ -227,7 +243,7 @@ def _strictly_feasible(signs) -> bool:
 
 def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
     """The certificate at a feasible rational gamma, from the block entries
-    there (``_block_polys`` at gamma), with the smallest feasible u: the
+    there (``_entries_at``), with the smallest feasible u: the
     largest lower bound if det A >= 0 there, else the vertex."""
     b22, b12, a22, s, a11_u = entries
     u = max(-a11_u, _ZERO)
@@ -247,31 +263,31 @@ def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
     return cert
 
 
-def _signs_at(blocks, gamma: Fraction) -> tuple[list[Fraction], list[int]]:
-    """The block entries (``_block_polys``) at a rational gamma and the
-    signs of ``_conditions`` there, read on the entries times their common
-    denominator, in integer arithmetic."""
-    entries = [p(gamma) for p in blocks]
-    den = lcm(*(e.denominator for e in entries))
-    scaled = [e.numerator * (den // e.denominator) for e in entries]
-    return entries, [(x > 0) - (x < 0) for x in _conditions(*scaled)]
-
-
-def _integer_conditions(blocks) -> tuple[UniPoly, ...]:
-    """``_conditions`` on the block polynomials times their common
-    denominator: integer polynomials in gamma, with the signs and roots of
-    the rational ones."""
-    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
-    return _conditions(
-        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
+def _signs_at(blocks, gamma: Fraction) -> tuple[int, ...]:
+    """The signs of ``_conditions`` at a rational gamma = p/q, read in
+    integer arithmetic on the entries C_i q + G_i p of the linear forms
+    ``_block_polys``: S q times the entries, a positive factor that no
+    sign of a homogeneous condition sees."""
+    p, q = gamma.numerator, gamma.denominator
+    return tuple(
+        (x > 0) - (x < 0) for x in _conditions(*(c * q + g * p for c, g in blocks[1]))
     )
+
+
+def _entries_at(blocks, gamma: Fraction) -> tuple[Fraction, ...]:
+    """The block entries at a rational gamma = p/q, (C_i q + G_i p) / (S q),
+    as the Fractions that ``_certificate`` and the limit witness read."""
+    p, q = gamma.numerator, gamma.denominator
+    den = blocks[0] * q
+    return tuple(Fraction(c * q + g * p, den) for c, g in blocks[1])
 
 
 def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
     """The certificate at a rational gamma, or None if u is infeasible
     there."""
-    entries, signs = _signs_at(blocks, gamma)
-    return _certificate(f, entries, gamma) if _feasible(signs) else None
+    if not _feasible(_signs_at(blocks, gamma)):
+        return None
+    return _certificate(f, _entries_at(blocks, gamma), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +296,22 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 
 
 @per_form
+def _gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
+    """The signs of ``_conditions`` at gamma = 0, read on the constant terms
+    C_i of ``_block_polys``, once per form object (``symfunc.per_form``):
+    every gamma = 0 decision reads them.  C_i is S times the entry, and S
+    (which grows with n) is positive, so the signs are those of the
+    entries and do not depend on n."""
+    return _signs_at(_block_polys(f), _ZERO)
+
+
 def _gamma_zero(f: SymFormP) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """The block entries at gamma = 0 and the signs of ``_conditions``
-    there (``_signs_at``), once per form object (``symfunc.per_form``):
-    both limit decisions read them."""
-    entries, signs = _signs_at(_block_polys(f), _ZERO)
-    return tuple(entries), tuple(signs)
+    """The block entries at gamma = 0 and their signs
+    (``_gamma_zero_signs``).  The entries C_i / S are (c4, c31/2,
+    c22 + c4, c211 + c31, c1111) whatever the scale S, so neither they nor
+    the certificate and the limit witness built from them depend on n.
+    Only those two read the entries, so only they pay for the Fractions."""
+    return _entries_at(_block_polys(f), _ZERO), _gamma_zero_signs(f)
 
 
 @per_form
@@ -299,33 +325,34 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
         raise ValueError("use sos_membership for numeric scopes")
-    entries, signs = _gamma_zero(f)
-    if not _feasible(signs):
+    if not _feasible(_gamma_zero_signs(f)):
         return SosVerdict("OUT")
-    return SosVerdict("IN", certificate=_certificate(f, entries, _ZERO))
+    return SosVerdict("IN", certificate=_certificate(f, _gamma_zero(f)[0], _ZERO))
 
 
 def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
-    """The admissible gamma range [lo, hi] at the form's numeric scope, from
-    b22 >= 0 (increasing in gamma) and a22 >= 0 (strictly decreasing), or
-    None when it is empty and f is outside the cone."""
-    n = f.scope
-    c4, _, c22, _, _ = f.coeffs
-    if c22 + c4 < 0:
+    """The admissible gamma range [lo, hi] at the form's numeric scope, where
+    the linear forms of b22 (slope 2 den (n-1) > 0) and a22 (slope
+    -2 den (n-2)^2 < 0) of ``_block_polys`` are >= 0, or None when it is
+    empty and f is outside the cone."""
+    (c_b22, g_b22), _, (c_a22, g_a22), _, _ = _block_polys(f)[1]
+    if c_a22 < 0:
         return None
-    lo = _ZERO if c4 >= 0 else Fraction(-c4) * Fraction(2 * n * n, n - 1)
-    hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) * (n - 2))
+    lo = _ZERO if c_b22 >= 0 else Fraction(-c_b22, g_b22)
+    hi = Fraction(c_a22, -g_a22)
     return None if lo > hi else (lo, hi)
 
 
 @per_form
 def _gamma_cells(f: SymFormP) -> tuple[tuple[UniPoly, ...], Cells]:
-    """The conditions (``_integer_conditions``) and the cells that their
-    roots cut the admissible gamma range into, once per form object
+    """The conditions as integer polynomials in gamma (``_conditions`` on
+    the linear forms of ``_block_polys``, S^d times the rational ones at
+    degree d in the entries) and the cells that their roots cut the
+    admissible gamma range into, once per form object
     (``symfunc.per_form``): the scan of ``sos_membership`` and
     ``_has_interior_gamma`` both read them."""
     lo, hi = _gamma_range(f)
-    conditions = _integer_conditions(_block_polys(f))
+    conditions = _conditions(*(UniPoly(form) for form in _block_polys(f)[1]))
     return conditions, cells([p for p in conditions if p.degree > 0], lo, hi)
 
 
@@ -404,7 +431,7 @@ def _has_interior_gamma(f: SymFormP) -> bool:
         return False
     blocks = _block_polys(f)
     return any(
-        _strictly_feasible(_signs_at(blocks, gamma)[1])
+        _strictly_feasible(_signs_at(blocks, gamma))
         for gamma in _gamma_cells(f)[1].samples
     )
 
@@ -495,7 +522,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
     if f.scope is LIMIT:
-        _, signs = _gamma_zero(f)
+        signs = _gamma_zero_signs(f)
         if not _feasible(signs):
             return "OUTSIDE", None
         if _strictly_feasible(signs):

@@ -528,28 +528,39 @@ def _phi_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tables)
 
 
-def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
-    """Coefficients of Phi_f(alpha, 1-alpha, x, y) as a binary quartic whose
-    coefficients are polynomials in alpha.
-
-    Returns a 5-tuple in descending x-order: entry i is the UniPoly (in
-    alpha) coefficient of x^{4-i} y^i.  Phi^alpha is linear in f, so this
-    is sum_lambda c_lambda Phi_lambda over the integer tables of
-    ``_phi_tables``, summed over the common denominator of the c_lambda.
-    """
+def _phi_alpha_ints(f: SymFormP) -> tuple[int, list[list[int]]]:
+    """(den, accs): den Phi_f(alpha, 1-alpha, x, y) in integers, with den
+    the lcm of the denominators of f and accs[i] the ascending alpha
+    coefficients of x^{4-i} y^i.  Phi^alpha is linear in f, so this is
+    sum_lambda (den c_lambda) Phi_lambda over the integer tables of
+    ``_phi_tables``; den > 0, so it has the signs and the zeros of
+    Phi^alpha at every alpha."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
     den = lcm(*(c.denominator for c in f.coeffs))
     nums = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    out = []
+    accs = []
     for i in range(5):
         acc = [0] * 5
         for num, table in zip(nums, _phi_tables()):
             if num:
                 for j, t in enumerate(table[i]):
                     acc[j] += num * t
-        out.append(UniPoly([Fraction(c, den) for c in acc]))
-    return tuple(out)
+        accs.append(acc)
+    return den, accs
+
+
+def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
+    """Coefficients of Phi_f(alpha, 1-alpha, x, y) as a binary quartic whose
+    coefficients are polynomials in alpha.
+
+    Returns a 5-tuple in descending x-order: entry i is the UniPoly (in
+    alpha) coefficient of x^{4-i} y^i: the integer sums of
+    ``_phi_alpha_ints`` divided by their positive scale den, which undoes
+    the scale exactly, so nothing read off these depends on it.
+    """
+    den, accs = _phi_alpha_ints(f)
+    return tuple(UniPoly([Fraction(c, den) for c in acc]) for acc in accs)
 
 
 def restrict_alpha(f: SymFormP, alpha) -> tuple[Fraction, ...]:

@@ -692,7 +692,9 @@ def real_roots_from_signs(h) -> tuple[bool, bool]:
     double root and two simple ones or a triple and a simple one if P < 0
     and D < 0, else only roots of even multiplicity, all non-real exactly
     when D = R = 0 < P.  With a4 = 0, the degree of h(x, 1) and, for a
-    quadratic, a1^2 - 4 a2 a0."""
+    quadratic, a1^2 - 4 a2 a0; those are not projected, as a4 vanishes
+    identically only on multiples of p_(3,1) - p_(2,2), where they keep
+    their signs on (0, 1)."""
     a4, _, a2, a1, a0 = h
     if a4:
         delta, p, d, r = (_sign(v) for v in _quartic_invariants(*h))
@@ -785,6 +787,9 @@ class TestProjection:
             if not any(cs):
                 continue
             kinds.add("lc" if cs[0].is_zero() else "disc" if disc_binary_quartic(cs).is_zero() else "generic")
+            if cs[0].is_zero():
+                # m (p_(3,1) - p_(2,2)): no cut inside (0, 1)
+                assert binary_quartic_critical_polys(cs) == []
             for n in (56, 57, 64, 97, 128, 200):
                 hs = [_phi_at(cs, F(k, n)) for k in range(n + 1)]
                 ks = _tested_ks(cs, n)
@@ -930,7 +935,7 @@ class TestLimitWitness:
     def alpha_work(self, monkeypatch):
         """Calls to the alpha-polynomial machinery from ``positivity``."""
         calls = []
-        for name in ("phi_alpha_coeffs", "cells", "binary_quartic_critical_polys"):
+        for name in ("_phi_alpha_ints", "cells", "binary_quartic_critical_polys"):
             real = getattr(positivity, name)
 
             def counted(*args, _name=name, _real=real):
@@ -949,4 +954,4 @@ class TestLimitWitness:
         assert alpha_work == []
         # the finite-n cell path still counts: Choi-Lam at n = 64
         is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64))
-        assert set(alpha_work) == {"phi_alpha_coeffs", "cells", "binary_quartic_critical_polys"}
+        assert set(alpha_work) == {"_phi_alpha_ints", "cells", "binary_quartic_critical_polys"}

@@ -29,7 +29,7 @@ from symquartic.dualcone import (
     weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
-from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
+from symquartic.positivity import _alpha_coeffs, boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
     _block_polys,
@@ -37,6 +37,7 @@ from symquartic.sos import (
     _certificate_at,
     _chart_quadratic,
     _conditions,
+    _entries_at,
     _feasible,
     _signs_at,
     expand_certificate,
@@ -45,7 +46,14 @@ from symquartic.sos import (
     sos_membership,
     sos_membership_limit,
 )
-from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
+from symquartic.symfunc import (
+    LIMIT,
+    SymFormP,
+    _phi_tables,
+    evaluate,
+    form_from_dict,
+    phi_alpha_coeffs,
+)
 
 from conftest import choi_lam_multipoly, random_form
 
@@ -256,6 +264,13 @@ class TestNumericMembership:
         assert ins > 0
 
 
+def condition_polys(blocks):
+    """``_conditions`` on the integer linear forms in gamma of
+    ``_block_polys``: the integer polynomials whose roots cut the
+    gamma-cells."""
+    return _conditions(*(UniPoly(form) for form in blocks[1]))
+
+
 def reference_membership(f):
     """The full sorted scan of ``sos_membership`` before its ends-first
     test: cells over the whole admissible range, then lo, hi, every point
@@ -270,10 +285,7 @@ def reference_membership(f):
     if lo > hi:
         return sos.SosVerdict("OUT"), lo
     blocks = _block_polys(f)
-    den = lcm(*(c.denominator for p in blocks for c in p.coeffs))
-    conditions = _conditions(
-        *(UniPoly([c.numerator * (den // c.denominator) for c in p.coeffs]) for p in blocks)
-    )
+    conditions = condition_polys(blocks)
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
@@ -327,7 +339,7 @@ def scan_candidates(f):
     blocks = _block_polys(f)
     if c22 + c4 < 0 or lo > hi or any(_certificate_at(f, blocks, g) for g in (lo, hi)):
         return None
-    conditions = sos._integer_conditions(blocks)
+    conditions = condition_polys(blocks)
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     return blocks, sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi})
@@ -372,7 +384,7 @@ class TestCloseGammaRoots:
         coeffs = (1, 0, Fraction(1 - 10**k, 10**k), 0, 1)
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
-        conditions = sos._integer_conditions(_block_polys(f))
+        conditions = condition_polys(_block_polys(f))
         start = time.monotonic()
         gamma_cells = cells([p for p in conditions if p.degree > 0], Fraction(0), hi)
         elapsed = time.monotonic() - start
@@ -823,7 +835,7 @@ class TestFeasibilityPredicate:
             gammas += [Fraction(k, 3) for k in range(5)]  # the certificates' gammas
             for gamma in gammas:
                 entries = reference_entries(f.coeffs, f.scope, gamma)
-                assert tuple(p(gamma) for p in blocks) == entries
+                assert _entries_at(blocks, gamma) == entries
                 signs = [_fraction_sign(x) for x in _conditions(*entries)]
                 ok, u = reference_u_feasible(entries, _fraction_sign)
                 assert _feasible(signs) == ok, (f.coeffs, f.scope, gamma)
@@ -851,10 +863,11 @@ class TestFeasibilityPredicate:
     def test_polynomials_evaluate_to_the_scalar_conditions(self):
         for f in _feasibility_forms()[:6]:
             blocks = _block_polys(f)
-            polys = _conditions(*blocks)
+            polys = condition_polys(blocks)
+            scale = blocks[0]
             for gamma in (Fraction(0), Fraction(2, 7), Fraction(5)):
                 assert [p(gamma) for p in polys] == list(
-                    _conditions(*(p(gamma) for p in blocks))
+                    _conditions(*(scale * e for e in _entries_at(blocks, gamma)))
                 )
 
     def test_matches_sympy_at_quadratic_irrational_gamma(self):
@@ -877,7 +890,7 @@ class TestFeasibilityPredicate:
                 cs = cells([minpoly], Fraction(-1), Fraction(200))
                 (a, b), = [ab for ab in cs.breakpoints if ab[0] <= exact <= ab[1]]
                 root = AlgebraicField(minpoly, a, b)
-                polys = _conditions(*_block_polys(f))
+                polys = condition_polys(_block_polys(f))
                 signs = [root.sign_of_poly(p) for p in polys]
                 want = [
                     _sympy_sign(sympy.Poly(
@@ -898,3 +911,105 @@ class TestFeasibilityPredicate:
                 feasible += ok
                 infeasible += not ok
         assert feasible > 5 and infeasible > 5
+
+
+# ---------------------------------------------------------------------------
+# the integer gamma-blocks and alpha-coefficients against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def fraction_gen(scope):
+    """The scalar-block generator in Fractions, written out independently
+    of ``dualcone._gamma_gen_ints``."""
+    if scope is LIMIT:
+        return (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1, 2))
+    n = scope
+    return (
+        Fraction(1 - n, 2 * n * n),
+        Fraction(2 * n - 2, n * n),
+        Fraction(n * n - 3 * n + 3, 2 * n * n),
+        Fraction(-1),
+        Fraction(1, 2),
+    )
+
+
+def fraction_block_polys(f):
+    """The block entries as Fraction polynomials in gamma: the construction
+    that the integer linear forms of ``_block_polys`` replace."""
+    c4, c31, c22, c211, c1111 = f.coeffs
+    g4, g31, g22, g211, g1111 = fraction_gen(f.scope)
+    return (
+        UniPoly([c4, -g4]),
+        UniPoly([c31 / 2, -g31 / 2]),
+        UniPoly([c22 + c4, -g4 - g22]),
+        UniPoly([c211 + c31, -g211 - g31]),
+        UniPoly([c1111, -g1111]),
+    )
+
+
+def fraction_signs_at(polys, gamma):
+    """The entries at gamma by Fraction Horner and the signs of
+    ``_conditions`` on them cleared by their lcm."""
+    entries = [p(gamma) for p in polys]
+    den = lcm(*(e.denominator for e in entries))
+    scaled = [e.numerator * (den // e.denominator) for e in entries]
+    return tuple(entries), tuple((x > 0) - (x < 0) for x in _conditions(*scaled))
+
+
+def lcm_alpha_coeffs(f):
+    """Phi^alpha by Fraction sums over the tables of ``symfunc._phi_tables``,
+    cleared by the lcm of its denominators: the round trip that
+    ``positivity._alpha_coeffs`` replaces."""
+    tables = _phi_tables()
+    cs = [
+        UniPoly(
+            [sum((c * t[i][j] for c, t in zip(f.coeffs, tables)), Fraction(0)) for j in range(5)]
+        )
+        for i in range(5)
+    ]
+    den = lcm(*(c.denominator for u in cs for c in u.coeffs))
+    return cs, [[c.numerator * (den // c.denominator) for c in u.coeffs] for u in cs]
+
+
+@st.composite
+def _scoped_forms(draw):
+    """Box forms and rank-one block expansions (gamma = 0 at LIMIT), some
+    lowered by 1/1024, at n in 4..8, 64, 10^30 or LIMIT."""
+    scope = draw(st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, LIMIT)))
+    if draw(st.booleans()):
+        return SymFormP(4, draw(st.tuples(*[_small] * 5)), scope)
+    a, b, c, d = (draw(_small) for _ in range(4))
+    gamma = Fraction(0) if scope is LIMIT else draw(st.fractions(0, 4, max_denominator=6))
+    cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, scope)
+    coeffs = list(expand_certificate(cert).coeffs)
+    coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, Fraction(1, 1024))))
+    return SymFormP(4, tuple(coeffs), scope)
+
+
+@given(
+    _scoped_forms(),
+    st.lists(st.fractions(min_value=0, max_value=40, max_denominator=50), min_size=1, max_size=6),
+)
+@example(SymFormP(4, (Fraction(1), 0, 0, 0, 0), 10**30), [Fraction(0), Fraction(2, 3)])
+@example(SymFormP(4, (0, 0, 1, -2, 1), LIMIT), [Fraction(0), Fraction(1)])
+@settings(max_examples=150, deadline=None)
+def test_integer_blocks_match_fraction_reference(f, gammas):
+    """At every rational gamma >= 0 the integer signs of ``_signs_at`` are
+    those the Fraction polynomials give, the entries that ``_certificate``
+    receives are the Fraction entries, and a certificate is the one built
+    from them; ``_alpha_coeffs`` is the lcm round trip, integer for
+    integer."""
+    blocks, polys = _block_polys(f), fraction_block_polys(f)
+    assert blocks[0] > 0
+    for gamma in [Fraction(0), *gammas]:
+        entries, signs = fraction_signs_at(polys, gamma)
+        assert _signs_at(blocks, gamma) == signs
+        assert _entries_at(blocks, gamma) == entries
+        if f.scope is not LIMIT or gamma == 0:
+            want = _certificate(f, entries, gamma) if _feasible(signs) else None
+            assert _certificate_at(f, blocks, gamma) == want
+    cs, want = lcm_alpha_coeffs(f)
+    got = _alpha_coeffs(f)
+    assert [list(u.coeffs) for u in got] == want
+    assert all(type(c) is int for u in got for c in u.coeffs)
+    assert phi_alpha_coeffs(f) == tuple(cs)
