@@ -19,8 +19,10 @@ the signs at gamma = 0 decide membership.
 The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
-read only signs, so they run in integers; Fractions are made only for a
-certificate or a limit witness (``_entries_at``).  For fixed gamma the
+read only signs, so they run in integers, and the certificate is built
+and checked in integers too (``_certificate``): Fractions are made only
+for its six returned entries and for the limit witness
+(``_entries_at``).  For fixed gamma the
 PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
 cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     AlgebraicField,
@@ -241,26 +243,64 @@ def _strictly_feasible(signs) -> bool:
     return min(b22, a22, q_top) > 0 and all(q > 0 or v > 0 for q, v in zip(rest[:3], rest[3:]))
 
 
-def _certificate(f: SymFormP, entries, gamma: Fraction) -> SosCertificate:
-    """The certificate at a feasible rational gamma, from the block entries
-    there (``_entries_at``), with the smallest feasible u: the
-    largest lower bound if det A >= 0 there, else the vertex."""
-    b22, b12, a22, s, a11_u = entries
-    u = max(-a11_u, _ZERO)
+def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
+    """The certificate at a feasible rational gamma = p/q, built in integers
+    from the linear forms of ``_block_polys``, with the smallest feasible
+    u: the largest lower bound if det A >= 0 there, else the vertex.
+
+    The entries are e / d, e = C q + G p and d = S q, for b22, b12, a22,
+    s and a11 - u, with e and d first divided by their gcd, so that the
+    products below do not carry the scale S, which grows with n.  With
+    k = e_b22 when that is > 0, else 1, every candidate for u is an
+    integer over w = d k > 0: the lower bounds 0, -e_a11u k
+    and, when b22 > 0, the hook bound b12^2 / b22 = e_b12^2 / w, and the
+    vertex (2 e_a22 + e_s) k.  The blocks are then integers over W = 2w,
+    and the self-check reads exactly those: both blocks PSD, gamma >= 0
+    (gamma = 0 at LIMIT), and the block map sends (A, B, gamma) to f,
+    compared over W q m (m from ``dualcone._gamma_gen_ints``) with f's
+    numerators cross-multiplied; a failure raises AssertionError.  Only
+    then are the six entries made Fractions.  ``expand_certificate``
+    stays the independent Fraction check of the result."""
+    p, q = gamma.numerator, gamma.denominator
+    e = [c * q + g * p for c, g in blocks[1]]
+    d = blocks[0] * q
+    h = gcd(d, *e)
+    b22, b12, a22, s, a11_u = (x // h for x in e)
+    d //= h
+    k = b22 if b22 > 0 else 1
+    u = max(-a11_u * k, 0)
     if b22 > 0:
-        u = max(u, b12 * b12 / b22)
-    v = 2 * a22 + s
-    if u * u > 2 * v * u + 4 * a22 * a11_u - s * s:
+        u = max(u, b12 * b12)
+    v = (2 * a22 + s) * k
+    if u * u > 2 * v * u + (4 * a22 * a11_u - s * s) * k * k:
         u = v
-    cert = SosCertificate(
-        SymMat2(a11_u + u, (s - u) / 2, a22),
-        SymMat2(u, b12, b22),
+    A = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k)
+    B = (2 * u, 2 * b12 * k, 2 * b22 * k)
+    W = 2 * d * k
+    m, gen = _gamma_gen_ints(f.scope)
+    qm = q * m
+    wqm = W * qm
+    expansion = (B[2], 2 * B[1], A[2] - B[2], 2 * A[1] + B[0] - 2 * B[1], A[0] - B[0])
+    if not (
+        all(x[0] >= 0 and x[2] >= 0 and x[0] * x[2] >= x[1] * x[1] for x in (A, B))
+        and p >= 0
+        and (f.scope is not LIMIT or p == 0)
+        and all(
+            (x * qm + p * g * W) * c.denominator == c.numerator * wqm
+            for x, g, c in zip(expansion, gen, f.coeffs)
+        )
+    ):
+        raise AssertionError("internal error: certificate failed verification")
+    return SosCertificate(
+        SymMat2(*(Fraction(x, W) for x in A)),
+        SymMat2(*(Fraction(x, W) for x in B)),
         gamma,
         f.scope,
     )
-    if not cert.is_valid() or expand_certificate(cert) != f:
-        raise AssertionError("internal error: certificate failed verification")
-    return cert
+
+
+def _signs(xs) -> tuple[int, ...]:
+    return tuple((x > 0) - (x < 0) for x in xs)
 
 
 def _signs_at(blocks, gamma: Fraction) -> tuple[int, ...]:
@@ -269,14 +309,13 @@ def _signs_at(blocks, gamma: Fraction) -> tuple[int, ...]:
     ``_block_polys``: S q times the entries, a positive factor that no
     sign of a homogeneous condition sees."""
     p, q = gamma.numerator, gamma.denominator
-    return tuple(
-        (x > 0) - (x < 0) for x in _conditions(*(c * q + g * p for c, g in blocks[1]))
-    )
+    return _signs(_conditions(*(c * q + g * p for c, g in blocks[1])))
 
 
 def _entries_at(blocks, gamma: Fraction) -> tuple[Fraction, ...]:
     """The block entries at a rational gamma = p/q, (C_i q + G_i p) / (S q),
-    as the Fractions that ``_certificate`` and the limit witness read."""
+    as Fractions; only ``_gamma_zero`` makes them, for the limit witness
+    (``_certificate`` works on the integers)."""
     p, q = gamma.numerator, gamma.denominator
     den = blocks[0] * q
     return tuple(Fraction(c * q + g * p, den) for c, g in blocks[1])
@@ -284,10 +323,12 @@ def _entries_at(blocks, gamma: Fraction) -> tuple[Fraction, ...]:
 
 def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
     """The certificate at a rational gamma, or None if u is infeasible
-    there."""
-    if not _feasible(_signs_at(blocks, gamma)):
+    there; at gamma = 0 the signs are ``_gamma_zero_signs``, kept on the
+    form and read on integers that do not grow with n."""
+    signs = _gamma_zero_signs(f) if gamma == 0 else _signs_at(blocks, gamma)
+    if not _feasible(signs):
         return None
-    return _certificate(f, _entries_at(blocks, gamma), gamma)
+    return _certificate(f, blocks, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +338,22 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 
 @per_form
 def _gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
-    """The signs of ``_conditions`` at gamma = 0, read on the constant terms
-    C_i of ``_block_polys``, once per form object (``symfunc.per_form``):
-    every gamma = 0 decision reads them.  C_i is S times the entry, and S
-    (which grows with n) is positive, so the signs are those of the
-    entries and do not depend on n."""
-    return _signs_at(_block_polys(f), _ZERO)
+    """The signs of ``_conditions`` at gamma = 0, once per form object
+    (``symfunc.per_form``): every gamma = 0 decision reads them.  They are
+    read on C_i / m, the constant terms of ``_block_polys`` divided by the
+    denominator m = 2n^2 of the scalar-block generator, which each C_i
+    carries: C_i / m is S / m > 0 times the entry and does not depend on
+    n, so neither do the integers the signs are read on, nor their size."""
+    m = _gamma_gen_ints(f.scope)[0]
+    return _signs(_conditions(*(c // m for c, _ in _block_polys(f)[1])))
 
 
 def _gamma_zero(f: SymFormP) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
     """The block entries at gamma = 0 and their signs
-    (``_gamma_zero_signs``).  The entries C_i / S are (c4, c31/2,
-    c22 + c4, c211 + c31, c1111) whatever the scale S, so neither they nor
-    the certificate and the limit witness built from them depend on n.
-    Only those two read the entries, so only they pay for the Fractions."""
+    (``_gamma_zero_signs``), for the limit witness of
+    ``positivity._limit_negative_point``, the one reader of the entries
+    as Fractions.  The entries C_i / S are (c4, c31/2, c22 + c4,
+    c211 + c31, c1111) whatever the scale S, so they do not depend on n."""
     return _entries_at(_block_polys(f), _ZERO), _gamma_zero_signs(f)
 
 
@@ -327,7 +370,7 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("use sos_membership for numeric scopes")
     if not _feasible(_gamma_zero_signs(f)):
         return SosVerdict("OUT")
-    return SosVerdict("IN", certificate=_certificate(f, _gamma_zero(f)[0], _ZERO))
+    return SosVerdict("IN", certificate=_certificate(f, _block_polys(f), _ZERO))
 
 
 def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:

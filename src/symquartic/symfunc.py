@@ -72,7 +72,11 @@ def _check_scope(scope):
 
 @dataclass(frozen=True)
 class SymFormP:
-    """Coefficient vector over partitions of ``degree`` in the p basis."""
+    """Coefficient vector over partitions of ``degree`` in the p basis.
+
+    Each coefficient is stored as a Fraction: one that is already of type
+    ``Fraction`` is kept as it is, any other value (int, str, float, a
+    ``numbers.Rational``) goes through ``Fraction()``."""
 
     degree: int
     coeffs: tuple[Fraction, ...]
@@ -85,7 +89,9 @@ class SymFormP:
             raise ValueError(
                 f"need {len(plist)} coefficients for degree {self.degree}"
             )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        )
         _check_scope(self.scope)
         if self.scope is not LIMIT and self.scope < self.degree:
             raise ValueError("variable count must be at least the degree")

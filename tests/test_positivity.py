@@ -34,6 +34,7 @@ from symquartic.sampling import equivalence_sample
 from symquartic.sos import (
     SosCertificate,
     SosVerdict,
+    _block_polys,
     _certificate,
     _feasible,
     _gamma_zero,
@@ -388,7 +389,7 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
     if not _feasible(signs):
         return
     for f in forms:
-        cert = _certificate(f, entries, Fraction(0))
+        cert = _certificate(f, _block_polys(f), Fraction(0))
         assert cert.is_valid() and cert.gamma == 0
         assert expand_certificate(cert) == f
         assert is_nonneg(f).status == "IN"

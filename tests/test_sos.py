@@ -163,9 +163,9 @@ class TestLimitOncePerForm:
 
         def counted(*args):
             calls.append(args)
-            return _signs_at(*args)
+            return _conditions(*args)
 
-        monkeypatch.setattr(sos, "_signs_at", counted)
+        monkeypatch.setattr(sos, "_conditions", counted)
         f = form_from_dict(4, {(4,): 1, (2, 2): 1}, LIMIT)
         assert is_nonneg_limit(f).status == "IN"
         assert sos_membership_limit(f).status == "IN"
@@ -956,6 +956,31 @@ def fraction_signs_at(polys, gamma):
     return tuple(entries), tuple((x > 0) - (x < 0) for x in _conditions(*scaled))
 
 
+def fraction_certificate(f, entries, gamma):
+    """The certificate at a feasible gamma from the Fraction block entries
+    there, with the smallest feasible u, and the branch that chose u: the
+    Fraction construction that the integer ``_certificate`` replaces,
+    checked by ``expand_certificate``.  The branch is "zero", "a11" (the
+    bound -(a11 - u)), "hook" (b12^2 / b22) or "vertex", with "b22=0:" in
+    front when b22 = 0."""
+    b22, b12, a22, s, a11_u = entries
+    u = max(-a11_u, Fraction(0))
+    branch = "a11" if u else "zero"
+    if b22 > 0 and b12 * b12 / b22 > u:
+        u, branch = b12 * b12 / b22, "hook"
+    v = 2 * a22 + s
+    if u * u > 2 * v * u + 4 * a22 * a11_u - s * s:
+        u, branch = v, "vertex"
+    cert = SosCertificate(
+        SymMat2(a11_u + u, (s - u) / 2, a22),
+        SymMat2(u, b12, b22),
+        gamma,
+        f.scope,
+    )
+    assert cert.is_valid() and expand_certificate(cert) == f
+    return cert, ("b22=0:" if b22 == 0 else "") + branch
+
+
 def lcm_alpha_coeffs(f):
     """Phi^alpha by Fraction sums over the tables of ``symfunc._phi_tables``,
     cleared by the lcm of its denominators: the round trip that
@@ -995,10 +1020,10 @@ def _scoped_forms(draw):
 @settings(max_examples=150, deadline=None)
 def test_integer_blocks_match_fraction_reference(f, gammas):
     """At every rational gamma >= 0 the integer signs of ``_signs_at`` are
-    those the Fraction polynomials give, the entries that ``_certificate``
-    receives are the Fraction entries, and a certificate is the one built
-    from them; ``_alpha_coeffs`` is the lcm round trip, integer for
-    integer."""
+    those the Fraction polynomials give, ``_entries_at`` gives the Fraction
+    entries, and a certificate is the one the Fraction construction builds
+    from them (``fraction_certificate``); ``_alpha_coeffs`` is the lcm
+    round trip, integer for integer."""
     blocks, polys = _block_polys(f), fraction_block_polys(f)
     assert blocks[0] > 0
     for gamma in [Fraction(0), *gammas]:
@@ -1006,10 +1031,141 @@ def test_integer_blocks_match_fraction_reference(f, gammas):
         assert _signs_at(blocks, gamma) == signs
         assert _entries_at(blocks, gamma) == entries
         if f.scope is not LIMIT or gamma == 0:
-            want = _certificate(f, entries, gamma) if _feasible(signs) else None
+            want = fraction_certificate(f, entries, gamma)[0] if _feasible(signs) else None
             assert _certificate_at(f, blocks, gamma) == want
     cs, want = lcm_alpha_coeffs(f)
     got = _alpha_coeffs(f)
     assert [list(u.coeffs) for u in got] == want
     assert all(type(c) is int for u in got for c in u.coeffs)
     assert phi_alpha_coeffs(f) == tuple(cs)
+
+
+def _cert_fields(cert):
+    return (cert.A.m11, cert.A.m12, cert.A.m22, cert.B.m11, cert.B.m12, cert.B.m22, cert.gamma)
+
+
+@st.composite
+def _certified_forms(draw):
+    """(f, gamma): f = expand_certificate(A, B, gamma) at n in 4..8, 64,
+    10^30 or LIMIT, so gamma is feasible for f by construction, with
+    rank-one, definite, diagonal and partly zero blocks, so that every
+    branch of the choice of u comes up."""
+    scope = draw(st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, LIMIT)))
+    gamma = Fraction(0) if scope is LIMIT else draw(st.fractions(0, 4, max_denominator=12))
+    a, b, c, d = (draw(_small) for _ in range(4))
+    t, r = abs(draw(_small)), abs(draw(_small))
+    A = draw(st.sampled_from((
+        SymMat2(a * a, a * b, b * b),
+        SymMat2(a * a + t, a * b, b * b + r),
+        SymMat2(Fraction(0), Fraction(0), b * b),
+    )))
+    B = draw(st.sampled_from((
+        SymMat2(c * c, c * d, d * d),
+        SymMat2(c * c + t, c * d, d * d + r),
+        SymMat2(c * c, Fraction(0), Fraction(0)),
+        SymMat2(Fraction(0), Fraction(0), d * d),
+    )))
+    return expand_certificate(SosCertificate(A, B, gamma, scope)), gamma
+
+
+@given(
+    _certified_forms(),
+    st.lists(st.fractions(min_value=0, max_value=8, max_denominator=12), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_certificate_matches_fraction_reference(fg, gammas):
+    """At every feasible rational gamma (gamma = 0 at LIMIT), the integer
+    ``_certificate`` equals the Fraction construction field by field."""
+    f, gamma = fg
+    blocks, polys = _block_polys(f), fraction_block_polys(f)
+    for g in [gamma] if f.scope is LIMIT else [gamma, *gammas]:
+        entries, signs = fraction_signs_at(polys, g)
+        if not _feasible(signs):
+            assert g != gamma
+            continue
+        got = _certificate(f, blocks, g)
+        assert _cert_fields(got) == _cert_fields(fraction_certificate(f, entries, g)[0])
+        assert got.scope is f.scope
+        assert all(type(x) is Fraction for x in _cert_fields(got))
+
+
+#: (branch of ``fraction_certificate``, n, A, B, gamma): one form
+#: expand_certificate(A, B, gamma) for each way u is chosen.
+_U_BRANCHES = [
+    ("zero", 7, (1, 0, 1), (0, 0, 1), Fraction(2, 3)),
+    ("zero", LIMIT, (1, 0, 1), (0, 0, 1), Fraction(0)),
+    ("a11", 10**30, (0, 0, 1), (2, 0, 1), Fraction(1, 7)),
+    ("a11", 5, (0, 0, 1), (2, 1, 1), Fraction(3, 4)),
+    ("hook", 64, (1, 1, 1), (1, 2, 4), Fraction(5, 3)),
+    ("hook", LIMIT, (1, 1, 1), (1, 2, 4), Fraction(0)),
+    ("vertex", 6, (1, -1, 1), (3, 0, 1), Fraction(1, 2)),
+    ("b22=0:zero", 6, (1, 0, 1), (0, 0, 0), Fraction(1, 2)),
+    ("b22=0:a11", LIMIT, (0, 0, 1), (2, 0, 0), Fraction(0)),
+    ("b22=0:vertex", 4, (1, 0, 1), (1, 0, 0), Fraction(1, 3)),
+]
+
+
+def _branch_form(n, A, B, gamma):
+    A, B = (SymMat2(*map(Fraction, x)) for x in (A, B))
+    return expand_certificate(SosCertificate(A, B, gamma, n))
+
+
+@pytest.mark.parametrize("branch, n, A, B, gamma", _U_BRANCHES)
+def test_integer_certificate_on_every_u_branch(branch, n, A, B, gamma):
+    """Each way of choosing u, and b22 = 0, gives the certificate of the
+    Fraction construction, which re-expands to f."""
+    f = _branch_form(n, A, B, gamma)
+    entries, signs = fraction_signs_at(fraction_block_polys(f), gamma)
+    want, got_branch = fraction_certificate(f, entries, gamma)
+    assert got_branch == branch
+    cert = _certificate(f, _block_polys(f), gamma)
+    assert _cert_fields(cert) == _cert_fields(want)
+    assert cert.is_valid() and expand_certificate(cert) == f
+
+
+@pytest.mark.parametrize("branch, n, A, B, gamma", _U_BRANCHES[::3])
+def test_certificate_self_check_bites(branch, n, A, B, gamma):
+    """``_certificate`` checks the integer blocks against the form it is
+    given: the blocks of f with any other form g raise AssertionError."""
+    f = _branch_form(n, A, B, gamma)
+    blocks = _block_polys(f)
+    others = [f.scale(2), SymFormP(4, (0, 0, 0, 0, 0), n)]
+    for i in range(5):
+        coeffs = list(f.coeffs)
+        coeffs[i] += Fraction(1, 1024)
+        others.append(SymFormP(4, tuple(coeffs), n))
+    for g in others:
+        with pytest.raises(AssertionError):
+            _certificate(g, blocks, gamma)
+
+
+@pytest.mark.parametrize("n, gamma", [(6, Fraction(-1, 8)), (LIMIT, Fraction(1, 2))])
+def test_certificate_rejects_gamma_outside_the_cone(n, gamma):
+    """PSD blocks at gamma < 0, or at gamma != 0 at LIMIT, raise
+    AssertionError, and so do blocks that are not PSD."""
+    f = _branch_form(n, (4, 0, 4), (4, 0, 4), Fraction(0))
+    blocks = _block_polys(f)
+    assert _feasible(_signs_at(blocks, gamma))
+    with pytest.raises(AssertionError):
+        _certificate(f, blocks, gamma)
+    out = SymFormP(4, (-1, 0, 0, 0, 0), n)
+    with pytest.raises(AssertionError):
+        _certificate(out, _block_polys(out), Fraction(0))
+
+
+def test_gamma_zero_signs_independent_of_n(monkeypatch):
+    """The gamma = 0 signs are read on integers that do not grow with n:
+    at n = 4 and n = 10^4000 ``_conditions`` gets integers of the same bit
+    length and gives the same signs."""
+    seen = []
+
+    def recorded(*entries):
+        seen.append(entries)
+        return _conditions(*entries)
+
+    monkeypatch.setattr(sos, "_conditions", recorded)
+    coeffs = (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))
+    signs = [sos._gamma_zero_signs(SymFormP(4, coeffs, n)) for n in (4, 10**4000)]
+    assert len(seen) == 2
+    assert [x.bit_length() for x in seen[0]] == [x.bit_length() for x in seen[1]]
+    assert signs[0] == signs[1] and _feasible(signs[0])

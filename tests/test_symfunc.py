@@ -49,6 +49,13 @@ class TestSymFormP:
         assert probe(copy.copy(f)) == 5
         assert probe(pickle.loads(pickle.dumps(f))) == 6
 
+    def test_coefficients_become_fractions(self):
+        third = Fraction(1, 3)
+        f = SymFormP(4, (2, "-5/4", 0.5, third, True), 5)
+        assert f.coeffs == (2, Fraction(-5, 4), Fraction(1, 2), third, 1)
+        assert all(type(c) is Fraction for c in f.coeffs)
+        assert f.coeffs[3] is third
+
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             SymFormP(4, (1, 2, 3), 4)
