@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import SymMat2, psd2
+from .algebra import SymMat2
 from .symfunc import LIMIT, SymFormP
 
 _ZERO = Fraction(0)
@@ -49,7 +50,9 @@ class DualFunctional:
 
     def __post_init__(self):
         for name in ("y4", "y31", "y22", "y211", "y1111"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            y = getattr(self, name)
+            if type(y) is not Fraction:
+                object.__setattr__(self, name, Fraction(y))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.y4, self.y31, self.y22, self.y211, self.y1111)
@@ -63,7 +66,12 @@ def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
     """The exact pairing sum_lambda c_lambda y_lambda."""
     if f.degree != 4:
         raise ValueError("pairing defined for degree-4 forms")
-    return sum((c * y for c, y in zip(f.coeffs, ell.as_tuple())), _ZERO)
+    terms = [
+        (c.numerator * y.numerator, c.denominator * y.denominator)
+        for c, y in zip(f.coeffs, ell.as_tuple())
+    ]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(x * (den // d) for x, d in terms), den)
 
 
 def _power_mean_functional(p1, p2, p3, p4) -> DualFunctional:
@@ -86,9 +94,29 @@ def weighted_point_functional(weights, point) -> DualFunctional:
 
     For w1 = k/n, w2 = 1 - w1 this is the evaluation at the point with k
     coordinates x and n - k coordinates y, so it lies in the dual cone at
-    size n."""
-    (w1, w2), (x, y) = weights, point
-    return _power_mean_functional(*(w1 * x**i + w2 * y**i for i in (1, 2, 3, 4)))
+    size n.
+
+    Built in integers: p_i = P_i / Q_i with P_i = r u (a d)^i + t s (c b)^i
+    and Q_i = s u (b d)^i for w1 = r/s, w2 = t/u, x = a/b and y = c/d, and
+    each y_lambda is one Fraction of the products of those."""
+    (r, s), (t, u), (a, b), (c, d) = (
+        (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
+    )
+    ru, ts, su, ad, cb, bd = r * u, t * s, s * u, a * d, c * b, b * d
+    p1, p2, p3, p4 = (ru * ad**i + ts * cb**i for i in (1, 2, 3, 4))
+    q1, q2, q3, q4 = (su * bd**i for i in (1, 2, 3, 4))
+    return DualFunctional(
+        Fraction(p4, q4),
+        Fraction(p3 * p1, q3 * q1),
+        Fraction(p2 * p2, q2 * q2),
+        Fraction(p2 * p1 * p1, q2 * q1 * q1),
+        Fraction(p1**4, q1**4),
+    )
+
+
+def _psd_ints(m11: int, m12: int, m22: int) -> bool:
+    """``algebra.psd2`` of [[m11, m12], [m12, m22]], on integers."""
+    return m11 >= 0 and m22 >= 0 and m11 * m22 >= m12 * m12
 
 
 def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
@@ -130,11 +158,22 @@ def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction
 def dual_membership(ell: DualFunctional, n) -> bool:
     """True iff ell is nonnegative on all symmetric squares at size n; for
     n = LIMIT, on the limit SOS cone, where the two-row block drops out:
-    divided by n^2 it tends to (1/2) (1, -1) M_triv (1, -1)^T >= 0."""
-    if n is LIMIT:
-        return all(psd2(m) for m in _square_blocks(ell))
-    m_triv, m_hook, m_tworow = dual_blocks(ell, n)
-    return psd2(m_triv) and psd2(m_hook) and m_tworow >= 0
+    divided by n^2 it tends to (1/2) (1, -1) M_triv (1, -1)^T >= 0.
+
+    Read in integers, on the values times the lcm D of their
+    denominators: the 2x2 blocks of ``dual_blocks`` times D, and the
+    two-row block times 2D as the pairing with the integer generator of
+    ``_gamma_gen_ints``; positive factors leave every sign alone."""
+    if n is not LIMIT and n < 4:
+        raise ValueError("n must be at least 4")
+    ys = ell.as_tuple()
+    den = lcm(*(y.denominator for y in ys))
+    y4, y31, y22, y211, y1111 = ints = [y.numerator * (den // y.denominator) for y in ys]
+    return (
+        _psd_ints(y22, y211, y1111)
+        and _psd_ints(y4 - y22, y31 - y211, y211 - y1111)
+        and (n is LIMIT or sum(g * y for g, y in zip(_gamma_gen_ints(n)[1], ints)) >= 0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .algebra import (
 )
 from .dualcone import DualFunctional
 from .sos import (
+    _block_polys,
     _feasible,
     _gamma_zero,
     _gamma_zero_signs,
@@ -194,6 +195,14 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     over i of the hook square of B is then a sum of squares at every n.
     Otherwise the half-degree principle decides it on the grid W_n, and
     OUT carries the first failing grid weight.
+
+    The first grid weight, k = 0, puts every coordinate at y, where Phi is
+    the coefficient sum times y^4.  That sum is a22 + s + (a11 - u) at
+    gamma = 0, so below ``_CELL_MIN_N``, where the walk visits every
+    weight, it is read on the integer constant terms of ``_block_polys``
+    (S times the entries) before the alpha-coefficients that the rest of
+    the walk needs are built.  From ``_CELL_MIN_N`` on the cells are built
+    first, and k = 0 is the first weight they give.
     """
     if f.scope is LIMIT:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
@@ -202,8 +211,13 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if _feasible(_gamma_zero_signs(f)):
         return NonnegVerdict("IN")
     n = f.scope
+    walk = n < _CELL_MIN_N
+    if walk and sum(c for c, _ in _block_polys(f)[1][2:]) < 0:
+        # the walk's point there: the test reads the primitive multiple
+        point = binary_quartic_negative_point((0, 0, 0, 0, -1))
+        return NonnegVerdict("OUT", ((_ZERO, _ONE), point))
     cs, ks = _grid(f)
-    for k in ks:
+    for k in ks[1:] if walk else ks:
         alpha = Fraction(k, n)
         h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):

@@ -87,6 +87,7 @@ from .algebra import (
 from .dualcone import (
     DualFunctional,
     _gamma_gen_ints,
+    _psd_ints,
     dual_membership,
     gamma_gen_coeffs,
     pair,
@@ -282,7 +283,8 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
     wqm = W * qm
     expansion = (B[2], 2 * B[1], A[2] - B[2], 2 * A[1] + B[0] - 2 * B[1], A[0] - B[0])
     if not (
-        all(x[0] >= 0 and x[2] >= 0 and x[0] * x[2] >= x[1] * x[1] for x in (A, B))
+        _psd_ints(*A)
+        and _psd_ints(*B)
         and p >= 0
         and (f.scope is not LIMIT or p == 0)
         and all(

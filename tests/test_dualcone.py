@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from symquartic.algebra import psd2
 from symquartic.dualcone import (
     DualFunctional,
+    _square_blocks,
     boundary_family_functional,
     dual_blocks,
     dual_membership,
@@ -218,3 +222,85 @@ class TestCertifyBoundary:
     def test_non_sos_outside(self):
         f = form_from_dict(4, {(4,): -1}, 4)
         assert sos_boundary(f) == ("OUTSIDE", None)
+
+
+_rat = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+#: values with small denominators, so that determinants and two-row
+#: blocks vanish often enough to hit the boundary of every test
+_val = st.one_of(st.integers(-3, 3).map(Fraction), _rat)
+_scope = st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, LIMIT))
+
+
+def reference_membership(ell, n):
+    """``dual_membership`` in Fractions, on the blocks themselves."""
+    if n is LIMIT:
+        return all(psd2(m) for m in _square_blocks(ell))
+    m_triv, m_hook, m_tworow = dual_blocks(ell, n)
+    return psd2(m_triv) and psd2(m_hook) and m_tworow >= 0
+
+
+@st.composite
+def _functionals(draw):
+    """Functionals drawn directly, or as rank-1 trivial and hook blocks
+    (the extreme rays' shape), whose determinants vanish."""
+    if draw(st.booleans()):
+        return DualFunctional(*draw(st.tuples(*[_val] * 5)))
+    a, b, c, d = draw(st.tuples(*[_val] * 4))
+    y22, y211, y1111 = a * a, a * b, b * b
+    return DualFunctional(c * c + y22, c * d + y211, y22, y211, d * d + y211)
+
+
+class TestIntegerCore:
+    """``pair``, ``weighted_point_functional`` and ``dual_membership`` run
+    in integers; each must equal its Fraction definition."""
+
+    @given(st.tuples(*[_val] * 5), st.tuples(*[_val] * 5))
+    @settings(max_examples=150, deadline=None)
+    def test_pair_is_the_fraction_sum(self, ys, cs):
+        ell = DualFunctional(*ys)
+        f = SymFormP(4, cs, 4)
+        assert pair(ell, f) == sum((c * y for c, y in zip(cs, ys)), Fraction(0))
+
+    @given(st.tuples(*[_val] * 4))
+    @settings(max_examples=150, deadline=None)
+    @example((Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-5, 7)))
+    @example((Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(0)))
+    def test_weighted_point_is_the_fraction_formula(self, vals):
+        w1, w2, x, y = vals
+        p1, p2, p3, p4 = (w1 * x**i + w2 * y**i for i in (1, 2, 3, 4))
+        ell = weighted_point_functional((w1, w2), (x, y))
+        assert ell.as_tuple() == (p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
+        assert all(type(v) is Fraction for v in ell.as_tuple())
+
+    def test_weighted_point_takes_ints(self):
+        ell = weighted_point_functional((1, 0), (2, 5))
+        assert ell == point_eval_functional((2,))
+
+    @given(_functionals(), _scope)
+    @settings(max_examples=300, deadline=None)
+    def test_membership_is_the_fraction_blocks(self, ell, n):
+        assert dual_membership(ell, n) == reference_membership(ell, n)
+
+    def test_membership_branches(self):
+        # each block decides one of these: the hook block fails, the
+        # two-row block fails at n = 4 only, and all three hold
+        hook_fails = DualFunctional(0, 0, 1, 0, 0)
+        assert not dual_membership(hook_fails, LIMIT) and not reference_membership(hook_fails, 4)
+        # y = (1 + w, 0, 1, 0, 0): tau >= 0 iff w <= (n-2)^2/(n-1), 4/3 at n = 4
+        tworow = DualFunctional(3, 0, 1, 0, 0)
+        assert [dual_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
+        assert [reference_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
+        edge = DualFunctional(Fraction(7, 3), 0, 1, 0, 0)
+        assert dual_membership(edge, 4) and dual_blocks(edge, 4)[2] == 0
+
+    def test_membership_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            dual_membership(DualFunctional(-1, 0, 0, 0, 0), 3)
+
+
+def test_functional_keeps_fractions_and_converts_the_rest():
+    third = Fraction(1, 3)
+    ell = DualFunctional(third, 2, "3/4", 0.5, Fraction(5))
+    assert ell.y4 is third
+    assert ell.as_tuple() == (third, Fraction(2), Fraction(3, 4), Fraction(1, 2), Fraction(5))
+    assert all(type(v) is Fraction for v in ell.as_tuple())

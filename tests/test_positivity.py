@@ -12,6 +12,7 @@ from symquartic.algebra import (
     UniPoly,
     _quartic_invariants,
     binary_quartic_critical_polys,
+    binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
     cells,
@@ -265,6 +266,42 @@ class TestFiniteNOracle:
             assert verdict.status == "OUT" and 0 < tests <= 10
 
 
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+class TestCoefficientSumStep:
+    """On the walk, ``is_nonneg`` reads the first grid weight, k = 0, where
+    Phi is the coefficient sum times y^4, on integers before it builds the
+    alpha-coefficients; its witness is the one the walk finds there, and
+    the cell path's first weight gives the same."""
+
+    @given(st.tuples(*[_small] * 5), st.sampled_from((4, 5, 8, 60, 10**30)))
+    @settings(max_examples=120, deadline=None)
+    @example((Fraction(-1, 6), 0, 0, 0, 0), 4)
+    @example((1, -2, 0, 0, 1), 5)
+    def test_witness_is_the_walks_at_weight_zero(self, coeffs, n):
+        f = SymFormP(4, coeffs, n)
+        verdict = is_nonneg(f)
+        h0 = _phi_at(_alpha_coeffs(f), Fraction(0))
+        if sum(f.coeffs) < 0:
+            assert not binary_quartic_nonneg(h0)
+            assert verdict.witness == ((0, 1), binary_quartic_negative_point(h0))
+        else:
+            assert binary_quartic_nonneg(h0)
+            assert verdict.status == "IN" or verdict.witness[0][0] > 0
+
+    def test_negative_sum_builds_no_alpha_coefficients(self, monkeypatch):
+        def unexpected(f):
+            raise AssertionError("alpha-coefficients built")
+
+        monkeypatch.setattr(positivity, "_alpha_coeffs", unexpected)
+        for n in (4, positivity._CELL_MIN_N - 1):
+            assert is_nonneg(SymFormP(4, (1, -2, 0, 0, Fraction(1, 2)), n)).status == "OUT"
+        # a form with a nonnegative sum that is OUT needs them
+        with pytest.raises(AssertionError, match="alpha-coefficients built"):
+            is_nonneg(SymFormP(4, (1, -2, 0, 0, 1), 4))
+
+
 class TestStrictPositivity:
     def test_sum_of_fourth_powers(self):
         assert is_strictly_positive(form_from_dict(4, {(4,): 1}, 4))
@@ -329,9 +366,6 @@ class TestOneCellBuildPerForm:
         assert builds == []
         assert is_strictly_positive(boundary)
         assert len(builds) == 1
-
-
-_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @given(
