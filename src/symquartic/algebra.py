@@ -1159,7 +1159,7 @@ def binary_quartic_critical_polys(cs) -> list[UniPoly]:
     * Delta identically zero, lc not: lc, P, D and R.  Both tests are
       functions of their signs.
     * lc identically zero: none.  The callers' cs are Phi^alpha of a form
-      f (``positivity._alpha_coeffs``), whose x^4 coefficient is
+      f (``symfunc._phi_alpha_ints``), whose x^4 coefficient is
       sum_lambda c_lambda alpha^len(lambda); it vanishes identically only
       when c4 = c211 = c1111 = 0 and c31 = -c22, so on multiples
       m (p_(3,1) - p_(2,2)).  There Phi^alpha = m alpha (1 - alpha)
@@ -1264,18 +1264,21 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     if hi < 0:
         return -simplest_rational_between(-hi, -lo)
 
-    def rec(a: Fraction, b: Fraction) -> Fraction:
+    # the continued fraction of lo, while [a, b] holds no integer: its
+    # terms are shared with every rational in [lo, hi], and the simplest
+    # one ends at the smallest integer >= a
+    terms = []
+    a, b = lo, hi
+    while True:
         ia = a.numerator // a.denominator  # floor
-        if Fraction(ia + 1) <= b:
-            # an integer lies in [a, b]: the smallest one >= a
-            first = ia if a == ia else ia + 1
-            return Fraction(first)
-        frac_a = a - ia
-        if frac_a == 0:
-            return Fraction(ia)
-        return ia + 1 / rec(1 / (b - ia), 1 / frac_a)
-
-    return rec(lo, hi)
+        if a == ia or ia + 1 <= b:
+            break
+        terms.append(ia)
+        a, b = 1 / (b - ia), 1 / (a - ia)
+    p, q = (ia if a == ia else ia + 1), 1
+    for t in reversed(terms):
+        p, q = t * p + q, p
+    return Fraction(p, q)
 
 
 def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:

@@ -128,7 +128,8 @@ def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
 def _gamma_gen_ints(scope) -> tuple[int, tuple[int, ...]]:
     """(m, m gen): the scalar-block generator gen at a numeric scope n, or
     LIMIT, as integers over m = 2n^2 (m = 2 at LIMIT), in canonical order;
-    written once here, and divided out by ``gamma_gen_coeffs``."""
+    written once here, and divided out by ``gamma_gen_coeffs`` and, at the
+    symbol n, by ``specht.gamma_generator_p_coeffs``."""
     if scope is LIMIT:
         return 2, (0, 0, 1, -2, 1)
     n = scope

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor
 
 from .algebra import (
     UniPoly,
@@ -55,9 +55,8 @@ from .algebra import (
 )
 from .dualcone import DualFunctional
 from .sos import (
-    _block_polys,
     _feasible,
-    _gamma_zero,
+    _gamma_zero_entries,
     _gamma_zero_signs,
     _strictly_feasible,
     sos_boundary,
@@ -114,29 +113,10 @@ class BoundaryVerdict:
 _CELL_MIN_N = 56
 
 
-def _alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
-    """The alpha-polynomial coefficients of Phi^alpha (``phi_alpha_coeffs``)
-    times their common denominator: five integer polynomials, a positive
-    multiple of Phi^alpha at every alpha.
-
-    They are read off the integer sums of ``symfunc._phi_alpha_ints``,
-    den Phi^alpha, as acc // gcd(den, content of acc): the lcm of the
-    reduced denominators of acc / den is den / gcd(den, content), so these
-    are the same integers as clearing the Fractions of
-    ``phi_alpha_coeffs`` by their lcm, and no witness moves.  The
-    decisions below read only signs, real zeros and critical alpha values
-    of Phi^alpha, which a positive factor leaves alone, and a negative
-    point of a positive multiple is a negative point of Phi^alpha.
-    """
-    den, accs = _phi_alpha_ints(f)
-    g = gcd(den, *(c for acc in accs for c in acc))
-    return tuple(UniPoly([c // g for c in acc]) for acc in accs)
-
-
 def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
     """q**4 times the binary quartic of the integer coefficients ``cs``
-    (``_alpha_coeffs``) at alpha = p/q: a positive integer multiple of
-    Phi^alpha, by homogeneous integer Horner."""
+    (``symfunc._phi_alpha_ints``) at alpha = p/q: a positive integer
+    multiple of Phi^alpha, by homogeneous integer Horner."""
     p, q = alpha.numerator, alpha.denominator
     w = [p**j * q ** (4 - j) for j in range(5)]
     return tuple(sum(c * x for c, x in zip(u.coeffs, w)) for u in cs)
@@ -145,7 +125,7 @@ def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
 def _tested_ks(cs, n: int) -> tuple[int, ...]:
     """Ascending k whose weights (k/n, (n-k)/n) decide Phi^alpha >= 0 (and
     > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f
-    (``_alpha_coeffs``), from ``_CELL_MIN_N`` on.
+    (``symfunc._phi_alpha_ints``), from ``_CELL_MIN_N`` on.
 
     The alpha-cells are cut at the roots in (0, 1) of
     ``binary_quartic_critical_polys``, so both binary-quartic tests keep
@@ -169,19 +149,19 @@ def _tested_ks(cs, n: int) -> tuple[int, ...]:
 def _cell_grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...]]:
     """The alpha-coefficients of f and ``_tested_ks``, built once per form
     object: ``is_nonneg`` and ``is_strictly_positive`` both read them."""
-    cs = _alpha_coeffs(f)
+    cs = _phi_alpha_ints(f)[1]
     return cs, _tested_ks(cs, f.scope)
 
 
 def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
-    """The alpha-coefficients of f (``_alpha_coeffs``) and the ascending k
-    whose weights decide it on W_n: from ``_CELL_MIN_N`` on those of
-    ``_cell_grid``, below it every k.  The walk keeps nothing on the form,
+    """The alpha-coefficients of f (``symfunc._phi_alpha_ints``) and the
+    ascending k whose weights decide it on W_n: from ``_CELL_MIN_N`` on
+    those of ``_cell_grid``, below it every k.  The walk keeps nothing on the form,
     as recomputing its coefficients costs little beside the walk itself,
     while holding them costs memory for as long as the form lives."""
     n = f.scope
     if n < _CELL_MIN_N:
-        return _alpha_coeffs(f), range(n + 1)
+        return _phi_alpha_ints(f)[1], range(n + 1)
     return _cell_grid(f)
 
 
@@ -199,10 +179,10 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     The first grid weight, k = 0, puts every coordinate at y, where Phi is
     the coefficient sum times y^4.  That sum is a22 + s + (a11 - u) at
     gamma = 0, so below ``_CELL_MIN_N``, where the walk visits every
-    weight, it is read on the integer constant terms of ``_block_polys``
-    (S times the entries) before the alpha-coefficients that the rest of
-    the walk needs are built.  From ``_CELL_MIN_N`` on the cells are built
-    first, and k = 0 is the first weight they give.
+    weight, its sign is read on the integers of
+    ``sos._gamma_zero_entries`` before the alpha-coefficients that the
+    rest of the walk needs are built.  From ``_CELL_MIN_N`` on the cells
+    are built first, and k = 0 is the first weight they give.
     """
     if f.scope is LIMIT:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
@@ -212,7 +192,7 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
         return NonnegVerdict("IN")
     n = f.scope
     walk = n < _CELL_MIN_N
-    if walk and sum(c for c, _ in _block_polys(f)[1][2:]) < 0:
+    if walk and sum(_gamma_zero_entries(f)[1][2:]) < 0:
         # the walk's point there: the test reads the primitive multiple
         point = binary_quartic_negative_point((0, 0, 0, 0, -1))
         return NonnegVerdict("OUT", ((_ZERO, _ONE), point))
@@ -229,22 +209,22 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
 def is_strictly_positive(f: SymFormP) -> bool:
     """True iff f > 0 away from the origin (numeric scope).
 
-    After the scalar test below, True when the gamma = 0 blocks of ``sos``
-    are strictly feasible: A positive definite gives
-    f >= lambda_min(A) p_2^2 > 0 at every n, as the hook square of B is
-    >= 0.  Otherwise the grid W_n decides it.  At interior grid weights
-    this is strict positivity of the binary quartic; at the two
-    zero-weight endpoints the binary form degenerates to a scalar times
-    y^4 (the x variable carries weight zero), so only the scalar sum of
-    coefficients must be positive.
+    False when the coefficient sum, f at the all-ones point, is <= 0, its
+    sign read on the gamma = 0 entries (``sos._gamma_zero_entries``).
+    Then True when the gamma = 0 blocks of ``sos`` are strictly feasible:
+    A positive definite gives f >= lambda_min(A) p_2^2 > 0 at every n, as
+    the hook square of B is >= 0.  Otherwise the grid W_n decides it.  At
+    interior grid weights this is strict positivity of the binary quartic;
+    at the two zero-weight endpoints the binary form degenerates to a
+    scalar times y^4 (the x variable carries weight zero), so only the
+    coefficient sum must be positive.
     """
     if f.scope is LIMIT:
         raise ValueError("strict positivity test requires a numeric scope")
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     n = f.scope
-    total = sum(f.coeffs, _ZERO)
-    if total <= 0:
+    if sum(_gamma_zero_entries(f)[1][2:]) <= 0:
         return False
     if _strictly_feasible(_gamma_zero_signs(f)):
         return True
@@ -265,7 +245,8 @@ def is_strictly_positive(f: SymFormP) -> bool:
 def _limit_negative_point(f: SymFormP):
     """A witness ((alpha, 1 - alpha), (x, y)) with Phi_f < 0 there, or
     None if no two-point measure makes Phi_f negative, read off the
-    gamma = 0 entries (b22, b12, a22, s, c0) of ``sos._gamma_zero``.
+    gamma = 0 entries (b22, b12, a22, s, c0) of ``sos._gamma_zero_entries``,
+    whose last three sum to the coefficient sum.
 
     A measure with mean 1, variance v and x + y = b has p_2 = w = 1 + v,
     p_3 = w + b v and p_4 = w^2 + b^2 v, so Phi_f = F(v, b) =
@@ -282,9 +263,10 @@ def _limit_negative_point(f: SymFormP):
     ``binary_quartic_negative_point`` finds a point (t, y') on it with
     y' != 0 and t != 0.
     """
-    if sum(f.coeffs, _ZERO) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
+    d, entries = _gamma_zero_entries(f)
+    if sum(entries[2:]) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
         return (_ZERO, _ONE), (_ZERO, _ONE)
-    (b22, b12, a22, s, c0), _ = _gamma_zero(f)
+    b22, b12, a22, s, c0 = (Fraction(e, d) for e in entries)
     if a22 < 0:  # mean 0: p_2 = p_4 = 1, p_1 = p_3 = 0, Phi_f = a22
         return (_HALF, _HALF), (_ONE, -_ONE)
     if b22 < 0:

@@ -21,8 +21,10 @@ fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
 read only signs, so they run in integers, and the certificate is built
 and checked in integers too (``_certificate``): Fractions are made only
-for its six returned entries and for the limit witness
-(``_entries_at``).  For fixed gamma the
+for its six returned entries.  At gamma = 0 the entries do not depend on
+n; their integers (``_gamma_zero_entries``, through the one inverse block
+map ``_entry_map``) give the gamma = 0 signs, the coefficient sum and the
+limit witness of ``positivity``.  For fixed gamma the
 PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
 cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
@@ -162,6 +164,26 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
 # ---------------------------------------------------------------------------
 
 
+def _entry_map(v) -> tuple:
+    """The gamma = 0 block entries (b22, b12, a22, s, a11 - u) of a
+    coefficient vector v, times 2: (2 v4, v31, 2 (v22 + v4),
+    2 (v211 + v31), 2 v1111), the one place the inverse block map is
+    written."""
+    v4, v31, v22, v211, v1111 = v
+    return (2 * v4, v31, 2 * (v22 + v4), 2 * (v211 + v31), 2 * v1111)
+
+
+def _gamma_zero_entries(f: SymFormP) -> tuple[int, tuple[int, ...]]:
+    """(d, e): the gamma = 0 block entries of f as the integers e over
+    d = 2 den, e the ``_entry_map`` of the form's numerators over den, the
+    lcm of its denominators.  The entries are (c4, c31/2, c22 + c4,
+    c211 + c31, c1111), so neither they nor e depend on n, and the sum of
+    the last three, a22 + s + (a11 - u), is the coefficient sum."""
+    coeffs = f.coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    return 2 * den, _entry_map([c.numerator * (den // c.denominator) for c in coeffs])
+
+
 @per_form
 def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The block entries that the matching equations fix, as integer linear
@@ -169,23 +191,16 @@ def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...]]:
     entry_i = (C_i + G_i gamma) / S for b22, b12, a22, s = 2 a12 + u and
     a11 - u (u = b11), once per form object (``symfunc.per_form``).
 
-    S = 2 m den, with den the lcm of the form's denominators and m the
-    denominator of the integer scalar-block generator
-    (``dualcone._gamma_gen_ints``).  Every condition of ``_conditions`` is
-    homogeneous in the entries, so S changes no sign and no root in gamma,
-    and the witnesses, built from the entries themselves, do not see it."""
-    coeffs = f.coeffs
-    den = lcm(*(c.denominator for c in coeffs))
-    n4, n31, n22, n211, n1111 = (c.numerator * (den // c.denominator) for c in coeffs)
-    m, (g4, g31, g22, g211, g1111) = _gamma_gen_ints(f.scope)
-    m2, den2 = 2 * m, 2 * den
-    return m2 * den, (
-        (m2 * n4, -den2 * g4),
-        (m * n31, -den * g31),
-        (m2 * (n22 + n4), -den2 * (g4 + g22)),
-        (m2 * (n211 + n31), -den2 * (g211 + g31)),
-        (m2 * n1111, -den2 * g1111),
-    )
+    With (d, e) of ``_gamma_zero_entries`` and (m, m gen) of
+    ``dualcone._gamma_gen_ints`` (m = 2n^2), S = m d, C = m e and
+    G = -(d / 2) ``_entry_map``(m gen): the entries at gamma are those of
+    f - gamma gen.  Every condition of ``_conditions`` is homogeneous in
+    the entries, so S changes no sign and no root in gamma, and the
+    witnesses, built from the entries themselves, do not see it."""
+    d, e = _gamma_zero_entries(f)
+    m, gen = _gamma_gen_ints(f.scope)
+    den = d // 2
+    return m * d, tuple((m * c, -den * g) for c, g in zip(e, _entry_map(gen)))
 
 
 def _conditions(b22, b12, a22, s, a11_u) -> tuple:
@@ -314,15 +329,6 @@ def _signs_at(blocks, gamma: Fraction) -> tuple[int, ...]:
     return _signs(_conditions(*(c * q + g * p for c, g in blocks[1])))
 
 
-def _entries_at(blocks, gamma: Fraction) -> tuple[Fraction, ...]:
-    """The block entries at a rational gamma = p/q, (C_i q + G_i p) / (S q),
-    as Fractions; only ``_gamma_zero`` makes them, for the limit witness
-    (``_certificate`` works on the integers)."""
-    p, q = gamma.numerator, gamma.denominator
-    den = blocks[0] * q
-    return tuple(Fraction(c * q + g * p, den) for c, g in blocks[1])
-
-
 def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
     """The certificate at a rational gamma, or None if u is infeasible
     there; at gamma = 0 the signs are ``_gamma_zero_signs``, kept on the
@@ -342,21 +348,9 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 def _gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
     """The signs of ``_conditions`` at gamma = 0, once per form object
     (``symfunc.per_form``): every gamma = 0 decision reads them.  They are
-    read on C_i / m, the constant terms of ``_block_polys`` divided by the
-    denominator m = 2n^2 of the scalar-block generator, which each C_i
-    carries: C_i / m is S / m > 0 times the entry and does not depend on
-    n, so neither do the integers the signs are read on, nor their size."""
-    m = _gamma_gen_ints(f.scope)[0]
-    return _signs(_conditions(*(c // m for c, _ in _block_polys(f)[1])))
-
-
-def _gamma_zero(f: SymFormP) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """The block entries at gamma = 0 and their signs
-    (``_gamma_zero_signs``), for the limit witness of
-    ``positivity._limit_negative_point``, the one reader of the entries
-    as Fractions.  The entries C_i / S are (c4, c31/2, c22 + c4,
-    c211 + c31, c1111) whatever the scale S, so they do not depend on n."""
-    return _entries_at(_block_polys(f), _ZERO), _gamma_zero_signs(f)
+    read on the integers of ``_gamma_zero_entries``, which do not depend
+    on n, nor does their size."""
+    return _signs(_conditions(*_gamma_zero_entries(f)[1]))
 
 
 @per_form

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MultiPoly, RatFunc
-from .partitions import Partition, is_partition
+from .dualcone import _gamma_gen_ints
+from .partitions import Partition, is_partition, partitions_of
 from .symfunc import (
     LIMIT,
     SymFormP,
@@ -136,19 +137,14 @@ def _limit_syfm(f: SymFuncM) -> SymFuncM:
     return SymFuncM({p: RatFunc(v) for p, v in f.limit().items()})
 
 
-def gamma_generator_p_coeffs(n_sym: RatFunc | None = None) -> dict:
+def gamma_generator_p_coeffs() -> dict:
     """The p-coefficients of the scalar-block generator
     (1/2) p_(1^4) - p_(2,1^2) + ((n^2-3n+3)/(2n^2)) p_(2^2)
     + ((2n-2)/n^2) p_(3,1) + ((1-n)/(2n^2)) p_(4)
-    as RatFunc values in the symbol n."""
-    n = RatFunc.t()
-    return {
-        (4,): (1 - n) / (2 * n * n),
-        (3, 1): (2 * n - 2) / (n * n),
-        (2, 2): (n * n - 3 * n + 3) / (2 * n * n),
-        (2, 1, 1): RatFunc(-1),
-        (1, 1, 1, 1): RatFunc(Fraction(1, 2)),
-    }
+    as RatFunc values in the symbol n: ``dualcone._gamma_gen_ints`` at
+    that symbol, divided by its m."""
+    m, gen = _gamma_gen_ints(RatFunc.t())
+    return {parts: g / m for parts, g in zip(partitions_of(4), gen)}
 
 
 def _p_expr_ratfunc(coeffs: dict) -> SymFuncM:

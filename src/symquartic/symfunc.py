@@ -534,13 +534,19 @@ def _phi_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tables)
 
 
-def _phi_alpha_ints(f: SymFormP) -> tuple[int, list[list[int]]]:
-    """(den, accs): den Phi_f(alpha, 1-alpha, x, y) in integers, with den
-    the lcm of the denominators of f and accs[i] the ascending alpha
-    coefficients of x^{4-i} y^i.  Phi^alpha is linear in f, so this is
-    sum_lambda (den c_lambda) Phi_lambda over the integer tables of
-    ``_phi_tables``; den > 0, so it has the signs and the zeros of
-    Phi^alpha at every alpha."""
+def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
+    """(den, cs): den Phi_f(alpha, 1-alpha, x, y) as five integer
+    ``UniPoly`` in alpha, cs[i] the coefficient of x^{4-i} y^i, with
+    den > 0 the lcm of the denominators of f.
+
+    Phi^alpha is linear in f, so this is sum_lambda (den c_lambda)
+    Phi_lambda over the integer tables of ``_phi_tables``.  den is also the
+    lcm of the denominators of ``phi_alpha_coeffs``: the alpha-coefficients
+    of x^4 are c4, c31 + c22, c211 and c1111, and the alpha coefficient of
+    x^3 y is c31, so every c_lambda is an integer combination of the
+    coefficients of Phi^alpha.  A positive scale leaves the signs, the
+    zeros and the negative points of Phi^alpha alone, which is all the
+    decisions read."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
     den = lcm(*(c.denominator for c in f.coeffs))
@@ -552,8 +558,8 @@ def _phi_alpha_ints(f: SymFormP) -> tuple[int, list[list[int]]]:
             if num:
                 for j, t in enumerate(table[i]):
                     acc[j] += num * t
-        accs.append(acc)
-    return den, accs
+        accs.append(UniPoly(acc))
+    return den, tuple(accs)
 
 
 def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
@@ -561,12 +567,11 @@ def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
     coefficients are polynomials in alpha.
 
     Returns a 5-tuple in descending x-order: entry i is the UniPoly (in
-    alpha) coefficient of x^{4-i} y^i: the integer sums of
-    ``_phi_alpha_ints`` divided by their positive scale den, which undoes
-    the scale exactly, so nothing read off these depends on it.
+    alpha) coefficient of x^{4-i} y^i: the integer polynomials of
+    ``_phi_alpha_ints`` divided by their scale den.
     """
-    den, accs = _phi_alpha_ints(f)
-    return tuple(UniPoly([Fraction(c, den) for c in acc]) for acc in accs)
+    den, cs = _phi_alpha_ints(f)
+    return tuple(UniPoly([Fraction(c, den) for c in u.coeffs]) for u in cs)
 
 
 def restrict_alpha(f: SymFormP, alpha) -> tuple[Fraction, ...]:

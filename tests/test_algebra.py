@@ -657,3 +657,56 @@ class TestSimplestRational:
     def test_picks_simple_values(self):
         assert simplest_rational_between(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
         assert simplest_rational_between(Fraction(9, 10), Fraction(11, 10)) == Fraction(1)
+
+    @given(
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+        st.fractions(min_value=0, max_value=2, max_denominator=10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loop_matches_the_recursion(self, lo, width):
+        assert simplest_rational_between(lo, lo + width) == recursive_simplest(lo, lo + width)
+
+    @pytest.mark.parametrize("digits", [1000, 2000])
+    def test_deep_continued_fraction(self, digits):
+        """Around the 1000-digit truncation s of sqrt(2), [s, s + 10^-digits]
+        holds one rational per continued-fraction term of s, more terms
+        than the recursion limit allows a recursive walk."""
+        s = Fraction(isqrt(2 * 10**2000), 10**1000)
+        hi = s + Fraction(1, 10**digits)
+        x = simplest_rational_between(s, hi)
+        assert is_simplest(x, s, hi)
+        assert simplest_rational_between(-hi, -s) == -x
+
+
+def recursive_simplest(lo, hi):
+    """``simplest_rational_between`` as a recursion, one call per
+    continued-fraction term: the reference where that depth is allowed."""
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -recursive_simplest(-hi, -lo)
+
+    def rec(a, b):
+        ia = a.numerator // a.denominator
+        if Fraction(ia + 1) <= b:
+            return Fraction(ia if a == ia else ia + 1)
+        frac_a = a - ia
+        if frac_a == 0:
+            return Fraction(ia)
+        return ia + 1 / rec(1 / (b - ia), 1 / frac_a)
+
+    return rec(lo, hi)
+
+
+def is_simplest(x, lo, hi):
+    """x = p/q, q > 1, is the rational of least denominator in [lo, hi]:
+    it lies there and its two Stern-Brocot parents a/b < x < c/d
+    (p b - q a = 1 = c q - d p, b + d = q) lie outside, since every other
+    rational strictly between them has a denominator > q."""
+    p, q = x.numerator, x.denominator
+    b = pow(p, -1, q)
+    a, d = (p * b - 1) // q, q - b
+    c = p - a
+    return q > 1 and lo <= x <= hi and Fraction(a, b) < lo and Fraction(c, d) > hi

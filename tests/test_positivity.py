@@ -22,7 +22,6 @@ from symquartic.algebra import (
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
 from symquartic.positivity import (
-    _alpha_coeffs,
     _negative_variance,
     _phi_at,
     _tested_ks,
@@ -38,7 +37,8 @@ from symquartic.sos import (
     _block_polys,
     _certificate,
     _feasible,
-    _gamma_zero,
+    _gamma_zero_entries,
+    _gamma_zero_signs,
     _strictly_feasible,
     expand_certificate,
     sos_membership_limit,
@@ -46,6 +46,7 @@ from symquartic.sos import (
 from symquartic.symfunc import (
     LIMIT,
     SymFormP,
+    _phi_alpha_ints,
     evaluate,
     form_from_dict,
     phi_alpha_coeffs,
@@ -203,7 +204,7 @@ class TestFiniteNOracle:
                 outs += first_bad is not None
                 strict_differs += first_bad is None and not strict
                 # the gamma = 0 step: sound wherever it decides
-                signs = _gamma_zero(f)[1]
+                signs = _gamma_zero_signs(f)
                 if _feasible(signs):
                     decided["nonneg"] += 1
                     assert first_bad is None, (coeffs, n)
@@ -279,10 +280,12 @@ class TestCoefficientSumStep:
     @settings(max_examples=120, deadline=None)
     @example((Fraction(-1, 6), 0, 0, 0, 0), 4)
     @example((1, -2, 0, 0, 1), 5)
+    @example((Fraction(1, 3), 0, Fraction(-1, 2), Fraction(1, 6), 0), 4)
+    @example((1, -2, 0, 0, 1), 60)
     def test_witness_is_the_walks_at_weight_zero(self, coeffs, n):
         f = SymFormP(4, coeffs, n)
         verdict = is_nonneg(f)
-        h0 = _phi_at(_alpha_coeffs(f), Fraction(0))
+        h0 = _phi_at(_phi_alpha_ints(f)[1], Fraction(0))
         if sum(f.coeffs) < 0:
             assert not binary_quartic_nonneg(h0)
             assert verdict.witness == ((0, 1), binary_quartic_negative_point(h0))
@@ -294,7 +297,7 @@ class TestCoefficientSumStep:
         def unexpected(f):
             raise AssertionError("alpha-coefficients built")
 
-        monkeypatch.setattr(positivity, "_alpha_coeffs", unexpected)
+        monkeypatch.setattr(positivity, "_phi_alpha_ints", unexpected)
         for n in (4, positivity._CELL_MIN_N - 1):
             assert is_nonneg(SymFormP(4, (1, -2, 0, 0, Fraction(1, 2)), n)).status == "OUT"
         # a form with a nonnegative sum that is OUT needs them
@@ -376,6 +379,8 @@ class TestOneCellBuildPerForm:
     st.sampled_from((32, 64, 1000, LIMIT)),
     st.booleans(),
 )
+@example((1, -2, 0, 0, 1), 32, False)
+@example((0, 0, 1, -3, 2), LIMIT, True)
 @settings(max_examples=40, deadline=None)
 def test_shared_object_verdicts_equal_fresh(coeffs, scope, reverse):
     """The verdicts of one form object asked every question of its scope,
@@ -418,8 +423,8 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
     valid and re-expands to f at each n, and ``is_nonneg`` is IN there.
     The entries and signs at gamma = 0 do not depend on n."""
     forms = [SymFormP(4, coeffs, n) for n in (4, 7, 64, 10**6)]
-    entries, signs = _gamma_zero(forms[0])
-    assert all(_gamma_zero(f) == (entries, signs) for f in forms)
+    entries, signs = _gamma_zero_entries(forms[0]), _gamma_zero_signs(forms[0])
+    assert all((_gamma_zero_entries(f), _gamma_zero_signs(f)) == (entries, signs) for f in forms)
     if not _feasible(signs):
         return
     for f in forms:
@@ -435,7 +440,7 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
 def test_strictly_feasible_gamma_zero_is_strictly_positive(coeffs):
     """Strictly feasible gamma = 0 blocks give strict positivity on the
     whole grid W_n, and ``is_strictly_positive`` says so."""
-    if not _strictly_feasible(_gamma_zero(SymFormP(4, coeffs, 4))[1]):
+    if not _strictly_feasible(_gamma_zero_signs(SymFormP(4, coeffs, 4))):
         return
     for n in (4, 5, 33):
         f = SymFormP(4, coeffs, n)
@@ -757,7 +762,7 @@ class TestProjection:
         root, and one of odd multiplicity, which is all that the two
         binary-quartic tests read, follows from the signs of the
         invariants (``real_roots_from_signs``)."""
-        cs = _alpha_coeffs(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT))
+        cs = _phi_alpha_ints(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT))[1]
         rng = random.Random(str(coeffs))
         tested = 0
         for _ in range(40):
@@ -779,7 +784,7 @@ class TestProjection:
 
     def test_generic_critical_polys_are_disc_and_lead(self):
         for coeffs in _generic_forms():
-            cs = _alpha_coeffs(SymFormP(4, coeffs, LIMIT))
+            cs = _phi_alpha_ints(SymFormP(4, coeffs, LIMIT))[1]
             polys = binary_quartic_critical_polys(cs)
             delta = disc_binary_quartic(cs)
             ratio = polys[0].lead / delta.lead
@@ -818,7 +823,7 @@ class TestProjection:
             forms.append([m * c for c in (0, 1, -1, 0, 0)])
         kinds, outcomes, inside = set(), set(), 0
         for coeffs in forms:
-            cs = _alpha_coeffs(SymFormP(4, tuple(coeffs), LIMIT))
+            cs = _phi_alpha_ints(SymFormP(4, tuple(coeffs), LIMIT))[1]
             if not any(cs):
                 continue
             kinds.add("lc" if cs[0].is_zero() else "disc" if disc_binary_quartic(cs).is_zero() else "generic")
@@ -848,7 +853,7 @@ class TestProjection:
     def test_degenerate_families_pinned(self, name):
         coeffs, nonneg, boundary, sos, finite = DEGENERATE[name]
         f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
-        cs = _alpha_coeffs(f)
+        cs = _phi_alpha_ints(f)[1]
         assert cs[0].is_zero() or disc_binary_quartic(cs).is_zero()
         verdict = is_nonneg_limit(f)
         assert (verdict.status, verdict.witness) == nonneg
@@ -873,7 +878,7 @@ class TestProjection:
 
 
 def _from_gamma_zero(b22, b12, a22, s, c0):
-    """The form whose gamma = 0 entries (``sos._gamma_zero``) are these:
+    """The form whose gamma = 0 entries (``sos._gamma_zero_entries``) are these:
     (b22, b12, a22, s, c0) = (c4, c31/2, c22 + c4, c211 + c31, c1111)."""
     return tuple(F(c) for c in (b22, 2 * b12, a22 - b22, s - 2 * b12, c0))
 
@@ -961,7 +966,8 @@ class TestLimitWitness:
         ]
         assert len(inside) > 50
         for f in inside:
-            assert _negative_variance(*_gamma_zero(f)[0]) is None, f.coeffs
+            d, entries = _gamma_zero_entries(f)
+            assert _negative_variance(*(F(e, d) for e in entries)) is None, f.coeffs
         monkeypatch.setattr(positivity, "sos_membership_limit", lambda f: SosVerdict("OUT"))
         with pytest.raises(AssertionError, match="degree-4 limit theorem"):
             is_nonneg_limit(SymFormP(4, EXAMPLE_6_10, LIMIT))

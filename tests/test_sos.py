@@ -21,6 +21,7 @@ from symquartic.algebra import (
 )
 from symquartic.dualcone import (
     DualFunctional,
+    _gamma_gen_ints,
     boundary_family_functional,
     dual_blocks,
     dual_membership,
@@ -29,7 +30,7 @@ from symquartic.dualcone import (
     weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
-from symquartic.positivity import _alpha_coeffs, boundary_status_limit, is_nonneg, is_nonneg_limit
+from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
 from symquartic.sos import (
     SosCertificate,
     _block_polys,
@@ -37,8 +38,9 @@ from symquartic.sos import (
     _certificate_at,
     _chart_quadratic,
     _conditions,
-    _entries_at,
     _feasible,
+    _gamma_zero_entries,
+    _gamma_zero_signs,
     _signs_at,
     expand_certificate,
     find_separating_functional,
@@ -49,6 +51,7 @@ from symquartic.sos import (
 from symquartic.symfunc import (
     LIMIT,
     SymFormP,
+    _phi_alpha_ints,
     _phi_tables,
     evaluate,
     form_from_dict,
@@ -269,6 +272,13 @@ def condition_polys(blocks):
     ``_block_polys``: the integer polynomials whose roots cut the
     gamma-cells."""
     return _conditions(*(UniPoly(form) for form in blocks[1]))
+
+
+def entries_at(blocks, gamma):
+    """The block entries at a rational gamma = p/q read off the integer
+    linear forms of ``_block_polys``, (C_i q + G_i p) / (S q)."""
+    p, q = gamma.numerator, gamma.denominator
+    return tuple(Fraction(c * q + g * p, blocks[0] * q) for c, g in blocks[1])
 
 
 def reference_membership(f):
@@ -835,7 +845,7 @@ class TestFeasibilityPredicate:
             gammas += [Fraction(k, 3) for k in range(5)]  # the certificates' gammas
             for gamma in gammas:
                 entries = reference_entries(f.coeffs, f.scope, gamma)
-                assert _entries_at(blocks, gamma) == entries
+                assert entries_at(blocks, gamma) == entries
                 signs = [_fraction_sign(x) for x in _conditions(*entries)]
                 ok, u = reference_u_feasible(entries, _fraction_sign)
                 assert _feasible(signs) == ok, (f.coeffs, f.scope, gamma)
@@ -867,7 +877,7 @@ class TestFeasibilityPredicate:
             scale = blocks[0]
             for gamma in (Fraction(0), Fraction(2, 7), Fraction(5)):
                 assert [p(gamma) for p in polys] == list(
-                    _conditions(*(scale * e for e in _entries_at(blocks, gamma)))
+                    _conditions(*(scale * e for e in entries_at(blocks, gamma)))
                 )
 
     def test_matches_sympy_at_quadratic_irrational_gamma(self):
@@ -983,8 +993,8 @@ def fraction_certificate(f, entries, gamma):
 
 def lcm_alpha_coeffs(f):
     """Phi^alpha by Fraction sums over the tables of ``symfunc._phi_tables``,
-    cleared by the lcm of its denominators: the round trip that
-    ``positivity._alpha_coeffs`` replaces."""
+    the lcm of its denominators, and Phi^alpha cleared by it: the round
+    trip that the integers of ``symfunc._phi_alpha_ints`` replace."""
     tables = _phi_tables()
     cs = [
         UniPoly(
@@ -993,7 +1003,7 @@ def lcm_alpha_coeffs(f):
         for i in range(5)
     ]
     den = lcm(*(c.denominator for u in cs for c in u.coeffs))
-    return cs, [[c.numerator * (den // c.denominator) for c in u.coeffs] for u in cs]
+    return cs, den, [[c.numerator * (den // c.denominator) for c in u.coeffs] for u in cs]
 
 
 @st.composite
@@ -1020,24 +1030,64 @@ def _scoped_forms(draw):
 @settings(max_examples=150, deadline=None)
 def test_integer_blocks_match_fraction_reference(f, gammas):
     """At every rational gamma >= 0 the integer signs of ``_signs_at`` are
-    those the Fraction polynomials give, ``_entries_at`` gives the Fraction
-    entries, and a certificate is the one the Fraction construction builds
-    from them (``fraction_certificate``); ``_alpha_coeffs`` is the lcm
-    round trip, integer for integer."""
+    those the Fraction polynomials give, the linear forms of
+    ``_block_polys`` give the Fraction entries (``entries_at``), and a
+    certificate is the one the Fraction construction builds from them
+    (``fraction_certificate``); ``_phi_alpha_ints`` is the lcm round trip,
+    integer for integer, and its scale is that lcm."""
     blocks, polys = _block_polys(f), fraction_block_polys(f)
     assert blocks[0] > 0
     for gamma in [Fraction(0), *gammas]:
         entries, signs = fraction_signs_at(polys, gamma)
         assert _signs_at(blocks, gamma) == signs
-        assert _entries_at(blocks, gamma) == entries
+        assert entries_at(blocks, gamma) == entries
         if f.scope is not LIMIT or gamma == 0:
             want = fraction_certificate(f, entries, gamma)[0] if _feasible(signs) else None
             assert _certificate_at(f, blocks, gamma) == want
-    cs, want = lcm_alpha_coeffs(f)
-    got = _alpha_coeffs(f)
+    cs, den, want = lcm_alpha_coeffs(f)
+    scale, got = _phi_alpha_ints(f)
+    assert scale == den
     assert [list(u.coeffs) for u in got] == want
     assert all(type(c) is int for u in got for c in u.coeffs)
     assert phi_alpha_coeffs(f) == tuple(cs)
+
+
+def former_block_polys(f):
+    """``_block_polys`` with each linear form spelled out over
+    S = 2 m den, independently of ``sos._entry_map``."""
+    coeffs = f.coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    n4, n31, n22, n211, n1111 = (c.numerator * (den // c.denominator) for c in coeffs)
+    m, (g4, g31, g22, g211, g1111) = _gamma_gen_ints(f.scope)
+    m2, den2 = 2 * m, 2 * den
+    return m2 * den, (
+        (m2 * n4, -den2 * g4),
+        (m * n31, -den * g31),
+        (m2 * (n22 + n4), -den2 * (g4 + g22)),
+        (m2 * (n211 + n31), -den2 * (g211 + g31)),
+        (m2 * n1111, -den2 * g1111),
+    )
+
+
+@given(_scoped_forms(), st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, 10**4000, LIMIT)))
+@example(SymFormP(4, (2, 0, 9, -23, 12), LIMIT), 10**4000)
+@example(SymFormP(4, (1, -2, 0, 0, 1), 4), LIMIT)
+@settings(max_examples=150, deadline=None)
+def test_entry_map_matches_the_former_constructions(form, scope):
+    """The gamma = 0 entry map (``_gamma_zero_entries``) gives the linear
+    forms of ``former_block_polys``, the gamma = 0 signs of C_i // m and
+    the entries C_i / S as Fractions, at every n; the sum of its last three
+    entries is d times the coefficient sum."""
+    f = SymFormP(4, form.coeffs, scope)
+    blocks = former_block_polys(f)
+    assert _block_polys(f) == blocks
+    m = _gamma_gen_ints(scope)[0]
+    assert _gamma_zero_signs(f) == tuple(
+        _fraction_sign(x) for x in _conditions(*(c // m for c, _ in blocks[1]))
+    )
+    d, e = _gamma_zero_entries(f)
+    assert tuple(Fraction(x, d) for x in e) == entries_at(blocks, Fraction(0))
+    assert sum(e[2:]) == d * sum(f.coeffs)
 
 
 def _cert_fields(cert):
