@@ -263,11 +263,6 @@ def _zprim(z: list[int]) -> list[int]:
     return [c // g for c in z] if g > 1 else z
 
 
-def _zlinear(r: Fraction) -> list[int]:
-    """The primitive zpoly of x - r, r rational."""
-    return [-r.numerator, r.denominator]
-
-
 def _zmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -632,23 +627,16 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
         common = _zgcd(product, part)
         product = _zmul(product, _zquo(part, common) if len(common) > 1 else part)
 
-    # roots at exactly lo or hi do not subdivide (lo, hi) but would confuse
-    # interval refinement when they coincide with an interval endpoint
-    interior = product
-    for r in (lo, hi):
-        if _zsign(interior, r) == 0:
-            interior = _zquo(interior, _zlinear(r))
-    interior_poly = UniPoly(interior)
-
     # refine so every non-point interval sits strictly inside (lo, hi) and
     # strictly to the right of the previous interval; the roots themselves
-    # are strictly interior, so repeated halving always terminates
+    # are strictly interior, so repeated halving always terminates, and an
+    # accepted interval never ends at a root, even at a root at lo or hi
     breakpoints = []
     prev_hi = lo
     product_poly = UniPoly(product)
     for a, b in isolate_real_roots(product_poly, lo, hi):
         while a != b and (a <= prev_hi or b >= hi):
-            a, b = refine_root_interval(interior_poly, a, b, (b - a) / 2)
+            a, b = refine_root_interval(product_poly, a, b, (b - a) / 2)
         breakpoints.append((a, b))
         prev_hi = b
 
@@ -1166,7 +1154,10 @@ def binary_quartic_critical_polys(cs) -> list[UniPoly]:
       x y (x - y)^2, and the signs that both tests read (the top nonzero
       coefficient, a1^2 - 4 a2 a0 of a quadratic) are constant on
       (0, 1): every polynomial among them has its roots at alpha in
-      {0, 1}, which cut no open alpha-cell.
+      {0, 1}, which cut no open alpha-cell.  [] is also right for the
+      w-family (``sos._w_family``), (0, 2 b12 w, B2, 0, B0) when
+      c4 = c22 = 0 with B2, B0 constant: both tests read the signs of
+      2 b12 w, B2 and B0, and 2 b12 w does not vanish on (0, n - 2).
     """
     lead = cs[0]
     if lead.is_zero():

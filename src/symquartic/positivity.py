@@ -60,7 +60,6 @@ from .sos import (
     _gamma_zero_signs,
     _strictly_feasible,
     sos_boundary,
-    sos_membership_limit,
 )
 from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, per_form
 
@@ -327,13 +326,14 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope).
 
     IN exactly when f is in the limit SOS cone, which is sound because a
-    sum of squares is nonnegative.  Otherwise the OUT verdict carries a
+    sum of squares is nonnegative, read on the gamma = 0 signs of ``sos``
+    with no certificate built.  Otherwise the OUT verdict carries a
     negative point read off the gamma = 0 entries that decided it
     (``_limit_negative_point``), with no alpha-cells; finding none would
     contradict the paper's degree-4 theorem, and raises.
     """
     _require_limit_quartic(f)
-    if sos_membership_limit(f).status == "IN":
+    if _feasible(_gamma_zero_signs(f)):
         return NonnegVerdict("IN")
     witness = _limit_negative_point(f)
     if witness is None:

@@ -59,13 +59,14 @@ An OUT verdict at a numeric scope is backed by a rational dual functional
    extreme ray of the dual cone K*, and a face-dimension count shows that
    both 2x2 dual blocks have rank <= 1 on every extreme ray;
 2. those rays lie in two rational charts: the two-parameter s-chart
-   l(s, z) (y1111 = 1) and the segment (1 + w, 0, 1, 0, 0),
-   0 <= w <= (n-2)^2/(n-1) (y1111 = 0), whose two ends suffice;
+   l(s, z) (y1111 = 1) and the segment (1 + v, 0, 1, 0, 0),
+   0 <= v <= (n-2)^2/(n-1) (y1111 = 0), whose two ends are tested first;
 3. in the s-chart the two-row block tau is >= 0 exactly on the closure of
    {tau > 0}, so the s-chart separates iff the open set {q < 0, tau > 0}
-   (q the pairing with f) is nonempty; it is cut out by the signs of two
-   quadratics in z, so one sample per open cell of a two-level cell
-   decomposition (over s, then over z) finds a point of it if it has one.
+   (q the pairing with f) is nonempty.  z = 2s + s^2 w makes q one binary
+   quartic h_w(s, 1) with coefficients in Z[w] (``_w_family``), searched
+   over w on the cells of the binary-quartic engine; the segment is the
+   s -> oo limit of this family, so it is not needed for completeness.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ from .algebra import (
     UniPoly,
     _zpoly,
     _zroot_bound,
+    binary_quartic_critical_polys,
+    binary_quartic_nonneg,
     cells,
     psd2,
     rational_roots,
@@ -358,8 +361,8 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
     """Membership in the limit SOS cone (LIMIT scope; gamma = 0 forced).
 
     Decided once per form object (``symfunc.per_form``), so the verdict
-    and its certificate that ``is_nonneg_limit`` and
-    ``sos_boundary`` read are built once."""
+    and its certificate that a caller and ``sos_boundary`` both read are
+    built once."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
@@ -370,15 +373,15 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
 
 
 def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
-    """The admissible gamma range [lo, hi] at the form's numeric scope, where
-    the linear forms of b22 (slope 2 den (n-1) > 0) and a22 (slope
-    -2 den (n-2)^2 < 0) of ``_block_polys`` are >= 0, or None when it is
-    empty and f is outside the cone."""
-    (c_b22, g_b22), _, (c_a22, g_a22), _, _ = _block_polys(f)[1]
-    if c_a22 < 0:
-        return None
-    lo = _ZERO if c_b22 >= 0 else Fraction(-c_b22, g_b22)
-    hi = Fraction(c_a22, -g_a22)
+    """The admissible gamma range [lo, hi] at the form's numeric scope n,
+    where b22 and a22 are >= 0: lo = max(0, -2n^2 c4/(n-1)) and
+    hi = 2n^2 (c4 + c22)/(n-2)^2, or None when it is empty and f is outside
+    the cone.  Built from n/(n-1) and n/(n-2), whose gcds end after one
+    step, so no gcd of two integers of the size of n^2 is taken."""
+    n = f.scope
+    c4, _, c22, _, _ = f.coeffs
+    lo = -2 * c4 * n * Fraction(n, n - 1) if c4 < 0 else _ZERO
+    hi = 2 * (c4 + c22) * Fraction(n, n - 2) ** 2
     return None if lo > hi else (lo, hi)
 
 
@@ -587,40 +590,19 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
 # ---------------------------------------------------------------------------
 
 
-def _chart_quadratic(v) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """The pairing of the s-chart functional l(s, z) with the coefficient
-    vector v, as a quadratic a z^2 + b z + c in z; a, b, c are polynomials
-    in s.  With t = 1 + s^2: a = v4, b = v31 s and
-    c = (v4 + v22) t^2 + (v31 + v211) t + v1111."""
-    v4, v31, v22, v211, v1111 = v
-    sq, lin = v4 + v22, v31 + v211
+def _w_family(f: SymFormP) -> tuple[UniPoly, ...]:
+    """d l(s, 2s + s^2 w)(f) as a binary quartic h_w in (s, 1), descending,
+    with coefficients in Z[w]: (b22 w^2 + a22, (4 b22 + 2 b12) w,
+    4 b22 + 4 b12 + 2 a22 + s, 0, a22 + s + c0) on the gamma = 0 entries
+    (d, (b22, b12, a22, s, c0)) of ``_gamma_zero_entries``."""
+    b22, b12, a22, s, c0 = _gamma_zero_entries(f)[1]
     return (
-        UniPoly([v4]),
-        UniPoly([_ZERO, v31]),
-        UniPoly([sq + lin + v1111, _ZERO, 2 * sq + lin, _ZERO, sq]),
+        UniPoly([a22, 0, b22]),
+        UniPoly([0, 4 * b22 + 2 * b12]),
+        UniPoly([4 * (b22 + b12) + 2 * a22 + s]),
+        UniPoly(),
+        UniPoly([a22 + s + c0]),
     )
-
-
-def _s_projection(q, tau) -> list[UniPoly]:
-    """Polynomials in s across whose roots alone the number and the order
-    of the real z-roots of q and tau can change: the discriminant of each
-    (for q of z-degree 1 its leading coefficient, of z-degree 0 q itself)
-    and their resultant.  The resultant vanishes identically only when q
-    is a multiple of tau (f a multiple of the scalar-block generator), and
-    then q < 0 < tau holds nowhere or on all of {tau > 0}."""
-    (a1, b1, c1), (a2, b2, c2) = q, tau
-    ac, ab, bc = a1 * c2 - a2 * c1, a1 * b2 - a2 * b1, b1 * c2 - b2 * c1
-    polys = [
-        b1 * b1 - a1 * c1.scale(4) if a1 else b1 if b1 else c1,
-        b2 * b2 - a2 * c2.scale(4),
-        ac * ac - ab * bc,
-    ]
-    return [p for p in polys if p.degree > 0]
-
-
-def _root_bound(polys) -> Fraction:
-    """A bound B > 0 with every real root of the polynomials in (-B, B)."""
-    return max((_zroot_bound(_zpoly(p.coeffs)) for p in polys), default=_ONE)
 
 
 def _simple_samples(lo: Fraction, hi: Fraction, polys) -> list[Fraction]:
@@ -629,6 +611,28 @@ def _simple_samples(lo: Fraction, hi: Fraction, polys) -> list[Fraction]:
     of the gap between neighbouring isolating intervals."""
     ends = [lo] + [x for ab in cells(polys, lo, hi).breakpoints for x in ab] + [hi]
     return [simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2])]
+
+
+def _w_separator(f: SymFormP) -> DualFunctional | None:
+    """l(s, 2s + s^2 w) with tau > 0 and a negative pairing with f, or None
+    if there is none (``find_separating_functional``, step 3)."""
+    n = f.scope
+    family = _w_family(f)
+    edge = UniPoly([-((n - 2) ** 2), 0, n - 1])  # tau > 0 iff edge(w) < 0
+    for w in _simple_samples(_ZERO, Fraction(n - 2), binary_quartic_critical_polys(family) + [edge]):
+        if edge(w) > 0:
+            break
+        h = [u(w) for u in family]
+        if binary_quartic_nonneg(h):
+            continue
+        q = UniPoly(h[::-1])
+        bound = _zroot_bound(_zpoly(q.coeffs))
+        for s in _simple_samples(-bound, bound, [q] if q.degree > 0 else []):
+            if q(s) < 0:
+                z, t = 2 * s + s * s * w, 1 + s * s
+                return DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE)
+        raise AssertionError("internal error: h_w is not nonnegative but no s-sample is negative")
+    return None
 
 
 def find_separating_functional(f: SymFormP):
@@ -641,8 +645,8 @@ def find_separating_functional(f: SymFormP):
 
     When f is not nonnegative at n, the point evaluation at the negative
     point of ``positivity.is_nonneg`` separates, and it is tried after the
-    two segment ends below and before the s-chart search, which remains
-    for the nonnegative forms outside the SOS cone.
+    two segment ends below and before the w-search, which remains for the
+    nonnegative forms outside the SOS cone.
 
     The search is complete:
 
@@ -660,19 +664,23 @@ def find_separating_functional(f: SymFormP):
     2. Two rational charts.  Scaled to y1111 = 1, rank <= 1 blocks are the
        s-chart l(s, z) = (z^2 + t^2, s z + t, t^2, t, 1), t = 1 + s^2
        (trivial block (t, 1)(t, 1)^T, hook block (z, s)(z, s)^T); with
-       y1111 = 0 they are (1 + w, 0, 1, 0, 0), and tau >= 0 there means
-       0 <= w <= (n-2)^2/(n-1).  On that segment ell(f) is linear in w, so
-       its two ends are tested.
-    3. An open set.  On the s-chart
+       y1111 = 0 they are the segment (1 + v, 0, 1, 0, 0), on which
+       tau >= 0 means 0 <= v <= (n-2)^2/(n-1).  On the segment ell(f) is
+       linear in v, so its two ends are tested first: they are cheap and
+       give small separators.
+    3. One family in w.  On the s-chart
        tau = ((n-2)^2 s^4 - (n-1)(z - 2s)^2) / 2, so {tau >= 0} is the
-       closure of {tau > 0}, and a separating ray with tau = 0 has
-       separating neighbours with tau > 0.  The s-chart thus separates iff
-       the open set {q < 0, tau > 0}, q = l(s, z)(f), is nonempty.  It is
-       symmetric under (s, z) -> (-s, -z) and defined by the signs of two
-       quadratics in z, so it is nonempty iff it holds a sample of the
-       open cells cut over s > 0 at the roots of ``_s_projection`` and, at
-       each s-sample, over z at the roots of the two quadratics.  Samples
-       are rational, so the separator l(s, z) is.
+       closure of {tau > 0}, and the s-chart separates iff the open set
+       {q < 0, tau > 0}, q = l(s, z)(f), is nonempty.  There s != 0, and
+       z = 2s + s^2 w gives tau = s^4 ((n-2)^2 - (n-1) w^2) / 2 and
+       d q = h_w(s, 1) (``_w_family``).  As h_w(s) = h_{-w}(-s), the set is
+       nonempty iff h_w is not nonnegative at some w in (0, (n-2)/sqrt(n-1)),
+       which is constant on the cells cut at the roots of
+       ``binary_quartic_critical_polys`` and (n-1) w^2 - (n-2)^2: one
+       sample per cell finds w, one per cell of h_w(s, 1) finds s.  As
+       s -> oo, l(s, 2s + s^2 w) / s^4 -> (1 + w^2, 0, 1, 0, 0), paired
+       with f by the leading coefficient of h_w / d, so the segment adds
+       no separating ray of its own.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
@@ -686,9 +694,9 @@ def find_separating_functional(f: SymFormP):
         return ell
 
     c = f.coeffs
-    for w in (_ZERO, Fraction((n - 2) ** 2, n - 1)):
-        if (1 + w) * c[0] + c[2] < 0:
-            return verified(DualFunctional(1 + w, _ZERO, _ONE, _ZERO, _ZERO))
+    for v in (_ZERO, Fraction((n - 2) ** 2, n - 1)):
+        if (1 + v) * c[0] + c[2] < 0:
+            return verified(DualFunctional(1 + v, _ZERO, _ONE, _ZERO, _ZERO))
 
     # a negative point of f is a point evaluation pairing negatively with
     # it; is_nonneg is kept on the form object, so this is a read when the
@@ -699,17 +707,9 @@ def find_separating_functional(f: SymFormP):
     if nonneg.status == "OUT":
         return verified(weighted_point_functional(*nonneg.witness))
 
-    # the pairing with the scalar-block generator is tau / n^2
-    quads = [_chart_quadratic(v) for v in (c, gamma_gen_coeffs(n))]
-    s_polys = _s_projection(*quads)
-    for s in _simple_samples(_ZERO, _root_bound(s_polys), s_polys):
-        zq, ztau = (UniPoly([c0(s), b0(s), a0(s)]) for a0, b0, c0 in quads)
-        z_polys = [p for p in (zq, ztau) if p.degree > 0]
-        bound = _root_bound(z_polys)
-        t = 1 + s * s
-        for z in _simple_samples(-bound, bound, z_polys):
-            if zq(z) < 0 and ztau(z) > 0:
-                return verified(DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE))
+    ell = _w_separator(f)
+    if ell is not None:
+        return verified(ell)
     if sos_membership(f).status == "OUT":
         raise AssertionError("internal error: no separator found for an SOS-OUT form")
     return None

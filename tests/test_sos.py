@@ -15,6 +15,8 @@ from symquartic.algebra import (
     AlgebraicField,
     SymMat2,
     UniPoly,
+    _zpoly,
+    _zroot_bound,
     cells,
     psd2,
     rational_roots,
@@ -36,12 +38,14 @@ from symquartic.sos import (
     _block_polys,
     _certificate,
     _certificate_at,
-    _chart_quadratic,
     _conditions,
     _feasible,
+    _gamma_range,
     _gamma_zero_entries,
     _gamma_zero_signs,
     _signs_at,
+    _w_family,
+    _w_separator,
     expand_certificate,
     find_separating_functional,
     sos_boundary,
@@ -413,11 +417,11 @@ _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def _membership_forms(draw):
+def _membership_forms(draw, scopes=st.integers(4, 9)):
     """Box forms, and expansions of rank-one blocks at a gamma >= 0, some
     lowered in one coefficient: these put the feasible gammas at an end,
     strictly inside the range, at a single point or nowhere."""
-    n = draw(st.integers(4, 9))
+    n = draw(scopes)
     if draw(st.booleans()):
         return SymFormP(4, draw(st.tuples(*[_small] * 5)), n)
     a, b, c, d = (draw(_small) for _ in range(4))
@@ -753,13 +757,74 @@ class TestSeparatorCharts:
             assert dual_membership(ell, n) == (0 <= w <= w_max)
 
     def test_chart_quadratic_is_the_pairing(self):
+        """The w-family is d times the pairing on the s-chart at
+        z = 2s + s^2 w, and tau is s^4 ((n-2)^2 - (n-1) w^2) / 2 there."""
         rng = random.Random(5)
         for _ in range(10):
             f = random_form(rng, 6)
-            a, b, c = _chart_quadratic(f.coeffs)
-            for s in self.GRID[::4]:
-                for z in self.GRID[::3]:
-                    assert a(s) * z * z + b(s) * z + c(s) == pair(_s_chart(s, z), f)
+            d = _gamma_zero_entries(f)[0]
+            family = _w_family(f)
+            assert all(type(c) is int for u in family for c in u.coeffs)
+            for w in self.GRID[::4]:
+                h = [u(w) for u in family]
+                for s in self.GRID[::3]:
+                    ell = _s_chart(s, 2 * s + s * s * w)
+                    assert sum(c * s ** (4 - i) for i, c in enumerate(h)) == d * pair(ell, f)
+                    assert dual_blocks(ell, 6)[2] == s**4 * (16 - 5 * w * w) / 2
+
+
+def two_level_separator(f):
+    """The s-chart search that the w-search replaced, kept as a reference:
+    the pairing and tau as quadratics in z whose coefficients are Fraction
+    polynomials in s, cells over s > 0 at the roots of their
+    discriminants and resultant, then cells over z at each s-sample."""
+
+    def chart_quadratic(v):
+        v4, v31, v22, v211, v1111 = v
+        sq, lin = v4 + v22, v31 + v211
+        return UniPoly([v4]), UniPoly([0, v31]), UniPoly([sq + lin + v1111, 0, 2 * sq + lin, 0, sq])
+
+    q, tau = (chart_quadratic(v) for v in (f.coeffs, gamma_gen_coeffs(f.scope)))
+    (a1, b1, c1), (a2, b2, c2) = q, tau
+    ac, ab, bc = a1 * c2 - a2 * c1, a1 * b2 - a2 * b1, b1 * c2 - b2 * c1
+    s_polys = [
+        p
+        for p in (
+            b1 * b1 - a1 * c1.scale(4) if a1 else b1 if b1 else c1,
+            b2 * b2 - a2 * c2.scale(4),
+            ac * ac - ab * bc,
+        )
+        if p.degree > 0
+    ]
+
+    def root_bound(polys):
+        return max((_zroot_bound(_zpoly(p.coeffs)) for p in polys), default=Fraction(1))
+
+    for s in sos._simple_samples(Fraction(0), root_bound(s_polys), s_polys):
+        zq, ztau = (UniPoly([c0(s), b0(s), a0(s)]) for a0, b0, c0 in (q, tau))
+        z_polys = [p for p in (zq, ztau) if p.degree > 0]
+        bound = root_bound(z_polys)
+        for z in sos._simple_samples(-bound, bound, z_polys):
+            if zq(z) < 0 and ztau(z) > 0:
+                return _s_chart(s, z)
+    return None
+
+
+@given(_membership_forms(st.sampled_from((4, 5, 6, 7, 8, 30, 100))))
+@example(SymFormP(4, (0, 1, 0, 0, 0), 5))
+@example(SymFormP(4, (0, 0, 0, -1, 1), 30))
+@example(SymFormP(4, tuple(map(Fraction, ("9/16", "-21/8", "27/16", "7/16", "-1e-10"))), 100))
+@settings(max_examples=80, deadline=None)
+def test_w_search_matches_two_level_search(f):
+    """The w-search finds an s-chart separator exactly when the two-level
+    search does, and every separator of either verifies.  The first two
+    examples have c4 = c22 = 0, where the leading coefficient of the
+    w-family vanishes identically, with b12 != 0 and b12 = 0."""
+    got, want = _w_separator(f), two_level_separator(f)
+    assert (got is None) == (want is None)
+    for ell in (got, want):
+        if ell is not None:
+            assert pair(ell, f) < 0 and dual_membership(ell, f.scope)
 
 
 def reference_entries(c, n, gamma):
@@ -1088,6 +1153,28 @@ def test_entry_map_matches_the_former_constructions(form, scope):
     d, e = _gamma_zero_entries(f)
     assert tuple(Fraction(x, d) for x in e) == entries_at(blocks, Fraction(0))
     assert sum(e[2:]) == d * sum(f.coeffs)
+
+
+def former_gamma_range(f):
+    """``_gamma_range`` as read off the linear forms of ``_block_polys``."""
+    (c_b22, g_b22), _, (c_a22, g_a22), _, _ = _block_polys(f)[1]
+    if c_a22 < 0:
+        return None
+    lo = Fraction(0) if c_b22 >= 0 else Fraction(-c_b22, g_b22)
+    hi = Fraction(c_a22, -g_a22)
+    return None if lo > hi else (lo, hi)
+
+
+@given(_scoped_forms(), st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, 10**4000)))
+@example(SymFormP(4, (-1, 0, 3, 0, 0), LIMIT), 10**4000)
+@example(SymFormP(4, (-1, 0, 0, 0, 0), LIMIT), 5)
+@example(SymFormP(4, (1, 0, -1, 0, 0), LIMIT), 4)
+@settings(max_examples=100, deadline=None)
+def test_gamma_range_matches_the_former_construction(form, n):
+    """The gamma range read off the form is the one the linear forms give,
+    empty or not, with lo > 0 when c4 < 0."""
+    f = SymFormP(4, form.coeffs, n)
+    assert _gamma_range(f) == former_gamma_range(f)
 
 
 def _cert_fields(cert):
