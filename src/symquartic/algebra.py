@@ -13,18 +13,16 @@ Provides the building blocks used by every other module:
   counting and isolation run on ints, and the sign at a rational p/q is
   that of the homogeneous integer Horner value sum c_i p^i q^(d-i).  The
   one root engine is Descartes (Vincent-Collins-Akritas) bisection on
-  integer Taylor shifts: it isolates and counts roots, finds the negative
-  points of binary quartics and decides the sign queries.  ``Fraction`` is
+  integer Taylor shifts: it isolates and counts roots, finds rational
+  roots and the negative points of binary quartics.  ``Fraction`` is
   built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
   interval into open cells, each with a rational sample, and each root
   (breakpoint) has an isolating interval on their squarefree product.
 * ``AlgebraicField`` -- the sign of a rational polynomial at a real root
-  isolated by a rational interval, the one algebraic step of the
-  decisions.  It is a sign query on integer polynomials: a gcd and a
-  Descartes count, with no field arithmetic and no factoring, so the root
-  may be given by any squarefree polynomial (in practice a cell product).
+  isolated by a rational interval: a gcd and a Descartes count on integer
+  polynomials.  No decision calls it; it stays as a test reference.
 * ``RatFunc`` -- the field of univariate rational functions over the
   rationals, a scalar for coefficients depending on the variable-count
   symbol ``n``.
@@ -562,8 +560,9 @@ def refine_root_interval(
     return lo, hi
 
 
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """The distinct rational roots of a nonzero rational polynomial, sorted.
+def rational_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The distinct rational roots of a nonzero rational polynomial in the
+    open interval (lo, hi), sorted.
 
     By the rational root theorem a root a/b in lowest terms of the
     primitive integer squarefree part z has b | lc(z), so every rational
@@ -576,9 +575,9 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     z = _zsqf(_zpoly(p.coeffs))
     if len(z) <= 1:
         return []
-    lead, poly, bound = z[-1], UniPoly(z), _zroot_bound(z)
+    lead, poly = z[-1], UniPoly(z)
     out = []
-    for a, b in isolate_real_roots(poly, -bound, bound):
+    for a, b in isolate_real_roots(poly, lo, hi):
         if a != b:
             a, b = refine_root_interval(poly, a, b, Fraction(1, 2 * lead))
         r = Fraction(-((-a.numerator * lead) // a.denominator), lead)  # ceil
@@ -598,8 +597,7 @@ class Cells:
     open interval: a point ``(r, r)`` at a rational root, otherwise an
     interval whose endpoints are not roots; they lie strictly apart and
     strictly inside the interval.  ``samples`` holds one rational in each
-    of the ``len(breakpoints) + 1`` open cells, left to right.  A
-    breakpoint's root is ``AlgebraicField(product, lo, hi)``.
+    of the ``len(breakpoints) + 1`` open cells, left to right.
     """
 
     product: UniPoly
@@ -613,9 +611,11 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
 
     Callers pass polynomials in a parameter across whose roots alone their
     answer can change.  The answer on [lo, hi] is then decided by testing
-    ``lo``, ``hi``, one sample per open cell and each breakpoint (exactly,
-    by sign queries at the root, when its interval is not a point).
-    When ``lo == hi`` the single sample is ``lo``.
+    ``lo``, ``hi``, one sample per open cell and each breakpoint.  A point
+    breakpoint is its own rational root; the caller reads the root of any
+    other off its interval (``sos`` needs only the rational ones, which
+    ``rational_roots`` on the interval finds).  When ``lo == hi`` the
+    single sample is ``lo``.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -856,8 +856,7 @@ def irreducible_factors(p: UniPoly) -> list[UniPoly]:
     """Monic irreducible factors of p over Q (without multiplicities).
 
     Delegates the factorization to sympy, which only the ``test`` extra
-    installs; no decision calls this function (they use sign queries at
-    isolated roots, ``AlgebraicField``).
+    installs; no decision calls this function.
     """
     import sympy
 
@@ -883,7 +882,11 @@ class AlgebraicField:
 
     m need not be irreducible, so a cell product and a breakpoint's
     isolating interval (``Cells``) serve as they are.  The interval is
-    refined in place as sign queries need it.
+    refined in place as sign queries need it.  No decision calls it: the
+    one feasible gamma of an SOS decision at a single breakpoint is
+    rational (``sos``), so ``rational_roots`` finds it.  It stays because
+    ``bench/tracer.py`` traces ``sign_of_poly`` and the tests use it as a
+    reference for signs at irrational roots.
     """
 
     def __init__(self, m: UniPoly, lo: Fraction, hi: Fraction):

@@ -344,15 +344,12 @@ def cmd_check(args) -> int:
         out.append(f"status: {verdict.status}")
         if verdict.status == "IN":
             cert = verdict.certificate
-            if cert is None:
-                out.append(f"note: {verdict.note}")
-            else:
-                if not cert.is_valid() or expand_certificate(cert) != f:
-                    raise AssertionError("certificate failed re-verification")
-                out.append(f"certificate gamma: {fmt(cert.gamma)}")
-                out.append(f"certificate block A: {_mat_str(cert.A)}")
-                out.append(f"certificate block B: {_mat_str(cert.B)}")
-                out.append("certificate verified: true")
+            if not cert.is_valid() or expand_certificate(cert) != f:
+                raise AssertionError("certificate failed re-verification")
+            out.append(f"certificate gamma: {fmt(cert.gamma)}")
+            out.append(f"certificate block A: {_mat_str(cert.A)}")
+            out.append(f"certificate block B: {_mat_str(cert.B)}")
+            out.append("certificate verified: true")
         elif scope is not LIMIT:
             ell = find_separating_functional(f)
             pairing = pair(ell, f)

@@ -31,17 +31,43 @@ Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
 polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
 (gamma, u) region is convex (the blocks are affine in (gamma, u)), hence
 the feasible gamma values form one closed interval in the admissible
-range [lo, hi].  So ``sos_membership`` tests the two ends first, and a
-feasible end decides IN with no cell built.  Only when both ends are
-infeasible, so that the interval lies inside (lo, hi), is feasibility
-decided on the cells of the shared cell engine (``algebra.cells``), cut
-at the roots of those polynomials: the scan tests every rational
-breakpoint and one rational sample per open cell, and misses the interval
-only when it is a single breakpoint inside an isolating interval.  That
-breakpoint is tested by sign queries at the root
-(``algebra.AlgebraicField``).  If it is feasible, a condition polynomial
-vanishes there; a rational root of it in the interval is the
-certificate's gamma, and otherwise gamma is irrational.
+range [lo, hi].  ``sos_membership`` looks for it in three steps:
+
+1. the two ends: a feasible end decides IN with no cell built;
+2. with both ends infeasible the interval lies inside (lo, hi), and it is
+   searched on the cells of the shared cell engine (``algebra.cells``),
+   cut at the roots of those polynomials: every rational (point)
+   breakpoint and one rational sample per open cell, in increasing order;
+3. feasibility is constant on an open cell, so these miss the interval
+   only when it is one gamma*, the root of a breakpoint inside an
+   isolating interval.  gamma* is rational (below), so it is a rational
+   root in that interval of a condition of positive degree
+   (``algebra.rational_roots``); when none of those is feasible, f is OUT.
+
+Why one feasible gamma* in (lo, hi) is rational.  On (lo, hi), b22 > 0
+and a22 > 0 (b22 rises from 0 at or below lo, a22 falls to 0 at hi), so
+B is PSD iff u >= h = b12^2 / b22 and A is iff q = 4 det A >= 0; u >= 0
+and a11 >= 0 follow.  With c = 2(n-1)/n^2, the gamma-slopes of b22, b12
+and the vertex v = 2 a22 + s of q in u are c/4, -c/2 and c, and the
+quadratic part of q in (gamma, u) is -(u - c gamma)^2: h grows like
+c gamma, and the conics q = 0 and u b22 = b12^2 share their point at
+infinity.  So q(gamma, v), the vertex term v^2 + r of ``_conditions``,
+has degree <= 1, and H = b22^2 q(gamma, h), its hook term, degree <= 3.
+
+- If q(gamma*, h) < 0, the feasible u at gamma* lie above h, so v > h
+  near gamma*, and there gamma is feasible iff q(gamma, v) >= 0: a
+  polynomial of degree <= 1 that is >= 0 at gamma* is so on an interval
+  of positive length, which contradicts a single gamma*.
+- Otherwise (gamma, h(gamma)) is feasible exactly where H >= 0, so H is
+  0 at gamma* and < 0 beside it: gamma* is a root of even multiplicity
+  of H != 0.  Were gamma* irrational, a conjugate would be a second
+  such root, and 2 + 2 > 3 (Bezout for the two conics, on the graph of h).
+
+The degenerate conics need no case of their own: q a pair of parallel
+lines or a double line, and u b22 - b12^2 = b22 (u - 4 b22) when
+b12 = -2 b22, leave the equivalences on (lo, hi) and the degree bounds
+as they are; a common component of the two conics makes H = 0, which
+the second case excludes and the first does not use.
 
 The boundary status (``sos_boundary``) is decided at every scope by one
 routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
@@ -76,7 +102,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import (
-    AlgebraicField,
     Cells,
     SymMat2,
     UniPoly,
@@ -127,16 +152,13 @@ class SosCertificate:
 
 @dataclass(frozen=True)
 class SosVerdict:
-    """IN/OUT verdict.  IN normally carries a verified rational
-    certificate; ``note`` flags the degenerate case where the only
-    feasible decomposition sits at a single irrational gamma and no
-    rational certificate exists in this parametrization.  An OUT verdict
-    at a numeric scope is backed by the separating dual functional that
-    ``find_separating_functional`` returns."""
+    """IN/OUT verdict.  IN carries a verified rational certificate.  An
+    OUT verdict at a numeric scope is backed by the separating dual
+    functional that ``find_separating_functional`` returns."""
 
     status: str  # "IN" | "OUT"
     certificate: SosCertificate | None = None
-    note: str | None = None
+    note = None  # the former irrational-gamma note; bench/queries.py and bench/worker.py read it
 
 
 def expand_certificate(cert: SosCertificate) -> SymFormP:
@@ -429,29 +451,18 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
 
-    # remaining possibility: feasibility only at a single breakpoint that
-    # sits inside an isolating interval; breakpoints lie in (lo, hi), so
-    # gamma > 0 there
+    # remaining possibility: feasibility only at the root of a breakpoint
+    # inside an isolating interval, which is then rational (module
+    # docstring); every condition root in the interval is that root
     for a, b in gamma_cells.breakpoints:
         if a == b:
             continue  # tested above
-        root = AlgebraicField(gamma_cells.product, a, b)
-        signs = [root.sign_of_poly(p) for p in conditions]
-        if not _feasible(signs):
-            continue
-        # the root is a root of some condition of positive degree (<= 4)
-        vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
-        for gamma in rational_roots(vanishing):
-            if a < gamma < b:
-                return SosVerdict("IN", certificate=_certificate_at(f, blocks, gamma))
-        return SosVerdict(
-            "IN",
-            note=(
-                "feasible only at a single irrational gamma "
-                f"isolated by ({a}, {b}); no rational certificate "
-                "exists in this parametrization"
-            ),
-        )
+        roots = (r for p in conditions if p.degree > 0 for r in rational_roots(p, a, b))
+        gamma = next(roots, None)
+        if gamma is not None:
+            cert = _certificate_at(f, blocks, gamma)
+            if cert is not None:
+                return SosVerdict("IN", certificate=cert)
     return SosVerdict("OUT")
 
 
@@ -555,9 +566,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     the gamma = 0 signs decide that (``_strictly_feasible``); at a
     numeric n one sample per open gamma-cell does (``_has_interior_gamma``).
     A boundary form gets y from the face of its certificate
-    (``_supporting_functional``), and y = None only when the one feasible
-    gamma is irrational (the ``note`` of ``sos_membership``), which leaves
-    no strictly feasible gamma.  The zero form raises ValueError.
+    (``_supporting_functional``).  The zero form raises ValueError.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
@@ -574,8 +583,6 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
         verdict = sos_membership(f)
         if verdict.status == "OUT":
             return "OUTSIDE", None
-        if verdict.certificate is None:
-            return "BOUNDARY", None
         if _has_interior_gamma(f):
             return "INTERIOR", None
         cert = verdict.certificate

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symquartic.algebra import (
@@ -26,6 +26,7 @@ from symquartic.algebra import (
     irreducible_factors,
     isolate_real_roots,
     psd2,
+    rational_roots,
     refine_root_interval,
     resultant,
     simplest_rational_between,
@@ -392,6 +393,65 @@ class TestDescartesIsolation:
         # first midpoint
         p = linear(0) * linear(Fraction(1, 2)) * linear(1)
         assert isolate_real_roots(p, 0, 1) == [(Fraction(1, 2), Fraction(1, 2))]
+
+
+@st.composite
+def rational_root_products(draw):
+    """(lead, roots, p, lo, hi): p = lead * prod (b x - a) over the drawn
+    rational roots a/b, some repeated, times irreducible quadratics (no
+    rational root), on an interval whose ends may be roots."""
+    roots = draw(st.lists(small_rationals, max_size=5))
+    lead = draw(st.sampled_from([1, -3, 10**40, -(7**30)]))
+    p = UniPoly([lead])
+    for r in roots:
+        p = p * UniPoly([-r.numerator, r.denominator])
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, c = draw(st.integers(1, 9)), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        disc = b * b - 4 * a * c
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)
+        p = p * UniPoly([c, b, a])
+    ends = st.one_of(small_rationals, st.sampled_from(roots)) if roots else small_rationals
+    lo, hi = sorted((draw(ends), draw(ends)))
+    assume(lo < hi)
+    return lead, roots, p, lo, hi
+
+
+class TestRationalRoots:
+    """``rational_roots(p, lo, hi)``: the distinct rational roots of p in
+    the open interval (lo, hi), sorted."""
+
+    @given(rational_root_products())
+    @settings(max_examples=100, deadline=None)
+    def test_finds_exactly_the_constructed_roots(self, case):
+        _lead, roots, p, lo, hi = case
+        assert rational_roots(p, lo, hi) == sorted({r for r in roots if lo < r < hi})
+
+    def test_roots_at_the_ends_are_left_out(self):
+        p = linear(0) * linear(1) * linear(Fraction(1, 2)) * UniPoly([-2, 0, 1])
+        assert rational_roots(p, Fraction(0), Fraction(1)) == [Fraction(1, 2)]
+        assert rational_roots(p, Fraction(1, 2), Fraction(1)) == []
+        assert rational_roots(p, Fraction(-1), Fraction(1, 2)) == [Fraction(0)]
+
+    def test_large_leading_coefficient(self):
+        # 10^-40 and 3^-60 2^90 lie on the grid of spacing 1 / (10^40 3^60)
+        big = UniPoly([-1, 10**40]) * UniPoly([-(2**90), 3**60]) * UniPoly([-2, 0, 1])
+        assert rational_roots(big, Fraction(0), Fraction(1, 100)) == [Fraction(1, 10**40)]
+        assert rational_roots(big, Fraction(-1), Fraction(2)) == [
+            Fraction(1, 10**40), Fraction(2**90, 3**60)
+        ]
+
+    def test_point_interval_root(self):
+        # 1/2 is the first bisection midpoint of (0, 1), so isolation
+        # reports it as a point interval
+        p = UniPoly([-1, 2]) * UniPoly([-1, 3]) * UniPoly([-2, 0, 1])
+        assert (Fraction(1, 2), Fraction(1, 2)) in isolate_real_roots(p, Fraction(0), Fraction(1))
+        assert rational_roots(p, Fraction(0), Fraction(1)) == [Fraction(1, 3), Fraction(1, 2)]
+
+    def test_no_rational_root(self):
+        assert rational_roots(UniPoly([-2, 0, 1]), Fraction(-2), Fraction(2)) == []
+        assert rational_roots(UniPoly([5]), Fraction(-2), Fraction(2)) == []
+        with pytest.raises(ValueError):
+            rational_roots(UniPoly(), Fraction(0), Fraction(1))
 
 
 class TestCells:

@@ -285,19 +285,25 @@ def entries_at(blocks, gamma):
     return tuple(Fraction(c * q + g * p, blocks[0] * q) for c, g in blocks[1])
 
 
+#: What ``reference_membership`` returns where the only feasible gamma is
+#: irrational, which the rationality proof of the ``sos`` docstring rules out.
+IRRATIONAL_IN = sos.SosVerdict("IN")
+
+
 def reference_membership(f):
     """The full sorted scan of ``sos_membership`` before its ends-first
     test: cells over the whole admissible range, then lo, hi, every point
     breakpoint and every cell sample in increasing order, then the sign
-    queries at the irrational breakpoints.  Returns (verdict, lo)."""
+    queries at the irrational breakpoints.  Returns (verdict, lo, stage),
+    stage "scan" or "sign queries" for the step that decided IN."""
     n = f.scope
     c4, _c31, c22, _c211, _c1111 = f.coeffs
     lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
     if c22 + c4 < 0:
-        return sos.SosVerdict("OUT"), lo
+        return sos.SosVerdict("OUT"), lo, None
     hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) * (n - 2))
     if lo > hi:
-        return sos.SosVerdict("OUT"), lo
+        return sos.SosVerdict("OUT"), lo, None
     blocks = _block_polys(f)
     conditions = condition_polys(blocks)
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
@@ -305,7 +311,7 @@ def reference_membership(f):
     for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
         cert = _certificate_at(f, blocks, gamma)
         if cert is not None:
-            return sos.SosVerdict("IN", certificate=cert), lo
+            return sos.SosVerdict("IN", certificate=cert), lo, "scan"
     for a, b in gamma_cells.breakpoints:
         if a == b:
             continue
@@ -314,11 +320,11 @@ def reference_membership(f):
         if not _feasible(signs):
             continue
         vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
-        for gamma in rational_roots(vanishing):
-            if a < gamma < b:
-                return sos.SosVerdict("IN", certificate=_certificate_at(f, blocks, gamma)), lo
-        return sos.SosVerdict("IN", note="irrational"), lo
-    return sos.SosVerdict("OUT"), lo
+        for gamma in rational_roots(vanishing, a, b):
+            cert = _certificate_at(f, blocks, gamma)
+            return sos.SosVerdict("IN", certificate=cert), lo, "sign queries"
+        return IRRATIONAL_IN, lo, "sign queries"
+    return sos.SosVerdict("OUT"), lo, None
 
 
 class TestEndsFirst:
@@ -432,9 +438,23 @@ def _membership_forms(draw, scopes=st.integers(4, 9)):
     return SymFormP(4, tuple(coeffs), n)
 
 
+# Expansions of rank-one blocks at a rational gamma that the full scan
+# certifies through its sign queries: gamma, the one feasible value, is a
+# breakpoint inside a non-point isolating interval.
+_SIGN_QUERY_SOS = (
+    (5, ("23/25", "-17/25", "13/50", "-15/4", "17/4")),
+    (4, ("-7/32", "29/24", "99/32", "-89/9", "109/18")),
+    (6, ("211/96", "5/24", "-457/288", "-11/4", "21/8")),
+    (5, ("22/25", "-13/25", "-449/900", "-25/36", "17/18")),
+)
+_EXAMPLE_6_10 = boundary_family_form(BoundaryParams(1, Fraction(-13, 10), 1, Fraction(-5, 4)))
+
+
 def _with_cell_path_examples(test):
-    for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values()):
+    for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values(), *_SIGN_QUERY_SOS):
         test = example(SymFormP(4, tuple(Fraction(c) for c in coeffs), n))(test)
+    for n in range(5, 13):
+        test = example(_EXAMPLE_6_10.with_scope(n))(test)
     return test
 
 
@@ -442,17 +462,46 @@ def _with_cell_path_examples(test):
 @given(_membership_forms())
 @settings(max_examples=80, deadline=None)
 def test_ends_first_matches_full_scan(f):
-    """Statuses equal those of the full sorted scan, and the certificate is
-    the same whenever the full scan's gamma is lo.  The forms whose feasible
-    gammas lie inside the range are always among the examples."""
+    """Statuses equal those of the full sorted scan, every IN verdict has a
+    certificate, and the certificate is the same whenever the full scan's
+    gamma is lo or came from its sign queries.  The forms whose feasible
+    gammas lie inside the range, and those that the full scan certifies
+    through its sign queries, are always among the examples."""
     got = sos_membership(f)
-    want, lo = reference_membership(f)
+    want, lo, stage = reference_membership(f)
+    assert want is not IRRATIONAL_IN
     assert got.status == want.status
-    assert (got.note is None) == (want.note is None)
-    if got.certificate is not None:
-        assert expand_certificate(got.certificate) == f
-    if want.certificate is not None and want.certificate.gamma == lo:
+    if got.status == "IN":
+        assert got.certificate is not None and expand_certificate(got.certificate) == f
+    if want.certificate is not None and (want.certificate.gamma == lo or stage == "sign queries"):
         assert got.certificate == want.certificate
+
+
+def test_examples_reach_the_sign_queries():
+    """The full scan certifies the single-gamma forms through its sign
+    queries, so ``test_ends_first_matches_full_scan`` compares those
+    certificates."""
+    for n, coeffs in (*_SINGLE_GAMMA_SOS.values(), *_SIGN_QUERY_SOS):
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        assert reference_membership(f)[2] == "sign queries"
+
+
+@pytest.mark.parametrize("name", list(_SINGLE_GAMMA_SOS))
+def test_single_gamma_without_sign_queries(monkeypatch, name):
+    """The one feasible gamma = 1/3, a breakpoint inside an isolating
+    interval, is found as a rational root of the conditions: no sign query
+    at an isolated root is made."""
+
+    def refuse(self, p):
+        raise AssertionError("sign query made")
+
+    monkeypatch.setattr(AlgebraicField, "sign_of_poly", refuse)
+    n, coeffs = _SINGLE_GAMMA_SOS[name]
+    f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+    verdict = sos_membership(f)
+    assert verdict.status == "IN" and verdict.certificate.gamma == Fraction(1, 3)
+    assert expand_certificate(verdict.certificate) == f
+    assert not hasattr(sos, "AlgebraicField")
 
 
 @_with_cell_path_examples
@@ -556,11 +605,6 @@ class TestSosBoundary:
         assert status == "BOUNDARY"
         assert_supports(y, f)
         assert len(gamma_cell_builds) == 1
-
-    def test_irrational_gamma_is_boundary_without_functional(self, monkeypatch):
-        note = sos.SosVerdict("IN", note="feasible only at a single irrational gamma")
-        monkeypatch.setattr(sos, "sos_membership", lambda f: note)
-        assert sos_boundary(SymFormP(4, (1, 0, 0, 0, 0), 5)) == ("BOUNDARY", None)
 
     def test_example_family_functional(self):
         # example 6.10: strictly inside at n = 4, on the boundary from n = 5
