@@ -4,8 +4,7 @@ Provides the building blocks used by every other module:
 
 * ``UniPoly`` -- univariate polynomials with rational (``int`` or
   ``Fraction``) coefficients, with Euclidean division, gcd, squarefree
-  (Yun) decomposition, certified real-root isolation and counting, and
-  rational roots.
+  (Yun) decomposition, and certified real-root isolation and counting.
 * the integer core behind them: a rational polynomial is carried as the
   primitive integer polynomial that is a positive multiple of it, a list
   of ints.  Roots, multiplicities and signs do not see a positive factor,
@@ -13,8 +12,8 @@ Provides the building blocks used by every other module:
   counting and isolation run on ints, and the sign at a rational p/q is
   that of the homogeneous integer Horner value sum c_i p^i q^(d-i).  The
   one root engine is Descartes (Vincent-Collins-Akritas) bisection on
-  integer Taylor shifts: it isolates and counts roots, finds rational
-  roots and the negative points of binary quartics.  ``Fraction`` is
+  integer Taylor shifts: it isolates and counts roots and finds the
+  negative points of binary quartics.  ``Fraction`` is
   built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
@@ -560,32 +559,6 @@ def refine_root_interval(
     return lo, hi
 
 
-def rational_roots(p: UniPoly, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """The distinct rational roots of a nonzero rational polynomial in the
-    open interval (lo, hi), sorted.
-
-    By the rational root theorem a root a/b in lowest terms of the
-    primitive integer squarefree part z has b | lc(z), so every rational
-    root lies on the grid (1/lc(z)) Z.  Each isolating interval is refined
-    below that spacing and the one grid point it can hold is tested
-    exactly; no integer is factored.
-    """
-    if p.is_zero():
-        raise ValueError("indeterminate root set")
-    z = _zsqf(_zpoly(p.coeffs))
-    if len(z) <= 1:
-        return []
-    lead, poly = z[-1], UniPoly(z)
-    out = []
-    for a, b in isolate_real_roots(poly, lo, hi):
-        if a != b:
-            a, b = refine_root_interval(poly, a, b, Fraction(1, 2 * lead))
-        r = Fraction(-((-a.numerator * lead) // a.denominator), lead)  # ceil
-        if r <= b and _zsign(z, r) == 0:
-            out.append(r)
-    return out
-
-
 @dataclass(frozen=True)
 class Cells:
     """The cells into which the real roots of some rational polynomials cut
@@ -613,9 +586,8 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
     answer can change.  The answer on [lo, hi] is then decided by testing
     ``lo``, ``hi``, one sample per open cell and each breakpoint.  A point
     breakpoint is its own rational root; the caller reads the root of any
-    other off its interval (``sos`` needs only the rational ones, which
-    ``rational_roots`` on the interval finds).  When ``lo == hi`` the
-    single sample is ``lo``.
+    other off its interval (``sos`` reads the one it needs off a gcd
+    instead).  When ``lo == hi`` the single sample is ``lo``.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -883,8 +855,8 @@ class AlgebraicField:
     m need not be irreducible, so a cell product and a breakpoint's
     isolating interval (``Cells``) serve as they are.  The interval is
     refined in place as sign queries need it.  No decision calls it: the
-    one feasible gamma of an SOS decision at a single breakpoint is
-    rational (``sos``), so ``rational_roots`` finds it.  It stays because
+    one feasible gamma of an SOS decision at a single breakpoint is the
+    one root of a gcd, so rational (``sos``).  It stays because
     ``bench/tracer.py`` traces ``sign_of_poly`` and the tests use it as a
     reference for signs at irrational roots.
     """

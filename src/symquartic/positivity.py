@@ -26,13 +26,17 @@ positive at every n (``is_nonneg``, ``is_strictly_positive``).  Only forms
 outside the limit cone (for ``is_strictly_positive``, outside its
 interior) reach the grid.  By the half-degree principle a symmetric
 quartic is nonnegative (strictly positive) iff Phi^alpha is, for every
-weight alpha = k/n of the grid W_n.  On the open alpha-cells both
+weight alpha = k/n of the grid W_n.  At alpha = 0 and 1 the binary form
+is the coefficient sum times y^4 or x^4, so both decisions read those two
+weights off its sign, on the gamma = 0 entries of ``sos``, and the grid
+paths below take only 0 < k < n.  On the open alpha-cells both
 properties are constant, so from ``_CELL_MIN_N`` on the decisions test
-only the grid weights the cells pick: k = 0 and n, the weights inside each
+only the grid weights the cells pick: k = 1, the weights inside each
 breakpoint's isolating interval refined to width 1/n, and the first weight
-right of each interval.  That is a bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
-all n + 1 weights, because building the cells then costs more than the
-walk.  On both paths ``is_nonneg`` returns the first failing grid weight.
+right of each interval.  That is a bounded number of tests whatever n is.
+Below ``_CELL_MIN_N`` they walk the n - 1 interior weights, because
+building the cells then costs more than the walk.  On both paths
+``is_nonneg`` returns the first failing grid weight.
 From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
 built once per form object (``_cell_grid``, ``symfunc.per_form``), so
 asking both questions about one form pays for one cell build.
@@ -122,25 +126,26 @@ def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
 
 
 def _tested_ks(cs, n: int) -> tuple[int, ...]:
-    """Ascending k whose weights (k/n, (n-k)/n) decide Phi^alpha >= 0 (and
-    > 0) on the whole grid W_n, for the alpha-coefficients ``cs`` of f
-    (``symfunc._phi_alpha_ints``), from ``_CELL_MIN_N`` on.
+    """Ascending k in 1..n-1 whose weights (k/n, (n-k)/n) decide
+    Phi^alpha >= 0 (and > 0) on the interior of the grid W_n, for the
+    alpha-coefficients ``cs`` of f (``symfunc._phi_alpha_ints``), from
+    ``_CELL_MIN_N`` on.
 
     The alpha-cells are cut at the roots in (0, 1) of
     ``binary_quartic_critical_polys``, so both binary-quartic tests keep
-    their verdicts on each open cell.  The tested k are k = 0 and n, every
-    k/n in each breakpoint interval refined to width <= 1/n (which holds
-    the breakpoint itself when it is some k/n), and the smallest k/n to
-    the right of each breakpoint interval and of 0.  The first grid weight
-    of every cell is in the list, so the first failing k is the first
-    failing k of the whole grid.
+    their verdicts on each open cell.  The tested k are every k/n in each
+    breakpoint interval refined to width <= 1/n (which holds the
+    breakpoint itself when it is some k/n), and the smallest k/n to the
+    right of each breakpoint interval and of 0, clipped to 1..n-1.  The
+    first interior grid weight of every cell is in the list, so the first
+    failing k is the first failing interior k of the whole grid.
     """
     alpha_cells = cells(binary_quartic_critical_polys(cs), _ZERO, _ONE)
     width = Fraction(1, n)
-    ks = {0, 1, n}
+    ks = {1}
     for a, b in alpha_cells.breakpoints:
         a, b = refine_root_interval(alpha_cells.product, a, b, width)
-        ks.update(range(ceil(a * n), floor(b * n) + 2))
+        ks.update(range(ceil(a * n), min(floor(b * n) + 2, n)))  # 0 < a <= b < 1
     return tuple(sorted(ks))
 
 
@@ -154,13 +159,14 @@ def _cell_grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...]]:
 
 def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
     """The alpha-coefficients of f (``symfunc._phi_alpha_ints``) and the
-    ascending k whose weights decide it on W_n: from ``_CELL_MIN_N`` on
-    those of ``_cell_grid``, below it every k.  The walk keeps nothing on the form,
+    ascending k in 1..n-1 whose weights decide it on the interior of W_n:
+    from ``_CELL_MIN_N`` on those of ``_cell_grid``, below it every one.
+    The walk keeps nothing on the form,
     as recomputing its coefficients costs little beside the walk itself,
     while holding them costs memory for as long as the form lives."""
     n = f.scope
     if n < _CELL_MIN_N:
-        return _phi_alpha_ints(f)[1], range(n + 1)
+        return _phi_alpha_ints(f)[1], range(1, n)
     return _cell_grid(f)
 
 
@@ -177,11 +183,10 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
 
     The first grid weight, k = 0, puts every coordinate at y, where Phi is
     the coefficient sum times y^4.  That sum is a22 + s + (a11 - u) at
-    gamma = 0, so below ``_CELL_MIN_N``, where the walk visits every
-    weight, its sign is read on the integers of
-    ``sos._gamma_zero_entries`` before the alpha-coefficients that the
-    rest of the walk needs are built.  From ``_CELL_MIN_N`` on the cells
-    are built first, and k = 0 is the first weight they give.
+    gamma = 0, so its sign is read on the integers of
+    ``sos._gamma_zero_entries`` before the alpha-coefficients and the grid
+    of the interior weights are built; k = n, where Phi is the sum times
+    x^4, never fails first.
     """
     if f.scope is LIMIT:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
@@ -189,14 +194,13 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
         raise ValueError("decision implemented for degree 4")
     if _feasible(_gamma_zero_signs(f)):
         return NonnegVerdict("IN")
-    n = f.scope
-    walk = n < _CELL_MIN_N
-    if walk and sum(_gamma_zero_entries(f)[1][2:]) < 0:
-        # the walk's point there: the test reads the primitive multiple
+    if sum(_gamma_zero_entries(f)[1][2:]) < 0:
+        # the grid's point there: the test reads the primitive multiple
         point = binary_quartic_negative_point((0, 0, 0, 0, -1))
         return NonnegVerdict("OUT", ((_ZERO, _ONE), point))
+    n = f.scope
     cs, ks = _grid(f)
-    for k in ks[1:] if walk else ks:
+    for k in ks:
         alpha = Fraction(k, n)
         h = _phi_at(cs, alpha)
         if not binary_quartic_nonneg(h):
@@ -212,28 +216,21 @@ def is_strictly_positive(f: SymFormP) -> bool:
     sign read on the gamma = 0 entries (``sos._gamma_zero_entries``).
     Then True when the gamma = 0 blocks of ``sos`` are strictly feasible:
     A positive definite gives f >= lambda_min(A) p_2^2 > 0 at every n, as
-    the hook square of B is >= 0.  Otherwise the grid W_n decides it.  At
-    interior grid weights this is strict positivity of the binary quartic;
-    at the two zero-weight endpoints the binary form degenerates to a
-    scalar times y^4 (the x variable carries weight zero), so only the
-    coefficient sum must be positive.
+    the hook square of B is >= 0.  Otherwise the interior weights of the
+    grid W_n decide it, by strict positivity of the binary quartic; at the
+    two end weights the binary form is the coefficient sum times y^4 or
+    x^4, which the first test has read.
     """
     if f.scope is LIMIT:
         raise ValueError("strict positivity test requires a numeric scope")
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
-    n = f.scope
     if sum(_gamma_zero_entries(f)[1][2:]) <= 0:
         return False
     if _strictly_feasible(_gamma_zero_signs(f)):
         return True
     cs, ks = _grid(f)
-    for k in ks:
-        if k == 0 or k == n:
-            continue  # covered by the scalar test above
-        if not binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, n))):
-            return False
-    return True
+    return all(binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, f.scope))) for k in ks)
 
 
 # ---------------------------------------------------------------------------

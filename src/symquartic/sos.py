@@ -31,43 +31,50 @@ Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
 polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
 (gamma, u) region is convex (the blocks are affine in (gamma, u)), hence
 the feasible gamma values form one closed interval in the admissible
-range [lo, hi].  ``sos_membership`` looks for it in three steps:
+range [lo, hi].
+
+Reduction lemma.  On (lo, hi), b22 > 0 and a22 > 0 (b22 rises from 0 at
+or below lo, a22 falls to 0 at hi), so B is PSD iff u >= h = b12^2 / b22
+(u >= 0 follows) and A is iff q(u) = 4 det A >= 0 (a11 >= 0 follows, as
+a11 a22 >= a12^2).  q is concave in u with the vertex v = 2 a22 + s, so
+some u >= h has q(u) >= 0 iff q(h) >= 0, or v >= h and q(v) >= 0.  With
+the terms of ``_conditions``, D = v b22 - b12^2 (index 9), V = q(v)
+(index 3) and H = b22^2 q(h) (index 6), a gamma in (lo, hi) is feasible
+iff (D >= 0 and V >= 0) or H >= 0, and strictly feasible (both blocks
+definite for some u) iff the same holds with > in place of >=.  With
+c = 2(n-1)/n^2, the gamma-slopes of v, b22 and b12 are c, c/4 and -c/2,
+so the gamma^2 terms of v b22 and b12^2 cancel and D has degree <= 1.
+The quadratic part of q in (gamma, u) is -(u - c gamma)^2, so V has
+degree <= 1, and h grows like c gamma, so H has degree <= 3 (the conics
+q = 0 and u b22 = b12^2 share their point at infinity).
+
+``sos_membership`` looks for the feasible interval in three steps:
 
 1. the two ends: a feasible end decides IN with no cell built;
-2. with both ends infeasible the interval lies inside (lo, hi), and it is
-   searched on the cells of the shared cell engine (``algebra.cells``),
-   cut at the roots of those polynomials: every rational (point)
-   breakpoint and one rational sample per open cell, in increasing order;
-3. feasibility is constant on an open cell, so these miss the interval
-   only when it is one gamma*, the root of a breakpoint inside an
-   isolating interval.  gamma* is rational (below), so it is a rational
-   root in that interval of a condition of positive degree
-   (``algebra.rational_roots``); when none of those is feasible, f is OUT.
+2. with both ends infeasible the interval lies inside (lo, hi), where
+   feasibility is constant on the open cells of the shared cell engine
+   (``algebra.cells``) cut at the roots of D, V and H, a product of
+   degree <= 5.  Every rational (point) breakpoint and one rational
+   sample per open cell are tested on all ten signs, in increasing
+   order.  The left end of the interval is a root of D, V or H, so the
+   first cell, (lo, first root), is never feasible and is skipped;
+3. these miss the interval only when it is one gamma*, the root of a
+   breakpoint inside an isolating interval.  gamma* is then a root of
+   even multiplicity of H (below).  As deg H <= 3, H has no other
+   multiple root, so g = gcd(H, H') is c (gamma - gamma*)^k with
+   k in {1, 2}, and gamma* = -g_(k-1) / (k g_k) is rational.  It is
+   tested when lo < gamma* < hi; otherwise, or when g is constant, f is
+   OUT.
 
-Why one feasible gamma* in (lo, hi) is rational.  On (lo, hi), b22 > 0
-and a22 > 0 (b22 rises from 0 at or below lo, a22 falls to 0 at hi), so
-B is PSD iff u >= h = b12^2 / b22 and A is iff q = 4 det A >= 0; u >= 0
-and a11 >= 0 follow.  With c = 2(n-1)/n^2, the gamma-slopes of b22, b12
-and the vertex v = 2 a22 + s of q in u are c/4, -c/2 and c, and the
-quadratic part of q in (gamma, u) is -(u - c gamma)^2: h grows like
-c gamma, and the conics q = 0 and u b22 = b12^2 share their point at
-infinity.  So q(gamma, v), the vertex term v^2 + r of ``_conditions``,
-has degree <= 1, and H = b22^2 q(gamma, h), its hook term, degree <= 3.
+Why a single feasible gamma* in (lo, hi) is a multiple root of H:
 
-- If q(gamma*, h) < 0, the feasible u at gamma* lie above h, so v > h
-  near gamma*, and there gamma is feasible iff q(gamma, v) >= 0: a
-  polynomial of degree <= 1 that is >= 0 at gamma* is so on an interval
-  of positive length, which contradicts a single gamma*.
-- Otherwise (gamma, h(gamma)) is feasible exactly where H >= 0, so H is
-  0 at gamma* and < 0 beside it: gamma* is a root of even multiplicity
-  of H != 0.  Were gamma* irrational, a conjugate would be a second
-  such root, and 2 + 2 > 3 (Bezout for the two conics, on the graph of h).
-
-The degenerate conics need no case of their own: q a pair of parallel
-lines or a double line, and u b22 - b12^2 = b22 (u - 4 b22) when
-b12 = -2 b22, leave the equivalences on (lo, hi) and the degree bounds
-as they are; a common component of the two conics makes H = 0, which
-the second case excludes and the first does not use.
+- If q(gamma*, h) < 0, the feasible u at gamma* lie above h, so D > 0
+  near gamma*, and there gamma is feasible iff V >= 0: a polynomial of
+  degree <= 1 that is >= 0 at gamma* is so on an interval of positive
+  length, which contradicts a single gamma*.
+- Otherwise H(gamma*) >= 0 and, by the lemma, H < 0 on both sides near
+  gamma*, so H is 0 at gamma* with even multiplicity.  H is not 0
+  identically, which would make all of (lo, hi) feasible.
 
 The boundary status (``sos_boundary``) is decided at every scope by one
 routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
@@ -105,13 +112,14 @@ from .algebra import (
     Cells,
     SymMat2,
     UniPoly,
+    _zderiv,
+    _zgcd,
     _zpoly,
     _zroot_bound,
     binary_quartic_critical_polys,
     binary_quartic_nonneg,
     cells,
     psd2,
-    rational_roots,
     simplest_in_middle,
 )
 from .dualcone import (
@@ -408,16 +416,17 @@ def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
 
 
 @per_form
-def _gamma_cells(f: SymFormP) -> tuple[tuple[UniPoly, ...], Cells]:
-    """The conditions as integer polynomials in gamma (``_conditions`` on
-    the linear forms of ``_block_polys``, S^d times the rational ones at
-    degree d in the entries) and the cells that their roots cut the
-    admissible gamma range into, once per form object
+def _gamma_cells(f: SymFormP) -> tuple[UniPoly, Cells]:
+    """H and the cells that the roots of D, V and H cut the open admissible
+    gamma range into (the reduction lemma), once per form object
     (``symfunc.per_form``): the scan of ``sos_membership`` and
-    ``_has_interior_gamma`` both read them."""
+    ``_has_interior_gamma`` both read the cells.  D, V and H are
+    ``_conditions`` on the linear forms of ``_block_polys``, as integer
+    polynomials in gamma (S^d times the rational ones at degree d in the
+    entries)."""
     lo, hi = _gamma_range(f)
-    conditions = _conditions(*(UniPoly(form) for form in _block_polys(f)[1]))
-    return conditions, cells([p for p in conditions if p.degree > 0], lo, hi)
+    _, _, _, V, _, _, H, _, _, D = _conditions(*(UniPoly(form) for form in _block_polys(f)[1]))
+    return H, cells([p for p in (D, V, H) if p.degree > 0], lo, hi)
 
 
 def sos_membership(f: SymFormP) -> SosVerdict:
@@ -442,24 +451,25 @@ def sos_membership(f: SymFormP) -> SosVerdict:
             return SosVerdict("IN", certificate=cert)
 
     # both ends infeasible: the interval, if any, lies in (lo, hi)
-    conditions, gamma_cells = _gamma_cells(f)
+    H, gamma_cells = _gamma_cells(f)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
-    # lo is infeasible, so the closed feasible interval starts at a condition
-    # root and the first cell, (lo, first root), is never feasible
+    # lo is infeasible, so the closed feasible interval starts at a root of
+    # D, V or H and the first cell, (lo, first root), is never feasible
     for gamma in sorted((point_breaks | set(gamma_cells.samples[1:])) - {lo, hi}):
         cert = _certificate_at(f, blocks, gamma)
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
 
-    # remaining possibility: feasibility only at the root of a breakpoint
-    # inside an isolating interval, which is then rational (module
-    # docstring); every condition root in the interval is that root
-    for a, b in gamma_cells.breakpoints:
-        if a == b:
-            continue  # tested above
-        roots = (r for p in conditions if p.degree > 0 for r in rational_roots(p, a, b))
-        gamma = next(roots, None)
-        if gamma is not None:
+    # remaining possibility: one feasible gamma*, a multiple root of H
+    # (module docstring), so the one root of g = gcd(H, H') = c (gamma - gamma*)^k
+    z = _zpoly(H.coeffs)
+    g = _zgcd(z, _zderiv(z)) if len(z) > 2 else [1]
+    k = len(g) - 1
+    if k:
+        if k > 2 or (k == 2 and g[1] * g[1] != 4 * g[0] * g[2]):
+            raise AssertionError("internal error: gcd(H, H') is not a power of one linear factor")
+        gamma = Fraction(-g[k - 1], k * g[k])
+        if lo < gamma < hi:
             cert = _certificate_at(f, blocks, gamma)
             if cert is not None:
                 return SosVerdict("IN", certificate=cert)
@@ -477,7 +487,8 @@ def _has_interior_gamma(f: SymFormP) -> bool:
 
     Those gammas form an open interval (the projection of an open convex
     set), and ``_strictly_feasible`` is constant on the open cells cut at
-    the roots of the conditions, so one sample per open cell decides it.
+    the roots of D, V and H (the reduction lemma), so one sample per open
+    cell decides it.
     Every sample is > lo >= 0."""
     lo, hi = _gamma_range(f)
     if lo == hi:

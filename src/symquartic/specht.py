@@ -15,13 +15,7 @@ from fractions import Fraction
 from .algebra import MultiPoly, RatFunc
 from .dualcone import _gamma_gen_ints
 from .partitions import Partition, is_partition, partitions_of
-from .symfunc import (
-    LIMIT,
-    SymFormP,
-    SymFuncM,
-    form_from_dict,
-    p_to_m,
-)
+from .symfunc import LIMIT, SymFormP, SymFuncM, _p_lambda_in_m, form_from_dict
 
 _ONE = Fraction(1)
 
@@ -120,18 +114,6 @@ class QBlocks:
     scope: object
 
 
-def _p_expr(coeffs: dict, degree: int) -> SymFuncM:
-    """A p-basis combination (numeric coefficients) expanded in the m basis."""
-    # build per-degree forms then add
-    total = SymFuncM()
-    by_degree: dict[int, dict] = {}
-    for parts, c in coeffs.items():
-        by_degree.setdefault(sum(parts), {})[tuple(parts)] = c
-    for deg, cs in by_degree.items():
-        total = total + p_to_m(form_from_dict(deg, cs, max(deg, 4)))
-    return total
-
-
 def _limit_syfm(f: SymFuncM) -> SymFuncM:
     """Entrywise n -> infinity limit, as a constant-coefficient SymFuncM."""
     return SymFuncM({p: RatFunc(v) for p, v in f.limit().items()})
@@ -148,9 +130,8 @@ def gamma_generator_p_coeffs() -> dict:
 
 
 def _p_expr_ratfunc(coeffs: dict) -> SymFuncM:
-    """A p-basis combination with RatFunc coefficients, in the m basis."""
-    from .symfunc import _p_lambda_in_m
-
+    """A p-basis combination with RatFunc or rational coefficients, in the
+    m basis."""
     total = SymFuncM()
     for parts, c in coeffs.items():
         total = total + _p_lambda_in_m(tuple(parts)).scale(c)
@@ -175,9 +156,9 @@ def q_blocks(scope) -> QBlocks:
             raise ValueError("q_blocks requires n >= 4 or LIMIT")
     n = RatFunc.t()
     hook_scale = (2 * n) / (n - 1)
-    e11 = _p_expr({(2,): 1, (1, 1): -1}, 2).scale(hook_scale)
-    e12 = _p_expr({(3,): 1, (2, 1): -1}, 3).scale(hook_scale)
-    e22 = _p_expr({(4,): 1, (2, 2): -1}, 4).scale(hook_scale)
+    e11 = _p_expr_ratfunc({(2,): 1, (1, 1): -1}).scale(hook_scale)
+    e12 = _p_expr_ratfunc({(3,): 1, (2, 1): -1}).scale(hook_scale)
+    e22 = _p_expr_ratfunc({(4,): 1, (2, 2): -1}).scale(hook_scale)
     scale22 = (8 * n * n * n) / ((n - 1) * (n - 2) * (n - 3))
     b22 = _p_expr_ratfunc(gamma_generator_p_coeffs()).scale(scale22)
     triv = SymFuncM({(): RatFunc(1)})

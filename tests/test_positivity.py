@@ -795,7 +795,8 @@ class TestProjection:
         forms that vanish on the diagonal, and +-(u p_2 + v p_1^2)^2 moved
         along one of them) or leading coefficient (multiples of
         p_(3,1) - p_(2,2)): over ``_tested_ks`` the first failing k and
-        strict positivity are those of the walk over all n + 1 weights.
+        strict positivity are those of the walk over the n - 1 interior
+        weights (the coefficient sum decides the two end weights).
 
         The diagonal forms are drawn with s (p_4 - p_(2,2)) and
         c (p_(2,1^2) - p_(1^4)) positive and d (p_(2,2) - p_(2,1^2))
@@ -837,11 +838,12 @@ class TestProjection:
                     return next((k for k in over if not binary_quartic_nonneg(hs[k])), None)
 
                 def strict(over):
-                    return all(binary_quartic_strictly_positive(hs[k]) for k in over if 0 < k < n)
+                    return all(binary_quartic_strictly_positive(hs[k]) for k in over)
 
-                want = first_failing(range(n + 1))
+                assert all(0 < k < n for k in ks)
+                want = first_failing(range(1, n))
                 assert first_failing(ks) == want, (coeffs, n)
-                assert strict(ks) == strict(range(n + 1)), (coeffs, n)
+                assert strict(ks) == strict(range(1, n)), (coeffs, n)
                 outcomes.add((want is None, strict(ks)))
                 inside += want is not None and want > 1
         assert {"lc", "disc"} <= kinds

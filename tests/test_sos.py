@@ -19,7 +19,6 @@ from symquartic.algebra import (
     _zroot_bound,
     cells,
     psd2,
-    rational_roots,
 )
 from symquartic.dualcone import (
     DualFunctional,
@@ -40,10 +39,12 @@ from symquartic.sos import (
     _certificate_at,
     _conditions,
     _feasible,
+    _gamma_cells,
     _gamma_range,
     _gamma_zero_entries,
     _gamma_zero_signs,
     _signs_at,
+    _strictly_feasible,
     _w_family,
     _w_separator,
     expand_certificate,
@@ -290,6 +291,15 @@ def entries_at(blocks, gamma):
 IRRATIONAL_IN = sos.SosVerdict("IN")
 
 
+def sympy_rational_roots(p, lo, hi):
+    """The distinct rational roots of the polynomial p in (lo, hi), sorted,
+    from sympy's roots over the rationals."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    roots = (Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+    return sorted(r for r in roots if lo < r < hi)
+
+
 def reference_membership(f):
     """The full sorted scan of ``sos_membership`` before its ends-first
     test: cells over the whole admissible range, then lo, hi, every point
@@ -320,7 +330,7 @@ def reference_membership(f):
         if not _feasible(signs):
             continue
         vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
-        for gamma in rational_roots(vanishing, a, b):
+        for gamma in sympy_rational_roots(vanishing, a, b):
             cert = _certificate_at(f, blocks, gamma)
             return sos.SosVerdict("IN", certificate=cert), lo, "sign queries"
         return IRRATIONAL_IN, lo, "sign queries"
@@ -348,10 +358,18 @@ class TestEndsFirst:
             assert reference_membership(f)[0].certificate.gamma == Fraction(121, 64)
 
 
+def deciding_polys(blocks):
+    """D, V and H of the reduction lemma in the ``sos`` docstring:
+    ``_conditions`` 9, 3 and 6 as integer polynomials in gamma."""
+    conditions = condition_polys(blocks)
+    return conditions[9], conditions[3], conditions[6]
+
+
 def scan_candidates(f):
     """The block polynomials and the sorted gamma candidates of the scan in
-    ``sos_membership``, or None when an end of the admissible range is
-    feasible or the range is empty (no scan runs)."""
+    ``sos_membership``, cut at the roots of D, V and H, or None when an
+    end of the admissible range is feasible or the range is empty (no scan
+    runs)."""
     n = f.scope
     c4, _c31, c22, _c211, _c1111 = f.coeffs
     lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
@@ -359,24 +377,23 @@ def scan_candidates(f):
     blocks = _block_polys(f)
     if c22 + c4 < 0 or lo > hi or any(_certificate_at(f, blocks, g) for g in (lo, hi)):
         return None
-    conditions = condition_polys(blocks)
-    gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
+    gamma_cells = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     return blocks, sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi})
 
 
 class TestScanOrder:
     """The full sorted scan (``scan_candidates``) starts at the sample of
-    the cell between the lower end lo and the first condition root.  The
+    the cell between the lower end lo and the first root of D, V or H.  The
     feasible gammas form a closed interval; with lo infeasible its left end
-    is a condition root, so that first cell is never feasible, and
+    is such a root, so that first cell is never feasible, and
     ``sos_membership`` skips it.  The second candidate is the first that
     can be feasible, and the forms below are feasible there alone."""
 
     @pytest.mark.parametrize(
         "n, coeffs, gamma",
         [
-            (6, ("1/6", "22/9", "5/2", "-15", "17"), Fraction(63, 8)),
+            (6, ("1/6", "22/9", "5/2", "-15", "17"), Fraction(15, 2)),
             (4, ("1/16", "-9/4", "43/144", "8", "1"), Fraction(91, 36)),
         ],
     )
@@ -489,8 +506,8 @@ def test_examples_reach_the_sign_queries():
 @pytest.mark.parametrize("name", list(_SINGLE_GAMMA_SOS))
 def test_single_gamma_without_sign_queries(monkeypatch, name):
     """The one feasible gamma = 1/3, a breakpoint inside an isolating
-    interval, is found as a rational root of the conditions: no sign query
-    at an isolated root is made."""
+    interval, is read off gcd(H, H'): no sign query at an isolated root is
+    made."""
 
     def refuse(self, p):
         raise AssertionError("sign query made")
@@ -514,6 +531,75 @@ def test_first_scan_candidate_is_never_feasible(f):
     if scan is not None and scan[1]:
         blocks, candidates = scan
         assert _certificate_at(f, blocks, candidates[0]) is None
+
+
+def reference_boundary(f):
+    """The boundary status from ``reference_membership`` and the cells of
+    all ten conditions: INTERIOR when a sample of an open cell of
+    (lo, hi) is strictly feasible."""
+    verdict, lo, _ = reference_membership(f)
+    if verdict.status == "OUT":
+        return "OUTSIDE"
+    hi = _gamma_range(f)[1]
+    blocks = _block_polys(f)
+    conditions = [p for p in condition_polys(blocks) if p.degree > 0]
+    samples = cells(conditions, lo, hi).samples if lo < hi else ()
+    return "INTERIOR" if any(_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
+
+
+@st.composite
+def _lemma_forms(draw):
+    """Box forms, and expansions of rank-one or rank-two blocks at a
+    rational gamma >= 0, some moved by 10^-3 in one coefficient, at
+    n in 4..12 and n = 30."""
+    n = draw(st.sampled_from((*range(4, 13), 30)))
+    if draw(st.booleans()):
+        return SymFormP(4, draw(st.tuples(*[_small] * 5)), n)
+
+    def block():
+        a, b, c, d = (draw(_small) for _ in range(4))
+        if draw(st.booleans()):
+            c = d = 0  # rank one
+        return SymMat2(a * a + c * c, a * b + c * d, b * b + d * d)
+
+    gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+    coeffs = list(expand_certificate(SosCertificate(block(), block(), gamma, n)).coeffs)
+    coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, 0, Fraction(1, 1000))))
+    return SymFormP(4, tuple(coeffs), n)
+
+
+@given(_lemma_forms(), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_reduction_lemma(f, ts):
+    """The reduction lemma of the ``sos`` docstring: deg D <= 1, deg V <= 1
+    and deg H <= 3, and at a gamma in (lo, hi) (random ones and the roots
+    of D and V) the ten-sign predicates ``_feasible`` and
+    ``_strictly_feasible`` are (D >= 0 and V >= 0) or H >= 0 and its strict
+    form.  The statuses of ``sos_membership`` and ``sos_boundary``, whose
+    gamma-cells are cut at D, V and H alone, are those of the references
+    over the cells of all ten conditions."""
+    blocks = _block_polys(f)
+    D, V, H = deciding_polys(blocks)
+    assert D.degree <= 1 and V.degree <= 1 and H.degree <= 3
+    gamma_range = _gamma_range(f)
+    if gamma_range is not None:
+        lo, hi = gamma_range
+        assert _gamma_cells(f)[1].product.degree <= 5
+        gammas = [lo + t * (hi - lo) for t in ts]
+        gammas += [-p.coeffs[0] / Fraction(p.coeffs[1]) for p in (D, V) if p.degree == 1]
+        for gamma in gammas:
+            if not lo < gamma < hi:
+                continue
+            d, v, h = sos._signs(p(gamma) for p in (D, V, H))
+            signs = _signs_at(blocks, gamma)
+            assert _feasible(signs) == ((d >= 0 and v >= 0) or h >= 0)
+            assert _strictly_feasible(signs) == ((d > 0 and v > 0) or h > 0)
+    verdict = sos_membership(f)
+    assert verdict.status == reference_membership(f)[0].status
+    if verdict.status == "IN":
+        assert expand_certificate(verdict.certificate) == f
+    if not f.is_zero():
+        assert sos_boundary(f)[0] == reference_boundary(f)
 
 
 # ---------------------------------------------------------------------------
