@@ -17,8 +17,9 @@ Provides the building blocks used by every other module:
   built only where a ``UniPoly`` is handed out.
 * ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
   decision: the real roots of finitely many rational polynomials cut an
-  interval into open cells, each with a rational sample, and each root
-  (breakpoint) has an isolating interval on their squarefree product.
+  interval into open cells, each sampled at ``simplest_in_middle`` of its
+  gap, and each root (breakpoint) has an isolating interval on their
+  squarefree product.
 * ``AlgebraicField`` -- the sign of a rational polynomial at a real root
   isolated by a rational interval: a gcd and a Descartes count on integer
   polynomials.  No decision calls it; it stays as a test reference.
@@ -570,7 +571,8 @@ class Cells:
     open interval: a point ``(r, r)`` at a rational root, otherwise an
     interval whose endpoints are not roots; they lie strictly apart and
     strictly inside the interval.  ``samples`` holds one rational in each
-    of the ``len(breakpoints) + 1`` open cells, left to right.
+    of the ``len(breakpoints) + 1`` open cells, left to right: the
+    ``simplest_in_middle`` of the gap between its neighbouring intervals.
     """
 
     product: UniPoly
@@ -587,7 +589,10 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
     ``lo``, ``hi``, one sample per open cell and each breakpoint.  A point
     breakpoint is its own rational root; the caller reads the root of any
     other off its interval (``sos`` reads the one it needs off a gcd
-    instead).  When ``lo == hi`` the single sample is ``lo``.
+    instead).  Each sample is ``simplest_in_middle`` of its gap (``Cells``),
+    ``lo`` when ``lo == hi``.  Refining neighbours strictly apart gives each
+    gap room for a sample of small height, where a shared end would be a
+    dyadic as deep as the bisection.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -612,16 +617,9 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
         breakpoints.append((a, b))
         prev_hi = b
 
-    samples = []
-    prev_hi = lo
-    for a, b in breakpoints:
-        # sample the cell left of this root: after refinement prev_hi < a
-        # for point intervals (a == b is the root itself, stay below it),
-        # and a itself is a non-root strictly between the roots otherwise
-        samples.append(simplest_in_middle(prev_hi, a) if a == b else a)
-        prev_hi = b
-    samples.append(simplest_in_middle(prev_hi, hi))
-    return Cells(product_poly, tuple(breakpoints), tuple(samples))
+    ends = [lo, *(x for ab in breakpoints for x in ab), hi]
+    samples = tuple(simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2]))
+    return Cells(product_poly, tuple(breakpoints), samples)
 
 
 def resultant(f: UniPoly, g: UniPoly):
@@ -1194,7 +1192,9 @@ def binary_quartic_negative_point(
     (of the squarefree part), a non-point one has its inner end, not a
     root, inside that cell; when both are points, their midpoint is.  So
     the interval ends, then the midpoints of neighbouring ends, hold a
-    negative point.
+    negative point.  It keeps this rule, not the samples of ``cells``: the
+    pinned witnesses of ``is_nonneg`` come from it, the samples move some
+    of them, and they save no time.
     """
     if binary_quartic_nonneg(h):
         return None

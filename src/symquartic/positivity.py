@@ -195,9 +195,8 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if _feasible(_gamma_zero_signs(f)):
         return NonnegVerdict("IN")
     if sum(_gamma_zero_entries(f)[1][2:]) < 0:
-        # the grid's point there: the test reads the primitive multiple
-        point = binary_quartic_negative_point((0, 0, 0, 0, -1))
-        return NonnegVerdict("OUT", ((_ZERO, _ONE), point))
+        # at k = 0, Phi is the coefficient sum times y^4: negative at (1, 1)
+        return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ONE, _ONE)))
     n = f.scope
     cs, ks = _grid(f)
     for k in ks:

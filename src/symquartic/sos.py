@@ -54,17 +54,17 @@ q = 0 and u b22 = b12^2 share their point at infinity).
 2. with both ends infeasible the interval lies inside (lo, hi), where
    feasibility is constant on the open cells of the shared cell engine
    (``algebra.cells``) cut at the roots of D, V and H, a product of
-   degree <= 5.  Every rational (point) breakpoint and one rational
-   sample per open cell are tested on all ten signs, in increasing
-   order.  The left end of the interval is a root of D, V or H, so the
+   degree <= 5.  The sample of each open cell is tested on all ten
+   signs, left to right, and no breakpoint is: an interval of positive
+   length holds a whole open cell, and a single gamma* is found in
+   step 3.  The left end of the interval is a root of D, V or H, so the
    first cell, (lo, first root), is never feasible and is skipped;
-3. these miss the interval only when it is one gamma*, the root of a
-   breakpoint inside an isolating interval.  gamma* is then a root of
-   even multiplicity of H (below).  As deg H <= 3, H has no other
-   multiple root, so g = gcd(H, H') is c (gamma - gamma*)^k with
-   k in {1, 2}, and gamma* = -g_(k-1) / (k g_k) is rational.  It is
-   tested when lo < gamma* < hi; otherwise, or when g is constant, f is
-   OUT.
+3. these miss the interval only when it is one gamma*, a breakpoint.
+   gamma* is then a root of even multiplicity of H (below).  As
+   deg H <= 3, H has no other multiple root, so g = gcd(H, H') is
+   c (gamma - gamma*)^k with k in {1, 2}, and gamma* = -g_(k-1) / (k g_k)
+   is rational.  It is tested when lo < gamma* < hi; otherwise, or when
+   g is constant, f is OUT.
 
 Why a single feasible gamma* in (lo, hi) is a multiple root of H:
 
@@ -120,7 +120,6 @@ from .algebra import (
     binary_quartic_nonneg,
     cells,
     psd2,
-    simplest_in_middle,
 )
 from .dualcone import (
     DualFunctional,
@@ -452,10 +451,9 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 
     # both ends infeasible: the interval, if any, lies in (lo, hi)
     H, gamma_cells = _gamma_cells(f)
-    point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     # lo is infeasible, so the closed feasible interval starts at a root of
     # D, V or H and the first cell, (lo, first root), is never feasible
-    for gamma in sorted((point_breaks | set(gamma_cells.samples[1:])) - {lo, hi}):
+    for gamma in gamma_cells.samples[1:]:
         cert = _certificate_at(f, blocks, gamma)
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
@@ -623,21 +621,15 @@ def _w_family(f: SymFormP) -> tuple[UniPoly, ...]:
     )
 
 
-def _simple_samples(lo: Fraction, hi: Fraction, polys) -> list[Fraction]:
-    """A rational of small height in each open cell that the real roots of
-    the polynomials cut (lo, hi) into: the simplest one in the middle half
-    of the gap between neighbouring isolating intervals."""
-    ends = [lo] + [x for ab in cells(polys, lo, hi).breakpoints for x in ab] + [hi]
-    return [simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2])]
-
-
 def _w_separator(f: SymFormP) -> DualFunctional | None:
     """l(s, 2s + s^2 w) with tau > 0 and a negative pairing with f, or None
-    if there is none (``find_separating_functional``, step 3)."""
+    if there is none (``find_separating_functional``, step 3).  w, and
+    then s inside the Cauchy bound of h_w(s, 1), run over the samples of
+    ``algebra.cells``, whose small heights keep the separator small."""
     n = f.scope
     family = _w_family(f)
     edge = UniPoly([-((n - 2) ** 2), 0, n - 1])  # tau > 0 iff edge(w) < 0
-    for w in _simple_samples(_ZERO, Fraction(n - 2), binary_quartic_critical_polys(family) + [edge]):
+    for w in cells(binary_quartic_critical_polys(family) + [edge], _ZERO, Fraction(n - 2)).samples:
         if edge(w) > 0:
             break
         h = [u(w) for u in family]
@@ -645,7 +637,7 @@ def _w_separator(f: SymFormP) -> DualFunctional | None:
             continue
         q = UniPoly(h[::-1])
         bound = _zroot_bound(_zpoly(q.coeffs))
-        for s in _simple_samples(-bound, bound, [q] if q.degree > 0 else []):
+        for s in cells([q] if q.degree > 0 else [], -bound, bound).samples:
             if q(s) < 0:
                 z, t = 2 * s + s * s * w, 1 + s * s
                 return DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE)

@@ -28,6 +28,7 @@ from symquartic.algebra import (
     psd2,
     refine_root_interval,
     resultant,
+    simplest_in_middle,
     simplest_rational_between,
     squarefree_part_field,
     yun_decomposition,
@@ -429,6 +430,42 @@ class TestCells:
         assert cells([], Fraction(0), Fraction(1)).samples == (Fraction(1, 2),)
         point = cells([self.lin(2)], Fraction(2), Fraction(2))
         assert point.breakpoints == () and point.samples == (Fraction(2),)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_sample_per_cell_against_sympy(self, data):
+        """Random lists of integer polynomials, built from a shared pool of
+        rational roots (so roots repeat within and across the polynomials,
+        and lo or hi may be one of them) times random integer factors: one
+        sample per cell, strictly inside (lo, hi) and strictly between
+        neighbouring real roots of the product (sympy's ``real_roots``),
+        equal to ``simplest_in_middle`` of its gap, and no root of any
+        polynomial."""
+        pool = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=4))
+        lo, hi = sorted(data.draw(st.sampled_from(pool + [Fraction(-4), Fraction(4)])) for _ in range(2))
+        if lo == hi:
+            hi += 1
+        ints = st.integers(-6, 6)
+        polys = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            head = data.draw(st.one_of(st.integers(-6, -1), st.integers(1, 6)))
+            p = UniPoly([head] + [data.draw(ints) for _ in range(data.draw(st.integers(0, 2)))])
+            for r in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
+                p = p * UniPoly([-r.numerator, r.denominator])
+            polys.append(p)
+        cs = cells(polys, lo, hi)
+
+        product = sympy.Poly(1, _x)
+        for p in polys:
+            product *= sympy.Poly([sympy.Integer(c) for c in reversed(p.coeffs)], _x)
+        roots = sorted(set(r for r in product.real_roots() if lo < r < hi))
+        assert len(cs.samples) == len(cs.breakpoints) + 1 == len(roots) + 1
+        walls = [sympy.Rational(lo), *roots, sympy.Rational(hi)]
+        ends = [lo, *(x for ab in cs.breakpoints for x in ab), hi]
+        for i, sample in enumerate(cs.samples):
+            assert walls[i] < sympy.Rational(sample) < walls[i + 1]
+            assert sample == simplest_in_middle(ends[2 * i], ends[2 * i + 1])
+            assert all(p(sample) != 0 for p in polys)
 
 
 class TestAlgebraicField:

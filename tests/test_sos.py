@@ -355,7 +355,7 @@ class TestEndsFirst:
         if n == 4:
             assert hi == Fraction(88, 3)
             # the full scan returned the smallest feasible sample
-            assert reference_membership(f)[0].certificate.gamma == Fraction(121, 64)
+            assert reference_membership(f)[0].certificate.gamma == Fraction(13, 7)
 
 
 def deciding_polys(blocks):
@@ -366,10 +366,10 @@ def deciding_polys(blocks):
 
 
 def scan_candidates(f):
-    """The block polynomials and the sorted gamma candidates of the scan in
-    ``sos_membership``, cut at the roots of D, V and H, or None when an
-    end of the admissible range is feasible or the range is empty (no scan
-    runs)."""
+    """The block polynomials and the gamma candidates of the scan in
+    ``sos_membership``, the samples of the cells cut at the roots of D, V
+    and H, or None when an end of the admissible range is feasible or the
+    range is empty (no scan runs)."""
     n = f.scope
     c4, _c31, c22, _c211, _c1111 = f.coeffs
     lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
@@ -377,14 +377,12 @@ def scan_candidates(f):
     blocks = _block_polys(f)
     if c22 + c4 < 0 or lo > hi or any(_certificate_at(f, blocks, g) for g in (lo, hi)):
         return None
-    gamma_cells = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi)
-    point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
-    return blocks, sorted((point_breaks | set(gamma_cells.samples)) - {lo, hi})
+    return blocks, cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
 
 
 class TestScanOrder:
-    """The full sorted scan (``scan_candidates``) starts at the sample of
-    the cell between the lower end lo and the first root of D, V or H.  The
+    """The cell samples (``scan_candidates``) start at the sample of the
+    cell between the lower end lo and the first root of D, V or H.  The
     feasible gammas form a closed interval; with lo infeasible its left end
     is such a root, so that first cell is never feasible, and
     ``sos_membership`` skips it.  The second candidate is the first that
@@ -393,8 +391,8 @@ class TestScanOrder:
     @pytest.mark.parametrize(
         "n, coeffs, gamma",
         [
-            (6, ("1/6", "22/9", "5/2", "-15", "17"), Fraction(15, 2)),
-            (4, ("1/16", "-9/4", "43/144", "8", "1"), Fraction(91, 36)),
+            (6, ("1/6", "22/9", "5/2", "-15", "17"), Fraction(7)),
+            (4, ("1/16", "-9/4", "43/144", "8", "1"), Fraction(7, 3)),
         ],
     )
     def test_only_feasible_candidate_is_second(self, gamma_cell_builds, n, coeffs, gamma):
@@ -600,6 +598,46 @@ def test_reduction_lemma(f, ts):
         assert expand_certificate(verdict.certificate) == f
     if not f.is_zero():
         assert sos_boundary(f)[0] == reference_boundary(f)
+
+
+@st.composite
+def _single_gamma_forms(draw):
+    """(f, gamma*): the expansion of rank-one blocks A = a (t^2, -t, 1) and
+    B = b (r^2, -r, 1) at a rational gamma* > 0, built as the
+    ``_SINGLE_GAMMA_SOS`` forms are, so that gamma* is the only feasible
+    gamma.  Along the (gamma, u) moves that keep f, the kernels (1, t) of
+    A and (1, r) of B give d det A ~ (1 - t) du + ... and
+    d det B ~ du - g31 (r - r^2/4) dgamma, which are opposite exactly when
+    t = (n^2 - 4 (n-1) r + (n-1) r^2) / (n-2)^2; t > 1 iff r != 2, and then
+    the boundary u = b12^2 / b22 of the B-region is strictly convex, so the
+    two PSD regions touch at one point, on opposite sides of their common
+    tangent."""
+    n = draw(st.sampled_from((*range(4, 13), 30)))
+    r = draw(_small.filter(lambda x: x != 2))
+    t = (n * n - 4 * (n - 1) * r + (n - 1) * r * r) / Fraction((n - 2) ** 2)
+    a, b = (draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)) for _ in range(2))
+    gamma = draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6))
+    cert = SosCertificate(SymMat2(a * t * t, -a * t, a), SymMat2(b * r * r, -b * r, b), gamma, n)
+    return expand_certificate(cert), gamma
+
+
+@given(_single_gamma_forms())
+@settings(max_examples=60, deadline=None)
+def test_single_feasible_gamma_at_random(fg):
+    """Forms feasible at one rational gamma* alone: no cell sample is
+    feasible, so step 3 of ``sos_membership`` (gamma* off gcd(H, H'))
+    certifies them, at gamma*, and they are BOUNDARY, as the reference
+    with its sign queries at the breakpoints says."""
+    f, gamma = fg
+    lo, hi = _gamma_range(f)
+    assert lo < gamma < hi
+    blocks = _block_polys(f)
+    assert all(_certificate_at(f, blocks, g) is None for g in (lo, hi, *_gamma_cells(f)[1].samples))
+    verdict = sos_membership(f)
+    assert verdict.status == "IN" and verdict.certificate.gamma == gamma
+    assert expand_certificate(verdict.certificate) == f
+    assert reference_membership(f)[0].status == "IN"
+    assert sos_boundary(f)[0] == reference_boundary(f) == "BOUNDARY"
 
 
 # ---------------------------------------------------------------------------
@@ -930,11 +968,11 @@ def two_level_separator(f):
     def root_bound(polys):
         return max((_zroot_bound(_zpoly(p.coeffs)) for p in polys), default=Fraction(1))
 
-    for s in sos._simple_samples(Fraction(0), root_bound(s_polys), s_polys):
+    for s in cells(s_polys, Fraction(0), root_bound(s_polys)).samples:
         zq, ztau = (UniPoly([c0(s), b0(s), a0(s)]) for a0, b0, c0 in (q, tau))
         z_polys = [p for p in (zq, ztau) if p.degree > 0]
         bound = root_bound(z_polys)
-        for z in sos._simple_samples(-bound, bound, z_polys):
+        for z in cells(z_polys, -bound, bound).samples:
             if zq(z) < 0 and ztau(z) > 0:
                 return _s_chart(s, z)
     return None
