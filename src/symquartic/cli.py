@@ -17,10 +17,11 @@ Form files are JSON documents with fields ``degree``, ``basis``
 optional ``description``, and either ``coefficients`` (partition string
 -> exact rational string, parts comma-joined in decreasing order) or
 ``monomials`` (list of {"exponents": [...], "coefficient": "..."}).
-Unknown fields are rejected; the Unicode minus sign is accepted in
-rational strings, and a rational whose numerator or denominator could
-exceed ``MAX_LITERAL_BITS`` is refused (exit 2).  All verdict output is
-exact; decimals appear only in plot data under ``--decimal``.
+Unknown fields are rejected, and so is a degree above ``DEGREE_BOUND``
+(exit 2).  The Unicode minus sign is accepted in rational strings, and a
+rational whose numerator or denominator could exceed ``MAX_LITERAL_BITS``
+is refused (exit 2).  All verdict output is exact; decimals appear only in
+plot data under ``--decimal``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .sos import (
 )
 from .specht import Tableau, brute_symmetrize, q_blocks, specht_polynomial
 from .symfunc import (
+    DEGREE_BOUND,
     LIMIT,
     NoLimitError,
     SymFormP,
@@ -179,6 +181,8 @@ def parse_form_data(data) -> FormFile:
     degree = data.get("degree")
     if not isinstance(degree, int) or degree <= 0:
         raise FormFileError("degree must be a positive integer")
+    if degree > DEGREE_BOUND:
+        raise FormFileError(f"degree above {DEGREE_BOUND} is not supported")
     basis = data.get("basis")
     if basis not in ("p", "m", "monomial"):
         raise FormFileError('basis must be "p", "m" or "monomial"')

@@ -10,14 +10,11 @@ works monomial-by-monomial with no factorial-size enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import MultiPoly, RatFunc
 from .dualcone import _gamma_gen_ints
 from .partitions import Partition, is_partition, partitions_of
-from .symfunc import LIMIT, SymFormP, SymFuncM, _p_lambda_in_m, form_from_dict
-
-_ONE = Fraction(1)
+from .symfunc import LIMIT, SymFormP, SymFuncM, _p_sum_in_m, form_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +126,6 @@ def gamma_generator_p_coeffs() -> dict:
     return {parts: g / m for parts, g in zip(partitions_of(4), gen)}
 
 
-def _p_expr_ratfunc(coeffs: dict) -> SymFuncM:
-    """A p-basis combination with RatFunc or rational coefficients, in the
-    m basis."""
-    total = SymFuncM()
-    for parts, c in coeffs.items():
-        total = total + _p_lambda_in_m(tuple(parts)).scale(c)
-    return total
-
-
 def q_blocks(scope) -> QBlocks:
     """The closed-form blocks Q_n^{(n)}, Q_n^{(n-1,1)}, Q_n^{(n-2,2)}.
 
@@ -156,11 +144,11 @@ def q_blocks(scope) -> QBlocks:
             raise ValueError("q_blocks requires n >= 4 or LIMIT")
     n = RatFunc.t()
     hook_scale = (2 * n) / (n - 1)
-    e11 = _p_expr_ratfunc({(2,): 1, (1, 1): -1}).scale(hook_scale)
-    e12 = _p_expr_ratfunc({(3,): 1, (2, 1): -1}).scale(hook_scale)
-    e22 = _p_expr_ratfunc({(4,): 1, (2, 2): -1}).scale(hook_scale)
+    e11 = _p_sum_in_m({(2,): 1, (1, 1): -1}).scale(hook_scale)
+    e12 = _p_sum_in_m({(3,): 1, (2, 1): -1}).scale(hook_scale)
+    e22 = _p_sum_in_m({(4,): 1, (2, 2): -1}).scale(hook_scale)
     scale22 = (8 * n * n * n) / ((n - 1) * (n - 2) * (n - 3))
-    b22 = _p_expr_ratfunc(gamma_generator_p_coeffs()).scale(scale22)
+    b22 = _p_sum_in_m(gamma_generator_p_coeffs()).scale(scale22)
     triv = SymFuncM({(): RatFunc(1)})
     if scope is LIMIT:
         return QBlocks(

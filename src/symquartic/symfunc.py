@@ -16,17 +16,27 @@ Two representations are used:
   n and the n -> infinity limit: specialization is evaluation, the limit is
   a degree comparison.
 
-The m <-> p transition is computed by exact linear algebra over the field
-of rational functions in n, never by a combinatorial closed formula.
+The m <-> p transition is one closed formula over Q(n): expanding
+p_lambda = prod_i (1/n) sum_j x_j^{lambda_i} and grouping the index tuples by
+their coincidences gives
+
+    p_lambda = n^{-l(lambda)} sum_pi (n)_{|pi|} m_{shape(pi)},
+
+the sum over the set partitions pi of the parts of lambda, shape(pi) the
+sorted block sums and (n)_k the falling factorial.  Every m in p_mu other
+than m_mu has fewer parts, so m_mu is solved by recursion on the number of
+parts.  The tests check p -> m against brute-force symmetrization of
+products of power sums, and m -> p against the brick-permutation formula.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import permutations
-from math import factorial, lcm
+from math import lcm, perm, prod
 
 from .algebra import (
     NoLimitError,
@@ -54,7 +64,6 @@ class _Limit:
 LIMIT = _Limit()
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _check_scope(scope):
@@ -164,28 +173,11 @@ def form_from_dict(degree: int, coeffs: dict, scope) -> SymFormP:
 # SymFuncM
 # ---------------------------------------------------------------------------
 
-#: engineering bound on tracked degree (products of two degree-4 functions)
+#: Largest degree tracked.  p_lambda expands over the set partitions of its
+#: parts, whose number grows like the Bell numbers (Bell(8) = 4140); 8 is
+#: the degree of a product of two quartic entries, and form files of higher
+#: degree are refused.
 DEGREE_BOUND = 8
-
-
-def _mults_factorial(parts: Partition) -> int:
-    """Product of factorials of the multiplicities of the parts."""
-    out = 1
-    i = 0
-    while i < len(parts):
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        out *= factorial(j - i)
-        i = j
-    return out
-
-
-@lru_cache(maxsize=None)
-def _weight_ratfunc(parts: Partition) -> RatFunc:
-    """W(mu, n) with m_mu = W(mu, n) * mbar_mu (classical monomial sum)."""
-    r = len(parts)
-    return RatFunc(Fraction(_mults_factorial(parts))) / ratfunc_falling_factorial(r)
 
 
 class SymFuncM:
@@ -262,182 +254,87 @@ class SymFuncM:
         return out
 
     def evaluate(self, point, n: int) -> Fraction:
-        """Exact value at a rational point with n coordinates."""
+        """Exact value at a rational point with n coordinates: m_mu is the
+        average of x_{j_1}^{mu_1} ... x_{j_r}^{mu_r} over the (n)_r
+        injective placements (j_1, ..., j_r)."""
+        pt = [Fraction(x) for x in point]
+        if len(pt) != n:
+            raise ValueError(f"point must have {n} coordinates")
         total = _ZERO
         for parts, c in self.terms.items():
             if len(parts) > n:
                 continue
-            total += c.at(n) * _mbar_value(parts, point) * _weight_ratfunc(parts).at(n)
+            placed = sum(
+                (prod(x**e for x, e in zip(xs, parts)) for xs in permutations(pt, len(parts))),
+                _ZERO,
+            )
+            total += c.at(n) * placed / perm(n, len(parts))
         return total
 
 
-def _mbar_value(parts: Partition, point) -> Fraction:
-    """Value of the classical monomial symmetric polynomial mbar_mu."""
-    pt = [Fraction(x) for x in point]
-    n = len(pt)
-    r = len(parts)
-    if r > n:
-        return _ZERO
-    total = _ZERO
-    seen = set()
-    for positions in permutations(range(n), r):
-        key = positions
-        # distinct monomials: avoid double counting permutations that fix the
-        # monomial (equal exponents on swapped positions)
-        mono = tuple(sorted(zip(positions, parts)))
-        if mono in seen:
-            continue
-        seen.add(mono)
-        v = _ONE
-        for pos, e in zip(positions, parts):
-            v *= pt[pos] ** e
-        total += v
-    return total
-
-
 # ---------------------------------------------------------------------------
-# multiplication in the m basis
+# the m <-> p transition
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _m_product_single(mu: Partition, nu: Partition) -> tuple:
-    """Structure constants: m_mu * m_nu = sum_rho c_rho(n) m_rho.
-
-    Returns a tuple of (rho, RatFunc) pairs.  The count N^rho_{mu nu} is the
-    number of ways a fixed monomial of shape rho splits as a shape-mu times
-    a shape-nu monomial; it does not depend on n.  The n-dependence enters
-    only through the basis weights W(mu, n).
-    """
-    if not mu:
-        return ((nu, RatFunc(1)),)
-    if not nu:
-        return ((mu, RatFunc(1)),)
-    lmu, lnu = len(mu), len(nu)
-
-    # candidate shapes rho: overlay nu onto mu with any overlap pattern
-    candidates: set[Partition] = set()
-    slots = lmu + lnu
-    for assign in permutations(range(slots), lnu):
-        expo = list(mu) + [0] * lnu
-        for part, pos in zip(nu, assign):
-            expo[pos] += part
-        candidates.add(tuple(sorted((e for e in expo if e > 0), reverse=True)))
-
-    out = []
-    for rho in sorted(candidates, reverse=True):
-        count = _split_count(rho, mu, nu)
-        if count == 0:
-            continue
-        wr = (
-            _weight_ratfunc(mu)
-            * _weight_ratfunc(nu)
-            / _weight_ratfunc(rho)
-        )
-        out.append((rho, wr * RatFunc(Fraction(count))))
-    return tuple(out)
-
-
-def _split_count(rho: Partition, mu: Partition, nu: Partition) -> int:
-    """Number of exponent vectors a with a <= rho (entrywise), positive part
-    shape(a) = mu and shape(rho - a) = nu."""
-    r = len(rho)
-    count = 0
-    seen: set[tuple[int, ...]] = set()
-    for positions in permutations(range(r), len(mu)):
-        vec = [0] * r
-        ok = True
-        for part, pos in zip(mu, positions):
-            vec[pos] += part
-            if vec[pos] > rho[pos]:
-                ok = False
-                break
-        if not ok:
-            continue
-        tvec = tuple(vec)
-        if tvec in seen:
-            continue
-        seen.add(tvec)
-        rest = tuple(
-            sorted((rho[i] - tvec[i] for i in range(r) if rho[i] > tvec[i]), reverse=True)
-        )
-        if rest == nu and all(tvec[i] <= rho[i] for i in range(r)):
-            count += 1
-    return count
-
-
-def multiply_m(f: SymFuncM, g: SymFuncM) -> SymFuncM:
-    """Exact product in the weighted monomial basis (degree bound 8)."""
-    if f.degree() + g.degree() > DEGREE_BOUND and not (f.is_zero() or g.is_zero()):
-        raise ValueError("degree overflow beyond the tracked bound")
-    terms: dict[Partition, RatFunc] = {}
-    for mu, cf in f.terms.items():
-        for nu, cg in g.terms.items():
-            scale = cf * cg
-            for rho, c in _m_product_single(mu, nu):
-                terms[rho] = terms.get(rho, RatFunc(0)) + scale * c
-    return SymFuncM(terms)
-
-
-# ---------------------------------------------------------------------------
-# the p basis and the transition
-# ---------------------------------------------------------------------------
-
-
-def power_sum(i: int, scope=None) -> SymFuncM:
-    """The normalized power sum p_i = (1/n) sum x_j^i, as m_{(i)}."""
-    if i < 1:
-        raise ValueError("power sums are indexed by positive integers")
-    return SymFuncM({(i,): RatFunc(1)})
+def _block_sums(parts: Partition):
+    """For each set partition of the positions of ``parts``, the list of
+    its block sums."""
+    if not parts:
+        yield []
+        return
+    for sums in _block_sums(parts[1:]):
+        for i in range(len(sums)):
+            yield sums[:i] + [sums[i] + parts[0]] + sums[i + 1:]
+        yield sums + [parts[0]]
 
 
 @lru_cache(maxsize=None)
 def _p_lambda_in_m(parts: Partition) -> SymFuncM:
-    """p_lambda = prod p_{lambda_i} expanded in the m basis over Q(n)."""
-    out = SymFuncM({(): RatFunc(1)})
-    for a in parts:
-        out = multiply_m(out, power_sum(a))
-    return out
+    """p_lambda = n^{-l(lambda)} sum_pi (n)_{|pi|} m_{shape(pi)} over Q(n).
+
+    Expanding the product of the (1/n) sum_j x_j^{lambda_i} and grouping
+    the index tuples by which indices coincide gives one set partition pi
+    of the parts per group; its (n)_{|pi|} injective placements sum to
+    (n)_{|pi|} m_{shape(pi)}, shape(pi) the sorted block sums."""
+    counts = Counter(tuple(sorted(sums, reverse=True)) for sums in _block_sums(parts))
+    scale = RatFunc(1) / RatFunc.t() ** len(parts)
+    return SymFuncM(
+        {shape: ratfunc_falling_factorial(len(shape)) * scale * c for shape, c in counts.items()}
+    )
+
+
+def _p_sum_in_m(coeffs: dict) -> SymFuncM:
+    """sum c_lambda p_lambda in the m basis, from a {lambda: c_lambda}
+    mapping with rational or RatFunc coefficients."""
+    total = SymFuncM()
+    for parts, c in coeffs.items():
+        if c:
+            total = total + _p_lambda_in_m(tuple(parts)).scale(c)
+    return total
 
 
 def p_to_m(f: SymFormP) -> SymFuncM:
     """Exact expansion of sum c_lambda p_lambda in the m basis."""
     if f.degree > DEGREE_BOUND:
         raise ValueError("degree beyond the engineering bound")
-    total = SymFuncM()
-    for parts, c in zip(partitions_of(f.degree), f.coeffs):
-        if c:
-            total = total + _p_lambda_in_m(parts).scale(RatFunc(c))
-    return total
+    return _p_sum_in_m(dict(zip(partitions_of(f.degree), f.coeffs)))
 
 
 @lru_cache(maxsize=None)
-def _m_to_p_matrix(weight: int) -> dict[Partition, dict[Partition, RatFunc]]:
-    """For each mu |- weight: m_mu = sum_nu B[mu][nu] p_nu over Q(n),
-    obtained by inverting the p -> m expansion by Gaussian elimination."""
-    plist = partitions_of(weight)
-    k = len(plist)
-    # A[i][j] = coefficient of m_{plist[i]} in p_{plist[j]}
-    cols = [_p_lambda_in_m(nu) for nu in plist]
-    a = [[cols[j].terms.get(plist[i], RatFunc(0)) for j in range(k)] for i in range(k)]
-    # augment with identity, invert over Q(n)
-    aug = [row[:] + [RatFunc(1 if i == j else 0) for j in range(k)]
-           for i, row in enumerate(a)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = RatFunc(1) / aug[col][col]
-        aug[col] = [c * inv for c in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [cr - factor * cc for cr, cc in zip(aug[r], aug[col])]
-    # p_j = sum_i A[i][j] m_i, so the m -> p matrix is the transpose of the
-    # inverse: column i of A^{-1} expresses m_{plist[i]} in the p basis
-    return {
-        plist[i]: {plist[j]: aug[j][k + i] for j in range(k) if aug[j][k + i]}
-        for i in range(k)
-    }
+def _m_in_p(mu: Partition) -> dict[Partition, RatFunc]:
+    """m_mu = sum_nu c_nu p_nu over Q(n).
+
+    Every m_nu in p_mu other than m_mu has fewer parts than mu, so
+    m_mu = (p_mu - sum_{nu != mu} a_nu m_nu) / a_mu is solved by recursion
+    on the number of parts."""
+    p_mu = _p_lambda_in_m(mu).terms
+    out = {mu: RatFunc(1)}
+    for nu, a in p_mu.items():
+        if nu != mu:
+            for rho, b in _m_in_p(nu).items():
+                out[rho] = out.get(rho, RatFunc(0)) - a * b
+    return {rho: b / p_mu[mu] for rho, b in out.items() if b}
 
 
 def m_to_p(g: SymFuncM, scope) -> SymFormP:
@@ -456,14 +353,12 @@ def m_to_p(g: SymFuncM, scope) -> SymFormP:
     weight = weights.pop()
     if scope is not LIMIT and scope < weight:
         raise ValueError("variable count must be at least the degree")
-    table = _m_to_p_matrix(weight)
-    plist = partitions_of(weight)
     acc: dict[Partition, RatFunc] = {}
     for mu, c in g.terms.items():
-        for nu, b in table[mu].items():
+        for nu, b in _m_in_p(mu).items():
             acc[nu] = acc.get(nu, RatFunc(0)) + c * b
     vec = []
-    for nu in plist:
+    for nu in partitions_of(weight):
         c = acc.get(nu, RatFunc(0))
         if scope is LIMIT:
             try:

@@ -26,6 +26,14 @@ def write_form(tmp_path, data, name="form.form"):
     return str(path)
 
 
+def cli_env():
+    """The environment for running the CLI of this checkout in a subprocess."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def p_form(coeffs, scope=4, **extra):
     data = {
         "description": "test form",
@@ -61,9 +69,7 @@ class TestParsing:
     @pytest.mark.parametrize("literal", ["1e1000000", "-7e-999999999", "9" * 5000])
     def test_hostile_literal_exits_2_fast(self, tmp_path, literal):
         path = write_form(tmp_path, p_form({"4": literal, "2,2": "1"}))
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "symquartic.cli", "check", "nonneg", "--n", "4", path],
@@ -176,9 +182,7 @@ class TestCheckCommand:
         # tests before it isolates any root.  The isolation itself is timed
         # in-process in test_sos (TestCloseGammaRoots).
         path = write_form(tmp_path, p_form({"4": "1", "2,2": f"{1 - 10**k}/{10**k}", "1,1,1,1": "1"}))
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         start = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "symquartic.cli", "check", "sos", "--n", "6", path],
@@ -215,6 +219,20 @@ class TestConvertCommand:
     def test_limit_conversion_requires_limit_existence(self, tmp_path):
         src = write_form(tmp_path, p_form({"4": "1"}, scope="limit"))
         assert main(["convert", "--to", "m", "--limit", src]) == 0
+
+    @pytest.mark.parametrize("degree", [70, 10**6])
+    def test_degree_above_bound_exits_2_fast(self, tmp_path, degree):
+        # refused before the partitions of the degree are listed
+        path = write_form(tmp_path, {"degree": degree, "basis": "p", "scope": "limit",
+                                     "coefficients": {str(degree): "1"}})
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "symquartic.cli", "convert", "--to", "m", "--limit", path],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: degree above 8" in proc.stderr
+        assert time.monotonic() - start < 5
 
 
 class TestPlotdataCommand:
@@ -351,9 +369,7 @@ class TestNoSympyAtRuntime:
             for name in ("choi-lam", "example-6-10", "disc-factorization", "q-blocks",
                          "limit-equality")
         ]
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = cli_env()
         proc = subprocess.run(
             [sys.executable, "-c", _NO_SYMPY_SCRIPT, json.dumps([argv for argv, _ in runs])],
             capture_output=True, text=True, env=env, timeout=300,

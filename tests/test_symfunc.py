@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from symquartic.algebra import RatFunc
+from symquartic.algebra import MultiPoly, RatFunc
 from symquartic.partitions import partitions_of
+from symquartic.specht import brute_symmetrize
 from symquartic.symfunc import (
     LIMIT,
     SymFormP,
@@ -120,6 +121,26 @@ class TestRoundTrips:
             point = random_point(rng, n)
             assert p_to_m(f).evaluate(point, n) == evaluate(f, point)
 
+    def test_m_evaluation_requires_n_coordinates(self):
+        g = p_to_m(form_from_dict(4, {(2, 2): 1}, 4))
+        assert g.evaluate((1, 2, 3, 4), 4) == Fraction(225, 4)
+        for point in ((1, 2, 3), (1, 2, 3, 4, 5)):
+            with pytest.raises(ValueError):
+                g.evaluate(point, 4)
+
+    def test_p_to_m_matches_brute_symmetrization(self):
+        # the product of the power sums (1/n) sum_j x_j^a, symmetrized
+        # monomial by monomial, for every lambda |- 5, 6 at n = 7
+        n = 7
+        for k in (5, 6):
+            for lam in partitions_of(k):
+                prod = MultiPoly.const(1, n)
+                for a in lam:
+                    psum = sum((MultiPoly.var(j, n, a) for j in range(n)), MultiPoly(n))
+                    prod = prod * psum * Fraction(1, n)
+                expected = brute_symmetrize(prod, n).specialize(n)
+                assert p_to_m(form_from_dict(k, {lam: 1}, n)).specialize(n) == expected
+
     def test_limit_conversion_of_m_is_unit_p(self):
         for k in (2, 3, 4):
             for mu in partitions_of(k):
@@ -192,18 +213,19 @@ def brick_permutation_count(mu, nu):
 class TestBrickFormula:
     def test_transition_matches_brick_permutations(self):
         # m_mu = sum_nu (-1)^(r-l) ((n-r)!/n!) |BL(mu)^nu| n^l p_nu,
-        # cross-checked against the linear-algebra transition
-        for k in (1, 2, 3, 4):
+        # cross-checked against the set-partition transition
+        for k in range(1, 7):
             for mu in partitions_of(k):
                 r = len(mu)
-                for n in range(4, 9):
+                counts = {nu: brick_permutation_count(mu, nu) for nu in partitions_of(k)}
+                for n in range(max(k, 4), 9):
                     f = m_to_p(SymFuncM({mu: RatFunc(1)}), n)
-                    for nu in partitions_of(k):
+                    for nu, count in counts.items():
                         l = len(nu)
                         expected = (
                             Fraction((-1) ** (r - l))
                             * Fraction(math.factorial(n - r), math.factorial(n))
-                            * brick_permutation_count(mu, nu)
+                            * count
                             * n**l
                         )
                         assert f.coeff(nu) == expected
