@@ -85,11 +85,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return _ZERO
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -137,14 +132,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return UniPoly(out)
+            return UniPoly(_zmul(self.coeffs, other.coeffs))
         # scalar multiply
         return UniPoly([c * other for c in self.coeffs])
 
@@ -247,12 +235,6 @@ def _zpoly(coeffs: Sequence) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of the
     polynomial with these rational coefficients (``[]`` for zero)."""
     return _zsplit(coeffs)[0]
-
-
-def _monic(z: list[int]) -> UniPoly:
-    """The monic rational polynomial of a nonzero zpoly."""
-    lead = z[-1]
-    return UniPoly([Fraction(c, lead) for c in z])
 
 
 def _zprim(z: list[int]) -> list[int]:
@@ -403,14 +385,14 @@ def yun_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    return [(_monic(fac), k) for fac, k in _zyun(_zpositive(_zpoly(p.coeffs)))]
+    return [(UniPoly(fac).monic(), k) for fac, k in _zyun(_zpositive(_zpoly(p.coeffs)))]
 
 
 def squarefree_part_field(p: UniPoly) -> UniPoly:
     """Squarefree part (monic)."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return _monic(_zsqf(_zpoly(p.coeffs)))
+    return UniPoly(_zsqf(_zpoly(p.coeffs))).monic()
 
 
 def _zroot_bound(z: list[int]) -> Fraction:
@@ -513,11 +495,8 @@ def isolate_real_roots(
 
 def count_real_roots(p: UniPoly) -> int:
     """Number of distinct real roots of p."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has indeterminate root set")
-    z = _zsqf(_zpoly(p.coeffs))
-    bound = _zroot_bound(z)
-    return len(isolate_real_roots(UniPoly(z), -bound, bound))
+    bound = _zroot_bound(_zpoly(p.coeffs))
+    return count_roots_open(p, -bound, bound)
 
 
 def count_roots_open(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
@@ -679,7 +658,7 @@ class RatFunc:
                 zn, zd = _zquo(zn, g), _zquo(zd, g)
             s = Fraction(gn * dd, dn * gd * zd[-1])
             num = UniPoly([c * s for c in zn])
-            den = _monic(zd)
+            den = UniPoly(zd).monic()
         elif den.lead != 1:
             num = num.scale(_ONE / den.lead)
             den = UniPoly([_ONE])
@@ -991,29 +970,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        result = MultiPoly.const(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        pt = [Fraction(x) for x in point]
-        total = _ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(pt, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Symmetric 2x2 matrices
@@ -1030,10 +986,6 @@ class SymMat2:
 
     def det(self) -> Fraction:
         return self.m11 * self.m22 - self.m12 * self.m12
-
-    def scale(self, s: Fraction) -> "SymMat2":
-        s = Fraction(s)
-        return SymMat2(self.m11 * s, self.m12 * s, self.m22 * s)
 
 
 def psd2(m: SymMat2) -> bool:

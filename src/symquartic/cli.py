@@ -249,11 +249,21 @@ def load_form_file(path: str) -> FormFile:
     return parse_form_data(data)
 
 
+def _form_and_scope(args, default=None) -> tuple[FormFile, object]:
+    """The form file of a command and its scope: ``--n`` or ``--limit``,
+    else the file's own scope, else ``default``."""
+    ff = load_form_file(args.file)
+    scope = LIMIT if args.limit else args.n
+    if scope is None:
+        scope = ff.scope if ff.scope is not None else default
+    if scope is None:
+        raise FormFileError("a scope is required: pass --n N or --limit")
+    return ff, scope
+
+
 def form_to_p(ff: FormFile, scope) -> SymFormP:
     """The p-basis coefficient vector of the file's form at the given scope
     (symmetrizing monomial input first)."""
-    if scope is None:
-        raise FormFileError("a scope is required: pass --n N or --limit")
     if ff.basis == "p":
         return form_from_dict(ff.degree, ff.coefficients, scope)
     if ff.basis == "m":
@@ -294,15 +304,15 @@ def _mat_str(m) -> str:
     return f"[[{fmt(m.m11)}, {fmt(m.m12)}], [{fmt(m.m12)}, {fmt(m.m22)}]]"
 
 
-def _functional_lines(ell: DualFunctional, n: int | None) -> list[str]:
+def _functional_lines(ell: DualFunctional, n: int) -> list[str]:
     names = ("y4", "y31", "y22", "y211", "y1111")
-    lines = ["separator: " + " ".join(f"{k}={fmt(v)}" for k, v in zip(names, ell.as_tuple()))]
-    if n is not None:
-        m_triv, m_hook, m_tworow = dual_blocks(ell, n)
-        lines.append(f"separator block trivial: {_mat_str(m_triv)}")
-        lines.append(f"separator block hook: {_mat_str(m_hook)}")
-        lines.append(f"separator block two-row: {fmt(m_tworow)}")
-    return lines
+    m_triv, m_hook, m_tworow = dual_blocks(ell, n)
+    return [
+        "separator: " + " ".join(f"{k}={fmt(v)}" for k, v in zip(names, ell.as_tuple())),
+        f"separator block trivial: {_mat_str(m_triv)}",
+        f"separator block hook: {_mat_str(m_hook)}",
+        f"separator block two-row: {fmt(m_tworow)}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +320,8 @@ def _functional_lines(ell: DualFunctional, n: int | None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _scope_of(args):
-    if getattr(args, "limit", False):
-        return LIMIT
-    return args.n
-
-
 def cmd_check(args) -> int:
-    ff = load_form_file(args.file)
-    scope = _scope_of(args)
-    if scope is None:
-        scope = ff.scope
-    if scope is None:
-        raise FormFileError("a scope is required: pass --n N or --limit")
+    ff, scope = _form_and_scope(args)
     if ff.degree != 4:
         raise FormFileError("membership decisions require degree 4")
     if scope is not LIMIT and scope < 4:
@@ -372,10 +371,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ff = load_form_file(args.file)
-    scope = _scope_of(args)
-    if scope is None:
-        scope = ff.scope
+    ff, scope = _form_and_scope(args)
     f = form_to_p(ff, scope)
     if args.to == "p":
         coeffs = {
@@ -439,10 +435,7 @@ def _min_value(h) -> Fraction | None:
 def cmd_plotdata(args) -> int:
     if args.samples < 1:
         raise FormFileError("--samples must be at least 1")
-    ff = load_form_file(args.file)
-    scope = _scope_of(args)
-    if scope is None:
-        scope = ff.scope if ff.scope is not None else LIMIT
+    ff, scope = _form_and_scope(args, LIMIT)
     if ff.degree != 4:
         raise FormFileError("plot data requires degree 4")
     f = form_to_p(ff, scope)
@@ -452,8 +445,7 @@ def cmd_plotdata(args) -> int:
         delta = disc_binary_quartic(phi_alpha_coeffs(f))
         for i in range(args.samples + 1):
             alpha = Fraction(i, args.samples)
-            value = delta(alpha) if not delta.is_zero() else _ZERO
-            rows.append((alpha, fmt_val(value)))
+            rows.append((alpha, fmt_val(delta(alpha))))
     else:
         cs = phi_alpha_coeffs(f)
         for i in range(args.samples + 1):
@@ -691,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scope(p, required=False):
-        group = p.add_mutually_exclusive_group(required=required)
+    def add_scope(p):
+        group = p.add_mutually_exclusive_group()
         group.add_argument("--n", type=int, help="number of variables")
         group.add_argument("--limit", action="store_true", help="limit cone scope")
 

@@ -57,10 +57,6 @@ class DualFunctional:
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.y4, self.y31, self.y22, self.y211, self.y1111)
 
-    def scale(self, t) -> "DualFunctional":
-        t = Fraction(t)
-        return DualFunctional(*(t * y for y in self.as_tuple()))
-
 
 def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
     """The exact pairing sum_lambda c_lambda y_lambda."""
@@ -74,18 +70,14 @@ def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
     return Fraction(sum(x * (den // d) for x, d in terms), den)
 
 
-def _power_mean_functional(p1, p2, p3, p4) -> DualFunctional:
-    """y_lambda = p_lambda, the products of the given power means."""
-    return DualFunctional(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
-
-
 def point_eval_functional(v) -> DualFunctional:
     """The functional f -> f(v): y_lambda = p_lambda(v)."""
     v = [Fraction(x) for x in v]
     if not v:
         raise ValueError("point must have at least one coordinate")
     n = len(v)
-    return _power_mean_functional(*(Fraction(sum(x**i for x in v), n) for i in (1, 2, 3, 4)))
+    p1, p2, p3, p4 = (Fraction(sum(x**i for x in v), n) for i in (1, 2, 3, 4))
+    return DualFunctional(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
 
 
 def weighted_point_functional(weights, point) -> DualFunctional:

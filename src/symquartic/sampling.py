@@ -38,6 +38,18 @@ def uniform_forms(count: int, seed: int) -> list[SymFormP]:
     return out
 
 
+def _bumped(rng: random.Random, f: SymFormP, mode: int) -> SymFormP:
+    """f itself for mode 0; for mode 1 (2) f with one random coefficient
+    raised (lowered) by a random small amount."""
+    if not mode:
+        return f
+    eps = rng.choice(_EPS_CHOICES) * (1 if mode == 1 else -1)
+    idx = rng.randrange(5)
+    coeffs = list(f.coeffs)
+    coeffs[idx] += eps
+    return SymFormP(4, tuple(coeffs), LIMIT)
+
+
 def boundary_forms(count: int, seed: int) -> list[SymFormP]:
     """Boundary-family members, two thirds perturbed by a small signed
     coefficient bump (so the sample brackets the boundary)."""
@@ -51,14 +63,7 @@ def boundary_forms(count: int, seed: int) -> list[SymFormP]:
         if a == 0 or (c == 0 and d == 0):
             continue
         f = boundary_family_form(BoundaryParams(a, b, c, d))
-        mode = len(out) % 3
-        if mode:
-            eps = rng.choice(_EPS_CHOICES) * (1 if mode == 1 else -1)
-            idx = rng.randrange(5)
-            coeffs = list(f.coeffs)
-            coeffs[idx] += eps
-            f = SymFormP(4, tuple(coeffs), LIMIT)
-        out.append(f)
+        out.append(_bumped(rng, f, len(out) % 3))
     return out
 
 
@@ -77,14 +82,7 @@ def certificate_forms(count: int, seed: int) -> list[SymFormP]:
     while len(out) < count:
         cert = SosCertificate(_rand_psd(rng), _rand_psd(rng), Fraction(0), LIMIT)
         f = expand_certificate(cert)
-        mode = len(out) % 3
-        if mode:
-            eps = rng.choice(_EPS_CHOICES) * (1 if mode == 1 else -1)
-            idx = rng.randrange(5)
-            coeffs = list(f.coeffs)
-            coeffs[idx] += eps
-            f = SymFormP(4, tuple(coeffs), LIMIT)
-        out.append(f)
+        out.append(_bumped(rng, f, len(out) % 3))
     return out
 
 

@@ -66,6 +66,22 @@ LIMIT = _Limit()
 _ZERO = Fraction(0)
 
 
+#: Largest degree tracked.  p_lambda expands over the set partitions of its
+#: parts, whose number grows like the Bell numbers (Bell(8) = 4140); 8 is
+#: the degree of a product of two quartic entries.  ``SymFormP``,
+#: ``form_from_dict`` and form files refuse a higher degree, before the
+#: partitions of the degree are listed (there are 4 087 968 of 70).
+DEGREE_BOUND = 8
+
+
+def _partitions(degree: int) -> tuple[Partition, ...]:
+    """The partitions of the degree of a form, which is at most
+    ``DEGREE_BOUND``."""
+    if degree > DEGREE_BOUND:
+        raise ValueError(f"degree above {DEGREE_BOUND} is not supported")
+    return partitions_of(degree)
+
+
 def _check_scope(scope):
     if scope is LIMIT:
         return scope
@@ -93,7 +109,7 @@ class SymFormP:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        plist = partitions_of(self.degree)
+        plist = _partitions(self.degree)
         if len(self.coeffs) != len(plist):
             raise ValueError(
                 f"need {len(plist)} coefficients for degree {self.degree}"
@@ -159,7 +175,7 @@ def per_form(fn):
 
 def form_from_dict(degree: int, coeffs: dict, scope) -> SymFormP:
     """Build a SymFormP from a {partition: coefficient} mapping."""
-    plist = partitions_of(degree)
+    plist = _partitions(degree)
     vec = [_ZERO] * len(plist)
     for parts, c in coeffs.items():
         parts = tuple(parts)
@@ -172,13 +188,6 @@ def form_from_dict(degree: int, coeffs: dict, scope) -> SymFormP:
 # ---------------------------------------------------------------------------
 # SymFuncM
 # ---------------------------------------------------------------------------
-
-#: Largest degree tracked.  p_lambda expands over the set partitions of its
-#: parts, whose number grows like the Bell numbers (Bell(8) = 4140); 8 is
-#: the degree of a product of two quartic entries, and form files of higher
-#: degree are refused.
-DEGREE_BOUND = 8
-
 
 class SymFuncM:
     """Symmetric function in the weighted monomial basis, coefficients in Q(n)."""
@@ -199,9 +208,6 @@ class SymFuncM:
                 if c:
                     clean[parts] = c
         self.terms = clean
-
-    def degree(self) -> int:
-        return max((sum(p) for p in self.terms), default=-1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -316,8 +322,6 @@ def _p_sum_in_m(coeffs: dict) -> SymFuncM:
 
 def p_to_m(f: SymFormP) -> SymFuncM:
     """Exact expansion of sum c_lambda p_lambda in the m basis."""
-    if f.degree > DEGREE_BOUND:
-        raise ValueError("degree beyond the engineering bound")
     return _p_sum_in_m(dict(zip(partitions_of(f.degree), f.coeffs)))
 
 

@@ -5,35 +5,23 @@ import random
 import time
 from fractions import Fraction
 
-from symquartic.algebra import RatFunc, UniPoly
+from symquartic.algebra import RatFunc
 from symquartic.cli import (
+    _repro_choi_lam,
+    _repro_example_6_10,
     _repro_limit_equality,
-    _sigma_prime_identity_holds,
-    bundled_choi_lam,
-    form_to_p,
+    _repro_q_blocks,
 )
-from symquartic.dualcone import (
-    boundary_family_functional,
-    dual_blocks,
-    dual_membership,
-    pair,
-)
+from symquartic.dualcone import dual_membership, pair
 from symquartic.identities import (
     BoundaryParams,
     boundary_family_form,
-    disc_poly,
     verify_disc_factorization,
 )
 from symquartic.partitions import partitions_of
 from symquartic.positivity import is_nonneg, is_strictly_positive
-from symquartic.sos import find_separating_functional, sos_boundary, sos_membership
-from symquartic.specht import (
-    Tableau,
-    brute_symmetrize,
-    q_blocks,
-    sigma_prime_rank,
-    specht_polynomial,
-)
+from symquartic.sos import find_separating_functional
+from symquartic.specht import q_blocks, sigma_prime_rank
 from symquartic.symfunc import (
     LIMIT,
     SymFormP,
@@ -55,67 +43,22 @@ def report(name, budget, started):
 
 def test_a1_extremal_quartic_separation():
     t0 = time.monotonic()
-    f = form_to_p(bundled_choi_lam(), 4)
-    assert is_nonneg(f).status == "IN"
-    assert sos_membership(f).status == "OUT"
-    ell = find_separating_functional(f)
-    assert ell is not None
-    m_triv, m_hook, m_tworow = dual_blocks(ell, 4)
-    assert m_triv.det() >= 0 and m_triv.m11 >= 0
-    assert m_hook.det() >= 0 and m_hook.m11 >= 0
-    assert m_tworow >= 0
-    assert dual_membership(ell, 4)
-    assert pair(ell, f) < 0
+    good, lines = _repro_choi_lam()
+    assert good, "\n".join(lines)
     report("A1 separation of the extremal quartic", 5, t0)
 
 
 def test_a2_boundary_family_golden_example():
     t0 = time.monotonic()
-    params = BoundaryParams(1, Fraction(-13, 10), 1, Fraction(-5, 4))
-    f = boundary_family_form(params)
-    ell = boundary_family_functional(params.a, params.b, params.c, params.d)
-    assert pair(ell, f.with_scope(8)) == 0
-    m_triv, m_hook, _ = dual_blocks(ell, 4)
-    assert (m_triv.m11, m_triv.m12, m_triv.m22) == (
-        Fraction(25, 16), Fraction(5, 4), Fraction(1)
-    )
-    assert (m_hook.m11, m_hook.m12, m_hook.m22) == (
-        Fraction(169, 400), Fraction(13, 40), Fraction(1, 4)
-    )
-    for n in range(4, 13):
-        assert dual_blocks(ell, n)[2] == Fraction(25 * n * n - 149 * n + 149, 800)
-
-    # discriminant of the deformation h_k as a univariate identity
-    k = UniPoly([Fraction(0), Fraction(1)])
-    printed = (
-        UniPoly([Fraction(10000), Fraction(-37399), Fraction(37399)])
-        * UniPoly([Fraction(25), Fraction(-149), Fraction(149)]) ** 2
-        * (k - 1) ** 3
-        * k**3
-        * Fraction(-1, 10**8)
-    )
-    assert disc_poly(params) == printed
+    good, lines = _repro_example_6_10()
+    assert good, "\n".join(lines)
+    f = boundary_family_form(BoundaryParams(1, Fraction(-13, 10), 1, Fraction(-5, 4)))
 
     # the zeros of the limit form sit at irrational weights, so every
     # finite restriction is strictly positive
     for n in range(4, 51):
         assert is_strictly_positive(f.with_scope(n))
         assert is_nonneg(f.with_scope(n)).status == "IN"
-
-    for n in range(4, 13):
-        fn = f.with_scope(n)
-        assert sos_membership(fn).status == "IN"
-        status, y = sos_boundary(fn)
-        if n == 4:
-            assert status == "INTERIOR"  # strictly interior at the smallest size
-        else:
-            # on the boundary, supported by the paper's functional up to a
-            # positive factor
-            assert status == "BOUNDARY"
-            ratios = {a / b for a, b in zip(y.as_tuple(), ell.as_tuple())}
-            assert len(ratios) == 1 and ratios.pop() > 0
-            assert pair(y, fn) == 0
-            assert dual_membership(y, n)
     report("A2 boundary-family golden example", 60, t0)
 
 
@@ -135,25 +78,10 @@ def test_a3_discriminant_factorization():
     report("A3 discriminant factorization on 100 random parameters", 60, t0)
 
 
-def MultiVar(i, n, power=1):
-    from symquartic.algebra import MultiPoly
-
-    return MultiPoly.var(i, n, power)
-
-
 def test_a4_symmetrized_blocks_brute_force():
     t0 = time.monotonic()
-    for n in (4, 5, 6):
-        qb = q_blocks(n)
-        g1 = MultiVar(0, n) - MultiVar(1, n)
-        g2 = MultiVar(0, n, 2) - MultiVar(1, n, 2)
-        prods = {(0, 0): g1 * g1, (0, 1): g1 * g2, (1, 1): g2 * g2}
-        for (i, j), prod in prods.items():
-            assert brute_symmetrize(prod, n).specialize(n) == qb.block_hook[i][j].specialize(n)
-        rows = (tuple([1, 3] + list(range(5, n + 1))), (2, 4))
-        sp = specht_polynomial(Tableau((n - 2, 2), rows))
-        assert brute_symmetrize(sp * sp, n).specialize(n) == qb.block_22.specialize(n)
-        assert _sigma_prime_identity_holds(n)
+    good, lines = _repro_q_blocks()
+    assert good, "\n".join(lines)
     report("A4 symmetrized blocks match brute force", 60, t0)
 
 

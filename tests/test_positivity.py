@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -580,6 +581,18 @@ class TestBoundaryStatus:
     def test_strict_positivity_rejects_other_degrees(self):
         with pytest.raises(ValueError):
             is_strictly_positive(SymFormP(2, (1, -1), 6))
+
+
+def test_equivalence_sample_pinned():
+    """The 500 coefficient vectors of ``equivalence_sample()``, which feeds
+    ``repro limit-equality``, acceptance test A6 and the gate below, hash
+    to a pinned digest: a moved random draw changes it."""
+    sample = equivalence_sample()
+    text = "\n".join(" ".join(map(str, f.coeffs)) for f in sample)
+    assert len(sample) == 500
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "87f075ea5a7467c6cc0aa6f49f6ef49f334808e73f6bd5559fbacea14209a28a"
+    )
 
 
 #: The five basis products p_lambda, canonical order, at LIMIT scope.

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,18 @@ class TestSymFormP:
         assert f.coeff((3, 1)) == 0
         with pytest.raises(ValueError):
             form_from_dict(4, {(3, 2): 1}, 5)
+
+    @pytest.mark.parametrize("degree", [70, 10**6])
+    def test_degree_above_bound_refused_fast(self, degree):
+        # the partitions of the degree are never listed: p(70) = 4 087 968
+        for build in (
+            lambda: form_from_dict(degree, {(degree,): 1}, LIMIT),
+            lambda: SymFormP(degree, (), LIMIT),
+        ):
+            t0 = time.monotonic()
+            with pytest.raises(ValueError, match="degree above 8"):
+                build()
+            assert time.monotonic() - t0 < 1
 
 
 class TestEvaluate:
