@@ -8,9 +8,11 @@ blocks of ``sos``; IN needs no theorem, as a sum of squares is
 nonnegative.  OUT carries a negative point read off the same gamma = 0
 entries in closed form (``_limit_negative_point``): over two-point
 measures of mean 1, Phi_f is a quadratic in p_2 plus the variance times a
-quadratic in x + y, whose minimum picks a rational variance, and one
-binary-quartic search then picks a rational point.  No alpha-polynomial
-is built.  Finding no point would contradict the theorem, and raises.
+quadratic in x + y, whose minimum picks a rational variance.  A rational
+point then follows from an integer square root near the minimising x + y
+(or a power of 2 where that quadratic is linear), kept once Phi_f < 0
+holds there exactly.  No alpha-polynomial is built and no root is
+isolated.  Finding no point would contradict the theorem, and raises.
 
 At finite n, the alpha-cells (below) are cut at the roots of the
 polynomials whose signs the binary-quartic tests read
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 from .algebra import (
     UniPoly,
@@ -56,6 +58,7 @@ from .algebra import (
     binary_quartic_strictly_positive,
     cells,
     refine_root_interval,
+    simplest_rational_between,
 )
 from .dualcone import DualFunctional
 from .sos import (
@@ -250,13 +253,14 @@ def _limit_negative_point(f: SymFormP):
     (1, 0) and a small alpha; else a rational v > 0 with
     inf_b F(v, .) < 0 (``_negative_variance``) and a rational point on it.
 
-    For rational t != 0, x = 1 + v/t, y = 1 - t and
+    For rational t > 0, x = 1 + v/t, y = 1 - t and
     alpha = t^2 / (v + t^2) have mean 1 and variance v, and
-    b = 2 + v/t - t runs over all of R as t runs over (0, oo).  With
-    t b = v + 2t - t^2, t^2 F(v, b(t)) is a binary quartic in (t, 1), with
-    t^4 coefficient v b22 >= 0 and value v^3 b22 >= 0 at t = 0; so
-    ``binary_quartic_negative_point`` finds a point (t, y') on it with
-    y' != 0 and t != 0.
+    b = 2 + v/t - t runs over all of R as t runs over (0, oo).
+    ``_variance_t`` picks t in closed form: where b22 > 0, near the root
+    t0 of b(t) = b* = -b12/b22, which minimises F(v, .), by integer
+    square roots; where b22 = 0, as a power of 2.  A candidate t is kept
+    only when F(v, b(t)) < 0 exactly, and F(v, b(t)) is Phi_f at the
+    returned point, so that test is the witness check.
     """
     d, entries = _gamma_zero_entries(f)
     if sum(entries[2:]) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
@@ -275,17 +279,66 @@ def _limit_negative_point(f: SymFormP):
     v = _negative_variance(b22, b12, a22, s, c0)
     if v is None:
         return None
-    w = 1 + v
-    tx, ty = binary_quartic_negative_point((
-        v * b22,
-        -v * (4 * b22 + 2 * b12),
-        (a22 * w + s) * w + c0 + v * (b22 * (4 - 2 * v) + 4 * b12),
-        v * v * (4 * b22 + 2 * b12),
-        v * v * v * b22,
-    ))
-    t = tx / ty
+    t = _variance_t(v, *entries)
     alpha = t * t / (v + t * t)
     return (alpha, 1 - alpha), (1 + v / t, 1 - t)
+
+
+def _variance_t(v: Fraction, b22: int, b12: int, a22: int, s: int, c0: int) -> Fraction:
+    """A rational t > 0 with F(v, b(t)) < 0 at b(t) = 2 + v/t - t, for the
+    variance v of ``_negative_variance`` and the integer gamma = 0 entries
+    (``_limit_negative_point``; d F is the same expression in them).
+
+    The test is the sign of Phi_f at the witness itself, in integers: with
+    v = V/W, t = p/q and m = W p q, b = B/m for B = 2m + V q^2 - W p^2,
+    and W^2 m^2 d F = g m^2 + V W B (b22 B + 2 b12 m), where
+    g = W^2 d F(v, 0).  b(t) falls strictly from +oo to -oo on (0, oo),
+    so the t that pass form one open interval.
+
+    With b22 = 0, F is linear in b, the interval is unbounded above
+    (b12 > 0) or reaches down to 0 (b12 < 0; with b12 = 0 it is all of
+    (0, oo)), and t is 2^j or 2^-j for the least j >= 0 that passes, found
+    by doubling j and then bisecting.  With b22 > 0, F(v, b) = G(1 + v) + v b22 (b - b*)^2 with
+    b* = -b12/b22 and G(1 + v) < 0, so the interval holds the positive
+    root t0 = (c + sqrt(r)) / 2, r = c^2 + 4v, of t^2 - c t - v with
+    c = 2 - b*, where b(t0) = b*.  Rounding c 2^j and, by an integer
+    square root, sqrt(r) 2^j down gives dyadic ends lo <= t0 < hi =
+    lo + 2^-j.  For j = 1, 2, 4, ... until both ends pass, after which so
+    does everything between them; the simplest rational there is
+    returned.  No root is isolated.
+    """
+    V, W = v.numerator, v.denominator
+    u = W + V  # W (1 + v)
+    g = (a22 * u + s * W) * u + c0 * W * W
+
+    def negative(t: Fraction) -> bool:
+        p, q = t.numerator, t.denominator
+        m = W * p * q
+        B = 2 * m + V * q * q - W * p * p
+        return g * m * m + V * W * B * (b22 * B + 2 * b12 * m) < 0
+
+    if b22 == 0:
+
+        def power(j: int) -> Fraction:
+            return Fraction(1 << j) if b12 > 0 else Fraction(1, 1 << j)
+
+        # the least passing j: passes at hi, fails at lo (or lo = -1)
+        lo, hi = -1, 0
+        while not negative(power(hi)):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if negative(power(mid)) else (mid, hi)
+        return power(hi)
+    cn, cd = 2 * b22 + b12, b22  # c = cn / cd
+    rn, rd = cn * cn * W + 4 * V * cd * cd, cd * cd * W  # r = rn / rd
+    j = 1
+    while True:
+        base = (cn << j) // cd + isqrt((rn << 2 * j) // rd)
+        lo, hi = Fraction(base, 2 << j), Fraction(base + 2, 2 << j)
+        if lo > 0 and negative(lo) and negative(hi):
+            return simplest_rational_between(lo, hi)
+        j *= 2
 
 
 def _negative_variance(b22, b12, a22, s, c0) -> Fraction | None:

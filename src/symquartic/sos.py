@@ -205,34 +205,39 @@ def _entry_map(v) -> tuple:
     return (2 * v4, v31, 2 * (v22 + v4), 2 * (v211 + v31), 2 * v1111)
 
 
+@per_form
 def _gamma_zero_entries(f: SymFormP) -> tuple[int, tuple[int, ...]]:
     """(d, e): the gamma = 0 block entries of f as the integers e over
     d = 2 den, e the ``_entry_map`` of the form's numerators over den, the
-    lcm of its denominators.  The entries are (c4, c31/2, c22 + c4,
-    c211 + c31, c1111), so neither they nor e depend on n, and the sum of
-    the last three, a22 + s + (a11 - u), is the coefficient sum."""
+    lcm of its denominators, once per form object (``symfunc.per_form``):
+    the gamma = 0 signs, the block forms, the coefficient-sum tests and the
+    limit witness of ``positivity`` all read them.  The entries are (c4,
+    c31/2, c22 + c4, c211 + c31, c1111), so neither they nor e depend on n,
+    and the sum of the last three, a22 + s + (a11 - u), is the coefficient
+    sum."""
     coeffs = f.coeffs
     den = lcm(*(c.denominator for c in coeffs))
     return 2 * den, _entry_map([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 @per_form
-def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...], tuple]:
     """The block entries that the matching equations fix, as integer linear
-    forms in gamma over one positive scale: (S, ((C_i, G_i), ...)) with
-    entry_i = (C_i + G_i gamma) / S for b22, b12, a22, s = 2 a12 + u and
-    a11 - u (u = b11), once per form object (``symfunc.per_form``).
+    forms in gamma over one positive scale: (S, ((C_i, G_i), ...), (m, m gen))
+    with entry_i = (C_i + G_i gamma) / S for b22, b12, a22, s = 2 a12 + u
+    and a11 - u (u = b11), once per form object (``symfunc.per_form``).
 
     With (d, e) of ``_gamma_zero_entries`` and (m, m gen) of
     ``dualcone._gamma_gen_ints`` (m = 2n^2), S = m d, C = m e and
     G = -(d / 2) ``_entry_map``(m gen): the entries at gamma are those of
-    f - gamma gen.  Every condition of ``_conditions`` is homogeneous in
-    the entries, so S changes no sign and no root in gamma, and the
-    witnesses, built from the entries themselves, do not see it."""
+    f - gamma gen.  (m, m gen) is kept for ``_certificate``, so n is
+    squared once per form.  Every condition of ``_conditions`` is
+    homogeneous in the entries, so S changes no sign and no root in gamma,
+    and the witnesses, built from the entries themselves, do not see it."""
     d, e = _gamma_zero_entries(f)
     m, gen = _gamma_gen_ints(f.scope)
     den = d // 2
-    return m * d, tuple((m * c, -den * g) for c, g in zip(e, _entry_map(gen)))
+    return m * d, tuple((m * c, -den * g) for c, g in zip(e, _entry_map(gen))), (m, gen)
 
 
 def _conditions(b22, b12, a22, s, a11_u) -> tuple:
@@ -305,7 +310,7 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
     vertex (2 e_a22 + e_s) k.  The blocks are then integers over W = 2w,
     and the self-check reads exactly those: both blocks PSD, gamma >= 0
     (gamma = 0 at LIMIT), and the block map sends (A, B, gamma) to f,
-    compared over W q m (m from ``dualcone._gamma_gen_ints``) with f's
+    compared over W q m ((m, m gen) as kept in ``blocks``) with f's
     numerators cross-multiplied; a failure raises AssertionError.  Only
     then are the six entries made Fractions.  ``expand_certificate``
     stays the independent Fraction check of the result."""
@@ -325,7 +330,7 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
     A = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k)
     B = (2 * u, 2 * b12 * k, 2 * b22 * k)
     W = 2 * d * k
-    m, gen = _gamma_gen_ints(f.scope)
+    m, gen = blocks[2]
     qm = q * m
     wqm = W * qm
     expansion = (B[2], 2 * B[1], A[2] - B[2], 2 * A[1] + B[0] - 2 * B[1], A[0] - B[0])

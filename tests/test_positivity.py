@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symquartic.algebra as algebra
 import symquartic.positivity as positivity
 from symquartic.algebra import (
     SymMat2,
@@ -689,8 +691,9 @@ DEGENERATE = {
     # the x^4 coefficient of Phi^alpha vanishes identically
     "lc_zero_1": ((0, 1, -1, 0, 0), ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                   "OUT", _finite("OUT", _grid((F(-3), F(1))), False)),
-    # c4 = 0 != c31: variance v = 1, F linear in x + y
-    "lc_zero_2": ((0, -1, 1, 0, 0), ("OUT", ((F(4, 5), F(1, 5)), (F(1, 2), F(3)))),
+    # c4 = 0 != c31: variance v = 1, F linear in x + y = 2 + 1/t - t,
+    # negative from t = 1/2 on
+    "lc_zero_2": ((0, -1, 1, 0, 0), ("OUT", ((F(1, 5), F(4, 5)), (F(3), F(1, 2)))),
                   ("OUTSIDE", None),
                   "OUT", _finite("OUT", _grid((F(3), F(1))), False)),
     "lc_zero_3": ((0, F(3, 2), F(-3, 2), 0, 0), ("OUT", MEAN_ZERO), ("OUTSIDE", None),
@@ -703,14 +706,14 @@ DEGENERATE = {
     # cut the finite-n cells there.  The limit witness sits at the vertex
     # w = 1 + v of a22 w^2 + s w + c0, just above w = 1
     "window_1": ((2, 0, 9, -23, 12),
-                 ("OUT", ((F(275, 33043), F(32768, 33043)), (F(-73, 55), F(261, 256)))),
+                 ("OUT", ((F(88, 89), F(1, 89)), (F(45, 44), F(-1)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
                   (64, "OUT", ((F(1, 64), F(63, 64)), (F(-6207, 8884), F(1))), False),
                   (1000, "OUT", ((F(1, 1000), F(999, 1000)), (F(-1734765, 2010988), F(1))),
                    False)]),
     "window_2": ((5, 0, 5, -21, 11),
-                 ("OUT", ((F(3125, 265269), F(262144, 265269)), (F(-131, 125), F(1049, 1024)))),
+                 ("OUT", ((F(80, 81), F(1, 81)), (F(41, 40), F(-1)))),
                  ("OUTSIDE", None), "OUT",
                  [(4, "IN", None, False), (16, "IN", None, False),
                   (64, "OUT", ((F(1, 64), F(63, 64)), (F(-5637, 7676), F(1))), False),
@@ -914,16 +917,18 @@ def _witness_branch(coeffs):
 
 
 #: One form per branch of the limit witness, with its witness where the
-#: branch fixes it: Choi-Lam takes the a22 = 0 slope at v = 13/4, and
-#: -p_4 + 10 p_(2,2) needs alpha = 1/11 at (1, 0), where alpha = 1/2 fails.
+#: branch fixes it: Choi-Lam takes the a22 = 0 slope at v = 13/4, where
+#: t = 4/3 is the simplest rational between two dyadic ends around the
+#: root t0 of ``positivity._variance_t``, and -p_4 + 10 p_(2,2) needs
+#: alpha = 1/11 at (1, 0), where alpha = 1/2 fails.
 LIMIT_WITNESS_FORMS = {
     "sum": ((0, 0, 0, 0, -1), ((F(0), F(1)), (F(0), F(1)))),
     "mean_zero": ((0, 0, -1, 2, -1), MEAN_ZERO),
     "point_1_0": ((-1, 0, 10, 0, 0), ((F(1, 11), F(10, 11)), ONE_ZERO)),
-    "linear": ((0, -1, 1, 0, 0), ((F(4, 5), F(1, 5)), (F(1, 2), F(3)))),
-    "vertex": ((2, 0, 9, -23, 12), ((F(275, 33043), F(32768, 33043)), (F(-73, 55), F(261, 256)))),
+    "linear": ((0, -1, 1, 0, 0), ((F(1, 5), F(4, 5)), (F(3), F(1, 2)))),
+    "vertex": ((2, 0, 9, -23, 12), ((F(88, 89), F(1, 89)), (F(45, 44), F(-1)))),
     "slope": ((8, F(-160, 3), -8, 128, F(-128, 3)),
-              ((F(34225, 47537), F(13312, 47537)), (F(-23, 185), F(249, 64)))),
+              ((F(64, 181), F(117, 181)), (F(55, 16), F(-1, 3)))),
     "flat": ((0, 0, 1, -3, F(21, 10)), None),
 }
 
@@ -939,6 +944,43 @@ def _limit_witness_sample():
                          F(rng.randint(-12, 12), rng.randint(1, 3)))
         for _ in range(600)
     ]
+
+
+#: The alpha-polynomial machinery and the binary-quartic point search, as
+#: named in ``positivity``.
+_ALPHA_WORK = (
+    "_phi_alpha_ints",
+    "cells",
+    "binary_quartic_critical_polys",
+    "binary_quartic_negative_point",
+)
+
+
+@st.composite
+def _variance_branch_forms(draw):
+    """Forms outside the limit cone built from gamma = 0 entries
+    (``_from_gamma_zero``) that take the variance branch of the limit
+    witness, with coefficient sum sigma >= 0: b22 = 0 != b12 (linear), or
+    b22 > 0 with k = b12^2 / b22 and G(w) = a22 w^2 + (s - k) w + c0 + k
+    negative somewhere on w > 1, at its vertex 1 + m (a22 > 0, vertex) or
+    along a negative slope (a22 = 0, slope)."""
+    rational = st.builds(F, st.integers(-24, 24), st.integers(1, 9))
+    positive = st.builds(F, st.integers(1, 24), st.integers(1, 9))
+    kind = draw(st.sampled_from(("linear", "vertex", "slope")))
+    b12 = draw(rational.filter(bool) if kind == "linear" else rational)
+    sigma = draw(st.builds(F, st.integers(0, 24), st.integers(1, 9)))
+    if kind == "linear":
+        b22, a22, s = F(0), draw(st.one_of(st.just(F(0)), positive)), draw(rational)
+    else:
+        b22 = draw(positive)
+        k = b12 * b12 / b22
+        if kind == "vertex":
+            a22, m = draw(positive), draw(positive)
+            sigma = a22 * m * m * sigma / (sigma + 1)  # in [0, a22 m^2)
+            s = k - 2 * a22 * (1 + m)
+        else:
+            a22, s = F(0), k - draw(positive)
+    return _from_gamma_zero(b22, b12, a22, s, sigma - a22 - s)
 
 
 class TestLimitWitness:
@@ -988,16 +1030,18 @@ class TestLimitWitness:
 
     @pytest.fixture
     def alpha_work(self, monkeypatch):
-        """Calls to the alpha-polynomial machinery from ``positivity``."""
+        """Calls to the alpha-polynomial machinery and the binary-quartic
+        point search from ``positivity``, and to root isolation anywhere."""
         calls = []
-        for name in ("_phi_alpha_ints", "cells", "binary_quartic_critical_polys"):
-            real = getattr(positivity, name)
+        targets = [(positivity, name) for name in _ALPHA_WORK] + [(algebra, "isolate_real_roots")]
+        for module, name in targets:
+            real = getattr(module, name)
 
             def counted(*args, _name=name, _real=real):
                 calls.append(_name)
                 return _real(*args)
 
-            monkeypatch.setattr(positivity, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_no_alpha_cells_at_limit(self, alpha_work):
@@ -1007,6 +1051,46 @@ class TestLimitWitness:
             outs += is_nonneg_limit(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)).status == "OUT"
         assert outs > 100
         assert alpha_work == []
-        # the finite-n cell path still counts: Choi-Lam at n = 64
-        is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64))
-        assert set(alpha_work) == {"_phi_alpha_ints", "cells", "binary_quartic_critical_polys"}
+        # the finite-n cell path and its point search still count: Choi-Lam
+        # at n = 64
+        assert is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64)).status == "OUT"
+        assert set(alpha_work) == set(_ALPHA_WORK) | {"isolate_real_roots"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_variance_branch_forms())
+    def test_variance_branch_witness(self, coeffs):
+        """In the b22 > 0 and the b22 = 0 != b12 branches the witness is the
+        two-point measure at t > 0 (``positivity._variance_t``): x = 1 + v/t
+        > 1 > y = 1 - t, 0 < alpha < 1, and Phi_f < 0 there exactly."""
+        f = SymFormP(4, coeffs, LIMIT)
+        assert _witness_branch(coeffs) in ("linear", "vertex", "slope")
+        verdict = is_nonneg_limit(f)
+        assert verdict.status == "OUT"
+        (alpha, beta), (x, y) = verdict.witness
+        assert 0 < alpha < 1 and alpha + beta == 1
+        assert y < 1 < x
+        assert witness_value(f, verdict) < 0
+
+    @pytest.mark.parametrize(
+        "coeffs, branch",
+        [
+            ((EXAMPLE_6_10[0] - F(1, 10**4000),) + EXAMPLE_6_10[1:], "vertex"),
+            ((0, F(1, 10**4000), 1, 0, 0), "linear"),
+            ((0, F(-1, 10**4000), 1, 0, 0), "linear"),
+        ],
+        ids=["example-6.10-lowered", "linear-up", "linear-down"],
+    )
+    def test_hostile_witness_bounded_time(self, coeffs, branch):
+        """Forms 10^-4000 outside the limit cone.  Example 6.10 with p_4
+        lowered by 10^-4000 needs t to about 13 000 bits, which the integer
+        square root gives with no root isolation (about 1.9 s with the
+        binary-quartic search it replaced); with c4 = 0 and c31 = +-10^-4000
+        the least power 2^+-j that passes has j of about 13 000."""
+        f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
+        start = time.perf_counter()
+        verdict = is_nonneg_limit(f)
+        elapsed = time.perf_counter() - start
+        assert verdict.status == "OUT"
+        assert _witness_branch(f.coeffs) == branch
+        assert witness_value(f, verdict) < 0
+        assert elapsed < 0.5, elapsed

@@ -31,13 +31,19 @@ from symquartic.dualcone import (
     weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
-from symquartic.positivity import boundary_status_limit, is_nonneg, is_nonneg_limit
+from symquartic.positivity import (
+    boundary_status_limit,
+    is_nonneg,
+    is_nonneg_limit,
+    is_strictly_positive,
+)
 from symquartic.sos import (
     SosCertificate,
     _block_polys,
     _certificate,
     _certificate_at,
     _conditions,
+    _entry_map,
     _feasible,
     _gamma_cells,
     _gamma_range,
@@ -179,6 +185,31 @@ class TestLimitOncePerForm:
         assert sos_membership_limit(f).status == "IN"
         assert boundary_status_limit(f).status == "INTERIOR"
         assert len(calls) == 1
+
+    def test_gamma_zero_entries_built_once(self, monkeypatch):
+        """The gamma = 0 entries of one form are built once, though the
+        signs, the coefficient sum, the limit witness and the block forms
+        each read them; ``_entry_map`` also maps the generator in
+        ``_block_polys``, which only the IN certificate builds."""
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return _entry_map(v)
+
+        monkeypatch.setattr(sos, "_entry_map", counted)
+        coeffs = ("8", "-160/3", "-8", "128", "-128/3")
+        choi_lam = SymFormP(4, tuple(Fraction(c) for c in coeffs), LIMIT)
+        assert is_nonneg_limit(choi_lam).status == "OUT"
+        assert sos_membership_limit(choi_lam).status == "OUT"
+        assert boundary_status_limit(choi_lam).status == "OUTSIDE"
+        assert len(calls) == 1
+        f = choi_lam.with_scope(64)
+        assert is_nonneg(f).status == "OUT"
+        assert not is_strictly_positive(f)
+        assert len(calls) == 2
+        assert sos_membership(form_from_dict(4, {(4,): 1}, 64)).status == "IN"
+        assert len(calls) == 4
 
 
 # Forms expand_certificate(rank-1 A, rank-1 B, gamma), SOS by construction,
@@ -356,6 +387,34 @@ class TestEndsFirst:
             assert hi == Fraction(88, 3)
             # the full scan returned the smallest feasible sample
             assert reference_membership(f)[0].certificate.gamma == Fraction(13, 7)
+
+    @pytest.mark.parametrize(
+        "coeffs, n, end",
+        [
+            ((1, 0, 0, 0, 0), 4, "lo"),
+            ((1, 0, 0, 0, 0), 10**4000, "lo"),
+            ((0, 3, Fraction(11, 3), -4, Fraction(3, 2)), 4, "hi"),
+            ((0, 3, Fraction(11, 3), -4, Fraction(3, 2)), 7, "hi"),
+        ],
+        ids=["p4-4", "p4-10^4000", "group9-4", "group9-7"],
+    )
+    def test_n_squared_once(self, monkeypatch, coeffs, n, end):
+        """A form IN at an end of the gamma range squares n once: the
+        (m, m gen) of ``_gamma_gen_ints`` that ``_block_polys`` builds is
+        the one ``_certificate`` checks the blocks with."""
+        calls = []
+
+        def counted(scope):
+            calls.append(scope)
+            return _gamma_gen_ints(scope)
+
+        monkeypatch.setattr(sos, "_gamma_gen_ints", counted)
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        verdict = sos_membership(f)
+        assert verdict.status == "IN"
+        assert verdict.certificate.gamma == _gamma_range(f)[0 if end == "lo" else 1]
+        assert len(calls) == 1
+        assert expand_certificate(verdict.certificate) == f
 
 
 def deciding_polys(blocks):
@@ -1287,11 +1346,13 @@ def test_integer_blocks_match_fraction_reference(f, gammas):
 
 def former_block_polys(f):
     """``_block_polys`` with each linear form spelled out over
-    S = 2 m den, independently of ``sos._entry_map``."""
+    S = 2 m den, independently of ``sos._entry_map``, and the (m, m gen)
+    of ``_gamma_gen_ints`` that it keeps for ``_certificate``."""
     coeffs = f.coeffs
     den = lcm(*(c.denominator for c in coeffs))
     n4, n31, n22, n211, n1111 = (c.numerator * (den // c.denominator) for c in coeffs)
-    m, (g4, g31, g22, g211, g1111) = _gamma_gen_ints(f.scope)
+    m, gen = _gamma_gen_ints(f.scope)
+    g4, g31, g22, g211, g1111 = gen
     m2, den2 = 2 * m, 2 * den
     return m2 * den, (
         (m2 * n4, -den2 * g4),
@@ -1299,7 +1360,7 @@ def former_block_polys(f):
         (m2 * (n22 + n4), -den2 * (g4 + g22)),
         (m2 * (n211 + n31), -den2 * (g211 + g31)),
         (m2 * n1111, -den2 * g1111),
-    )
+    ), (m, gen)
 
 
 @given(_scoped_forms(), st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, 10**4000, LIMIT)))
