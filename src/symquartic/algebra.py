@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -445,10 +445,21 @@ def isolate_real_roots(
     """Disjoint rational intervals, each containing exactly one real root of
     the squarefree rational polynomial p in the open interval (lo, hi).
 
-    Intervals are sorted; a root that is itself rational may be reported as a
-    degenerate point interval ``(r, r)``.  Non-degenerate intervals have
-    endpoints that are not roots of p.  No squarefree part is taken here:
-    callers pass squarefree parts and products.
+    Intervals are ascending; a root that is itself rational may be reported
+    as a degenerate point interval ``(r, r)``.  Non-degenerate intervals
+    have endpoints that are not roots of p.  No squarefree part is taken
+    here: callers pass squarefree parts and products.  The walk that finds
+    them is ``_root_intervals``.
+    """
+    return list(_root_intervals(p, lo, hi))
+
+
+def _root_intervals(
+    p: UniPoly, lo: Fraction, hi: Fraction
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """The intervals of ``isolate_real_roots``, yielded in ascending order
+    as the walk finds them, so that a caller can stop at the first one it
+    needs.
 
     Descartes (Vincent-Collins-Akritas) bisection on integer polynomials:
     (lo, hi) is mapped once onto (0, 1) over a common denominator, and a
@@ -456,41 +467,45 @@ def isolate_real_roots(
     as roots of z in (0, 1)) has the halves 2^d z(t/2) and its Taylor shift
     by 1.  A node is dropped when ``_descartes01`` is 0 and accepted when it
     is 1 and neither end of the node is a root of p (z(0), z(1) nonzero); a
-    root at a midpoint is emitted as a point interval.  ``Fraction`` is
-    built only for the output.
+    root at a midpoint is a point interval.  The tree is walked depth
+    first, left to right, with a midpoint root between the two subtrees of
+    its node, which is ascending order.  ``Fraction`` is built only for the
+    output.
     """
     if p.is_zero():
         raise ValueError("indeterminate root set")
     lo = Fraction(lo)
     hi = Fraction(hi)
     if hi <= lo or p.degree <= 0:
-        return []
+        return
     d = p.degree
     z, a, w, den = _zonto01(_zpoly(p.coeffs), lo, hi)
-
-    # a node (z, k, j) stands for (x(k, j), x(k, j + 1)), x(k, j) the
-    # image of t = j / 2^k; an explicit stack, as close roots need deep
-    # bisection
-    ends: list[tuple[int, int, int]] = []
-    todo = [(z, 0, 0)]
-    while todo:
-        z, k, j = todo.pop()
-        count = _descartes01(z)
-        if count == 0:
-            continue
-        if count == 1 and z[0] and sum(z):
-            ends.append((k, j, j + 1))
-            continue
-        left = [c << (d - i) for i, c in enumerate(z)]  # 2^d z(t / 2)
-        right = _ztaylor(left)
-        if not right[0]:  # z(1/2) = 0
-            ends.append((k + 1, 2 * j + 1, 2 * j + 1))
-        todo += [(right, k + 1, 2 * j + 1), (left, k + 1, 2 * j)]
 
     def x(k: int, j: int) -> Fraction:
         return Fraction((a << k) + w * j, den << k)
 
-    return sorted((x(k, i), x(k, j)) for k, i, j in ends)
+    # a node (z, k, j) stands for (x(k, j), x(k, j + 1)), x(k, j) the
+    # image of t = j / 2^k, and (None, k, j) for the root x(k, j); an
+    # explicit stack, as close roots need deep bisection
+    todo = [(z, 0, 0)]
+    while todo:
+        z, k, j = todo.pop()
+        if z is None:
+            r = x(k, j)
+            yield r, r
+            continue
+        count = _descartes01(z)
+        if count == 0:
+            continue
+        if count == 1 and z[0] and sum(z):
+            yield x(k, j), x(k, j + 1)
+            continue
+        left = [c << (d - i) for i, c in enumerate(z)]  # 2^d z(t / 2)
+        right = _ztaylor(left)
+        todo.append((right, k + 1, 2 * j + 1))
+        if not right[0]:  # z(1/2) = 0
+            todo.append((None, k + 1, 2 * j + 1))
+        todo.append((left, k + 1, 2 * j))
 
 
 def count_real_roots(p: UniPoly) -> int:
@@ -1144,9 +1159,13 @@ def binary_quartic_negative_point(
     (of the squarefree part), a non-point one has its inner end, not a
     root, inside that cell; when both are points, their midpoint is.  So
     the interval ends, then the midpoints of neighbouring ends, hold a
-    negative point.  It keeps this rule, not the samples of ``cells``: the
-    pinned witnesses of ``is_nonneg`` come from it, the samples move some
-    of them, and they save no time.
+    negative point.  The ends are tested as isolation yields them, left
+    to right (``_root_intervals``), so the search stops at the first
+    negative end without isolating the roots right of it; only when no end
+    is negative are all the roots isolated and the midpoints tested.  It
+    keeps this rule, not the samples of ``cells``: the pinned witnesses of
+    ``is_nonneg`` come from it, the samples move some of them, and they
+    save no time.
     """
     if binary_quartic_nonneg(h):
         return None
@@ -1157,8 +1176,14 @@ def binary_quartic_negative_point(
     for x in (bound, -bound):
         if _zsign(z, x) < 0:
             return (x, _ONE)
-    ends = [x for ab in isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound) for x in ab]
-    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+    ends = []
+    for ab in _root_intervals(UniPoly(_zsqf(z)), -bound, bound):
+        for x in ab:
+            if _zsign(z, x) < 0:
+                return (x, _ONE)
+        ends += ab
+    for a, b in zip(ends, ends[1:]):
+        x = (a + b) / 2
         if _zsign(z, x) < 0:
             return (x, _ONE)
     raise AssertionError("negative value certified but no witness found")
@@ -1184,16 +1209,18 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 
     # the continued fraction of lo, while [a, b] holds no integer: its
     # terms are shared with every rational in [lo, hi], and the simplest
-    # one ends at the smallest integer >= a
+    # one ends at the smallest integer >= a.  a = an / ad and b = bn / bd
+    # on positive denominators, and the step a, b -> 1 / (b - ia),
+    # 1 / (a - ia) is one on integers
     terms = []
-    a, b = lo, hi
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     while True:
-        ia = a.numerator // a.denominator  # floor
-        if a == ia or ia + 1 <= b:
+        ia, ra = divmod(an, ad)  # floor(a), ad * (a - ia)
+        if not ra or (ia + 1) * bd <= bn:
             break
         terms.append(ia)
-        a, b = 1 / (b - ia), 1 / (a - ia)
-    p, q = (ia if a == ia else ia + 1), 1
+        an, ad, bn, bd = bd, bn - ia * bd, ad, ra
+    p, q = (ia + 1 if ra else ia), 1
     for t in reversed(terms):
         p, q = t * p + q, p
     return Fraction(p, q)

@@ -211,6 +211,13 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     return NonnegVerdict("IN")
 
 
+#: The verdict that ``is_nonneg`` keeps on a form object, or None, read
+#: without deciding (``symfunc.per_form``); ``sos.sos_membership`` takes an
+#: OUT from it.  It has a name of its own, so that a wrapper put in place
+#: of ``is_nonneg`` (a call counter, a tracer) leaves it working.
+kept_nonneg = is_nonneg.kept
+
+
 def is_strictly_positive(f: SymFormP) -> bool:
     """True iff f > 0 away from the origin (numeric scope).
 

@@ -48,7 +48,11 @@ The quadratic part of q in (gamma, u) is -(u - c gamma)^2, so V has
 degree <= 1, and h grows like c gamma, so H has degree <= 3 (the conics
 q = 0 and u b22 = b12^2 share their point at infinity).
 
-``sos_membership`` looks for the feasible interval in three steps:
+``sos_membership`` first reads the verdict that ``positivity.is_nonneg``
+keeps on the form object, if any: a nonnegativity OUT is an SOS OUT, as
+every sum of squares is nonnegative.  It never asks ``is_nonneg`` itself,
+which at huge n costs far more than the steps below.  Otherwise it looks
+for the feasible interval in three steps:
 
 1. the two ends: a feasible end decides IN with no cell built;
 2. with both ends infeasible the interval lies inside (lo, hi), where
@@ -441,6 +445,13 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         raise ValueError("use sos_membership_limit for LIMIT-scope forms")
     if f.scope < 4:
         raise ValueError("scope must be at least 4")
+    # a kept nonnegativity OUT decides (module docstring); the import is
+    # here because positivity imports this module
+    from .positivity import kept_nonneg
+
+    nonneg = kept_nonneg(f)
+    if nonneg is not None and nonneg.status == "OUT":
+        return SosVerdict("OUT")
     gamma_range = _gamma_range(f)
     if gamma_range is None:
         return SosVerdict("OUT")

@@ -161,6 +161,10 @@ def per_form(fn):
     and the result goes away with the object.  So decisions that read the
     same data about one form share it, and nothing is shared across forms.
     An exception is not cached: the next call runs ``fn`` again.
+
+    The decorated function's ``kept(f)`` reads the kept result, None when
+    there is none: a caller that may only use a result already paid for
+    never computes one.
     """
 
     @wraps(fn)
@@ -170,6 +174,10 @@ def per_form(fn):
             memo[fn] = fn(f)
         return memo[fn]
 
+    def kept(f):
+        return f._memo.get(fn)
+
+    once.kept = kept
     return once
 
 

@@ -15,6 +15,8 @@ from symquartic.algebra import (
     _zgcd,
     _zpoly,
     _zrem,
+    _zroot_bound,
+    _zsqf,
     _zyun,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
@@ -584,6 +586,44 @@ def sturm_strictly_positive(h) -> bool:
     return h[0] > 0 and count_real_roots(UniPoly(h[::-1])) == 0
 
 
+@st.composite
+def midpoint_root_quartics(draw):
+    """c x (x - r)(x - s)(x - m), 0 < r < s, r + s < 1 and m = 1 + r + s, or
+    its mirror in x, as binary quartic coefficients.  The Cauchy bound is
+    B = 2m, so 0 and m = B/2 are rational roots at the bisection midpoints
+    of nodes that hold two or more roots, which isolation reports as point
+    intervals."""
+    i = draw(st.integers(min_value=1, max_value=30))
+    j = draw(st.integers(min_value=i + 1, max_value=63 - i))
+    r, s = Fraction(i, 64), Fraction(j, 64)
+    side = draw(st.sampled_from((1, -1)))
+    p = linear(0) * linear(side * r) * linear(side * s) * linear(side * (1 + r + s))
+    c = draw(st.sampled_from((Fraction(1), Fraction(3, 7), Fraction(-2))))
+    return tuple(reversed(p.scale(c).coeffs))
+
+
+def sorted_rule_negative_point(h):
+    """``binary_quartic_negative_point`` as it was before the search
+    stopped at the first negative end: all the isolating intervals, sorted,
+    then every end and then every midpoint of neighbouring ends."""
+    if binary_quartic_nonneg(h):
+        return None
+    if h[0] < 0:
+        return (Fraction(1), Fraction(0))
+    z = _zpoly(h[::-1])
+    bound = _zroot_bound(z)
+    p = UniPoly(z)
+    for x in (bound, -bound):
+        if p(x) < 0:
+            return (x, Fraction(1))
+    intervals = sorted(isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound))
+    ends = [x for ab in intervals for x in ab]
+    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        if p(x) < 0:
+            return (x, Fraction(1))
+    raise AssertionError("no witness")
+
+
 class TestBinaryQuartics:
     def test_disc_examples(self):
         # x^4 -> (1, 0, 0, 0, 0): discriminant 0 (quadruple root)
@@ -674,6 +714,33 @@ class TestBinaryQuartics:
         assert isolate_real_roots(p, -2, 2) == [(0, 0), (1, 1)]
         assert binary_quartic_negative_point(tuple(reversed(p.coeffs))) == (Fraction(1, 2), 1)
 
+    @given(st.one_of(st.tuples(rationals, rationals, rationals, rationals, rationals), midpoint_root_quartics()))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_point_matches_the_sorted_rule(self, h):
+        """The point search that stops at the first negative end returns
+        the witness of the rule it replaced (``sorted_rule_negative_point``),
+        and the intervals it walks come out ascending with no sort."""
+        h = tuple(Fraction(c) for c in h)
+        assert binary_quartic_negative_point(h) == sorted_rule_negative_point(h)
+        z = _zpoly(h[::-1])
+        if len(z) > 1:
+            bound = _zroot_bound(z)
+            intervals = isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound)
+            for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
+                assert a1 <= b1 <= a2 <= b2 and (a1, b1) < (a2, b2)
+
+    def test_midpoint_roots_are_points(self):
+        """In ``midpoint_root_quartics`` 0 and m = B/2 are roots at the
+        midpoints of nodes that hold two or more roots: point intervals."""
+        for i, j in ((1, 2), (5, 40), (30, 33)):
+            r, s = Fraction(i, 64), Fraction(j, 64)
+            m = 1 + r + s
+            p = linear(0) * linear(r) * linear(s) * linear(m)
+            bound = _zroot_bound(_zpoly(p.coeffs))
+            assert bound == 2 * m
+            intervals = isolate_real_roots(p, -bound, bound)
+            assert intervals[0] == (0, 0) and intervals[-1] == (m, m) and len(intervals) == 4
+
     def test_strict_positivity(self):
         assert binary_quartic_strictly_positive((1, 0, 0, 0, 1))
         assert not binary_quartic_strictly_positive((1, 0, 0, 0, 0))
@@ -713,6 +780,56 @@ class TestSimplestRational:
         x = simplest_rational_between(s, hi)
         assert is_simplest(x, s, hi)
         assert simplest_rational_between(-hi, -s) == -x
+
+    def test_integer_walk_matches_the_fraction_loop(self):
+        """Seeded intervals of small and of 4096- to 16384-bit ends, with
+        positive, negative and zero-straddling ones, against
+        ``fraction_loop_simplest``."""
+        rng = random.Random(27)
+
+        def rational(bits):
+            return Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) | 1)
+
+        cases = []
+        for bits in (8, 64, 4096):
+            for _ in range(200 if bits < 4096 else 20):
+                a, b = sorted((rational(bits), rational(bits)))
+                cases += [(a, b), (a, a + (b - a) / (1 << bits))]
+        for bits in (4096, 16384):
+            # dyadic and non-dyadic intervals around a deep point, both signs
+            x = Fraction(rng.getrandbits(bits), 1 << bits)
+            y = Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1)
+            for c in (x, y, -x, -y):
+                cases.append((c, c + Fraction(1, 1 << bits)))
+                cases.append((c - Fraction(1, 3 << bits), c))
+        cases += [(Fraction(-1, 1 << 4096), Fraction(1, 3)), (Fraction(-5, 7), Fraction(0))]
+        assert any(a < 0 < b for a, b in cases) and any(b < 0 for a, b in cases)
+        for a, b in cases:
+            assert simplest_rational_between(a, b) == fraction_loop_simplest(a, b), (a, b)
+
+
+def fraction_loop_simplest(lo, hi):
+    """``simplest_rational_between`` as it was before the integer walk: one
+    continued-fraction step of ``Fraction`` arithmetic per term."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -fraction_loop_simplest(-hi, -lo)
+    terms = []
+    a, b = lo, hi
+    while True:
+        ia = a.numerator // a.denominator
+        if a == ia or ia + 1 <= b:
+            break
+        terms.append(ia)
+        a, b = 1 / (b - ia), 1 / (a - ia)
+    p, q = (ia if a == ia else ia + 1), 1
+    for t in reversed(terms):
+        p, q = t * p + q, p
+    return Fraction(p, q)
 
 
 def recursive_simplest(lo, hi):

@@ -117,6 +117,25 @@ class TestFiniteN:
         with pytest.raises(ValueError):
             is_nonneg(form_from_dict(4, {(4,): 1}, LIMIT))
 
+    @pytest.mark.parametrize(
+        "n, witness",
+        [
+            (5, ((Fraction(2, 5), Fraction(3, 5)), (Fraction(-493, 76), Fraction(1)))),
+            (6, ((Fraction(1, 3), Fraction(2, 3)), (Fraction(-187, 8), Fraction(1)))),
+            (7, ((Fraction(2, 7), Fraction(5, 7)), (Fraction(1), Fraction(0)))),
+            (8, ((Fraction(3, 8), Fraction(5, 8)), (Fraction(-133, 12), Fraction(1)))),
+        ],
+    )
+    def test_choi_lam_witnesses_pinned(self, n, witness):
+        """Choi-Lam, (8, -160/3, -8, 128, -128/3), fails first at these
+        grid weights; at n = 5, 6 and 8 the point is the first negative end
+        of an isolating interval (``binary_quartic_negative_point``), at
+        n = 7 the binary quartic has a negative x^4 coefficient."""
+        f = SymFormP(4, (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3)), n)
+        verdict = is_nonneg(f)
+        assert verdict.status == "OUT" and verdict.witness == witness
+        assert witness_value(f, verdict) < 0
+
 
 def _sample_points(rng, grid, count):
     for _ in range(count):
@@ -1031,9 +1050,14 @@ class TestLimitWitness:
     @pytest.fixture
     def alpha_work(self, monkeypatch):
         """Calls to the alpha-polynomial machinery and the binary-quartic
-        point search from ``positivity``, and to root isolation anywhere."""
+        point search from ``positivity``, and to root isolation anywhere:
+        ``isolate_real_roots`` and the walk under it, which the point
+        search reads directly."""
         calls = []
-        targets = [(positivity, name) for name in _ALPHA_WORK] + [(algebra, "isolate_real_roots")]
+        targets = [(positivity, name) for name in _ALPHA_WORK] + [
+            (algebra, "isolate_real_roots"),
+            (algebra, "_root_intervals"),
+        ]
         for module, name in targets:
             real = getattr(module, name)
 
@@ -1054,7 +1078,7 @@ class TestLimitWitness:
         # the finite-n cell path and its point search still count: Choi-Lam
         # at n = 64
         assert is_nonneg(SymFormP(4, LIMIT_WITNESS_FORMS["slope"][0], 64)).status == "OUT"
-        assert set(alpha_work) == set(_ALPHA_WORK) | {"isolate_real_roots"}
+        assert set(alpha_work) == set(_ALPHA_WORK) | {"isolate_real_roots", "_root_intervals"}
 
     @settings(max_examples=150, deadline=None)
     @given(_variance_branch_forms())

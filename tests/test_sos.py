@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sympy
 
+import symquartic.positivity as positivity
 import symquartic.sos as sos
 from symquartic.algebra import (
     AlgebraicField,
@@ -415,6 +416,49 @@ class TestEndsFirst:
         assert verdict.certificate.gamma == _gamma_range(f)[0 if end == "lo" else 1]
         assert len(calls) == 1
         assert expand_certificate(verdict.certificate) == f
+
+
+class TestNonnegOutRead:
+    """``sos_membership`` reads an OUT that ``is_nonneg`` keeps on the same
+    form object (every sum of squares is nonnegative) and never asks
+    ``is_nonneg`` itself."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 30])
+    def test_read_matches_the_scan(self, monkeypatch, n):
+        nonneg_calls, cell_calls = [], []
+        real_nonneg, real_cells = positivity.is_nonneg, sos._gamma_cells
+
+        def counted_nonneg(f):
+            nonneg_calls.append(f)
+            return real_nonneg(f)
+
+        def counted_cells(f):
+            cell_calls.append(f)
+            return real_cells(f)
+
+        monkeypatch.setattr(positivity, "is_nonneg", counted_nonneg)
+        monkeypatch.setattr(sos, "_gamma_cells", counted_cells)
+        rng = random.Random(2700 + n)
+        choi_lam = tuple(Fraction(c) for c in ("8", "-160/3", "-8", "128", "-128/3"))
+        forms = [choi_lam] + [random_form(rng, n).coeffs for _ in range(40)]
+        read = scanned = 0
+        for coeffs in forms:
+            cell_calls.clear()
+            fresh = sos_membership(SymFormP(4, coeffs, n))
+            fresh_cells = len(cell_calls)
+            f = SymFormP(4, coeffs, n)
+            nonneg = real_nonneg(f)
+            cell_calls.clear()
+            assert sos_membership(f) == fresh
+            if nonneg.status == "OUT":
+                read += 1
+                scanned += fresh_cells
+                assert fresh.status == "OUT" and cell_calls == []
+        assert nonneg_calls == []
+        assert read > 0
+        if n in (5, 6, 8):
+            # Choi-Lam among them: the scan built the gamma-cells to find OUT
+            assert scanned > 0
 
 
 def deciding_polys(blocks):
