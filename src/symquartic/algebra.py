@@ -1094,10 +1094,7 @@ def binary_quartic_critical_polys(cs) -> list[UniPoly]:
       x y (x - y)^2, and the signs that both tests read (the top nonzero
       coefficient, a1^2 - 4 a2 a0 of a quadratic) are constant on
       (0, 1): every polynomial among them has its roots at alpha in
-      {0, 1}, which cut no open alpha-cell.  [] is also right for the
-      w-family (``sos._w_family``), (0, 2 b12 w, B2, 0, B0) when
-      c4 = c22 = 0 with B2, B0 constant: both tests read the signs of
-      2 b12 w, B2 and B0, and 2 b12 w does not vanish on (0, n - 2).
+      {0, 1}, which cut no open alpha-cell.
     """
     lead = cs[0]
     if lead.is_zero():

@@ -38,8 +38,8 @@ or below lo, a22 falls to 0 at hi), so B is PSD iff u >= h = b12^2 / b22
 (u >= 0 follows) and A is iff q(u) = 4 det A >= 0 (a11 >= 0 follows, as
 a11 a22 >= a12^2).  q is concave in u with the vertex v = 2 a22 + s, so
 some u >= h has q(u) >= 0 iff q(h) >= 0, or v >= h and q(v) >= 0.  With
-the terms of ``_conditions``, D = v b22 - b12^2 (index 9), V = q(v)
-(index 3) and H = b22^2 q(h) (index 6), a gamma in (lo, hi) is feasible
+the terms of ``_reduction_terms``, D = v b22 - b12^2, V = q(v) and
+H = b22^2 q(h), a gamma in (lo, hi) is feasible
 iff (D >= 0 and V >= 0) or H >= 0, and strictly feasible (both blocks
 definite for some u) iff the same holds with > in place of >=.  With
 c = 2(n-1)/n^2, the gamma-slopes of v, b22 and b12 are c, c/4 and -c/2,
@@ -100,17 +100,23 @@ An OUT verdict at a numeric scope is backed by a rational dual functional
    0 <= v <= (n-2)^2/(n-1) (y1111 = 0), whose two ends are tested first;
 3. in the s-chart the two-row block tau is >= 0 exactly on the closure of
    {tau > 0}, so the s-chart separates iff the open set {q < 0, tau > 0}
-   (q the pairing with f) is nonempty.  z = 2s + s^2 w makes q one binary
-   quartic h_w(s, 1) with coefficients in Z[w] (``_w_family``), searched
-   over w on the cells of the binary-quartic engine; the segment is the
-   s -> oo limit of this family, so it is not needed for completeness.
+   (q the pairing with f) is nonempty.  With u = 1/s and z = 2s + s^2 w,
+   d q is s^4 P(u, w) for one integer quartic P (``_chart_quartic``), and
+   tau > 0 is |w| < w_max = (n-2)/sqrt(n-1).  P is a quadratic in w, so
+   the set is nonempty exactly when its vertex value is negative inside
+   the strip (I), which the rational vertex of a quadratic in u^2
+   decides, or P is negative on the edge w = w_max (E), a quartic with
+   rational coefficients in u/sqrt(n-1).  The separator is a rational
+   point near a real one where P < 0 (``_w_separator``); in case (I) no
+   root is isolated.  The segment is the u -> 0 limit of the chart, so it
+   is not needed for completeness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .algebra import (
     Cells,
@@ -119,11 +125,10 @@ from .algebra import (
     _zderiv,
     _zgcd,
     _zpoly,
-    _zroot_bound,
-    binary_quartic_critical_polys,
-    binary_quartic_nonneg,
+    binary_quartic_negative_point,
     cells,
     psd2,
+    simplest_rational_between,
 )
 from .dualcone import (
     DualFunctional,
@@ -244,32 +249,31 @@ def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...], tuple]:
     return m * d, tuple((m * c, -den * g) for c, g in zip(e, _entry_map(gen))), (m, gen)
 
 
+def _reduction_terms(b22, b12, a22, s, a11_u) -> tuple:
+    """(v, r, D, V, H): the vertex v = 2 a22 + s and r = 4 a22 (a11 - u)
+    - s^2 of 4 det A = -u^2 + 2 v u + r, and the three terms of the
+    reduction lemma, D = v b22 - b12^2, V = 4 det A at v and H = b22^2
+    times 4 det A at the hook bound b12^2 / b22, from the block entries
+    as in ``_conditions``."""
+    hook = b12 * b12
+    v = a22 * 2 + s
+    r = a22 * a11_u * 4 - s * s
+    return v, r, v * b22 - hook, v * v + r, (v * b22 * 2 - hook) * hook + r * b22 * b22
+
+
 def _conditions(b22, b12, a22, s, a11_u) -> tuple:
     """The ten quantities whose signs decide u-feasibility, from the block
     entries (``_block_polys``), scaled, as integers at one gamma or as
     integer polynomials in gamma.
 
-    4 det A = -u^2 + 2 v u + r, with the vertex v = 2 a22 + s and
-    r = 4 a22 (a11 - u) - s^2; the lower bounds L on u are 0,
-    l1 = -(a11 - u) and b12^2/b22.  The list: b22, b12, a22, 4 det A at
-    v, then 4 det A at each L and v - L for each L, the last of both
-    multiplied by b22^2 and b22.  Each is homogeneous in the entries, so
-    entries scaled by a common positive factor give the same signs."""
-    l1, hook = -a11_u, b12 * b12
-    v = a22 * 2 + s
-    r = a22 * a11_u * 4 - s * s
-    return (
-        b22,
-        b12,
-        a22,
-        v * v + r,
-        r,
-        (v * 2 - l1) * l1 + r,
-        (v * b22 * 2 - hook) * hook + r * b22 * b22,
-        v,
-        v - l1,
-        v * b22 - hook,
-    )
+    4 det A = -u^2 + 2 v u + r (``_reduction_terms``); the lower bounds L
+    on u are 0, l1 = -(a11 - u) and b12^2/b22.  The list: b22, b12, a22,
+    4 det A at v, then 4 det A at each L and v - L for each L, the last of
+    both multiplied by b22^2 and b22.  Each is homogeneous in the entries,
+    so entries scaled by a common positive factor give the same signs."""
+    l1 = -a11_u
+    v, r, D, V, H = _reduction_terms(b22, b12, a22, s, a11_u)
+    return (b22, b12, a22, V, r, (v * 2 - l1) * l1 + r, H, v, v - l1, D)
 
 
 def _feasible(signs) -> bool:
@@ -429,11 +433,11 @@ def _gamma_cells(f: SymFormP) -> tuple[UniPoly, Cells]:
     gamma range into (the reduction lemma), once per form object
     (``symfunc.per_form``): the scan of ``sos_membership`` and
     ``_has_interior_gamma`` both read the cells.  D, V and H are
-    ``_conditions`` on the linear forms of ``_block_polys``, as integer
-    polynomials in gamma (S^d times the rational ones at degree d in the
-    entries)."""
+    ``_reduction_terms`` on the linear forms of ``_block_polys``, as
+    integer polynomials in gamma (S^d times the rational ones at degree d
+    in the entries), built without the other seven conditions."""
     lo, hi = _gamma_range(f)
-    _, _, _, V, _, _, H, _, _, D = _conditions(*(UniPoly(form) for form in _block_polys(f)[1]))
+    D, V, H = _reduction_terms(*(UniPoly(form) for form in _block_polys(f)[1]))[2:]
     return H, cells([p for p in (D, V, H) if p.degree > 0], lo, hi)
 
 
@@ -622,43 +626,89 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
 # ---------------------------------------------------------------------------
 
 
-def _w_family(f: SymFormP) -> tuple[UniPoly, ...]:
-    """d l(s, 2s + s^2 w)(f) as a binary quartic h_w in (s, 1), descending,
-    with coefficients in Z[w]: (b22 w^2 + a22, (4 b22 + 2 b12) w,
-    4 b22 + 4 b12 + 2 a22 + s, 0, a22 + s + c0) on the gamma = 0 entries
-    (d, (b22, b12, a22, s, c0)) of ``_gamma_zero_entries``."""
+def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
+    """(C0, K, B, b22, a22), the integers of P(u, w) = C0 u^4 + K u^2
+    + B u w + b22 w^2 + a22 = d u^4 l(1/u, 2/u + w/u^2)(f) on the gamma = 0
+    entries (d, (b22, b12, a22, s, c0)) of ``_gamma_zero_entries``:
+    C0 = a22 + s + c0, K = 4 (b22 + b12) + 2 a22 + s, B = 4 b22 + 2 b12."""
     b22, b12, a22, s, c0 = _gamma_zero_entries(f)[1]
-    return (
-        UniPoly([a22, 0, b22]),
-        UniPoly([0, 4 * b22 + 2 * b12]),
-        UniPoly([4 * (b22 + b12) + 2 * a22 + s]),
-        UniPoly(),
-        UniPoly([a22 + s + c0]),
-    )
+    return a22 + s + c0, 4 * (b22 + b12) + 2 * a22 + s, 4 * b22 + 2 * b12, b22, a22
+
+
+def _sqrt_ends(num: int, den: int, j: int) -> tuple[Fraction, Fraction]:
+    """Dyadic ends k / 2^j <= sqrt(num / den) < (k + 1) / 2^j, by an integer
+    square root."""
+    k = isqrt((num << 2 * j) // den)
+    return Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
 
 
 def _w_separator(f: SymFormP) -> DualFunctional | None:
-    """l(s, 2s + s^2 w) with tau > 0 and a negative pairing with f, or None
-    if there is none (``find_separating_functional``, step 3).  w, and
-    then s inside the Cauchy bound of h_w(s, 1), run over the samples of
-    ``algebra.cells``, whose small heights keep the separator small."""
+    """l(1/u, 2/u + w/u^2) with u != 0 and 0 < w < w_max, so tau > 0, that
+    pairs negatively with f, or None if there is none
+    (``find_separating_functional``, step 3, which proves the cases
+    complete).
+
+    (I) is a sign test in integers.  With M = 4 b22 K - B^2, 4 b22 G is
+    4 b22 C0 T^2 + M T + 4 b22 a22, and the vertex is inside where
+    B^2 (n-1) T < 4 b22^2 (n-2)^2; T* = -M / (8 b22 C0), and G(T*) < 0 iff
+    M^2 > 64 b22^2 C0 a22.  u then runs through the simplest rationals
+    between dyadic ends of sqrt(T*) (or of 0 when a22 < 0), and
+    w = -B u / (2 b22) stays on the vertex line, so that w/u^2 is a small
+    multiple of 1/u.  (E) is decided on (n-1) E(rho), an integer quartic,
+    whose negative point rho gives the real point (rho sqrt(n-1), w_max):
+    u runs through the simplest rationals between dyadic ends of
+    rho sqrt(n-1), and w through those between dyadic ends below w_max.
+    With C0 < 0 the negative point is (1, 0), at infinity, and u = j grows
+    at w = 1 < w_max.  A zero u or w is replaced by 2^-j.  The ends are
+    2^-j apart for j = 1, 2, 4, ..., and the first (u, w) that passes
+    exactly is returned.
+    """
     n = f.scope
-    family = _w_family(f)
-    edge = UniPoly([-((n - 2) ** 2), 0, n - 1])  # tau > 0 iff edge(w) < 0
-    for w in cells(binary_quartic_critical_polys(family) + [edge], _ZERO, Fraction(n - 2)).samples:
-        if edge(w) > 0:
-            break
-        h = [u(w) for u in family]
-        if binary_quartic_nonneg(h):
-            continue
-        q = UniPoly(h[::-1])
-        bound = _zroot_bound(_zpoly(q.coeffs))
-        for s in cells([q] if q.degree > 0 else [], -bound, bound).samples:
-            if q(s) < 0:
-                z, t = 2 * s + s * s * w, 1 + s * s
-                return DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE)
-        raise AssertionError("internal error: h_w is not nonnegative but no s-sample is negative")
-    return None
+    C0, K, B, b22, a22 = _chart_quartic(f)
+    top, bottom = (n - 2) ** 2, n - 1  # w_max^2 = top / bottom
+    M = 4 * b22 * K - B * B
+    if b22 > 0 and (
+        a22 < 0
+        or (
+            C0 > 0
+            and M < 0
+            and M * M > 64 * b22 * b22 * C0 * a22
+            and -M * B * B * bottom < 32 * b22**3 * C0 * top
+        )
+    ):
+        T = (0, 1) if a22 < 0 else (-M, 8 * b22 * C0)
+        # w = -B u / (2 b22) on the vertex line, with u's sign making w >= 0
+        slope, sign = Fraction(abs(B), 2 * b22), -1 if B > 0 else 1
+
+        def point(j: int, step: Fraction) -> tuple[Fraction, Fraction]:
+            u = simplest_rational_between(*_sqrt_ends(*T, j)) or step
+            return sign * u, slope * u or step
+
+    else:
+        edge = binary_quartic_negative_point(
+            [C0 * bottom**3, 0, K * bottom**2, B * (n - 2) * bottom, b22 * top + a22 * bottom]
+        )
+        if edge is None:
+            return None
+        rho, y = edge
+
+        def point(j: int, step: Fraction) -> tuple[Fraction, Fraction]:
+            if not y:
+                return Fraction(j), _ONE
+            lo, hi = _sqrt_ends(bottom, 1, j)  # around sqrt(n-1)
+            w = _sqrt_ends(top, bottom, j)[0]
+            u = simplest_rational_between(*sorted((rho * lo, rho * hi))) or step
+            return u, simplest_rational_between(w - 2 * step, w - step)
+
+    j = 1
+    while True:
+        u, w = point(j, Fraction(1, 1 << j))
+        inside = u and 0 < w and w * w * bottom < top
+        if inside and ((C0 * u * u + K) * u + B * w) * u + b22 * w * w + a22 < 0:
+            s = 1 / u
+            z, t = 2 * s + s * s * w, 1 + s * s
+            return DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE)
+        j *= 2
 
 
 def find_separating_functional(f: SymFormP):
@@ -671,8 +721,8 @@ def find_separating_functional(f: SymFormP):
 
     When f is not nonnegative at n, the point evaluation at the negative
     point of ``positivity.is_nonneg`` separates, and it is tried after the
-    two segment ends below and before the w-search, which remains for the
-    nonnegative forms outside the SOS cone.
+    two segment ends below and before the s-chart of step 3, which remains
+    for the nonnegative forms outside the SOS cone.
 
     The search is complete:
 
@@ -694,19 +744,40 @@ def find_separating_functional(f: SymFormP):
        tau >= 0 means 0 <= v <= (n-2)^2/(n-1).  On the segment ell(f) is
        linear in v, so its two ends are tested first: they are cheap and
        give small separators.
-    3. One family in w.  On the s-chart
+    3. One quadratic in w.  On the s-chart
        tau = ((n-2)^2 s^4 - (n-1)(z - 2s)^2) / 2, so {tau >= 0} is the
        closure of {tau > 0}, and the s-chart separates iff the open set
        {q < 0, tau > 0}, q = l(s, z)(f), is nonempty.  There s != 0, and
-       z = 2s + s^2 w gives tau = s^4 ((n-2)^2 - (n-1) w^2) / 2 and
-       d q = h_w(s, 1) (``_w_family``).  As h_w(s) = h_{-w}(-s), the set is
-       nonempty iff h_w is not nonnegative at some w in (0, (n-2)/sqrt(n-1)),
-       which is constant on the cells cut at the roots of
-       ``binary_quartic_critical_polys`` and (n-1) w^2 - (n-2)^2: one
-       sample per cell finds w, one per cell of h_w(s, 1) finds s.  As
-       s -> oo, l(s, 2s + s^2 w) / s^4 -> (1 + w^2, 0, 1, 0, 0), paired
-       with f by the leading coefficient of h_w / d, so the segment adds
-       no separating ray of its own.
+       u = 1/s, z = 2s + s^2 w give tau = s^4 ((n-2)^2 - (n-1) w^2) / 2
+       and d q = s^4 P(u, w), P = C0 u^4 + K u^2 + B u w + b22 w^2 + a22
+       (``_chart_quartic``).  So the chart separates iff P < 0 somewhere
+       in the strip |w| < w_max = (n-2)/sqrt(n-1); as {P < 0} is open,
+       u = 0 may be let in, and as P(u, w) = P(-u, -w), w > 0 asked for.
+       For fixed u, P is a quadratic in w.  When b22 > 0 and its vertex
+       w = -B u / (2 b22) lies inside, |B u| < 2 b22 w_max, its least
+       value on the open interval is the vertex value
+       G(u) = C0 u^4 + (K - B^2 / (4 b22)) u^2 + a22.  Otherwise it is
+       monotone (b22 > 0) or concave (b22 <= 0) on the interval, whose
+       infimum is then its value at an end: P(u, w_max), or
+       P(u, -w_max) = P(-u, w_max).  So the chart separates iff
+       (I) G(u) < 0 at some u with an inside vertex, or
+       (E) P(u, w_max) < 0 at some u.
+       G is a quadratic in T = u^2 on the T >= 0 where the vertex is
+       inside, T < T_max = 4 b22^2 w_max^2 / B^2 (no bound when B = 0).
+       Its infimum there is a22 at T = 0, or its value at its rational
+       vertex T* when C0 > 0 and 0 < T* < T_max, or else it is approached
+       at T_max, where the vertex meets the edge and P < 0 there is (E).
+       So (I) is a sign test in integers.  With u = rho sqrt(n-1),
+       P(u, w_max) = E(rho) = C0 (n-1)^2 rho^4 + K (n-1) rho^2
+       + B (n-2) rho + b22 (n-2)^2 / (n-1) + a22, whose coefficients are
+       rational, so (E) holds iff E is not nonnegative
+       (``algebra.binary_quartic_nonneg``).  Either way P < 0 at a real
+       point (u, w) with 0 <= w <= w_max, or as u grows when C0 < 0, and
+       so on a neighbourhood of it; ``_w_separator`` returns the first
+       rational point of that neighbourhood in the strip that it meets,
+       with u != 0 and w > 0.  As u -> 0, u^4 l(1/u, 2/u + w/u^2) tends to
+       (1 + w^2, 0, 1, 0, 0), paired with f by P(0, w) / d, so the segment
+       adds no separating ray of its own.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")

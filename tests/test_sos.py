@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sympy
 
+import symquartic.algebra as algebra
 import symquartic.positivity as positivity
 import symquartic.sos as sos
 from symquartic.algebra import (
@@ -18,6 +19,8 @@ from symquartic.algebra import (
     UniPoly,
     _zpoly,
     _zroot_bound,
+    binary_quartic_critical_polys,
+    binary_quartic_nonneg,
     cells,
     psd2,
 )
@@ -43,6 +46,7 @@ from symquartic.sos import (
     _block_polys,
     _certificate,
     _certificate_at,
+    _chart_quartic,
     _conditions,
     _entry_map,
     _feasible,
@@ -52,7 +56,6 @@ from symquartic.sos import (
     _gamma_zero_signs,
     _signs_at,
     _strictly_feasible,
-    _w_family,
     _w_separator,
     expand_certificate,
     find_separating_functional,
@@ -930,6 +933,20 @@ class TestSeparation:
         assert dual_membership(ell, 5)
         assert pair(ell, f) < 0
 
+    def test_near_form_separator_bounded_time(self):
+        """The CI's near form with c1111 = -10^-1200 at n = 5: nonnegative,
+        outside the SOS cone, with gamma = 0 entries of about 4000 bits.
+        Its separator took 0.22 s in-process on a 2-vCPU VM when it came
+        from the w-cells, and takes about 4 ms from the closed form."""
+        coeffs = ("9/16", "-21/8", "27/16", "7/16", Fraction(-1, 10**1200))
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), 5)
+        start = time.perf_counter()
+        ell = find_separating_functional(f)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, elapsed
+        assert is_nonneg(f).status == "IN"
+        assert ell is not None and pair(ell, f) < 0 and dual_membership(ell, 5)
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_separator_exactly_when_out(self, n):
         """Rank-one certificate expansions with one coefficient lowered by
@@ -1028,24 +1045,25 @@ class TestSeparatorCharts:
             assert dual_membership(ell, n) == (0 <= w <= w_max)
 
     def test_chart_quadratic_is_the_pairing(self):
-        """The w-family is d times the pairing on the s-chart at
-        z = 2s + s^2 w, and tau is s^4 ((n-2)^2 - (n-1) w^2) / 2 there."""
+        """P(u, w) of ``_chart_quartic`` is d times the pairing on the
+        s-chart at z = 2s + s^2 w, over s^4 at u = 1/s, and tau is
+        s^4 ((n-2)^2 - (n-1) w^2) / 2 there."""
         rng = random.Random(5)
         for _ in range(10):
             f = random_form(rng, 6)
             d = _gamma_zero_entries(f)[0]
-            family = _w_family(f)
-            assert all(type(c) is int for u in family for c in u.coeffs)
+            C0, K, B, b22, a22 = _chart_quartic(f)
+            assert all(type(c) is int for c in (C0, K, B, b22, a22))
             for w in self.GRID[::4]:
-                h = [u(w) for u in family]
                 for s in self.GRID[::3]:
+                    u = 1 / s
                     ell = _s_chart(s, 2 * s + s * s * w)
-                    assert sum(c * s ** (4 - i) for i, c in enumerate(h)) == d * pair(ell, f)
+                    assert s**4 * (C0 * u**4 + K * u**2 + B * u * w + b22 * w * w + a22) == d * pair(ell, f)
                     assert dual_blocks(ell, 6)[2] == s**4 * (16 - 5 * w * w) / 2
 
 
 def two_level_separator(f):
-    """The s-chart search that the w-search replaced, kept as a reference:
+    """The s-chart search that the w-cell search replaced, kept as a reference:
     the pairing and tau as quadratics in z whose coefficients are Fraction
     polynomials in s, cells over s > 0 at the roots of their
     discriminants and resultant, then cells over z at each s-sample."""
@@ -1081,19 +1099,122 @@ def two_level_separator(f):
     return None
 
 
+def cells_w_separator(f):
+    """The w-cell search that the closed form of ``_w_separator`` replaced,
+    kept as a reference: d l(s, 2s + s^2 w)(f) as a binary quartic h_w in
+    (s, 1) with coefficients in Z[w], w on the cells cut at the roots of
+    ``binary_quartic_critical_polys`` and (n-1) w^2 - (n-2)^2 over
+    (0, n - 2), then s on the cells of h_w(s, 1) at each w-sample."""
+    n = f.scope
+    b22, b12, a22, s, c0 = _gamma_zero_entries(f)[1]
+    family = (
+        UniPoly([a22, 0, b22]),
+        UniPoly([0, 4 * b22 + 2 * b12]),
+        UniPoly([4 * (b22 + b12) + 2 * a22 + s]),
+        UniPoly(),
+        UniPoly([a22 + s + c0]),
+    )
+    edge = UniPoly([-((n - 2) ** 2), 0, n - 1])  # tau > 0 iff edge(w) < 0
+    for w in cells(binary_quartic_critical_polys(family) + [edge], Fraction(0), Fraction(n - 2)).samples:
+        if edge(w) > 0:
+            break
+        h = [u(w) for u in family]
+        if binary_quartic_nonneg(h):
+            continue
+        q = UniPoly(h[::-1])
+        bound = _zroot_bound(_zpoly(q.coeffs))
+        for s in cells([q] if q.degree > 0 else [], -bound, bound).samples:
+            if q(s) < 0:
+                return _s_chart(s, 2 * s + s * s * w)
+        raise AssertionError("h_w is not nonnegative but no s-sample is negative")
+    return None
+
+
+# Forms with an s-chart separator, one or more for each case of
+# ``_w_separator``: the three nonnegative forms outside the SOS cone of
+# the benchmark's finite_scan pass (seed 1), and forms with B = 0 or
+# a22 < 0, take the vertex (I); the others take the edge (E).
+_SEPARATOR_CASES = {
+    "choi-lam-n4": (4, ("8", "-160/3", "-8", "128", "-128/3"), "vertex"),
+    "near-boundary-n8": (8, ("4", "-8", "-55/16", "39/4", "-1793/1024"), "vertex"),
+    "near-boundary-n5": (5, ("9/16", "-21/8", "27/16", "7/16", "-1/1024"), "vertex"),
+    "B=0": (5, ("1", "-4", "-1", "8388607/1048576", "-20/9"), "vertex"),
+    "a22<0": (6, ("1/2", "-1", "-1", "-1/2", "-1"), "vertex"),
+    "edge-C0>0": (4, ("1", "-1/2", "-1", "-1/2", "3/2"), "edge"),
+    "edge-C0<0": (4, ("3", "-2", "-2", "-1/2", "-2"), "edge"),
+    "b22=0": (100, ("0", "1", "0", "0", "1/2"), "edge"),
+    "b22<0": (4, ("-1/2", "3/2", "1", "2", "1"), "edge"),
+}
+
+
+def _case_form(name):
+    n, coeffs, _ = _SEPARATOR_CASES[name]
+    return SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+
+
+@pytest.mark.parametrize("name", list(_SEPARATOR_CASES))
+def test_separator_cases(monkeypatch, name):
+    """Each example takes its case, named by the signs of
+    ``_chart_quartic``, and finds a separator that verifies.  The vertex
+    case isolates no root: it calls none of ``cells``,
+    ``isolate_real_roots``, ``binary_quartic_critical_polys`` and
+    ``binary_quartic_negative_point``; the edge case calls the last once."""
+    calls = {}
+
+    def counting(module, fname):
+        inner = getattr(module, fname)
+
+        def counted(*args):
+            calls[fname] = calls.get(fname, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, fname, counted, raising=False)
+
+    for fname in ("isolate_real_roots", "binary_quartic_critical_polys", "binary_quartic_negative_point"):
+        counting(algebra, fname)
+        monkeypatch.setattr(sos, fname, getattr(algebra, fname), raising=False)
+    counting(sos, "cells")
+    f = _case_form(name)
+    C0, K, B, b22, a22 = _chart_quartic(f)
+    signs = {
+        "B=0": B == 0 and b22 > 0,
+        "a22<0": a22 < 0 and b22 > 0,
+        "edge-C0>0": C0 > 0,
+        "edge-C0<0": C0 < 0,
+        "b22=0": b22 == 0,
+        "b22<0": b22 < 0,
+    }
+    assert signs.get(name, True)
+    ell = _w_separator(f)
+    assert ell is not None and pair(ell, f) < 0 and dual_membership(ell, f.scope)
+    if _SEPARATOR_CASES[name][2] == "vertex":
+        assert calls == {}
+    else:
+        assert calls == {"binary_quartic_negative_point": 1}
+
+
+def _with_separator_case_examples(test):
+    for name in _SEPARATOR_CASES:
+        test = example(_case_form(name))(test)
+    return test
+
+
+@_with_separator_case_examples
 @given(_membership_forms(st.sampled_from((4, 5, 6, 7, 8, 30, 100))))
 @example(SymFormP(4, (0, 1, 0, 0, 0), 5))
 @example(SymFormP(4, (0, 0, 0, -1, 1), 30))
 @example(SymFormP(4, tuple(map(Fraction, ("9/16", "-21/8", "27/16", "7/16", "-1e-10"))), 100))
 @settings(max_examples=80, deadline=None)
 def test_w_search_matches_two_level_search(f):
-    """The w-search finds an s-chart separator exactly when the two-level
-    search does, and every separator of either verifies.  The first two
-    examples have c4 = c22 = 0, where the leading coefficient of the
-    w-family vanishes identically, with b12 != 0 and b12 = 0."""
-    got, want = _w_separator(f), two_level_separator(f)
-    assert (got is None) == (want is None)
-    for ell in (got, want):
+    """``_w_separator`` finds an s-chart separator exactly when the w-cell
+    search and the two-level search both do, and every separator of the
+    three verifies.  The examples take every case of ``_w_separator``
+    (``test_separator_cases``).  Of the other three, two have
+    c4 = c22 = 0, where the s^4 coefficient of h_w vanishes identically,
+    with b12 != 0 and b12 = 0, and one is the CI's near form at n = 100."""
+    got, cells_ref, two_level = _w_separator(f), cells_w_separator(f), two_level_separator(f)
+    assert (got is None) == (cells_ref is None) == (two_level is None)
+    for ell in (got, cells_ref, two_level):
         if ell is not None:
             assert pair(ell, f) < 0 and dual_membership(ell, f.scope)
 
