@@ -451,15 +451,18 @@ def isolate_real_roots(
     here: callers pass squarefree parts and products.  The walk that finds
     them is ``_root_intervals``.
     """
-    return list(_root_intervals(p, lo, hi))
+    if p.is_zero():
+        raise ValueError("indeterminate root set")
+    return list(_root_intervals(_zpoly(p.coeffs), Fraction(lo), Fraction(hi)))
 
 
 def _root_intervals(
-    p: UniPoly, lo: Fraction, hi: Fraction
+    z: list[int], lo: Fraction, hi: Fraction
 ) -> Iterator[tuple[Fraction, Fraction]]:
-    """The intervals of ``isolate_real_roots``, yielded in ascending order
-    as the walk finds them, so that a caller can stop at the first one it
-    needs.
+    """The intervals of ``isolate_real_roots`` for the roots of the
+    nonzero zpoly z (any nonzero multiple of p) in (lo, hi), yielded in
+    ascending order as the walk finds them, so that a caller can stop at
+    the first one it needs.
 
     Descartes (Vincent-Collins-Akritas) bisection on integer polynomials:
     (lo, hi) is mapped once onto (0, 1) over a common denominator, and a
@@ -472,14 +475,10 @@ def _root_intervals(
     its node, which is ascending order.  ``Fraction`` is built only for the
     output.
     """
-    if p.is_zero():
-        raise ValueError("indeterminate root set")
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    if hi <= lo or p.degree <= 0:
+    d = len(z) - 1
+    if hi <= lo or d <= 0:
         return
-    d = p.degree
-    z, a, w, den = _zonto01(_zpoly(p.coeffs), lo, hi)
+    z, a, w, den = _zonto01(z, lo, hi)
 
     def x(k: int, j: int) -> Fraction:
         return Fraction((a << k) + w * j, den << k)
@@ -1104,8 +1103,21 @@ def binary_quartic_critical_polys(cs) -> list[UniPoly]:
     return [q for q in polys if q.degree > 0]
 
 
-def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
-    """True iff h(x, y) >= 0 for all real (x, y); fully exact.
+def _zquartic(h: Sequence) -> list[int]:
+    """A positive integer multiple of h(x, 1), ascending, with no trailing
+    zero, for a binary quartic h of ints or Fractions.  Int coefficients
+    are taken as they are and Fractions over the lcm of their
+    denominators; no content is divided out, as the binary-quartic tests
+    read signs only, and those of positive multiples agree."""
+    z = list(h[::-1])
+    if not all(type(c) is int for c in z):
+        den = lcm(*(c.denominator for c in z))
+        z = [c.numerator * (den // c.denominator) for c in z]
+    return _ztrim(z)
+
+
+def _znonneg(z: list[int]) -> tuple[bool, bool]:
+    """(h >= 0, squarefree known) for z = ``_zquartic``(h).
 
     Odd x-degree of h(x, 1) or a negative leading coefficient (h(1, 0) < 0)
     make h change sign, a constant is its sign and a quadratic is
@@ -1113,23 +1125,28 @@ def binary_quartic_nonneg(h: Sequence[Fraction]) -> bool:
     from ``_quartic_signs``: it changes sign iff it has a simple real root,
     that is iff Delta < 0 (two simple real roots), or P < 0 and D < 0
     (with Delta > 0 four simple real roots; with Delta = 0 a double and two
-    simple ones, or a triple and a simple one).
-    """
-    z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
+    simple ones, or a triple and a simple one).  The second entry is True
+    only for a quartic with Delta != 0, which is squarefree."""
     if not z:
-        return True
+        return True, False
     if len(z) % 2 == 0 or z[-1] < 0:
         # h(1, 0) < 0, or odd x-degree: h(x, 1) changes sign for large |x|
-        return False
+        return False, False
     if len(z) == 1:
-        return True
+        return True, False
     if len(z) == 3:
-        return z[1] * z[1] <= 4 * z[0] * z[2]
+        return z[1] * z[1] <= 4 * z[0] * z[2], False
     delta, p, d, _r = _quartic_signs(z)
-    return delta >= 0 and not (p < 0 and d < 0)
+    return delta >= 0 and not (p < 0 and d < 0), delta != 0
 
 
-def binary_quartic_strictly_positive(h: Sequence[Fraction]) -> bool:
+def binary_quartic_nonneg(h: Sequence) -> bool:
+    """True iff h(x, y) >= 0 for all real (x, y); fully exact, on the ints
+    of ``_zquartic`` by the rules of ``_znonneg``."""
+    return _znonneg(_zquartic(h))[0]
+
+
+def binary_quartic_strictly_positive(h: Sequence) -> bool:
     """True iff h(x, y) > 0 for all real (x, y) != (0, 0).
 
     With h(1, 0) > 0, iff h(x, 1) has no real root (``_quartic_signs``):
@@ -1137,18 +1154,23 @@ def binary_quartic_strictly_positive(h: Sequence[Fraction]) -> bool:
     non-real double ones (Delta = D = R = 0, P > 0)."""
     if h[0] <= 0:  # h(1, 0) <= 0
         return False
-    delta, p, d, r = _quartic_signs(_zpoly(h[::-1]))
+    delta, p, d, r = _quartic_signs(_zquartic(h))
     if delta > 0:
         return not (p < 0 and d < 0)
     return delta == 0 and d == 0 and p > 0 and r == 0
 
 
 def binary_quartic_negative_point(
-    h: Sequence[Fraction],
+    h: Sequence,
 ) -> tuple[Fraction, Fraction] | None:
     """A rational point (x, y) with h(x, y) < 0, or None if h >= 0.
 
-    The returned witness evaluates strictly negative exactly.
+    The returned witness evaluates strictly negative exactly.  z and the
+    signs of Rees' invariants are computed once (``_znonneg``), and
+    decide h >= 0 as ``binary_quartic_nonneg`` does; when they show
+    Delta != 0, the quartic is squarefree and is isolated as it is, with
+    no gcd taken, otherwise on its squarefree part (``_zsqf``).  Both
+    have the same roots, so the intervals are the same either way.
 
     Past h(1, 0) and x = +-B, B the Cauchy bound, h(x, 1) is positive
     outside (-B, B), so it is negative on some open cell between two
@@ -1164,17 +1186,18 @@ def binary_quartic_negative_point(
     ``is_nonneg`` come from it, the samples move some of them, and they
     save no time.
     """
-    if binary_quartic_nonneg(h):
+    z = _zquartic(h)  # a positive multiple of h(x, 1)
+    nonneg, squarefree = _znonneg(z)
+    if nonneg:
         return None
     if h[0] < 0:
         return (_ONE, _ZERO)
-    z = _zpoly(h[::-1])  # a positive multiple of h(x, 1)
     bound = _zroot_bound(z)
     for x in (bound, -bound):
         if _zsign(z, x) < 0:
             return (x, _ONE)
     ends = []
-    for ab in _root_intervals(UniPoly(_zsqf(z)), -bound, bound):
+    for ab in _root_intervals(z if squarefree else _zsqf(z), -bound, bound):
         for x in ab:
             if _zsign(z, x) < 0:
                 return (x, _ONE)

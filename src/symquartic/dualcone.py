@@ -86,24 +86,37 @@ def weighted_point_functional(weights, point) -> DualFunctional:
 
     For w1 = k/n, w2 = 1 - w1 this is the evaluation at the point with k
     coordinates x and n - k coordinates y, so it lies in the dual cone at
-    size n.
+    size n.  Its values are the integers of ``_weighted_point_ints`` over
+    their one denominator."""
+    den, ys = _weighted_point_ints(weights, point)
+    return DualFunctional(*(Fraction(y, den) for y in ys))
 
-    Built in integers: p_i = P_i / Q_i with P_i = r u (a d)^i + t s (c b)^i
-    and Q_i = s u (b d)^i for w1 = r/s, w2 = t/u, x = a/b and y = c/d, and
-    each y_lambda is one Fraction of the products of those."""
+
+def _weighted_point_ints(weights, point) -> tuple[int, tuple[int, ...]]:
+    """(den, ys): the values of ``weighted_point_functional`` as the
+    integers ys over one positive den, in canonical order.
+
+    With w1 = R/N, w2 = T/N over the lcm N of the weights' denominators
+    and x = A/D, y = C/D over that of the point's, p_i = P_i / (N D^i) for
+    P_i = R A^i + T C^i, so y_lambda has the denominator N^len(lambda) D^4
+    and den = N^4 D^4."""
     (r, s), (t, u), (a, b), (c, d) = (
         (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
     )
-    ru, ts, su, ad, cb, bd = r * u, t * s, s * u, a * d, c * b, b * d
-    p1, p2, p3, p4 = (ru * ad**i + ts * cb**i for i in (1, 2, 3, 4))
-    q1, q2, q3, q4 = (su * bd**i for i in (1, 2, 3, 4))
-    return DualFunctional(
-        Fraction(p4, q4),
-        Fraction(p3 * p1, q3 * q1),
-        Fraction(p2 * p2, q2 * q2),
-        Fraction(p2 * p1 * p1, q2 * q1 * q1),
-        Fraction(p1**4, q1**4),
-    )
+    big_n, big_d = lcm(s, u), lcm(b, d)
+    r, t, a, c = r * (big_n // s), t * (big_n // u), a * (big_d // b), c * (big_d // d)
+    p1, p2, p3, p4 = (r * a**i + t * c**i for i in (1, 2, 3, 4))
+    nn = big_n * big_n
+    ys = (p4 * nn * big_n, p3 * p1 * nn, p2 * p2 * nn, p2 * p1 * p1 * big_n, p1**4)
+    return (nn * big_d * big_d) ** 2, ys
+
+
+def _pair_ints(ys, f: SymFormP) -> int:
+    """A positive multiple of the pairing of f with the functional whose
+    values are the integers ys over a positive denominator: f's
+    coefficients over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    return sum(c.numerator * (den // c.denominator) * y for c, y in zip(f.coeffs, ys))
 
 
 def _psd_ints(m11: int, m12: int, m22: int) -> bool:
@@ -161,11 +174,17 @@ def dual_membership(ell: DualFunctional, n) -> bool:
         raise ValueError("n must be at least 4")
     ys = ell.as_tuple()
     den = lcm(*(y.denominator for y in ys))
-    y4, y31, y22, y211, y1111 = ints = [y.numerator * (den // y.denominator) for y in ys]
+    return _dual_ints([y.numerator * (den // y.denominator) for y in ys], n)
+
+
+def _dual_ints(ys, n) -> bool:
+    """``dual_membership`` of the functional whose values are the integers
+    ys over a positive denominator, at a scope n >= 4 or LIMIT."""
+    y4, y31, y22, y211, y1111 = ys
     return (
         _psd_ints(y22, y211, y1111)
         and _psd_ints(y4 - y22, y31 - y211, y211 - y1111)
-        and (n is LIMIT or sum(g * y for g, y in zip(_gamma_gen_ints(n)[1], ints)) >= 0)
+        and (n is LIMIT or sum(g * y for g, y in zip(_gamma_gen_ints(n)[1], ys)) >= 0)
     )
 
 

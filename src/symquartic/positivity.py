@@ -38,7 +38,11 @@ breakpoint's isolating interval refined to width 1/n, and the first weight
 right of each interval.  That is a bounded number of tests whatever n is.
 Below ``_CELL_MIN_N`` they walk the n - 1 interior weights, because
 building the cells then costs more than the walk.  On both paths
-``is_nonneg`` returns the first failing grid weight.
+``is_nonneg`` returns the first failing grid weight.  A weight is tested
+in integers: ``_phi_at`` reads Phi^(k/n) at the integers (k, n), unreduced,
+as n^4 times the integer alpha-coefficients, and the binary-quartic tests
+read signs on those ints as they come; a ``Fraction`` weight is made only
+for the returned witness.
 From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
 built once per form object (``_cell_grid``, ``symfunc.per_form``), so
 asking both questions about one form pays for one cell build.
@@ -73,6 +77,7 @@ from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, per_form
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+_PAD = (0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -119,13 +124,20 @@ class BoundaryVerdict:
 _CELL_MIN_N = 56
 
 
-def _phi_at(cs, alpha: Fraction) -> tuple[int, ...]:
-    """q**4 times the binary quartic of the integer coefficients ``cs``
-    (``symfunc._phi_alpha_ints``) at alpha = p/q: a positive integer
-    multiple of Phi^alpha, by homogeneous integer Horner."""
-    p, q = alpha.numerator, alpha.denominator
-    w = [p**j * q ** (4 - j) for j in range(5)]
-    return tuple(sum(c * x for c, x in zip(u.coeffs, w)) for u in cs)
+def _phi_at(cs, k: int, n: int) -> tuple[int, ...]:
+    """n**4 times the binary quartic of the integer coefficients ``cs``
+    (``symfunc._phi_alpha_ints``) at the weight alpha = k/n, n > 0: a
+    positive integer multiple of Phi^alpha, by homogeneous integer Horner
+    on the five alpha-coefficients.  k/n need not be in lowest terms, as
+    a common factor only scales the result by a positive fourth power."""
+    nn = n * n
+    n3, n4 = nn * n, nn * nn
+    out = []
+    for u in cs:
+        z = u.coeffs
+        a0, a1, a2, a3, a4 = z if len(z) == 5 else (z + _PAD)[:5]
+        out.append((((a4 * k + a3 * n) * k + a2 * nn) * k + a1 * n3) * k + a0 * n4)
+    return tuple(out)
 
 
 def _tested_ks(cs, n: int) -> tuple[int, ...]:
@@ -203,11 +215,10 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     n = f.scope
     cs, ks = _grid(f)
     for k in ks:
-        alpha = Fraction(k, n)
-        h = _phi_at(cs, alpha)
+        h = _phi_at(cs, k, n)
         if not binary_quartic_nonneg(h):
-            point = binary_quartic_negative_point(h)
-            return NonnegVerdict("OUT", ((alpha, 1 - alpha), point))
+            alpha = Fraction(k, n)
+            return NonnegVerdict("OUT", ((alpha, 1 - alpha), binary_quartic_negative_point(h)))
     return NonnegVerdict("IN")
 
 
@@ -238,8 +249,9 @@ def is_strictly_positive(f: SymFormP) -> bool:
         return False
     if _strictly_feasible(_gamma_zero_signs(f)):
         return True
+    n = f.scope
     cs, ks = _grid(f)
-    return all(binary_quartic_strictly_positive(_phi_at(cs, Fraction(k, f.scope))) for k in ks)
+    return all(binary_quartic_strictly_positive(_phi_at(cs, k, n)) for k in ks)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,10 @@ every sum of squares is nonnegative.  It never asks ``is_nonneg`` itself,
 which at huge n costs far more than the steps below.  Otherwise it looks
 for the feasible interval in three steps:
 
-1. the two ends: a feasible end decides IN with no cell built;
+1. the two ends: a feasible end decides IN with no cell built.  When the
+   gamma = 0 signs kept on the form are feasible, b22 >= 0 makes lo = 0
+   and a22 >= 0 makes hi >= 0, so lo is a feasible end, and its
+   certificate is returned before the range is built;
 2. with both ends infeasible the interval lies inside (lo, hi), where
    feasibility is constant on the open cells of the shared cell engine
    (``algebra.cells``) cut at the roots of D, V and H, a product of
@@ -132,12 +135,14 @@ from .algebra import (
 )
 from .dualcone import (
     DualFunctional,
+    _dual_ints,
     _gamma_gen_ints,
+    _pair_ints,
     _psd_ints,
+    _weighted_point_ints,
     dual_membership,
     gamma_gen_coeffs,
     pair,
-    weighted_point_functional,
 )
 from .symfunc import LIMIT, SymFormP, per_form
 
@@ -456,6 +461,9 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     nonneg = kept_nonneg(f)
     if nonneg is not None and nonneg.status == "OUT":
         return SosVerdict("OUT")
+    if _feasible(_gamma_zero_signs(f)):
+        # the feasible end lo = 0 of step 1 (module docstring)
+        return SosVerdict("IN", certificate=_certificate(f, _block_polys(f), _ZERO))
     gamma_range = _gamma_range(f)
     if gamma_range is None:
         return SosVerdict("OUT")
@@ -717,12 +725,18 @@ def find_separating_functional(f: SymFormP):
     is a symmetric sum of squares.
 
     Every returned functional is checked exactly (``pair`` < 0 and
-    ``dual_membership``).  Raises ValueError for LIMIT scope.
+    ``dual_membership``, or the same tests on integers).  Raises
+    ValueError for LIMIT scope.
 
-    When f is not nonnegative at n, the point evaluation at the negative
-    point of ``positivity.is_nonneg`` separates, and it is tried after the
-    two segment ends below and before the s-chart of step 3, which remains
-    for the nonnegative forms outside the SOS cone.
+    The two segment ends of step 2 pair with f to a22 and a22 + v b22 at
+    v = (n-2)^2/(n-1), so they are tested as the signs of a22 and
+    (n-1) a22 + (n-2)^2 b22 on the gamma = 0 entries.  Then, when f is not
+    nonnegative at n, the point evaluation at the negative point of
+    ``positivity.is_nonneg`` separates: it is built as integers over one
+    common denominator (``dualcone._weighted_point_ints``), its pairing
+    and its dual membership are checked on those integers, and its five
+    values are made Fractions only once that holds.  The s-chart of step 3
+    remains for the nonnegative forms outside the SOS cone.
 
     The search is complete:
 
@@ -790,10 +804,13 @@ def find_separating_functional(f: SymFormP):
             raise AssertionError("internal error: separator failed verification")
         return ell
 
-    c = f.coeffs
-    for v in (_ZERO, Fraction((n - 2) ** 2, n - 1)):
-        if (1 + v) * c[0] + c[2] < 0:
-            return verified(DualFunctional(1 + v, _ZERO, _ONE, _ZERO, _ZERO))
+    # the segment ends pair with f to a22 and a22 + v b22, read in signs on
+    # the gamma = 0 entries
+    b22, _, a22, _, _ = _gamma_zero_entries(f)[1]
+    if a22 < 0:
+        return verified(DualFunctional(_ONE, _ZERO, _ONE, _ZERO, _ZERO))
+    if (n - 1) * a22 + (n - 2) ** 2 * b22 < 0:
+        return verified(DualFunctional(1 + Fraction((n - 2) ** 2, n - 1), _ZERO, _ONE, _ZERO, _ZERO))
 
     # a negative point of f is a point evaluation pairing negatively with
     # it; is_nonneg is kept on the form object, so this is a read when the
@@ -802,7 +819,10 @@ def find_separating_functional(f: SymFormP):
 
     nonneg = is_nonneg(f)
     if nonneg.status == "OUT":
-        return verified(weighted_point_functional(*nonneg.witness))
+        den, ys = _weighted_point_ints(*nonneg.witness)
+        if not (_pair_ints(ys, f) < 0 and _dual_ints(ys, n)):
+            raise AssertionError("internal error: separator failed verification")
+        return DualFunctional(*(Fraction(y, den) for y in ys))
 
     ell = _w_separator(f)
     if ell is not None:

@@ -415,58 +415,49 @@ def evaluate(f: SymFormP, point) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
-def _phi_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each partition lambda of 4, in canonical order, the binary
-    quartic Phi_{p_lambda}(alpha, 1-alpha, x, y): five integer coefficient
-    tuples in alpha (ascending, length 5), in descending x-order.
-
-    p_a contributes the binary form (1-alpha) y^a + alpha x^a, and
-    p_lambda is the product over the parts of lambda.
-    """
-    alpha = UniPoly([0, 1])
-    one_minus = UniPoly([1, -1])
-    tables = []
-    for parts in partitions_of(4):
-        prod = [UniPoly([1])]  # index = x-degree
-        for a in parts:
-            new = [UniPoly()] * (len(prod) + a)
-            for i, u in enumerate(prod):
-                new[i] = new[i] + u * one_minus
-                new[i + a] = new[i + a] + u * alpha
-            prod = new
-        tables.append(
-            tuple((prod[4 - i].coeffs + (0,) * 5)[:5] for i in range(5))
-        )
-    return tuple(tables)
-
-
 def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
     """(den, cs): den Phi_f(alpha, 1-alpha, x, y) as five integer
     ``UniPoly`` in alpha, cs[i] the coefficient of x^{4-i} y^i, with
     den > 0 the lcm of the denominators of f.
 
-    Phi^alpha is linear in f, so this is sum_lambda (den c_lambda)
-    Phi_lambda over the integer tables of ``_phi_tables``.  den is also the
-    lcm of the denominators of ``phi_alpha_coeffs``: the alpha-coefficients
-    of x^4 are c4, c31 + c22, c211 and c1111, and the alpha coefficient of
-    x^3 y is c31, so every c_lambda is an integer combination of the
+    Written in closed form on the numerators (c4, c31, c22, c211, c1111)
+    of f over den.  With beta = 1 - alpha, p_a gives alpha x^a + beta y^a,
+    and the products over the parts of the five partitions sum to
+
+        x^4:     c4 alpha + (c31 + c22) alpha^2 + c211 alpha^3 + c1111 alpha^4
+        x^3 y:   alpha beta (c31 + 2 c211 alpha + 4 c1111 alpha^2)
+        x^2 y^2: alpha beta (2 c22 + c211 + 6 c1111 alpha beta)
+        x y^3:   alpha beta (c31 + 2 c211 beta + 4 c1111 beta^2)
+        y^4:     c4 beta + (c31 + c22) beta^2 + c211 beta^3 + c1111 beta^4
+
+    (alpha + beta = 1 folds the alpha beta (alpha + beta) x^2 y^2 of
+    p_(2,1^2)), expanded below in powers of alpha.  den is also the lcm of
+    the denominators of ``phi_alpha_coeffs``: the alpha-coefficients of x^4
+    are c4, c31 + c22, c211 and c1111, and the alpha coefficient of x^3 y
+    is c31, so every c_lambda is an integer combination of the
     coefficients of Phi^alpha.  A positive scale leaves the signs, the
     zeros and the negative points of Phi^alpha alone, which is all the
     decisions read."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
     den = lcm(*(c.denominator for c in f.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    accs = []
-    for i in range(5):
-        acc = [0] * 5
-        for num, table in zip(nums, _phi_tables()):
-            if num:
-                for j, t in enumerate(table[i]):
-                    acc[j] += num * t
-        accs.append(UniPoly(acc))
-    return den, tuple(accs)
+    c4, c31, c22, c211, c1111 = (c.numerator * (den // c.denominator) for c in f.coeffs)
+    s, m = c31 + c22, 2 * c22 + c211
+    # the bracket of x y^3 in powers of alpha: e0 + e1 alpha + e2 alpha^2
+    e0, e1, e2 = c31 + 2 * c211 + 4 * c1111, -2 * c211 - 8 * c1111, 4 * c1111
+    return den, (
+        UniPoly((0, c4, s, c211, c1111)),
+        UniPoly((0, c31, 2 * c211 - c31, 4 * c1111 - 2 * c211, -4 * c1111)),
+        UniPoly((0, m, 6 * c1111 - m, -12 * c1111, 6 * c1111)),
+        UniPoly((0, e0, e1 - e0, e2 - e1, -e2)),
+        UniPoly((
+            c4 + s + c211 + c1111,
+            -c4 - 2 * s - 3 * c211 - 4 * c1111,
+            s + 3 * c211 + 6 * c1111,
+            -c211 - 4 * c1111,
+            c1111,
+        )),
+    )
 
 
 def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:

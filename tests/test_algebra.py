@@ -5,6 +5,8 @@ from math import isqrt
 
 import pytest
 import sympy
+
+import symquartic.algebra as algebra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -705,6 +707,47 @@ class TestBinaryQuartics:
             h = tuple(reversed(p.coeffs))
             x, y = binary_quartic_negative_point(h)
             assert y == 1 and 0 < x < e and p(x) < 0
+
+    @pytest.mark.parametrize(
+        "roots, extra, delta_zero",
+        [
+            ((1, -2), (1, 0, 1), False),  # (x - 1)(x + 2)(x^2 + 1)
+            ((Fraction(-187, 8), 0, 3, 5), (1,), False),  # four simple real roots
+            ((1, 1, 2, -3), (1,), True),  # a double root and two simple ones
+            ((1, 1, 1, -2), (1,), True),  # a triple root and a simple one
+        ],
+        ids=["two-real", "four-real", "double", "triple"],
+    )
+    @pytest.mark.parametrize("scale", [1, 6, Fraction(3, 7)])
+    def test_negative_point_takes_the_gcd_only_when_delta_is_zero(
+        self, monkeypatch, roots, extra, delta_zero, scale
+    ):
+        """The point search reads z and Rees' signs once: a quartic with
+        Delta != 0 is squarefree and is isolated with no ``_zgcd`` call and
+        no ``_zsqf``, while Delta = 0 (a double or a triple root) still
+        takes the squarefree part.  Either way the witness is the one of
+        the former rule (``sorted_rule_negative_point``), for int and
+        Fraction coefficients alike."""
+        p = UniPoly(extra)
+        for r in roots:
+            p = p * linear(r)
+        h = tuple(scale * c for c in reversed(p.coeffs))
+        assert (disc_binary_quartic(h) == 0) == delta_zero
+        calls = []
+        for name in ("_zgcd", "_zsqf"):
+            real = getattr(algebra, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(algebra, name, counted)
+        point = binary_quartic_negative_point(h)
+        assert ("_zsqf" in calls) == ("_zgcd" in calls) == delta_zero
+        monkeypatch.undo()
+        assert point is not None and point == sorted_rule_negative_point(h)
+        x, y = point
+        assert sum(c * x ** (4 - i) * y**i for i, c in enumerate(h)) < 0
 
     def test_negative_point_between_point_roots(self):
         """x (x - 1)(x^2 + 1) is negative only on (0, 1), and isolation

@@ -14,6 +14,11 @@ from symquartic.algebra import (
     SymMat2,
     UniPoly,
     _quartic_invariants,
+    _quartic_signs,
+    _zpoly,
+    _zroot_bound,
+    _zsign,
+    _zsqf,
     binary_quartic_critical_polys,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
@@ -21,6 +26,7 @@ from symquartic.algebra import (
     cells,
     count_real_roots,
     disc_binary_quartic,
+    isolate_real_roots,
     yun_decomposition,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
@@ -306,7 +312,7 @@ class TestCoefficientSumStep:
     def test_witness_is_the_walks_at_weight_zero(self, coeffs, n):
         f = SymFormP(4, coeffs, n)
         verdict = is_nonneg(f)
-        h0 = _phi_at(_phi_alpha_ints(f)[1], Fraction(0))
+        h0 = _phi_at(_phi_alpha_ints(f)[1], 0, 1)
         if sum(f.coeffs) < 0:
             assert not binary_quartic_nonneg(h0)
             assert verdict.witness == ((0, 1), binary_quartic_negative_point(h0))
@@ -324,6 +330,128 @@ class TestCoefficientSumStep:
         # a form with a nonnegative sum that is OUT needs them
         with pytest.raises(AssertionError, match="alpha-coefficients built"):
             is_nonneg(SymFormP(4, (1, -2, 0, 0, 1), 4))
+
+
+#: The p-coefficients of the Choi-Lam form.
+CHOI_LAM = (Fraction(8), Fraction(-160, 3), Fraction(-8), Fraction(128), Fraction(-128, 3))
+
+
+def former_phi(f, alpha):
+    """Phi_f(alpha, 1 - alpha, x, y) in Fractions straight from the power
+    sums: p_a is alpha x^a + (1 - alpha) y^a, and p_lambda the product
+    over its parts; five coefficients in descending x-order."""
+    total = [Fraction(0)] * 5  # ascending x-degree
+    for parts, c in zip(((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)), f.coeffs):
+        prod = [Fraction(1)]
+        for a in parts:
+            new = [Fraction(0)] * (len(prod) + a)
+            for i, u in enumerate(prod):
+                new[i] += u * (1 - alpha)
+                new[i + a] += u * alpha
+            prod = new
+        total = [t + c * u for t, u in zip(total, prod)]
+    return tuple(reversed(total))
+
+
+def former_nonneg(h):
+    """``binary_quartic_nonneg`` as it was: on the primitive ``_zpoly``."""
+    z = _zpoly(h[::-1])
+    if not z:
+        return True
+    if len(z) % 2 == 0 or z[-1] < 0:
+        return False
+    if len(z) == 1:
+        return True
+    if len(z) == 3:
+        return z[1] * z[1] <= 4 * z[0] * z[2]
+    delta, p, d, _r = _quartic_signs(z)
+    return delta >= 0 and not (p < 0 and d < 0)
+
+
+def former_negative_point(h):
+    """``binary_quartic_negative_point`` as it was: a second sign test, and
+    the squarefree part always taken before the first negative end of the
+    isolating intervals, then the midpoints."""
+    if former_nonneg(h):
+        return None
+    if h[0] < 0:
+        return (Fraction(1), Fraction(0))
+    z = _zpoly(h[::-1])
+    bound = _zroot_bound(z)
+    for x in (bound, -bound):
+        if _zsign(z, x) < 0:
+            return (x, Fraction(1))
+    intervals = isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound)
+    ends = [x for ab in intervals for x in ab]
+    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
+        if _zsign(z, x) < 0:
+            return (x, Fraction(1))
+    raise AssertionError("no witness")
+
+
+def former_walk(f):
+    """The Fraction walk that ``is_nonneg`` replaced below ``_CELL_MIN_N``:
+    alpha = k/n for k = 0, 1, ..., n - 1 (alpha = 1 never fails first), and
+    the first failing weight with its negative point, or None."""
+    n = f.scope
+    for k in range(n):
+        alpha = Fraction(k, n)
+        h = former_phi(f, alpha)
+        if not former_nonneg(h):
+            return (alpha, 1 - alpha), former_negative_point(h)
+    return None
+
+
+def walk_forms(seed=29, count=6):
+    """Box forms, the Choi-Lam vector and near-boundary forms (rank-one
+    block expansions with one coefficient lowered by 1/1024), seeded."""
+    rng = random.Random(seed)
+
+    def small():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+
+    forms = [CHOI_LAM, (0, 3, Fraction(11, 3), -4, Fraction(3, 2))]
+    for i in range(count):
+        forms.append(random_form(rng, 4).coeffs)
+        a, b, c, d = small(), small(), small(), small()
+        coeffs = list(expand_certificate(SosCertificate(
+            SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT
+        )).coeffs)
+        coeffs[i % 5] -= Fraction(1, 1024)
+        forms.append(tuple(coeffs))
+    return forms
+
+
+class TestIntegerWalk:
+    """Below ``_CELL_MIN_N`` the walk reads Phi^(k/n) as integers at the
+    unreduced weight (``_phi_at``) and its signs on the ints as they come;
+    the first failing k and its witness are those of the Fraction walk."""
+
+    def test_first_failing_weight_and_witness_match_the_fraction_walk(self):
+        outs = 0
+        for coeffs in walk_forms():
+            for n in range(4, positivity._CELL_MIN_N):
+                f = SymFormP(4, coeffs, n)
+                want = former_walk(f)
+                verdict = is_nonneg(f)
+                assert verdict.witness == want, (coeffs, n)
+                assert verdict.status == ("IN" if want is None else "OUT")
+                outs += want is not None
+        assert outs > 200
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 12, 55])
+    def test_unreduced_weight_scales_by_a_fourth_power(self, n):
+        """At k/n with g = gcd(k, n), h is g^4 times the quartic at the
+        reduced weight, and n^4 den times Phi^(k/n) exactly."""
+        f = SymFormP(4, CHOI_LAM, n)
+        den, cs = _phi_alpha_ints(f)
+        for k in range(n + 1):
+            h = _phi_at(cs, k, n)
+            alpha = Fraction(k, n)
+            g = n // alpha.denominator
+            assert all(type(c) is int for c in h)
+            assert h == tuple(g**4 * c for c in _phi_at(cs, alpha.numerator, alpha.denominator))
+            assert h == tuple(n**4 * den * c for c in former_phi(f, alpha))
 
 
 class TestStrictPositivity:
@@ -800,7 +928,8 @@ class TestProjection:
         rng = random.Random(str(coeffs))
         tested = 0
         for _ in range(40):
-            h = _phi_at(cs, F(rng.randint(-30, 30), rng.randint(1, 12)))
+            alpha = F(rng.randint(-30, 30), rng.randint(1, 12))
+            h = _phi_at(cs, alpha.numerator, alpha.denominator)
             if any(h):
                 assert real_roots_from_signs(h) == real_roots_exact(h), h
                 tested += 1
@@ -866,7 +995,7 @@ class TestProjection:
                 # m (p_(3,1) - p_(2,2)): no cut inside (0, 1)
                 assert binary_quartic_critical_polys(cs) == []
             for n in (56, 57, 64, 97, 128, 200):
-                hs = [_phi_at(cs, F(k, n)) for k in range(n + 1)]
+                hs = [_phi_at(cs, a.numerator, a.denominator) for a in (F(k, n) for k in range(n + 1))]
                 ks = _tested_ks(cs, n)
 
                 def first_failing(over):

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -67,7 +68,6 @@ from symquartic.symfunc import (
     LIMIT,
     SymFormP,
     _phi_alpha_ints,
-    _phi_tables,
     evaluate,
     form_from_dict,
     phi_alpha_coeffs,
@@ -419,6 +419,47 @@ class TestEndsFirst:
         assert verdict.certificate.gamma == _gamma_range(f)[0 if end == "lo" else 1]
         assert len(calls) == 1
         assert expand_certificate(verdict.certificate) == f
+
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 10**4000])
+    def test_gamma_zero_feasible_builds_no_range(self, monkeypatch, n):
+        """A form whose gamma = 0 blocks are feasible is IN with the
+        gamma = 0 certificate before ``_gamma_range`` is called: b22 >= 0
+        makes lo = 0 and a22 >= 0 makes hi >= 0, so that is the certificate
+        the ends-first scan returns at lo."""
+        calls = []
+        real = sos._gamma_range
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(sos, "_gamma_range", counted)
+        rng = random.Random(29)
+
+        def small():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+        forms = [(1, 0, 0, 0, 0), (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))]
+        for _ in range(40):
+            a, b, c, d, e = small(), small(), small(), small(), small()
+            cert = SosCertificate(SymMat2(a * a + e * e, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
+            forms.append(expand_certificate(cert).coeffs)
+            forms.append(random_form(rng, 4).coeffs)
+        seen = 0
+        for coeffs in forms:
+            f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+            if not _feasible(_gamma_zero_signs(f)):
+                continue
+            seen += 1
+            verdict = sos_membership(f)
+            assert calls == []
+            lo, hi = real(f)
+            assert lo == 0 <= hi
+            assert verdict.status == "IN"
+            assert verdict.certificate == _certificate_at(f, _block_polys(f), lo)
+            assert verdict.certificate.gamma == 0 and expand_certificate(verdict.certificate) == f
+        assert seen > 40
 
 
 class TestNonnegOutRead:
@@ -892,6 +933,35 @@ def test_finite_perturbation_gate():
     assert min(statuses.values()) > 0
 
 
+def former_weighted_point_functional(weights, point):
+    """``dualcone.weighted_point_functional`` as it was: each y_lambda one
+    Fraction over its own denominator."""
+    (r, s), (t, u), (a, b), (c, d) = (
+        (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
+    )
+    ru, ts, su, ad, cb, bd = r * u, t * s, s * u, a * d, c * b, b * d
+    p1, p2, p3, p4 = (ru * ad**i + ts * cb**i for i in (1, 2, 3, 4))
+    q1, q2, q3, q4 = (su * bd**i for i in (1, 2, 3, 4))
+    return DualFunctional(
+        Fraction(p4, q4),
+        Fraction(p3 * p1, q3 * q1),
+        Fraction(p2 * p2, q2 * q2),
+        Fraction(p2 * p1 * p1, q2 * q1 * q1),
+        Fraction(p1**4, q1**4),
+    )
+
+
+def former_segment_end(f):
+    """The first end of the segment (1 + v, 0, 1, 0, 0),
+    0 <= v <= (n-2)^2/(n-1), that pairs negatively with f, by the Fraction
+    test it had before the signs moved onto the gamma = 0 entries."""
+    n, c = f.scope, f.coeffs
+    for v in (Fraction(0), Fraction((n - 2) ** 2, n - 1)):
+        if (1 + v) * c[0] + c[2] < 0:
+            return DualFunctional(1 + v, Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    return None
+
+
 class TestSeparation:
     def test_nonneg_not_sos_example(self):
         from symquartic.specht import brute_symmetrize
@@ -1003,6 +1073,44 @@ class TestSeparation:
             k = int(k_n * n)
             assert pair(ell, f) == evaluate(f, (x,) * k + (y,) * (n - k)) < 0
         assert seen > 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 30, 10**40])
+    def test_point_separator_is_the_weighted_point_functional(self, n):
+        """On nonneg-OUT forms the separator is exactly
+        ``weighted_point_functional`` of the kept witness, unless a segment
+        end separates first; both match the Fraction constructions they
+        replaced (``former_weighted_point_functional``,
+        ``former_segment_end``).  Choi-Lam, box forms and rank-one block
+        expansions lowered by 1/1024."""
+        rng = random.Random(2900 + n % 1000)
+
+        def small():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+
+        forms = [(8, Fraction(-160, 3), -8, 128, Fraction(-128, 3))]
+        for i in range(30):
+            forms.append(random_form(rng, 4).coeffs)
+            a, b, c, d = small(), small(), small(), small()
+            cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
+            coeffs = list(expand_certificate(cert).coeffs)
+            coeffs[i % 5] -= Fraction(1, 1024)
+            forms.append(coeffs)
+        points = ends = 0
+        for coeffs in forms:
+            f = SymFormP(4, tuple(coeffs), n)
+            nonneg = is_nonneg(f)
+            ell = find_separating_functional(f)
+            end = former_segment_end(f)
+            if end is not None:
+                ends += 1
+                assert ell == end
+            elif nonneg.status == "OUT":
+                points += 1
+                assert ell == weighted_point_functional(*nonneg.witness)
+                assert ell == former_weighted_point_functional(*nonneg.witness)
+                assert all(type(y) is Fraction for y in ell.as_tuple())
+                assert pair(ell, f) < 0 and dual_membership(ell, n)
+        assert points >= 3 and ends > 5
 
     def test_sos_forms_have_no_separator(self):
         for n in (4, 5, 8):
@@ -1448,11 +1556,78 @@ def fraction_certificate(f, entries, gamma):
     return cert, ("b22=0:" if b22 == 0 else "") + branch
 
 
+@lru_cache(maxsize=None)
+def phi_tables():
+    """For each partition lambda of 4, in canonical order, the binary
+    quartic Phi_{p_lambda}(alpha, 1-alpha, x, y): five integer coefficient
+    tuples in alpha (ascending, length 5), in descending x-order.  p_a
+    contributes the binary form (1-alpha) y^a + alpha x^a, and p_lambda is
+    the product over the parts of lambda: the reference that the closed
+    form of ``symfunc._phi_alpha_ints`` replaced."""
+    alpha = UniPoly([0, 1])
+    one_minus = UniPoly([1, -1])
+    tables = []
+    for parts in ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)):
+        prod = [UniPoly([1])]  # index = x-degree
+        for a in parts:
+            new = [UniPoly()] * (len(prod) + a)
+            for i, u in enumerate(prod):
+                new[i] = new[i] + u * one_minus
+                new[i + a] = new[i + a] + u * alpha
+            prod = new
+        tables.append(tuple((prod[4 - i].coeffs + (0,) * 5)[:5] for i in range(5)))
+    return tuple(tables)
+
+
+def table_alpha_ints(f):
+    """``symfunc._phi_alpha_ints`` as it was built before its closed form:
+    the numerators of f over the lcm den of its denominators, summed over
+    the integer tables of ``phi_tables``."""
+    den = lcm(*(c.denominator for c in f.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    accs = []
+    for i in range(5):
+        acc = [0] * 5
+        for num, table in zip(nums, phi_tables()):
+            if num:
+                for j, t in enumerate(table[i]):
+                    acc[j] += num * t
+        accs.append(UniPoly(acc))
+    return den, tuple(accs)
+
+
+_wide = st.integers(-(2**4096), 2**4096)
+
+
+@given(
+    st.one_of(
+        st.tuples(*[_small] * 5),
+        st.tuples(*[st.fractions(-(10**6), 10**6, max_denominator=10**6)] * 5),
+        st.tuples(*[st.builds(Fraction, _wide, st.integers(1, 2**4096))] * 5),
+    )
+)
+@example((Fraction(8), Fraction(-160, 3), Fraction(-8), Fraction(128), Fraction(-128, 3)))
+@example((0, 1, -1, 0, 0))
+@example((0, 0, 0, 0, 0))
+@example((2**4096 - 1, 0, Fraction(-1, 2**4096 + 1), 0, 2**4095))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_alpha_ints_match_the_tables(coeffs):
+    """The closed form of ``_phi_alpha_ints`` is the table build, integer
+    for integer, on random vectors and on ones with 4096-bit entries; both
+    trim the same trailing zeros (x^4 of m (p_(3,1) - p_(2,2)) vanishes)."""
+    f = SymFormP(4, coeffs, LIMIT)
+    den, got = _phi_alpha_ints(f)
+    want_den, want = table_alpha_ints(f)
+    assert den == want_den
+    assert [u.coeffs for u in got] == [u.coeffs for u in want]
+    assert all(type(c) is int for u in got for c in u.coeffs)
+
+
 def lcm_alpha_coeffs(f):
-    """Phi^alpha by Fraction sums over the tables of ``symfunc._phi_tables``,
-    the lcm of its denominators, and Phi^alpha cleared by it: the round
-    trip that the integers of ``symfunc._phi_alpha_ints`` replace."""
-    tables = _phi_tables()
+    """Phi^alpha by Fraction sums over the tables of ``phi_tables``, the
+    lcm of its denominators, and Phi^alpha cleared by it: the round trip
+    that the integers of ``symfunc._phi_alpha_ints`` replace."""
+    tables = phi_tables()
     cs = [
         UniPoly(
             [sum((c * t[i][j] for c, t in zip(f.coeffs, tables)), Fraction(0)) for j in range(5)]
