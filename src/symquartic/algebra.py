@@ -1226,14 +1226,20 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
         return _ZERO
     if hi < 0:
         return -simplest_rational_between(-hi, -lo)
+    return Fraction(*_simplest_between_ints(lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
-    # the continued fraction of lo, while [a, b] holds no integer: its
-    # terms are shared with every rational in [lo, hi], and the simplest
-    # one ends at the smallest integer >= a.  a = an / ad and b = bn / bd
-    # on positive denominators, and the step a, b -> 1 / (b - ia),
-    # 1 / (a - ia) is one on integers
+
+def _simplest_between_ints(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(p, q), q > 0 and coprime: the simplest rational p / q in [a, b] for
+    0 < a = an / ad < b = bn / bd on positive denominators, the ends not
+    necessarily in lowest terms (``simplest_rational_between``).
+
+    The continued fraction of a, while [a, b] holds no integer: its terms
+    are shared with every rational in [a, b], and the simplest one ends at
+    the smallest integer >= a.  The step a, b -> 1 / (b - ia),
+    1 / (a - ia) is one on integers, and reads only ratios and floors, so
+    a common factor of a numerator and its denominator changes nothing."""
     terms = []
-    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     while True:
         ia, ra = divmod(an, ad)  # floor(a), ad * (a - ia)
         if not ra or (ia + 1) * bd <= bn:
@@ -1243,7 +1249,7 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     p, q = (ia + 1 if ra else ia), 1
     for t in reversed(terms):
         p, q = t * p + q, p
-    return Fraction(p, q)
+    return p, q
 
 
 def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:

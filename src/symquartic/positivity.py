@@ -11,8 +11,10 @@ measures of mean 1, Phi_f is a quadratic in p_2 plus the variance times a
 quadratic in x + y, whose minimum picks a rational variance.  A rational
 point then follows from an integer square root near the minimising x + y
 (or a power of 2 where that quadratic is linear), kept once Phi_f < 0
-holds there exactly.  No alpha-polynomial is built and no root is
-isolated.  Finding no point would contradict the theorem, and raises.
+holds there exactly.  All of it reads the integer gamma = 0 entries, and
+Fractions are made only for the returned point.  No alpha-polynomial is
+built and no root is isolated.  Finding no point would contradict the
+theorem, and raises.
 
 At finite n, the alpha-cells (below) are cut at the roots of the
 polynomials whose signs the binary-quartic tests read
@@ -56,13 +58,13 @@ from math import ceil, floor, isqrt
 
 from .algebra import (
     UniPoly,
+    _simplest_between_ints,
     binary_quartic_critical_polys,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
     cells,
     refine_root_interval,
-    simplest_rational_between,
 )
 from .dualcone import DualFunctional
 from .sos import (
@@ -262,125 +264,138 @@ def is_strictly_positive(f: SymFormP) -> bool:
 def _limit_negative_point(f: SymFormP):
     """A witness ((alpha, 1 - alpha), (x, y)) with Phi_f < 0 there, or
     None if no two-point measure makes Phi_f negative, read off the
-    gamma = 0 entries (b22, b12, a22, s, c0) of ``sos._gamma_zero_entries``,
-    whose last three sum to the coefficient sum.
+    integer gamma = 0 entries (b22, b12, a22, s, c0) of
+    ``sos._gamma_zero_entries``, whose last three sum to the coefficient
+    sum; every branch reads those integers, and Fractions are made only
+    for the returned witness.
 
     A measure with mean 1, variance v and x + y = b has p_2 = w = 1 + v,
     p_3 = w + b v and p_4 = w^2 + b^2 v, so Phi_f = F(v, b) =
-    a22 w^2 + s w + c0 + v (b22 b^2 + 2 b12 b).  The branches: the
-    coefficient sum (v = 0); a22 < 0 at mean 0; b22 < 0 at the point
-    (1, 0) and a small alpha; else a rational v > 0 with
-    inf_b F(v, .) < 0 (``_negative_variance``) and a rational point on it.
+    a22 w^2 + s w + c0 + v (b22 b^2 + 2 b12 b), on the entries over their
+    positive scale d.  The branches: the coefficient sum (v = 0); a22 < 0
+    at mean 0; b22 < 0 at the point (1, 0) and a small alpha; else a
+    rational v > 0 with inf_b F(v, .) < 0 (``_negative_variance``) and a
+    rational point on it.
 
-    For rational t > 0, x = 1 + v/t, y = 1 - t and
+    For rational t = p/q > 0, x = 1 + v/t, y = 1 - t and
     alpha = t^2 / (v + t^2) have mean 1 and variance v, and
     b = 2 + v/t - t runs over all of R as t runs over (0, oo).
-    ``_variance_t`` picks t in closed form: where b22 > 0, near the root
-    t0 of b(t) = b* = -b12/b22, which minimises F(v, .), by integer
-    square roots; where b22 = 0, as a power of 2.  A candidate t is kept
+    ``_variance_t`` picks (p, q) in closed form: where b22 > 0, near the
+    root t0 of b(t) = b* = -b12/b22, which minimises F(v, .), by integer
+    square roots; where b22 = 0, as a power of 2.  A candidate is kept
     only when F(v, b(t)) < 0 exactly, and F(v, b(t)) is Phi_f at the
-    returned point, so that test is the witness check.
+    returned point, so that test is the witness check.  With v = V/W the
+    witness is alpha = W p^2 / (W p^2 + V q^2), x = (W p + V q) / (W p)
+    and y = (q - p) / q.
     """
-    d, entries = _gamma_zero_entries(f)
-    if sum(entries[2:]) < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
+    entries = _gamma_zero_entries(f)[1]
+    b22, b12, a22, s, c0 = entries
+    if a22 + s + c0 < 0:  # Phi^{1/2}(1, 1), the alpha in {0, 1} test
         return (_ZERO, _ONE), (_ZERO, _ONE)
-    b22, b12, a22, s, c0 = (Fraction(e, d) for e in entries)
     if a22 < 0:  # mean 0: p_2 = p_4 = 1, p_1 = p_3 = 0, Phi_f = a22
         return (_HALF, _HALF), (_ONE, -_ONE)
     if b22 < 0:
         # at (1, 0), Phi_f / alpha = c4 + (c31 + c22) alpha + c211 alpha^2
         # + c1111 alpha^3 <= c4 + alpha rest for alpha <= 1, which is < 0 at
-        # alpha = |c4| / (|c4| + rest)
-        _, c31, c22, c211, c1111 = f.coeffs
-        rest = abs(c31 + c22) + abs(c211) + abs(c1111)
-        alpha = b22 / (b22 - rest)
-        return (alpha, 1 - alpha), (_ONE, _ZERO)
-    v = _negative_variance(b22, b12, a22, s, c0)
+        # alpha = |c4| / (|c4| + rest).  Over the entries' scale, c4 is b22
+        # and rest is |2 b12 + a22 - b22| + |s - 2 b12| + |c0|
+        rest = abs(2 * b12 + a22 - b22) + abs(s - 2 * b12) + abs(c0)
+        return (Fraction(b22, b22 - rest), Fraction(rest, rest - b22)), (_ONE, _ZERO)
+    v = _negative_variance(*entries)
     if v is None:
         return None
-    t = _variance_t(v, *entries)
-    alpha = t * t / (v + t * t)
-    return (alpha, 1 - alpha), (1 + v / t, 1 - t)
+    V, W = v.numerator, v.denominator
+    p, q = _variance_t(v, *entries)
+    wp, vq = W * p * p, V * q * q
+    weights = Fraction(wp, wp + vq), Fraction(vq, wp + vq)
+    return weights, (Fraction(W * p + V * q, W * p), Fraction(q - p, q))
 
 
-def _variance_t(v: Fraction, b22: int, b12: int, a22: int, s: int, c0: int) -> Fraction:
-    """A rational t > 0 with F(v, b(t)) < 0 at b(t) = 2 + v/t - t, for the
-    variance v of ``_negative_variance`` and the integer gamma = 0 entries
-    (``_limit_negative_point``; d F is the same expression in them).
+def _variance_t(v: Fraction, b22: int, b12: int, a22: int, s: int, c0: int) -> tuple[int, int]:
+    """(p, q), q > 0: a rational t = p/q > 0 with F(v, b(t)) < 0 at
+    b(t) = 2 + v/t - t, for the variance v of ``_negative_variance`` and
+    the integer gamma = 0 entries (``_limit_negative_point``; d F is the
+    same expression in them).
 
     The test is the sign of Phi_f at the witness itself, in integers: with
     v = V/W, t = p/q and m = W p q, b = B/m for B = 2m + V q^2 - W p^2,
     and W^2 m^2 d F = g m^2 + V W B (b22 B + 2 b12 m), where
-    g = W^2 d F(v, 0).  b(t) falls strictly from +oo to -oo on (0, oo),
-    so the t that pass form one open interval.
+    g = W^2 d F(v, 0).  It is homogeneous of degree 4 in (p, q), so it
+    takes each candidate as the integers it is built from, in lowest
+    terms or not.  b(t) falls strictly from +oo to -oo on (0, oo), so the
+    t that pass form one open interval.
 
     With b22 = 0, F is linear in b, the interval is unbounded above
     (b12 > 0) or reaches down to 0 (b12 < 0; with b12 = 0 it is all of
-    (0, oo)), and t is 2^j or 2^-j for the least j >= 0 that passes, found
-    by doubling j and then bisecting.  With b22 > 0, F(v, b) = G(1 + v) + v b22 (b - b*)^2 with
+    (0, oo)), and t is 2^j or 2^-j, the candidate (2^j, 1) or (1, 2^j),
+    for the least j >= 0 that passes, found by doubling j and then
+    bisecting.  With b22 > 0, F(v, b) = G(1 + v) + v b22 (b - b*)^2 with
     b* = -b12/b22 and G(1 + v) < 0, so the interval holds the positive
     root t0 = (c + sqrt(r)) / 2, r = c^2 + 4v, of t^2 - c t - v with
     c = 2 - b*, where b(t0) = b*.  Rounding c 2^j and, by an integer
-    square root, sqrt(r) 2^j down gives dyadic ends lo <= t0 < hi =
-    lo + 2^-j.  For j = 1, 2, 4, ... until both ends pass, after which so
-    does everything between them; the simplest rational there is
-    returned.  No root is isolated.
+    square root, sqrt(r) 2^j down gives the integer ends lo = base and
+    hi = base + 2 over 2^(j+1), with lo <= t0 < hi.  For j = 1, 2, 4, ...
+    until both ends pass, after which so does everything between them;
+    the simplest rational there (``algebra._simplest_between_ints``, on
+    the same integers) is returned.  No root is isolated.
     """
     V, W = v.numerator, v.denominator
     u = W + V  # W (1 + v)
     g = (a22 * u + s * W) * u + c0 * W * W
 
-    def negative(t: Fraction) -> bool:
-        p, q = t.numerator, t.denominator
+    def negative(p: int, q: int) -> bool:
         m = W * p * q
         B = 2 * m + V * q * q - W * p * p
         return g * m * m + V * W * B * (b22 * B + 2 * b12 * m) < 0
 
     if b22 == 0:
 
-        def power(j: int) -> Fraction:
-            return Fraction(1 << j) if b12 > 0 else Fraction(1, 1 << j)
+        def power(j: int) -> tuple[int, int]:
+            return (1 << j, 1) if b12 > 0 else (1, 1 << j)
 
         # the least passing j: passes at hi, fails at lo (or lo = -1)
         lo, hi = -1, 0
-        while not negative(power(hi)):
+        while not negative(*power(hi)):
             lo, hi = hi, 2 * hi + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if negative(power(mid)) else (mid, hi)
+            lo, hi = (lo, mid) if negative(*power(mid)) else (mid, hi)
         return power(hi)
     cn, cd = 2 * b22 + b12, b22  # c = cn / cd
     rn, rd = cn * cn * W + 4 * V * cd * cd, cd * cd * W  # r = rn / rd
     j = 1
     while True:
-        base = (cn << j) // cd + isqrt((rn << 2 * j) // rd)
-        lo, hi = Fraction(base, 2 << j), Fraction(base + 2, 2 << j)
-        if lo > 0 and negative(lo) and negative(hi):
-            return simplest_rational_between(lo, hi)
+        base, den = (cn << j) // cd + isqrt((rn << 2 * j) // rd), 2 << j
+        if base > 0 and negative(base, den) and negative(base + 2, den):
+            return _simplest_between_ints(base, den, base + 2, den)
         j *= 2
 
 
-def _negative_variance(b22, b12, a22, s, c0) -> Fraction | None:
+def _negative_variance(b22: int, b12: int, a22: int, s: int, c0: int) -> Fraction | None:
     """A rational v > 0 with inf_b F(v, b) < 0 (``_limit_negative_point``)
-    when b22, a22 >= 0 and the coefficient sum is >= 0, or None if there
-    is none.
+    from the integer gamma = 0 entries, when b22, a22 >= 0 and the
+    coefficient sum is >= 0, or None if there is none.
 
     With b22 = 0 != b12, F is linear in b and v = 1 will do.  Otherwise
     inf_b F(v, .) = G(w) = a22 w^2 + (s - k) w + c0 + k at w = 1 + v, with
     k = b12^2 / b22 (0 when b22 = 0), and G(1) is the coefficient sum.
     G < 0 somewhere on w > 1 iff it is at the vertex (a22 > 0), or, when
     a22 = 0, iff the slope s - k is negative, and then at
-    w = 1 + (c0 + k) / (k - s), where G = s - k.
+    w = 1 + (c0 + k) / (k - s), where G = s - k.  v is homogeneous of
+    degree 0 in the entries, so their common scale does not change it,
+    and the tests read integers: with k = K / L (L = b22, or 1 when
+    b22 = 0), the vertex is w = N / M for N = K - s L and M = 2 a22 L,
+    and L G(N / M) = c0 L + K - N^2 / (2M).
     """
     if b22 == 0 and b12 != 0:
         return _ONE
-    k = b12 * b12 / b22 if b22 else _ZERO
+    K, L = (b12 * b12, b22) if b22 else (0, 1)  # k = K / L
     if a22 > 0:
-        w = (k - s) / (2 * a22)
-        if w > 1 and (a22 * w + s - k) * w + c0 + k < 0:
-            return w - 1
+        N, M = K - s * L, 2 * a22 * L
+        if N > M and N * N > 2 * M * (c0 * L + K):
+            return Fraction(N - M, M)
         return None
-    return (c0 + k) / (k - s) if s < k else None
+    return Fraction(c0 * L + K, K - s * L) if s * L < K else None
 
 
 def _require_limit_quartic(f: SymFormP) -> None:

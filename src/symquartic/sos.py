@@ -526,19 +526,22 @@ def _has_interior_gamma(f: SymFormP) -> bool:
     )
 
 
-def _kernel(m: SymMat2) -> tuple[Fraction, Fraction] | None:
-    """A rational kernel vector of a singular PSD block (e_2 for the zero
-    block); None when the block is definite."""
-    if m.det():
+def _kernel_ints(m11: int, m12: int, m22: int, d: int) -> tuple[int, tuple[int, int]] | None:
+    """(s, (k1, k2)): a kernel vector (k1, k2) / s of the singular PSD block
+    [[m11, m12], [m12, m22]] / d, d > 0, as integers over a positive scale:
+    (-m12, m11) over d when m12 != 0, else a unit vector over 1 (e_2 for
+    the zero block); None when the block is definite."""
+    if m11 * m22 != m12 * m12:
         return None
-    if m.m12:
-        return -m.m12, m.m11
-    return (_ZERO, _ONE) if m.m22 == 0 else (_ONE, _ZERO)
+    if m12:
+        return d, (-m12, m11)
+    return 1, ((0, 1) if m22 == 0 else (1, 0))
 
 
-def _supporting_functional(cert: SosCertificate) -> DualFunctional:
-    """The functional y that ``sos_boundary`` reads off the face of a
-    boundary form's certificate (facial reduction on the blocks).
+def _supporting_functional(cert: SosCertificate) -> tuple[int, tuple[int, ...]]:
+    """(S, ys): the functional y = ys / S that ``sos_boundary`` reads off
+    the face of a boundary form's certificate (facial reduction on the
+    blocks), as integers over a positive scale S, in canonical order.
 
     y pairs with the certificate as tr(Y_A A) + tr(Y_B B) + gamma y(gen),
     with Y_A = [[y1111, y211], [y211, y22]], Y_B = [[y211 - y1111,
@@ -553,8 +556,13 @@ def _supporting_functional(cert: SosCertificate) -> DualFunctional:
       lam = 0 and Y_B = e_2 e_2^T give y = (1, 0, 0, 0, 0).  At a numeric
       n that y has y(gen) < 0, so lam = 1; x = Y_B12 = -g31 beta / (2 g4)
       and z = Y_B22 = x^2 / beta (0 when beta = 0) make y(gen) as large
-      as the PSD condition on Y_B allows, and at gamma > 0 z is raised
-      until y(gen) = 0.
+      as the PSD condition on Y_B allows.  The generator's first two
+      coefficients are g4 = (1 - n) / (2n^2) and g31 = (4n - 4) / (2n^2),
+      so g31 / g4 = -4 at every n, and x = 2 beta, z = 4 beta.  At
+      gamma > 0, y4 is raised until y(gen) = 0: by y(gen) / (-g4), that
+      is the pairing of y with the integer generator of
+      ``dualcone._gamma_gen_ints`` over n - 1, so every value is then
+      taken times n - 1.
     - Otherwise Y_B is 0 (B definite) or mu j j^T with j1 != 0, and
       mu j1^2 = lam beta fixes y up to scale: lam = 1, mu = 0 when beta
       = 0, else lam = j1^2, mu = beta.
@@ -562,33 +570,42 @@ def _supporting_functional(cert: SosCertificate) -> DualFunctional:
       a definite A has no supporting functional, and A = 0 takes the
       all-ones point evaluation (k = (1, 1), beta = 0, y(gen) = 0).
 
-    The candidate is unique up to these choices, so when it fails the
-    verification in ``sos_boundary`` the form has no supporting functional.
+    The six block entries are read as integers over their lcm D, and the
+    kernels as integer vectors over their scales s_k and s_j, each D or 1
+    (``_kernel_ints``).  Every value is quadratic in k, and in the
+    j-branch also quadratic in j, so S = s_k^2, or s_k^2 s_j^2 when the
+    j-branch sets lam, times n - 1 after the gamma step.  The candidate
+    is unique up to these choices, so when it fails the verification in
+    ``sos_boundary`` the form has no supporting functional.
     """
     A, B, numeric = cert.A, cert.B, cert.scope is not LIMIT
-    if numeric and not (A.m11 or A.m12 or A.m22):
-        return DualFunctional(_ONE, _ONE, _ONE, _ONE, _ONE)
-    k, j = _kernel(A), _kernel(B)
-    free = j is not None and j[0] == 0
+    entries = (A.m11, A.m12, A.m22, B.m11, B.m12, B.m22)
+    d = lcm(*(x.denominator for x in entries))
+    a11, a12, a22, b11, b12, b22 = (x.numerator * (d // x.denominator) for x in entries)
+    if numeric and not (a11 or a12 or a22):
+        return 1, (1, 1, 1, 1, 1)
+    k, j = _kernel_ints(a11, a12, a22, d), _kernel_ints(b11, b12, b22, d)
+    free = j is not None and j[1][0] == 0
     if free and not numeric:
-        return DualFunctional(_ONE, _ZERO, _ZERO, _ZERO, _ZERO)
+        return 1, (1, 0, 0, 0, 0)
     if k is None:
         raise AssertionError("internal error: boundary certificate has a definite alpha-block")
-    (k1, k2), lam, x, z = k, _ONE, _ZERO, _ZERO
+    s, (k1, k2) = k
+    scale, lam, x, z = s * s, 1, 0, 0
     beta = k1 * (k2 - k1)
     if free:
-        g4, g31 = gamma_gen_coeffs(cert.scope)[:2]
-        x = -g31 * beta / (2 * g4)
-        z = x * x / beta if beta else _ZERO
+        x, z = 2 * beta, 4 * beta
     elif j is not None and beta:
-        j1, j2 = j
+        s, (j1, j2) = j
+        scale *= s * s
         lam, x, z = j1 * j1, beta * j1 * j2, beta * j2 * j2
-    y = DualFunctional(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
+    ys = (z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
     if free and cert.gamma > 0:
-        gen = gamma_gen_coeffs(cert.scope)
-        y_gen = sum((g * v for g, v in zip(gen, y.as_tuple())), _ZERO)
-        y = DualFunctional(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
-    return y
+        n1 = cert.scope - 1
+        y_gen = sum(g * y for g, y in zip(_gamma_gen_ints(cert.scope)[1], ys))
+        ys = (ys[0] * n1 + y_gen, *(y * n1 for y in ys[1:]))
+        scale *= n1
+    return scale, ys
 
 
 def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
@@ -603,7 +620,11 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     the gamma = 0 signs decide that (``_strictly_feasible``); at a
     numeric n one sample per open gamma-cell does (``_has_interior_gamma``).
     A boundary form gets y from the face of its certificate
-    (``_supporting_functional``).  The zero form raises ValueError.
+    (``_supporting_functional``), as integers over one positive scale,
+    and the three checks read those integers (``dualcone._pair_ints``,
+    ``dualcone._dual_ints``): Fractions are made only for the five
+    returned values, once the checks hold.  The zero form raises
+    ValueError.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
@@ -623,10 +644,10 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
         if _has_interior_gamma(f):
             return "INTERIOR", None
         cert = verdict.certificate
-    y = _supporting_functional(cert)
-    if not any(y.as_tuple()) or pair(y, f) != 0 or not dual_membership(y, f.scope):
+    den, ys = _supporting_functional(cert)
+    if not any(ys) or _pair_ints(ys, f) != 0 or not _dual_ints(ys, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
-    return "BOUNDARY", y
+    return "BOUNDARY", DualFunctional(*(Fraction(y, den) for y in ys))
 
 
 # ---------------------------------------------------------------------------

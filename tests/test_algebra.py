@@ -1,19 +1,20 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 import sympy
 
 import symquartic.algebra as algebra
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symquartic.algebra import (
     AlgebraicField,
     SymMat2,
     UniPoly,
+    _simplest_between_ints,
     _zgcd,
     _zpoly,
     _zrem,
@@ -823,6 +824,32 @@ class TestSimplestRational:
         x = simplest_rational_between(s, hi)
         assert is_simplest(x, s, hi)
         assert simplest_rational_between(-hi, -s) == -x
+
+    @given(
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+        st.fractions(min_value=0, max_value=2, max_denominator=10**6),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(Fraction(-5, 2), Fraction(1, 6), 1, 1)
+    @example(Fraction(-1, 3), Fraction(2, 3), 1, 1)
+    @example(Fraction(1, 3), Fraction(0), 4, 6)
+    def test_wraps_the_integer_core(self, lo, width, k, m):
+        """The public function is ``_simplest_between_ints`` on a positive
+        interval and on the mirror image of a negative one, and 0 on one
+        that holds 0; the core takes ends out of lowest terms (times k and
+        m) and returns p / q in lowest terms."""
+        hi = lo + width
+        x = simplest_rational_between(lo, hi)
+        assert x == recursive_simplest(lo, hi)
+        if lo == hi or (lo <= 0 <= hi):
+            assert x == (lo if lo == hi else 0)
+            return
+        a, b = (lo, hi) if lo > 0 else (-hi, -lo)
+        p, q = _simplest_between_ints(a.numerator * k, a.denominator * k, b.numerator * m, b.denominator * m)
+        assert q > 0 and gcd(p, q) == 1
+        assert x == (Fraction(p, q) if lo > 0 else -Fraction(p, q))
 
     def test_integer_walk_matches_the_fraction_loop(self):
         """Seeded intervals of small and of 4096- to 16384-bit ends, with

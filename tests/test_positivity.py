@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from symquartic.algebra import (
     count_real_roots,
     disc_binary_quartic,
     isolate_real_roots,
+    simplest_rational_between,
     yun_decomposition,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
@@ -1131,6 +1133,86 @@ def _variance_branch_forms(draw):
     return _from_gamma_zero(b22, b12, a22, s, sigma - a22 - s)
 
 
+def former_limit_negative_point(f):
+    """``positivity._limit_negative_point`` as it was, in Fractions: the
+    entries divided by their scale, v from Fraction arithmetic, and t
+    tested and returned as a Fraction."""
+    zero, one, half = F(0), F(1), F(1, 2)
+    d, entries = _gamma_zero_entries(f)
+    if sum(entries[2:]) < 0:
+        return (zero, one), (zero, one)
+    b22, b12, a22, s, c0 = (F(e, d) for e in entries)
+    if a22 < 0:
+        return (half, half), (one, -one)
+    if b22 < 0:
+        _, c31, c22, c211, c1111 = f.coeffs
+        rest = abs(c31 + c22) + abs(c211) + abs(c1111)
+        alpha = b22 / (b22 - rest)
+        return (alpha, 1 - alpha), (one, zero)
+    v = former_negative_variance(b22, b12, a22, s, c0)
+    if v is None:
+        return None
+    t = former_variance_t(v, *entries)
+    alpha = t * t / (v + t * t)
+    return (alpha, 1 - alpha), (1 + v / t, 1 - t)
+
+
+def former_variance_t(v, b22, b12, a22, s, c0):
+    """``positivity._variance_t`` as it was: every candidate a Fraction."""
+    V, W = v.numerator, v.denominator
+    u = W + V
+    g = (a22 * u + s * W) * u + c0 * W * W
+
+    def negative(t):
+        p, q = t.numerator, t.denominator
+        m = W * p * q
+        B = 2 * m + V * q * q - W * p * p
+        return g * m * m + V * W * B * (b22 * B + 2 * b12 * m) < 0
+
+    if b22 == 0:
+
+        def power(j):
+            return F(1 << j) if b12 > 0 else F(1, 1 << j)
+
+        lo, hi = -1, 0
+        while not negative(power(hi)):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if negative(power(mid)) else (mid, hi)
+        return power(hi)
+    cn, cd = 2 * b22 + b12, b22
+    rn, rd = cn * cn * W + 4 * V * cd * cd, cd * cd * W
+    j = 1
+    while True:
+        base = (cn << j) // cd + isqrt((rn << 2 * j) // rd)
+        lo, hi = F(base, 2 << j), F(base + 2, 2 << j)
+        if lo > 0 and negative(lo) and negative(hi):
+            return simplest_rational_between(lo, hi)
+        j *= 2
+
+
+def former_negative_variance(b22, b12, a22, s, c0):
+    """``positivity._negative_variance`` as it was, on Fraction entries."""
+    if b22 == 0 and b12 != 0:
+        return F(1)
+    k = b12 * b12 / b22 if b22 else F(0)
+    if a22 > 0:
+        w = (k - s) / (2 * a22)
+        if w > 1 and (a22 * w + s - k) * w + c0 + k < 0:
+            return w - 1
+        return None
+    return (c0 + k) / (k - s) if s < k else None
+
+
+#: Forms 10^-4000 outside the limit cone, with the branch each takes.
+_HOSTILE_LIMIT_FORMS = [
+    ((EXAMPLE_6_10[0] - F(1, 10**4000),) + EXAMPLE_6_10[1:], "vertex"),
+    ((0, F(1, 10**4000), 1, 0, 0), "linear"),
+    ((0, F(-1, 10**4000), 1, 0, 0), "linear"),
+]
+
+
 class TestLimitWitness:
     """The OUT witness of ``is_nonneg_limit``, read off the gamma = 0
     entries (``_limit_negative_point``)."""
@@ -1170,8 +1252,7 @@ class TestLimitWitness:
         ]
         assert len(inside) > 50
         for f in inside:
-            d, entries = _gamma_zero_entries(f)
-            assert _negative_variance(*(F(e, d) for e in entries)) is None, f.coeffs
+            assert _negative_variance(*_gamma_zero_entries(f)[1]) is None, f.coeffs
         monkeypatch.setattr(positivity, "_feasible", lambda signs: False)
         with pytest.raises(AssertionError, match="degree-4 limit theorem"):
             is_nonneg_limit(SymFormP(4, EXAMPLE_6_10, LIMIT))
@@ -1225,13 +1306,7 @@ class TestLimitWitness:
         assert witness_value(f, verdict) < 0
 
     @pytest.mark.parametrize(
-        "coeffs, branch",
-        [
-            ((EXAMPLE_6_10[0] - F(1, 10**4000),) + EXAMPLE_6_10[1:], "vertex"),
-            ((0, F(1, 10**4000), 1, 0, 0), "linear"),
-            ((0, F(-1, 10**4000), 1, 0, 0), "linear"),
-        ],
-        ids=["example-6.10-lowered", "linear-up", "linear-down"],
+        "coeffs, branch", _HOSTILE_LIMIT_FORMS, ids=["example-6.10-lowered", "linear-up", "linear-down"]
     )
     def test_hostile_witness_bounded_time(self, coeffs, branch):
         """Forms 10^-4000 outside the limit cone.  Example 6.10 with p_4
@@ -1247,3 +1322,44 @@ class TestLimitWitness:
         assert _witness_branch(f.coeffs) == branch
         assert witness_value(f, verdict) < 0
         assert elapsed < 0.5, elapsed
+
+
+class TestIntegerLimitWitness:
+    """``_limit_negative_point`` reads the integer gamma = 0 entries in
+    every branch and makes Fractions only for the witness, which is the
+    former Fraction build's (``former_limit_negative_point``)."""
+
+    def test_seeded_sample(self):
+        outs = 0
+        for coeffs in _limit_witness_sample():
+            f = SymFormP(4, coeffs, LIMIT)
+            verdict = is_nonneg_limit(f)
+            if verdict.status == "OUT":
+                outs += 1
+                assert verdict.witness == former_limit_negative_point(f), coeffs
+            else:
+                assert former_limit_negative_point(f) is None
+        assert outs > 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(_variance_branch_forms())
+    def test_variance_branches(self, coeffs):
+        f = SymFormP(4, coeffs, LIMIT)
+        assert is_nonneg_limit(f).witness == former_limit_negative_point(f)
+
+    @pytest.mark.parametrize(
+        "coeffs, branch", _HOSTILE_LIMIT_FORMS, ids=["example-6.10-lowered", "linear-up", "linear-down"]
+    )
+    def test_hostile_forms(self, coeffs, branch):
+        f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
+        assert is_nonneg_limit(f).witness == former_limit_negative_point(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5), st.integers(1, 10**6))
+    def test_negative_variance_is_scale_free(self, entries, scale):
+        """v is the former Fraction v of the entries over any positive
+        scale, wherever b22, a22 >= 0."""
+        entries[0], entries[2] = abs(entries[0]), abs(entries[2])
+        want = former_negative_variance(*(F(e, scale) for e in entries))
+        assert _negative_variance(*entries) == want
+        assert _negative_variance(*(e * scale for e in entries)) == want

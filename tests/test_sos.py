@@ -1,9 +1,12 @@
+import importlib.util
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import sympy
 
 import symquartic.algebra as algebra
+import symquartic.dualcone as dualcone
 import symquartic.positivity as positivity
 import symquartic.sos as sos
 from symquartic.algebra import (
@@ -832,10 +836,13 @@ def face_case(cert):
     A, B = cert.A, cert.B
     if not (A.m11 or A.m12 or A.m22):
         return "A = 0"
-    j = sos._kernel(B)
-    if j is not None and j[0] == 0:
+    entries = (A.m11, A.m12, A.m22, B.m11, B.m12, B.m22)
+    d = lcm(*(x.denominator for x in entries))
+    a11, a12, a22, b11, b12, b22 = (int(x * d) for x in entries)
+    j = sos._kernel_ints(b11, b12, b22, d)
+    if j is not None and j[1][0] == 0:
         return "B e_2 = 0, gamma > 0" if cert.gamma else "B e_2 = 0, gamma = 0"
-    k1, k2 = sos._kernel(A)
+    _, (k1, k2) = sos._kernel_ints(a11, a12, a22, d)
     return "rank-1 B, beta > 0" if k1 * (k2 - k1) else "beta = 0"
 
 
@@ -931,6 +938,144 @@ def test_finite_perturbation_gate():
                     sos_membership(f - p.scale(Fraction(1, 2**k))).status == "IN" for k in (4, 10, 20, 40)
                 ), (f, p)
     assert min(statuses.values()) > 0
+
+
+def former_kernel(m):
+    """``sos._kernel`` as it was: a Fraction kernel vector of a singular
+    PSD block (e_2 for the zero block), None when the block is definite."""
+    if m.det():
+        return None
+    if m.m12:
+        return -m.m12, m.m11
+    return (Fraction(0), Fraction(1)) if m.m22 == 0 else (Fraction(1), Fraction(0))
+
+
+def former_supporting_functional(cert):
+    """``sos._supporting_functional`` as it was, in Fractions: the free
+    branch reads x = -g31 beta / (2 g4) and z = x^2 / beta off
+    ``gamma_gen_coeffs``, and the gamma > 0 step lowers y4 by
+    y(gen) / g4."""
+    zero, one = Fraction(0), Fraction(1)
+    A, B, numeric = cert.A, cert.B, cert.scope is not LIMIT
+    if numeric and not (A.m11 or A.m12 or A.m22):
+        return DualFunctional(one, one, one, one, one)
+    k, j = former_kernel(A), former_kernel(B)
+    free = j is not None and j[0] == 0
+    if free and not numeric:
+        return DualFunctional(one, zero, zero, zero, zero)
+    (k1, k2), lam, x, z = k, one, zero, zero
+    beta = k1 * (k2 - k1)
+    if free:
+        g4, g31 = gamma_gen_coeffs(cert.scope)[:2]
+        x = -g31 * beta / (2 * g4)
+        z = x * x / beta if beta else zero
+    elif j is not None and beta:
+        j1, j2 = j
+        lam, x, z = j1 * j1, beta * j1 * j2, beta * j2 * j2
+    y = DualFunctional(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
+    if free and cert.gamma > 0:
+        gen = gamma_gen_coeffs(cert.scope)
+        y_gen = sum((g * v for g, v in zip(gen, y.as_tuple())), zero)
+        y = DualFunctional(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
+    return y
+
+
+def _bench_workloads():
+    """The benchmark's workload generators (``bench/workloads.py``), which
+    import nothing from the library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def limit_boundary_sample():
+    """LIMIT forms whose status is BOUNDARY or nearly so: the pinned core
+    of the benchmark's limit_sweep pass, seeded boundary-family members,
+    and gamma = 0 block expansions with a zero or rank-one block."""
+    workloads = _bench_workloads()
+    forms = [SymFormP(4, item.coeffs, LIMIT) for item in workloads.limit_sweep(0)[: workloads.LIMIT_CORE]]
+    rng = random.Random(30)
+    for _ in range(60):
+        a, b, c, d = (Fraction(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1)) for _ in range(4))
+        forms.append(boundary_family_form(BoundaryParams(a, b, c, d)))
+    kinds = ("zero", "rank1", "definite")
+    for _ in range(200):
+        kind_a, kind_b = rng.choice(kinds), rng.choice(kinds)
+        if "definite" == kind_a == kind_b:
+            continue
+        cert = SosCertificate(_block(rng, kind_a), _block(rng, kind_b), Fraction(0), LIMIT)
+        forms.append(expand_certificate(cert))
+    return [f for f in forms if not f.is_zero()]
+
+
+class TestIntegerSupportingFunctional:
+    """``sos._supporting_functional`` builds y on integers over one scale,
+    and ``sos_boundary`` checks it on those integers."""
+
+    @pytest.mark.parametrize("sample", ["numeric", "limit"])
+    def test_equals_the_fraction_build(self, sample):
+        """On the numeric block-expansion sample (all five face cases) and
+        on the LIMIT boundary sample, y is the former Fraction build, value
+        for value, and so is the functional ``sos_boundary`` returns."""
+        forms = boundary_sample() if sample == "numeric" else limit_boundary_sample()
+        seen = set()
+        for f in forms:
+            status, y = sos_boundary(f)
+            if status != "BOUNDARY":
+                continue
+            if f.scope is LIMIT:
+                cert = sos_membership_limit(f).certificate
+            else:
+                cert = sos_membership(f).certificate
+                seen.add(face_case(cert))
+            den, ys = sos._supporting_functional(cert)
+            assert den > 0
+            want = former_supporting_functional(cert)
+            assert tuple(Fraction(v, den) for v in ys) == want.as_tuple() == y.as_tuple(), f
+        if sample == "numeric":
+            assert len(seen) == 5
+        else:
+            assert len(forms) > 200
+
+    def test_gamma_step_at_many_n(self):
+        """The free branch with gamma > 0 scales every value by n - 1; at
+        n = 4..40 and n = 10^40 it is the former Fraction build."""
+        rng = random.Random(31)
+        checked = 0
+        for n in (*range(4, 41), 10**40):
+            for _ in range(4):
+                A = _block(rng, "rank1")
+                B = SymMat2(Fraction(rng.randint(0, 3)), Fraction(0), Fraction(0))
+                cert = SosCertificate(A, B, Fraction(rng.randint(1, 9), rng.randint(1, 5)), n)
+                f = expand_certificate(cert)
+                status, y = sos_boundary(f)
+                if status == "BOUNDARY":
+                    held = sos_membership(f).certificate
+                    assert y == former_supporting_functional(held)
+                    checked += held.gamma > 0 and face_case(held) == "B e_2 = 0, gamma > 0"
+        assert checked > 20
+
+    def test_no_fraction_checks(self, monkeypatch):
+        """``sos_boundary`` calls neither ``pair`` nor ``dual_membership``:
+        its three checks read the integers of ``_supporting_functional``."""
+        calls = []
+        for module in (dualcone, sos):
+            for name in ("pair", "dual_membership"):
+                real = getattr(module, name)
+
+                def counted(*args, _name=name, _real=real):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        boundary = 0
+        for f in boundary_sample()[:200] + limit_boundary_sample():
+            boundary += sos_boundary(f)[0] == "BOUNDARY"
+        assert boundary > 50
+        assert calls == []
 
 
 def former_weighted_point_functional(weights, point):
