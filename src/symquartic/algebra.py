@@ -15,8 +15,8 @@ Provides the building blocks used by every other module:
   integer Taylor shifts: it isolates and counts roots and finds the
   negative points of binary quartics.  ``Fraction`` is
   built only where a ``UniPoly`` is handed out.
-* ``cells`` / ``Cells`` -- the cell engine shared by every one-parameter
-  decision: the real roots of finitely many rational polynomials cut an
+* ``cells`` / ``Cells`` -- the cell engine of the alpha-cells of
+  ``positivity``: the real roots of finitely many rational polynomials cut an
   interval into open cells, each sampled at ``simplest_in_middle`` of its
   gap, and each root (breakpoint) has an isolating interval on their
   squarefree product.
@@ -581,11 +581,10 @@ def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
     answer can change.  The answer on [lo, hi] is then decided by testing
     ``lo``, ``hi``, one sample per open cell and each breakpoint.  A point
     breakpoint is its own rational root; the caller reads the root of any
-    other off its interval (``sos`` reads the one it needs off a gcd
-    instead).  Each sample is ``simplest_in_middle`` of its gap (``Cells``),
-    ``lo`` when ``lo == hi``.  Refining neighbours strictly apart gives each
-    gap room for a sample of small height, where a shared end would be a
-    dyadic as deep as the bisection.
+    other off its interval.  Each sample is ``simplest_in_middle`` of its
+    gap (``Cells``), ``lo`` when ``lo == hi``.  Refining neighbours strictly
+    apart gives each gap room for a sample of small height, where a shared
+    end would be a dyadic as deep as the bisection.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -846,8 +845,8 @@ class AlgebraicField:
     m need not be irreducible, so a cell product and a breakpoint's
     isolating interval (``Cells``) serve as they are.  The interval is
     refined in place as sign queries need it.  No decision calls it: the
-    one feasible gamma of an SOS decision at a single breakpoint is the
-    one root of a gcd, so rational (``sos``).  It stays because
+    one feasible gamma of an SOS decision at a single point is a double
+    root of a cubic, so rational (``sos``).  It stays because
     ``bench/tracer.py`` traces ``sign_of_poly`` and the tests use it as a
     reference for signs at irrational roots.
     """

@@ -80,26 +80,18 @@ def point_eval_functional(v) -> DualFunctional:
     return DualFunctional(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
 
 
-def weighted_point_functional(weights, point) -> DualFunctional:
-    """The functional f -> Phi_f(w, x, y) of a nonnegativity witness
-    ((w1, w2), (x, y)): y_lambda = p_lambda with p_i = w1 x^i + w2 y^i.
+def _weighted_point_ints(weights, point) -> tuple[int, tuple[int, ...]]:
+    """(den, ys): the functional f -> Phi_f(w, x, y) of a nonnegativity
+    witness ((w1, w2), (x, y)), y_lambda = p_lambda with
+    p_i = w1 x^i + w2 y^i, as the integers ys over one positive den, in
+    canonical order.
 
     For w1 = k/n, w2 = 1 - w1 this is the evaluation at the point with k
     coordinates x and n - k coordinates y, so it lies in the dual cone at
-    size n.  Its values are the integers of ``_weighted_point_ints`` over
-    their one denominator."""
-    den, ys = _weighted_point_ints(weights, point)
-    return DualFunctional(*(Fraction(y, den) for y in ys))
-
-
-def _weighted_point_ints(weights, point) -> tuple[int, tuple[int, ...]]:
-    """(den, ys): the values of ``weighted_point_functional`` as the
-    integers ys over one positive den, in canonical order.
-
-    With w1 = R/N, w2 = T/N over the lcm N of the weights' denominators
-    and x = A/D, y = C/D over that of the point's, p_i = P_i / (N D^i) for
-    P_i = R A^i + T C^i, so y_lambda has the denominator N^len(lambda) D^4
-    and den = N^4 D^4."""
+    size n.  With w1 = R/N, w2 = T/N over the lcm N of the weights'
+    denominators and x = A/D, y = C/D over that of the point's,
+    p_i = P_i / (N D^i) for P_i = R A^i + T C^i, so y_lambda has the
+    denominator N^len(lambda) D^4 and den = N^4 D^4."""
     (r, s), (t, u), (a, b), (c, d) = (
         (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
     )

@@ -52,43 +52,36 @@ q = 0 and u b22 = b12^2 share their point at infinity).
 keeps on the form object, if any: a nonnegativity OUT is an SOS OUT, as
 every sum of squares is nonnegative.  It never asks ``is_nonneg`` itself,
 which at huge n costs far more than the steps below.  Otherwise it looks
-for the feasible interval in three steps:
+for the feasible interval F in two steps, with no root isolated:
 
-1. the two ends: a feasible end decides IN with no cell built.  When the
-   gamma = 0 signs kept on the form are feasible, b22 >= 0 makes lo = 0
-   and a22 >= 0 makes hi >= 0, so lo is a feasible end, and its
-   certificate is returned before the range is built;
-2. with both ends infeasible the interval lies inside (lo, hi), where
-   feasibility is constant on the open cells of the shared cell engine
-   (``algebra.cells``) cut at the roots of D, V and H, a product of
-   degree <= 5.  The sample of each open cell is tested on all ten
-   signs, left to right, and no breakpoint is: an interval of positive
-   length holds a whole open cell, and a single gamma* is found in
-   step 3.  The left end of the interval is a root of D, V or H, so the
-   first cell, (lo, first root), is never feasible and is skipped;
-3. these miss the interval only when it is one gamma*, a breakpoint.
-   gamma* is then a root of even multiplicity of H (below).  As
-   deg H <= 3, H has no other multiple root, so g = gcd(H, H') is
-   c (gamma - gamma*)^k with k in {1, 2}, and gamma* = -g_(k-1) / (k g_k)
-   is rational.  It is tested when lo < gamma* < hi; otherwise, or when
-   g is constant, f is OUT.
-
-Why a single feasible gamma* in (lo, hi) is a multiple root of H:
-
-- If q(gamma*, h) < 0, the feasible u at gamma* lie above h, so D > 0
-  near gamma*, and there gamma is feasible iff V >= 0: a polynomial of
-  degree <= 1 that is >= 0 at gamma* is so on an interval of positive
-  length, which contradicts a single gamma*.
-- Otherwise H(gamma*) >= 0 and, by the lemma, H < 0 on both sides near
-  gamma*, so H is 0 at gamma* with even multiplicity.  H is not 0
-  identically, which would make all of (lo, hi) feasible.
+1. the two ends: a feasible end decides IN.  When the gamma = 0 signs
+   kept on the form are feasible, b22 >= 0 makes lo = 0 and a22 >= 0
+   makes hi >= 0, so lo is a feasible end, and its certificate is
+   returned before the range is built.  A range lo = hi is one test;
+2. with both ends infeasible, ``_open_gamma`` finds a gamma in F in
+   closed form from the integer coefficients of D, V and H
+   (``_gamma_terms``), or shows F empty and f OUT.  F is closed (u is
+   bounded where q >= 0), so it lies strictly inside (lo, hi), and by the
+   lemma F = J u {H >= 0} there, J = {D >= 0, V >= 0} a closed interval
+   with rational ends.  If J has interior, its simplest rational is in F.
+   Else, if F has interior, H > 0 somewhere in (lo, hi) (H = 0
+   identically would make all of (lo, hi) feasible), but not at an end,
+   whose neighbours would then be feasible; so H > 0 at its local maximum
+   r = (-h2 - sqrt(d)) / (3 h3), d = h2^2 - 3 h1 h3 > 0 (-h1 / (2 h2)
+   when h3 = 0 > h2), where the sign of H is that of an integer
+   P + Q sqrt(d), and at the rationals near r.  Else F is one gamma*.
+   If H(gamma*) < 0, the feasible u at gamma* lie above h, so D > 0 near
+   gamma*, and J, which is {V >= 0} there, has interior; so
+   H(gamma*) = 0 > H near gamma*, gamma* is r, and as a double root of H
+   it is rational: its conjugate would be another, and deg H <= 3.
 
 The boundary status (``sos_boundary``) is decided at every scope by one
 routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
 exactly when some gamma > 0 (gamma = 0 at LIMIT) admits a u that makes
 both blocks definite (``_strictly_feasible``): at LIMIT the gamma = 0
-signs say so, at a numeric n one sample per open gamma-cell does.  A
-boundary form is supported by a functional y read off the face of its
+signs say so, at a numeric n step 2 with > in place of >= does
+(``_has_interior_gamma``), where an end may be feasible.  A boundary
+form is supported by a functional y read off the face of its
 certificate (facial reduction: Y_A A = 0, Y_B B = 0, gamma y(gen) = 0),
 checked exactly (y != 0, y(f) = 0, y in the dual cone).
 
@@ -122,16 +115,12 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .algebra import (
-    Cells,
     SymMat2,
-    UniPoly,
-    _zderiv,
-    _zgcd,
-    _zpoly,
+    _simplest_between_ints,
+    _zsign,
     binary_quartic_negative_point,
-    cells,
     psd2,
-    simplest_rational_between,
+    simplest_in_middle,
 )
 from .dualcone import (
     DualFunctional,
@@ -140,14 +129,11 @@ from .dualcone import (
     _pair_ints,
     _psd_ints,
     _weighted_point_ints,
-    dual_membership,
     gamma_gen_coeffs,
-    pair,
 )
 from .symfunc import LIMIT, SymFormP, per_form
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -433,17 +419,74 @@ def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
 
 
 @per_form
-def _gamma_cells(f: SymFormP) -> tuple[UniPoly, Cells]:
-    """H and the cells that the roots of D, V and H cut the open admissible
-    gamma range into (the reduction lemma), once per form object
-    (``symfunc.per_form``): the scan of ``sos_membership`` and
-    ``_has_interior_gamma`` both read the cells.  D, V and H are
-    ``_reduction_terms`` on the linear forms of ``_block_polys``, as
-    integer polynomials in gamma (S^d times the rational ones at degree d
-    in the entries), built without the other seven conditions."""
+def _gamma_terms(f: SymFormP) -> tuple[tuple[int, ...], ...]:
+    """D, V and 6 H of the reduction lemma as integer polynomials in gamma,
+    constant term first, once per form object (``symfunc.per_form``):
+    ``_reduction_terms`` on the linear forms of ``_block_polys`` at gamma =
+    0, 1, 2, 3, by finite differences (deg D, V <= 1 and deg H <= 3)."""
+    forms = _block_polys(f)[1]
+    (d0, v0, h0), (d1, v1, h1), (_, _, h2), (_, _, h3) = (
+        _reduction_terms(*(c + g * t for c, g in forms))[2:] for t in range(4)
+    )
+    e1, e2, e3 = h1 - h0, h2 - 2 * h1 + h0, h3 - 3 * h2 + 3 * h1 - h0
+    return (d0, d1 - d0), (v0, v1 - v0), (6 * h0, 6 * e1 - 3 * e2 + 2 * e3, 3 * e2 - 3 * e3, e3)
+
+
+def _sqrt_sign(x: int, y: int, d: int) -> int:
+    """The sign of x + y sqrt(d), d >= 0, read in integers."""
+    sx, sy, t = (x > 0) - (x < 0), (y > 0) - (y < 0), x * x - y * y * d
+    return (sx or sy) if sx * sy >= 0 else sx * ((t > 0) - (t < 0))
+
+
+def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
+    """A rational gamma in (lo, hi) where (D >= 0 and V >= 0) or H >= 0, or
+    > for >= when ``strict``, else None (module docstring, step 2; both
+    ends infeasible unless ``strict``).  Candidates, in order: the simplest
+    rational of {D >= 0, V >= 0} (of its middle half when ``strict``); the
+    simplest between ends 2^-j apart, j = 1, 2, 4, ..., of the local
+    maximum r = (x + y sqrt(d)) / z of H; lo + (hi - lo) 2^-j, or the
+    mirror at hi, where H > 0 at that end; r where H(r) = 0."""
     lo, hi = _gamma_range(f)
-    D, V, H = _reduction_terms(*(UniPoly(form) for form in _block_polys(f)[1]))[2:]
-    return H, cells([p for p in (D, V, H) if p.degree > 0], lo, hi)
+    D, V, H = _gamma_terms(f)
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    for c0, c1 in (D, V):  # {D >= 0, V >= 0} in [lo, hi] is [an / ad, bn / bd]
+        if c1 > 0 and -c0 * ad > an * c1:
+            an, ad = -c0, c1
+        elif c1 < 0 and c0 * bd < -bn * c1:
+            bn, bd = c0, -c1
+        elif not c1 and (c0 < 0 or strict and c0 == 0):
+            bn, bd = an, ad
+    if an * bd < bn * ad:
+        if strict:
+            return simplest_in_middle(Fraction(an, ad), Fraction(bn, bd))
+        return Fraction(*_simplest_between_ints(an, ad, bn, bd))
+
+    h0, h1, h2, h3 = H
+    x, y, z, d = (-h2, -1, 3 * h3, h2 * h2 - 3 * h1 * h3) if h3 else (-h1, 0, 2 * h2, 0)
+    sz, az = (1 if z > 0 else -1), abs(z)
+    top = None  # the sign of H at r when r is a local maximum in (lo, hi)
+    if (d > 0 if h3 else h2 < 0) and all(
+        sz * _sqrt_sign(x * e.denominator - z * e.numerator, y * e.denominator, d) == side
+        for e, side in ((lo, 1), (hi, -1))
+    ):
+        P = Q = 0  # z^3 H(r) = P + Q sqrt(d), by the homogeneous Horner sum
+        for k, c in enumerate(reversed(H)):
+            P, Q = P * x + Q * y * d + c * z**k, P * y + Q * x
+        top = sz * _sqrt_sign(P, Q, d)
+    j = 1
+    while top == 1:
+        k = isqrt((d << 2 * j) // (z * z))  # k |z| / 2^j <= sqrt(d) < (k + 1) |z| / 2^j
+        e0, e1 = sorted(sz * ((x << j) + y * i * az) for i in (k, k + 1))  # r's ends, over |z| 2^j
+        gamma = Fraction(*_simplest_between_ints(e0, az << j, e1, az << j)) if e0 > 0 else lo
+        if lo < gamma < hi and _zsign(H, gamma) > 0:
+            return gamma
+        j *= 2
+    for end, other in ((lo, hi), (hi, lo)):
+        if _zsign(H, end) > 0:
+            while _zsign(H, end + (other - end) / (1 << j)) <= 0:
+                j *= 2
+            return end + (other - end) / (1 << j)
+    return Fraction(x + y * isqrt(d), z) if top == 0 and not strict else None
 
 
 def sos_membership(f: SymFormP) -> SosVerdict:
@@ -469,37 +512,17 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         return SosVerdict("OUT")
     lo, hi = gamma_range
 
+    # a feasible end decides IN (step 1); gamma = 0 is known infeasible here
     blocks = _block_polys(f)
-    # the feasible gammas form one closed interval in [lo, hi], so a
-    # feasible end decides IN on its own, before any cell is built
-    for gamma in (lo, hi):
-        cert = _certificate_at(f, blocks, gamma)
+    for gamma in (lo, hi) if lo < hi else (lo,):
+        cert = _certificate_at(f, blocks, gamma) if gamma else None
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
-
-    # both ends infeasible: the interval, if any, lies in (lo, hi)
-    H, gamma_cells = _gamma_cells(f)
-    # lo is infeasible, so the closed feasible interval starts at a root of
-    # D, V or H and the first cell, (lo, first root), is never feasible
-    for gamma in gamma_cells.samples[1:]:
-        cert = _certificate_at(f, blocks, gamma)
-        if cert is not None:
-            return SosVerdict("IN", certificate=cert)
-
-    # remaining possibility: one feasible gamma*, a multiple root of H
-    # (module docstring), so the one root of g = gcd(H, H') = c (gamma - gamma*)^k
-    z = _zpoly(H.coeffs)
-    g = _zgcd(z, _zderiv(z)) if len(z) > 2 else [1]
-    k = len(g) - 1
-    if k:
-        if k > 2 or (k == 2 and g[1] * g[1] != 4 * g[0] * g[2]):
-            raise AssertionError("internal error: gcd(H, H') is not a power of one linear factor")
-        gamma = Fraction(-g[k - 1], k * g[k])
-        if lo < gamma < hi:
-            cert = _certificate_at(f, blocks, gamma)
-            if cert is not None:
-                return SosVerdict("IN", certificate=cert)
-    return SosVerdict("OUT")
+    # both ends infeasible: step 2, whose gamma ``_certificate`` checks
+    gamma = _open_gamma(f, False) if lo < hi else None
+    if gamma is None:
+        return SosVerdict("OUT")
+    return SosVerdict("IN", certificate=_certificate(f, blocks, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -509,21 +532,10 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 
 def _has_interior_gamma(f: SymFormP) -> bool:
     """Some gamma in (lo, hi), the interior of the admissible range of an
-    SOS form, admits a u that makes both blocks definite.
-
-    Those gammas form an open interval (the projection of an open convex
-    set), and ``_strictly_feasible`` is constant on the open cells cut at
-    the roots of D, V and H (the reduction lemma), so one sample per open
-    cell decides it.
-    Every sample is > lo >= 0."""
+    SOS form, admits a u that makes both blocks definite: by the reduction
+    lemma, (D > 0 and V > 0) or H > 0 there (``_open_gamma``, strict)."""
     lo, hi = _gamma_range(f)
-    if lo == hi:
-        return False
-    blocks = _block_polys(f)
-    return any(
-        _strictly_feasible(_signs_at(blocks, gamma))
-        for gamma in _gamma_cells(f)[1].samples
-    )
+    return lo < hi and _open_gamma(f, True) is not None
 
 
 def _kernel_ints(m11: int, m12: int, m22: int, d: int) -> tuple[int, tuple[int, int]] | None:
@@ -618,13 +630,13 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     (A, B, gamma) -> f (gamma = 0 at LIMIT), which is onto R^5, so its
     interior is the image of definite blocks with gamma > 0.  At LIMIT
     the gamma = 0 signs decide that (``_strictly_feasible``); at a
-    numeric n one sample per open gamma-cell does (``_has_interior_gamma``).
-    A boundary form gets y from the face of its certificate
-    (``_supporting_functional``), as integers over one positive scale,
-    and the three checks read those integers (``dualcone._pair_ints``,
-    ``dualcone._dual_ints``): Fractions are made only for the five
-    returned values, once the checks hold.  The zero form raises
-    ValueError.
+    numeric n the gamma-scan of ``sos_membership`` with > for >= does
+    (``_has_interior_gamma``).  A boundary form gets y from the face of its
+    certificate (``_supporting_functional``), as integers over one
+    positive scale, and the three checks read those integers
+    (``dualcone._pair_ints``, ``dualcone._dual_ints``): Fractions are made
+    only for the five returned values, once the checks hold.  The zero
+    form raises ValueError.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
@@ -664,11 +676,12 @@ def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
     return a22 + s + c0, 4 * (b22 + b12) + 2 * a22 + s, 4 * b22 + 2 * b12, b22, a22
 
 
-def _sqrt_ends(num: int, den: int, j: int) -> tuple[Fraction, Fraction]:
-    """Dyadic ends k / 2^j <= sqrt(num / den) < (k + 1) / 2^j, by an integer
-    square root."""
-    k = isqrt((num << 2 * j) // den)
-    return Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
+def _separator(den: int, ys: tuple[int, ...], f: SymFormP) -> DualFunctional:
+    """The functional ys / den, den > 0, once ``dualcone._pair_ints`` < 0
+    and ``dualcone._dual_ints`` hold on the integers; else AssertionError."""
+    if not (_pair_ints(ys, f) < 0 and _dual_ints(ys, f.scope)):
+        raise AssertionError("internal error: separator failed verification")
+    return DualFunctional(*(Fraction(y, den) for y in ys))
 
 
 def _w_separator(f: SymFormP) -> DualFunctional | None:
@@ -686,32 +699,29 @@ def _w_separator(f: SymFormP) -> DualFunctional | None:
     multiple of 1/u.  (E) is decided on (n-1) E(rho), an integer quartic,
     whose negative point rho gives the real point (rho sqrt(n-1), w_max):
     u runs through the simplest rationals between dyadic ends of
-    rho sqrt(n-1), and w through those between dyadic ends below w_max.
-    With C0 < 0 the negative point is (1, 0), at infinity, and u = j grows
-    at w = 1 < w_max.  A zero u or w is replaced by 2^-j.  The ends are
-    2^-j apart for j = 1, 2, 4, ..., and the first (u, w) that passes
-    exactly is returned.
+    rho sqrt(n-1), and w through those between dyadic ends below w_max;
+    at the negative point (1, 0) at infinity (C0 < 0), u = j at w = 1.  A
+    zero u or w is replaced by 2^-j, the ends are 2^-j apart for
+    j = 1, 2, 4, ..., and the first (u, w) that passes is returned.  They
+    are integer pairs u = un / ud, w = wn / wd, tested on integers, and the
+    functional is (Z^2 + T^2 wd^2, (ud Z + T un wd) un wd, T^2 wd^2,
+    T un^2 wd^2, un^4 wd^2) / (un^4 wd^2), Z = (2 un wd + ud wn) ud and
+    T = un^2 + ud^2 (``_separator``).
     """
     n = f.scope
     C0, K, B, b22, a22 = _chart_quartic(f)
     top, bottom = (n - 2) ** 2, n - 1  # w_max^2 = top / bottom
     M = 4 * b22 * K - B * B
-    if b22 > 0 and (
-        a22 < 0
-        or (
-            C0 > 0
-            and M < 0
-            and M * M > 64 * b22 * b22 * C0 * a22
-            and -M * B * B * bottom < 32 * b22**3 * C0 * top
-        )
-    ):
-        T = (0, 1) if a22 < 0 else (-M, 8 * b22 * C0)
+    vertex = C0 > 0 and M < 0 and M * M > 64 * b22 * b22 * C0 * a22  # G(T*) < 0
+    if b22 > 0 and (a22 < 0 or (vertex and -M * B * B * bottom < 32 * b22**3 * C0 * top)):
+        tn, td = (0, 1) if a22 < 0 else (-M, 8 * b22 * C0)
         # w = -B u / (2 b22) on the vertex line, with u's sign making w >= 0
-        slope, sign = Fraction(abs(B), 2 * b22), -1 if B > 0 else 1
+        sign = -1 if B > 0 else 1
 
-        def point(j: int, step: Fraction) -> tuple[Fraction, Fraction]:
-            u = simplest_rational_between(*_sqrt_ends(*T, j)) or step
-            return sign * u, slope * u or step
+        def point(j: int) -> tuple[tuple[int, int], tuple[int, int]]:
+            k = isqrt((tn << 2 * j) // td)  # k / 2^j <= sqrt(T) < (k + 1) / 2^j
+            p, q = _simplest_between_ints(k, 1 << j, k + 1, 1 << j) if k else (1, 1 << j)
+            return (sign * p, q), ((abs(B) * p, 2 * b22 * q) if B else (1, 1 << j))
 
     else:
         edge = binary_quartic_negative_point(
@@ -720,24 +730,32 @@ def _w_separator(f: SymFormP) -> DualFunctional | None:
         if edge is None:
             return None
         rho, y = edge
+        rn, rd = abs(rho.numerator), rho.denominator
 
-        def point(j: int, step: Fraction) -> tuple[Fraction, Fraction]:
+        def point(j: int) -> tuple[tuple[int, int], tuple[int, int]]:
             if not y:
-                return Fraction(j), _ONE
-            lo, hi = _sqrt_ends(bottom, 1, j)  # around sqrt(n-1)
-            w = _sqrt_ends(top, bottom, j)[0]
-            u = simplest_rational_between(*sorted((rho * lo, rho * hi))) or step
-            return u, simplest_rational_between(w - 2 * step, w - step)
+                return (j, 1), (1, 1)
+            k = isqrt(bottom << 2 * j)  # k / 2^j <= sqrt(n-1) < (k + 1) / 2^j
+            kw = isqrt((top << 2 * j) // bottom)  # kw / 2^j <= w_max
+            p, q = _simplest_between_ints(rn * k, rd << j, rn * (k + 1), rd << j) if rn else (1, 1 << j)
+            # w in [(kw - 2) / 2^j, (kw - 1) / 2^j], 0 when that is not > 0
+            w = _simplest_between_ints(kw - 2, 1 << j, kw - 1, 1 << j) if kw > 2 else (0, 1)
+            return (-p if rho < 0 else p, q), w
 
     j = 1
     while True:
-        u, w = point(j, Fraction(1, 1 << j))
-        inside = u and 0 < w and w * w * bottom < top
-        if inside and ((C0 * u * u + K) * u + B * w) * u + b22 * w * w + a22 < 0:
-            s = 1 / u
-            z, t = 2 * s + s * s * w, 1 + s * s
-            return DualFunctional(z * z + t * t, s * z + t, t * t, t, _ONE)
+        (un, ud), (wn, wd) = point(j)
+        u2, d2, w2 = un * un, ud * ud, wd * wd
+        # 0 < w, w^2 (n-1) < (n-2)^2 and ud^4 wd^2 P(u, w) < 0
+        if 0 < wn and wn * wn * bottom < top * w2 and (
+            ((C0 * u2 + K * d2) * u2 + a22 * d2 * d2) * w2 + (B * un * ud * wd + b22 * wn * d2) * wn * d2 < 0
+        ):
+            break
         j *= 2
+    Z, T = (2 * un * wd + ud * wn) * ud, u2 + d2
+    tw = T * w2
+    ys = (Z * Z + T * tw, (ud * Z + T * un * wd) * un * wd, T * tw, tw * u2, u2 * u2 * w2)
+    return _separator(ys[4], ys, f)
 
 
 def find_separating_functional(f: SymFormP):
@@ -745,18 +763,15 @@ def find_separating_functional(f: SymFormP):
     every symmetric square at the form's scope n >= 4; None exactly when f
     is a symmetric sum of squares.
 
-    Every returned functional is checked exactly (``pair`` < 0 and
-    ``dual_membership``, or the same tests on integers).  Raises
-    ValueError for LIMIT scope.
+    Every returned functional is checked exactly, on integers over one
+    denominator (``_separator``).  Raises ValueError for LIMIT scope.
 
     The two segment ends of step 2 pair with f to a22 and a22 + v b22 at
     v = (n-2)^2/(n-1), so they are tested as the signs of a22 and
     (n-1) a22 + (n-2)^2 b22 on the gamma = 0 entries.  Then, when f is not
     nonnegative at n, the point evaluation at the negative point of
-    ``positivity.is_nonneg`` separates: it is built as integers over one
-    common denominator (``dualcone._weighted_point_ints``), its pairing
-    and its dual membership are checked on those integers, and its five
-    values are made Fractions only once that holds.  The s-chart of step 3
+    ``positivity.is_nonneg`` separates, built as integers over one common
+    denominator (``dualcone._weighted_point_ints``).  The s-chart of step 3
     remains for the nonnegative forms outside the SOS cone.
 
     The search is complete:
@@ -820,18 +835,13 @@ def find_separating_functional(f: SymFormP):
     if n is LIMIT or n < 4:
         raise ValueError("separator search requires a numeric scope >= 4")
 
-    def verified(ell):
-        if not (pair(ell, f) < 0 and dual_membership(ell, n)):
-            raise AssertionError("internal error: separator failed verification")
-        return ell
-
     # the segment ends pair with f to a22 and a22 + v b22, read in signs on
     # the gamma = 0 entries
     b22, _, a22, _, _ = _gamma_zero_entries(f)[1]
     if a22 < 0:
-        return verified(DualFunctional(_ONE, _ZERO, _ONE, _ZERO, _ZERO))
+        return _separator(1, (1, 0, 1, 0, 0), f)
     if (n - 1) * a22 + (n - 2) ** 2 * b22 < 0:
-        return verified(DualFunctional(1 + Fraction((n - 2) ** 2, n - 1), _ZERO, _ONE, _ZERO, _ZERO))
+        return _separator(n - 1, (n - 1 + (n - 2) ** 2, 0, n - 1, 0, 0), f)
 
     # a negative point of f is a point evaluation pairing negatively with
     # it; is_nonneg is kept on the form object, so this is a read when the
@@ -840,14 +850,11 @@ def find_separating_functional(f: SymFormP):
 
     nonneg = is_nonneg(f)
     if nonneg.status == "OUT":
-        den, ys = _weighted_point_ints(*nonneg.witness)
-        if not (_pair_ints(ys, f) < 0 and _dual_ints(ys, n)):
-            raise AssertionError("internal error: separator failed verification")
-        return DualFunctional(*(Fraction(y, den) for y in ys))
+        return _separator(*_weighted_point_ints(*nonneg.witness), f)
 
     ell = _w_separator(f)
     if ell is not None:
-        return verified(ell)
+        return ell
     if sos_membership(f).status == "OUT":
         raise AssertionError("internal error: no separator found for an SOS-OUT form")
     return None

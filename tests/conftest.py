@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symquartic import MultiPoly, SymFormP, brute_symmetrize, m_to_p
+from symquartic.dualcone import DualFunctional, _weighted_point_ints
 
 
 def random_form(rng: random.Random, scope, bound: int = 4, den: int = 6) -> SymFormP:
@@ -12,6 +13,15 @@ def random_form(rng: random.Random, scope, bound: int = 4, den: int = 6) -> SymF
         Fraction(rng.randint(-bound * den, bound * den), den) for _ in range(5)
     )
     return SymFormP(4, coeffs, scope)
+
+
+def weighted_point_functional(weights, point) -> DualFunctional:
+    """The functional f -> Phi_f(w, x, y) of a nonnegativity witness
+    ((w1, w2), (x, y)), y_lambda = p_lambda with p_i = w1 x^i + w2 y^i: the
+    integers of ``dualcone._weighted_point_ints`` over their one
+    denominator, as Fractions."""
+    den, ys = _weighted_point_ints(weights, point)
+    return DualFunctional(*(Fraction(y, den) for y in ys))
 
 
 def choi_lam_multipoly() -> MultiPoly:

@@ -14,12 +14,13 @@ from symquartic.dualcone import (
     dual_membership,
     pair,
     point_eval_functional,
-    weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.positivity import boundary_status_limit
 from symquartic.sos import sos_boundary
 from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
+
+from conftest import weighted_point_functional
 
 
 class TestPairing:
@@ -251,8 +252,9 @@ def _functionals(draw):
 
 
 class TestIntegerCore:
-    """``pair``, ``weighted_point_functional`` and ``dual_membership`` run
-    in integers; each must equal its Fraction definition."""
+    """``pair``, ``_weighted_point_ints`` (through the test-local
+    ``weighted_point_functional``) and ``dual_membership`` run in integers;
+    each must equal its Fraction definition."""
 
     @given(st.tuples(*[_val] * 5), st.tuples(*[_val] * 5))
     @settings(max_examples=150, deadline=None)

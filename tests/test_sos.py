@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,8 @@ from symquartic.algebra import (
     AlgebraicField,
     SymMat2,
     UniPoly,
+    _zderiv,
+    _zgcd,
     _zpoly,
     _zroot_bound,
     binary_quartic_critical_polys,
@@ -37,7 +39,6 @@ from symquartic.dualcone import (
     dual_membership,
     gamma_gen_coeffs,
     pair,
-    weighted_point_functional,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.positivity import (
@@ -55,8 +56,8 @@ from symquartic.sos import (
     _conditions,
     _entry_map,
     _feasible,
-    _gamma_cells,
     _gamma_range,
+    _gamma_terms,
     _gamma_zero_entries,
     _gamma_zero_signs,
     _signs_at,
@@ -77,7 +78,7 @@ from symquartic.symfunc import (
     phi_alpha_coeffs,
 )
 
-from conftest import choi_lam_multipoly, random_form
+from conftest import choi_lam_multipoly, random_form, weighted_point_functional
 
 
 def zero2():
@@ -238,14 +239,18 @@ _SINGLE_GAMMA_SOS = {
 
 
 @pytest.fixture
-def gamma_cell_builds(monkeypatch):
+def gamma_scan_builds(monkeypatch):
+    """The forms whose D, V and H (``sos._gamma_terms``, kept once per form
+    object) the closed-form gamma-scan builds."""
     calls = []
+    real = sos._gamma_terms
 
-    def counted(*args):
-        calls.append(args)
-        return cells(*args)
+    def counted(f):
+        if real.kept(f) is None:
+            calls.append(f)
+        return real(f)
 
-    monkeypatch.setattr(sos, "cells", counted)
+    monkeypatch.setattr(sos, "_gamma_terms", counted)
     return calls
 
 
@@ -257,19 +262,19 @@ class TestNumericMembership:
         + list(_SINGLE_GAMMA_SOS.values()),
         ids=["p4-n4", "p4-n5", "p4-n9"] + list(_RANK_ONE_SOS) + list(_SINGLE_GAMMA_SOS),
     )
-    def test_in_with_certificate(self, gamma_cell_builds, n, coeffs):
+    def test_in_with_certificate(self, gamma_scan_builds, n, coeffs):
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         verdict = sos_membership(f)
         assert verdict.status == "IN"
         assert verdict.certificate is not None
         assert verdict.note is None
         assert expand_certificate(verdict.certificate) == f
-        # p4 is feasible at gamma = lo = 0 and builds no gamma-cells; the
+        # p4 is feasible at gamma = lo = 0 and takes no gamma-scan; the
         # other forms are feasible only inside the range and take the scan
         if coeffs == (1, 0, 0, 0, 0):
-            assert verdict.certificate.gamma == 0 and gamma_cell_builds == []
+            assert verdict.certificate.gamma == 0 and gamma_scan_builds == []
         else:
-            assert len(gamma_cell_builds) >= 1
+            assert len(gamma_scan_builds) >= 1
 
     def test_negative_form_out(self):
         assert sos_membership(form_from_dict(4, {(4,): -1}, 4)).status == "OUT"
@@ -378,11 +383,11 @@ def reference_membership(f):
 
 class TestEndsFirst:
     """``sos_membership`` tests both ends of the admissible gamma range
-    before it builds the gamma-cells; a feasible end decides IN (p4, feasible
+    before it scans the open range; a feasible end decides IN (p4, feasible
     at lo, is in ``TestNumericMembership``)."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-    def test_feasible_only_at_hi_builds_no_cells(self, gamma_cell_builds, n):
+    def test_feasible_only_at_hi_builds_no_cells(self, gamma_scan_builds, n):
         # core group 9 of the finite_scan workload: infeasible at lo = 0
         f = SymFormP(4, tuple(Fraction(c) for c in ("0", "3", "11/3", "-4", "3/2")), n)
         hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
@@ -390,7 +395,7 @@ class TestEndsFirst:
         verdict = sos_membership(f)
         assert verdict.status == "IN" and verdict.certificate.gamma == hi
         assert expand_certificate(verdict.certificate) == f
-        assert gamma_cell_builds == []
+        assert gamma_scan_builds == []
         if n == 4:
             assert hi == Fraction(88, 3)
             # the full scan returned the smallest feasible sample
@@ -424,6 +429,32 @@ class TestEndsFirst:
         assert len(calls) == 1
         assert expand_certificate(verdict.certificate) == f
 
+
+    @pytest.mark.parametrize(
+        "coeffs, n, tests",
+        [
+            (("8", "-160/3", "-8", "128", "-128/3"), 4, 0),
+            (("8", "-160/3", "-8", "128", "-128/3"), 8, 0),
+            (("-1", "0", "7/3", "0", "0"), 4, 1),
+        ],
+        ids=["choi-lam-4", "choi-lam-8", "lo=hi=32/3"],
+    )
+    def test_one_point_range_is_one_test(self, monkeypatch, gamma_scan_builds, coeffs, n, tests):
+        """A range lo = hi is decided by one test of that gamma, none at
+        gamma = 0, whose signs have already failed (Choi-Lam: c4 + c22 = 0),
+        and takes no scan; the cell scan agrees."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _certificate_at(*args)
+
+        monkeypatch.setattr(sos, "_certificate_at", counted)
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        lo, hi = _gamma_range(f)
+        assert lo == hi and (lo == 0) == (tests == 0)
+        assert sos_membership(f).status == cell_scan_membership(f)[0] == "OUT"
+        assert calls == [lo] * tests and gamma_scan_builds == []
 
     @pytest.mark.parametrize("n", [4, 5, 8, 10**4000])
     def test_gamma_zero_feasible_builds_no_range(self, monkeypatch, n):
@@ -474,7 +505,7 @@ class TestNonnegOutRead:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 30])
     def test_read_matches_the_scan(self, monkeypatch, n):
         nonneg_calls, cell_calls = [], []
-        real_nonneg, real_cells = positivity.is_nonneg, sos._gamma_cells
+        real_nonneg, real_cells = positivity.is_nonneg, sos._gamma_terms
 
         def counted_nonneg(f):
             nonneg_calls.append(f)
@@ -485,7 +516,7 @@ class TestNonnegOutRead:
             return real_cells(f)
 
         monkeypatch.setattr(positivity, "is_nonneg", counted_nonneg)
-        monkeypatch.setattr(sos, "_gamma_cells", counted_cells)
+        monkeypatch.setattr(sos, "_gamma_terms", counted_cells)
         rng = random.Random(2700 + n)
         choi_lam = tuple(Fraction(c) for c in ("8", "-160/3", "-8", "128", "-128/3"))
         forms = [choi_lam] + [random_form(rng, n).coeffs for _ in range(40)]
@@ -505,7 +536,8 @@ class TestNonnegOutRead:
         assert nonneg_calls == []
         assert read > 0
         if n in (5, 6, 8):
-            # Choi-Lam among them: the scan built the gamma-cells to find OUT
+            # nonneg-OUT forms among them took the gamma-scan to find OUT
+            # (not Choi-Lam, whose range is the one point gamma = 0)
             assert scanned > 0
 
 
@@ -537,7 +569,12 @@ class TestScanOrder:
     feasible gammas form a closed interval; with lo infeasible its left end
     is such a root, so that first cell is never feasible, and
     ``sos_membership`` skips it.  The second candidate is the first that
-    can be feasible, and the forms below are feasible there alone."""
+    can be feasible, and the forms below are feasible there alone.
+    ``sos_membership`` no longer scans cells: its certificate's gamma is
+    the simplest rational of {D >= 0, V >= 0} (``sos._open_gamma``),
+    re-pinned here against the cell sample it replaced."""
+
+    CLOSED_FORM_GAMMA = {Fraction(7): Fraction(6), Fraction(7, 3): Fraction(5, 2)}
 
     @pytest.mark.parametrize(
         "n, coeffs, gamma",
@@ -546,16 +583,16 @@ class TestScanOrder:
             (4, ("1/16", "-9/4", "43/144", "8", "1"), Fraction(7, 3)),
         ],
     )
-    def test_only_feasible_candidate_is_second(self, gamma_cell_builds, n, coeffs, gamma):
+    def test_only_feasible_candidate_is_second(self, gamma_scan_builds, n, coeffs, gamma):
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         blocks, candidates = scan_candidates(f)
         feasible = [g for g in candidates if _certificate_at(f, blocks, g) is not None]
         assert feasible == [gamma] and candidates.index(gamma) == 1
-        gamma_cell_builds.clear()
+        gamma_scan_builds.clear()
         verdict = sos_membership(f)
-        assert verdict.status == "IN" and verdict.certificate.gamma == gamma
+        assert verdict.status == "IN" and verdict.certificate.gamma == self.CLOSED_FORM_GAMMA[gamma]
         assert expand_certificate(verdict.certificate) == f
-        assert len(gamma_cell_builds) == 1
+        assert len(gamma_scan_builds) == 1
 
 
 class TestCloseGammaRoots:
@@ -724,16 +761,17 @@ def test_reduction_lemma(f, ts):
     and deg H <= 3, and at a gamma in (lo, hi) (random ones and the roots
     of D and V) the ten-sign predicates ``_feasible`` and
     ``_strictly_feasible`` are (D >= 0 and V >= 0) or H >= 0 and its strict
-    form.  The statuses of ``sos_membership`` and ``sos_boundary``, whose
-    gamma-cells are cut at D, V and H alone, are those of the references
-    over the cells of all ten conditions."""
+    form.  The integer D, V and H of ``sos._gamma_terms`` are these
+    polynomials.  The statuses of ``sos_membership`` and ``sos_boundary``,
+    decided on D, V and H alone, are those of the references over the
+    cells of all ten conditions."""
     blocks = _block_polys(f)
     D, V, H = deciding_polys(blocks)
     assert D.degree <= 1 and V.degree <= 1 and H.degree <= 3
     gamma_range = _gamma_range(f)
     if gamma_range is not None:
         lo, hi = gamma_range
-        assert _gamma_cells(f)[1].product.degree <= 5
+        assert [UniPoly(t) for t in _gamma_terms(f)] == [D, V, H.scale(6)]
         gammas = [lo + t * (hi - lo) for t in ts]
         gammas += [-p.coeffs[0] / Fraction(p.coeffs[1]) for p in (D, V) if p.degree == 1]
         for gamma in gammas:
@@ -752,7 +790,7 @@ def test_reduction_lemma(f, ts):
 
 
 @st.composite
-def _single_gamma_forms(draw):
+def _single_gamma_forms(draw, scopes=st.sampled_from((*range(4, 13), 30))):
     """(f, gamma*): the expansion of rank-one blocks A = a (t^2, -t, 1) and
     B = b (r^2, -r, 1) at a rational gamma* > 0, built as the
     ``_SINGLE_GAMMA_SOS`` forms are, so that gamma* is the only feasible
@@ -763,7 +801,7 @@ def _single_gamma_forms(draw):
     the boundary u = b12^2 / b22 of the B-region is strictly convex, so the
     two PSD regions touch at one point, on opposite sides of their common
     tangent."""
-    n = draw(st.sampled_from((*range(4, 13), 30)))
+    n = draw(scopes)
     r = draw(_small.filter(lambda x: x != 2))
     t = (n * n - 4 * (n - 1) * r + (n - 1) * r * r) / Fraction((n - 2) ** 2)
     a, b = (draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)) for _ in range(2))
@@ -775,20 +813,225 @@ def _single_gamma_forms(draw):
 @given(_single_gamma_forms())
 @settings(max_examples=60, deadline=None)
 def test_single_feasible_gamma_at_random(fg):
-    """Forms feasible at one rational gamma* alone: no cell sample is
-    feasible, so step 3 of ``sos_membership`` (gamma* off gcd(H, H'))
-    certifies them, at gamma*, and they are BOUNDARY, as the reference
-    with its sign queries at the breakpoints says."""
+    """Forms feasible at one rational gamma* alone: no sample of the cells
+    cut at D, V and H is feasible, and ``sos_membership`` certifies them at
+    gamma*, the double root of H at its local maximum
+    (``sos._open_gamma``), and they are BOUNDARY, as the reference with its
+    sign queries at the breakpoints says."""
     f, gamma = fg
     lo, hi = _gamma_range(f)
     assert lo < gamma < hi
     blocks = _block_polys(f)
-    assert all(_certificate_at(f, blocks, g) is None for g in (lo, hi, *_gamma_cells(f)[1].samples))
+    samples = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
+    assert all(_certificate_at(f, blocks, g) is None for g in (lo, hi, *samples))
     verdict = sos_membership(f)
     assert verdict.status == "IN" and verdict.certificate.gamma == gamma
     assert expand_certificate(verdict.certificate) == f
     assert reference_membership(f)[0].status == "IN"
     assert sos_boundary(f)[0] == reference_boundary(f) == "BOUNDARY"
+
+
+# ---------------------------------------------------------------------------
+# the closed-form gamma-scan against the cell scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def cell_scan_membership(f):
+    """(status, gamma, stage): ``sos_membership`` as it was before the
+    closed form of ``sos._open_gamma``, kept as a reference, with no kept
+    nonnegativity verdict to read.  gamma = 0 when its signs are feasible,
+    else both ends of the range, then the samples of the cells that the
+    roots of D, V and H cut (lo, hi) into, past the first, then the one
+    root of gcd(H, H'); stage is "zero", "end", "cell" or "gcd" for the
+    candidate that certified IN."""
+    if _feasible(_gamma_zero_signs(f)):
+        return "IN", Fraction(0), "zero"
+    gamma_range = _gamma_range(f)
+    if gamma_range is None:
+        return "OUT", None, None
+    lo, hi = gamma_range
+    blocks = _block_polys(f)
+    for gamma in (lo, hi):
+        if _certificate_at(f, blocks, gamma) is not None:
+            return "IN", gamma, "end"
+    D, V, H = deciding_polys(blocks)
+    for gamma in cells([p for p in (D, V, H) if p.degree > 0], lo, hi).samples[1:]:
+        if _certificate_at(f, blocks, gamma) is not None:
+            return "IN", gamma, "cell"
+    z = _zpoly(H.coeffs)
+    g = _zgcd(z, _zderiv(z)) if len(z) > 2 else [1]
+    k = len(g) - 1
+    if k:
+        gamma = Fraction(-g[k - 1], k * g[k])
+        if lo < gamma < hi and _certificate_at(f, blocks, gamma) is not None:
+            return "IN", gamma, "gcd"
+    return "OUT", None, None
+
+
+def cell_scan_boundary(f):
+    """The boundary status from ``cell_scan_membership`` and, for an SOS
+    form, one strictness test per sample of the cells cut at D, V and H,
+    as ``sos._has_interior_gamma`` was."""
+    if cell_scan_membership(f)[0] == "OUT":
+        return "OUTSIDE"
+    lo, hi = _gamma_range(f)
+    if lo == hi:
+        return "BOUNDARY"
+    blocks = _block_polys(f)
+    samples = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
+    return "INTERIOR" if any(_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
+
+
+_SCAN_SCOPES = st.sampled_from((4, 5, 6, 8, 30, 10**40))
+# The three nonnegative forms outside the SOS cone of the benchmark's
+# finite_scan pass (seed 1), with their n.
+_GAP_FORMS = {
+    "choi-lam-n4": (4, ("8", "-160/3", "-8", "128", "-128/3")),
+    "near-boundary-n8": (8, ("4", "-8", "-55/16", "39/4", "-1793/1024")),
+    "near-boundary-n5": (5, ("9/16", "-21/8", "27/16", "7/16", "-1/1024")),
+}
+
+
+@st.composite
+def _scan_forms(draw):
+    """Box forms, near-boundary forms (``_membership_forms``: expansions of
+    rank-one blocks, some lowered by 1/1024), segment forms (the expansion
+    of rank-one or definite blocks moved by +-2^-k towards a box form) and
+    the single-gamma forms of ``_single_gamma_forms``, at
+    n in {4, 5, 6, 8, 30, 10^40}."""
+    kind = draw(st.sampled_from(("near", "segment", "single")))
+    if kind == "near":
+        return draw(_membership_forms(_SCAN_SCOPES))
+    if kind == "single":
+        return draw(_single_gamma_forms(_SCAN_SCOPES))[0]
+    n = draw(_SCAN_SCOPES)
+
+    def block():
+        a, b, c = (draw(_small) for _ in range(3))
+        return SymMat2(a * a + c * c, a * b, b * b + draw(st.sampled_from((0, c * c))))
+
+    gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
+    g = expand_certificate(SosCertificate(block(), block(), gamma, n)).coeffs
+    h = draw(st.tuples(*[_small] * 5))
+    step = draw(st.sampled_from((1, -1))) * Fraction(1, 2 ** draw(st.integers(1, 40)))
+    return SymFormP(4, tuple(x + step * (y - x) for x, y in zip(g, h)), n)
+
+
+def _with_scan_examples(test):
+    for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values(), *_SIGN_QUERY_SOS):
+        test = example(SymFormP(4, tuple(Fraction(c) for c in coeffs), n))(test)
+    for n, coeffs in _GAP_FORMS.values():
+        for m in (n, 6, 10**40):
+            test = example(SymFormP(4, tuple(Fraction(c) for c in coeffs), m))(test)
+    return test
+
+
+@_with_scan_examples
+@given(_scan_forms())
+@settings(max_examples=120, deadline=None)
+def test_closed_form_scan_matches_cell_scan(f):
+    """``sos_membership`` and ``sos_boundary`` give the statuses of the cell
+    scan that the closed form replaced (``cell_scan_membership``,
+    ``cell_scan_boundary``), every IN verdict re-expands to f, and its gamma
+    is the reference's whenever that came from gamma = 0, an end or the
+    gcd step; a gamma from the open range lies strictly inside it.  The
+    examples are the forms feasible only inside the range, and the
+    ``_GAP_FORMS`` at their n, at n = 6 and at n = 10^40."""
+    status, gamma, stage = cell_scan_membership(f)
+    got = sos_membership(f)
+    assert got.status == status
+    if status == "IN":
+        assert expand_certificate(got.certificate) == f
+        if stage == "cell":
+            lo, hi = _gamma_range(f)
+            assert lo < got.certificate.gamma < hi
+        else:
+            assert got.certificate.gamma == gamma
+    if not f.is_zero():
+        assert sos_boundary(f)[0] == cell_scan_boundary(SymFormP(4, f.coeffs, f.scope))
+
+
+@given(_scan_forms())
+@settings(max_examples=60, deadline=None)
+def test_interior_gamma_is_strictly_feasible(f):
+    """The gamma of the strict scan (``sos._open_gamma`` with > in place of
+    >=) lies in the open range and makes both blocks definite for some u,
+    on all ten signs; the scan without it finds a feasible gamma there
+    exactly when some gamma in the open range is feasible."""
+    gamma_range = _gamma_range(f)
+    if gamma_range is None or gamma_range[0] == gamma_range[1]:
+        return
+    lo, hi = gamma_range
+    blocks = _block_polys(f)
+    gamma = sos._open_gamma(f, True)
+    if gamma is not None:
+        assert lo < gamma < hi and _strictly_feasible(_signs_at(blocks, gamma))
+    if all(_certificate_at(f, blocks, g) is None for g in (lo, hi)):
+        gamma = sos._open_gamma(f, False)
+        assert (gamma is None) == (cell_scan_membership(f)[0] == "OUT")
+        if gamma is not None:
+            assert lo < gamma < hi and _feasible(_signs_at(blocks, gamma))
+
+
+def test_gamma_scan_isolates_no_root(monkeypatch):
+    """Neither ``sos_membership`` nor ``sos_boundary`` calls ``algebra.cells``
+    or ``algebra._root_intervals``, on forms that take the gamma-scan in
+    both its forms: ``sos`` imports neither, nor ``Cells``, ``UniPoly``,
+    ``_zgcd``, ``_zderiv`` or ``_zpoly``."""
+    for name in ("cells", "Cells", "UniPoly", "_zgcd", "_zderiv", "_zpoly", "_root_intervals"):
+        assert not hasattr(sos, name), name
+    calls, scans = [], []
+    for module in (algebra, positivity):
+        for name in ("cells", "_root_intervals"):
+            if hasattr(module, name):
+
+                def counted(*args, _real=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    real_scan = sos._open_gamma
+
+    def counted_scan(f, strict):
+        scans.append(strict)
+        return real_scan(f, strict)
+
+    monkeypatch.setattr(sos, "_open_gamma", counted_scan)
+    forms = [(n, coeffs) for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values(), *_SIGN_QUERY_SOS)]
+    forms += [(6, ("1/6", "22/9", "5/2", "-15", "17")), (4, ("1/16", "-9/4", "43/144", "8", "1"))]
+    forms += [(m, coeffs) for n, coeffs in _GAP_FORMS.values() for m in (5, 8, 10**40)]
+    statuses = set()
+    for n, coeffs in forms:
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        statuses.add((sos_membership(f).status, sos_boundary(f)[0]))
+    assert calls == []
+    assert True in scans and False in scans
+    assert statuses == {("IN", "BOUNDARY"), ("IN", "INTERIOR"), ("OUT", "OUTSIDE")}
+
+
+def test_gamma_scan_near_an_end_bounded_time():
+    """A form SOS at gamma* = 10^-3600 alone, next to the end lo = 0 of its
+    range, and the same form raised by 10^-7300 p_4, whose H is positive
+    only on an interval about 10^-3650 wide around gamma*: the first is
+    certified at the double root gamma*, the second at a rational near the
+    local maximum of H, from dyadic ends of a square root at precision
+    2^-16384.  They took 0.03-0.27 s in-process on a 2-vCPU VM."""
+    n, k = 5, 3600
+    t = (n * n - 4 * (n - 1) + (n - 1)) / Fraction((n - 2) ** 2)  # r = 1, as in _single_gamma_forms
+    cert = SosCertificate(SymMat2(t * t, -t, Fraction(1)), SymMat2(Fraction(1), Fraction(-1), Fraction(1)), Fraction(1, 10**k), n)
+    single = expand_certificate(cert)
+    raised = SymFormP(4, (single.coeffs[0] + Fraction(1, 10**7300), *single.coeffs[1:]), n)
+    for f, status in ((single, "BOUNDARY"), (raised, "INTERIOR")):
+        start = time.perf_counter()
+        verdict = sos_membership(f)
+        boundary = sos_boundary(f)[0]
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5, elapsed
+        assert _gamma_range(f)[0] == 0 and not _feasible(_gamma_zero_signs(f))
+        assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
+        assert boundary == status
+        gamma = verdict.certificate.gamma
+        assert gamma == Fraction(1, 10**k) if f is single else 0 < gamma < Fraction(2, 10**k)
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +1116,16 @@ class TestSosBoundary:
         assert sos_boundary(form_from_dict(4, {(4,): -1}, 5)) == ("OUTSIDE", None)
 
     @pytest.mark.parametrize("name", list(_SINGLE_GAMMA_SOS))
-    def test_single_feasible_gamma_is_boundary(self, gamma_cell_builds, name):
+    def test_single_feasible_gamma_is_boundary(self, gamma_scan_builds, name):
         # one feasible gamma leaves no strictly feasible neighbour; both
         # ends are infeasible, and the membership scan and the interior
-        # test read one build of the gamma-cells
+        # test read one build of D, V and H
         n, coeffs = _SINGLE_GAMMA_SOS[name]
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         status, y = sos_boundary(f)
         assert status == "BOUNDARY"
         assert_supports(y, f)
-        assert len(gamma_cell_builds) == 1
+        assert len(gamma_scan_builds) == 1
 
     def test_example_family_functional(self):
         # example 6.10: strictly inside at n = 4, on the boundary from n = 5
@@ -1060,9 +1303,11 @@ class TestIntegerSupportingFunctional:
 
     def test_no_fraction_checks(self, monkeypatch):
         """``sos_boundary`` calls neither ``pair`` nor ``dual_membership``:
-        its three checks read the integers of ``_supporting_functional``."""
+        its three checks read the integers of ``_supporting_functional``.
+        ``sos`` imports neither."""
+        assert not hasattr(sos, "pair") and not hasattr(sos, "dual_membership")
         calls = []
-        for module in (dualcone, sos):
+        for module in (dualcone,):
             for name in ("pair", "dual_membership"):
                 real = getattr(module, name)
 
@@ -1079,8 +1324,8 @@ class TestIntegerSupportingFunctional:
 
 
 def former_weighted_point_functional(weights, point):
-    """``dualcone.weighted_point_functional`` as it was: each y_lambda one
-    Fraction over its own denominator."""
+    """The weighted point functional as it was first built: each y_lambda
+    one Fraction over its own denominator."""
     (r, s), (t, u), (a, b), (c, d) = (
         (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
     )
@@ -1388,9 +1633,7 @@ def cells_w_separator(f):
 # the benchmark's finite_scan pass (seed 1), and forms with B = 0 or
 # a22 < 0, take the vertex (I); the others take the edge (E).
 _SEPARATOR_CASES = {
-    "choi-lam-n4": (4, ("8", "-160/3", "-8", "128", "-128/3"), "vertex"),
-    "near-boundary-n8": (8, ("4", "-8", "-55/16", "39/4", "-1793/1024"), "vertex"),
-    "near-boundary-n5": (5, ("9/16", "-21/8", "27/16", "7/16", "-1/1024"), "vertex"),
+    **{name: (*form, "vertex") for name, form in _GAP_FORMS.items()},
     "B=0": (5, ("1", "-4", "-1", "8388607/1048576", "-20/9"), "vertex"),
     "a22<0": (6, ("1/2", "-1", "-1", "-1/2", "-1"), "vertex"),
     "edge-C0>0": (4, ("1", "-1/2", "-1", "-1/2", "3/2"), "edge"),
@@ -1426,7 +1669,7 @@ def test_separator_cases(monkeypatch, name):
     for fname in ("isolate_real_roots", "binary_quartic_critical_polys", "binary_quartic_negative_point"):
         counting(algebra, fname)
         monkeypatch.setattr(sos, fname, getattr(algebra, fname), raising=False)
-    counting(sos, "cells")
+    counting(algebra, "cells")
     f = _case_form(name)
     C0, K, B, b22, a22 = _chart_quartic(f)
     signs = {
@@ -1470,6 +1713,73 @@ def test_w_search_matches_two_level_search(f):
     for ell in (got, cells_ref, two_level):
         if ell is not None:
             assert pair(ell, f) < 0 and dual_membership(ell, f.scope)
+
+
+def former_w_separator(f):
+    """``sos._w_separator`` as it was before it moved to integers: the same
+    candidates u and w, each a Fraction, tested and turned into the
+    functional in Fractions."""
+    n = f.scope
+    C0, K, B, b22, a22 = _chart_quartic(f)
+    top, bottom = (n - 2) ** 2, n - 1
+
+    def sqrt_ends(num, den, j):
+        k = isqrt((num << 2 * j) // den)
+        return Fraction(k, 1 << j), Fraction(k + 1, 1 << j)
+
+    M = 4 * b22 * K - B * B
+    if b22 > 0 and (
+        a22 < 0
+        or (C0 > 0 and M < 0 and M * M > 64 * b22 * b22 * C0 * a22 and -M * B * B * bottom < 32 * b22**3 * C0 * top)
+    ):
+        T = (0, 1) if a22 < 0 else (-M, 8 * b22 * C0)
+        slope, sign = Fraction(abs(B), 2 * b22), -1 if B > 0 else 1
+
+        def point(j, step):
+            u = algebra.simplest_rational_between(*sqrt_ends(*T, j)) or step
+            return sign * u, slope * u or step
+
+    else:
+        edge = algebra.binary_quartic_negative_point(
+            [C0 * bottom**3, 0, K * bottom**2, B * (n - 2) * bottom, b22 * top + a22 * bottom]
+        )
+        if edge is None:
+            return None
+        rho, y = edge
+
+        def point(j, step):
+            if not y:
+                return Fraction(j), Fraction(1)
+            lo, hi = sqrt_ends(bottom, 1, j)
+            w = sqrt_ends(top, bottom, j)[0]
+            u = algebra.simplest_rational_between(*sorted((rho * lo, rho * hi))) or step
+            return u, algebra.simplest_rational_between(w - 2 * step, w - step)
+
+    j = 1
+    while True:
+        u, w = point(j, Fraction(1, 1 << j))
+        if u and 0 < w and w * w * bottom < top and ((C0 * u * u + K) * u + B * w) * u + b22 * w * w + a22 < 0:
+            s = 1 / u
+            z, t = 2 * s + s * s * w, 1 + s * s
+            return DualFunctional(z * z + t * t, s * z + t, t * t, t, 1)
+        j *= 2
+
+
+@_with_separator_case_examples
+@given(_membership_forms(st.sampled_from((4, 5, 6, 7, 8, 30, 100, 10**40))))
+@example(SymFormP(4, (0, 1, 0, 0, 0), 5))
+@example(SymFormP(4, (0, 0, 0, -1, 1), 30))
+@example(SymFormP(4, tuple(map(Fraction, ("9/16", "-21/8", "27/16", "7/16", "-1e-10"))), 100))
+@example(SymFormP(4, tuple(map(Fraction, ("9/16", "-21/8", "27/16", "7/16", Fraction(-1, 10**300)))), 5))
+@settings(max_examples=80, deadline=None)
+def test_integer_w_separator_is_the_fraction_one(f):
+    """``_w_separator`` tests its candidates and builds its functional in
+    integers, and returns the separator of the Fraction version it
+    replaced (``former_w_separator``), value for value, as Fractions."""
+    got = _w_separator(f)
+    assert got == former_w_separator(f)
+    if got is not None:
+        assert all(type(y) is Fraction for y in got.as_tuple())
 
 
 def reference_entries(c, n, gamma):
