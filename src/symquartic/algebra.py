@@ -231,6 +231,24 @@ def _zsplit(coeffs: Sequence) -> tuple[list[int], int, int]:
     return ([c // g for c in z] if g > 1 else z), g, den
 
 
+def _over_lcm(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    """(den, nums): rationals (``Fraction`` or int) as the integers nums
+    over den > 0, the lcm of their denominators, so gcd(den, *nums) = 1."""
+    values = tuple(values)
+    den = lcm(*[v.denominator for v in values])
+    return den, tuple([v.numerator * (den // v.denominator) for v in values])
+
+
+def _lowest_terms(den: int, nums, size: int) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) divided by gcd(den, *nums): the one pair that stands for
+    the size rationals nums / den, so equal rationals give equal pairs;
+    den <= 0 or another count of nums raises ValueError."""
+    if den <= 0 or len(nums) != size:
+        raise ValueError(f"need {size} integers over a positive scale")
+    g = gcd(den, *nums)
+    return den // g, tuple(x // g for x in nums)
+
+
 def _zpoly(coeffs: Sequence) -> list[int]:
     """The primitive integer polynomial that is a positive multiple of the
     polynomial with these rational coefficients (``[]`` for zero)."""
@@ -785,16 +803,6 @@ class RatFunc:
         if dn == dd:
             return Fraction(self.num.lead) / self.den.lead
         raise NoLimitError("rational function diverges as the symbol grows")
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        if not self:
-            return _ZERO
-        return Fraction(self.num.coeffs[0]) / self.den.coeffs[0]
 
 
 class NoLimitError(ValueError):

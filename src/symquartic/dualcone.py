@@ -1,7 +1,11 @@
 """Linear functionals on symmetric quartics and the dual-cone machinery.
 
-A functional is stored by its five values y_lambda on the normalized
-power-sum basis.  It is nonnegative on every symmetric square exactly when
+A functional is given by its five values y_lambda on the normalized
+power-sum basis, kept as five integers over one positive scale in lowest
+terms (``DualFunctional``), the same representation as a form's
+``SymFormP.den`` and ``SymFormP.nums``; so the pairing and the dual-cone
+test read integers, and Fractions are made only where values are read
+out.  A functional is nonnegative on every symmetric square exactly when
 three blocks are PSD: two symmetric 2x2 matrices (the trivial and hook
 components) and one scalar (the two-row component):
 
@@ -29,45 +33,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .algebra import SymMat2
+from .algebra import SymMat2, _lowest_terms, _over_lcm
 from .symfunc import LIMIT, SymFormP
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class DualFunctional:
-    """Values y_lambda = ell(p_lambda) in canonical partition order."""
+    """Values y_lambda = ell(p_lambda) in canonical partition order, as the
+    integers ``ys`` over the scale ``den``, in lowest terms: den > 0 and
+    gcd(den, *ys) = 1, which the constructor makes so.  So equal
+    functionals are equal objects with equal hashes.  ``from_values``
+    builds one from rational values, and ``y4`` ... ``y1111`` and
+    ``as_tuple`` read them back as Fractions."""
 
-    y4: Fraction
-    y31: Fraction
-    y22: Fraction
-    y211: Fraction
-    y1111: Fraction
+    den: int
+    ys: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("y4", "y31", "y22", "y211", "y1111"):
-            y = getattr(self, name)
-            if type(y) is not Fraction:
-                object.__setattr__(self, name, Fraction(y))
+        den, ys = _lowest_terms(self.den, self.ys, 5)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ys", ys)
+
+    @classmethod
+    def from_values(cls, *values) -> "DualFunctional":
+        """The functional with the rational values (y4, y31, y22, y211,
+        y1111); each goes through ``Fraction()``."""
+        return cls(*_over_lcm(Fraction(y) for y in values))
+
+    y4, y31, y22, y211, y1111 = (property(lambda self, i=i: Fraction(self.ys[i], self.den)) for i in range(5))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return (self.y4, self.y31, self.y22, self.y211, self.y1111)
+        return tuple(Fraction(y, self.den) for y in self.ys)
 
 
 def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
-    """The exact pairing sum_lambda c_lambda y_lambda."""
+    """The exact pairing sum_lambda c_lambda y_lambda, read on the integers
+    of both: f's numerators over ``f.den`` and ell's over ``ell.den``."""
     if f.degree != 4:
         raise ValueError("pairing defined for degree-4 forms")
-    terms = [
-        (c.numerator * y.numerator, c.denominator * y.denominator)
-        for c, y in zip(f.coeffs, ell.as_tuple())
-    ]
-    den = lcm(*(d for _, d in terms))
-    return Fraction(sum(x * (den // d) for x, d in terms), den)
+    return Fraction(sum(c * y for c, y in zip(f.nums, ell.ys)), f.den * ell.den)
 
 
 def point_eval_functional(v) -> DualFunctional:
@@ -77,7 +82,7 @@ def point_eval_functional(v) -> DualFunctional:
         raise ValueError("point must have at least one coordinate")
     n = len(v)
     p1, p2, p3, p4 = (Fraction(sum(x**i for x in v), n) for i in (1, 2, 3, 4))
-    return DualFunctional(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
+    return DualFunctional.from_values(p4, p3 * p1, p2 * p2, p2 * p1 * p1, p1**4)
 
 
 def _weighted_point_ints(weights, point) -> tuple[int, tuple[int, ...]]:
@@ -92,23 +97,12 @@ def _weighted_point_ints(weights, point) -> tuple[int, tuple[int, ...]]:
     denominators and x = A/D, y = C/D over that of the point's,
     p_i = P_i / (N D^i) for P_i = R A^i + T C^i, so y_lambda has the
     denominator N^len(lambda) D^4 and den = N^4 D^4."""
-    (r, s), (t, u), (a, b), (c, d) = (
-        (v.numerator, v.denominator) for v in map(Fraction, (*weights, *point))
-    )
-    big_n, big_d = lcm(s, u), lcm(b, d)
-    r, t, a, c = r * (big_n // s), t * (big_n // u), a * (big_d // b), c * (big_d // d)
+    big_n, (r, t) = _over_lcm(map(Fraction, weights))
+    big_d, (a, c) = _over_lcm(map(Fraction, point))
     p1, p2, p3, p4 = (r * a**i + t * c**i for i in (1, 2, 3, 4))
     nn = big_n * big_n
     ys = (p4 * nn * big_n, p3 * p1 * nn, p2 * p2 * nn, p2 * p1 * p1 * big_n, p1**4)
     return (nn * big_d * big_d) ** 2, ys
-
-
-def _pair_ints(ys, f: SymFormP) -> int:
-    """A positive multiple of the pairing of f with the functional whose
-    values are the integers ys over a positive denominator: f's
-    coefficients over the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in f.coeffs))
-    return sum(c.numerator * (den // c.denominator) * y for c, y in zip(f.coeffs, ys))
 
 
 def _psd_ints(m11: int, m12: int, m22: int) -> bool:
@@ -116,17 +110,20 @@ def _psd_ints(m11: int, m12: int, m22: int) -> bool:
     return m11 >= 0 and m22 >= 0 and m11 * m22 >= m12 * m12
 
 
-def _square_blocks(ell: DualFunctional) -> tuple[SymMat2, SymMat2]:
-    """The trivial and hook 2x2 blocks, which do not depend on n."""
-    y4, y31, y22, y211, y1111 = ell.as_tuple()
-    return SymMat2(y22, y211, y1111), SymMat2(y4 - y22, y31 - y211, y211 - y1111)
+def _square_blocks(ys) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The trivial and hook 2x2 blocks (m11, m12, m22), which do not depend
+    on n, of the values ys over a positive scale, over the same scale."""
+    y4, y31, y22, y211, y1111 = ys
+    return (y22, y211, y1111), (y4 - y22, y31 - y211, y211 - y1111)
 
 
 def _gamma_gen_ints(scope) -> tuple[int, tuple[int, ...]]:
     """(m, m gen): the scalar-block generator gen at a numeric scope n, or
     LIMIT, as integers over m = 2n^2 (m = 2 at LIMIT), in canonical order;
-    written once here, and divided out by ``gamma_gen_coeffs`` and, at the
-    symbol n, by ``specht.gamma_generator_p_coeffs``."""
+    written once here, and read by ``dual_blocks``, ``dual_membership``,
+    ``sos.expand_certificate`` and, at the symbol n, by
+    ``specht.gamma_generator_p_coeffs``.  A functional pairs with gen to
+    its two-row block over n^2."""
     if scope is LIMIT:
         return 2, (0, 0, 1, -2, 1)
     n = scope
@@ -134,12 +131,10 @@ def _gamma_gen_ints(scope) -> tuple[int, tuple[int, ...]]:
     return 2 * nn, (1 - n, 4 * n - 4, nn - 3 * n + 3, -2 * nn, nn)
 
 
-def gamma_gen_coeffs(scope) -> tuple[Fraction, ...]:
-    """Canonical-order coefficients of the scalar-block generator of the
-    SOS cone at a numeric scope n, or LIMIT; a functional pairs with it to
-    its two-row block over n^2."""
-    m, gen = _gamma_gen_ints(scope)
-    return tuple(Fraction(g, m) for g in gen)
+def _tworow_ints(ys, n) -> int:
+    """The two-row block at size n of the values ys over a positive scale,
+    times twice that scale: ys paired with m gen, m = 2n^2."""
+    return sum(g * y for g, y in zip(_gamma_gen_ints(n)[1], ys))
 
 
 def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction]:
@@ -147,10 +142,9 @@ def dual_blocks(ell: DualFunctional, n: int) -> tuple[SymMat2, SymMat2, Fraction
     n^2 times the pairing of ell with the scalar-block generator."""
     if n < 4:
         raise ValueError("n must be at least 4")
-    m_triv, m_hook = _square_blocks(ell)
-    gen = gamma_gen_coeffs(n)
-    m_tworow = n * n * sum((g * y for g, y in zip(gen, ell.as_tuple())), _ZERO)
-    return m_triv, m_hook, m_tworow
+    den = ell.den
+    m_triv, m_hook = (SymMat2(*(Fraction(x, den) for x in m)) for m in _square_blocks(ell.ys))
+    return m_triv, m_hook, Fraction(_tworow_ints(ell.ys, n), 2 * den)
 
 
 def dual_membership(ell: DualFunctional, n) -> bool:
@@ -158,26 +152,13 @@ def dual_membership(ell: DualFunctional, n) -> bool:
     n = LIMIT, on the limit SOS cone, where the two-row block drops out:
     divided by n^2 it tends to (1/2) (1, -1) M_triv (1, -1)^T >= 0.
 
-    Read in integers, on the values times the lcm D of their
-    denominators: the 2x2 blocks of ``dual_blocks`` times D, and the
-    two-row block times 2D as the pairing with the integer generator of
-    ``_gamma_gen_ints``; positive factors leave every sign alone."""
+    Read on the integers ``ell.ys``: the blocks of ``dual_blocks`` times
+    ``ell.den``, and the two-row block times 2 ``ell.den``; positive
+    factors leave every sign alone."""
     if n is not LIMIT and n < 4:
         raise ValueError("n must be at least 4")
-    ys = ell.as_tuple()
-    den = lcm(*(y.denominator for y in ys))
-    return _dual_ints([y.numerator * (den // y.denominator) for y in ys], n)
-
-
-def _dual_ints(ys, n) -> bool:
-    """``dual_membership`` of the functional whose values are the integers
-    ys over a positive denominator, at a scope n >= 4 or LIMIT."""
-    y4, y31, y22, y211, y1111 = ys
-    return (
-        _psd_ints(y22, y211, y1111)
-        and _psd_ints(y4 - y22, y31 - y211, y211 - y1111)
-        and (n is LIMIT or sum(g * y for g, y in zip(_gamma_gen_ints(n)[1], ys)) >= 0)
-    )
+    m_triv, m_hook = _square_blocks(ell.ys)
+    return _psd_ints(*m_triv) and _psd_ints(*m_hook) and (n is LIMIT or _tworow_ints(ell.ys, n) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +177,11 @@ def boundary_family_functional(a, b, c, d) -> DualFunctional:
     a, b, c, d = (Fraction(t) for t in (a, b, c, d))
     if a == 0 or c == 0:
         raise ValueError("family functional requires a != 0 and c != 0")
-    return DualFunctional(
+    return DualFunctional.from_values(
         (a * a * d * d - b * b * c * c - b * b * c * d) / (a * a * c * c),
         -(d * a - d * b - b * c) / (c * a),
         d * d / (c * c),
         -d / c,
-        _ONE,
+        1,
     )
 

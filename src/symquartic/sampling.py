@@ -80,7 +80,7 @@ def certificate_forms(count: int, seed: int) -> list[SymFormP]:
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        cert = SosCertificate(_rand_psd(rng), _rand_psd(rng), Fraction(0), LIMIT)
+        cert = SosCertificate.from_blocks(_rand_psd(rng), _rand_psd(rng), 0, LIMIT)
         f = expand_certificate(cert)
         out.append(_bumped(rng, f, len(out) % 3))
     return out

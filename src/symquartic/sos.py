@@ -20,12 +20,12 @@ The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
 read only signs, so they run in integers, and the certificate is built
-and checked in integers too (``_certificate``): Fractions are made only
-for its six returned entries.  At gamma = 0 the entries do not depend on
-n; their integers (``_gamma_zero_entries``, through the one inverse block
-map ``_entry_map``) give the gamma = 0 signs, the coefficient sum and the
-limit witness of ``positivity``.  For fixed gamma the
-PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
+and checked in integers too (``_certificate``), and it keeps its six
+block entries as integers over one scale (``SosCertificate``).  At
+gamma = 0 the entries do not depend on n; their integers
+(``_gamma_zero_entries``, through the one inverse block map
+``_entry_map``) give the gamma = 0 signs, the coefficient sum and the
+limit witness of ``positivity``.  For fixed gamma the PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
 cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
 polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
@@ -112,24 +112,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .algebra import (
     SymMat2,
+    _lowest_terms,
+    _over_lcm,
     _simplest_between_ints,
     _zsign,
     binary_quartic_negative_point,
-    psd2,
     simplest_in_middle,
 )
 from .dualcone import (
     DualFunctional,
-    _dual_ints,
     _gamma_gen_ints,
-    _pair_ints,
     _psd_ints,
     _weighted_point_ints,
-    gamma_gen_coeffs,
+    dual_membership,
+    pair,
 )
 from .symfunc import LIMIT, SymFormP, per_form
 
@@ -142,17 +142,35 @@ class SosCertificate:
 
     ``A`` is the alpha-block over (p_1^2, p_2) products, ``B`` the
     beta-block over the hook generators, ``gamma`` the coefficient of the
-    scalar-block generator.  Valid certificates have both blocks PSD and
+    scalar-block generator.  The constructor keeps the six block entries
+    (a11, a12, a22, b11, b12, b22) as the integers ``entries`` over
+    ``den`` > 0 in lowest terms, so equal certificates are equal objects;
+    ``A`` and ``B`` read them as ``SymMat2``, and ``from_blocks`` builds a
+    certificate from two.  Valid certificates have both blocks PSD and
     gamma >= 0 (gamma = 0 under LIMIT scope).
     """
 
-    A: SymMat2
-    B: SymMat2
+    den: int
+    entries: tuple[int, ...]
     gamma: Fraction
     scope: object
 
+    def __post_init__(self):
+        den, entries = _lowest_terms(self.den, self.entries, 6)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def from_blocks(cls, A: SymMat2, B: SymMat2, gamma, scope) -> "SosCertificate":
+        """The certificate with the rational blocks A and B."""
+        xs = (A.m11, A.m12, A.m22, B.m11, B.m12, B.m22)
+        return cls(*_over_lcm(Fraction(x) for x in xs), Fraction(gamma), scope)
+
+    A = property(lambda self: SymMat2(*(Fraction(x, self.den) for x in self.entries[:3])))
+    B = property(lambda self: SymMat2(*(Fraction(x, self.den) for x in self.entries[3:])))
+
     def is_valid(self) -> bool:
-        return psd2(self.A) and psd2(self.B) and self.gamma >= 0 and (
+        return _psd_ints(*self.entries[:3]) and _psd_ints(*self.entries[3:]) and self.gamma >= 0 and (
             self.scope is not LIMIT or self.gamma == 0
         )
 
@@ -168,6 +186,19 @@ class SosVerdict:
     note = None  # the former irrational-gamma note; bench/queries.py and bench/worker.py read it
 
 
+def _expansion(cert: SosCertificate, gen_ints) -> tuple[int, tuple[int, ...]]:
+    """(D, xs): the block map (A, B, gamma) -> f, the one place it is
+    written, on the certificate's integers: f = xs / D, D = den q m for
+    gamma = p/q and (m, m gen) = gen_ints of ``dualcone._gamma_gen_ints``
+    at the certificate's scope."""
+    a11, a12, a22, b11, b12, b22 = cert.entries
+    p, q = cert.gamma.numerator, cert.gamma.denominator
+    m, gen = gen_ints
+    den, qm = cert.den, q * m
+    blocks = (b22, 2 * b12, a22 - b22, 2 * a12 + b11 - 2 * b12, a11 - b11)
+    return den * qm, tuple(x * qm + p * g * den for x, g in zip(blocks, gen))
+
+
 def expand_certificate(cert: SosCertificate) -> SymFormP:
     """The exact coefficient vector of the block decomposition."""
     scope = cert.scope
@@ -176,19 +207,8 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
             raise ValueError("LIMIT certificates require gamma = 0")
     elif not isinstance(scope, int) or scope < 4:
         raise ValueError("certificate scope must be an integer >= 4 or LIMIT")
-    A, B, g = cert.A, cert.B, cert.gamma
-    g4, g31, g22, g211, g1111 = gamma_gen_coeffs(scope)
-    return SymFormP(
-        4,
-        (
-            B.m22 + g * g4,
-            2 * B.m12 + g * g31,
-            A.m22 - B.m22 + g * g22,
-            2 * A.m12 + B.m11 - 2 * B.m12 + g * g211,
-            A.m11 - B.m11 + g * g1111,
-        ),
-        scope,
-    )
+    den, xs = _expansion(cert, _gamma_gen_ints(scope))
+    return SymFormP(4, tuple(Fraction(x, den) for x in xs), scope)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +228,14 @@ def _entry_map(v) -> tuple:
 @per_form
 def _gamma_zero_entries(f: SymFormP) -> tuple[int, tuple[int, ...]]:
     """(d, e): the gamma = 0 block entries of f as the integers e over
-    d = 2 den, e the ``_entry_map`` of the form's numerators over den, the
-    lcm of its denominators, once per form object (``symfunc.per_form``):
+    d = 2 den, e the ``_entry_map`` of the form's numerators over den
+    (``SymFormP.nums`` over ``SymFormP.den``), once per form object (``symfunc.per_form``):
     the gamma = 0 signs, the block forms, the coefficient-sum tests and the
     limit witness of ``positivity`` all read them.  The entries are (c4,
     c31/2, c22 + c4, c211 + c31, c1111), so neither they nor e depend on n,
     and the sum of the last three, a22 + s + (a11 - u), is the coefficient
     sum."""
-    coeffs = f.coeffs
-    den = lcm(*(c.denominator for c in coeffs))
-    return 2 * den, _entry_map([c.numerator * (den // c.denominator) for c in coeffs])
+    return 2 * f.den, _entry_map(f.nums)
 
 
 @per_form
@@ -307,12 +325,11 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
     integer over w = d k > 0: the lower bounds 0, -e_a11u k
     and, when b22 > 0, the hook bound b12^2 / b22 = e_b12^2 / w, and the
     vertex (2 e_a22 + e_s) k.  The blocks are then integers over W = 2w,
-    and the self-check reads exactly those: both blocks PSD, gamma >= 0
-    (gamma = 0 at LIMIT), and the block map sends (A, B, gamma) to f,
-    compared over W q m ((m, m gen) as kept in ``blocks``) with f's
-    numerators cross-multiplied; a failure raises AssertionError.  Only
-    then are the six entries made Fractions.  ``expand_certificate``
-    stays the independent Fraction check of the result."""
+    which the certificate keeps in lowest terms, and the self-check reads
+    exactly those: ``SosCertificate.is_valid``, and the block map
+    ``_expansion`` (with (m, m gen) as kept in ``blocks``) sends them to
+    f, compared with ``f.nums`` over ``f.den`` cross-multiplied; a failure
+    raises AssertionError."""
     p, q = gamma.numerator, gamma.denominator
     e = [c * q + g * p for c, g in blocks[1]]
     d = blocks[0] * q
@@ -326,30 +343,12 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
     v = (2 * a22 + s) * k
     if u * u > 2 * v * u + (4 * a22 * a11_u - s * s) * k * k:
         u = v
-    A = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k)
-    B = (2 * u, 2 * b12 * k, 2 * b22 * k)
-    W = 2 * d * k
-    m, gen = blocks[2]
-    qm = q * m
-    wqm = W * qm
-    expansion = (B[2], 2 * B[1], A[2] - B[2], 2 * A[1] + B[0] - 2 * B[1], A[0] - B[0])
-    if not (
-        _psd_ints(*A)
-        and _psd_ints(*B)
-        and p >= 0
-        and (f.scope is not LIMIT or p == 0)
-        and all(
-            (x * qm + p * g * W) * c.denominator == c.numerator * wqm
-            for x, g, c in zip(expansion, gen, f.coeffs)
-        )
-    ):
+    entries = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
+    cert = SosCertificate(2 * d * k, entries, gamma, f.scope)
+    den, xs = _expansion(cert, blocks[2])
+    if not (cert.is_valid() and all(x * f.den == c * den for x, c in zip(xs, f.nums))):
         raise AssertionError("internal error: certificate failed verification")
-    return SosCertificate(
-        SymMat2(*(Fraction(x, W) for x in A)),
-        SymMat2(*(Fraction(x, W) for x in B)),
-        gamma,
-        f.scope,
-    )
+    return cert
 
 
 def _signs(xs) -> tuple[int, ...]:
@@ -582,18 +581,17 @@ def _supporting_functional(cert: SosCertificate) -> tuple[int, tuple[int, ...]]:
       a definite A has no supporting functional, and A = 0 takes the
       all-ones point evaluation (k = (1, 1), beta = 0, y(gen) = 0).
 
-    The six block entries are read as integers over their lcm D, and the
-    kernels as integer vectors over their scales s_k and s_j, each D or 1
-    (``_kernel_ints``).  Every value is quadratic in k, and in the
-    j-branch also quadratic in j, so S = s_k^2, or s_k^2 s_j^2 when the
-    j-branch sets lam, times n - 1 after the gamma step.  The candidate
-    is unique up to these choices, so when it fails the verification in
-    ``sos_boundary`` the form has no supporting functional.
+    The six block entries are read as the certificate keeps them, integers
+    over its scale D, and the kernels as integer vectors over their scales
+    s_k and s_j, each D or 1 (``_kernel_ints``).  Every value is quadratic
+    in k, and in the j-branch also quadratic in j, so S = s_k^2, or
+    s_k^2 s_j^2 when the j-branch sets lam, times n - 1 after the gamma
+    step.  The candidate is unique up to these choices, so when it fails
+    the verification in ``sos_boundary`` the form has no supporting
+    functional.
     """
-    A, B, numeric = cert.A, cert.B, cert.scope is not LIMIT
-    entries = (A.m11, A.m12, A.m22, B.m11, B.m12, B.m22)
-    d = lcm(*(x.denominator for x in entries))
-    a11, a12, a22, b11, b12, b22 = (x.numerator * (d // x.denominator) for x in entries)
+    numeric = cert.scope is not LIMIT
+    d, (a11, a12, a22, b11, b12, b22) = cert.den, cert.entries
     if numeric and not (a11 or a12 or a22):
         return 1, (1, 1, 1, 1, 1)
     k, j = _kernel_ints(a11, a12, a22, d), _kernel_ints(b11, b12, b22, d)
@@ -633,10 +631,9 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     numeric n the gamma-scan of ``sos_membership`` with > for >= does
     (``_has_interior_gamma``).  A boundary form gets y from the face of its
     certificate (``_supporting_functional``), as integers over one
-    positive scale, and the three checks read those integers
-    (``dualcone._pair_ints``, ``dualcone._dual_ints``): Fractions are made
-    only for the five returned values, once the checks hold.  The zero
-    form raises ValueError.
+    positive scale, the form in which ``DualFunctional`` keeps it, and the
+    three checks read those integers (``dualcone.pair``,
+    ``dualcone.dual_membership``).  The zero form raises ValueError.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
@@ -656,10 +653,10 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
         if _has_interior_gamma(f):
             return "INTERIOR", None
         cert = verdict.certificate
-    den, ys = _supporting_functional(cert)
-    if not any(ys) or _pair_ints(ys, f) != 0 or not _dual_ints(ys, f.scope):
+    y = DualFunctional(*_supporting_functional(cert))
+    if not any(y.ys) or pair(y, f) != 0 or not dual_membership(y, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
-    return "BOUNDARY", DualFunctional(*(Fraction(y, den) for y in ys))
+    return "BOUNDARY", y
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +674,13 @@ def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
 
 
 def _separator(den: int, ys: tuple[int, ...], f: SymFormP) -> DualFunctional:
-    """The functional ys / den, den > 0, once ``dualcone._pair_ints`` < 0
-    and ``dualcone._dual_ints`` hold on the integers; else AssertionError."""
-    if not (_pair_ints(ys, f) < 0 and _dual_ints(ys, f.scope)):
+    """The functional ys / den, den > 0, once ``dualcone.pair`` < 0 and
+    ``dualcone.dual_membership`` hold on its integers; else
+    AssertionError."""
+    ell = DualFunctional(den, ys)
+    if not (pair(ell, f) < 0 and dual_membership(ell, f.scope)):
         raise AssertionError("internal error: separator failed verification")
-    return DualFunctional(*(Fraction(y, den) for y in ys))
+    return ell
 
 
 def _w_separator(f: SymFormP) -> DualFunctional | None:

@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import permutations
-from math import lcm, perm, prod
+from math import perm, prod
 
 from .algebra import (
     NoLimitError,
     RatFunc,
     UniPoly,
+    _over_lcm,
     ratfunc_falling_factorial,
 )
 from .partitions import Partition, is_partition, partitions_of
@@ -101,11 +102,16 @@ class SymFormP:
 
     Each coefficient is stored as a Fraction: one that is already of type
     ``Fraction`` is kept as it is, any other value (int, str, float, a
-    ``numbers.Rational``) goes through ``Fraction()``."""
+    ``numbers.Rational``) goes through ``Fraction()``.  They are also kept
+    as the integers ``nums`` over ``den``, the lcm of their denominators,
+    which every reader that clears f's denominators takes; these two take
+    no part in ``==``."""
 
     degree: int
     coeffs: tuple[Fraction, ...]
     scope: object  # int n or LIMIT
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,19 +120,18 @@ class SymFormP:
             raise ValueError(
                 f"need {len(plist)} coefficients for degree {self.degree}"
             )
-        object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        )
+        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coeffs])
         _check_scope(self.scope)
         if self.scope is not LIMIT and self.scope < self.degree:
             raise ValueError("variable count must be at least the degree")
+        den, nums = _over_lcm(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def __reduce__(self):
         # a copy or an unpickled form is a new object with an empty memo
         return SymFormP, (self.degree, self.coeffs, self.scope)
-
-    def coeff(self, parts: Partition) -> Fraction:
-        return self.coeffs[partitions_of(self.degree).index(tuple(parts))]
 
     def with_scope(self, scope) -> "SymFormP":
         return SymFormP(self.degree, self.coeffs, scope)
@@ -418,10 +423,10 @@ def evaluate(f: SymFormP, point) -> Fraction:
 def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
     """(den, cs): den Phi_f(alpha, 1-alpha, x, y) as five integer
     ``UniPoly`` in alpha, cs[i] the coefficient of x^{4-i} y^i, with
-    den > 0 the lcm of the denominators of f.
+    den > 0 the lcm of the denominators of f (``SymFormP.den``).
 
     Written in closed form on the numerators (c4, c31, c22, c211, c1111)
-    of f over den.  With beta = 1 - alpha, p_a gives alpha x^a + beta y^a,
+    of f over den (``SymFormP.nums``).  With beta = 1 - alpha, p_a gives alpha x^a + beta y^a,
     and the products over the parts of the five partitions sum to
 
         x^4:     c4 alpha + (c31 + c22) alpha^2 + c211 alpha^3 + c1111 alpha^4
@@ -440,12 +445,11 @@ def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
     decisions read."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
-    den = lcm(*(c.denominator for c in f.coeffs))
-    c4, c31, c22, c211, c1111 = (c.numerator * (den // c.denominator) for c in f.coeffs)
+    c4, c31, c22, c211, c1111 = f.nums
     s, m = c31 + c22, 2 * c22 + c211
     # the bracket of x y^3 in powers of alpha: e0 + e1 alpha + e2 alpha^2
     e0, e1, e2 = c31 + 2 * c211 + 4 * c1111, -2 * c211 - 8 * c1111, 4 * c1111
-    return den, (
+    return f.den, (
         UniPoly((0, c4, s, c211, c1111)),
         UniPoly((0, c31, 2 * c211 - c31, 4 * c1111 - 2 * c211, -4 * c1111)),
         UniPoly((0, m, 6 * c1111 - m, -12 * c1111, 6 * c1111)),

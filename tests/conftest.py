@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from symquartic import MultiPoly, SymFormP, brute_symmetrize, m_to_p
-from symquartic.dualcone import DualFunctional, _weighted_point_ints
+from symquartic import LIMIT, MultiPoly, SymFormP, brute_symmetrize, m_to_p
+from symquartic.algebra import SymMat2, UniPoly, psd2
+from symquartic.dualcone import DualFunctional, _gamma_gen_ints, _weighted_point_ints
+from symquartic.partitions import partitions_of
+from symquartic.sos import _conditions
 
 
 def random_form(rng: random.Random, scope, bound: int = 4, den: int = 6) -> SymFormP:
@@ -19,9 +23,81 @@ def weighted_point_functional(weights, point) -> DualFunctional:
     """The functional f -> Phi_f(w, x, y) of a nonnegativity witness
     ((w1, w2), (x, y)), y_lambda = p_lambda with p_i = w1 x^i + w2 y^i: the
     integers of ``dualcone._weighted_point_ints`` over their one
-    denominator, as Fractions."""
-    den, ys = _weighted_point_ints(weights, point)
-    return DualFunctional(*(Fraction(y, den) for y in ys))
+    denominator."""
+    return DualFunctional(*_weighted_point_ints(weights, point))
+
+
+#: rationals whose numerators and denominators have about 4000 bits
+big_fractions = st.builds(
+    lambda a, p, q, e: Fraction(p * 5 ** (e - 800) + a, q * 3**e),
+    st.integers(-50, 50),
+    st.integers(-9, 9),
+    st.integers(1, 9),
+    st.integers(2500, 2560),
+)
+
+
+def coeff(f: SymFormP, parts) -> Fraction:
+    """The coefficient of p_parts in f."""
+    return f.coeffs[partitions_of(f.degree).index(tuple(parts))]
+
+
+def constant_value(r) -> Fraction:
+    """The value of a constant ``RatFunc``."""
+    assert r.num.degree <= 0 and r.den.degree <= 0
+    return r.at(0)
+
+
+def condition_polys(blocks):
+    """``sos._conditions`` on the integer linear forms in gamma of
+    ``sos._block_polys``: the integer polynomials whose roots cut the
+    gamma-cells."""
+    return _conditions(*(UniPoly(form) for form in blocks[1]))
+
+
+# Fraction references for the integer implementations: the pairing, the
+# dual-cone blocks and the certificate checks, on Fraction values.
+
+
+def gamma_gen_coeffs(scope) -> tuple[Fraction, ...]:
+    """Canonical-order coefficients of the scalar-block generator at a
+    numeric scope n, or LIMIT: ``dualcone._gamma_gen_ints`` over its m."""
+    m, gen = _gamma_gen_ints(scope)
+    return tuple(Fraction(g, m) for g in gen)
+
+
+def fraction_pair(ell: DualFunctional, f: SymFormP) -> Fraction:
+    return sum((c * y for c, y in zip(f.coeffs, ell.as_tuple())), Fraction(0))
+
+
+def fraction_dual_blocks(ell: DualFunctional, n) -> tuple:
+    y4, y31, y22, y211, y1111 = ys = ell.as_tuple()
+    m_triv, m_hook = SymMat2(y22, y211, y1111), SymMat2(y4 - y22, y31 - y211, y211 - y1111)
+    if n is LIMIT:
+        return m_triv, m_hook, None
+    return m_triv, m_hook, n * n * sum((g * y for g, y in zip(gamma_gen_coeffs(n), ys)), Fraction(0))
+
+
+def fraction_is_valid(cert) -> bool:
+    return psd2(cert.A) and psd2(cert.B) and cert.gamma >= 0 and (
+        cert.scope is not LIMIT or cert.gamma == 0
+    )
+
+
+def fraction_expand_certificate(cert) -> SymFormP:
+    A, B, g = cert.A, cert.B, cert.gamma
+    g4, g31, g22, g211, g1111 = gamma_gen_coeffs(cert.scope)
+    return SymFormP(
+        4,
+        (
+            B.m22 + g * g4,
+            2 * B.m12 + g * g31,
+            A.m22 - B.m22 + g * g22,
+            2 * A.m12 + B.m11 - 2 * B.m12 + g * g211,
+            A.m11 - B.m11 + g * g1111,
+        ),
+        cert.scope,
+    )
 
 
 def choi_lam_multipoly() -> MultiPoly:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -38,6 +39,10 @@ from symquartic.algebra import (
     squarefree_part_field,
     yun_decomposition,
 )
+from symquartic.sos import _block_polys
+from symquartic.symfunc import SymFormP
+
+from conftest import condition_polys
 
 _x = sympy.Symbol("x")
 
@@ -471,6 +476,33 @@ class TestCells:
             assert walls[i] < sympy.Rational(sample) < walls[i + 1]
             assert sample == simplest_in_middle(ends[2 * i], ends[2 * i + 1])
             assert all(p(sample) != 0 for p in polys)
+
+
+class TestCloseGammaRoots:
+    def test_cells_of_close_roots_bounded_time(self):
+        """The gamma-cells of (1, 0, -1 + 10^-400, 0, 1) at n = 6, which
+        ``sos_membership`` no longer builds (the form is feasible at
+        gamma = 0): two condition roots about 10^-1200 apart lie about
+        10^-800 below the upper end hi = 4.5 * 10^-400, so Descartes
+        bisection has to separate them about 2600 levels deep.  It took
+        about 0.8 s in-process on a 2-vCPU VM."""
+        k, n = 400, 6
+        coeffs = (1, 0, Fraction(1 - 10**k, 10**k), 0, 1)
+        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
+        conditions = condition_polys(_block_polys(f))
+        start = time.monotonic()
+        gamma_cells = cells([p for p in conditions if p.degree > 0], Fraction(0), hi)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5, elapsed
+        (a1, b1), (a2, b2) = gamma_cells.breakpoints
+        assert 0 < a1 <= b1 < a2 <= b2 < hi
+        # both roots lie in [a1, b2]: within 10^-(3k-2) of each other and
+        # within 10^-(2k-2) below hi
+        assert b2 - a1 < Fraction(1, 10 ** (3 * k - 2))
+        assert hi - a1 < Fraction(1, 10 ** (2 * k - 2))
+        for a, b in gamma_cells.breakpoints:
+            assert gamma_cells.product(a) * gamma_cells.product(b) < 0
 
 
 class TestAlgebraicField:

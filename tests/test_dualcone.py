@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from symquartic.algebra import psd2
 from symquartic.dualcone import (
     DualFunctional,
-    _square_blocks,
     boundary_family_functional,
     dual_blocks,
     dual_membership,
@@ -20,12 +20,12 @@ from symquartic.positivity import boundary_status_limit
 from symquartic.sos import sos_boundary
 from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
 
-from conftest import weighted_point_functional
+from conftest import big_fractions, fraction_dual_blocks, fraction_pair, weighted_point_functional
 
 
 class TestPairing:
     def test_pair_is_linear_in_coefficients(self):
-        ell = DualFunctional(
+        ell = DualFunctional.from_values(
             Fraction(1), Fraction(2), Fraction(3), Fraction(4), Fraction(5)
         )
         f = SymFormP(4, (1, 0, -1, 2, Fraction(1, 2)), 4)
@@ -69,13 +69,13 @@ class TestLimitDualCone:
     def test_two_row_block_drops_out(self):
         # f -> c4: trivial block 0, hook block e1 e1^T, two-row block
         # (1 - n)/2 < 0 at every n, yet it is nonnegative on the limit cone
-        ell = DualFunctional(1, 0, 0, 0, 0)
+        ell = DualFunctional.from_values(1, 0, 0, 0, 0)
         assert dual_membership(ell, LIMIT)
         assert not any(dual_membership(ell, n) for n in range(4, 40))
 
     def test_indefinite_blocks_rejected(self):
-        assert not dual_membership(DualFunctional(0, 0, 1, 0, 0), LIMIT)  # hook
-        assert not dual_membership(DualFunctional(1, 0, 0, 0, 1), LIMIT)  # trivial
+        assert not dual_membership(DualFunctional.from_values(0, 0, 1, 0, 0), LIMIT)  # hook
+        assert not dual_membership(DualFunctional.from_values(1, 0, 0, 0, 1), LIMIT)  # trivial
 
     def test_point_evaluations_are_limit_members(self):
         # a form of the limit cone is nonnegative at every n, so every
@@ -109,7 +109,7 @@ class TestDualBlocks:
         assert m_tworow == 0
 
     def test_choi_lam_separator_blocks(self):
-        ell = DualFunctional(
+        ell = DualFunctional.from_values(
             Fraction(176), Fraction(36), Fraction(64), Fraction(8), Fraction(1)
         )
         m_triv, m_hook, m_tworow = dual_blocks(ell, 4)
@@ -158,7 +158,7 @@ class TestKernelSystem:
     def test_special_functional(self):
         # f -> c_(4) + c_(2^2), the end w = 0 of the separator segment
         # (1 + w, 0, 1, 0, 0): in the dual cone at every n
-        ell = DualFunctional(1, 0, 1, 0, 0)
+        ell = DualFunctional.from_values(1, 0, 1, 0, 0)
         assert ell.as_tuple() == (1, 0, 1, 0, 0)
         for n in (4, 5, 9):
             _, _, m_tworow = dual_blocks(ell, n)
@@ -229,26 +229,26 @@ _rat = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 #: values with small denominators, so that determinants and two-row
 #: blocks vanish often enough to hit the boundary of every test
 _val = st.one_of(st.integers(-3, 3).map(Fraction), _rat)
-_scope = st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, LIMIT))
+#: the same, or rationals with about 4000-bit numerators and denominators
+_any_val = st.one_of(_val, big_fractions)
+_scope = st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, 10**40, LIMIT))
 
 
 def reference_membership(ell, n):
     """``dual_membership`` in Fractions, on the blocks themselves."""
-    if n is LIMIT:
-        return all(psd2(m) for m in _square_blocks(ell))
-    m_triv, m_hook, m_tworow = dual_blocks(ell, n)
-    return psd2(m_triv) and psd2(m_hook) and m_tworow >= 0
+    m_triv, m_hook, m_tworow = fraction_dual_blocks(ell, n)
+    return psd2(m_triv) and psd2(m_hook) and (n is LIMIT or m_tworow >= 0)
 
 
 @st.composite
-def _functionals(draw):
+def _functionals(draw, values=_val):
     """Functionals drawn directly, or as rank-1 trivial and hook blocks
     (the extreme rays' shape), whose determinants vanish."""
     if draw(st.booleans()):
-        return DualFunctional(*draw(st.tuples(*[_val] * 5)))
-    a, b, c, d = draw(st.tuples(*[_val] * 4))
+        return DualFunctional.from_values(*draw(st.tuples(*[values] * 5)))
+    a, b, c, d = draw(st.tuples(*[values] * 4))
     y22, y211, y1111 = a * a, a * b, b * b
-    return DualFunctional(c * c + y22, c * d + y211, y22, y211, d * d + y211)
+    return DualFunctional.from_values(c * c + y22, c * d + y211, y22, y211, d * d + y211)
 
 
 class TestIntegerCore:
@@ -256,12 +256,12 @@ class TestIntegerCore:
     ``weighted_point_functional``) and ``dual_membership`` run in integers;
     each must equal its Fraction definition."""
 
-    @given(st.tuples(*[_val] * 5), st.tuples(*[_val] * 5))
+    @given(st.tuples(*[_any_val] * 5), st.tuples(*[_any_val] * 5), _scope)
     @settings(max_examples=150, deadline=None)
-    def test_pair_is_the_fraction_sum(self, ys, cs):
-        ell = DualFunctional(*ys)
-        f = SymFormP(4, cs, 4)
-        assert pair(ell, f) == sum((c * y for c, y in zip(cs, ys)), Fraction(0))
+    def test_pair_is_the_fraction_sum(self, ys, cs, n):
+        ell = DualFunctional.from_values(*ys)
+        f = SymFormP(4, cs, n)
+        assert pair(ell, f) == sum((c * y for c, y in zip(cs, ys)), Fraction(0)) == fraction_pair(ell, f)
 
     @given(st.tuples(*[_val] * 4))
     @settings(max_examples=150, deadline=None)
@@ -278,31 +278,63 @@ class TestIntegerCore:
         ell = weighted_point_functional((1, 0), (2, 5))
         assert ell == point_eval_functional((2,))
 
-    @given(_functionals(), _scope)
+    @given(st.one_of(_functionals(), _functionals(_any_val)), _scope)
     @settings(max_examples=300, deadline=None)
     def test_membership_is_the_fraction_blocks(self, ell, n):
         assert dual_membership(ell, n) == reference_membership(ell, n)
+        if n is not LIMIT:
+            assert dual_blocks(ell, n) == fraction_dual_blocks(ell, n)
 
     def test_membership_branches(self):
         # each block decides one of these: the hook block fails, the
         # two-row block fails at n = 4 only, and all three hold
-        hook_fails = DualFunctional(0, 0, 1, 0, 0)
+        hook_fails = DualFunctional.from_values(0, 0, 1, 0, 0)
         assert not dual_membership(hook_fails, LIMIT) and not reference_membership(hook_fails, 4)
         # y = (1 + w, 0, 1, 0, 0): tau >= 0 iff w <= (n-2)^2/(n-1), 4/3 at n = 4
-        tworow = DualFunctional(3, 0, 1, 0, 0)
+        tworow = DualFunctional.from_values(3, 0, 1, 0, 0)
         assert [dual_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
         assert [reference_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
-        edge = DualFunctional(Fraction(7, 3), 0, 1, 0, 0)
+        edge = DualFunctional.from_values(Fraction(7, 3), 0, 1, 0, 0)
         assert dual_membership(edge, 4) and dual_blocks(edge, 4)[2] == 0
 
     def test_membership_rejects_small_n(self):
         with pytest.raises(ValueError):
-            dual_membership(DualFunctional(-1, 0, 0, 0, 0), 3)
+            dual_membership(DualFunctional.from_values(-1, 0, 0, 0, 0), 3)
 
 
-def test_functional_keeps_fractions_and_converts_the_rest():
+def test_functional_from_values_converts_every_value():
     third = Fraction(1, 3)
-    ell = DualFunctional(third, 2, "3/4", 0.5, Fraction(5))
-    assert ell.y4 is third
+    ell = DualFunctional.from_values(third, 2, "3/4", 0.5, Fraction(5))
+    assert ell.y4 == third
+    assert (ell.den, ell.ys) == (12, (4, 24, 9, 6, 60))
     assert ell.as_tuple() == (third, Fraction(2), Fraction(3, 4), Fraction(1, 2), Fraction(5))
     assert all(type(v) is Fraction for v in ell.as_tuple())
+
+
+class TestRepresentation:
+    """A functional is five integers over one positive scale in lowest
+    terms (``TestIntegerCore`` checks what reads them)."""
+
+    @given(st.tuples(*[_any_val] * 5), st.integers(1, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_values_round_trip(self, values, k):
+        ell = DualFunctional.from_values(*values)
+        assert ell.as_tuple() == values
+        assert (ell.y4, ell.y31, ell.y22, ell.y211, ell.y1111) == values
+        assert ell.den > 0 and math.gcd(ell.den, *ell.ys) == 1
+        # the same values over k times the scale are the same functional
+        same = DualFunctional(ell.den * k, tuple(y * k for y in ell.ys))
+        assert same == ell and hash(same) == hash(ell) and same.ys == ell.ys
+
+    def test_equal_values_equal_objects(self):
+        a = DualFunctional.from_values(Fraction(1, 2), 0, 1, Fraction(-3, 4), 2)
+        b = DualFunctional(12, (6, 0, 12, -9, 24))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != DualFunctional.from_values(Fraction(1, 2), 0, 1, Fraction(-3, 4), 3)
+
+    def test_bad_scale_or_length_rejected(self):
+        for den in (0, -4):
+            with pytest.raises(ValueError):
+                DualFunctional(den, (1, 0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            DualFunctional(1, (1, 0, 0, 0))

@@ -416,7 +416,7 @@ def walk_forms(seed=29, count=6):
     for i in range(count):
         forms.append(random_form(rng, 4).coeffs)
         a, b, c, d = small(), small(), small(), small()
-        coeffs = list(expand_certificate(SosCertificate(
+        coeffs = list(expand_certificate(SosCertificate.from_blocks(
             SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT
         )).coeffs)
         coeffs[i % 5] -= Fraction(1, 1024)
@@ -558,7 +558,7 @@ _gamma_zero_forms = st.one_of(
     st.tuples(*[_small] * 5),
     st.builds(boundary_coeffs, _small.filter(bool), _small, _small, _small),
     st.builds(
-        lambda A, B: expand_certificate(SosCertificate(A, B, Fraction(0), LIMIT)).coeffs,
+        lambda A, B: expand_certificate(SosCertificate.from_blocks(A, B, Fraction(0), LIMIT)).coeffs,
         _psd2,
         _psd2,
     ),
@@ -682,7 +682,7 @@ class TestBoundaryStatus:
         # inside
         f = form_from_dict(4, {(2, 2): 1}, LIMIT)
         verdict = boundary_status_limit(f)
-        assert (verdict.status, verdict.witness) == ("BOUNDARY", DualFunctional(1, 0, 0, 0, 0))
+        assert (verdict.status, verdict.witness) == ("BOUNDARY", DualFunctional.from_values(1, 0, 0, 0, 0))
         g = form_from_dict(4, {(2, 2): 1, (4,): 1}, LIMIT)
         assert boundary_status_limit(g).status == "INTERIOR"
 
@@ -719,7 +719,7 @@ class TestBoundaryStatus:
         f = SymFormP(4, (0, 0, Fraction(89, 16), Fraction(7, 8), Fraction(-39, 16)), LIMIT)
         verdict = boundary_status_limit(f)
         assert verdict.status == "BOUNDARY"
-        assert verdict.witness == DualFunctional(1, 0, 0, 0, 0)
+        assert verdict.witness == DualFunctional.from_values(1, 0, 0, 0, 0)
         assert is_nonneg_limit(f - form_from_dict(4, {(4,): Fraction(1, 10**6)}, LIMIT)).status == "OUT"
 
     def test_numeric_scope_rejected(self):
@@ -799,7 +799,7 @@ ONE_ZERO, HALF = (F(1), F(0)), (F(1, 2), F(1, 2))
 MEAN_ZERO = (HALF, (F(1), F(-1)))
 #: The functional f -> c4, which supports the limit cone at every form
 #: with c4 = 0.
-C4 = DualFunctional(1, 0, 0, 0, 0)
+C4 = DualFunctional.from_values(1, 0, 0, 0, 0)
 
 
 def _finite(status, witnesses, strict):
@@ -825,10 +825,10 @@ DEGENERATE = {
     "square_p2_p1sq_3": ((0, 0, 1, 1, F(1, 4)), ("IN", None), ("BOUNDARY", C4),
                          "IN", _finite("IN", None, True)),
     # p_4 - p_(2,2) = mean of (x_i^2 - p_2)^2, plus (p_2 - p_1^2)^2
-    "p4_minus_p22": ((1, 0, -1, 0, 0), ("IN", None), ("BOUNDARY", DualFunctional(1, 0, 1, 0, 0)),
+    "p4_minus_p22": ((1, 0, -1, 0, 0), ("IN", None), ("BOUNDARY", DualFunctional.from_values(1, 0, 1, 0, 0)),
                      "IN", _finite("IN", None, False)),
     "p4_minus_p22_plus_square": ((1, 0, 0, -2, 1), ("IN", None),
-                                 ("BOUNDARY", DualFunctional(1, 1, 1, 1, 1)),
+                                 ("BOUNDARY", DualFunctional.from_values(1, 1, 1, 1, 1)),
                                  "IN", _finite("IN", None, False)),
     "p22_minus_p4": ((-1, 0, 1, 0, 0), ("OUT", (HALF, ONE_ZERO)), ("OUTSIDE", None),
                      "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
@@ -873,7 +873,7 @@ DEGENERATE = {
                           ("OUT", MEAN_ZERO), ("OUTSIDE", None),
                           "OUT", _finite("OUT", _grid(ONE_ZERO), False)),
     "bench_large_n": ((F(9, 4), F(-15, 2), F(-2), F(53, 4), F(-6)), ("IN", None),
-                      ("BOUNDARY", DualFunctional(*[F(1, 16)] * 5)), "IN",
+                      ("BOUNDARY", DualFunctional.from_values(*[F(1, 16)] * 5)), "IN",
                       _finite("IN", None, False)),
 }
 

@@ -5,7 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import sympy
 
 import symquartic.algebra as algebra
-import symquartic.dualcone as dualcone
 import symquartic.positivity as positivity
 import symquartic.sos as sos
 from symquartic.algebra import (
@@ -37,7 +36,6 @@ from symquartic.dualcone import (
     boundary_family_functional,
     dual_blocks,
     dual_membership,
-    gamma_gen_coeffs,
     pair,
 )
 from symquartic.identities import BoundaryParams, boundary_family_form
@@ -78,7 +76,19 @@ from symquartic.symfunc import (
     phi_alpha_coeffs,
 )
 
-from conftest import choi_lam_multipoly, random_form, weighted_point_functional
+from conftest import (
+    big_fractions,
+    choi_lam_multipoly,
+    condition_polys,
+    fraction_expand_certificate,
+    fraction_is_valid,
+    gamma_gen_coeffs,
+    random_form,
+    weighted_point_functional,
+)
+
+
+_SCAN_SCOPES_AND_LIMIT = st.sampled_from((4, 5, 6, 8, 10**40, LIMIT))
 
 
 def zero2():
@@ -92,15 +102,15 @@ def e22():
 class TestExpandCertificate:
     def test_alpha_block_e22_is_p22(self):
         # the second alpha-basis element is p_2, so its square is p_(2,2)
-        cert = SosCertificate(e22(), zero2(), Fraction(0), LIMIT)
+        cert = SosCertificate.from_blocks(e22(), zero2(), Fraction(0), LIMIT)
         assert expand_certificate(cert).coeffs == (0, 0, 1, 0, 0)
 
     def test_beta_block_e22_is_p4_minus_p22(self):
-        cert = SosCertificate(zero2(), e22(), Fraction(0), LIMIT)
+        cert = SosCertificate.from_blocks(zero2(), e22(), Fraction(0), LIMIT)
         assert expand_certificate(cert).coeffs == (1, 0, -1, 0, 0)
 
     def test_gamma_generator_at_n4(self):
-        cert = SosCertificate(zero2(), zero2(), Fraction(1), 4)
+        cert = SosCertificate.from_blocks(zero2(), zero2(), Fraction(1), 4)
         assert expand_certificate(cert).coeffs == (
             Fraction(-3, 32),
             Fraction(3, 8),
@@ -110,18 +120,18 @@ class TestExpandCertificate:
         )
 
     def test_limit_requires_zero_gamma(self):
-        cert = SosCertificate(zero2(), zero2(), Fraction(1), LIMIT)
+        cert = SosCertificate.from_blocks(zero2(), zero2(), Fraction(1), LIMIT)
         with pytest.raises(ValueError):
             expand_certificate(cert)
 
     def test_linearity(self):
-        a = SosCertificate(
+        a = SosCertificate.from_blocks(
             SymMat2(Fraction(2), Fraction(1), Fraction(3)),
             SymMat2(Fraction(1), Fraction(0), Fraction(1)),
             Fraction(1, 2),
             5,
         )
-        doubled = SosCertificate(
+        doubled = SosCertificate.from_blocks(
             SymMat2(Fraction(4), Fraction(2), Fraction(6)),
             SymMat2(Fraction(2), Fraction(0), Fraction(2)),
             Fraction(1),
@@ -130,6 +140,64 @@ class TestExpandCertificate:
         fa = expand_certificate(a)
         fd = expand_certificate(doubled)
         assert tuple(2 * c for c in fa.coeffs) == fd.coeffs
+
+
+_entry = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=6), big_fractions)
+
+
+@st.composite
+def _cert_blocks(draw, psd=False):
+    """Six block entries: drawn directly, or as PSD blocks a a^T + t I."""
+    if not psd and draw(st.booleans()):
+        return draw(st.tuples(*[_entry] * 6))
+    a, b, c, d = draw(st.tuples(*[_entry] * 4))
+    t, r = draw(st.tuples(*[st.sampled_from((0, 0, Fraction(1, 3), 2))] * 2))
+    return (a * a + t, a * b, b * b + t, c * c + r, c * d, d * d + r)
+
+
+class TestCertificateRepresentation:
+    """A certificate keeps its six block entries as integers over one
+    positive scale in lowest terms; ``is_valid`` and ``expand_certificate``
+    read them."""
+
+    @given(_cert_blocks(), st.fractions(min_value=0, max_value=4, max_denominator=6), st.integers(1, 10**6))
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_round_trip(self, xs, gamma, k):
+        A, B = SymMat2(*xs[:3]), SymMat2(*xs[3:])
+        cert = SosCertificate.from_blocks(A, B, gamma, 5)
+        assert (cert.A, cert.B, cert.gamma) == (A, B, gamma)
+        assert cert.den > 0 and gcd(cert.den, *cert.entries) == 1
+        # the same entries over k times the scale are the same certificate
+        same = SosCertificate(cert.den * k, tuple(x * k for x in cert.entries), gamma, 5)
+        assert same == cert and hash(same) == hash(cert) and same.entries == cert.entries
+
+    def test_bad_scale_or_length_rejected(self):
+        with pytest.raises(ValueError):
+            SosCertificate(0, (1, 0, 0, 0, 0, 0), Fraction(0), 4)
+        with pytest.raises(ValueError):
+            SosCertificate(1, (1, 0, 0, 0, 0), Fraction(0), 4)
+
+    @given(_cert_blocks(), st.fractions(min_value=-1, max_value=4, max_denominator=6), _SCAN_SCOPES_AND_LIMIT)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_fraction_versions(self, xs, gamma, scope):
+        cert = SosCertificate.from_blocks(SymMat2(*xs[:3]), SymMat2(*xs[3:]), gamma, scope)
+        assert cert.is_valid() == fraction_is_valid(cert)
+        if scope is not LIMIT or gamma == 0:
+            assert expand_certificate(cert) == fraction_expand_certificate(cert)
+
+    @given(_cert_blocks(psd=True), st.sampled_from((0, Fraction(1, 3), 2)), _SCAN_SCOPES_AND_LIMIT)
+    @settings(max_examples=60, deadline=None)
+    def test_decided_certificates_pass_the_fraction_checks(self, xs, gamma, scope):
+        """The certificate ``sos`` builds for the expansion of PSD blocks,
+        with entries of up to about 4000 bits, passes the Fraction
+        checks."""
+        gamma = 0 if scope is LIMIT else gamma
+        f = fraction_expand_certificate(
+            SosCertificate.from_blocks(SymMat2(*xs[:3]), SymMat2(*xs[3:]), gamma, scope)
+        )
+        cert = sos_certificate(f)
+        assert cert.is_valid() and fraction_is_valid(cert)
+        assert fraction_expand_certificate(cert) == f == expand_certificate(cert)
 
 
 class TestLimitMembership:
@@ -316,13 +384,6 @@ class TestNumericMembership:
         assert ins > 0
 
 
-def condition_polys(blocks):
-    """``_conditions`` on the integer linear forms in gamma of
-    ``_block_polys``: the integer polynomials whose roots cut the
-    gamma-cells."""
-    return _conditions(*(UniPoly(form) for form in blocks[1]))
-
-
 def entries_at(blocks, gamma):
     """The block entries at a rational gamma = p/q read off the integer
     linear forms of ``_block_polys``, (C_i q + G_i p) / (S q)."""
@@ -478,7 +539,7 @@ class TestEndsFirst:
         forms = [(1, 0, 0, 0, 0), (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))]
         for _ in range(40):
             a, b, c, d, e = small(), small(), small(), small(), small()
-            cert = SosCertificate(SymMat2(a * a + e * e, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
+            cert = SosCertificate.from_blocks(SymMat2(a * a + e * e, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
             forms.append(expand_certificate(cert).coeffs)
             forms.append(random_form(rng, 4).coeffs)
         seen = 0
@@ -564,15 +625,17 @@ def scan_candidates(f):
 
 
 class TestScanOrder:
-    """The cell samples (``scan_candidates``) start at the sample of the
-    cell between the lower end lo and the first root of D, V or H.  The
-    feasible gammas form a closed interval; with lo infeasible its left end
-    is such a root, so that first cell is never feasible, and
-    ``sos_membership`` skips it.  The second candidate is the first that
+    """The convexity fact behind the gamma-scan, checked on
+    ``_certificate_at`` against the test-local cell reference
+    ``scan_candidates``, not against code that ``sos`` runs.  The cell
+    samples start at the sample of the cell between the lower end lo and
+    the first root of D, V or H.  The feasible gammas form a closed
+    interval; with lo infeasible its left end is such a root, so that
+    first cell is never feasible.  The second candidate is the first that
     can be feasible, and the forms below are feasible there alone.
-    ``sos_membership`` no longer scans cells: its certificate's gamma is
-    the simplest rational of {D >= 0, V >= 0} (``sos._open_gamma``),
-    re-pinned here against the cell sample it replaced."""
+    ``sos_membership`` scans no cells: its certificate's gamma is the
+    simplest rational of {D >= 0, V >= 0} (``sos._open_gamma``), pinned
+    here next to the cell sample."""
 
     CLOSED_FORM_GAMMA = {Fraction(7): Fraction(6), Fraction(7, 3): Fraction(5, 2)}
 
@@ -595,33 +658,6 @@ class TestScanOrder:
         assert len(gamma_scan_builds) == 1
 
 
-class TestCloseGammaRoots:
-    def test_cells_of_close_roots_bounded_time(self):
-        """The gamma-cells of (1, 0, -1 + 10^-400, 0, 1) at n = 6, which
-        ``sos_membership`` no longer builds (the form is feasible at
-        gamma = 0): two condition roots about 10^-1200 apart lie about
-        10^-800 below the upper end hi = 4.5 * 10^-400, so Descartes
-        bisection has to separate them about 2600 levels deep.  It took
-        about 0.8 s in-process on a 2-vCPU VM."""
-        k, n = 400, 6
-        coeffs = (1, 0, Fraction(1 - 10**k, 10**k), 0, 1)
-        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
-        hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
-        conditions = condition_polys(_block_polys(f))
-        start = time.monotonic()
-        gamma_cells = cells([p for p in conditions if p.degree > 0], Fraction(0), hi)
-        elapsed = time.monotonic() - start
-        assert elapsed < 5, elapsed
-        (a1, b1), (a2, b2) = gamma_cells.breakpoints
-        assert 0 < a1 <= b1 < a2 <= b2 < hi
-        # both roots lie in [a1, b2]: within 10^-(3k-2) of each other and
-        # within 10^-(2k-2) below hi
-        assert b2 - a1 < Fraction(1, 10 ** (3 * k - 2))
-        assert hi - a1 < Fraction(1, 10 ** (2 * k - 2))
-        for a, b in gamma_cells.breakpoints:
-            assert gamma_cells.product(a) * gamma_cells.product(b) < 0
-
-
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -635,7 +671,7 @@ def _membership_forms(draw, scopes=st.integers(4, 9)):
         return SymFormP(4, draw(st.tuples(*[_small] * 5)), n)
     a, b, c, d = (draw(_small) for _ in range(4))
     gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
-    cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, n)
+    cert = SosCertificate.from_blocks(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, n)
     coeffs = list(expand_certificate(cert).coeffs)
     coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, Fraction(1, 1024))))
     return SymFormP(4, tuple(coeffs), n)
@@ -711,8 +747,11 @@ def test_single_gamma_without_sign_queries(monkeypatch, name):
 @given(_membership_forms())
 @settings(max_examples=80, deadline=None)
 def test_first_scan_candidate_is_never_feasible(f):
-    """Forms that reach the scan, from the examples of the cell path and the
-    membership strategy (``TestScanOrder``)."""
+    """The convexity fact of ``TestScanOrder``, on ``_certificate_at`` at
+    the first sample of the test-local cell reference ``scan_candidates``,
+    not on code that ``sos`` runs; the forms reach that reference's scan,
+    from the examples of the former cell path and the membership
+    strategy."""
     scan = scan_candidates(f)
     if scan is not None and scan[1]:
         blocks, candidates = scan
@@ -749,7 +788,7 @@ def _lemma_forms(draw):
         return SymMat2(a * a + c * c, a * b + c * d, b * b + d * d)
 
     gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
-    coeffs = list(expand_certificate(SosCertificate(block(), block(), gamma, n)).coeffs)
+    coeffs = list(expand_certificate(SosCertificate.from_blocks(block(), block(), gamma, n)).coeffs)
     coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, 0, Fraction(1, 1000))))
     return SymFormP(4, tuple(coeffs), n)
 
@@ -806,7 +845,7 @@ def _single_gamma_forms(draw, scopes=st.sampled_from((*range(4, 13), 30))):
     t = (n * n - 4 * (n - 1) * r + (n - 1) * r * r) / Fraction((n - 2) ** 2)
     a, b = (draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)) for _ in range(2))
     gamma = draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6))
-    cert = SosCertificate(SymMat2(a * t * t, -a * t, a), SymMat2(b * r * r, -b * r, b), gamma, n)
+    cert = SosCertificate.from_blocks(SymMat2(a * t * t, -a * t, a), SymMat2(b * r * r, -b * r, b), gamma, n)
     return expand_certificate(cert), gamma
 
 
@@ -911,7 +950,7 @@ def _scan_forms(draw):
         return SymMat2(a * a + c * c, a * b, b * b + draw(st.sampled_from((0, c * c))))
 
     gamma = draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
-    g = expand_certificate(SosCertificate(block(), block(), gamma, n)).coeffs
+    g = expand_certificate(SosCertificate.from_blocks(block(), block(), gamma, n)).coeffs
     h = draw(st.tuples(*[_small] * 5))
     step = draw(st.sampled_from((1, -1))) * Fraction(1, 2 ** draw(st.integers(1, 40)))
     return SymFormP(4, tuple(x + step * (y - x) for x, y in zip(g, h)), n)
@@ -1018,7 +1057,7 @@ def test_gamma_scan_near_an_end_bounded_time():
     2^-16384.  They took 0.03-0.27 s in-process on a 2-vCPU VM."""
     n, k = 5, 3600
     t = (n * n - 4 * (n - 1) + (n - 1)) / Fraction((n - 2) ** 2)  # r = 1, as in _single_gamma_forms
-    cert = SosCertificate(SymMat2(t * t, -t, Fraction(1)), SymMat2(Fraction(1), Fraction(-1), Fraction(1)), Fraction(1, 10**k), n)
+    cert = SosCertificate.from_blocks(SymMat2(t * t, -t, Fraction(1)), SymMat2(Fraction(1), Fraction(-1), Fraction(1)), Fraction(1, 10**k), n)
     single = expand_certificate(cert)
     raised = SymFormP(4, (single.coeffs[0] + Fraction(1, 10**7300), *single.coeffs[1:]), n)
     for f, status in ((single, "BOUNDARY"), (raised, "INTERIOR")):
@@ -1067,7 +1106,7 @@ def boundary_sample(seed=0, count=400):
             continue
         A, B = (_block(rng, rng.choice(kinds)) for _ in range(2))
         gamma = rng.choice((0, Fraction(rng.randint(1, 8), rng.randint(1, 4))))
-        f = expand_certificate(SosCertificate(A, B, Fraction(gamma), n))
+        f = expand_certificate(SosCertificate.from_blocks(A, B, Fraction(gamma), n))
         if not f.is_zero():
             out.append(f)
     return out
@@ -1100,7 +1139,7 @@ class TestSosBoundary:
         f = SymFormP(4, tuple(Fraction(c) for c in ("-15/196", "15/49", "547/392", "-23/4", "91/16")), 7)
         status, y = sos_boundary(f)
         assert status == "BOUNDARY"
-        assert y == DualFunctional(
+        assert y == DualFunctional.from_values(
             Fraction(42957, 512), Fraction(1539, 64), Fraction(6561, 256), Fraction(729, 64), Fraction(81, 16)
         )
         assert_supports(y, f)
@@ -1201,11 +1240,11 @@ def former_supporting_functional(cert):
     zero, one = Fraction(0), Fraction(1)
     A, B, numeric = cert.A, cert.B, cert.scope is not LIMIT
     if numeric and not (A.m11 or A.m12 or A.m22):
-        return DualFunctional(one, one, one, one, one)
+        return DualFunctional.from_values(one, one, one, one, one)
     k, j = former_kernel(A), former_kernel(B)
     free = j is not None and j[0] == 0
     if free and not numeric:
-        return DualFunctional(one, zero, zero, zero, zero)
+        return DualFunctional.from_values(one, zero, zero, zero, zero)
     (k1, k2), lam, x, z = k, one, zero, zero
     beta = k1 * (k2 - k1)
     if free:
@@ -1215,11 +1254,11 @@ def former_supporting_functional(cert):
     elif j is not None and beta:
         j1, j2 = j
         lam, x, z = j1 * j1, beta * j1 * j2, beta * j2 * j2
-    y = DualFunctional(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
+    y = DualFunctional.from_values(z + lam * k2 * k2, x + lam * k1 * k2, lam * k2 * k2, lam * k1 * k2, lam * k1 * k1)
     if free and cert.gamma > 0:
         gen = gamma_gen_coeffs(cert.scope)
         y_gen = sum((g * v for g, v in zip(gen, y.as_tuple())), zero)
-        y = DualFunctional(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
+        y = DualFunctional.from_values(y.y4 - y_gen / gen[0], y.y31, y.y22, y.y211, y.y1111)
     return y
 
 
@@ -1249,7 +1288,7 @@ def limit_boundary_sample():
         kind_a, kind_b = rng.choice(kinds), rng.choice(kinds)
         if "definite" == kind_a == kind_b:
             continue
-        cert = SosCertificate(_block(rng, kind_a), _block(rng, kind_b), Fraction(0), LIMIT)
+        cert = SosCertificate.from_blocks(_block(rng, kind_a), _block(rng, kind_b), Fraction(0), LIMIT)
         forms.append(expand_certificate(cert))
     return [f for f in forms if not f.is_zero()]
 
@@ -1292,7 +1331,7 @@ class TestIntegerSupportingFunctional:
             for _ in range(4):
                 A = _block(rng, "rank1")
                 B = SymMat2(Fraction(rng.randint(0, 3)), Fraction(0), Fraction(0))
-                cert = SosCertificate(A, B, Fraction(rng.randint(1, 9), rng.randint(1, 5)), n)
+                cert = SosCertificate.from_blocks(A, B, Fraction(rng.randint(1, 9), rng.randint(1, 5)), n)
                 f = expand_certificate(cert)
                 status, y = sos_boundary(f)
                 if status == "BOUNDARY":
@@ -1302,25 +1341,76 @@ class TestIntegerSupportingFunctional:
         assert checked > 20
 
     def test_no_fraction_checks(self, monkeypatch):
-        """``sos_boundary`` calls neither ``pair`` nor ``dual_membership``:
-        its three checks read the integers of ``_supporting_functional``.
-        ``sos`` imports neither."""
-        assert not hasattr(sos, "pair") and not hasattr(sos, "dual_membership")
+        """``sos_boundary`` keeps the integers of ``_supporting_functional``
+        as the ``DualFunctional`` it returns, and its checks are the public
+        ``pair`` and ``dual_membership`` on those integers, once each per
+        BOUNDARY form; ``sos`` makes no Fraction on the way
+        (``test_witness_builders_make_no_fraction``)."""
         calls = []
-        for module in (dualcone,):
-            for name in ("pair", "dual_membership"):
-                real = getattr(module, name)
+        for name in ("pair", "dual_membership"):
+            real = getattr(sos, name)
 
-                def counted(*args, _name=name, _real=real):
-                    calls.append(_name)
-                    return _real(*args)
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(sos, name, counted)
         boundary = 0
         for f in boundary_sample()[:200] + limit_boundary_sample():
-            boundary += sos_boundary(f)[0] == "BOUNDARY"
+            status, y = sos_boundary(f)
+            if status == "BOUNDARY":
+                boundary += 1
+                assert y == DualFunctional(*sos._supporting_functional(sos_certificate(f)))
         assert boundary > 50
-        assert calls == []
+        assert calls.count("pair") == calls.count("dual_membership") == boundary == len(calls) // 2
+
+
+def sos_certificate(f):
+    """The certificate of an SOS form at its scope."""
+    return (sos_membership_limit(f) if f.scope is LIMIT else sos_membership(f)).certificate
+
+
+def test_witness_builders_make_no_fraction(monkeypatch):
+    """A finite-n IN ``sos_membership`` (at gamma = 0, at an end and inside
+    the range), a LIMIT BOUNDARY ``sos_boundary`` and every separator case
+    of ``find_separating_functional`` make no Fraction inside
+    ``_certificate``, ``_supporting_functional`` or ``_separator``, nor in
+    anything they call: ``sos.Fraction`` is patched to record the call
+    stack of each Fraction it makes."""
+    made = []
+    real = sos.Fraction
+
+    def counted(*args):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        made.append(names)
+        return real(*args)
+
+    monkeypatch.setattr(sos, "Fraction", counted)
+    finite_in = [
+        SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
+        for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values())
+    ]
+    finite_in += [_EXAMPLE_6_10.with_scope(n) for n in (5, 8, 10**40)]
+    finite_in.append(SymFormP(4, (Fraction(1, 6), Fraction(22, 9), Fraction(5, 2), -15, 17), 6))
+    certificates = 0
+    for f in finite_in:
+        verdict = sos_membership(f)
+        assert verdict.status == "IN"
+        certificates += verdict.certificate.gamma > 0
+    assert certificates >= 4
+    boundary = sum(sos_boundary(f)[0] == "BOUNDARY" for f in limit_boundary_sample())
+    assert boundary > 50
+    for n, coeffs in _GAP_FORMS.values():
+        assert find_separating_functional(SymFormP(4, tuple(Fraction(c) for c in coeffs), n)) is not None
+    # the two segment ends, and the point evaluation at Choi-Lam's negative point
+    for coeffs in ((-1, 0, 0, 0, 0), (-1, 0, Fraction(3, 2), 0, 0), (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3))):
+        assert find_separating_functional(SymFormP(4, coeffs, 6)) is not None
+    assert made  # the patch is live: the gamma-scan makes Fractions
+    builders = {"_certificate", "_supporting_functional", "_separator"}
+    assert not [names & builders for names in made if names & builders]
 
 
 def former_weighted_point_functional(weights, point):
@@ -1332,7 +1422,7 @@ def former_weighted_point_functional(weights, point):
     ru, ts, su, ad, cb, bd = r * u, t * s, s * u, a * d, c * b, b * d
     p1, p2, p3, p4 = (ru * ad**i + ts * cb**i for i in (1, 2, 3, 4))
     q1, q2, q3, q4 = (su * bd**i for i in (1, 2, 3, 4))
-    return DualFunctional(
+    return DualFunctional.from_values(
         Fraction(p4, q4),
         Fraction(p3 * p1, q3 * q1),
         Fraction(p2 * p2, q2 * q2),
@@ -1348,7 +1438,7 @@ def former_segment_end(f):
     n, c = f.scope, f.coeffs
     for v in (Fraction(0), Fraction((n - 2) ** 2, n - 1)):
         if (1 + v) * c[0] + c[2] < 0:
-            return DualFunctional(1 + v, Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+            return DualFunctional.from_values(1 + v, Fraction(0), Fraction(1), Fraction(0), Fraction(0))
     return None
 
 
@@ -1424,7 +1514,7 @@ class TestSeparation:
         for i in range(24):
             if i % 3:
                 coeffs = list(
-                    expand_certificate(SosCertificate(rank1(), rank1(), Fraction(0), n)).coeffs
+                    expand_certificate(SosCertificate.from_blocks(rank1(), rank1(), Fraction(0), n)).coeffs
                 )
                 coeffs[i % 5] -= Fraction(1, 1024)
                 f = SymFormP(4, tuple(coeffs), n)
@@ -1481,7 +1571,7 @@ class TestSeparation:
         for i in range(30):
             forms.append(random_form(rng, 4).coeffs)
             a, b, c, d = small(), small(), small(), small()
-            cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
+            cert = SosCertificate.from_blocks(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT)
             coeffs = list(expand_certificate(cert).coeffs)
             coeffs[i % 5] -= Fraction(1, 1024)
             forms.append(coeffs)
@@ -1518,7 +1608,7 @@ class TestSeparation:
 
 def _s_chart(s, z):
     t = 1 + s * s
-    return DualFunctional(z * z + t * t, s * z + t, t * t, t, 1)
+    return DualFunctional.from_values(z * z + t * t, s * z + t, t * t, t, 1)
 
 
 class TestSeparatorCharts:
@@ -1539,7 +1629,7 @@ class TestSeparatorCharts:
         w_max = Fraction((n - 2) ** 2, n - 1)
         for k in range(-2, 13):
             w = w_max * Fraction(k, 10)
-            ell = DualFunctional(1 + w, 0, 1, 0, 0)
+            ell = DualFunctional.from_values(1 + w, 0, 1, 0, 0)
             assert dual_membership(ell, n) == (0 <= w <= w_max)
 
     def test_chart_quadratic_is_the_pairing(self):
@@ -1761,7 +1851,7 @@ def former_w_separator(f):
         if u and 0 < w and w * w * bottom < top and ((C0 * u * u + K) * u + B * w) * u + b22 * w * w + a22 < 0:
             s = 1 / u
             z, t = 2 * s + s * s * w, 1 + s * s
-            return DualFunctional(z * z + t * t, s * z + t, t * t, t, 1)
+            return DualFunctional.from_values(z * z + t * t, s * z + t, t * t, t, 1)
         j *= 2
 
 
@@ -1845,7 +1935,7 @@ def _feasibility_forms():
     for i in range(30):
         n = rng.choice((4, 5, 6, 9))
         if i % 3:
-            cert = SosCertificate(rank1(), rank1(), Fraction(rng.randint(0, 4), 3), n)
+            cert = SosCertificate.from_blocks(rank1(), rank1(), Fraction(rng.randint(0, 4), 3), n)
             coeffs = list(expand_certificate(cert).coeffs)
             if i % 3 == 2:
                 coeffs[i % 5] -= Fraction(1, 1024)
@@ -2001,7 +2091,7 @@ def fraction_certificate(f, entries, gamma):
     v = 2 * a22 + s
     if u * u > 2 * v * u + 4 * a22 * a11_u - s * s:
         u, branch = v, "vertex"
-    cert = SosCertificate(
+    cert = SosCertificate.from_blocks(
         SymMat2(a11_u + u, (s - u) / 2, a22),
         SymMat2(u, b12, b22),
         gamma,
@@ -2102,7 +2192,7 @@ def _scoped_forms(draw):
         return SymFormP(4, draw(st.tuples(*[_small] * 5)), scope)
     a, b, c, d = (draw(_small) for _ in range(4))
     gamma = Fraction(0) if scope is LIMIT else draw(st.fractions(0, 4, max_denominator=6))
-    cert = SosCertificate(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, scope)
+    cert = SosCertificate.from_blocks(SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), gamma, scope)
     coeffs = list(expand_certificate(cert).coeffs)
     coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, Fraction(1, 1024))))
     return SymFormP(4, tuple(coeffs), scope)
@@ -2226,7 +2316,7 @@ def _certified_forms(draw):
         SymMat2(c * c, Fraction(0), Fraction(0)),
         SymMat2(Fraction(0), Fraction(0), d * d),
     )))
-    return expand_certificate(SosCertificate(A, B, gamma, scope)), gamma
+    return expand_certificate(SosCertificate.from_blocks(A, B, gamma, scope)), gamma
 
 
 @given(
@@ -2268,7 +2358,7 @@ _U_BRANCHES = [
 
 def _branch_form(n, A, B, gamma):
     A, B = (SymMat2(*map(Fraction, x)) for x in (A, B))
-    return expand_certificate(SosCertificate(A, B, gamma, n))
+    return expand_certificate(SosCertificate.from_blocks(A, B, gamma, n))
 
 
 @pytest.mark.parametrize("branch, n, A, B, gamma", _U_BRANCHES)
