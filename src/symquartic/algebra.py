@@ -12,14 +12,10 @@ Provides the building blocks used by every other module:
   counting and isolation run on ints, and the sign at a rational p/q is
   that of the homogeneous integer Horner value sum c_i p^i q^(d-i).  The
   one root engine is Descartes (Vincent-Collins-Akritas) bisection on
-  integer Taylor shifts: it isolates and counts roots and finds the
-  negative points of binary quartics.  ``Fraction`` is
-  built only where a ``UniPoly`` is handed out.
-* ``cells`` / ``Cells`` -- the cell engine of the alpha-cells of
-  ``positivity``: the real roots of finitely many rational polynomials cut an
-  interval into open cells, each sampled at ``simplest_in_middle`` of its
-  gap, and each root (breakpoint) has an isolating interval on their
-  squarefree product.
+  integer Taylor shifts: it isolates and counts roots, finds the roots
+  that cut the finite-n alpha-cells of ``positivity``, one polynomial at
+  a time, and finds the negative points of binary quartics.  ``Fraction``
+  is built only where a ``UniPoly`` is handed out.
 * ``AlgebraicField`` -- the sign of a rational polynomial at a real root
   isolated by a rational interval: a gcd and a Descartes count on integer
   polynomials.  No decision calls it; it stays as a test reference.
@@ -571,67 +567,6 @@ def refine_root_interval(
     return lo, hi
 
 
-@dataclass(frozen=True)
-class Cells:
-    """The cells into which the real roots of some rational polynomials cut
-    an open interval (see ``cells``).
-
-    ``product`` is the squarefree product of the polynomials, as the
-    primitive integer polynomial with a positive leading coefficient.
-    ``breakpoints`` are the sorted isolating intervals of its roots in the
-    open interval: a point ``(r, r)`` at a rational root, otherwise an
-    interval whose endpoints are not roots; they lie strictly apart and
-    strictly inside the interval.  ``samples`` holds one rational in each
-    of the ``len(breakpoints) + 1`` open cells, left to right: the
-    ``simplest_in_middle`` of the gap between its neighbouring intervals.
-    """
-
-    product: UniPoly
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    samples: tuple[Fraction, ...]
-
-
-def cells(polys: Iterable[UniPoly], lo: Fraction, hi: Fraction) -> Cells:
-    """Cut the open interval (lo, hi) at the real roots of the rational
-    polynomials.
-
-    Callers pass polynomials in a parameter across whose roots alone their
-    answer can change.  The answer on [lo, hi] is then decided by testing
-    ``lo``, ``hi``, one sample per open cell and each breakpoint.  A point
-    breakpoint is its own rational root; the caller reads the root of any
-    other off its interval.  Each sample is ``simplest_in_middle`` of its
-    gap (``Cells``), ``lo`` when ``lo == hi``.  Refining neighbours strictly
-    apart gives each gap room for a sample of small height, where a shared
-    end would be a dyadic as deep as the bisection.
-    """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    product = [1]  # the lcm of the squarefree parts: squarefree itself
-    for q in polys:
-        if q.is_zero():
-            raise ValueError("zero polynomial")
-        part = _zsqf(_zpoly(q.coeffs))
-        common = _zgcd(product, part)
-        product = _zmul(product, _zquo(part, common) if len(common) > 1 else part)
-
-    # refine so every non-point interval sits strictly inside (lo, hi) and
-    # strictly to the right of the previous interval; the roots themselves
-    # are strictly interior, so repeated halving always terminates, and an
-    # accepted interval never ends at a root, even at a root at lo or hi
-    breakpoints = []
-    prev_hi = lo
-    product_poly = UniPoly(product)
-    for a, b in isolate_real_roots(product_poly, lo, hi):
-        while a != b and (a <= prev_hi or b >= hi):
-            a, b = refine_root_interval(product_poly, a, b, (b - a) / 2)
-        breakpoints.append((a, b))
-        prev_hi = b
-
-    ends = [lo, *(x for ab in breakpoints for x in ab), hi]
-    samples = tuple(simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2]))
-    return Cells(product_poly, tuple(breakpoints), samples)
-
-
 def resultant(f: UniPoly, g: UniPoly):
     """Resultant of two rational polynomials (zero when they share a root).
 
@@ -850,8 +785,9 @@ class AlgebraicField:
     rational polynomial m in the interval (lo, hi), whose endpoints are not
     roots of m; or theta = lo when lo == hi.
 
-    m need not be irreducible, so a cell product and a breakpoint's
-    isolating interval (``Cells``) serve as they are.  The interval is
+    m need not be irreducible, so a squarefree product of several
+    polynomials and an isolating interval of one of its roots
+    (``isolate_real_roots``) serve as they are.  The interval is
     refined in place as sign queries need it.  No decision calls it: the
     one feasible gamma of an SOS decision at a single point is a double
     root of a cubic, so rational (``sos``).  It stays because
@@ -1188,10 +1124,9 @@ def binary_quartic_negative_point(
     negative point.  The ends are tested as isolation yields them, left
     to right (``_root_intervals``), so the search stops at the first
     negative end without isolating the roots right of it; only when no end
-    is negative are all the roots isolated and the midpoints tested.  It
-    keeps this rule, not the samples of ``cells``: the pinned witnesses of
-    ``is_nonneg`` come from it, the samples move some of them, and they
-    save no time.
+    is negative are all the roots isolated and the midpoints tested.  The
+    pinned witnesses of ``is_nonneg`` come from this rule; samples from
+    the middles of the cells would move some of them and save no time.
     """
     z = _zquartic(h)  # a positive multiple of h(x, 1)
     nonneg, squarefree = _znonneg(z)
@@ -1261,6 +1196,6 @@ def _simplest_between_ints(an: int, ad: int, bn: int, bd: int) -> tuple[int, int
 
 def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:
     """The simplest rational (``simplest_rational_between``) in the middle
-    half of [lo, hi]: a sample of small height away from both ends, the
-    one sample rule of the cell decompositions."""
+    half of [lo, hi]: a point of small height away from both ends, which
+    ``sos._open_gamma`` takes for a strictly feasible gamma."""
     return simplest_rational_between((3 * lo + hi) / 4, (lo + 3 * hi) / 4)

@@ -36,15 +36,18 @@ weights off its sign, on the gamma = 0 entries of ``sos``, and the grid
 paths below take only 0 < k < n.  On the open alpha-cells both
 properties are constant, so from ``_CELL_MIN_N`` on the decisions test
 only the grid weights the cells pick: k = 1, the weights inside each
-breakpoint's isolating interval refined to width 1/n, and the first weight
-right of each interval.  That is a bounded number of tests whatever n is.
-Below ``_CELL_MIN_N`` they walk the n - 1 interior weights, because
-building the cells then costs more than the walk.  On both paths
-``is_nonneg`` returns the first failing grid weight.  A weight is tested
-in integers: ``_phi_at`` reads Phi^(k/n) at the integers (k, n), unreduced,
-as n^4 times the integer alpha-coefficients, and the binary-quartic tests
-read signs on those ints as they come; a ``Fraction`` weight is made only
-for the returned witness.
+isolating interval of a root, refined to width 1/n, and the first weight
+right of each interval.  The roots are isolated one critical polynomial
+at a time, so the intervals of two polynomials may overlap and a shared
+root is isolated twice; the weights at every root and the first weight
+of every cell are still among those picked (``_tested_ks``).  That is a
+bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
+the n - 1 interior weights, because isolating the roots then costs more
+than the walk.  On both paths ``is_nonneg`` returns the first failing grid
+weight.  A weight is tested in integers: ``_phi_at`` reads Phi^(k/n) at
+the integers (k, n), unreduced, as n^4 times the integer
+alpha-coefficients, and the binary-quartic tests read signs on those ints
+as they come; a ``Fraction`` weight is made only for the returned witness.
 From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
 built once per form object (``_cell_grid``, ``symfunc.per_form``), so
 asking both questions about one form pays for one cell build.
@@ -59,11 +62,13 @@ from math import ceil, floor, isqrt
 from .algebra import (
     UniPoly,
     _simplest_between_ints,
+    _zpoly,
+    _zsqf,
     binary_quartic_critical_polys,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
-    cells,
+    isolate_real_roots,
     refine_root_interval,
 )
 from .dualcone import DualFunctional
@@ -111,18 +116,19 @@ class BoundaryVerdict:
 
 #: Below this n the finite-n decisions walk all n + 1 grid weights.  Only
 #: forms that the gamma = 0 step leaves open reach either path, so it was
-#: measured on those, at n = 12..96: 24 boundary-family members (seeded as
+#: measured on those, at n = 12..128: 24 boundary-family members (seeded as
 #: in the benchmark's workloads) with p_4 lowered by 1/64..1/1024, outside
-#: the limit cone and mostly OUT (17-24 of them at each n); 12 lowered by
-#: 10^-7, outside yet nearly all IN (11-12); and 12 unlowered ones, which
-#: only ``is_strictly_positive`` takes to the grid.  Mean per call on fresh
-#: form objects, min of 3 runs, 2-vCPU VM: the cell path costs a flat
-#: 0.4 ms (unlowered, strict), 0.8 ms (1/64..1/1024) and 1.1 ms (10^-7, one
-#: question or both); the walk and the cells cross at n = 52-56 for
-#: is_strictly_positive on the unlowered forms and for the pair on the
-#: 10^-7 forms, near n = 110 for either question alone on those, and above
-#: n = 96 on the mostly-OUT forms, whose walk stops at the first failing
-#: weight.
+#: the limit cone (2-6 of them OUT at each n); 12 lowered by 10^-7, outside
+#: yet all IN; and 12 unlowered ones, which only ``is_strictly_positive``
+#: takes to the grid.  Mean per call on fresh form objects, min of 5 runs
+#: in each of two rounds, 2-vCPU VM: the cell path costs a flat 0.11-0.14 ms
+#: (unlowered, strict), 0.13-0.18 ms (1/64..1/1024) and 0.25-0.29 ms
+#: (10^-7, one question or both); the walk and the cells cross near n = 96
+#: for is_strictly_positive on the unlowered forms, at n = 80-96 for the
+#: pair on the 10^-7 forms, and above n = 128 otherwise.  The value 56 is where a
+#: costlier cell build crossed; no benchmark workload runs n in 9..55, and
+#: a larger value would move ``large_n`` (n = 64..128), so it stays until
+#: a workload can decide it.
 _CELL_MIN_N = 56
 
 
@@ -150,19 +156,23 @@ def _tested_ks(cs, n: int) -> tuple[int, ...]:
 
     The alpha-cells are cut at the roots in (0, 1) of
     ``binary_quartic_critical_polys``, so both binary-quartic tests keep
-    their verdicts on each open cell.  The tested k are every k/n in each
-    breakpoint interval refined to width <= 1/n (which holds the
-    breakpoint itself when it is some k/n), and the smallest k/n to the
-    right of each breakpoint interval and of 0, clipped to 1..n-1.  The
-    first interior grid weight of every cell is in the list, so the first
-    failing k is the first failing interior k of the whole grid.
+    their verdicts on each open cell.  Each polynomial's roots are
+    isolated on its own squarefree part, and each interval is refined to
+    width <= 1/n.  The tested k are k = 1, every k/n in each interval
+    (which holds the root itself when it is some k/n) and the smallest
+    k/n to the right of each interval, clipped to 1..n-1.  Intervals of
+    different polynomials may overlap, and a shared root is isolated
+    twice; neither matters, as the list still holds the first interior
+    grid weight of every cell and every grid weight at a root.  So the
+    first failing k is the first failing interior k of the whole grid.
     """
-    alpha_cells = cells(binary_quartic_critical_polys(cs), _ZERO, _ONE)
     width = Fraction(1, n)
     ks = {1}
-    for a, b in alpha_cells.breakpoints:
-        a, b = refine_root_interval(alpha_cells.product, a, b, width)
-        ks.update(range(ceil(a * n), min(floor(b * n) + 2, n)))  # 0 < a <= b < 1
+    for q in binary_quartic_critical_polys(cs):
+        part = UniPoly(_zsqf(_zpoly(q.coeffs)))
+        for a, b in isolate_real_roots(part, _ZERO, _ONE):
+            a, b = refine_root_interval(part, a, b, width)
+            ks.update(range(max(ceil(a * n), 1), min(floor(b * n) + 2, n)))
     return tuple(sorted(ks))
 
 

@@ -1,12 +1,25 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 from symquartic import LIMIT, MultiPoly, SymFormP, brute_symmetrize, m_to_p
-from symquartic.algebra import SymMat2, UniPoly, psd2
+from symquartic.algebra import (
+    SymMat2,
+    UniPoly,
+    _zgcd,
+    _zmul,
+    _zpoly,
+    _zquo,
+    _zsqf,
+    isolate_real_roots,
+    psd2,
+    refine_root_interval,
+    simplest_in_middle,
+)
 from symquartic.dualcone import DualFunctional, _gamma_gen_ints, _weighted_point_ints
 from symquartic.partitions import partitions_of
 from symquartic.sos import _conditions
@@ -53,6 +66,65 @@ def condition_polys(blocks):
     ``sos._block_polys``: the integer polynomials whose roots cut the
     gamma-cells."""
     return _conditions(*(UniPoly(form) for form in blocks[1]))
+
+
+@dataclass(frozen=True)
+class Cells:
+    """The cells into which the real roots of some rational polynomials cut
+    an open interval (see ``cells``).
+
+    ``product`` is the squarefree product of the polynomials, as the
+    primitive integer polynomial with a positive leading coefficient.
+    ``breakpoints`` are the sorted isolating intervals of its roots in the
+    open interval: a point ``(r, r)`` at a rational root, otherwise an
+    interval whose endpoints are not roots; they lie strictly apart and
+    strictly inside the interval.  ``samples`` holds one rational in each
+    of the ``len(breakpoints) + 1`` open cells, left to right: the
+    ``simplest_in_middle`` of the gap between its neighbouring intervals.
+    """
+
+    product: UniPoly
+    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    samples: tuple[Fraction, ...]
+
+
+def cells(polys, lo: Fraction, hi: Fraction) -> Cells:
+    """A reference cell decomposition: cut the open interval (lo, hi) at
+    the real roots of the rational polynomials, isolated on their
+    squarefree product.
+
+    The answer of a question whose verdict changes only across those
+    roots is decided on [lo, hi] by testing ``lo``, ``hi``, one sample per
+    open cell and each breakpoint.  Each sample is ``simplest_in_middle``
+    of its gap (``Cells``), ``lo`` when ``lo == hi``.  Neighbouring
+    intervals are refined strictly apart, so that each gap has room for a
+    sample of small height."""
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    product = [1]  # the lcm of the squarefree parts: squarefree itself
+    for q in polys:
+        if q.is_zero():
+            raise ValueError("zero polynomial")
+        part = _zsqf(_zpoly(q.coeffs))
+        common = _zgcd(product, part)
+        product = _zmul(product, _zquo(part, common) if len(common) > 1 else part)
+
+    # refine so every non-point interval sits strictly inside (lo, hi) and
+    # strictly to the right of the previous one; the roots are strictly
+    # interior, so halving terminates, and an accepted interval never ends
+    # at a root
+    breakpoints = []
+    prev_hi = lo
+    product_poly = UniPoly(product)
+    for a, b in isolate_real_roots(product_poly, lo, hi):
+        while a != b and (a <= prev_hi or b >= hi):
+            a, b = refine_root_interval(product_poly, a, b, (b - a) / 2)
+        breakpoints.append((a, b))
+        prev_hi = b
+
+    ends = [lo, *(x for ab in breakpoints for x in ab), hi]
+    samples = tuple(simplest_in_middle(a, b) for a, b in zip(ends[::2], ends[1::2]))
+    return Cells(product_poly, tuple(breakpoints), samples)
 
 
 # Fraction references for the integer implementations: the pairing, the

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -25,7 +24,6 @@ from symquartic.algebra import (
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
-    cells,
     count_real_roots,
     count_roots_open,
     disc_binary_quartic,
@@ -34,15 +32,10 @@ from symquartic.algebra import (
     psd2,
     refine_root_interval,
     resultant,
-    simplest_in_middle,
     simplest_rational_between,
     squarefree_part_field,
     yun_decomposition,
 )
-from symquartic.sos import _block_polys
-from symquartic.symfunc import SymFormP
-
-from conftest import condition_polys
 
 _x = sympy.Symbol("x")
 
@@ -405,106 +398,6 @@ class TestDescartesIsolation:
         assert isolate_real_roots(p, 0, 1) == [(Fraction(1, 2), Fraction(1, 2))]
 
 
-class TestCells:
-    @staticmethod
-    def lin(r):
-        return UniPoly([-Fraction(r), Fraction(1)])
-
-    def test_breakpoints_samples_and_owners(self):
-        half_sq = UniPoly([Fraction(-1, 2), Fraction(0), Fraction(1)])  # x^2 - 1/2
-        polys = [
-            self.lin(0) * self.lin(1),  # roots at the ends cut nothing
-            self.lin(Fraction(1, 3)),  # rational, never hit by bisection
-            self.lin(Fraction(1, 2)) ** 2,  # a double root counts once
-            half_sq * self.lin(Fraction(1, 3)),  # sqrt(1/2), 1/3 again
-        ]
-        cs = cells(polys, Fraction(0), Fraction(1))
-        assert len(cs.breakpoints) == 3
-        assert len(cs.samples) == 4
-        prev = Fraction(0)
-        for (a, b), s, s_next in zip(cs.breakpoints, cs.samples, cs.samples[1:]):
-            assert prev < a <= b < 1  # strictly apart and inside
-            assert prev < s <= a and (s < a or a < b) and b < s_next
-            prev = b
-        assert prev < cs.samples[-1] < 1
-        assert all(cs.product(s) != 0 for s in cs.samples)
-        # each breakpoint isolates a root of the factor it came from
-        for (a, b), factor in zip(
-            cs.breakpoints, [self.lin(Fraction(1, 3)), self.lin(Fraction(1, 2)), half_sq]
-        ):
-            root = AlgebraicField(cs.product, a, b)
-            assert root.sign_of_poly(factor) == 0
-            assert root.sign_of_poly(half_sq - Fraction(1, 8)) != 0
-
-    def test_degenerate_intervals(self):
-        assert cells([], Fraction(0), Fraction(1)).samples == (Fraction(1, 2),)
-        point = cells([self.lin(2)], Fraction(2), Fraction(2))
-        assert point.breakpoints == () and point.samples == (Fraction(2),)
-
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_one_sample_per_cell_against_sympy(self, data):
-        """Random lists of integer polynomials, built from a shared pool of
-        rational roots (so roots repeat within and across the polynomials,
-        and lo or hi may be one of them) times random integer factors: one
-        sample per cell, strictly inside (lo, hi) and strictly between
-        neighbouring real roots of the product (sympy's ``real_roots``),
-        equal to ``simplest_in_middle`` of its gap, and no root of any
-        polynomial."""
-        pool = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=4))
-        lo, hi = sorted(data.draw(st.sampled_from(pool + [Fraction(-4), Fraction(4)])) for _ in range(2))
-        if lo == hi:
-            hi += 1
-        ints = st.integers(-6, 6)
-        polys = []
-        for _ in range(data.draw(st.integers(0, 3))):
-            head = data.draw(st.one_of(st.integers(-6, -1), st.integers(1, 6)))
-            p = UniPoly([head] + [data.draw(ints) for _ in range(data.draw(st.integers(0, 2)))])
-            for r in data.draw(st.lists(st.sampled_from(pool), max_size=3)):
-                p = p * UniPoly([-r.numerator, r.denominator])
-            polys.append(p)
-        cs = cells(polys, lo, hi)
-
-        product = sympy.Poly(1, _x)
-        for p in polys:
-            product *= sympy.Poly([sympy.Integer(c) for c in reversed(p.coeffs)], _x)
-        roots = sorted(set(r for r in product.real_roots() if lo < r < hi))
-        assert len(cs.samples) == len(cs.breakpoints) + 1 == len(roots) + 1
-        walls = [sympy.Rational(lo), *roots, sympy.Rational(hi)]
-        ends = [lo, *(x for ab in cs.breakpoints for x in ab), hi]
-        for i, sample in enumerate(cs.samples):
-            assert walls[i] < sympy.Rational(sample) < walls[i + 1]
-            assert sample == simplest_in_middle(ends[2 * i], ends[2 * i + 1])
-            assert all(p(sample) != 0 for p in polys)
-
-
-class TestCloseGammaRoots:
-    def test_cells_of_close_roots_bounded_time(self):
-        """The gamma-cells of (1, 0, -1 + 10^-400, 0, 1) at n = 6, which
-        ``sos_membership`` no longer builds (the form is feasible at
-        gamma = 0): two condition roots about 10^-1200 apart lie about
-        10^-800 below the upper end hi = 4.5 * 10^-400, so Descartes
-        bisection has to separate them about 2600 levels deep.  It took
-        about 0.8 s in-process on a 2-vCPU VM."""
-        k, n = 400, 6
-        coeffs = (1, 0, Fraction(1 - 10**k, 10**k), 0, 1)
-        f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
-        hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
-        conditions = condition_polys(_block_polys(f))
-        start = time.monotonic()
-        gamma_cells = cells([p for p in conditions if p.degree > 0], Fraction(0), hi)
-        elapsed = time.monotonic() - start
-        assert elapsed < 5, elapsed
-        (a1, b1), (a2, b2) = gamma_cells.breakpoints
-        assert 0 < a1 <= b1 < a2 <= b2 < hi
-        # both roots lie in [a1, b2]: within 10^-(3k-2) of each other and
-        # within 10^-(2k-2) below hi
-        assert b2 - a1 < Fraction(1, 10 ** (3 * k - 2))
-        assert hi - a1 < Fraction(1, 10 ** (2 * k - 2))
-        for a, b in gamma_cells.breakpoints:
-            assert gamma_cells.product(a) * gamma_cells.product(b) < 0
-
-
 class TestAlgebraicField:
     def test_sqrt2_signs(self):
         minpoly = UniPoly([Fraction(-2), Fraction(0), Fraction(1)])
@@ -565,7 +458,8 @@ class TestAlgebraicField:
     def test_signs_at_roots_match_sympy(self, data):
         """At each real root of a random squarefree product of linear and
         quadratic factors, the sign query agrees with sympy's exact sign
-        of p at that root (its isolating interval comes from cells)."""
+        of p at that root (its isolating interval comes from
+        ``isolate_real_roots`` on the squarefree part of the product)."""
         small = st.integers(min_value=-5, max_value=5)
 
         def factor():
@@ -581,15 +475,16 @@ class TestAlgebraicField:
         p = factor() * factor() + UniPoly([data.draw(small)])
         if data.draw(st.booleans()):
             p = p * factor()  # often a factor in common with the product
-        cs = cells([product], Fraction(-20), Fraction(20))
+        modulus = UniPoly(_zsqf(_zpoly(product.coeffs)))
+        intervals = isolate_real_roots(modulus, Fraction(-20), Fraction(20))
         roots = sorted(sympy.Poly(to_sympy(product).as_expr(), _x).real_roots())
         roots = list(dict.fromkeys(roots))
-        assert len(roots) == len(cs.breakpoints)
+        assert len(roots) == len(intervals)
         p_expr = to_sympy(p).as_expr()
-        for (a, b), r in zip(cs.breakpoints, roots):
+        for (a, b), r in zip(intervals, roots):
             assert a <= r <= b
             want = sympy.sign(sympy.simplify(p_expr.subs(_x, r)))
-            assert AlgebraicField(cs.product, a, b).sign_of_poly(p) == int(want)
+            assert AlgebraicField(modulus, a, b).sign_of_poly(p) == int(want)
 
 
 class TestMatrices:

@@ -24,7 +24,6 @@ from symquartic.algebra import (
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
-    cells,
     count_real_roots,
     disc_binary_quartic,
     isolate_real_roots,
@@ -215,6 +214,30 @@ def _gamma_zero_off(monkeypatch):
     monkeypatch.setattr(positivity, "_strictly_feasible", lambda signs: False)
 
 
+#: Forms whose critical polynomials (``binary_quartic_critical_polys``)
+#: have roots where ``_tested_ks`` reads its interval ends and clips:
+#: - at_16/64, right_of_16/64: the leading coefficient of Phi^alpha(x, 1)
+#:   has a simple root at 1/4, a point interval and a grid weight at
+#:   n = 56, 64, 128 and 200; the first failing k at n = 64 is 16, resp.
+#:   17, the first weight right of it;
+#: - touch_19/57: p_4 - (80/81) p_(2,2) - (2/9) p_(2,1,1) + p_(1^4)
+#:   (``RATIONAL_TOUCH``), whose discriminant vanishes at 1/3 and 2/3,
+#:   where Phi^alpha has a double root, so at n = 57 only the weights
+#:   19/57 and 38/57 are not strictly positive;
+#: - shared_1/2: the discriminant and the leading coefficient share the
+#:   root 1/2, where the x^4 and x^3 y coefficients of Phi^alpha both
+#:   vanish; at n = 64 the first failing k is 18;
+#: - near_0_and_1: -p_4 + 1000 p_(2,2), with critical roots within 1/1000
+#:   of 0 and of 1, closer than 1/n at every tested n.
+EDGE_ROOTS = {
+    "at_16/64": (1, -4, Fraction(-25, 16), 5, 5),
+    "right_of_16/64": (Fraction(1, 2), -2, Fraction(-5, 8), 1, 6),
+    "touch_19/57": RATIONAL_TOUCH[1],
+    "shared_1/2": (1, -3, 0, 1, 2),
+    "near_0_and_1": (-1, 0, 1000, 0, 0),
+}
+
+
 class TestFiniteNOracle:
     """``is_nonneg`` and ``is_strictly_positive`` decide the forms of the
     limit cone (its interior) at gamma = 0, and test only grid weights
@@ -250,6 +273,7 @@ class TestFiniteNOracle:
                         _gamma_zero_off(monkeypatch)
                         monkeypatch.setattr(positivity, "_CELL_MIN_N", cells_from_n)
                     f = SymFormP(4, f.coeffs, n)
+                    assert set(_tested_ks(_phi_alpha_ints(f)[1], n)) <= set(range(1, n))
                     verdict = is_nonneg(f)
                     assert verdict.status == ("IN" if first_bad is None else "OUT"), (coeffs, n)
                     if first_bad is not None:
@@ -473,7 +497,8 @@ class TestStrictPositivity:
 class TestOneCellBuildPerForm:
     """``is_nonneg`` and ``is_strictly_positive`` share the alpha-cells of
     one form object; an equal or rescaled object builds its own.  Forms
-    that gamma = 0 decides build none."""
+    that gamma = 0 decides build none.  A build is counted as one call to
+    ``binary_quartic_critical_polys``, which ``_tested_ks`` makes once."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -481,9 +506,9 @@ class TestOneCellBuildPerForm:
 
         def counted(*args):
             calls.append(args)
-            return cells(*args)
+            return binary_quartic_critical_polys(*args)
 
-        monkeypatch.setattr(positivity, "cells", counted)
+        monkeypatch.setattr(positivity, "binary_quartic_critical_polys", counted)
         return calls
 
     @pytest.mark.parametrize("first_nonneg", [True, False])
@@ -960,9 +985,11 @@ class TestProjection:
         """Forms whose Phi^alpha has an identically zero discriminant (the
         forms that vanish on the diagonal, and +-(u p_2 + v p_1^2)^2 moved
         along one of them) or leading coefficient (multiples of
-        p_(3,1) - p_(2,2)): over ``_tested_ks`` the first failing k and
-        strict positivity are those of the walk over the n - 1 interior
-        weights (the coefficient sum decides the two end weights).
+        p_(3,1) - p_(2,2)), and forms whose critical roots lie on the
+        grid, are shared or lie within 1/n of an end (``EDGE_ROOTS``):
+        over ``_tested_ks`` the first failing k and strict positivity are
+        those of the walk over the n - 1 interior weights (the coefficient
+        sum decides the two end weights), and every tested k is in 1..n-1.
 
         The diagonal forms are drawn with s (p_4 - p_(2,2)) and
         c (p_(2,1^2) - p_(1^4)) positive and d (p_(2,2) - p_(2,1^2))
@@ -987,7 +1014,8 @@ class TestProjection:
             forms.append([sign * q + t * gi for q, gi in zip(square, g)])
             m = small()
             forms.append([m * c for c in (0, 1, -1, 0, 0)])
-        kinds, outcomes, inside = set(), set(), 0
+        forms += EDGE_ROOTS.values()
+        kinds, outcomes, inside, first = set(), set(), 0, {}
         for coeffs in forms:
             cs = _phi_alpha_ints(SymFormP(4, tuple(coeffs), LIMIT))[1]
             if not any(cs):
@@ -1012,9 +1040,16 @@ class TestProjection:
                 assert strict(ks) == strict(range(1, n)), (coeffs, n)
                 outcomes.add((want is None, strict(ks)))
                 inside += want is not None and want > 1
+                first[tuple(coeffs), n] = want, strict(ks)
         assert {"lc", "disc"} <= kinds
         assert outcomes == {(True, True), (True, False), (False, False)}
         assert inside >= 24
+        # the edge forms test what they are named for
+        assert first[EDGE_ROOTS["at_16/64"], 64][0] == 16
+        assert first[EDGE_ROOTS["right_of_16/64"], 64][0] == 17
+        touch = [n for n in (56, 57, 64, 97, 128, 200) if not first[EDGE_ROOTS["touch_19/57"], n][1]]
+        assert touch == [57]
+        assert first[EDGE_ROOTS["shared_1/2"], 64][0] == 18
 
     @pytest.mark.parametrize("name", list(DEGENERATE))
     def test_degenerate_families_pinned(self, name):
@@ -1100,8 +1135,8 @@ def _limit_witness_sample():
 #: named in ``positivity``.
 _ALPHA_WORK = (
     "_phi_alpha_ints",
-    "cells",
     "binary_quartic_critical_polys",
+    "isolate_real_roots",
     "binary_quartic_negative_point",
 )
 

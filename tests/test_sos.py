@@ -27,7 +27,6 @@ from symquartic.algebra import (
     _zroot_bound,
     binary_quartic_critical_polys,
     binary_quartic_nonneg,
-    cells,
     psd2,
 )
 from symquartic.dualcone import (
@@ -78,6 +77,7 @@ from symquartic.symfunc import (
 
 from conftest import (
     big_fractions,
+    cells,
     choi_lam_multipoly,
     condition_polys,
     fraction_expand_certificate,
@@ -1013,22 +1013,20 @@ def test_interior_gamma_is_strictly_feasible(f):
 
 
 def test_gamma_scan_isolates_no_root(monkeypatch):
-    """Neither ``sos_membership`` nor ``sos_boundary`` calls ``algebra.cells``
-    or ``algebra._root_intervals``, on forms that take the gamma-scan in
-    both its forms: ``sos`` imports neither, nor ``Cells``, ``UniPoly``,
-    ``_zgcd``, ``_zderiv`` or ``_zpoly``."""
+    """Neither ``sos_membership`` nor ``sos_boundary`` calls
+    ``algebra._root_intervals``, the walk under every root isolation, on
+    forms that take the gamma-scan in both its forms: ``sos`` imports
+    neither it nor a cell engine, ``UniPoly``, ``_zgcd``, ``_zderiv`` or
+    ``_zpoly``."""
     for name in ("cells", "Cells", "UniPoly", "_zgcd", "_zderiv", "_zpoly", "_root_intervals"):
         assert not hasattr(sos, name), name
     calls, scans = [], []
-    for module in (algebra, positivity):
-        for name in ("cells", "_root_intervals"):
-            if hasattr(module, name):
 
-                def counted(*args, _real=getattr(module, name), _name=name):
-                    calls.append(_name)
-                    return _real(*args)
+    def counted(*args, _real=algebra._root_intervals):
+        calls.append("_root_intervals")
+        return _real(*args)
 
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(algebra, "_root_intervals", counted)
     real_scan = sos._open_gamma
 
     def counted_scan(f, strict):
@@ -1742,9 +1740,9 @@ def _case_form(name):
 def test_separator_cases(monkeypatch, name):
     """Each example takes its case, named by the signs of
     ``_chart_quartic``, and finds a separator that verifies.  The vertex
-    case isolates no root: it calls none of ``cells``,
-    ``isolate_real_roots``, ``binary_quartic_critical_polys`` and
-    ``binary_quartic_negative_point``; the edge case calls the last once."""
+    case isolates no root: it calls none of ``isolate_real_roots``,
+    ``binary_quartic_critical_polys`` and ``binary_quartic_negative_point``;
+    the edge case calls the last once."""
     calls = {}
 
     def counting(module, fname):
@@ -1759,7 +1757,6 @@ def test_separator_cases(monkeypatch, name):
     for fname in ("isolate_real_roots", "binary_quartic_critical_polys", "binary_quartic_negative_point"):
         counting(algebra, fname)
         monkeypatch.setattr(sos, fname, getattr(algebra, fname), raising=False)
-    counting(algebra, "cells")
     f = _case_form(name)
     C0, K, B, b22, a22 = _chart_quartic(f)
     signs = {
