@@ -375,9 +375,14 @@ def _zyun(z: list[int]) -> list[tuple[list[int], int]]:
 
 
 def _zsign(z: list[int], x: Fraction) -> int:
-    """The sign of z(x), x = p/q, from the homogeneous integer Horner sum
-    q**deg(z) * z(p/q) = sum c_i p^i q^(d-i)."""
-    p, q = x.numerator, x.denominator
+    """The sign of z(x) (``_zsign_ints`` on x = p/q)."""
+    return _zsign_ints(z, x.numerator, x.denominator)
+
+
+def _zsign_ints(z, p: int, q: int) -> int:
+    """The sign of z(p/q), q > 0 and p/q not necessarily in lowest terms,
+    from the homogeneous integer Horner sum q**deg(z) * z(p/q) =
+    sum c_i p^i q^(d-i)."""
     acc = 0
     qk = 1
     for c in reversed(z):

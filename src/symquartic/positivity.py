@@ -3,8 +3,9 @@
 Limit cone: f is in the limit nonnegativity cone iff Phi^alpha(x, y) =
 Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  For
 quartics this cone equals the limit SOS cone (Blekherman & Riener,
-arXiv:1205.3102), so both limit decisions read the signs of the gamma = 0
-blocks of ``sos``; IN needs no theorem, as a sum of squares is
+arXiv:1205.3102), so both limit decisions read the class of the gamma = 0
+signs of ``sos`` (``sos._gamma_zero_class``: infeasible, feasible or
+strictly feasible); IN needs no theorem, as a sum of squares is
 nonnegative.  OUT carries a negative point read off the same gamma = 0
 entries in closed form (``_limit_negative_point``): over two-point
 measures of mean 1, Phi_f is a quadratic in p_2 plus the variance times a
@@ -26,7 +27,10 @@ alpha-discriminant and the leading coefficient of Phi^alpha(x, 1).
 Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
 not depend on n, so when they are feasible f is a sum of squares, hence
 nonnegative, at every n, and when they are strictly feasible f is strictly
-positive at every n (``is_nonneg``, ``is_strictly_positive``).  Only forms
+positive at every n (``is_nonneg``, ``is_strictly_positive``).  Both read
+the one class of the gamma = 0 signs that ``sos`` keeps on the form
+object, as the limit decisions and the SOS decisions do, so the signs are
+classified once per form whichever questions are asked.  Only forms
 outside the limit cone (for ``is_strictly_positive``, outside its
 interior) reach the grid.  By the half-degree principle a symmetric
 quartic is nonnegative (strictly positive) iff Phi^alpha is, for every
@@ -72,13 +76,7 @@ from .algebra import (
     refine_root_interval,
 )
 from .dualcone import DualFunctional
-from .sos import (
-    _feasible,
-    _gamma_zero_entries,
-    _gamma_zero_signs,
-    _strictly_feasible,
-    sos_boundary,
-)
+from .sos import _gamma_zero_class, _gamma_zero_entries, sos_boundary
 from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, per_form
 
 _ZERO = Fraction(0)
@@ -107,6 +105,12 @@ class BoundaryVerdict:
     status: str  # "INTERIOR" | "BOUNDARY" | "OUTSIDE"
     witness: DualFunctional | None = None
     alpha_witness = None  # the former alpha interval; bench/queries.py reads it
+
+
+#: The verdicts that carry no witness.  Verdicts are frozen and compare by
+#: value, so every decision returns these objects rather than new ones.
+_IN = NonnegVerdict("IN")
+_NO_WITNESS = {status: BoundaryVerdict(status) for status in ("INTERIOR", "OUTSIDE")}
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +223,8 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
-    if _feasible(_gamma_zero_signs(f)):
-        return NonnegVerdict("IN")
+    if _gamma_zero_class(f):
+        return _IN
     if sum(_gamma_zero_entries(f)[1][2:]) < 0:
         # at k = 0, Phi is the coefficient sum times y^4: negative at (1, 1)
         return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ONE, _ONE)))
@@ -231,7 +235,7 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
         if not binary_quartic_nonneg(h):
             alpha = Fraction(k, n)
             return NonnegVerdict("OUT", ((alpha, 1 - alpha), binary_quartic_negative_point(h)))
-    return NonnegVerdict("IN")
+    return _IN
 
 
 #: The verdict that ``is_nonneg`` keeps on a form object, or None, read
@@ -259,7 +263,7 @@ def is_strictly_positive(f: SymFormP) -> bool:
         raise ValueError("decision implemented for degree 4")
     if sum(_gamma_zero_entries(f)[1][2:]) <= 0:
         return False
-    if _strictly_feasible(_gamma_zero_signs(f)):
+    if _gamma_zero_class(f) == 2:
         return True
     n = f.scope
     cs, ks = _grid(f)
@@ -419,15 +423,16 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
     """Membership in the limit nonnegativity cone (LIMIT scope).
 
     IN exactly when f is in the limit SOS cone, which is sound because a
-    sum of squares is nonnegative, read on the gamma = 0 signs of ``sos``
-    with no certificate built.  Otherwise the OUT verdict carries a
+    sum of squares is nonnegative, read on the class of the gamma = 0
+    signs of ``sos`` (``sos._gamma_zero_class``) with no certificate
+    built.  Otherwise the OUT verdict carries a
     negative point read off the gamma = 0 entries that decided it
     (``_limit_negative_point``), with no alpha-cells; finding none would
     contradict the paper's degree-4 theorem, and raises.
     """
     _require_limit_quartic(f)
-    if _feasible(_gamma_zero_signs(f)):
-        return NonnegVerdict("IN")
+    if _gamma_zero_class(f):
+        return _IN
     witness = _limit_negative_point(f)
     if witness is None:
         raise AssertionError(
@@ -442,4 +447,5 @@ def boundary_status_limit(f: SymFormP) -> BoundaryVerdict:
     the limit SOS cone (degree-4 theorem), read off the gamma = 0 blocks
     (``sos.sos_boundary``); the zero form raises ValueError."""
     _require_limit_quartic(f)
-    return BoundaryVerdict(*sos_boundary(f))
+    status, y = sos_boundary(f)
+    return _NO_WITNESS[status] if y is None else BoundaryVerdict(status, y)

@@ -20,12 +20,17 @@ The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
 read only signs, so they run in integers, and the certificate is built
-and checked in integers too (``_certificate``), and it keeps its six
-block entries as integers over one scale (``SosCertificate``).  At
-gamma = 0 the entries do not depend on n; their integers
-(``_gamma_zero_entries``, through the one inverse block map
-``_entry_map``) give the gamma = 0 signs, the coefficient sum and the
-limit witness of ``positivity``.  For fixed gamma the PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
+and checked in integers too (``_certificate``, from the integer entries
+at its gamma), and it keeps its six block entries as integers over one
+scale (``SosCertificate``).  At gamma = 0 the entries do not depend on
+n; their integers (``_gamma_zero_entries``, through the one inverse
+block map ``_entry_map``) give the gamma = 0 signs, classified once per
+form object as infeasible, feasible or strictly feasible
+(``_gamma_zero_class``), the gamma = 0 certificate, the coefficient sum
+and the limit witness of ``positivity``.  Only the decisions at
+gamma > 0 read ``_block_polys``: the ends of the range, the terms of
+step 2 (``_gamma_terms``) and the certificate at a gamma found there.
+For fixed gamma the PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
 cleared of b22, from det B >= 0) and one concave quadratic
 Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
 polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
@@ -54,10 +59,13 @@ every sum of squares is nonnegative.  It never asks ``is_nonneg`` itself,
 which at huge n costs far more than the steps below.  Otherwise it looks
 for the feasible interval F in two steps, with no root isolated:
 
-1. the two ends: a feasible end decides IN.  When the gamma = 0 signs
-   kept on the form are feasible, b22 >= 0 makes lo = 0 and a22 >= 0
-   makes hi >= 0, so lo is a feasible end, and its certificate is
-   returned before the range is built.  A range lo = hi is one test;
+1. the two ends: a feasible end decides IN.  When the class of the
+   gamma = 0 signs kept on the form is feasible, b22 >= 0 makes lo = 0
+   and a22 >= 0 makes hi >= 0, so lo is a feasible end, and its
+   certificate, built and checked on the gamma = 0 entries with no n in
+   them, is returned before the range or ``_block_polys`` is built.  An
+   end gamma > 0 is tested and certified on one set of integers
+   (``_entries_at``).  A range lo = hi is one test;
 2. with both ends infeasible, ``_open_gamma`` finds a gamma in F in
    closed form from the integer coefficients of D, V and H
    (``_gamma_terms``), or shows F empty and f OUT.  F is closed (u is
@@ -78,8 +86,8 @@ for the feasible interval F in two steps, with no root isolated:
 The boundary status (``sos_boundary``) is decided at every scope by one
 routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
 exactly when some gamma > 0 (gamma = 0 at LIMIT) admits a u that makes
-both blocks definite (``_strictly_feasible``): at LIMIT the gamma = 0
-signs say so, at a numeric n step 2 with > in place of >= does
+both blocks definite (``_strictly_feasible``): at LIMIT the class of the
+gamma = 0 signs says so, at a numeric n step 2 with > in place of >= does
 (``_has_interior_gamma``), where an end may be feasible.  A boundary
 form is supported by a functional y read off the face of its
 certificate (facial reduction: Y_A A = 0, Y_B B = 0, gamma y(gen) = 0),
@@ -119,7 +127,7 @@ from .algebra import (
     _lowest_terms,
     _over_lcm,
     _simplest_between_ints,
-    _zsign,
+    _zsign_ints,
     binary_quartic_negative_point,
     simplest_in_middle,
 )
@@ -170,8 +178,9 @@ class SosCertificate:
     B = property(lambda self: SymMat2(*(Fraction(x, self.den) for x in self.entries[3:])))
 
     def is_valid(self) -> bool:
-        return _psd_ints(*self.entries[:3]) and _psd_ints(*self.entries[3:]) and self.gamma >= 0 and (
-            self.scope is not LIMIT or self.gamma == 0
+        p = self.gamma.numerator  # the sign of gamma, read with no Fraction compared
+        return _psd_ints(*self.entries[:3]) and _psd_ints(*self.entries[3:]) and p >= 0 and (
+            self.scope is not LIMIT or p == 0
         )
 
 
@@ -184,6 +193,11 @@ class SosVerdict:
     status: str  # "IN" | "OUT"
     certificate: SosCertificate | None = None
     note = None  # the former irrational-gamma note; bench/queries.py and bench/worker.py read it
+
+
+#: The OUT verdict, which carries nothing; verdicts are frozen and compare
+#: by value, so every decision returns this one object.
+_OUT = SosVerdict("OUT")
 
 
 def _expansion(cert: SosCertificate, gen_ints) -> tuple[int, tuple[int, ...]]:
@@ -248,8 +262,11 @@ def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...], tuple]:
     With (d, e) of ``_gamma_zero_entries`` and (m, m gen) of
     ``dualcone._gamma_gen_ints`` (m = 2n^2), S = m d, C = m e and
     G = -(d / 2) ``_entry_map``(m gen): the entries at gamma are those of
-    f - gamma gen.  (m, m gen) is kept for ``_certificate``, so n is
-    squared once per form.  Every condition of ``_conditions`` is
+    f - gamma gen.  Only the decisions at gamma > 0 build these forms: the
+    ends of ``sos_membership``, ``_gamma_terms`` and the certificate at a
+    gamma > 0, which checks its blocks with the (m, m gen) kept here, so n
+    is squared once per form; gamma = 0 reads ``_gamma_zero_entries``
+    alone.  Every condition of ``_conditions`` is
     homogeneous in the entries, so S changes no sign and no root in gamma,
     and the witnesses, built from the entries themselves, do not see it."""
     d, e = _gamma_zero_entries(f)
@@ -313,28 +330,32 @@ def _strictly_feasible(signs) -> bool:
     return min(b22, a22, q_top) > 0 and all(q > 0 or v > 0 for q, v in zip(rest[:3], rest[3:]))
 
 
-def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
-    """The certificate at a feasible rational gamma = p/q, built in integers
-    from the linear forms of ``_block_polys``, with the smallest feasible
-    u: the largest lower bound if det A >= 0 there, else the vertex.
+#: (m, m gen) for the block map at gamma = 0, whose generator term
+#: vanishes: the gamma = 0 certificate is checked with no n in it.
+_NO_GEN = (1, (0, 0, 0, 0, 0))
 
-    The entries are e / d, e = C q + G p and d = S q, for b22, b12, a22,
-    s and a11 - u, with e and d first divided by their gcd, so that the
-    products below do not carry the scale S, which grows with n.  With
-    k = e_b22 when that is > 0, else 1, every candidate for u is an
-    integer over w = d k > 0: the lower bounds 0, -e_a11u k
+
+def _certificate(f: SymFormP, d: int, e, gamma: Fraction, gen_ints) -> SosCertificate:
+    """The certificate at a feasible rational gamma from the block entries
+    there, the integers e = (b22, b12, a22, s, a11 - u) over d > 0, with
+    the smallest feasible u: the largest lower bound if det A >= 0 there,
+    else the vertex.  At gamma = 0 they are those of
+    ``_gamma_zero_entries``, which do not depend on n; at gamma = p/q > 0,
+    e = C q + G p and d = S q of ``_block_polys`` (``_entries_at``).
+
+    e and d are first divided by their gcd, so that the products below do
+    not carry a common scale, such as the n^2 of S q at an end of the
+    gamma range.  With k = e_b22 when that is > 0, else 1, every candidate
+    for u is an integer over w = d k > 0: the lower bounds 0, -e_a11u k
     and, when b22 > 0, the hook bound b12^2 / b22 = e_b12^2 / w, and the
     vertex (2 e_a22 + e_s) k.  The blocks are then integers over W = 2w,
     which the certificate keeps in lowest terms, and the self-check reads
     exactly those: ``SosCertificate.is_valid``, and the block map
-    ``_expansion`` (with (m, m gen) as kept in ``blocks``) sends them to
-    f, compared with ``f.nums`` over ``f.den`` cross-multiplied; a failure
-    raises AssertionError."""
-    p, q = gamma.numerator, gamma.denominator
-    e = [c * q + g * p for c, g in blocks[1]]
-    d = blocks[0] * q
+    ``_expansion`` with (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0)
+    sends them to f, compared with ``f.nums`` over ``f.den``
+    cross-multiplied; a failure raises AssertionError."""
     h = gcd(d, *e)
-    b22, b12, a22, s, a11_u = (x // h for x in e)
+    b22, b12, a22, s, a11_u = [x // h for x in e]
     d //= h
     k = b22 if b22 > 0 else 1
     u = max(-a11_u * k, 0)
@@ -345,7 +366,7 @@ def _certificate(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate:
         u = v
     entries = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
     cert = SosCertificate(2 * d * k, entries, gamma, f.scope)
-    den, xs = _expansion(cert, blocks[2])
+    den, xs = _expansion(cert, gen_ints)
     if not (cert.is_valid() and all(x * f.den == c * den for x, c in zip(xs, f.nums))):
         raise AssertionError("internal error: certificate failed verification")
     return cert
@@ -355,23 +376,23 @@ def _signs(xs) -> tuple[int, ...]:
     return tuple((x > 0) - (x < 0) for x in xs)
 
 
-def _signs_at(blocks, gamma: Fraction) -> tuple[int, ...]:
-    """The signs of ``_conditions`` at a rational gamma = p/q, read in
-    integer arithmetic on the entries C_i q + G_i p of the linear forms
-    ``_block_polys``: S q times the entries, a positive factor that no
-    sign of a homogeneous condition sees."""
+def _entries_at(blocks, gamma: Fraction) -> tuple[int, list[int]]:
+    """(d, e): the block entries at a rational gamma = p/q as the integers
+    e = C q + G p over d = S q of the linear forms ``_block_polys``."""
     p, q = gamma.numerator, gamma.denominator
-    return _signs(_conditions(*(c * q + g * p for c, g in blocks[1])))
+    return blocks[0] * q, [c * q + g * p for c, g in blocks[1]]
 
 
 def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
     """The certificate at a rational gamma, or None if u is infeasible
-    there; at gamma = 0 the signs are ``_gamma_zero_signs``, kept on the
-    form and read on integers that do not grow with n."""
-    signs = _gamma_zero_signs(f) if gamma == 0 else _signs_at(blocks, gamma)
-    if not _feasible(signs):
+    there: the integers of ``_entries_at`` are built once, and both the
+    signs of ``_conditions`` (S q times the entries, a positive factor that
+    no sign of a homogeneous condition sees) and ``_certificate`` read
+    them."""
+    d, e = _entries_at(blocks, gamma)
+    if not _feasible(_signs(_conditions(*e))):
         return None
-    return _certificate(f, blocks, gamma)
+    return _certificate(f, d, e, gamma, blocks[2])
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +400,22 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 # ---------------------------------------------------------------------------
 
 
-@per_form
 def _gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
-    """The signs of ``_conditions`` at gamma = 0, once per form object
-    (``symfunc.per_form``): every gamma = 0 decision reads them.  They are
-    read on the integers of ``_gamma_zero_entries``, which do not depend
-    on n, nor does their size."""
+    """The signs of ``_conditions`` at gamma = 0, read on the integers of
+    ``_gamma_zero_entries``, which do not depend on n, nor does their
+    size."""
     return _signs(_conditions(*_gamma_zero_entries(f)[1]))
+
+
+@per_form
+def _gamma_zero_class(f: SymFormP) -> int:
+    """The gamma = 0 signs classified once per form object
+    (``symfunc.per_form``): 0 when u is infeasible there, 2 when some u
+    makes both blocks definite (``_strictly_feasible``), else 1.  Every
+    gamma = 0 decision, here and in ``positivity``, reads this class, and
+    none of them reads the signs again."""
+    signs = _gamma_zero_signs(f)
+    return 2 if _strictly_feasible(signs) else 1 if _feasible(signs) else 0
 
 
 @per_form
@@ -399,22 +429,24 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
         raise ValueError("use sos_membership for numeric scopes")
-    if not _feasible(_gamma_zero_signs(f)):
-        return SosVerdict("OUT")
-    return SosVerdict("IN", certificate=_certificate(f, _block_polys(f), _ZERO))
+    if not _gamma_zero_class(f):
+        return _OUT
+    return SosVerdict("IN", certificate=_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
 
 
-def _gamma_range(f: SymFormP) -> tuple[Fraction, Fraction] | None:
+def _gamma_range(f: SymFormP) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The admissible gamma range [lo, hi] at the form's numeric scope n,
     where b22 and a22 are >= 0: lo = max(0, -2n^2 c4/(n-1)) and
     hi = 2n^2 (c4 + c22)/(n-2)^2, or None when it is empty and f is outside
-    the cone.  Built from n/(n-1) and n/(n-2), whose gcds end after one
-    step, so no gcd of two integers of the size of n^2 is taken."""
-    n = f.scope
-    c4, _, c22, _, _ = f.coeffs
-    lo = -2 * c4 * n * Fraction(n, n - 1) if c4 < 0 else _ZERO
-    hi = 2 * (c4 + c22) * Fraction(n, n - 2) ** 2
-    return None if lo > hi else (lo, hi)
+    the cone.  Each end is an integer pair (numerator, denominator > 0),
+    read on ``f.nums`` over ``f.den`` and not reduced, so no gcd is taken;
+    a Fraction is made only where an end is certified."""
+    n, den = f.scope, f.den
+    c4, _, c22, _, _ = f.nums
+    m = 2 * n * n
+    lo = (-m * c4, den * (n - 1)) if c4 < 0 else (0, 1)
+    hi = (m * (c4 + c22), den * (n - 2) ** 2)
+    return None if lo[0] * hi[1] > hi[0] * lo[1] else (lo, hi)
 
 
 @per_form
@@ -444,10 +476,12 @@ def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
     rational of {D >= 0, V >= 0} (of its middle half when ``strict``); the
     simplest between ends 2^-j apart, j = 1, 2, 4, ..., of the local
     maximum r = (x + y sqrt(d)) / z of H; lo + (hi - lo) 2^-j, or the
-    mirror at hi, where H > 0 at that end; r where H(r) = 0."""
+    mirror at hi, where H > 0 at that end; r where H(r) = 0.  The ends are
+    the integer pairs of ``_gamma_range``, and a candidate is tested on
+    integers; a Fraction is made only for the gamma returned."""
     lo, hi = _gamma_range(f)
     D, V, H = _gamma_terms(f)
-    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    (an, ad), (bn, bd) = lo, hi
     for c0, c1 in (D, V):  # {D >= 0, V >= 0} in [lo, hi] is [an / ad, bn / bd]
         if c1 > 0 and -c0 * ad > an * c1:
             an, ad = -c0, c1
@@ -465,8 +499,7 @@ def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
     sz, az = (1 if z > 0 else -1), abs(z)
     top = None  # the sign of H at r when r is a local maximum in (lo, hi)
     if (d > 0 if h3 else h2 < 0) and all(
-        sz * _sqrt_sign(x * e.denominator - z * e.numerator, y * e.denominator, d) == side
-        for e, side in ((lo, 1), (hi, -1))
+        sz * _sqrt_sign(x * ed - z * en, y * ed, d) == side for (en, ed), side in ((lo, 1), (hi, -1))
     ):
         P = Q = 0  # z^3 H(r) = P + Q sqrt(d), by the homogeneous Horner sum
         for k, c in enumerate(reversed(H)):
@@ -476,15 +509,18 @@ def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
     while top == 1:
         k = isqrt((d << 2 * j) // (z * z))  # k |z| / 2^j <= sqrt(d) < (k + 1) |z| / 2^j
         e0, e1 = sorted(sz * ((x << j) + y * i * az) for i in (k, k + 1))  # r's ends, over |z| 2^j
-        gamma = Fraction(*_simplest_between_ints(e0, az << j, e1, az << j)) if e0 > 0 else lo
-        if lo < gamma < hi and _zsign(H, gamma) > 0:
-            return gamma
+        if e0 > 0:
+            p, q = _simplest_between_ints(e0, az << j, e1, az << j)
+            if lo[0] * q < p * lo[1] and p * hi[1] < hi[0] * q and _zsign_ints(H, p, q) > 0:
+                return Fraction(p, q)
         j *= 2
-    for end, other in ((lo, hi), (hi, lo)):
-        if _zsign(H, end) > 0:
-            while _zsign(H, end + (other - end) / (1 << j)) <= 0:
+    for (en, ed), (on, od) in ((lo, hi), (hi, lo)):
+        if _zsign_ints(H, en, ed) > 0:
+            while True:  # end + (other - end) / 2^j
+                p, q = en * od * ((1 << j) - 1) + on * ed, ed * od << j
+                if _zsign_ints(H, p, q) > 0:
+                    return Fraction(p, q)
                 j *= 2
-            return end + (other - end) / (1 << j)
     return Fraction(x + y * isqrt(d), z) if top == 0 and not strict else None
 
 
@@ -502,14 +538,14 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 
     nonneg = kept_nonneg(f)
     if nonneg is not None and nonneg.status == "OUT":
-        return SosVerdict("OUT")
-    if _feasible(_gamma_zero_signs(f)):
+        return _OUT
+    if _gamma_zero_class(f):
         # the feasible end lo = 0 of step 1 (module docstring)
-        return SosVerdict("IN", certificate=_certificate(f, _block_polys(f), _ZERO))
+        return SosVerdict("IN", certificate=_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
     gamma_range = _gamma_range(f)
     if gamma_range is None:
-        return SosVerdict("OUT")
-    lo, hi = gamma_range
+        return _OUT
+    lo, hi = (Fraction(*end) for end in gamma_range)
 
     # a feasible end decides IN (step 1); gamma = 0 is known infeasible here
     blocks = _block_polys(f)
@@ -520,8 +556,8 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     # both ends infeasible: step 2, whose gamma ``_certificate`` checks
     gamma = _open_gamma(f, False) if lo < hi else None
     if gamma is None:
-        return SosVerdict("OUT")
-    return SosVerdict("IN", certificate=_certificate(f, blocks, gamma))
+        return _OUT
+    return SosVerdict("IN", certificate=_certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +569,8 @@ def _has_interior_gamma(f: SymFormP) -> bool:
     """Some gamma in (lo, hi), the interior of the admissible range of an
     SOS form, admits a u that makes both blocks definite: by the reduction
     lemma, (D > 0 and V > 0) or H > 0 there (``_open_gamma``, strict)."""
-    lo, hi = _gamma_range(f)
-    return lo < hi and _open_gamma(f, True) is not None
+    (an, ad), (bn, bd) = _gamma_range(f)
+    return an * bd < bn * ad and _open_gamma(f, True) is not None
 
 
 def _kernel_ints(m11: int, m12: int, m22: int, d: int) -> tuple[int, tuple[int, int]] | None:
@@ -627,7 +663,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     The cone is the image of PSD_2 x PSD_2 x R_+ under the block map
     (A, B, gamma) -> f (gamma = 0 at LIMIT), which is onto R^5, so its
     interior is the image of definite blocks with gamma > 0.  At LIMIT
-    the gamma = 0 signs decide that (``_strictly_feasible``); at a
+    the class of the gamma = 0 signs decides that (``_gamma_zero_class``); at a
     numeric n the gamma-scan of ``sos_membership`` with > for >= does
     (``_has_interior_gamma``).  A boundary form gets y from the face of its
     certificate (``_supporting_functional``), as integers over one
@@ -640,10 +676,10 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
     if f.scope is LIMIT:
-        signs = _gamma_zero_signs(f)
-        if not _feasible(signs):
+        kind = _gamma_zero_class(f)
+        if not kind:
             return "OUTSIDE", None
-        if _strictly_feasible(signs):
+        if kind == 2:
             return "INTERIOR", None
         cert = sos_membership_limit(f).certificate
     else:

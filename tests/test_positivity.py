@@ -42,8 +42,8 @@ from symquartic.positivity import (
 )
 from symquartic.sampling import equivalence_sample
 from symquartic.sos import (
+    _NO_GEN,
     SosCertificate,
-    _block_polys,
     _certificate,
     _feasible,
     _gamma_zero_entries,
@@ -209,9 +209,10 @@ NEAR_6_10 = EXAMPLE_6_10[:2] + (EXAMPLE_6_10[2] - Fraction(1, 10**6),) + EXAMPLE
 
 def _gamma_zero_off(monkeypatch):
     """Make the gamma = 0 step of ``is_nonneg`` and ``is_strictly_positive``
-    decide nothing, so that every form reaches the grid."""
-    monkeypatch.setattr(positivity, "_feasible", lambda signs: False)
-    monkeypatch.setattr(positivity, "_strictly_feasible", lambda signs: False)
+    decide nothing, so that every form reaches the grid: the class of the
+    gamma = 0 signs that both read (``sos._gamma_zero_class``) says
+    infeasible."""
+    monkeypatch.setattr(positivity, "_gamma_zero_class", lambda f: 0)
 
 
 #: Forms whose critical polynomials (``binary_quartic_critical_polys``)
@@ -604,7 +605,7 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
     if not _feasible(signs):
         return
     for f in forms:
-        cert = _certificate(f, _block_polys(f), Fraction(0))
+        cert = _certificate(f, *_gamma_zero_entries(f), Fraction(0), _NO_GEN)
         assert cert.is_valid() and cert.gamma == 0
         assert expand_certificate(cert) == f
         assert is_nonneg(f).status == "IN"
@@ -1288,7 +1289,7 @@ class TestLimitWitness:
         assert len(inside) > 50
         for f in inside:
             assert _negative_variance(*_gamma_zero_entries(f)[1]) is None, f.coeffs
-        monkeypatch.setattr(positivity, "_feasible", lambda signs: False)
+        monkeypatch.setattr(positivity, "_gamma_zero_class", lambda f: 0)
         with pytest.raises(AssertionError, match="degree-4 limit theorem"):
             is_nonneg_limit(SymFormP(4, EXAMPLE_6_10, LIMIT))
 

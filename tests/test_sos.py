@@ -9,7 +9,7 @@ from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import sympy
@@ -45,19 +45,21 @@ from symquartic.positivity import (
     is_strictly_positive,
 )
 from symquartic.sos import (
+    _NO_GEN,
     SosCertificate,
     _block_polys,
     _certificate,
     _certificate_at,
     _chart_quartic,
     _conditions,
+    _entries_at,
     _entry_map,
     _feasible,
     _gamma_range,
     _gamma_terms,
     _gamma_zero_entries,
     _gamma_zero_signs,
-    _signs_at,
+    _signs,
     _strictly_feasible,
     _w_separator,
     expand_certificate,
@@ -89,6 +91,25 @@ from conftest import (
 
 
 _SCAN_SCOPES_AND_LIMIT = st.sampled_from((4, 5, 6, 8, 10**40, LIMIT))
+
+
+def _signs_at(blocks, gamma):
+    """The signs of ``_conditions`` at a rational gamma, read as
+    ``_certificate_at`` reads them: on the integers of ``_entries_at``."""
+    return _signs(_conditions(*_entries_at(blocks, gamma)[1]))
+
+
+def _certificate_on_blocks(f, blocks, gamma):
+    """``_certificate`` at a feasible rational gamma from the linear forms
+    of ``_block_polys``, as ``sos_membership`` builds it at gamma > 0."""
+    return _certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2])
+
+
+def fraction_gamma_range(f):
+    """``_gamma_range`` with its integer ends as Fractions (None when
+    empty)."""
+    ends = _gamma_range(f)
+    return None if ends is None else tuple(Fraction(*end) for end in ends)
 
 
 def zero2():
@@ -265,9 +286,10 @@ class TestLimitOncePerForm:
 
     def test_gamma_zero_entries_built_once(self, monkeypatch):
         """The gamma = 0 entries of one form are built once, though the
-        signs, the coefficient sum, the limit witness and the block forms
-        each read them; ``_entry_map`` also maps the generator in
-        ``_block_polys``, which only the IN certificate builds."""
+        signs, the coefficient sum, the limit witness and the gamma = 0
+        certificate each read them; ``_entry_map`` also maps the generator
+        in ``_block_polys``, which only a gamma > 0 decision builds, so the
+        form IN at gamma = 0 maps once."""
         calls = []
 
         def counted(v):
@@ -286,7 +308,7 @@ class TestLimitOncePerForm:
         assert not is_strictly_positive(f)
         assert len(calls) == 2
         assert sos_membership(form_from_dict(4, {(4,): 1}, 64)).status == "IN"
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 # Forms expand_certificate(rank-1 A, rank-1 B, gamma), SOS by construction,
@@ -473,9 +495,12 @@ class TestEndsFirst:
         ids=["p4-4", "p4-10^4000", "group9-4", "group9-7"],
     )
     def test_n_squared_once(self, monkeypatch, coeffs, n, end):
-        """A form IN at an end of the gamma range squares n once: the
+        """A form IN at the end hi of the gamma range squares n once: the
         (m, m gen) of ``_gamma_gen_ints`` that ``_block_polys`` builds is
-        the one ``_certificate`` checks the blocks with."""
+        the one ``_certificate`` checks the blocks with.  A form IN at
+        lo = 0 (p4) gets the gamma = 0 certificate from the entries of
+        ``_gamma_zero_entries``, which do not depend on n, and never
+        squares n."""
         calls = []
 
         def counted(scope):
@@ -486,8 +511,8 @@ class TestEndsFirst:
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         verdict = sos_membership(f)
         assert verdict.status == "IN"
-        assert verdict.certificate.gamma == _gamma_range(f)[0 if end == "lo" else 1]
-        assert len(calls) == 1
+        assert verdict.certificate.gamma == fraction_gamma_range(f)[0 if end == "lo" else 1]
+        assert len(calls) == (0 if end == "lo" else 1)
         assert expand_certificate(verdict.certificate) == f
 
 
@@ -512,7 +537,7 @@ class TestEndsFirst:
 
         monkeypatch.setattr(sos, "_certificate_at", counted)
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
-        lo, hi = _gamma_range(f)
+        lo, hi = fraction_gamma_range(f)
         assert lo == hi and (lo == 0) == (tests == 0)
         assert sos_membership(f).status == cell_scan_membership(f)[0] == "OUT"
         assert calls == [lo] * tests and gamma_scan_builds == []
@@ -550,7 +575,7 @@ class TestEndsFirst:
             seen += 1
             verdict = sos_membership(f)
             assert calls == []
-            lo, hi = real(f)
+            lo, hi = (Fraction(*end) for end in real(f))
             assert lo == 0 <= hi
             assert verdict.status == "IN"
             assert verdict.certificate == _certificate_at(f, _block_polys(f), lo)
@@ -765,7 +790,7 @@ def reference_boundary(f):
     verdict, lo, _ = reference_membership(f)
     if verdict.status == "OUT":
         return "OUTSIDE"
-    hi = _gamma_range(f)[1]
+    hi = fraction_gamma_range(f)[1]
     blocks = _block_polys(f)
     conditions = [p for p in condition_polys(blocks) if p.degree > 0]
     samples = cells(conditions, lo, hi).samples if lo < hi else ()
@@ -807,7 +832,7 @@ def test_reduction_lemma(f, ts):
     blocks = _block_polys(f)
     D, V, H = deciding_polys(blocks)
     assert D.degree <= 1 and V.degree <= 1 and H.degree <= 3
-    gamma_range = _gamma_range(f)
+    gamma_range = fraction_gamma_range(f)
     if gamma_range is not None:
         lo, hi = gamma_range
         assert [UniPoly(t) for t in _gamma_terms(f)] == [D, V, H.scale(6)]
@@ -858,7 +883,7 @@ def test_single_feasible_gamma_at_random(fg):
     (``sos._open_gamma``), and they are BOUNDARY, as the reference with its
     sign queries at the breakpoints says."""
     f, gamma = fg
-    lo, hi = _gamma_range(f)
+    lo, hi = fraction_gamma_range(f)
     assert lo < gamma < hi
     blocks = _block_polys(f)
     samples = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
@@ -885,7 +910,7 @@ def cell_scan_membership(f):
     candidate that certified IN."""
     if _feasible(_gamma_zero_signs(f)):
         return "IN", Fraction(0), "zero"
-    gamma_range = _gamma_range(f)
+    gamma_range = fraction_gamma_range(f)
     if gamma_range is None:
         return "OUT", None, None
     lo, hi = gamma_range
@@ -913,7 +938,7 @@ def cell_scan_boundary(f):
     as ``sos._has_interior_gamma`` was."""
     if cell_scan_membership(f)[0] == "OUT":
         return "OUTSIDE"
-    lo, hi = _gamma_range(f)
+    lo, hi = fraction_gamma_range(f)
     if lo == hi:
         return "BOUNDARY"
     blocks = _block_polys(f)
@@ -982,7 +1007,7 @@ def test_closed_form_scan_matches_cell_scan(f):
     if status == "IN":
         assert expand_certificate(got.certificate) == f
         if stage == "cell":
-            lo, hi = _gamma_range(f)
+            lo, hi = fraction_gamma_range(f)
             assert lo < got.certificate.gamma < hi
         else:
             assert got.certificate.gamma == gamma
@@ -997,7 +1022,7 @@ def test_interior_gamma_is_strictly_feasible(f):
     >=) lies in the open range and makes both blocks definite for some u,
     on all ten signs; the scan without it finds a feasible gamma there
     exactly when some gamma in the open range is feasible."""
-    gamma_range = _gamma_range(f)
+    gamma_range = fraction_gamma_range(f)
     if gamma_range is None or gamma_range[0] == gamma_range[1]:
         return
     lo, hi = gamma_range
@@ -1064,7 +1089,7 @@ def test_gamma_scan_near_an_end_bounded_time():
         boundary = sos_boundary(f)[0]
         elapsed = time.perf_counter() - start
         assert elapsed < 5, elapsed
-        assert _gamma_range(f)[0] == 0 and not _feasible(_gamma_zero_signs(f))
+        assert fraction_gamma_range(f)[0] == 0 and not _feasible(_gamma_zero_signs(f))
         assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
         assert boundary == status
         gamma = verdict.certificate.gamma
@@ -2283,9 +2308,12 @@ def former_gamma_range(f):
 @settings(max_examples=100, deadline=None)
 def test_gamma_range_matches_the_former_construction(form, n):
     """The gamma range read off the form is the one the linear forms give,
-    empty or not, with lo > 0 when c4 < 0."""
+    empty or not, with lo > 0 when c4 < 0; its ends are integer pairs
+    over positive denominators."""
     f = SymFormP(4, form.coeffs, n)
-    assert _gamma_range(f) == former_gamma_range(f)
+    assert fraction_gamma_range(f) == former_gamma_range(f)
+    ends = _gamma_range(f)
+    assert ends is None or all(type(x) is int and q > 0 for x, q in ends for x in (x, q))
 
 
 def _cert_fields(cert):
@@ -2331,7 +2359,7 @@ def test_integer_certificate_matches_fraction_reference(fg, gammas):
         if not _feasible(signs):
             assert g != gamma
             continue
-        got = _certificate(f, blocks, g)
+        got = _certificate_on_blocks(f, blocks, g)
         assert _cert_fields(got) == _cert_fields(fraction_certificate(f, entries, g)[0])
         assert got.scope is f.scope
         assert all(type(x) is Fraction for x in _cert_fields(got))
@@ -2366,7 +2394,7 @@ def test_integer_certificate_on_every_u_branch(branch, n, A, B, gamma):
     entries, signs = fraction_signs_at(fraction_block_polys(f), gamma)
     want, got_branch = fraction_certificate(f, entries, gamma)
     assert got_branch == branch
-    cert = _certificate(f, _block_polys(f), gamma)
+    cert = _certificate_on_blocks(f, _block_polys(f), gamma)
     assert _cert_fields(cert) == _cert_fields(want)
     assert cert.is_valid() and expand_certificate(cert) == f
 
@@ -2384,7 +2412,7 @@ def test_certificate_self_check_bites(branch, n, A, B, gamma):
         others.append(SymFormP(4, tuple(coeffs), n))
     for g in others:
         with pytest.raises(AssertionError):
-            _certificate(g, blocks, gamma)
+            _certificate_on_blocks(g, blocks, gamma)
 
 
 @pytest.mark.parametrize("n, gamma", [(6, Fraction(-1, 8)), (LIMIT, Fraction(1, 2))])
@@ -2395,10 +2423,10 @@ def test_certificate_rejects_gamma_outside_the_cone(n, gamma):
     blocks = _block_polys(f)
     assert _feasible(_signs_at(blocks, gamma))
     with pytest.raises(AssertionError):
-        _certificate(f, blocks, gamma)
+        _certificate_on_blocks(f, blocks, gamma)
     out = SymFormP(4, (-1, 0, 0, 0, 0), n)
     with pytest.raises(AssertionError):
-        _certificate(out, _block_polys(out), Fraction(0))
+        _certificate(out, *_gamma_zero_entries(out), Fraction(0), _NO_GEN)
 
 
 def test_gamma_zero_signs_independent_of_n(monkeypatch):
@@ -2417,3 +2445,237 @@ def test_gamma_zero_signs_independent_of_n(monkeypatch):
     assert len(seen) == 2
     assert [x.bit_length() for x in seen[0]] == [x.bit_length() for x in seen[1]]
     assert signs[0] == signs[1] and _feasible(signs[0])
+
+
+# ---------------------------------------------------------------------------
+# the gamma = 0 route: one class per form, the certificate from its entries
+# ---------------------------------------------------------------------------
+
+
+def former_certificate(f, blocks, gamma):
+    """``_certificate`` as it was built from the linear forms of
+    ``_block_polys`` alone, a reference for the one built from the entries
+    at its gamma: e = C q + G p and d = S q over their gcd, and the check
+    with the (m, m gen) kept in ``blocks``."""
+    p, q = gamma.numerator, gamma.denominator
+    e = [c * q + g * p for c, g in blocks[1]]
+    d = blocks[0] * q
+    h = gcd(d, *e)
+    b22, b12, a22, s, a11_u = (x // h for x in e)
+    d //= h
+    k = b22 if b22 > 0 else 1
+    u = max(-a11_u * k, 0)
+    if b22 > 0:
+        u = max(u, b12 * b12)
+    v = (2 * a22 + s) * k
+    if u * u > 2 * v * u + (4 * a22 * a11_u - s * s) * k * k:
+        u = v
+    entries = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
+    cert = SosCertificate(2 * d * k, entries, gamma, f.scope)
+    den, xs = sos._expansion(cert, blocks[2])
+    assert cert.gamma >= 0 and (cert.scope is not LIMIT or cert.gamma == 0)
+    assert all(x * f.den == c * den for x, c in zip(xs, f.nums))
+    return cert
+
+
+def former_certificate_at(f, blocks, gamma):
+    """``_certificate_at`` as it was: the gamma = 0 signs at gamma = 0,
+    else the signs on the linear forms, then ``former_certificate``."""
+    p, q = gamma.numerator, gamma.denominator
+    signs = _gamma_zero_signs(f) if gamma == 0 else _signs(_conditions(*(c * q + g * p for c, g in blocks[1])))
+    return former_certificate(f, blocks, gamma) if _feasible(signs) else None
+
+
+@st.composite
+def _gamma_zero_route_forms(draw):
+    """Box forms, certificate expansions (blocks with about 4000-bit entries
+    half the time), boundary-family members and forms with about 4000-bit
+    coefficients, at n in {4, 5, 8, 64, 10^40} or LIMIT."""
+    scope = draw(st.sampled_from((4, 5, 8, 64, 10**40, LIMIT)))
+    kind = draw(st.sampled_from(("box", "certificate", "boundary", "big")))
+    if kind == "box":
+        coeffs = draw(st.tuples(*[_small] * 5))
+    elif kind == "certificate":
+        xs = draw(_cert_blocks(psd=True))
+        gamma = Fraction(0) if scope is LIMIT else draw(st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(2))))
+        cert = SosCertificate.from_blocks(SymMat2(*xs[:3]), SymMat2(*xs[3:]), gamma, scope)
+        coeffs = expand_certificate(cert).coeffs
+    elif kind == "boundary":
+        a = draw(_small.filter(bool))
+        c, d = draw(st.tuples(_small, _small).filter(any))
+        coeffs = boundary_family_form(BoundaryParams(a, draw(_small), c, d)).coeffs
+    else:
+        coeffs = draw(st.tuples(*[big_fractions] * 5))
+    if draw(st.booleans()):
+        coeffs = coeffs[:2] + (coeffs[2] - Fraction(1, 1024),) + coeffs[3:]
+    return SymFormP(4, tuple(coeffs), scope)
+
+
+class TestGammaZeroRoute:
+    """Every gamma = 0 decision reads one class of the gamma = 0 signs kept
+    on the form object, and the gamma = 0 certificate is built from the
+    entries of ``_gamma_zero_entries``; both give what the route through
+    ``_block_polys`` gave."""
+
+    @given(_gamma_zero_route_forms())
+    @example(SymFormP(4, (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)), 10**40))
+    @example(SymFormP(4, (1, 0, -1, 0, 0), LIMIT))
+    @example(SymFormP(4, (0, 0, 1, -2, 1), 4))
+    @seed(1205)
+    @settings(max_examples=250, deadline=None)
+    def test_entries_certificate_is_the_former_one(self, f):
+        """The gamma = 0 certificate of the entries is the one the linear
+        forms of ``_block_polys`` give at gamma = 0, field for field, and
+        the decisions return it; the class is that of the signs."""
+        signs = _gamma_zero_signs(f)
+        kind = sos._gamma_zero_class(f)
+        assert kind == (2 if _strictly_feasible(signs) else 1 if _feasible(signs) else 0)
+        want = former_certificate_at(f, _block_polys(f), Fraction(0))
+        assert (want is not None) == (kind > 0)
+        if want is None:
+            return
+        got = _certificate(f, *_gamma_zero_entries(f), Fraction(0), _NO_GEN)
+        assert got == want and (got.den, got.entries, got.gamma, got.scope) == (want.den, want.entries, want.gamma, want.scope)
+        assert type(got.gamma) is Fraction
+        fresh = SymFormP(4, f.coeffs, f.scope)
+        verdict = sos_membership_limit(fresh) if f.scope is LIMIT else sos_membership(fresh)
+        assert verdict.status == "IN" and verdict.certificate == want
+
+    @given(_gamma_zero_route_forms().filter(lambda f: f.scope is not LIMIT), st.integers(1, 7))
+    @example(SymFormP(4, (0, 3, Fraction(11, 3), -4, Fraction(3, 2)), 7), 2)
+    @example(SymFormP(4, (Fraction(1, 6), Fraction(22, 9), Fraction(5, 2), -15, 17), 6), 3)
+    @seed(1205)
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_at_is_the_former_one(self, f, k):
+        """``_certificate_at`` at both ends of the gamma range and at
+        points inside it, and the certificate at the gamma of step 2, are
+        those of the former construction."""
+        ends = fraction_gamma_range(f)
+        if ends is None:
+            return
+        lo, hi = ends
+        blocks = _block_polys(f)
+        gammas = {lo, hi, lo + (hi - lo) / 2, lo + (hi - lo) / (k + 1), lo + (hi - lo) * k / (k + 1)}
+        for gamma in gammas:
+            assert _certificate_at(f, blocks, gamma) == former_certificate_at(f, blocks, gamma), gamma
+        if lo < hi and all(former_certificate_at(f, blocks, g) is None for g in (lo, hi)):
+            gamma = sos._open_gamma(f, False)
+            fresh = SymFormP(4, f.coeffs, f.scope)
+            verdict = sos_membership(fresh)
+            if gamma is None:
+                assert verdict.status == "OUT"
+            else:
+                assert verdict.certificate == former_certificate(f, blocks, gamma)
+
+    def test_signs_classified_once_per_form(self, monkeypatch):
+        """On one form object, asking every gamma = 0 entry point, twice,
+        classifies the gamma = 0 signs once: ``_conditions`` sees the
+        gamma = 0 entries once, and for forms that gamma = 0 decides the
+        two predicates run at most twice in all."""
+        conditions, predicates = [], []
+
+        def counted_conditions(*entries):
+            conditions.append(entries)
+            return _conditions(*entries)
+
+        def counted(name, real):
+            def wrapped(signs):
+                predicates.append(name)
+                return real(signs)
+
+            return wrapped
+
+        monkeypatch.setattr(sos, "_conditions", counted_conditions)
+        monkeypatch.setattr(sos, "_feasible", counted("feasible", _feasible))
+        monkeypatch.setattr(sos, "_strictly_feasible", counted("strict", _strictly_feasible))
+        cases = {  # coefficients: the class of their gamma = 0 signs
+            (1, 0, 1, 0, 0): 2,
+            (1, 0, -1, 0, 0): 1,
+            (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)): 1,
+            (-1, 0, 1, 0, 0): 0,
+            (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3)): 0,
+        }
+        seen = set()
+        for coeffs, kind in cases.items():
+            for scope in (4, 64, 10**40, LIMIT):
+                f = SymFormP(4, tuple(Fraction(c) for c in coeffs), scope)
+                entries = _gamma_zero_entries(f)[1]
+                conditions.clear()
+                predicates.clear()
+                for _ in range(2):
+                    if scope is LIMIT:
+                        is_nonneg_limit(f)
+                        sos_membership_limit(f)
+                        boundary_status_limit(f)
+                    else:
+                        is_nonneg(f)
+                        is_strictly_positive(f)
+                        sos_membership(f)
+                        sos_boundary(f)
+                assert conditions.count(entries) == 1, (coeffs, scope)
+                assert sos._gamma_zero_class(f) == kind
+                if kind or scope is LIMIT:
+                    assert len(predicates) == (1 if kind == 2 else 2), (coeffs, scope, predicates)
+                seen.add((kind, scope is LIMIT))
+        assert len(seen) == 6
+
+    def test_gamma_zero_certificate_reads_no_block_forms(self, monkeypatch):
+        """The gamma = 0 IN certificate, at every n and at LIMIT, is built
+        and checked with neither ``_block_polys`` nor ``_gamma_gen_ints``:
+        n is never squared for it."""
+        calls = []
+
+        def counted(name, real):
+            def wrapped(arg):
+                calls.append(name)
+                return real(arg)
+
+            return wrapped
+
+        monkeypatch.setattr(sos, "_block_polys", counted("_block_polys", _block_polys))
+        monkeypatch.setattr(sos, "_gamma_gen_ints", counted("_gamma_gen_ints", _gamma_gen_ints))
+        rng = random.Random(1205)
+        forms = [(1, 0, 0, 0, 0), (1, 0, -1, 0, 0), (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))]
+        while len(forms) < 20:
+            coeffs = random_form(rng, LIMIT).coeffs
+            if sos._gamma_zero_class(SymFormP(4, coeffs, LIMIT)):
+                forms.append(coeffs)
+        certs = []
+        for coeffs in forms:
+            for scope in (4, 5, 8, 64, 10**40, LIMIT):
+                f = SymFormP(4, coeffs, scope)
+                verdict = sos_membership_limit(f) if scope is LIMIT else sos_membership(f)
+                assert verdict.status == "IN" and verdict.certificate.gamma == 0
+                certs.append((f, verdict.certificate))
+        assert calls == []
+        monkeypatch.undo()
+        for f, cert in certs:
+            assert expand_certificate(cert) == f
+
+    def test_witness_free_verdicts_are_shared_constants(self):
+        """The verdicts that carry no witness are module constants: equal
+        to freshly built ones, with the same hash, frozen, and returned by
+        the decisions."""
+        from dataclasses import FrozenInstanceError
+
+        shared = [
+            (sos._OUT, sos.SosVerdict("OUT")),
+            (positivity._IN, positivity.NonnegVerdict("IN")),
+            (positivity._NO_WITNESS["INTERIOR"], positivity.BoundaryVerdict("INTERIOR")),
+            (positivity._NO_WITNESS["OUTSIDE"], positivity.BoundaryVerdict("OUTSIDE")),
+        ]
+        for constant, fresh in shared:
+            assert constant == fresh and hash(constant) == hash(fresh) and constant is not fresh
+            for name in ("status", "certificate" if isinstance(fresh, sos.SosVerdict) else "witness"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(constant, name, None)
+            assert constant == fresh
+        inside, edge, outside = ((1, 0, 1, 0, 0), (1, 0, -1, 0, 0), (-1, 0, 1, 0, 0))
+        assert is_nonneg_limit(SymFormP(4, inside, LIMIT)) is positivity._IN
+        assert is_nonneg(SymFormP(4, inside, 64)) is positivity._IN
+        assert sos_membership_limit(SymFormP(4, outside, LIMIT)) is sos._OUT
+        assert sos_membership(SymFormP(4, outside, 5)) is sos._OUT
+        assert boundary_status_limit(SymFormP(4, inside, LIMIT)) is positivity._NO_WITNESS["INTERIOR"]
+        assert boundary_status_limit(SymFormP(4, outside, LIMIT)) is positivity._NO_WITNESS["OUTSIDE"]
+        boundary = boundary_status_limit(SymFormP(4, edge, LIMIT))
+        assert boundary.status == "BOUNDARY" and boundary.witness is not None
