@@ -1197,10 +1197,3 @@ def _simplest_between_ints(an: int, ad: int, bn: int, bd: int) -> tuple[int, int
     for t in reversed(terms):
         p, q = t * p + q, p
     return p, q
-
-
-def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:
-    """The simplest rational (``simplest_rational_between``) in the middle
-    half of [lo, hi]: a point of small height away from both ends, which
-    ``sos._open_gamma`` takes for a strictly feasible gamma."""
-    return simplest_rational_between((3 * lo + hi) / 4, (lo + 3 * hi) / 4)

@@ -4,7 +4,7 @@ Limit cone: f is in the limit nonnegativity cone iff Phi^alpha(x, y) =
 Phi_f(alpha, 1-alpha, x, y) is nonnegative for every alpha in [0, 1].  For
 quartics this cone equals the limit SOS cone (Blekherman & Riener,
 arXiv:1205.3102), so both limit decisions read the class of the gamma = 0
-signs of ``sos`` (``sos._gamma_zero_class``: infeasible, feasible or
+blocks of ``sos`` (``sos._gamma_zero_class``: infeasible, feasible or
 strictly feasible); IN needs no theorem, as a sum of squares is
 nonnegative.  OUT carries a negative point read off the same gamma = 0
 entries in closed form (``_limit_negative_point``): over two-point
@@ -28,9 +28,9 @@ Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
 not depend on n, so when they are feasible f is a sum of squares, hence
 nonnegative, at every n, and when they are strictly feasible f is strictly
 positive at every n (``is_nonneg``, ``is_strictly_positive``).  Both read
-the one class of the gamma = 0 signs that ``sos`` keeps on the form
-object, as the limit decisions and the SOS decisions do, so the signs are
-classified once per form whichever questions are asked.  Only forms
+the one class of the gamma = 0 blocks that ``sos`` keeps on the form
+object, as the limit decisions and the SOS decisions do, so the blocks
+are classified once per form whichever questions are asked.  Only forms
 outside the limit cone (for ``is_strictly_positive``, outside its
 interior) reach the grid.  By the half-degree principle a symmetric
 quartic is nonnegative (strictly positive) iff Phi^alpha is, for every
@@ -424,7 +424,7 @@ def is_nonneg_limit(f: SymFormP) -> NonnegVerdict:
 
     IN exactly when f is in the limit SOS cone, which is sound because a
     sum of squares is nonnegative, read on the class of the gamma = 0
-    signs of ``sos`` (``sos._gamma_zero_class``) with no certificate
+    blocks of ``sos`` (``sos._gamma_zero_class``) with no certificate
     built.  Otherwise the OUT verdict carries a
     negative point read off the gamma = 0 entries that decided it
     (``_limit_negative_point``), with no alpha-cells; finding none would

@@ -14,7 +14,7 @@ with the alpha-block [[a11, a12], [a12, a22]] and the beta-block
 [[b11, b12], [b12, b22]] both PSD and gamma >= 0.  In the limit cone the
 scalar-block generator degenerates to (1/2)(p_2 - p_1^2)^2, which already
 lies in the span of the alpha-block, so gamma = 0 is forced there, and
-the signs at gamma = 0 decide membership.
+the blocks at gamma = 0 decide membership.
 
 The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as affine functions of gamma, kept as integer
@@ -24,19 +24,28 @@ and checked in integers too (``_certificate``, from the integer entries
 at its gamma), and it keeps its six block entries as integers over one
 scale (``SosCertificate``).  At gamma = 0 the entries do not depend on
 n; their integers (``_gamma_zero_entries``, through the one inverse
-block map ``_entry_map``) give the gamma = 0 signs, classified once per
+block map ``_entry_map``) give the class of gamma = 0, kept once per
 form object as infeasible, feasible or strictly feasible
 (``_gamma_zero_class``), the gamma = 0 certificate, the coefficient sum
 and the limit witness of ``positivity``.  Only the decisions at
 gamma > 0 read ``_block_polys``: the ends of the range, the terms of
 step 2 (``_gamma_terms``) and the certificate at a gamma found there.
-For fixed gamma the PSD constraints on u are three lower bounds (0, from a11 >= 0 and,
-cleared of b22, from det B >= 0) and one concave quadratic
-Q(u) = det A >= 0, so u-feasibility is a predicate on the signs of ten
-polynomials in gamma (``_conditions``, ``_feasible``).  The feasible
-(gamma, u) region is convex (the blocks are affine in (gamma, u)), hence
-the feasible gamma values form one closed interval in the admissible
-range [lo, hi].
+
+Smallest u.  For fixed gamma the PSD constraints on u are three lower
+bounds (0, from a11 >= 0 and, cleared of b22, from det B >= 0), whose
+largest is L, and one concave quadratic q(u) = 4 det A >= 0, whose
+vertex is v; the signs of b22, b12 and a22 do not involve u.  The u
+that satisfy q >= 0 form an interval around v.  If q(L) >= 0, L is the
+smallest u above every bound with q >= 0; otherwise that interval lies
+wholly above L, where it holds v, or wholly below it.  So some u makes
+both blocks PSD iff the blocks at u = L (q(L) >= 0) or else at u = v are
+PSD (``_smallest_u``), and ``_certificate`` builds them there and
+returns None when they are not: the certificate is the decision at a
+fixed gamma.  The same integers give the strict form: some u makes both
+blocks definite iff b22 > 0, a22 > 0, q(v) > 0, and q(L) > 0 or v > L.
+The feasible (gamma, u) region is convex (the blocks are affine in
+(gamma, u)), hence the feasible gamma values form one closed interval in
+the admissible range [lo, hi].
 
 Reduction lemma.  On (lo, hi), b22 > 0 and a22 > 0 (b22 rises from 0 at
 or below lo, a22 falls to 0 at hi), so B is PSD iff u >= h = b12^2 / b22
@@ -53,19 +62,20 @@ The quadratic part of q in (gamma, u) is -(u - c gamma)^2, so V has
 degree <= 1, and h grows like c gamma, so H has degree <= 3 (the conics
 q = 0 and u b22 = b12^2 share their point at infinity).
 
-``sos_membership`` first reads the verdict that ``positivity.is_nonneg``
-keeps on the form object, if any: a nonnegativity OUT is an SOS OUT, as
-every sum of squares is nonnegative.  It never asks ``is_nonneg`` itself,
-which at huge n costs far more than the steps below.  Otherwise it looks
-for the feasible interval F in two steps, with no root isolated:
+``sos_membership``, decided once per form object, first reads the
+verdict that ``positivity.is_nonneg`` keeps on the form object, if any:
+a nonnegativity OUT is an SOS OUT, as every sum of squares is
+nonnegative.  It never asks ``is_nonneg`` itself, which at huge n costs
+far more than the steps below.  Otherwise it looks for the feasible
+interval F in two steps, with no root isolated:
 
-1. the two ends: a feasible end decides IN.  When the class of the
-   gamma = 0 signs kept on the form is feasible, b22 >= 0 makes lo = 0
-   and a22 >= 0 makes hi >= 0, so lo is a feasible end, and its
-   certificate, built and checked on the gamma = 0 entries with no n in
-   them, is returned before the range or ``_block_polys`` is built.  An
-   end gamma > 0 is tested and certified on one set of integers
-   (``_entries_at``).  A range lo = hi is one test;
+1. the two ends: a feasible end decides IN.  When the class of gamma = 0
+   kept on the form is feasible, b22 >= 0 makes lo = 0 and a22 >= 0
+   makes hi >= 0, so lo is a feasible end, and its certificate, built and
+   checked on the gamma = 0 entries with no n in them, is returned before
+   the range or ``_block_polys`` is built.  An end gamma > 0 is decided
+   by the certificate built on its integers (``_entries_at``).  A range
+   lo = hi is one test;
 2. with both ends infeasible, ``_open_gamma`` finds a gamma in F in
    closed form from the integer coefficients of D, V and H
    (``_gamma_terms``), or shows F empty and f OUT.  F is closed (u is
@@ -86,12 +96,17 @@ for the feasible interval F in two steps, with no root isolated:
 The boundary status (``sos_boundary``) is decided at every scope by one
 routine.  The block map (A, B, gamma) -> f is onto R^5, so f is interior
 exactly when some gamma > 0 (gamma = 0 at LIMIT) admits a u that makes
-both blocks definite (``_strictly_feasible``): at LIMIT the class of the
-gamma = 0 signs says so, at a numeric n step 2 with > in place of >= does
-(``_has_interior_gamma``), where an end may be feasible.  A boundary
-form is supported by a functional y read off the face of its
-certificate (facial reduction: Y_A A = 0, Y_B B = 0, gamma y(gen) = 0),
-checked exactly (y != 0, y(f) = 0, y in the dual cone).
+both blocks definite.  Class 2 of gamma = 0 says so at every scope:
+blocks definite at gamma = 0 stay definite at small gamma > 0, which
+lie in the range, as a22 > 0 makes hi > 0.  Otherwise, at a numeric n,
+``_has_interior_gamma`` reads signs: by the lemma, some gamma in
+(lo, hi) makes both blocks definite iff D > 0 and V > 0 somewhere
+there, which holds iff J has interior and neither D nor V is 0
+identically, or H > 0 somewhere there, which holds iff H > 0 at lo, at
+hi or at its local maximum r in (lo, hi).  A boundary form is supported
+by a functional y read off the face of its certificate (facial
+reduction: Y_A A = 0, Y_B B = 0, gamma y(gen) = 0), checked exactly
+(y != 0, y(f) = 0, y in the dual cone).
 
 An OUT verdict at a numeric scope is backed by a rational dual functional
 (``find_separating_functional``), found by a search that is complete:
@@ -129,7 +144,6 @@ from .algebra import (
     _simplest_between_ints,
     _zsign_ints,
     binary_quartic_negative_point,
-    simplest_in_middle,
 )
 from .dualcone import (
     DualFunctional,
@@ -244,8 +258,8 @@ def _gamma_zero_entries(f: SymFormP) -> tuple[int, tuple[int, ...]]:
     """(d, e): the gamma = 0 block entries of f as the integers e over
     d = 2 den, e the ``_entry_map`` of the form's numerators over den
     (``SymFormP.nums`` over ``SymFormP.den``), once per form object (``symfunc.per_form``):
-    the gamma = 0 signs, the block forms, the coefficient-sum tests and the
-    limit witness of ``positivity`` all read them.  The entries are (c4,
+    the class of gamma = 0, the block forms, the coefficient-sum tests and
+    the limit witness of ``positivity`` all read them.  The entries are (c4,
     c31/2, c22 + c4, c211 + c31, c1111), so neither they nor e depend on n,
     and the sum of the last three, a22 + s + (a11 - u), is the coefficient
     sum."""
@@ -266,9 +280,10 @@ def _block_polys(f: SymFormP) -> tuple[int, tuple[tuple[int, int], ...], tuple]:
     ends of ``sos_membership``, ``_gamma_terms`` and the certificate at a
     gamma > 0, which checks its blocks with the (m, m gen) kept here, so n
     is squared once per form; gamma = 0 reads ``_gamma_zero_entries``
-    alone.  Every condition of ``_conditions`` is
-    homogeneous in the entries, so S changes no sign and no root in gamma,
-    and the witnesses, built from the entries themselves, do not see it."""
+    alone.  The choice of u (``_smallest_u``) and the terms of
+    ``_reduction_terms`` are homogeneous in the entries, so S changes no
+    sign and no root in gamma, and the witnesses, built from the entries
+    themselves, do not see it."""
     d, e = _gamma_zero_entries(f)
     m, gen = _gamma_gen_ints(f.scope)
     den = d // 2
@@ -280,54 +295,40 @@ def _reduction_terms(b22, b12, a22, s, a11_u) -> tuple:
     - s^2 of 4 det A = -u^2 + 2 v u + r, and the three terms of the
     reduction lemma, D = v b22 - b12^2, V = 4 det A at v and H = b22^2
     times 4 det A at the hook bound b12^2 / b22, from the block entries
-    as in ``_conditions``."""
+    (b22, b12, a22, s, a11 - u) of ``_block_polys``, as integers at one
+    gamma or as integer polynomials in gamma."""
     hook = b12 * b12
     v = a22 * 2 + s
     r = a22 * a11_u * 4 - s * s
     return v, r, v * b22 - hook, v * v + r, (v * b22 * 2 - hook) * hook + r * b22 * b22
 
 
-def _conditions(b22, b12, a22, s, a11_u) -> tuple:
-    """The ten quantities whose signs decide u-feasibility, from the block
-    entries (``_block_polys``), scaled, as integers at one gamma or as
-    integer polynomials in gamma.
+def _smallest_u(b22, b12, a22, s, a11_u) -> tuple[int, tuple[int, ...], int]:
+    """(k, blocks, kind): the blocks at the smallest candidate u (module
+    docstring), from the block entries (b22, b12, a22, s, a11 - u), and
+    their class: 0 when they are not PSD, 2 when some u makes both blocks
+    definite, else 1.
 
-    4 det A = -u^2 + 2 v u + r (``_reduction_terms``); the lower bounds L
-    on u are 0, l1 = -(a11 - u) and b12^2/b22.  The list: b22, b12, a22,
-    4 det A at v, then 4 det A at each L and v - L for each L, the last of
-    both multiplied by b22^2 and b22.  Each is homogeneous in the entries,
-    so entries scaled by a common positive factor give the same signs."""
-    l1 = -a11_u
-    v, r, D, V, H = _reduction_terms(b22, b12, a22, s, a11_u)
-    return (b22, b12, a22, V, r, (v * 2 - l1) * l1 + r, H, v, v - l1, D)
-
-
-def _feasible(signs) -> bool:
-    """u-feasibility at one gamma from the signs of ``_conditions``.
-
-    B is PSD iff u >= 0, b22 >= 0, u b22 >= b12^2 (so b22 = 0 forces
-    b12 = 0); A is PSD iff a22 >= 0, a11 >= 0 and det A >= 0, a concave
-    quadratic in u.  {det A >= 0} is empty unless det A >= 0 at the
-    vertex, and then it reaches above a lower bound L iff det A >= 0 at L
-    or the vertex is >= L."""
-    b22, b12, a22, q_top, *rest = signs
-    return (
-        min(b22, a22, q_top) >= 0
-        and (b22 > 0 or b12 == 0)
-        and all(q >= 0 or v >= 0 for q, v in zip(rest[:3], rest[3:]))
-    )
-
-
-def _strictly_feasible(signs) -> bool:
-    """Some u makes both blocks positive definite, from the signs of
-    ``_conditions``: ``_feasible`` with strict inequalities.
-
-    B is positive definite iff u > 0, b22 > 0 and u b22 > b12^2; A is iff
-    a22 > 0 and det A > 0 (a11 > 0 follows).  {det A > 0} is an open
-    interval around the vertex, empty unless det A > 0 there, and it
-    reaches above a lower bound L iff det A > 0 at L or the vertex is > L."""
-    b22, _, a22, q_top, *rest = signs
-    return min(b22, a22, q_top) > 0 and all(q > 0 or v > 0 for q, v in zip(rest[:3], rest[3:]))
+    With k = b22 when that is > 0, else 1, every candidate for u is an
+    integer over the entries' scale times k: the lower bounds 0,
+    -(a11 - u) k and, when b22 > 0, the hook bound b12^2 / b22 = b12^2 / k,
+    whose largest is L, and the vertex v = (2 a22 + s) k of
+    q(u) = -u^2 + 2 v u + r, 4 det A over the squared scale.  u is L when
+    q(L) >= 0, else v, and ``blocks`` are (a11, a12, a22, b11, b12, b22)
+    at u over twice that scale.  Every value is homogeneous in the
+    entries, so a common positive factor changes no class."""
+    k = b22 if b22 > 0 else 1
+    u = max(-a11_u * k, 0)
+    if b22 > 0:
+        u = max(u, b12 * b12)
+    v = (2 * a22 + s) * k
+    r = (4 * a22 * a11_u - s * s) * k * k
+    q_low = (2 * v - u) * u + r
+    strict = b22 > 0 and a22 > 0 and v * v + r > 0 and (q_low > 0 or v > u)
+    if q_low < 0:
+        u = v
+    blocks = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
+    return k, blocks, 2 if strict else int(_psd_ints(*blocks[:3]) and _psd_ints(*blocks[3:]))
 
 
 #: (m, m gen) for the block map at gamma = 0, whose generator term
@@ -335,45 +336,32 @@ def _strictly_feasible(signs) -> bool:
 _NO_GEN = (1, (0, 0, 0, 0, 0))
 
 
-def _certificate(f: SymFormP, d: int, e, gamma: Fraction, gen_ints) -> SosCertificate:
-    """The certificate at a feasible rational gamma from the block entries
+def _certificate(f: SymFormP, d: int, e, gamma: Fraction, gen_ints) -> SosCertificate | None:
+    """The certificate at a rational gamma >= 0 from the block entries
     there, the integers e = (b22, b12, a22, s, a11 - u) over d > 0, with
-    the smallest feasible u: the largest lower bound if det A >= 0 there,
-    else the vertex.  At gamma = 0 they are those of
-    ``_gamma_zero_entries``, which do not depend on n; at gamma = p/q > 0,
-    e = C q + G p and d = S q of ``_block_polys`` (``_entries_at``).
+    the smallest candidate u (``_smallest_u``), or None when its blocks are
+    not PSD, and then no u makes them PSD at gamma.  At gamma = 0 the
+    entries are those of ``_gamma_zero_entries``, which do not depend on
+    n; at gamma = p/q > 0, e = C q + G p and d = S q of ``_block_polys``
+    (``_entries_at``).
 
     e and d are first divided by their gcd, so that the products below do
     not carry a common scale, such as the n^2 of S q at an end of the
-    gamma range.  With k = e_b22 when that is > 0, else 1, every candidate
-    for u is an integer over w = d k > 0: the lower bounds 0, -e_a11u k
-    and, when b22 > 0, the hook bound b12^2 / b22 = e_b12^2 / w, and the
-    vertex (2 e_a22 + e_s) k.  The blocks are then integers over W = 2w,
-    which the certificate keeps in lowest terms, and the self-check reads
-    exactly those: ``SosCertificate.is_valid``, and the block map
-    ``_expansion`` with (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0)
-    sends them to f, compared with ``f.nums`` over ``f.den``
-    cross-multiplied; a failure raises AssertionError."""
+    gamma range.  The blocks are then integers over 2 d k, which the
+    certificate keeps in lowest terms, and the self-check reads exactly
+    those: ``SosCertificate.is_valid``, and the block map ``_expansion``
+    with (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0) sends them
+    to f, compared with ``f.nums`` over ``f.den`` cross-multiplied; a
+    certificate that fails raises AssertionError."""
     h = gcd(d, *e)
-    b22, b12, a22, s, a11_u = [x // h for x in e]
-    d //= h
-    k = b22 if b22 > 0 else 1
-    u = max(-a11_u * k, 0)
-    if b22 > 0:
-        u = max(u, b12 * b12)
-    v = (2 * a22 + s) * k
-    if u * u > 2 * v * u + (4 * a22 * a11_u - s * s) * k * k:
-        u = v
-    entries = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
-    cert = SosCertificate(2 * d * k, entries, gamma, f.scope)
+    k, blocks, kind = _smallest_u(*(x // h for x in e))
+    if not kind:
+        return None
+    cert = SosCertificate(2 * (d // h) * k, blocks, gamma, f.scope)
     den, xs = _expansion(cert, gen_ints)
     if not (cert.is_valid() and all(x * f.den == c * den for x, c in zip(xs, f.nums))):
         raise AssertionError("internal error: certificate failed verification")
     return cert
-
-
-def _signs(xs) -> tuple[int, ...]:
-    return tuple((x > 0) - (x < 0) for x in xs)
 
 
 def _entries_at(blocks, gamma: Fraction) -> tuple[int, list[int]]:
@@ -383,16 +371,12 @@ def _entries_at(blocks, gamma: Fraction) -> tuple[int, list[int]]:
     return blocks[0] * q, [c * q + g * p for c, g in blocks[1]]
 
 
-def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | None:
-    """The certificate at a rational gamma, or None if u is infeasible
-    there: the integers of ``_entries_at`` are built once, and both the
-    signs of ``_conditions`` (S q times the entries, a positive factor that
-    no sign of a homogeneous condition sees) and ``_certificate`` read
-    them."""
-    d, e = _entries_at(blocks, gamma)
-    if not _feasible(_signs(_conditions(*e))):
-        return None
-    return _certificate(f, d, e, gamma, blocks[2])
+def _certified(cert: SosCertificate | None) -> SosVerdict:
+    """The IN verdict of the certificate at a gamma known to be feasible;
+    None there raises AssertionError."""
+    if cert is None:
+        raise AssertionError("internal error: no certificate at a feasible gamma")
+    return SosVerdict("IN", certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +384,15 @@ def _certificate_at(f: SymFormP, blocks, gamma: Fraction) -> SosCertificate | No
 # ---------------------------------------------------------------------------
 
 
-def _gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
-    """The signs of ``_conditions`` at gamma = 0, read on the integers of
-    ``_gamma_zero_entries``, which do not depend on n, nor does their
-    size."""
-    return _signs(_conditions(*_gamma_zero_entries(f)[1]))
-
-
 @per_form
 def _gamma_zero_class(f: SymFormP) -> int:
-    """The gamma = 0 signs classified once per form object
-    (``symfunc.per_form``): 0 when u is infeasible there, 2 when some u
-    makes both blocks definite (``_strictly_feasible``), else 1.  Every
-    gamma = 0 decision, here and in ``positivity``, reads this class, and
-    none of them reads the signs again."""
-    signs = _gamma_zero_signs(f)
-    return 2 if _strictly_feasible(signs) else 1 if _feasible(signs) else 0
+    """The class of gamma = 0, once per form object (``symfunc.per_form``):
+    0 when no u makes both blocks PSD there, 2 when some u makes both
+    definite, else 1, read by ``_smallest_u`` on the integers of
+    ``_gamma_zero_entries``, which do not depend on n, nor does their
+    size.  Every gamma = 0 decision, here and in ``positivity``, reads
+    this class."""
+    return _smallest_u(*_gamma_zero_entries(f)[1])[2]
 
 
 @per_form
@@ -431,7 +408,7 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
         raise ValueError("use sos_membership for numeric scopes")
     if not _gamma_zero_class(f):
         return _OUT
-    return SosVerdict("IN", certificate=_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
+    return _certified(_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
 
 
 def _gamma_range(f: SymFormP) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -469,42 +446,56 @@ def _sqrt_sign(x: int, y: int, d: int) -> int:
     return (sx or sy) if sx * sy >= 0 else sx * ((t > 0) - (t < 0))
 
 
-def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
-    """A rational gamma in (lo, hi) where (D >= 0 and V >= 0) or H >= 0, or
-    > for >= when ``strict``, else None (module docstring, step 2; both
-    ends infeasible unless ``strict``).  Candidates, in order: the simplest
-    rational of {D >= 0, V >= 0} (of its middle half when ``strict``); the
-    simplest between ends 2^-j apart, j = 1, 2, 4, ..., of the local
-    maximum r = (x + y sqrt(d)) / z of H; lo + (hi - lo) 2^-j, or the
-    mirror at hi, where H > 0 at that end; r where H(r) = 0.  The ends are
-    the integer pairs of ``_gamma_range``, and a candidate is tested on
-    integers; a Fraction is made only for the gamma returned."""
-    lo, hi = _gamma_range(f)
-    D, V, H = _gamma_terms(f)
+def _j_ends(lo, hi, D, V) -> tuple[int, int, int, int]:
+    """(an, ad, bn, bd): J = {D >= 0, V >= 0} in [lo, hi] is
+    [an / ad, bn / bd] when that has interior, from the integer ends of
+    ``_gamma_range`` and the linear D and V of ``_gamma_terms``."""
     (an, ad), (bn, bd) = lo, hi
-    for c0, c1 in (D, V):  # {D >= 0, V >= 0} in [lo, hi] is [an / ad, bn / bd]
+    for c0, c1 in (D, V):
         if c1 > 0 and -c0 * ad > an * c1:
             an, ad = -c0, c1
         elif c1 < 0 and c0 * bd < -bn * c1:
             bn, bd = c0, -c1
-        elif not c1 and (c0 < 0 or strict and c0 == 0):
+        elif not c1 and c0 < 0:
             bn, bd = an, ad
-    if an * bd < bn * ad:
-        if strict:
-            return simplest_in_middle(Fraction(an, ad), Fraction(bn, bd))
-        return Fraction(*_simplest_between_ints(an, ad, bn, bd))
+    return an, ad, bn, bd
 
+
+def _local_max(H, lo, hi) -> tuple[int, int, int, int, int | None]:
+    """(x, y, z, d, top): r = (x + y sqrt(d)) / z, the local maximum of the
+    cubic (or quadratic) H when it has one, and top, the sign of H at r
+    when r is a local maximum in (lo, hi), else None (module docstring,
+    step 2)."""
     h0, h1, h2, h3 = H
     x, y, z, d = (-h2, -1, 3 * h3, h2 * h2 - 3 * h1 * h3) if h3 else (-h1, 0, 2 * h2, 0)
-    sz, az = (1 if z > 0 else -1), abs(z)
-    top = None  # the sign of H at r when r is a local maximum in (lo, hi)
-    if (d > 0 if h3 else h2 < 0) and all(
-        sz * _sqrt_sign(x * ed - z * en, y * ed, d) == side for (en, ed), side in ((lo, 1), (hi, -1))
+    sz = 1 if z > 0 else -1
+    if not (d > 0 if h3 else h2 < 0) or any(
+        sz * _sqrt_sign(x * ed - z * en, y * ed, d) != side for (en, ed), side in ((lo, 1), (hi, -1))
     ):
-        P = Q = 0  # z^3 H(r) = P + Q sqrt(d), by the homogeneous Horner sum
-        for k, c in enumerate(reversed(H)):
-            P, Q = P * x + Q * y * d + c * z**k, P * y + Q * x
-        top = sz * _sqrt_sign(P, Q, d)
+        return x, y, z, d, None
+    P = Q = 0  # z^3 H(r) = P + Q sqrt(d), by the homogeneous Horner sum
+    for k, c in enumerate(reversed(H)):
+        P, Q = P * x + Q * y * d + c * z**k, P * y + Q * x
+    return x, y, z, d, sz * _sqrt_sign(P, Q, d)
+
+
+def _open_gamma(f: SymFormP) -> Fraction | None:
+    """A rational gamma in (lo, hi) where (D >= 0 and V >= 0) or H >= 0,
+    else None, with both ends infeasible (module docstring, step 2).
+    Candidates, in order: the simplest rational of J = {D >= 0, V >= 0}
+    (``_j_ends``); the simplest between ends 2^-j apart, j = 1, 2, 4, ...,
+    of the local maximum r = (x + y sqrt(d)) / z of H (``_local_max``); r
+    where H(r) = 0.  H > 0 at an end would make the gammas next to it
+    feasible, and so the end, as F is closed.  The ends are the integer
+    pairs of ``_gamma_range``, and a candidate is tested on integers; a
+    Fraction is made only for the gamma returned."""
+    lo, hi = _gamma_range(f)
+    D, V, H = _gamma_terms(f)
+    an, ad, bn, bd = _j_ends(lo, hi, D, V)
+    if an * bd < bn * ad:
+        return Fraction(*_simplest_between_ints(an, ad, bn, bd))
+    x, y, z, d, top = _local_max(H, lo, hi)
+    sz, az = (1 if z > 0 else -1), abs(z)
     j = 1
     while top == 1:
         k = isqrt((d << 2 * j) // (z * z))  # k |z| / 2^j <= sqrt(d) < (k + 1) |z| / 2^j
@@ -514,18 +505,16 @@ def _open_gamma(f: SymFormP, strict: bool) -> Fraction | None:
             if lo[0] * q < p * lo[1] and p * hi[1] < hi[0] * q and _zsign_ints(H, p, q) > 0:
                 return Fraction(p, q)
         j *= 2
-    for (en, ed), (on, od) in ((lo, hi), (hi, lo)):
-        if _zsign_ints(H, en, ed) > 0:
-            while True:  # end + (other - end) / 2^j
-                p, q = en * od * ((1 << j) - 1) + on * ed, ed * od << j
-                if _zsign_ints(H, p, q) > 0:
-                    return Fraction(p, q)
-                j *= 2
-    return Fraction(x + y * isqrt(d), z) if top == 0 and not strict else None
+    return Fraction(x + y * isqrt(d), z) if top == 0 else None
 
 
+@per_form
 def sos_membership(f: SymFormP) -> SosVerdict:
-    """Membership in the symmetric-SOS cone at the form's numeric scope."""
+    """Membership in the symmetric-SOS cone at the form's numeric scope.
+
+    Decided once per form object (``symfunc.per_form``), so the verdict
+    and its certificate that a caller, ``sos_boundary`` and
+    ``find_separating_functional`` read are built once."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is LIMIT:
@@ -541,7 +530,7 @@ def sos_membership(f: SymFormP) -> SosVerdict:
         return _OUT
     if _gamma_zero_class(f):
         # the feasible end lo = 0 of step 1 (module docstring)
-        return SosVerdict("IN", certificate=_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
+        return _certified(_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
     gamma_range = _gamma_range(f)
     if gamma_range is None:
         return _OUT
@@ -550,14 +539,14 @@ def sos_membership(f: SymFormP) -> SosVerdict:
     # a feasible end decides IN (step 1); gamma = 0 is known infeasible here
     blocks = _block_polys(f)
     for gamma in (lo, hi) if lo < hi else (lo,):
-        cert = _certificate_at(f, blocks, gamma) if gamma else None
+        cert = _certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2]) if gamma else None
         if cert is not None:
             return SosVerdict("IN", certificate=cert)
-    # both ends infeasible: step 2, whose gamma ``_certificate`` checks
-    gamma = _open_gamma(f, False) if lo < hi else None
+    # both ends infeasible: step 2
+    gamma = _open_gamma(f) if lo < hi else None
     if gamma is None:
         return _OUT
-    return SosVerdict("IN", certificate=_certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2]))
+    return _certified(_certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +557,19 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 def _has_interior_gamma(f: SymFormP) -> bool:
     """Some gamma in (lo, hi), the interior of the admissible range of an
     SOS form, admits a u that makes both blocks definite: by the reduction
-    lemma, (D > 0 and V > 0) or H > 0 there (``_open_gamma``, strict)."""
-    (an, ad), (bn, bd) = _gamma_range(f)
-    return an * bd < bn * ad and _open_gamma(f, True) is not None
+    lemma, (D > 0 and V > 0) or H > 0 there, read in signs (module
+    docstring): J has interior and neither D nor V is 0 identically, or
+    H > 0 at lo, at hi or at its local maximum in (lo, hi)."""
+    lo, hi = _gamma_range(f)
+    if lo[0] * hi[1] >= hi[0] * lo[1]:
+        return False
+    D, V, H = _gamma_terms(f)
+    an, ad, bn, bd = _j_ends(lo, hi, D, V)
+    return (
+        (an * bd < bn * ad and any(D) and any(V))
+        or any(_zsign_ints(H, *end) > 0 for end in (lo, hi))
+        or _local_max(H, lo, hi)[4] == 1
+    )
 
 
 def _kernel_ints(m11: int, m12: int, m22: int, d: int) -> tuple[int, tuple[int, int]] | None:
@@ -662,34 +661,31 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
 
     The cone is the image of PSD_2 x PSD_2 x R_+ under the block map
     (A, B, gamma) -> f (gamma = 0 at LIMIT), which is onto R^5, so its
-    interior is the image of definite blocks with gamma > 0.  At LIMIT
-    the class of the gamma = 0 signs decides that (``_gamma_zero_class``); at a
-    numeric n the gamma-scan of ``sos_membership`` with > for >= does
-    (``_has_interior_gamma``).  A boundary form gets y from the face of its
-    certificate (``_supporting_functional``), as integers over one
-    positive scale, the form in which ``DualFunctional`` keeps it, and the
-    three checks read those integers (``dualcone.pair``,
+    interior is the image of definite blocks with gamma > 0.  Class 2 of
+    gamma = 0 (``_gamma_zero_class``) is INTERIOR at every scope, before
+    a verdict or a range is built; at LIMIT the other classes are OUTSIDE
+    or BOUNDARY, and at a numeric n an SOS form is INTERIOR when the sign
+    read of ``_has_interior_gamma`` says so.  The verdict is the one kept
+    on the form (``sos_membership``, ``sos_membership_limit``), and a
+    boundary form gets y from the face of its certificate
+    (``_supporting_functional``), as integers over one positive scale, the
+    form in which ``DualFunctional`` keeps it, and the three checks read
+    those integers (``dualcone.pair``,
     ``dualcone.dual_membership``).  The zero form raises ValueError.
     """
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.is_zero():
         raise ValueError("boundary status of the zero form is undefined")
-    if f.scope is LIMIT:
-        kind = _gamma_zero_class(f)
-        if not kind:
-            return "OUTSIDE", None
-        if kind == 2:
-            return "INTERIOR", None
-        cert = sos_membership_limit(f).certificate
-    else:
-        verdict = sos_membership(f)
-        if verdict.status == "OUT":
-            return "OUTSIDE", None
-        if _has_interior_gamma(f):
-            return "INTERIOR", None
-        cert = verdict.certificate
-    y = DualFunctional(*_supporting_functional(cert))
+    if _gamma_zero_class(f) == 2:
+        return "INTERIOR", None
+    limit = f.scope is LIMIT
+    verdict = sos_membership_limit(f) if limit else sos_membership(f)
+    if verdict.status == "OUT":
+        return "OUTSIDE", None
+    if not limit and _has_interior_gamma(f):
+        return "INTERIOR", None
+    y = DualFunctional(*_supporting_functional(verdict.certificate))
     if not any(y.ys) or pair(y, f) != 0 or not dual_membership(y, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
     return "BOUNDARY", y
@@ -890,6 +886,7 @@ def find_separating_functional(f: SymFormP):
     ell = _w_separator(f)
     if ell is not None:
         return ell
+    # the verdict kept on the form object, a read when the caller has asked it
     if sos_membership(f).status == "OUT":
         raise AssertionError("internal error: no separator found for an SOS-OUT form")
     return None

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import strategies as st
@@ -15,14 +16,16 @@ from symquartic.algebra import (
     _zpoly,
     _zquo,
     _zsqf,
+    _simplest_between_ints,
+    _zsign_ints,
     isolate_real_roots,
     psd2,
     refine_root_interval,
-    simplest_in_middle,
+    simplest_rational_between,
 )
 from symquartic.dualcone import DualFunctional, _gamma_gen_ints, _weighted_point_ints
 from symquartic.partitions import partitions_of
-from symquartic.sos import _conditions
+from symquartic.sos import _gamma_range, _gamma_terms, _gamma_zero_entries, _reduction_terms, _sqrt_sign
 
 
 def random_form(rng: random.Random, scope, bound: int = 4, den: int = 6) -> SymFormP:
@@ -61,11 +64,131 @@ def constant_value(r) -> Fraction:
     return r.at(0)
 
 
+# References for the ten-sign predicates that the smallest-u rule of
+# ``sos._smallest_u`` replaced, and for the strict gamma-scan that the sign
+# read of ``sos._has_interior_gamma`` replaced.
+
+
+def former_conditions(b22, b12, a22, s, a11_u) -> tuple:
+    """The ten quantities whose signs decide u-feasibility, from the block
+    entries (``sos._block_polys``), scaled, as integers at one gamma or as
+    integer polynomials in gamma.
+
+    4 det A = -u^2 + 2 v u + r (``sos._reduction_terms``); the lower bounds
+    L on u are 0, l1 = -(a11 - u) and b12^2/b22.  The list: b22, b12, a22,
+    4 det A at v, then 4 det A at each L and v - L for each L, the last of
+    both multiplied by b22^2 and b22.  Each is homogeneous in the entries,
+    so entries scaled by a common positive factor give the same signs."""
+    l1 = -a11_u
+    v, r, D, V, H = _reduction_terms(b22, b12, a22, s, a11_u)
+    return (b22, b12, a22, V, r, (v * 2 - l1) * l1 + r, H, v, v - l1, D)
+
+
+def former_signs(xs) -> tuple[int, ...]:
+    return tuple((x > 0) - (x < 0) for x in xs)
+
+
+def former_feasible(signs) -> bool:
+    """u-feasibility at one gamma from the signs of ``former_conditions``.
+
+    B is PSD iff u >= 0, b22 >= 0, u b22 >= b12^2 (so b22 = 0 forces
+    b12 = 0); A is PSD iff a22 >= 0, a11 >= 0 and det A >= 0, a concave
+    quadratic in u.  {det A >= 0} is empty unless det A >= 0 at the
+    vertex, and then it reaches above a lower bound L iff det A >= 0 at L
+    or the vertex is >= L."""
+    b22, b12, a22, q_top, *rest = signs
+    return (
+        min(b22, a22, q_top) >= 0
+        and (b22 > 0 or b12 == 0)
+        and all(q >= 0 or v >= 0 for q, v in zip(rest[:3], rest[3:]))
+    )
+
+
+def former_strictly_feasible(signs) -> bool:
+    """Some u makes both blocks positive definite, from the signs of
+    ``former_conditions``: ``former_feasible`` with strict inequalities.
+
+    B is positive definite iff u > 0, b22 > 0 and u b22 > b12^2; A is iff
+    a22 > 0 and det A > 0 (a11 > 0 follows).  {det A > 0} is an open
+    interval around the vertex, empty unless det A > 0 there, and it
+    reaches above a lower bound L iff det A > 0 at L or the vertex is > L."""
+    b22, _, a22, q_top, *rest = signs
+    return min(b22, a22, q_top) > 0 and all(q > 0 or v > 0 for q, v in zip(rest[:3], rest[3:]))
+
+
+def former_class(signs) -> int:
+    """The class of ``sos._gamma_zero_class`` from the ten signs."""
+    return 2 if former_strictly_feasible(signs) else 1 if former_feasible(signs) else 0
+
+
+def former_gamma_zero_signs(f: SymFormP) -> tuple[int, ...]:
+    """The signs of ``former_conditions`` on the gamma = 0 entries of
+    ``sos._gamma_zero_entries``."""
+    return former_signs(former_conditions(*_gamma_zero_entries(f)[1]))
+
+
 def condition_polys(blocks):
-    """``sos._conditions`` on the integer linear forms in gamma of
+    """``former_conditions`` on the integer linear forms in gamma of
     ``sos._block_polys``: the integer polynomials whose roots cut the
     gamma-cells."""
-    return _conditions(*(UniPoly(form) for form in blocks[1]))
+    return former_conditions(*(UniPoly(form) for form in blocks[1]))
+
+
+def simplest_in_middle(lo: Fraction, hi: Fraction) -> Fraction:
+    """The simplest rational (``simplest_rational_between``) in the middle
+    half of [lo, hi]: a point of small height away from both ends."""
+    return simplest_rational_between((3 * lo + hi) / 4, (lo + 3 * hi) / 4)
+
+
+def former_strict_open_gamma(f: SymFormP) -> Fraction | None:
+    """``sos._open_gamma`` with > in place of >=, as it was: a rational
+    gamma in (lo, hi) where (D > 0 and V > 0) or H > 0, else None.
+    Candidates, in order: the ``simplest_in_middle`` of {D >= 0, V >= 0}
+    when D and V are not 0 identically; the simplest between ends 2^-j
+    apart, j = 1, 2, 4, ..., of the local maximum r = (x + y sqrt(d)) / z
+    of H; lo + (hi - lo) 2^-j, or the mirror at hi, where H > 0 at that
+    end."""
+    lo, hi = _gamma_range(f)
+    D, V, H = _gamma_terms(f)
+    (an, ad), (bn, bd) = lo, hi
+    for c0, c1 in (D, V):
+        if c1 > 0 and -c0 * ad > an * c1:
+            an, ad = -c0, c1
+        elif c1 < 0 and c0 * bd < -bn * c1:
+            bn, bd = c0, -c1
+        elif not c1 and c0 <= 0:
+            bn, bd = an, ad
+    if an * bd < bn * ad:
+        return simplest_in_middle(Fraction(an, ad), Fraction(bn, bd))
+
+    h0, h1, h2, h3 = H
+    x, y, z, d = (-h2, -1, 3 * h3, h2 * h2 - 3 * h1 * h3) if h3 else (-h1, 0, 2 * h2, 0)
+    sz, az = (1 if z > 0 else -1), abs(z)
+    top = None
+    if (d > 0 if h3 else h2 < 0) and all(
+        sz * _sqrt_sign(x * ed - z * en, y * ed, d) == side for (en, ed), side in ((lo, 1), (hi, -1))
+    ):
+        P = Q = 0
+        for k, c in enumerate(reversed(H)):
+            P, Q = P * x + Q * y * d + c * z**k, P * y + Q * x
+        top = sz * _sqrt_sign(P, Q, d)
+    j = 1
+    while top == 1:
+        k = isqrt((d << 2 * j) // (z * z))
+        e0, e1 = sorted(sz * ((x << j) + y * i * az) for i in (k, k + 1))
+        if e0 > 0:
+            p, q = _simplest_between_ints(e0, az << j, e1, az << j)
+            if lo[0] * q < p * lo[1] and p * hi[1] < hi[0] * q and _zsign_ints(H, p, q) > 0:
+                return Fraction(p, q)
+        j *= 2
+    for (en, ed), (on, od) in ((lo, hi), (hi, lo)):
+        if _zsign_ints(H, en, ed) > 0:
+            while True:
+                p, q = en * od * ((1 << j) - 1) + on * ed, ed * od << j
+                if _zsign_ints(H, p, q) > 0:
+                    return Fraction(p, q)
+                j *= 2
+    return None
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,7 @@ from symquartic.sos import (
     _NO_GEN,
     SosCertificate,
     _certificate,
-    _feasible,
     _gamma_zero_entries,
-    _gamma_zero_signs,
-    _strictly_feasible,
     expand_certificate,
     sos_membership_limit,
 )
@@ -62,7 +59,7 @@ from symquartic.symfunc import (
     restrict_alpha,
 )
 
-from conftest import random_form
+from conftest import former_feasible, former_gamma_zero_signs, former_strictly_feasible, random_form
 
 
 def witness_value(f, verdict):
@@ -210,7 +207,7 @@ NEAR_6_10 = EXAMPLE_6_10[:2] + (EXAMPLE_6_10[2] - Fraction(1, 10**6),) + EXAMPLE
 def _gamma_zero_off(monkeypatch):
     """Make the gamma = 0 step of ``is_nonneg`` and ``is_strictly_positive``
     decide nothing, so that every form reaches the grid: the class of the
-    gamma = 0 signs that both read (``sos._gamma_zero_class``) says
+    gamma = 0 blocks that both read (``sos._gamma_zero_class``) says
     infeasible."""
     monkeypatch.setattr(positivity, "_gamma_zero_class", lambda f: 0)
 
@@ -257,13 +254,13 @@ class TestFiniteNOracle:
                 outs += first_bad is not None
                 strict_differs += first_bad is None and not strict
                 # the gamma = 0 step: sound wherever it decides
-                signs = _gamma_zero_signs(f)
-                if _feasible(signs):
+                signs = former_gamma_zero_signs(f)
+                if former_feasible(signs):
                     decided["nonneg"] += 1
                     assert first_bad is None, (coeffs, n)
                 elif first_bad is None:
                     decided["in_by_grid"] += 1
-                if _strictly_feasible(signs):
+                if former_strictly_feasible(signs):
                     decided["strict"] += 1
                     assert strict, (coeffs, n)
                 # the decisions as shipped, then the cell path and the
@@ -600,9 +597,9 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
     valid and re-expands to f at each n, and ``is_nonneg`` is IN there.
     The entries and signs at gamma = 0 do not depend on n."""
     forms = [SymFormP(4, coeffs, n) for n in (4, 7, 64, 10**6)]
-    entries, signs = _gamma_zero_entries(forms[0]), _gamma_zero_signs(forms[0])
-    assert all((_gamma_zero_entries(f), _gamma_zero_signs(f)) == (entries, signs) for f in forms)
-    if not _feasible(signs):
+    entries, signs = _gamma_zero_entries(forms[0]), former_gamma_zero_signs(forms[0])
+    assert all((_gamma_zero_entries(f), former_gamma_zero_signs(f)) == (entries, signs) for f in forms)
+    if not former_feasible(signs):
         return
     for f in forms:
         cert = _certificate(f, *_gamma_zero_entries(f), Fraction(0), _NO_GEN)
@@ -617,7 +614,7 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
 def test_strictly_feasible_gamma_zero_is_strictly_positive(coeffs):
     """Strictly feasible gamma = 0 blocks give strict positivity on the
     whole grid W_n, and ``is_strictly_positive`` says so."""
-    if not _strictly_feasible(_gamma_zero_signs(SymFormP(4, coeffs, 4))):
+    if not former_strictly_feasible(former_gamma_zero_signs(SymFormP(4, coeffs, 4))):
         return
     for n in (4, 5, 33):
         f = SymFormP(4, coeffs, n)

@@ -49,18 +49,14 @@ from symquartic.sos import (
     SosCertificate,
     _block_polys,
     _certificate,
-    _certificate_at,
     _chart_quartic,
-    _conditions,
     _entries_at,
     _entry_map,
-    _feasible,
     _gamma_range,
     _gamma_terms,
     _gamma_zero_entries,
-    _gamma_zero_signs,
-    _signs,
-    _strictly_feasible,
+    _has_interior_gamma,
+    _smallest_u,
     _w_separator,
     expand_certificate,
     find_separating_functional,
@@ -82,6 +78,13 @@ from conftest import (
     cells,
     choi_lam_multipoly,
     condition_polys,
+    former_class,
+    former_conditions,
+    former_feasible,
+    former_gamma_zero_signs,
+    former_signs,
+    former_strict_open_gamma,
+    former_strictly_feasible,
     fraction_expand_certificate,
     fraction_is_valid,
     gamma_gen_coeffs,
@@ -94,14 +97,15 @@ _SCAN_SCOPES_AND_LIMIT = st.sampled_from((4, 5, 6, 8, 10**40, LIMIT))
 
 
 def _signs_at(blocks, gamma):
-    """The signs of ``_conditions`` at a rational gamma, read as
-    ``_certificate_at`` reads them: on the integers of ``_entries_at``."""
-    return _signs(_conditions(*_entries_at(blocks, gamma)[1]))
+    """The signs of ``former_conditions`` at a rational gamma, read on the
+    integers of ``_entries_at``."""
+    return former_signs(former_conditions(*_entries_at(blocks, gamma)[1]))
 
 
 def _certificate_on_blocks(f, blocks, gamma):
-    """``_certificate`` at a feasible rational gamma from the linear forms
-    of ``_block_polys``, as ``sos_membership`` builds it at gamma > 0."""
+    """``_certificate`` at a rational gamma from the linear forms of
+    ``_block_polys``, as ``sos_membership`` builds it at gamma > 0: the
+    certificate, or None when no u makes both blocks PSD there."""
     return _certificate(f, *_entries_at(blocks, gamma), gamma, blocks[2])
 
 
@@ -271,18 +275,25 @@ class TestLimitOncePerForm:
         assert len(calls) == 2
 
     def test_gamma_zero_signs_read_once(self, monkeypatch):
-        calls = []
+        """The gamma = 0 blocks are classified once (``_smallest_u``
+        outside ``_certificate``), and the certificate is built once."""
+        calls, certs = [], []
 
         def counted(*args):
             calls.append(args)
-            return _conditions(*args)
+            return _smallest_u(*args)
 
-        monkeypatch.setattr(sos, "_conditions", counted)
+        def counted_certificate(*args):
+            certs.append(args)
+            return _certificate(*args)
+
+        monkeypatch.setattr(sos, "_smallest_u", counted)
+        monkeypatch.setattr(sos, "_certificate", counted_certificate)
         f = form_from_dict(4, {(4,): 1, (2, 2): 1}, LIMIT)
         assert is_nonneg_limit(f).status == "IN"
         assert sos_membership_limit(f).status == "IN"
         assert boundary_status_limit(f).status == "INTERIOR"
-        assert len(calls) == 1
+        assert len(calls) - len(certs) == 1 and len(certs) == 1
 
     def test_gamma_zero_entries_built_once(self, monkeypatch):
         """The gamma = 0 entries of one form are built once, though the
@@ -446,7 +457,7 @@ def reference_membership(f):
     gamma_cells = cells([p for p in conditions if p.degree > 0], lo, hi)
     point_breaks = {a for a, b in gamma_cells.breakpoints if a == b}
     for gamma in sorted({lo, hi} | point_breaks | set(gamma_cells.samples)):
-        cert = _certificate_at(f, blocks, gamma)
+        cert = _certificate_on_blocks(f, blocks, gamma)
         if cert is not None:
             return sos.SosVerdict("IN", certificate=cert), lo, "scan"
     for a, b in gamma_cells.breakpoints:
@@ -454,11 +465,11 @@ def reference_membership(f):
             continue
         root = AlgebraicField(gamma_cells.product, a, b)
         signs = [root.sign_of_poly(p) for p in conditions]
-        if not _feasible(signs):
+        if not former_feasible(signs):
             continue
         vanishing = next(p for p, sg in zip(conditions, signs) if sg == 0 and p.degree > 0)
         for gamma in sympy_rational_roots(vanishing, a, b):
-            cert = _certificate_at(f, blocks, gamma)
+            cert = _certificate_on_blocks(f, blocks, gamma)
             return sos.SosVerdict("IN", certificate=cert), lo, "sign queries"
         return IRRATIONAL_IN, lo, "sign queries"
     return sos.SosVerdict("OUT"), lo, None
@@ -474,7 +485,7 @@ class TestEndsFirst:
         # core group 9 of the finite_scan workload: infeasible at lo = 0
         f = SymFormP(4, tuple(Fraction(c) for c in ("0", "3", "11/3", "-4", "3/2")), n)
         hi = (f.coeffs[2] + f.coeffs[0]) * Fraction(2 * n * n, (n - 2) ** 2)
-        assert _certificate_at(f, _block_polys(f), Fraction(0)) is None
+        assert _certificate_on_blocks(f, _block_polys(f), Fraction(0)) is None
         verdict = sos_membership(f)
         assert verdict.status == "IN" and verdict.certificate.gamma == hi
         assert expand_certificate(verdict.certificate) == f
@@ -532,10 +543,10 @@ class TestEndsFirst:
         calls = []
 
         def counted(*args):
-            calls.append(args[2])
-            return _certificate_at(*args)
+            calls.append(args[3])
+            return _certificate(*args)
 
-        monkeypatch.setattr(sos, "_certificate_at", counted)
+        monkeypatch.setattr(sos, "_certificate", counted)
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         lo, hi = fraction_gamma_range(f)
         assert lo == hi and (lo == 0) == (tests == 0)
@@ -570,7 +581,7 @@ class TestEndsFirst:
         seen = 0
         for coeffs in forms:
             f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
-            if not _feasible(_gamma_zero_signs(f)):
+            if not former_feasible(former_gamma_zero_signs(f)):
                 continue
             seen += 1
             verdict = sos_membership(f)
@@ -578,7 +589,7 @@ class TestEndsFirst:
             lo, hi = (Fraction(*end) for end in real(f))
             assert lo == 0 <= hi
             assert verdict.status == "IN"
-            assert verdict.certificate == _certificate_at(f, _block_polys(f), lo)
+            assert verdict.certificate == _certificate_on_blocks(f, _block_polys(f), lo)
             assert verdict.certificate.gamma == 0 and expand_certificate(verdict.certificate) == f
         assert seen > 40
 
@@ -629,7 +640,7 @@ class TestNonnegOutRead:
 
 def deciding_polys(blocks):
     """D, V and H of the reduction lemma in the ``sos`` docstring:
-    ``_conditions`` 9, 3 and 6 as integer polynomials in gamma."""
+    ``former_conditions`` 9, 3 and 6 as integer polynomials in gamma."""
     conditions = condition_polys(blocks)
     return conditions[9], conditions[3], conditions[6]
 
@@ -644,14 +655,14 @@ def scan_candidates(f):
     lo = Fraction(0) if c4 >= 0 else -c4 * Fraction(2 * n * n, n - 1)
     hi = (c22 + c4) * Fraction(2 * n * n, (n - 2) ** 2)
     blocks = _block_polys(f)
-    if c22 + c4 < 0 or lo > hi or any(_certificate_at(f, blocks, g) for g in (lo, hi)):
+    if c22 + c4 < 0 or lo > hi or any(_certificate_on_blocks(f, blocks, g) for g in (lo, hi)):
         return None
     return blocks, cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
 
 
 class TestScanOrder:
     """The convexity fact behind the gamma-scan, checked on
-    ``_certificate_at`` against the test-local cell reference
+    ``_certificate_on_blocks`` against the test-local cell reference
     ``scan_candidates``, not against code that ``sos`` runs.  The cell
     samples start at the sample of the cell between the lower end lo and
     the first root of D, V or H.  The feasible gammas form a closed
@@ -674,7 +685,7 @@ class TestScanOrder:
     def test_only_feasible_candidate_is_second(self, gamma_scan_builds, n, coeffs, gamma):
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         blocks, candidates = scan_candidates(f)
-        feasible = [g for g in candidates if _certificate_at(f, blocks, g) is not None]
+        feasible = [g for g in candidates if _certificate_on_blocks(f, blocks, g) is not None]
         assert feasible == [gamma] and candidates.index(gamma) == 1
         gamma_scan_builds.clear()
         verdict = sos_membership(f)
@@ -772,7 +783,7 @@ def test_single_gamma_without_sign_queries(monkeypatch, name):
 @given(_membership_forms())
 @settings(max_examples=80, deadline=None)
 def test_first_scan_candidate_is_never_feasible(f):
-    """The convexity fact of ``TestScanOrder``, on ``_certificate_at`` at
+    """The convexity fact of ``TestScanOrder``, on ``_certificate_on_blocks`` at
     the first sample of the test-local cell reference ``scan_candidates``,
     not on code that ``sos`` runs; the forms reach that reference's scan,
     from the examples of the former cell path and the membership
@@ -780,7 +791,7 @@ def test_first_scan_candidate_is_never_feasible(f):
     scan = scan_candidates(f)
     if scan is not None and scan[1]:
         blocks, candidates = scan
-        assert _certificate_at(f, blocks, candidates[0]) is None
+        assert _certificate_on_blocks(f, blocks, candidates[0]) is None
 
 
 def reference_boundary(f):
@@ -794,7 +805,7 @@ def reference_boundary(f):
     blocks = _block_polys(f)
     conditions = [p for p in condition_polys(blocks) if p.degree > 0]
     samples = cells(conditions, lo, hi).samples if lo < hi else ()
-    return "INTERIOR" if any(_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
+    return "INTERIOR" if any(former_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
 
 
 @st.composite
@@ -823,8 +834,8 @@ def _lemma_forms(draw):
 def test_reduction_lemma(f, ts):
     """The reduction lemma of the ``sos`` docstring: deg D <= 1, deg V <= 1
     and deg H <= 3, and at a gamma in (lo, hi) (random ones and the roots
-    of D and V) the ten-sign predicates ``_feasible`` and
-    ``_strictly_feasible`` are (D >= 0 and V >= 0) or H >= 0 and its strict
+    of D and V) the ten-sign predicates ``former_feasible`` and
+    ``former_strictly_feasible`` are (D >= 0 and V >= 0) or H >= 0 and its strict
     form.  The integer D, V and H of ``sos._gamma_terms`` are these
     polynomials.  The statuses of ``sos_membership`` and ``sos_boundary``,
     decided on D, V and H alone, are those of the references over the
@@ -841,10 +852,10 @@ def test_reduction_lemma(f, ts):
         for gamma in gammas:
             if not lo < gamma < hi:
                 continue
-            d, v, h = sos._signs(p(gamma) for p in (D, V, H))
+            d, v, h = former_signs(p(gamma) for p in (D, V, H))
             signs = _signs_at(blocks, gamma)
-            assert _feasible(signs) == ((d >= 0 and v >= 0) or h >= 0)
-            assert _strictly_feasible(signs) == ((d > 0 and v > 0) or h > 0)
+            assert former_feasible(signs) == ((d >= 0 and v >= 0) or h >= 0)
+            assert former_strictly_feasible(signs) == ((d > 0 and v > 0) or h > 0)
     verdict = sos_membership(f)
     assert verdict.status == reference_membership(f)[0].status
     if verdict.status == "IN":
@@ -887,7 +898,7 @@ def test_single_feasible_gamma_at_random(fg):
     assert lo < gamma < hi
     blocks = _block_polys(f)
     samples = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
-    assert all(_certificate_at(f, blocks, g) is None for g in (lo, hi, *samples))
+    assert all(_certificate_on_blocks(f, blocks, g) is None for g in (lo, hi, *samples))
     verdict = sos_membership(f)
     assert verdict.status == "IN" and verdict.certificate.gamma == gamma
     assert expand_certificate(verdict.certificate) == f
@@ -908,7 +919,7 @@ def cell_scan_membership(f):
     roots of D, V and H cut (lo, hi) into, past the first, then the one
     root of gcd(H, H'); stage is "zero", "end", "cell" or "gcd" for the
     candidate that certified IN."""
-    if _feasible(_gamma_zero_signs(f)):
+    if former_feasible(former_gamma_zero_signs(f)):
         return "IN", Fraction(0), "zero"
     gamma_range = fraction_gamma_range(f)
     if gamma_range is None:
@@ -916,18 +927,18 @@ def cell_scan_membership(f):
     lo, hi = gamma_range
     blocks = _block_polys(f)
     for gamma in (lo, hi):
-        if _certificate_at(f, blocks, gamma) is not None:
+        if _certificate_on_blocks(f, blocks, gamma) is not None:
             return "IN", gamma, "end"
     D, V, H = deciding_polys(blocks)
     for gamma in cells([p for p in (D, V, H) if p.degree > 0], lo, hi).samples[1:]:
-        if _certificate_at(f, blocks, gamma) is not None:
+        if _certificate_on_blocks(f, blocks, gamma) is not None:
             return "IN", gamma, "cell"
     z = _zpoly(H.coeffs)
     g = _zgcd(z, _zderiv(z)) if len(z) > 2 else [1]
     k = len(g) - 1
     if k:
         gamma = Fraction(-g[k - 1], k * g[k])
-        if lo < gamma < hi and _certificate_at(f, blocks, gamma) is not None:
+        if lo < gamma < hi and _certificate_on_blocks(f, blocks, gamma) is not None:
             return "IN", gamma, "gcd"
     return "OUT", None, None
 
@@ -943,7 +954,7 @@ def cell_scan_boundary(f):
         return "BOUNDARY"
     blocks = _block_polys(f)
     samples = cells([p for p in deciding_polys(blocks) if p.degree > 0], lo, hi).samples
-    return "INTERIOR" if any(_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
+    return "INTERIOR" if any(former_strictly_feasible(_signs_at(blocks, g)) for g in samples) else "BOUNDARY"
 
 
 _SCAN_SCOPES = st.sampled_from((4, 5, 6, 8, 30, 10**40))
@@ -1018,29 +1029,31 @@ def test_closed_form_scan_matches_cell_scan(f):
 @given(_scan_forms())
 @settings(max_examples=60, deadline=None)
 def test_interior_gamma_is_strictly_feasible(f):
-    """The gamma of the strict scan (``sos._open_gamma`` with > in place of
-    >=) lies in the open range and makes both blocks definite for some u,
-    on all ten signs; the scan without it finds a feasible gamma there
-    exactly when some gamma in the open range is feasible."""
+    """The sign read of ``_has_interior_gamma`` holds exactly when the
+    former strict scan (``former_strict_open_gamma``) finds a gamma, which
+    lies in the open range and makes both blocks definite for some u, on
+    all ten signs; the scan ``sos._open_gamma`` finds a feasible gamma
+    there exactly when some gamma in the open range is feasible."""
     gamma_range = fraction_gamma_range(f)
     if gamma_range is None or gamma_range[0] == gamma_range[1]:
         return
     lo, hi = gamma_range
     blocks = _block_polys(f)
-    gamma = sos._open_gamma(f, True)
+    gamma = former_strict_open_gamma(f)
+    assert _has_interior_gamma(f) == (gamma is not None)
     if gamma is not None:
-        assert lo < gamma < hi and _strictly_feasible(_signs_at(blocks, gamma))
-    if all(_certificate_at(f, blocks, g) is None for g in (lo, hi)):
-        gamma = sos._open_gamma(f, False)
+        assert lo < gamma < hi and former_strictly_feasible(_signs_at(blocks, gamma))
+    if all(_certificate_on_blocks(f, blocks, g) is None for g in (lo, hi)):
+        gamma = sos._open_gamma(f)
         assert (gamma is None) == (cell_scan_membership(f)[0] == "OUT")
         if gamma is not None:
-            assert lo < gamma < hi and _feasible(_signs_at(blocks, gamma))
+            assert lo < gamma < hi and former_feasible(_signs_at(blocks, gamma))
 
 
 def test_gamma_scan_isolates_no_root(monkeypatch):
     """Neither ``sos_membership`` nor ``sos_boundary`` calls
     ``algebra._root_intervals``, the walk under every root isolation, on
-    forms that take the gamma-scan in both its forms: ``sos`` imports
+    forms that take the gamma-scan and its sign read: ``sos`` imports
     neither it nor a cell engine, ``UniPoly``, ``_zgcd``, ``_zderiv`` or
     ``_zpoly``."""
     for name in ("cells", "Cells", "UniPoly", "_zgcd", "_zderiv", "_zpoly", "_root_intervals"):
@@ -1052,13 +1065,13 @@ def test_gamma_scan_isolates_no_root(monkeypatch):
         return _real(*args)
 
     monkeypatch.setattr(algebra, "_root_intervals", counted)
-    real_scan = sos._open_gamma
+    for name in ("_open_gamma", "_has_interior_gamma"):
 
-    def counted_scan(f, strict):
-        scans.append(strict)
-        return real_scan(f, strict)
+        def counted_scan(f, _name=name, _real=getattr(sos, name)):
+            scans.append(_name)
+            return _real(f)
 
-    monkeypatch.setattr(sos, "_open_gamma", counted_scan)
+        monkeypatch.setattr(sos, name, counted_scan)
     forms = [(n, coeffs) for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values(), *_SIGN_QUERY_SOS)]
     forms += [(6, ("1/6", "22/9", "5/2", "-15", "17")), (4, ("1/16", "-9/4", "43/144", "8", "1"))]
     forms += [(m, coeffs) for n, coeffs in _GAP_FORMS.values() for m in (5, 8, 10**40)]
@@ -1067,7 +1080,7 @@ def test_gamma_scan_isolates_no_root(monkeypatch):
         f = SymFormP(4, tuple(Fraction(c) for c in coeffs), n)
         statuses.add((sos_membership(f).status, sos_boundary(f)[0]))
     assert calls == []
-    assert True in scans and False in scans
+    assert set(scans) == {"_open_gamma", "_has_interior_gamma"}
     assert statuses == {("IN", "BOUNDARY"), ("IN", "INTERIOR"), ("OUT", "OUTSIDE")}
 
 
@@ -1089,7 +1102,7 @@ def test_gamma_scan_near_an_end_bounded_time():
         boundary = sos_boundary(f)[0]
         elapsed = time.perf_counter() - start
         assert elapsed < 5, elapsed
-        assert fraction_gamma_range(f)[0] == 0 and not _feasible(_gamma_zero_signs(f))
+        assert fraction_gamma_range(f)[0] == 0 and not former_feasible(former_gamma_zero_signs(f))
         assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
         assert boundary == status
         gamma = verdict.certificate.gamma
@@ -1978,10 +1991,10 @@ class TestFeasibilityPredicate:
             for gamma in gammas:
                 entries = reference_entries(f.coeffs, f.scope, gamma)
                 assert entries_at(blocks, gamma) == entries
-                signs = [_fraction_sign(x) for x in _conditions(*entries)]
+                signs = [_fraction_sign(x) for x in former_conditions(*entries)]
                 ok, u = reference_u_feasible(entries, _fraction_sign)
-                assert _feasible(signs) == ok, (f.coeffs, f.scope, gamma)
-                cert = _certificate_at(f, blocks, gamma)
+                assert former_feasible(signs) == ok, (f.coeffs, f.scope, gamma)
+                cert = _certificate_on_blocks(f, blocks, gamma)
                 if ok:
                     feasible += 1
                     assert cert.B.m11 == u and cert.gamma == gamma
@@ -1996,9 +2009,10 @@ class TestFeasibilityPredicate:
         feasible = 0
         for entries in itertools.product(range(-2, 3), repeat=5):
             entries = tuple(Fraction(e) for e in entries)
-            signs = [_fraction_sign(x) for x in _conditions(*entries)]
+            signs = [_fraction_sign(x) for x in former_conditions(*entries)]
             ok, _u = reference_u_feasible(entries, _fraction_sign)
-            assert _feasible(signs) == ok, entries
+            assert former_feasible(signs) == ok, entries
+            assert (_smallest_u(*map(int, entries))[2] > 0) == ok, entries
             feasible += ok
         assert feasible > 100
 
@@ -2009,7 +2023,7 @@ class TestFeasibilityPredicate:
             scale = blocks[0]
             for gamma in (Fraction(0), Fraction(2, 7), Fraction(5)):
                 assert [p(gamma) for p in polys] == list(
-                    _conditions(*(scale * e for e in entries_at(blocks, gamma)))
+                    former_conditions(*(scale * e for e in entries_at(blocks, gamma)))
                 )
 
     def test_matches_sympy_at_quadratic_irrational_gamma(self):
@@ -2049,7 +2063,7 @@ class TestFeasibilityPredicate:
                     ),
                     _sympy_sign,
                 )
-                assert _feasible(signs) == ok
+                assert former_feasible(signs) == ok
                 feasible += ok
                 infeasible += not ok
         assert feasible > 5 and infeasible > 5
@@ -2091,11 +2105,11 @@ def fraction_block_polys(f):
 
 def fraction_signs_at(polys, gamma):
     """The entries at gamma by Fraction Horner and the signs of
-    ``_conditions`` on them cleared by their lcm."""
+    ``former_conditions`` on them cleared by their lcm."""
     entries = [p(gamma) for p in polys]
     den = lcm(*(e.denominator for e in entries))
     scaled = [e.numerator * (den // e.denominator) for e in entries]
-    return tuple(entries), tuple((x > 0) - (x < 0) for x in _conditions(*scaled))
+    return tuple(entries), tuple((x > 0) - (x < 0) for x in former_conditions(*scaled))
 
 
 def fraction_certificate(f, entries, gamma):
@@ -2241,8 +2255,8 @@ def test_integer_blocks_match_fraction_reference(f, gammas):
         assert _signs_at(blocks, gamma) == signs
         assert entries_at(blocks, gamma) == entries
         if f.scope is not LIMIT or gamma == 0:
-            want = fraction_certificate(f, entries, gamma)[0] if _feasible(signs) else None
-            assert _certificate_at(f, blocks, gamma) == want
+            want = fraction_certificate(f, entries, gamma)[0] if former_feasible(signs) else None
+            assert _certificate_on_blocks(f, blocks, gamma) == want
     cs, den, want = lcm_alpha_coeffs(f)
     scale, got = _phi_alpha_ints(f)
     assert scale == den
@@ -2276,16 +2290,16 @@ def former_block_polys(f):
 @settings(max_examples=150, deadline=None)
 def test_entry_map_matches_the_former_constructions(form, scope):
     """The gamma = 0 entry map (``_gamma_zero_entries``) gives the linear
-    forms of ``former_block_polys``, the gamma = 0 signs of C_i // m and
-    the entries C_i / S as Fractions, at every n; the sum of its last three
-    entries is d times the coefficient sum."""
+    forms of ``former_block_polys``, the gamma = 0 signs and class of
+    C_i // m and the entries C_i / S as Fractions, at every n; the sum of
+    its last three entries is d times the coefficient sum."""
     f = SymFormP(4, form.coeffs, scope)
     blocks = former_block_polys(f)
     assert _block_polys(f) == blocks
     m = _gamma_gen_ints(scope)[0]
-    assert _gamma_zero_signs(f) == tuple(
-        _fraction_sign(x) for x in _conditions(*(c // m for c, _ in blocks[1]))
-    )
+    signs = tuple(_fraction_sign(x) for x in former_conditions(*(c // m for c, _ in blocks[1])))
+    assert former_gamma_zero_signs(f) == signs
+    assert sos._gamma_zero_class(f) == former_class(signs)
     d, e = _gamma_zero_entries(f)
     assert tuple(Fraction(x, d) for x in e) == entries_at(blocks, Fraction(0))
     assert sum(e[2:]) == d * sum(f.coeffs)
@@ -2356,7 +2370,7 @@ def test_integer_certificate_matches_fraction_reference(fg, gammas):
     blocks, polys = _block_polys(f), fraction_block_polys(f)
     for g in [gamma] if f.scope is LIMIT else [gamma, *gammas]:
         entries, signs = fraction_signs_at(polys, g)
-        if not _feasible(signs):
+        if not former_feasible(signs):
             assert g != gamma
             continue
         got = _certificate_on_blocks(f, blocks, g)
@@ -2418,33 +2432,33 @@ def test_certificate_self_check_bites(branch, n, A, B, gamma):
 @pytest.mark.parametrize("n, gamma", [(6, Fraction(-1, 8)), (LIMIT, Fraction(1, 2))])
 def test_certificate_rejects_gamma_outside_the_cone(n, gamma):
     """PSD blocks at gamma < 0, or at gamma != 0 at LIMIT, raise
-    AssertionError, and so do blocks that are not PSD."""
+    AssertionError; blocks that are not PSD give None."""
     f = _branch_form(n, (4, 0, 4), (4, 0, 4), Fraction(0))
     blocks = _block_polys(f)
-    assert _feasible(_signs_at(blocks, gamma))
+    assert former_feasible(_signs_at(blocks, gamma))
     with pytest.raises(AssertionError):
         _certificate_on_blocks(f, blocks, gamma)
     out = SymFormP(4, (-1, 0, 0, 0, 0), n)
-    with pytest.raises(AssertionError):
-        _certificate(out, *_gamma_zero_entries(out), Fraction(0), _NO_GEN)
+    assert not former_feasible(former_gamma_zero_signs(out))
+    assert _certificate(out, *_gamma_zero_entries(out), Fraction(0), _NO_GEN) is None
 
 
 def test_gamma_zero_signs_independent_of_n(monkeypatch):
-    """The gamma = 0 signs are read on integers that do not grow with n:
-    at n = 4 and n = 10^4000 ``_conditions`` gets integers of the same bit
-    length and gives the same signs."""
+    """The gamma = 0 class is read on integers that do not grow with n:
+    at n = 4 and n = 10^4000 ``_smallest_u`` gets integers of the same bit
+    length and gives the same class."""
     seen = []
 
     def recorded(*entries):
         seen.append(entries)
-        return _conditions(*entries)
+        return _smallest_u(*entries)
 
-    monkeypatch.setattr(sos, "_conditions", recorded)
+    monkeypatch.setattr(sos, "_smallest_u", recorded)
     coeffs = (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))
-    signs = [sos._gamma_zero_signs(SymFormP(4, coeffs, n)) for n in (4, 10**4000)]
+    kinds = [sos._gamma_zero_class(SymFormP(4, coeffs, n)) for n in (4, 10**4000)]
     assert len(seen) == 2
     assert [x.bit_length() for x in seen[0]] == [x.bit_length() for x in seen[1]]
-    assert signs[0] == signs[1] and _feasible(signs[0])
+    assert kinds[0] == kinds[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -2479,11 +2493,12 @@ def former_certificate(f, blocks, gamma):
 
 
 def former_certificate_at(f, blocks, gamma):
-    """``_certificate_at`` as it was: the gamma = 0 signs at gamma = 0,
-    else the signs on the linear forms, then ``former_certificate``."""
+    """The certificate at a rational gamma as it was built before the
+    smallest-u rule decided it: the ten gamma = 0 signs at gamma = 0, else
+    the ten signs on the linear forms, then ``former_certificate``."""
     p, q = gamma.numerator, gamma.denominator
-    signs = _gamma_zero_signs(f) if gamma == 0 else _signs(_conditions(*(c * q + g * p for c, g in blocks[1])))
-    return former_certificate(f, blocks, gamma) if _feasible(signs) else None
+    signs = former_gamma_zero_signs(f) if gamma == 0 else former_signs(former_conditions(*(c * q + g * p for c, g in blocks[1])))
+    return former_certificate(f, blocks, gamma) if former_feasible(signs) else None
 
 
 @st.composite
@@ -2512,7 +2527,7 @@ def _gamma_zero_route_forms(draw):
 
 
 class TestGammaZeroRoute:
-    """Every gamma = 0 decision reads one class of the gamma = 0 signs kept
+    """Every gamma = 0 decision reads one class of the gamma = 0 blocks kept
     on the form object, and the gamma = 0 certificate is built from the
     entries of ``_gamma_zero_entries``; both give what the route through
     ``_block_polys`` gave."""
@@ -2527,9 +2542,8 @@ class TestGammaZeroRoute:
         """The gamma = 0 certificate of the entries is the one the linear
         forms of ``_block_polys`` give at gamma = 0, field for field, and
         the decisions return it; the class is that of the signs."""
-        signs = _gamma_zero_signs(f)
         kind = sos._gamma_zero_class(f)
-        assert kind == (2 if _strictly_feasible(signs) else 1 if _feasible(signs) else 0)
+        assert kind == former_class(former_gamma_zero_signs(f))
         want = former_certificate_at(f, _block_polys(f), Fraction(0))
         assert (want is not None) == (kind > 0)
         if want is None:
@@ -2547,9 +2561,10 @@ class TestGammaZeroRoute:
     @seed(1205)
     @settings(max_examples=200, deadline=None)
     def test_certificate_at_is_the_former_one(self, f, k):
-        """``_certificate_at`` at both ends of the gamma range and at
-        points inside it, and the certificate at the gamma of step 2, are
-        those of the former construction."""
+        """``_certificate``, the decision at a fixed gamma, at both ends of
+        the gamma range and at points inside it, and the certificate at the
+        gamma of step 2, are those of the former construction, None
+        included."""
         ends = fraction_gamma_range(f)
         if ends is None:
             return
@@ -2557,9 +2572,9 @@ class TestGammaZeroRoute:
         blocks = _block_polys(f)
         gammas = {lo, hi, lo + (hi - lo) / 2, lo + (hi - lo) / (k + 1), lo + (hi - lo) * k / (k + 1)}
         for gamma in gammas:
-            assert _certificate_at(f, blocks, gamma) == former_certificate_at(f, blocks, gamma), gamma
+            assert _certificate_on_blocks(f, blocks, gamma) == former_certificate_at(f, blocks, gamma), gamma
         if lo < hi and all(former_certificate_at(f, blocks, g) is None for g in (lo, hi)):
-            gamma = sos._open_gamma(f, False)
+            gamma = sos._open_gamma(f)
             fresh = SymFormP(4, f.coeffs, f.scope)
             verdict = sos_membership(fresh)
             if gamma is None:
@@ -2569,26 +2584,23 @@ class TestGammaZeroRoute:
 
     def test_signs_classified_once_per_form(self, monkeypatch):
         """On one form object, asking every gamma = 0 entry point, twice,
-        classifies the gamma = 0 signs once: ``_conditions`` sees the
-        gamma = 0 entries once, and for forms that gamma = 0 decides the
-        two predicates run at most twice in all."""
-        conditions, predicates = [], []
+        classifies the gamma = 0 blocks once: ``_smallest_u`` runs once
+        outside ``_certificate``, first on the gamma = 0 entries, and the
+        certificate is built once for the forms that gamma = 0 decides IN
+        and never for the others here."""
+        conditions, certs = [], []
 
         def counted_conditions(*entries):
             conditions.append(entries)
-            return _conditions(*entries)
+            return _smallest_u(*entries)
 
-        def counted(name, real):
-            def wrapped(signs):
-                predicates.append(name)
-                return real(signs)
+        def counted_certificate(*args):
+            certs.append(args)
+            return _certificate(*args)
 
-            return wrapped
-
-        monkeypatch.setattr(sos, "_conditions", counted_conditions)
-        monkeypatch.setattr(sos, "_feasible", counted("feasible", _feasible))
-        monkeypatch.setattr(sos, "_strictly_feasible", counted("strict", _strictly_feasible))
-        cases = {  # coefficients: the class of their gamma = 0 signs
+        monkeypatch.setattr(sos, "_smallest_u", counted_conditions)
+        monkeypatch.setattr(sos, "_certificate", counted_certificate)
+        cases = {  # coefficients: the class of their gamma = 0 blocks
             (1, 0, 1, 0, 0): 2,
             (1, 0, -1, 0, 0): 1,
             (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)): 1,
@@ -2601,7 +2613,7 @@ class TestGammaZeroRoute:
                 f = SymFormP(4, tuple(Fraction(c) for c in coeffs), scope)
                 entries = _gamma_zero_entries(f)[1]
                 conditions.clear()
-                predicates.clear()
+                certs.clear()
                 for _ in range(2):
                     if scope is LIMIT:
                         is_nonneg_limit(f)
@@ -2612,10 +2624,9 @@ class TestGammaZeroRoute:
                         is_strictly_positive(f)
                         sos_membership(f)
                         sos_boundary(f)
-                assert conditions.count(entries) == 1, (coeffs, scope)
+                assert conditions[0] == entries and len(conditions) - len(certs) == 1, (coeffs, scope)
+                assert len(certs) == (1 if kind else 0), (coeffs, scope)
                 assert sos._gamma_zero_class(f) == kind
-                if kind or scope is LIMIT:
-                    assert len(predicates) == (1 if kind == 2 else 2), (coeffs, scope, predicates)
                 seen.add((kind, scope is LIMIT))
         assert len(seen) == 6
 
@@ -2679,3 +2690,161 @@ class TestGammaZeroRoute:
         assert boundary_status_limit(SymFormP(4, outside, LIMIT)) is positivity._NO_WITNESS["OUTSIDE"]
         boundary = boundary_status_limit(SymFormP(4, edge, LIMIT))
         assert boundary.status == "BOUNDARY" and boundary.witness is not None
+
+
+# ---------------------------------------------------------------------------
+# the smallest-u rule and the sign read against the former predicates
+# ---------------------------------------------------------------------------
+
+_INTERIOR_GAMMA = SymFormP(4, tuple(Fraction(c) for c in ("1/6", "22/9", "5/2", "-15", "17")), 6)
+
+
+def test_membership_kept_on_the_form(monkeypatch):
+    """``sos_membership`` is decided once per form object: on the form of
+    the interior-gamma CI run at n = 6, ``sos_membership``, then
+    ``sos_boundary`` and ``find_separating_functional`` build one
+    certificate, at the gamma = 6 of step 2, after one test of the end hi
+    (lo = 0 is known infeasible from the class), and read the range three
+    times: once for the ends, once in step 2 and once in the sign read of
+    ``_has_interior_gamma``.  An equal, distinct form decides again."""
+    calls, ranges = [], []
+
+    def counted(*args):
+        cert = _certificate(*args)
+        calls.append(cert)
+        return cert
+
+    def counted_range(f, _real=sos._gamma_range):
+        ranges.append(f)
+        return _real(f)
+
+    monkeypatch.setattr(sos, "_certificate", counted)
+    monkeypatch.setattr(sos, "_gamma_range", counted_range)
+    f = SymFormP(4, _INTERIOR_GAMMA.coeffs, 6)
+    verdict = sos_membership(f)
+    assert sos_boundary(f) == ("INTERIOR", None)
+    assert find_separating_functional(f) is None
+    assert sos_membership(f) is sos_membership(f) is verdict
+    assert verdict.certificate.gamma == 6 and expand_certificate(verdict.certificate) == f
+    assert [c is None for c in calls] == [True, False] and calls[1] is verdict.certificate
+    assert len(ranges) == 3
+    fresh = SymFormP(4, f.coeffs, 6)
+    assert sos_membership(fresh) == verdict and sos_membership(fresh) is not verdict
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 30, 10**40])
+def test_gamma_zero_interior_builds_no_range(monkeypatch, n):
+    """A form whose gamma = 0 blocks are definite for some u (class 2) is
+    INTERIOR at every numeric n before any gamma range is built: the
+    blocks stay definite at small gamma > 0, which lie in the range, as
+    a22 > 0 makes hi > 0.  The former route, the strict scan over
+    (lo, hi), says INTERIOR too."""
+    ranges = []
+
+    def counted_range(f, _real=sos._gamma_range):
+        ranges.append(f)
+        return _real(f)
+
+    rng = random.Random(3500 + (n % 1000))
+    seen = 0
+    for _ in range(300):
+        coeffs = random_form(rng, n).coeffs
+        if sos._gamma_zero_class(SymFormP(4, coeffs, LIMIT)) != 2:
+            continue
+        seen += 1
+        f = SymFormP(4, coeffs, n)
+        monkeypatch.setattr(sos, "_gamma_range", counted_range)
+        assert sos_boundary(f) == ("INTERIOR", None)
+        assert ranges == []
+        monkeypatch.undo()
+        (lo, hi) = _gamma_range(f)
+        assert lo[0] * hi[1] < hi[0] * lo[1] and former_strict_open_gamma(f) is not None
+    assert seen > 10
+
+
+#: block entries (b22, b12, a22, s, a11 - u): small ones with zeros and
+#: ties, ones of about 4000 bits, and small ones times a 4000-bit factor
+#: moved by -1, 0 or 1, near the ties at that size
+_entry_tuples = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * 5),
+    st.tuples(*[st.integers(-(2**4000), 2**4000)] * 5),
+    st.builds(
+        lambda xs, k, ys: tuple(x * k + y for x, y in zip(xs, ys)),
+        st.tuples(*[st.integers(-3, 3)] * 5),
+        st.integers(2**3990, 2**4000),
+        st.tuples(*[st.integers(-1, 1)] * 5),
+    ),
+)
+
+
+@given(_entry_tuples, st.sampled_from((4, 5, 8, 10**40, LIMIT)))
+@example((0, 1, 1, 0, 0), 4)  # b22 = 0 with b12 != 0
+@example((0, 0, 0, 0, 0), LIMIT)
+@example((1, 1, 1, -1, 0), 5)  # q(L) = 0 and v = L at L = b12^2 / b22 = 1
+@example((1, 1, 1, -3, 3), 8)  # q(L) = 0 at L = 1 > v = -1
+@seed(3505)
+@settings(max_examples=300, deadline=None)
+def test_smallest_u_class_is_the_former_one(entries, scope):
+    """The class of ``_smallest_u`` is the one the ten signs gave
+    (``former_class``), and, on the form whose gamma = 0 entries these
+    are, ``_gamma_zero_class`` is that class and ``_certificate`` gives
+    None exactly when the signs were infeasible, else a valid
+    certificate of the form."""
+    signs = former_signs(former_conditions(*entries))
+    assert _smallest_u(*entries)[2] == former_class(signs)
+    b22, b12, a22, s, a11_u = entries
+    f = SymFormP(4, (b22, 2 * b12, a22 - b22, s - 2 * b12, a11_u), scope)
+    assert tuple(Fraction(e, _gamma_zero_entries(f)[0]) for e in _gamma_zero_entries(f)[1]) == entries
+    assert sos._gamma_zero_class(f) == former_class(signs)
+    cert = _certificate(f, *_gamma_zero_entries(f), Fraction(0), _NO_GEN)
+    assert (cert is None) == (not former_feasible(signs))
+    if cert is not None:
+        assert cert.is_valid() and expand_certificate(cert) == f
+
+
+@st.composite
+def _interior_forms(draw):
+    """Box forms, expansions of rank-one or definite blocks at a gamma > 0
+    (some lowered by 1/1024) and boundary-family members, at
+    n in {4, 5, 6, 8, 30, 10^40}."""
+    n = draw(_SCAN_SCOPES)
+    kind = draw(st.sampled_from(("box", "certificate", "boundary")))
+    if kind == "box":
+        return SymFormP(4, draw(st.tuples(*[_small] * 5)), n)
+    if kind == "boundary":
+        a = draw(_small.filter(bool))
+        c, d = draw(st.tuples(_small, _small).filter(any))
+        return boundary_family_form(BoundaryParams(a, draw(_small), c, d)).with_scope(n)
+
+    def block():
+        a, b, c = (draw(_small) for _ in range(3))
+        return SymMat2(a * a + c * c, a * b, b * b + draw(st.sampled_from((0, c * c))))
+
+    gamma = draw(st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6))
+    coeffs = list(expand_certificate(SosCertificate.from_blocks(block(), block(), gamma, n)).coeffs)
+    coeffs[draw(st.integers(0, 4))] -= draw(st.sampled_from((0, Fraction(1, 1024))))
+    return SymFormP(4, tuple(coeffs), n)
+
+
+@_with_scan_examples
+@given(_interior_forms())
+@example(_INTERIOR_GAMMA)
+@seed(3506)
+@settings(max_examples=200, deadline=None)
+def test_interior_sign_read_is_the_former_scan(f):
+    """On a nonempty open gamma range, the sign read of
+    ``_has_interior_gamma`` holds exactly when the former strict scan
+    finds a gamma, and ``sos_boundary`` gives the status of the former
+    route: OUTSIDE for an SOS OUT, else INTERIOR when the strict scan
+    finds a gamma, else BOUNDARY."""
+    ends = _gamma_range(f)
+    open_range = ends is not None and ends[0][0] * ends[1][1] < ends[1][0] * ends[0][1]
+    interior = open_range and former_strict_open_gamma(f) is not None
+    if open_range:
+        assert _has_interior_gamma(f) == interior
+    if f.is_zero():
+        return
+    fresh = SymFormP(4, f.coeffs, f.scope)
+    want = "OUTSIDE" if sos_membership(fresh).status == "OUT" else "INTERIOR" if interior else "BOUNDARY"
+    assert sos_boundary(SymFormP(4, f.coeffs, f.scope))[0] == want
