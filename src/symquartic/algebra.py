@@ -230,9 +230,9 @@ def _zsplit(coeffs: Sequence) -> tuple[list[int], int, int]:
 def _over_lcm(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """(den, nums): rationals (``Fraction`` or int) as the integers nums
     over den > 0, the lcm of their denominators, so gcd(den, *nums) = 1."""
-    values = tuple(values)
-    den = lcm(*[v.denominator for v in values])
-    return den, tuple([v.numerator * (den // v.denominator) for v in values])
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*[q for _, q in pairs])
+    return den, tuple([p * (den // q) for p, q in pairs])
 
 
 def _lowest_terms(den: int, nums, size: int) -> tuple[int, tuple[int, ...]]:
@@ -242,7 +242,9 @@ def _lowest_terms(den: int, nums, size: int) -> tuple[int, tuple[int, ...]]:
     if den <= 0 or len(nums) != size:
         raise ValueError(f"need {size} integers over a positive scale")
     g = gcd(den, *nums)
-    return den // g, tuple(x // g for x in nums)
+    if g == 1:
+        return den, tuple(nums)
+    return den // g, tuple([x // g for x in nums])
 
 
 def _zpoly(coeffs: Sequence) -> list[int]:

@@ -67,12 +67,19 @@ class DualFunctional:
         return tuple(Fraction(y, self.den) for y in self.ys)
 
 
+def _pairing_ints(ell: DualFunctional, f: SymFormP) -> int:
+    """The numerator of the pairing of ell with the degree-4 form f over
+    the positive ``f.den * ell.den``, which has its sign: the integer that
+    ``sos`` compares with 0, with no Fraction made."""
+    return sum(c * y for c, y in zip(f.nums, ell.ys))
+
+
 def pair(ell: DualFunctional, f: SymFormP) -> Fraction:
     """The exact pairing sum_lambda c_lambda y_lambda, read on the integers
-    of both: f's numerators over ``f.den`` and ell's over ``ell.den``."""
+    of both: ``_pairing_ints`` over ``f.den * ell.den``."""
     if f.degree != 4:
         raise ValueError("pairing defined for degree-4 forms")
-    return Fraction(sum(c * y for c, y in zip(f.nums, ell.ys)), f.den * ell.den)
+    return Fraction(_pairing_ints(ell, f), f.den * ell.den)
 
 
 def point_eval_functional(v) -> DualFunctional:

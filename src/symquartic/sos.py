@@ -21,15 +21,18 @@ fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
 read only signs, so they run in integers, and the certificate is built
 and checked in integers too (``_certificate``, from the integer entries
-at its gamma), and it keeps its six block entries as integers over one
-scale (``SosCertificate``).  At gamma = 0 the entries do not depend on
-n; their integers (``_gamma_zero_entries``, through the one inverse
-block map ``_entry_map``) give the class of gamma = 0, kept once per
-form object as infeasible, feasible or strictly feasible
-(``_gamma_zero_class``), the gamma = 0 certificate, the coefficient sum
-and the limit witness of ``positivity``.  Only the decisions at
-gamma > 0 read ``_block_polys``: the ends of the range, the terms of
-step 2 (``_gamma_terms``) and the certificate at a gamma found there.
+at its gamma, and ``_checked``), and it keeps its six block entries as
+integers over one scale (``SosCertificate``).  At gamma = 0 the entries
+do not depend on n; their integers (``_gamma_zero_entries``, through the
+one inverse block map ``_entry_map``) give the coefficient sum, the
+limit witness of ``positivity`` and the step of ``_smallest_u`` at
+gamma = 0, kept once per form object (``_gamma_zero_step``).  Its kind is
+the class of gamma = 0, infeasible, feasible or strictly feasible
+(``_gamma_zero_class``), and the gamma = 0 certificate is built at its u
+(``_gamma_zero_certificate``), so no form runs ``_smallest_u`` twice at
+gamma = 0.  Only the decisions at gamma > 0 read ``_block_polys``: the
+ends of the range, the terms of step 2 (``_gamma_terms``) and the
+certificate at a gamma found there.
 
 Smallest u.  For fixed gamma the PSD constraints on u are three lower
 bounds (0, from a11 >= 0 and, cleared of b22, from det B >= 0), whose
@@ -39,8 +42,8 @@ that satisfy q >= 0 form an interval around v.  If q(L) >= 0, L is the
 smallest u above every bound with q >= 0; otherwise that interval lies
 wholly above L, where it holds v, or wholly below it.  So some u makes
 both blocks PSD iff the blocks at u = L (q(L) >= 0) or else at u = v are
-PSD (``_smallest_u``), and ``_certificate`` builds them there and
-returns None when they are not: the certificate is the decision at a
+PSD (``_smallest_u``), and ``_checked`` builds the certificate from
+them, None when they are not: the certificate is the decision at a
 fixed gamma.  The same integers give the strict form: some u makes both
 blocks definite iff b22 > 0, a22 > 0, q(v) > 0, and q(L) > 0 or v > L.
 The feasible (gamma, u) region is convex (the blocks are affine in
@@ -71,11 +74,11 @@ interval F in two steps, with no root isolated:
 
 1. the two ends: a feasible end decides IN.  When the class of gamma = 0
    kept on the form is feasible, b22 >= 0 makes lo = 0 and a22 >= 0
-   makes hi >= 0, so lo is a feasible end, and its certificate, built and
-   checked on the gamma = 0 entries with no n in them, is returned before
-   the range or ``_block_polys`` is built.  An end gamma > 0 is decided
-   by the certificate built on its integers (``_entries_at``).  A range
-   lo = hi is one test;
+   makes hi >= 0, so lo is a feasible end, and its certificate, built
+   at the u of the kept gamma = 0 step and checked with no n in it, is
+   returned before the range or ``_block_polys`` is built.  An end
+   gamma > 0 is decided by the certificate built on its integers
+   (``_entries_at``).  A range lo = hi is one test;
 2. with both ends infeasible, ``_open_gamma`` finds a gamma in F in
    closed form from the integer coefficients of D, V and H
    (``_gamma_terms``), or shows F empty and f OUT.  F is closed (u is
@@ -148,10 +151,10 @@ from .algebra import (
 from .dualcone import (
     DualFunctional,
     _gamma_gen_ints,
+    _pairing_ints,
     _psd_ints,
     _weighted_point_ints,
     dual_membership,
-    pair,
 )
 from .symfunc import LIMIT, SymFormP, per_form
 
@@ -303,20 +306,19 @@ def _reduction_terms(b22, b12, a22, s, a11_u) -> tuple:
     return v, r, v * b22 - hook, v * v + r, (v * b22 * 2 - hook) * hook + r * b22 * b22
 
 
-def _smallest_u(b22, b12, a22, s, a11_u) -> tuple[int, tuple[int, ...], int]:
-    """(k, blocks, kind): the blocks at the smallest candidate u (module
-    docstring), from the block entries (b22, b12, a22, s, a11 - u), and
-    their class: 0 when they are not PSD, 2 when some u makes both blocks
-    definite, else 1.
+def _smallest_u(b22, b12, a22, s, a11_u) -> tuple[int, int, int]:
+    """(k, u, kind): the smallest candidate u (module docstring), from the
+    block entries (b22, b12, a22, s, a11 - u), and the class of the blocks
+    there (``_blocks_at_u``): 0 when they are not PSD, 2 when some u makes
+    both blocks definite, else 1.
 
     With k = b22 when that is > 0, else 1, every candidate for u is an
     integer over the entries' scale times k: the lower bounds 0,
     -(a11 - u) k and, when b22 > 0, the hook bound b12^2 / b22 = b12^2 / k,
     whose largest is L, and the vertex v = (2 a22 + s) k of
     q(u) = -u^2 + 2 v u + r, 4 det A over the squared scale.  u is L when
-    q(L) >= 0, else v, and ``blocks`` are (a11, a12, a22, b11, b12, b22)
-    at u over twice that scale.  Every value is homogeneous in the
-    entries, so a common positive factor changes no class."""
+    q(L) >= 0, else v.  Every value is homogeneous in the entries, so a
+    common positive factor changes no class."""
     k = b22 if b22 > 0 else 1
     u = max(-a11_u * k, 0)
     if b22 > 0:
@@ -327,8 +329,18 @@ def _smallest_u(b22, b12, a22, s, a11_u) -> tuple[int, tuple[int, ...], int]:
     strict = b22 > 0 and a22 > 0 and v * v + r > 0 and (q_low > 0 or v > u)
     if q_low < 0:
         u = v
-    blocks = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
-    return k, blocks, 2 if strict else int(_psd_ints(*blocks[:3]) and _psd_ints(*blocks[3:]))
+    if strict:
+        return k, u, 2
+    blocks = _blocks_at_u((b22, b12, a22, s, a11_u), k, u)
+    return k, u, int(_psd_ints(*blocks[:3]) and _psd_ints(*blocks[3:]))
+
+
+def _blocks_at_u(e, k: int, u: int) -> tuple[int, ...]:
+    """The blocks (a11, a12, a22, b11, b12, b22) at the u of
+    ``_smallest_u`` on the entries e = (b22, b12, a22, s, a11 - u), over
+    twice their scale times k."""
+    b22, b12, a22, s, a11_u = e
+    return (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
 
 
 #: (m, m gen) for the block map at gamma = 0, whose generator term
@@ -340,24 +352,34 @@ def _certificate(f: SymFormP, d: int, e, gamma: Fraction, gen_ints) -> SosCertif
     """The certificate at a rational gamma >= 0 from the block entries
     there, the integers e = (b22, b12, a22, s, a11 - u) over d > 0, with
     the smallest candidate u (``_smallest_u``), or None when its blocks are
-    not PSD, and then no u makes them PSD at gamma.  At gamma = 0 the
-    entries are those of ``_gamma_zero_entries``, which do not depend on
-    n; at gamma = p/q > 0, e = C q + G p and d = S q of ``_block_polys``
-    (``_entries_at``).
+    not PSD, and then no u makes them PSD at gamma: the entries-to-step
+    part, whose step ``_checked`` turns into the certificate.  The
+    decisions call it at gamma = p/q > 0, with e = C q + G p and d = S q
+    of ``_block_polys`` (``_entries_at``); at gamma = 0 they read the step
+    kept on the form (``_gamma_zero_certificate``), which gives the
+    certificate this gives on the entries of ``_gamma_zero_entries``.
 
-    e and d are first divided by their gcd, so that the products below do
-    not carry a common scale, such as the n^2 of S q at an end of the
-    gamma range.  The blocks are then integers over 2 d k, which the
-    certificate keeps in lowest terms, and the self-check reads exactly
-    those: ``SosCertificate.is_valid``, and the block map ``_expansion``
-    with (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0) sends them
-    to f, compared with ``f.nums`` over ``f.den`` cross-multiplied; a
-    certificate that fails raises AssertionError."""
+    e and d are first divided by their gcd, so that the products of
+    ``_smallest_u`` do not carry a common scale, such as the n^2 of S q at
+    an end of the gamma range."""
     h = gcd(d, *e)
-    k, blocks, kind = _smallest_u(*(x // h for x in e))
+    e = [x // h for x in e]
+    return _checked(f, d // h, e, _smallest_u(*e), gamma, gen_ints)
+
+
+def _checked(f: SymFormP, d: int, e, step, gamma: Fraction, gen_ints) -> SosCertificate | None:
+    """The certificate of the step (k, u, kind) of ``_smallest_u`` on the
+    entries e over d, or None when kind is 0: its blocks
+    (``_blocks_at_u``) are integers over 2 d k, which the certificate
+    keeps in lowest terms, and the self-check reads exactly those:
+    ``SosCertificate.is_valid``, and the block map ``_expansion`` with
+    (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0) sends them to f,
+    compared with ``f.nums`` over ``f.den`` cross-multiplied; a
+    certificate that fails raises AssertionError."""
+    k, u, kind = step
     if not kind:
         return None
-    cert = SosCertificate(2 * (d // h) * k, blocks, gamma, f.scope)
+    cert = SosCertificate(2 * d * k, _blocks_at_u(e, k, u), gamma, f.scope)
     den, xs = _expansion(cert, gen_ints)
     if not (cert.is_valid() and all(x * f.den == c * den for x, c in zip(xs, f.nums))):
         raise AssertionError("internal error: certificate failed verification")
@@ -385,14 +407,35 @@ def _certified(cert: SosCertificate | None) -> SosVerdict:
 
 
 @per_form
-def _gamma_zero_class(f: SymFormP) -> int:
-    """The class of gamma = 0, once per form object (``symfunc.per_form``):
-    0 when no u makes both blocks PSD there, 2 when some u makes both
-    definite, else 1, read by ``_smallest_u`` on the integers of
+def _gamma_zero_step(f: SymFormP) -> tuple[int, int, int]:
+    """The step (k, u, kind) of ``_smallest_u`` on the raw integers of
     ``_gamma_zero_entries``, which do not depend on n, nor does their
-    size.  Every gamma = 0 decision, here and in ``positivity``, reads
-    this class."""
-    return _smallest_u(*_gamma_zero_entries(f)[1])[2]
+    size, once per form object (``symfunc.per_form``): its kind is the
+    class of gamma = 0 (``_gamma_zero_class``), and its u gives the
+    blocks of the gamma = 0 certificate (``_gamma_zero_certificate``), so
+    no form runs ``_smallest_u`` twice at gamma = 0.  The step keeps u,
+    not the six blocks, which only a certificate reads: a form object
+    decided at gamma = 0 holds a few integers more, not a second tuple."""
+    return _smallest_u(*_gamma_zero_entries(f)[1])
+
+
+def _gamma_zero_class(f: SymFormP) -> int:
+    """The class of gamma = 0, the kind of the step kept on the form
+    object (``_gamma_zero_step``): 0 when no u makes both blocks PSD
+    there, 2 when some u makes both definite, else 1.  Every gamma = 0
+    decision, here and in ``positivity``, reads this class."""
+    return _gamma_zero_step(f)[2]
+
+
+def _gamma_zero_certificate(f: SymFormP) -> SosCertificate | None:
+    """The gamma = 0 certificate, or None when the class of gamma = 0 is 0:
+    ``_checked`` on the kept step and the raw entries over d = 2 den of
+    ``_gamma_zero_entries``, whose blocks are over 2 d k, checked with no
+    n in it (``_NO_GEN``).  The blocks and 2 d k scale alike with a common
+    factor of d and the entries (``_smallest_u`` is homogeneous), and the
+    certificate's lowest terms remove any common factor, so it is the one
+    ``_certificate`` builds on the same entries after their gcd."""
+    return _checked(f, *_gamma_zero_entries(f), _gamma_zero_step(f), _ZERO, _NO_GEN)
 
 
 @per_form
@@ -401,14 +444,17 @@ def sos_membership_limit(f: SymFormP) -> SosVerdict:
 
     Decided once per form object (``symfunc.per_form``), so the verdict
     and its certificate that a caller and ``sos_boundary`` both read are
-    built once."""
+    built once.  gamma = 0 decides: the kind of the step kept on the form
+    (``_gamma_zero_step``), which ``is_nonneg_limit`` has usually read
+    already, and, when it is IN, the certificate built at that step's u
+    (``_gamma_zero_certificate``), with no second ``_smallest_u``."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is not LIMIT:
         raise ValueError("use sos_membership for numeric scopes")
     if not _gamma_zero_class(f):
         return _OUT
-    return _certified(_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
+    return _certified(_gamma_zero_certificate(f))
 
 
 def _gamma_range(f: SymFormP) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -514,23 +560,25 @@ def sos_membership(f: SymFormP) -> SosVerdict:
 
     Decided once per form object (``symfunc.per_form``), so the verdict
     and its certificate that a caller, ``sos_boundary`` and
-    ``find_separating_functional`` read are built once."""
+    ``find_separating_functional`` read are built once.  A feasible
+    gamma = 0 gives the certificate built at the u of the step kept on
+    the form (``_gamma_zero_certificate``), the step whose kind
+    ``is_nonneg`` and ``is_strictly_positive`` read; only a gamma > 0 runs
+    ``_certificate`` on the entries there.  The kept nonnegativity verdict
+    is read through ``positivity.kept_nonneg``, looked up at call time."""
     if f.degree != 4:
         raise ValueError("decision implemented for degree 4")
     if f.scope is LIMIT:
         raise ValueError("use sos_membership_limit for LIMIT-scope forms")
     if f.scope < 4:
         raise ValueError("scope must be at least 4")
-    # a kept nonnegativity OUT decides (module docstring); the import is
-    # here because positivity imports this module
-    from .positivity import kept_nonneg
-
-    nonneg = kept_nonneg(f)
+    # a kept nonnegativity OUT decides (module docstring)
+    nonneg = positivity.kept_nonneg(f)
     if nonneg is not None and nonneg.status == "OUT":
         return _OUT
     if _gamma_zero_class(f):
         # the feasible end lo = 0 of step 1 (module docstring)
-        return _certified(_certificate(f, *_gamma_zero_entries(f), _ZERO, _NO_GEN))
+        return _certified(_gamma_zero_certificate(f))
     gamma_range = _gamma_range(f)
     if gamma_range is None:
         return _OUT
@@ -670,7 +718,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     boundary form gets y from the face of its certificate
     (``_supporting_functional``), as integers over one positive scale, the
     form in which ``DualFunctional`` keeps it, and the three checks read
-    those integers (``dualcone.pair``,
+    those integers (y(f) = 0 as ``dualcone._pairing_ints``, and
     ``dualcone.dual_membership``).  The zero form raises ValueError.
     """
     if f.degree != 4:
@@ -686,7 +734,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
     if not limit and _has_interior_gamma(f):
         return "INTERIOR", None
     y = DualFunctional(*_supporting_functional(verdict.certificate))
-    if not any(y.ys) or pair(y, f) != 0 or not dual_membership(y, f.scope):
+    if not any(y.ys) or _pairing_ints(y, f) or not dual_membership(y, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
     return "BOUNDARY", y
 
@@ -706,11 +754,12 @@ def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
 
 
 def _separator(den: int, ys: tuple[int, ...], f: SymFormP) -> DualFunctional:
-    """The functional ys / den, den > 0, once ``dualcone.pair`` < 0 and
-    ``dualcone.dual_membership`` hold on its integers; else
+    """The functional ys / den, den > 0, once the pairing with f is < 0,
+    read as the sign of ``dualcone._pairing_ints``, and
+    ``dualcone.dual_membership`` holds on its integers; else
     AssertionError."""
     ell = DualFunctional(den, ys)
-    if not (pair(ell, f) < 0 and dual_membership(ell, f.scope)):
+    if not (_pairing_ints(ell, f) < 0 and dual_membership(ell, f.scope)):
         raise AssertionError("internal error: separator failed verification")
     return ell
 
@@ -876,10 +925,8 @@ def find_separating_functional(f: SymFormP):
 
     # a negative point of f is a point evaluation pairing negatively with
     # it; is_nonneg is kept on the form object, so this is a read when the
-    # caller has asked it already (positivity imports this module)
-    from .positivity import is_nonneg
-
-    nonneg = is_nonneg(f)
+    # caller has asked it already
+    nonneg = positivity.is_nonneg(f)
     if nonneg.status == "OUT":
         return _separator(*_weighted_point_ints(*nonneg.witness), f)
 
@@ -890,3 +937,8 @@ def find_separating_functional(f: SymFormP):
     if sos_membership(f).status == "OUT":
         raise AssertionError("internal error: no separator found for an SOS-OUT form")
     return None
+
+
+# positivity imports this module, so it is bound last; the decisions look
+# up ``positivity.kept_nonneg`` and ``positivity.is_nonneg`` at call time
+from . import positivity  # noqa: E402

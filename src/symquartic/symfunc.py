@@ -100,12 +100,12 @@ def _check_scope(scope):
 class SymFormP:
     """Coefficient vector over partitions of ``degree`` in the p basis.
 
-    Each coefficient is stored as a Fraction: one that is already of type
-    ``Fraction`` is kept as it is, any other value (int, str, float, a
-    ``numbers.Rational``) goes through ``Fraction()``.  They are also kept
-    as the integers ``nums`` over ``den``, the lcm of their denominators,
-    which every reader that clears f's denominators takes; these two take
-    no part in ``==``."""
+    Each coefficient is stored as a Fraction: a tuple of values of type
+    ``Fraction`` is kept as it is, and otherwise each value of another
+    type (int, str, float, a ``numbers.Rational``) goes through
+    ``Fraction()``.  They are also kept as the integers ``nums`` over
+    ``den``, the lcm of their denominators, which every reader that clears
+    f's denominators takes; these two take no part in ``==``."""
 
     degree: int
     coeffs: tuple[Fraction, ...]
@@ -120,12 +120,14 @@ class SymFormP:
             raise ValueError(
                 f"need {len(plist)} coefficients for degree {self.degree}"
             )
-        coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in self.coeffs])
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or set(map(type, coeffs)) != {Fraction}:
+            coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
+            object.__setattr__(self, "coeffs", coeffs)
         _check_scope(self.scope)
         if self.scope is not LIMIT and self.scope < self.degree:
             raise ValueError("variable count must be at least the degree")
         den, nums = _over_lcm(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", nums)
 
@@ -137,7 +139,7 @@ class SymFormP:
         return SymFormP(self.degree, self.coeffs, scope)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __add__(self, other: "SymFormP") -> "SymFormP":
         if self.degree != other.degree or self.scope != other.scope:

@@ -251,49 +251,56 @@ class TestLimitMembership:
             sos_membership_limit(form_from_dict(4, {(4,): 1}, 4))
 
 
+def count_gamma_zero_route(monkeypatch) -> dict[str, list]:
+    """Record the calls of ``_smallest_u``, of the gcd route
+    ``_certificate`` and of ``_checked``, which turns a step into the
+    checked certificate, by name."""
+    calls = {"_smallest_u": [], "_certificate": [], "_checked": []}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(sos, name)):
+            calls[_name].append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(sos, name, counted)
+    return calls
+
+
 class TestLimitOncePerForm:
     def test_certificate_built_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _certificate(*args)
-
-        monkeypatch.setattr(sos, "_certificate", counted)
+        """The gamma = 0 certificate of a LIMIT form is built once, from the
+        step kept on the form: ``_smallest_u`` runs once, ``_checked`` once,
+        and the gcd route ``_certificate`` never."""
+        calls = count_gamma_zero_route(monkeypatch)
         f = form_from_dict(4, {(4,): 1, (2, 2): -1}, LIMIT)
         assert is_nonneg_limit(f).status == "IN"
         verdict = sos_membership_limit(f)
         assert verdict.status == "IN" and expand_certificate(verdict.certificate) == f
-        assert len(calls) == 1
+        assert [len(c) for c in calls.values()] == [1, 0, 1]
+        assert calls["_checked"][0][3] is sos._gamma_zero_step(f)
         # the supporting functional of a BOUNDARY form reads that certificate
         boundary = boundary_status_limit(f)
         assert boundary.status == "BOUNDARY" and pair(boundary.witness, f) == 0
-        assert len(calls) == 1
+        assert [len(c) for c in calls.values()] == [1, 0, 1]
         g = SymFormP(4, f.coeffs, LIMIT)
         assert f == g and hash(f) == hash(g)
         assert sos_membership_limit(g) == verdict
-        assert len(calls) == 2
+        assert [len(c) for c in calls.values()] == [2, 0, 2]
 
     def test_gamma_zero_signs_read_once(self, monkeypatch):
-        """The gamma = 0 blocks are classified once (``_smallest_u``
-        outside ``_certificate``), and the certificate is built once."""
-        calls, certs = [], []
-
-        def counted(*args):
-            calls.append(args)
-            return _smallest_u(*args)
-
-        def counted_certificate(*args):
-            certs.append(args)
-            return _certificate(*args)
-
-        monkeypatch.setattr(sos, "_smallest_u", counted)
-        monkeypatch.setattr(sos, "_certificate", counted_certificate)
+        """The gamma = 0 blocks are classified once, and the certificate
+        is built once from that same step: ``_smallest_u`` never runs
+        inside the gamma = 0 certificate."""
+        calls = count_gamma_zero_route(monkeypatch)
         f = form_from_dict(4, {(4,): 1, (2, 2): 1}, LIMIT)
         assert is_nonneg_limit(f).status == "IN"
         assert sos_membership_limit(f).status == "IN"
         assert boundary_status_limit(f).status == "INTERIOR"
-        assert len(calls) - len(certs) == 1 and len(certs) == 1
+        assert calls["_smallest_u"] == [_gamma_zero_entries(f)[1]]
+        assert calls["_certificate"] == []
+        assert len(calls["_checked"]) == 1 and calls["_checked"][0][1:] == (
+            *_gamma_zero_entries(f), sos._gamma_zero_step(f), 0, _NO_GEN
+        )
 
     def test_gamma_zero_entries_built_once(self, monkeypatch):
         """The gamma = 0 entries of one form are built once, though the
@@ -1378,12 +1385,13 @@ class TestIntegerSupportingFunctional:
 
     def test_no_fraction_checks(self, monkeypatch):
         """``sos_boundary`` keeps the integers of ``_supporting_functional``
-        as the ``DualFunctional`` it returns, and its checks are the public
-        ``pair`` and ``dual_membership`` on those integers, once each per
-        BOUNDARY form; ``sos`` makes no Fraction on the way
+        as the ``DualFunctional`` it returns, and its checks are the
+        pairing numerator ``dualcone._pairing_ints``, which ``pair`` wraps,
+        and ``dual_membership`` on those integers, once each per BOUNDARY
+        form; ``sos`` makes no Fraction on the way
         (``test_witness_builders_make_no_fraction``)."""
         calls = []
-        for name in ("pair", "dual_membership"):
+        for name in ("_pairing_ints", "dual_membership"):
             real = getattr(sos, name)
 
             def counted(*args, _name=name, _real=real):
@@ -1398,7 +1406,7 @@ class TestIntegerSupportingFunctional:
                 boundary += 1
                 assert y == DualFunctional(*sos._supporting_functional(sos_certificate(f)))
         assert boundary > 50
-        assert calls.count("pair") == calls.count("dual_membership") == boundary == len(calls) // 2
+        assert calls.count("_pairing_ints") == calls.count("dual_membership") == boundary == len(calls) // 2
 
 
 def sos_certificate(f):
@@ -1410,7 +1418,8 @@ def test_witness_builders_make_no_fraction(monkeypatch):
     """A finite-n IN ``sos_membership`` (at gamma = 0, at an end and inside
     the range), a LIMIT BOUNDARY ``sos_boundary`` and every separator case
     of ``find_separating_functional`` make no Fraction inside
-    ``_certificate``, ``_supporting_functional`` or ``_separator``, nor in
+    ``_certificate``, ``_checked``, ``_gamma_zero_certificate``,
+    ``_supporting_functional`` or ``_separator``, nor in
     anything they call: ``sos.Fraction`` is patched to record the call
     stack of each Fraction it makes."""
     made = []
@@ -1445,7 +1454,7 @@ def test_witness_builders_make_no_fraction(monkeypatch):
     for coeffs in ((-1, 0, 0, 0, 0), (-1, 0, Fraction(3, 2), 0, 0), (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3))):
         assert find_separating_functional(SymFormP(4, coeffs, 6)) is not None
     assert made  # the patch is live: the gamma-scan makes Fractions
-    builders = {"_certificate", "_supporting_functional", "_separator"}
+    builders = {"_certificate", "_checked", "_gamma_zero_certificate", "_supporting_functional", "_separator"}
     assert not [names & builders for names in made if names & builders]
 
 
@@ -2583,23 +2592,16 @@ class TestGammaZeroRoute:
                 assert verdict.certificate == former_certificate(f, blocks, gamma)
 
     def test_signs_classified_once_per_form(self, monkeypatch):
-        """On one form object, asking every gamma = 0 entry point, twice,
-        classifies the gamma = 0 blocks once: ``_smallest_u`` runs once
-        outside ``_certificate``, first on the gamma = 0 entries, and the
-        certificate is built once for the forms that gamma = 0 decides IN
-        and never for the others here."""
-        conditions, certs = [], []
-
-        def counted_conditions(*entries):
-            conditions.append(entries)
-            return _smallest_u(*entries)
-
-        def counted_certificate(*args):
-            certs.append(args)
-            return _certificate(*args)
-
-        monkeypatch.setattr(sos, "_smallest_u", counted_conditions)
-        monkeypatch.setattr(sos, "_certificate", counted_certificate)
+        """On one form object, asking every gamma = 0 entry point, twice and
+        in either order, classifies the gamma = 0 blocks once:
+        ``_smallest_u`` runs exactly once, on the gamma = 0 entries, and
+        never inside the gamma = 0 certificate, which ``_checked`` builds
+        once from the kept step for the forms that gamma = 0 decides IN
+        and never for the others here; the gcd route ``_certificate`` is
+        not taken."""
+        calls = count_gamma_zero_route(monkeypatch)
+        numeric = (is_nonneg, is_strictly_positive, sos_membership, sos_boundary, find_separating_functional)
+        limit = (is_nonneg_limit, sos_membership_limit, boundary_status_limit)
         cases = {  # coefficients: the class of their gamma = 0 blocks
             (1, 0, 1, 0, 0): 2,
             (1, 0, -1, 0, 0): 1,
@@ -2610,24 +2612,20 @@ class TestGammaZeroRoute:
         seen = set()
         for coeffs, kind in cases.items():
             for scope in (4, 64, 10**40, LIMIT):
-                f = SymFormP(4, tuple(Fraction(c) for c in coeffs), scope)
-                entries = _gamma_zero_entries(f)[1]
-                conditions.clear()
-                certs.clear()
-                for _ in range(2):
-                    if scope is LIMIT:
-                        is_nonneg_limit(f)
-                        sos_membership_limit(f)
-                        boundary_status_limit(f)
-                    else:
-                        is_nonneg(f)
-                        is_strictly_positive(f)
-                        sos_membership(f)
-                        sos_boundary(f)
-                assert conditions[0] == entries and len(conditions) - len(certs) == 1, (coeffs, scope)
-                assert len(certs) == (1 if kind else 0), (coeffs, scope)
-                assert sos._gamma_zero_class(f) == kind
-                seen.add((kind, scope is LIMIT))
+                for order in (1, -1):
+                    f = SymFormP(4, tuple(Fraction(c) for c in coeffs), scope)
+                    entries = _gamma_zero_entries(f)
+                    for found in calls.values():
+                        found.clear()
+                    for _ in range(2):
+                        for ask in (limit if scope is LIMIT else numeric)[::order]:
+                            ask(f)
+                    assert calls["_smallest_u"] == [entries[1]], (coeffs, scope, order)
+                    assert calls["_certificate"] == [], (coeffs, scope, order)
+                    want = [(f, *entries, sos._gamma_zero_step(f), 0, _NO_GEN)] if kind else []
+                    assert calls["_checked"] == want, (coeffs, scope, order)
+                    assert sos._gamma_zero_class(f) == kind
+                    seen.add((kind, scope is LIMIT))
         assert len(seen) == 6
 
     def test_gamma_zero_certificate_reads_no_block_forms(self, monkeypatch):
