@@ -239,7 +239,7 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
     elif not isinstance(scope, int) or scope < 4:
         raise ValueError("certificate scope must be an integer >= 4 or LIMIT")
     den, xs = _expansion(cert, _gamma_gen_ints(scope))
-    return SymFormP(4, tuple(Fraction(x, den) for x in xs), scope)
+    return SymFormP._from_ints(4, den, xs, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Two representations are used:
 
 * ``SymFormP`` -- a homogeneous symmetric form of degree k given by its
-  exact rational coefficient vector over the partitions of k in canonical
+  coefficient vector over the partitions of k in canonical
   (reverse-lexicographic) order with respect to the normalized power sums
-  ``p_i = (1/n)(x_1^i + ... + x_n^i)``, together with a scope: a concrete
+  ``p_i = (1/n)(x_1^i + ... + x_n^i)``, kept only as integers over one
+  positive scale in lowest terms, together with a scope: a concrete
   variable count ``n`` or the marker ``LIMIT`` (the cone of coefficient
   sequences obtained as n grows).
 
@@ -32,16 +33,17 @@ products of power sums, and m -> p against the brick-permutation formula.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import permutations
-from math import perm, prod
+from math import lcm, perm, prod
 
 from .algebra import (
     NoLimitError,
     RatFunc,
     UniPoly,
+    _lowest_terms,
     _over_lcm,
     ratfunc_falling_factorial,
 )
@@ -83,12 +85,14 @@ def _partitions(degree: int) -> tuple[Partition, ...]:
     return partitions_of(degree)
 
 
-def _check_scope(scope):
+def _check_scope(scope, degree: int = 1) -> None:
+    """Refuse a scope other than LIMIT or a variable count n >= degree."""
     if scope is LIMIT:
-        return scope
-    if isinstance(scope, int) and scope >= 1:
-        return scope
-    raise ValueError(f"scope must be a positive integer or LIMIT, got {scope!r}")
+        return
+    if not (isinstance(scope, int) and scope >= 1):
+        raise ValueError(f"scope must be a positive integer or LIMIT, got {scope!r}")
+    if scope < degree:
+        raise ValueError("variable count must be at least the degree")
 
 
 # ---------------------------------------------------------------------------
@@ -96,47 +100,69 @@ def _check_scope(scope):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SymFormP:
     """Coefficient vector over partitions of ``degree`` in the p basis.
 
-    Each coefficient is stored as a Fraction: a tuple of values of type
-    ``Fraction`` is kept as it is, and otherwise each value of another
-    type (int, str, float, a ``numbers.Rational``) goes through
-    ``Fraction()``.  They are also kept as the integers ``nums`` over
-    ``den``, the lcm of their denominators, which every reader that clears
-    f's denominators takes; these two take no part in ``==``."""
+    ``SymFormP(degree, coeffs, scope)`` takes each coefficient through
+    ``Fraction()`` (int, str, float, a ``numbers.Rational``) and keeps
+    them only as the integers ``nums`` over ``den`` > 0, the lcm of their
+    denominators, so gcd(den, *nums) = 1 and equal forms keep equal
+    integers; every decision reads these.  ``coeffs`` builds the tuple of
+    Fractions when read, and the form keeps no reference to its input.
+    Forms compare and hash by (degree, den, nums, scope), and are frozen:
+    assigning or deleting a field raises ``FrozenInstanceError``."""
 
-    degree: int
-    coeffs: tuple[Fraction, ...]
-    scope: object  # int n or LIMIT
-    den: int = field(init=False, repr=False, compare=False)
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("degree", "den", "nums", "scope", "_memo")
 
-    def __post_init__(self):
-        plist = _partitions(self.degree)
-        if len(self.coeffs) != len(plist):
-            raise ValueError(
-                f"need {len(plist)} coefficients for degree {self.degree}"
-            )
-        coeffs = self.coeffs
-        if type(coeffs) is not tuple or set(map(type, coeffs)) != {Fraction}:
-            coeffs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
-            object.__setattr__(self, "coeffs", coeffs)
-        _check_scope(self.scope)
-        if self.scope is not LIMIT and self.scope < self.degree:
-            raise ValueError("variable count must be at least the degree")
-        den, nums = _over_lcm(coeffs)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+    def __init__(self, degree: int, coeffs, scope):
+        plist = _partitions(degree)
+        if len(coeffs) != len(plist):
+            raise ValueError(f"need {len(plist)} coefficients for degree {degree}")
+        values = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        _check_scope(scope, degree)
+        _fill(self, degree, *_over_lcm(values), scope)
+
+    @classmethod
+    def _from_ints(cls, degree: int, den: int, nums, scope) -> "SymFormP":
+        """The form nums / den, taken to lowest terms: the integer
+        constructor of the library's own forms, which checks neither the
+        degree nor the scope."""
+        f = object.__new__(cls)
+        _fill(f, degree, *_lowest_terms(den, nums, len(nums)), scope)
+        return f
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
+
+    def _key(self):
+        return self.degree, self.den, self.nums, self.scope
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"SymFormP(degree={self.degree!r}, coeffs={self.coeffs!r}, scope={self.scope!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # a copy or an unpickled form is a new object with an empty memo
         return SymFormP, (self.degree, self.coeffs, self.scope)
 
     def with_scope(self, scope) -> "SymFormP":
-        return SymFormP(self.degree, self.coeffs, scope)
+        _check_scope(scope, self.degree)
+        return SymFormP._from_ints(self.degree, self.den, self.nums, scope)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -144,18 +170,27 @@ class SymFormP:
     def __add__(self, other: "SymFormP") -> "SymFormP":
         if self.degree != other.degree or self.scope != other.scope:
             raise ValueError("degree/scope mismatch")
-        return SymFormP(
-            self.degree,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.scope,
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = tuple([x * a + y * b for x, y in zip(self.nums, other.nums)])
+        return SymFormP._from_ints(self.degree, den, nums, self.scope)
 
     def __sub__(self, other: "SymFormP") -> "SymFormP":
         return self + other.scale(-1)
 
     def scale(self, s) -> "SymFormP":
-        s = Fraction(s)
-        return SymFormP(self.degree, tuple(c * s for c in self.coeffs), self.scope)
+        p, q = Fraction(s).as_integer_ratio()
+        nums = tuple([x * p for x in self.nums])
+        return SymFormP._from_ints(self.degree, self.den * q, nums, self.scope)
+
+
+def _fill(f: SymFormP, degree: int, den: int, nums: tuple[int, ...], scope) -> None:
+    """Set the fields of a new form, with an empty memo."""
+    object.__setattr__(f, "degree", degree)
+    object.__setattr__(f, "den", den)
+    object.__setattr__(f, "nums", nums)
+    object.__setattr__(f, "scope", scope)
+    object.__setattr__(f, "_memo", {})
 
 
 def per_form(fn):
@@ -167,6 +202,8 @@ def per_form(fn):
     one (``f.scale(2)``), a copy and an unpickled form each compute again,
     and the result goes away with the object.  So decisions that read the
     same data about one form share it, and nothing is shared across forms.
+    Besides its integers, the memo is all that a form keeps alive: a
+    caller that keeps many decided forms keeps their memos with them.
     An exception is not cached: the next call runs ``fn`` again.
 
     The decorated function's ``kept(f)`` reads the kept result, None when
@@ -370,8 +407,7 @@ def m_to_p(g: SymFuncM, scope) -> SymFormP:
     if len(weights) > 1:
         raise ValueError("m_to_p requires a homogeneous input")
     weight = weights.pop()
-    if scope is not LIMIT and scope < weight:
-        raise ValueError("variable count must be at least the degree")
+    _check_scope(scope, weight)
     acc: dict[Partition, RatFunc] = {}
     for mu, c in g.terms.items():
         for nu, b in _m_in_p(mu).items():

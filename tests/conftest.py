@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import dataclass
@@ -51,6 +52,12 @@ big_fractions = st.builds(
     st.integers(1, 9),
     st.integers(2500, 2560),
 )
+
+
+def kept_by(f: SymFormP) -> list:
+    """What a form keeps alive, its type aside: the objects it refers to,
+    and the integers in its tuple of numerators."""
+    return [r for r in gc.get_referents(f) if not isinstance(r, type)] + list(f.nums)
 
 
 def coeff(f: SymFormP, parts) -> Fraction:

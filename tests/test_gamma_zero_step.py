@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from symquartic.sos import (
 )
 from symquartic.symfunc import LIMIT, SymFormP
 
-from conftest import big_fractions
+from conftest import big_fractions, kept_by
 
 _SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _EXAMPLE_6_10 = (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))
@@ -142,17 +143,22 @@ class TestFormConstructor:
         with pytest.raises(ValueError):
             sos_boundary(SymFormP(4, coeffs, scope))
 
-    def test_fraction_tuple_kept_as_given(self):
-        """A tuple of Fractions is kept as the same object; any other input
-        is converted to a tuple of Fractions, and both give the same den
-        and nums."""
+    def test_fraction_tuple_kept_only_as_integers(self):
+        """A tuple of Fractions, like any other input, is kept only as the
+        canonical integers den and nums: ``coeffs`` reads the same values
+        back as a new tuple of Fractions, and the form keeps neither the
+        input container nor its values."""
         coeffs = tuple(Fraction(c) for c in _CHOI_LAM)
         f = SymFormP(4, coeffs, 6)
-        assert f.coeffs is coeffs
+        assert f.coeffs == coeffs and f.coeffs is not coeffs
+        assert (f.den, f.nums) == (3, (24, -160, -24, 384, -128)) and gcd(f.den, *f.nums) == 1
+        assert not any(r is x for r in kept_by(f) for x in (coeffs, *coeffs))
         for other in (list(coeffs), _CHOI_LAM, tuple(str(c) for c in coeffs)):
             g = SymFormP(4, other, 6)
             assert type(g.coeffs) is tuple and all(type(c) is Fraction for c in g.coeffs)
             assert g == f and (g.den, g.nums) == (f.den, f.nums) == (3, (24, -160, -24, 384, -128))
+            assert g.coeffs == tuple(Fraction(c) for c in other)
+            assert not any(r is x for r in kept_by(g) for x in (other, *other))
 
 
 # ---------------------------------------------------------------------------

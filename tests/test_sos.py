@@ -2697,6 +2697,35 @@ class TestGammaZeroRoute:
 _INTERIOR_GAMMA = SymFormP(4, tuple(Fraction(c) for c in ("1/6", "22/9", "5/2", "-15", "17")), 6)
 
 
+def _fraction_route(cert):
+    """``expand_certificate`` as it was written before forms kept only
+    their integers: the expansion's integers divided into Fractions."""
+    den, xs = sos._expansion(cert, _gamma_gen_ints(cert.scope))
+    return SymFormP(4, tuple(Fraction(x, den) for x in xs), cert.scope)
+
+
+def test_expanded_certificate_is_the_fraction_route():
+    """``expand_certificate`` builds its form from the expansion's integers,
+    equal, in value, hash, repr and (den, nums), to the form built from
+    Fractions: on the pinned certificates (the CI forms of example 6.10,
+    the single-gamma and interior-gamma forms, the rank-one forms) and on
+    a seeded sample."""
+    forms = [_EXAMPLE_6_10.with_scope(n) for n in (LIMIT, 5, 10**4000)] + [_INTERIOR_GAMMA]
+    forms += [SymFormP(4, coeffs, n) for n, coeffs in (*_RANK_ONE_SOS.values(), *_SINGLE_GAMMA_SOS.values())]
+    rng = random.Random(83)
+    forms += [random_form(rng, rng.choice([4, 5, 6, 10**40, LIMIT])) for _ in range(60)]
+    certs = 0
+    for f in forms:
+        verdict = sos_membership_limit(f) if f.scope is LIMIT else sos_membership(f)
+        if verdict.certificate is None:
+            continue
+        certs += 1
+        got, want = expand_certificate(verdict.certificate), _fraction_route(verdict.certificate)
+        assert (got, hash(got), repr(got)) == (want, hash(want), repr(want)) == (f, hash(f), repr(f))
+        assert (got.den, got.nums) == (want.den, want.nums) and got == fraction_expand_certificate(verdict.certificate)
+    assert certs > 20
+
+
 def test_membership_kept_on_the_form(monkeypatch):
     """``sos_membership`` is decided once per form object: on the form of
     the interior-gamma CI run at n = 6, ``sos_membership``, then

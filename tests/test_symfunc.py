@@ -1,12 +1,20 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
 import random
+import sys
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import symquartic.positivity as positivity
+import symquartic.sos as sos
 
 from symquartic.algebra import MultiPoly, RatFunc
 from symquartic.partitions import partitions_of
@@ -24,7 +32,7 @@ from symquartic.symfunc import (
     restrict_alpha,
 )
 
-from conftest import coeff
+from conftest import big_fractions, coeff, kept_by, random_form
 
 
 def random_point(rng, n):
@@ -55,10 +63,14 @@ class TestSymFormP:
 
     def test_coefficients_become_fractions(self):
         third = Fraction(1, 3)
-        f = SymFormP(4, (2, "-5/4", 0.5, third, True), 5)
+        coeffs = (2, "-5/4", 0.5, third, True)
+        f = SymFormP(4, coeffs, 5)
         assert f.coeffs == (2, Fraction(-5, 4), Fraction(1, 2), third, 1)
         assert all(type(c) is Fraction for c in f.coeffs)
-        assert f.coeffs[3] is third
+        # kept only as integers over one scale in lowest terms: the form
+        # keeps neither the input container nor its values
+        assert (f.den, f.nums) == (12, (24, -15, 6, 4, 12)) and math.gcd(f.den, *f.nums) == 1
+        assert not any(r is x for r in kept_by(f) for x in (coeffs, *coeffs))
 
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
@@ -88,6 +100,113 @@ class TestSymFormP:
             with pytest.raises(ValueError, match="degree above 8"):
                 build()
             assert time.monotonic() - t0 < 1
+
+
+_CHOI_LAM = (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3))
+_EXAMPLE_6_10 = (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))
+
+
+def _decide_large_n(f):
+    positivity.is_nonneg(f)
+    positivity.is_strictly_positive(f)
+
+
+def _decide_limit(f):
+    positivity.is_nonneg_limit(f)
+    sos.sos_membership_limit(f)
+    positivity.boundary_status_limit(f)
+
+
+def _decide_finite(f):
+    positivity.is_nonneg(f)
+    if sos.sos_membership(f).status == "OUT":
+        assert sos.find_separating_functional(f) is not None
+
+
+#: one coefficient value of each input type the constructor takes
+_VALUE = st.one_of(
+    st.integers(-(10**9), 10**9),
+    st.fractions(max_denominator=10**9),
+    st.fractions(max_denominator=10**9).map(str),
+    st.floats(allow_nan=False, allow_infinity=False),
+    big_fractions,
+)
+_COEFFS = st.one_of(st.tuples(*[_VALUE] * 5), st.just((0, "0", 0.0, Fraction(0), "-0/3")))
+_SCOPES = st.sampled_from((4, 5, 10**40, LIMIT))
+
+
+@per_form
+def _kept_probe(f):
+    return f.den
+
+
+class TestIntegerStorage:
+    """A form keeps its coefficients only as the integers ``nums`` over
+    ``den``, and ``coeffs`` is built when read."""
+
+    @pytest.mark.parametrize(
+        "decide, scope",
+        [(_decide_large_n, 64), (_decide_limit, LIMIT), (_decide_finite, 6)],
+        ids=["large_n", "limit_sweep", "finite_scan"],
+    )
+    def test_decided_form_keeps_no_fraction(self, decide, scope):
+        """Forms decided through each benchmark workload's query set refer
+        to no Fraction and no tuple of Fractions, and leave the refcount of
+        their input tuple where it was before they were built."""
+        rng = random.Random(3)
+        vectors = [_CHOI_LAM] if scope == 6 else [_CHOI_LAM, _EXAMPLE_6_10] + [
+            random_form(rng, scope).coeffs for _ in range(6)
+        ]
+        for vector in vectors:
+            coeffs = tuple(Fraction(c) for c in vector)
+            before = sys.getrefcount(coeffs)
+            f = SymFormP(4, coeffs, scope)
+            decide(f)
+            assert f._memo and sys.getrefcount(coeffs) == before
+            for r in gc.get_referents(f):
+                assert type(r) is not Fraction
+                assert not (type(r) is tuple and any(type(x) is Fraction for x in r))
+
+    @seed(20121205)
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=_COEFFS, scope=_SCOPES)
+    def test_value_semantics(self, coeffs, scope):
+        f = SymFormP(4, coeffs, scope)
+        assert f.coeffs == tuple(Fraction(c) for c in coeffs)
+        assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+        g = SymFormP(4, f.coeffs, scope)
+        assert (g, hash(g), repr(g)) == (f, hash(f), repr(f))
+        assert _kept_probe(f) == f.den and f._memo
+        for h in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert h is not f and (h, hash(h), repr(h)) == (f, hash(f), repr(f))
+            assert h._memo == {}
+        for name in ("degree", "den", "nums", "scope", "_memo", "coeffs"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+        assert (g, hash(g), repr(g)) == (f, hash(f), repr(f))
+
+    @seed(20121206)
+    @settings(max_examples=150, deadline=None)
+    @given(a=_COEFFS, b=_COEFFS, s=_VALUE, scope=_SCOPES, to=_SCOPES)
+    def test_integer_constructor_is_the_fraction_route(self, a, b, s, scope, to):
+        """``scale``, ``with_scope``, ``+`` and ``-`` build their forms
+        from integers, equal to the forms built from Fractions."""
+        f, g = SymFormP(4, a, scope), SymFormP(4, b, scope)
+        s = Fraction(s)
+        for got, want in (
+            (f.scale(s), SymFormP(4, tuple(c * s for c in f.coeffs), scope)),
+            (f + g, SymFormP(4, tuple(x + y for x, y in zip(f.coeffs, g.coeffs)), scope)),
+            (f - g, SymFormP(4, tuple(x - y for x, y in zip(f.coeffs, g.coeffs)), scope)),
+            (f.with_scope(to), SymFormP(4, f.coeffs, to)),
+        ):
+            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+            assert (got.den, got.nums) == (want.den, want.nums)
+        assert f.with_scope(to).nums is f.nums
+        for bad in (3, 0, "5"):
+            with pytest.raises(ValueError):
+                f.with_scope(bad)
 
 
 class TestEvaluate:
