@@ -44,8 +44,9 @@ class DualFunctional:
     integers ``ys`` over the scale ``den``, in lowest terms: den > 0 and
     gcd(den, *ys) = 1, which the constructor makes so.  So equal
     functionals are equal objects with equal hashes.  ``from_values``
-    builds one from rational values, and ``y4`` ... ``y1111`` and
-    ``as_tuple`` read them back as Fractions."""
+    builds one from rational values, ``_from_ints`` from the library's
+    own integers, and ``y4`` ... ``y1111`` and ``as_tuple`` read them
+    back as Fractions."""
 
     den: int
     ys: tuple[int, ...]
@@ -54,6 +55,17 @@ class DualFunctional:
         den, ys = _lowest_terms(self.den, self.ys, 5)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ys", ys)
+
+    @classmethod
+    def _from_ints(cls, den: int, ys) -> "DualFunctional":
+        """The functional ys / den, taken to lowest terms by
+        ``algebra._lowest_terms``, with its checks: the object the
+        constructor gives, made without the dataclass ``__init__``, as
+        ``sos`` builds its separators and supporting functionals."""
+        ell = object.__new__(cls)
+        den, ys = _lowest_terms(den, ys, 5)
+        ell.__dict__.update(den=den, ys=ys)
+        return ell
 
     @classmethod
     def from_values(cls, *values) -> "DualFunctional":

@@ -46,12 +46,17 @@ at a time, so the intervals of two polynomials may overlap and a shared
 root is isolated twice; the weights at every root and the first weight
 of every cell are still among those picked (``_tested_ks``).  That is a
 bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
-the n - 1 interior weights, because isolating the roots then costs more
-than the walk.  On both paths ``is_nonneg`` returns the first failing grid
-weight.  A weight is tested in integers: ``_phi_at`` reads Phi^(k/n) at
-the integers (k, n), unreduced, as n^4 times the integer
-alpha-coefficients, and the binary-quartic tests read signs on those ints
-as they come; a ``Fraction`` weight is made only for the returned witness.
+the interior weights k <= n/2 alone, because isolating the roots then
+costs more than the walk.  Swapping the two weights and the two points
+gives the same measure, Phi^(k/n)(x, y) = Phi^((n-k)/n)(y, x), so the
+binary quartic at n - k is the one at k reversed, and the failing k are
+symmetric about n/2: the first failing k is <= n/2 when there is one.
+The cell path keeps every weight it picks.  On both paths ``is_nonneg``
+returns the first failing grid weight.  A weight is tested in integers:
+``_phi_at`` reads Phi^(k/n) at the integers (k, n), unreduced, as n^4
+times the integer alpha-coefficients, and the binary-quartic tests read
+signs on those ints as they come; a ``Fraction`` weight is made only for
+the returned witness.
 From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
 built once per form object (``_cell_grid``, ``symfunc.per_form``), so
 asking both questions about one form pays for one cell build.
@@ -118,7 +123,7 @@ _NO_WITNESS = {status: BoundaryVerdict(status) for status in ("INTERIOR", "OUTSI
 # ---------------------------------------------------------------------------
 
 
-#: Below this n the finite-n decisions walk all n + 1 grid weights.  Only
+#: Below this n the finite-n decisions walk the grid (``_grid``).  Only
 #: forms that the gamma = 0 step leaves open reach either path, so it was
 #: measured on those, at n = 12..128: 24 boundary-family members (seeded as
 #: in the benchmark's workloads) with p_4 lowered by 1/64..1/1024, outside
@@ -132,7 +137,9 @@ _NO_WITNESS = {status: BoundaryVerdict(status) for status in ("INTERIOR", "OUTSI
 #: pair on the 10^-7 forms, and above n = 128 otherwise.  The value 56 is where a
 #: costlier cell build crossed; no benchmark workload runs n in 9..55, and
 #: a larger value would move ``large_n`` (n = 64..128), so it stays until
-#: a workload can decide it.
+#: a workload can decide it.  These figures were taken when the walk took
+#: every interior k; it now takes k <= n/2, about half the cost, so the
+#: crossings should lie higher, and they have not been measured again.
 _CELL_MIN_N = 56
 
 
@@ -191,13 +198,15 @@ def _cell_grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...]]:
 def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
     """The alpha-coefficients of f (``symfunc._phi_alpha_ints``) and the
     ascending k in 1..n-1 whose weights decide it on the interior of W_n:
-    from ``_CELL_MIN_N`` on those of ``_cell_grid``, below it every one.
+    from ``_CELL_MIN_N`` on those of ``_cell_grid``, below it every k up
+    to n/2, as the binary quartic at n - k is the one at k reversed
+    (module docstring), so a k > n/2 fails only after n - k has.
     The walk keeps nothing on the form,
     as recomputing its coefficients costs little beside the walk itself,
     while holding them costs memory for as long as the form lives."""
     n = f.scope
     if n < _CELL_MIN_N:
-        return _phi_alpha_ints(f)[1], range(1, n)
+        return _phi_alpha_ints(f)[1], range(1, n // 2 + 1)
     return _cell_grid(f)
 
 

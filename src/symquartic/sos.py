@@ -19,12 +19,19 @@ the blocks at gamma = 0 decide membership.
 The matching equations leave two free parameters (gamma and b11 = u) and
 fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
-read only signs, so they run in integers, and the certificate is built
-and checked in integers too (``_certificate``, from the integer entries
-at its gamma, and ``_checked``), and it keeps its six block entries as
-integers over one scale (``SosCertificate``).  At gamma = 0 the entries
-do not depend on n; their integers (``_gamma_zero_entries``, through the
-one inverse block map ``_entry_map``) give the coefficient sum, the
+read only signs, so they run in integers, and the certificate is checked
+and built in integers too (``_certificate``, from the integer entries at
+its gamma, and ``_checked``): its blocks are taken to lowest terms with
+one gcd and checked on those integers in one pass, against the block
+map (``_expansion``, written once on integers and read by
+``expand_certificate`` too), and only a certificate that passes is
+built, once, with no second reduction (``SosCertificate._from_ints``);
+it keeps its six block entries as integers over one scale.  The
+separators and supporting functionals are built by the integer
+constructor of ``DualFunctional`` (``_from_ints``) and checked on their
+integers.  At gamma = 0 the entries do not depend on n; their integers
+(``_gamma_zero_entries``, through the one inverse block map
+``_entry_map``) give the coefficient sum, the
 limit witness of ``positivity`` and the step of ``_smallest_u`` at
 gamma = 0, kept once per form object (``_gamma_zero_step``).  Its kind is
 the class of gamma = 0, infeasible, feasible or strictly feasible
@@ -171,8 +178,10 @@ class SosCertificate:
     (a11, a12, a22, b11, b12, b22) as the integers ``entries`` over
     ``den`` > 0 in lowest terms, so equal certificates are equal objects;
     ``A`` and ``B`` read them as ``SymMat2``, and ``from_blocks`` builds a
-    certificate from two.  Valid certificates have both blocks PSD and
-    gamma >= 0 (gamma = 0 under LIMIT scope).
+    certificate from two.  The decisions build theirs with ``_from_ints``
+    from integers that ``_checked`` has already reduced and checked.
+    Valid certificates have both blocks PSD and gamma >= 0 (gamma = 0
+    under LIMIT scope).
     """
 
     den: int
@@ -184,6 +193,15 @@ class SosCertificate:
         den, entries = _lowest_terms(self.den, self.entries, 6)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _from_ints(cls, den: int, entries: tuple[int, ...], gamma: Fraction, scope) -> "SosCertificate":
+        """The certificate with the six integers ``entries`` over ``den``,
+        which must already be in lowest terms with den > 0: the object the
+        constructor gives, made with no second reduction and no check."""
+        cert = object.__new__(cls)
+        cert.__dict__.update(den=den, entries=entries, gamma=gamma, scope=scope)
+        return cert
 
     @classmethod
     def from_blocks(cls, A: SymMat2, B: SymMat2, gamma, scope) -> "SosCertificate":
@@ -217,17 +235,22 @@ class SosVerdict:
 _OUT = SosVerdict("OUT")
 
 
-def _expansion(cert: SosCertificate, gen_ints) -> tuple[int, tuple[int, ...]]:
+def _expansion(den: int, entries, gamma: Fraction, gen_ints) -> tuple[int, tuple[int, ...]]:
     """(D, xs): the block map (A, B, gamma) -> f, the one place it is
-    written, on the certificate's integers: f = xs / D, D = den q m for
+    written, on integers: the six block entries ``entries`` over den > 0,
     gamma = p/q and (m, m gen) = gen_ints of ``dualcone._gamma_gen_ints``
-    at the certificate's scope."""
-    a11, a12, a22, b11, b12, b22 = cert.entries
-    p, q = cert.gamma.numerator, cert.gamma.denominator
-    m, gen = gen_ints
-    den, qm = cert.den, q * m
-    blocks = (b22, 2 * b12, a22 - b22, 2 * a12 + b11 - 2 * b12, a11 - b11)
-    return den * qm, tuple(x * qm + p * g * den for x, g in zip(blocks, gen))
+    at the scope (``_NO_GEN`` at gamma = 0) give f = xs / D, D = den q m."""
+    a11, a12, a22, b11, b12, b22 = entries
+    p, q = gamma.numerator, gamma.denominator
+    m, (g4, g31, g22, g211, g1111) = gen_ints
+    qm, pd = q * m, p * den
+    return den * qm, (
+        b22 * qm + pd * g4,
+        2 * b12 * qm + pd * g31,
+        (a22 - b22) * qm + pd * g22,
+        (2 * a12 + b11 - 2 * b12) * qm + pd * g211,
+        (a11 - b11) * qm + pd * g1111,
+    )
 
 
 def expand_certificate(cert: SosCertificate) -> SymFormP:
@@ -238,7 +261,7 @@ def expand_certificate(cert: SosCertificate) -> SymFormP:
             raise ValueError("LIMIT certificates require gamma = 0")
     elif not isinstance(scope, int) or scope < 4:
         raise ValueError("certificate scope must be an integer >= 4 or LIMIT")
-    den, xs = _expansion(cert, _gamma_gen_ints(scope))
+    den, xs = _expansion(cert.den, cert.entries, cert.gamma, _gamma_gen_ints(scope))
     return SymFormP._from_ints(4, den, xs, scope)
 
 
@@ -369,21 +392,40 @@ def _certificate(f: SymFormP, d: int, e, gamma: Fraction, gen_ints) -> SosCertif
 
 def _checked(f: SymFormP, d: int, e, step, gamma: Fraction, gen_ints) -> SosCertificate | None:
     """The certificate of the step (k, u, kind) of ``_smallest_u`` on the
-    entries e over d, or None when kind is 0: its blocks
-    (``_blocks_at_u``) are integers over 2 d k, which the certificate
-    keeps in lowest terms, and the self-check reads exactly those:
-    ``SosCertificate.is_valid``, and the block map ``_expansion`` with
+    entries e over d, or None when kind is 0, checked on its integers
+    before it is built.  Its blocks (``_blocks_at_u``) are integers over
+    2 d k, taken to lowest terms with one gcd, and the self-check reads
+    exactly those: both blocks PSD (``dualcone._psd_ints``), gamma >= 0,
+    gamma = 0 at LIMIT, and the block map ``_expansion`` with
     (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0) sends them to f,
-    compared with ``f.nums`` over ``f.den`` cross-multiplied; a
-    certificate that fails raises AssertionError."""
+    each of the five coefficients compared with ``f.nums`` over ``f.den``
+    cross-multiplied.  A certificate that fails raises AssertionError;
+    one that passes is built once, by ``SosCertificate._from_ints``."""
     k, u, kind = step
     if not kind:
         return None
-    cert = SosCertificate(2 * d * k, _blocks_at_u(e, k, u), gamma, f.scope)
-    den, xs = _expansion(cert, gen_ints)
-    if not (cert.is_valid() and all(x * f.den == c * den for x, c in zip(xs, f.nums))):
+    den, entries = 2 * d * k, _blocks_at_u(e, k, u)
+    h = gcd(den, *entries)
+    if h != 1:
+        den, entries = den // h, tuple([x // h for x in entries])
+    a11, a12, a22, b11, b12, b22 = entries
+    p = gamma.numerator
+    big_d, (x4, x31, x22, x211, x1111) = _expansion(den, entries, gamma, gen_ints)
+    c4, c31, c22, c211, c1111 = f.nums
+    fd = f.den
+    if not (
+        _psd_ints(a11, a12, a22)
+        and _psd_ints(b11, b12, b22)
+        and p >= 0
+        and (p == 0 or f.scope is not LIMIT)
+        and x4 * fd == c4 * big_d
+        and x31 * fd == c31 * big_d
+        and x22 * fd == c22 * big_d
+        and x211 * fd == c211 * big_d
+        and x1111 * fd == c1111 * big_d
+    ):
         raise AssertionError("internal error: certificate failed verification")
-    return cert
+    return SosCertificate._from_ints(den, entries, gamma, f.scope)
 
 
 def _entries_at(blocks, gamma: Fraction) -> tuple[int, list[int]]:
@@ -733,7 +775,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
         return "OUTSIDE", None
     if not limit and _has_interior_gamma(f):
         return "INTERIOR", None
-    y = DualFunctional(*_supporting_functional(verdict.certificate))
+    y = DualFunctional._from_ints(*_supporting_functional(verdict.certificate))
     if not any(y.ys) or _pairing_ints(y, f) or not dual_membership(y, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
     return "BOUNDARY", y
@@ -754,11 +796,12 @@ def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
 
 
 def _separator(den: int, ys: tuple[int, ...], f: SymFormP) -> DualFunctional:
-    """The functional ys / den, den > 0, once the pairing with f is < 0,
-    read as the sign of ``dualcone._pairing_ints``, and
+    """The functional ys / den, den > 0, built by
+    ``DualFunctional._from_ints``, once the pairing with f is < 0, read as
+    the sign of ``dualcone._pairing_ints``, and
     ``dualcone.dual_membership`` holds on its integers; else
     AssertionError."""
-    ell = DualFunctional(den, ys)
+    ell = DualFunctional._from_ints(den, ys)
     if not (_pairing_ints(ell, f) < 0 and dual_membership(ell, f.scope)):
         raise AssertionError("internal error: separator failed verification")
     return ell

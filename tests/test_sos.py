@@ -2495,7 +2495,7 @@ def former_certificate(f, blocks, gamma):
         u = v
     entries = (2 * (a11_u * k + u), s * k - u, 2 * a22 * k, 2 * u, 2 * b12 * k, 2 * b22 * k)
     cert = SosCertificate(2 * d * k, entries, gamma, f.scope)
-    den, xs = sos._expansion(cert, blocks[2])
+    den, xs = sos._expansion(cert.den, cert.entries, cert.gamma, blocks[2])
     assert cert.gamma >= 0 and (cert.scope is not LIMIT or cert.gamma == 0)
     assert all(x * f.den == c * den for x, c in zip(xs, f.nums))
     return cert
@@ -2700,7 +2700,7 @@ _INTERIOR_GAMMA = SymFormP(4, tuple(Fraction(c) for c in ("1/6", "22/9", "5/2", 
 def _fraction_route(cert):
     """``expand_certificate`` as it was written before forms kept only
     their integers: the expansion's integers divided into Fractions."""
-    den, xs = sos._expansion(cert, _gamma_gen_ints(cert.scope))
+    den, xs = sos._expansion(cert.den, cert.entries, cert.gamma, _gamma_gen_ints(cert.scope))
     return SymFormP(4, tuple(Fraction(x, den) for x in xs), cert.scope)
 
 
