@@ -38,34 +38,24 @@ from .algebra import SymMat2, _lowest_terms, _over_lcm
 from .symfunc import LIMIT, SymFormP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualFunctional:
     """Values y_lambda = ell(p_lambda) in canonical partition order, as the
     integers ``ys`` over the scale ``den``, in lowest terms: den > 0 and
     gcd(den, *ys) = 1, which the constructor makes so.  So equal
     functionals are equal objects with equal hashes.  ``from_values``
-    builds one from rational values, ``_from_ints`` from the library's
-    own integers, and ``y4`` ... ``y1111`` and ``as_tuple`` read them
-    back as Fractions."""
+    builds one from rational values, and ``y4`` ... ``y1111`` and
+    ``as_tuple`` read them back as Fractions."""
 
     den: int
     ys: tuple[int, ...]
 
-    def __post_init__(self):
-        den, ys = _lowest_terms(self.den, self.ys, 5)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def _from_ints(cls, den: int, ys) -> "DualFunctional":
-        """The functional ys / den, taken to lowest terms by
-        ``algebra._lowest_terms``, with its checks: the object the
-        constructor gives, made without the dataclass ``__init__``, as
-        ``sos`` builds its separators and supporting functionals."""
-        ell = object.__new__(cls)
+    def __init__(self, den: int, ys):
+        """The functional ys / den, taken to lowest terms once by
+        ``algebra._lowest_terms`` (ValueError on den <= 0 or a count other
+        than five), and stored past the frozen ``__setattr__``."""
         den, ys = _lowest_terms(den, ys, 5)
-        ell.__dict__.update(den=den, ys=ys)
-        return ell
+        self.__dict__.update(den=den, ys=ys)
 
     @classmethod
     def from_values(cls, *values) -> "DualFunctional":

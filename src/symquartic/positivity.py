@@ -137,9 +137,7 @@ _NO_WITNESS = {status: BoundaryVerdict(status) for status in ("INTERIOR", "OUTSI
 #: pair on the 10^-7 forms, and above n = 128 otherwise.  The value 56 is where a
 #: costlier cell build crossed; no benchmark workload runs n in 9..55, and
 #: a larger value would move ``large_n`` (n = 64..128), so it stays until
-#: a workload can decide it.  These figures were taken when the walk took
-#: every interior k; it now takes k <= n/2, about half the cost, so the
-#: crossings should lie higher, and they have not been measured again.
+#: a workload can decide it.  These figures predate the half walk.
 _CELL_MIN_N = 56
 
 

@@ -21,15 +21,14 @@ fix the other block entries as affine functions of gamma, kept as integer
 linear forms over one positive scale (``_block_polys``).  The decisions
 read only signs, so they run in integers, and the certificate is checked
 and built in integers too (``_certificate``, from the integer entries at
-its gamma, and ``_checked``): its blocks are taken to lowest terms with
-one gcd and checked on those integers in one pass, against the block
-map (``_expansion``, written once on integers and read by
-``expand_certificate`` too), and only a certificate that passes is
-built, once, with no second reduction (``SosCertificate._from_ints``);
-it keeps its six block entries as integers over one scale.  The
-separators and supporting functionals are built by the integer
-constructor of ``DualFunctional`` (``_from_ints``) and checked on their
-integers.  At gamma = 0 the entries do not depend on n; their integers
+its gamma, and ``_checked``): its blocks are checked on their integers
+in one pass, for validity (``_valid_ints``, which ``is_valid`` reads
+too) and against the block map (``_expansion``, written once on
+integers and read by ``expand_certificate`` too), and only a
+certificate that passes is built, once; its constructor takes the six
+block entries to lowest terms over one scale.  The separators and
+supporting functionals are checked on their integers too.  At gamma = 0
+the entries do not depend on n; their integers
 (``_gamma_zero_entries``, through the one inverse block map
 ``_entry_map``) give the coefficient sum, the
 limit witness of ``positivity`` and the step of ``_smallest_u`` at
@@ -168,7 +167,16 @@ from .symfunc import LIMIT, SymFormP, per_form
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+def _valid_ints(entries, p: int, scope) -> bool:
+    """The validity of block data, read on integers: both blocks of the six
+    entries (a11, a12, a22, b11, b12, b22), over any positive scale, are
+    PSD, and the numerator p of gamma is >= 0, and 0 under LIMIT scope.
+    ``SosCertificate.is_valid`` and the self-check ``_checked`` read it."""
+    a11, a12, a22, b11, b12, b22 = entries
+    return _psd_ints(a11, a12, a22) and _psd_ints(b11, b12, b22) and p >= 0 and (p == 0 or scope is not LIMIT)
+
+
+@dataclass(frozen=True, init=False)
 class SosCertificate:
     """Block data (A, B, gamma) of a symmetric-SOS decomposition.
 
@@ -178,10 +186,10 @@ class SosCertificate:
     (a11, a12, a22, b11, b12, b22) as the integers ``entries`` over
     ``den`` > 0 in lowest terms, so equal certificates are equal objects;
     ``A`` and ``B`` read them as ``SymMat2``, and ``from_blocks`` builds a
-    certificate from two.  The decisions build theirs with ``_from_ints``
-    from integers that ``_checked`` has already reduced and checked.
-    Valid certificates have both blocks PSD and gamma >= 0 (gamma = 0
-    under LIMIT scope).
+    certificate from two.  The decisions build theirs only once
+    ``_checked`` has checked its integers.  Valid certificates have both
+    blocks PSD and gamma >= 0 (gamma = 0 under LIMIT scope,
+    ``_valid_ints``).
     """
 
     den: int
@@ -189,19 +197,13 @@ class SosCertificate:
     gamma: Fraction
     scope: object
 
-    def __post_init__(self):
-        den, entries = _lowest_terms(self.den, self.entries, 6)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _from_ints(cls, den: int, entries: tuple[int, ...], gamma: Fraction, scope) -> "SosCertificate":
+    def __init__(self, den: int, entries, gamma: Fraction, scope):
         """The certificate with the six integers ``entries`` over ``den``,
-        which must already be in lowest terms with den > 0: the object the
-        constructor gives, made with no second reduction and no check."""
-        cert = object.__new__(cls)
-        cert.__dict__.update(den=den, entries=entries, gamma=gamma, scope=scope)
-        return cert
+        taken to lowest terms once by ``algebra._lowest_terms`` (ValueError
+        on den <= 0 or a count other than six), and stored past the
+        frozen ``__setattr__``."""
+        den, entries = _lowest_terms(den, entries, 6)
+        self.__dict__.update(den=den, entries=entries, gamma=gamma, scope=scope)
 
     @classmethod
     def from_blocks(cls, A: SymMat2, B: SymMat2, gamma, scope) -> "SosCertificate":
@@ -213,10 +215,7 @@ class SosCertificate:
     B = property(lambda self: SymMat2(*(Fraction(x, self.den) for x in self.entries[3:])))
 
     def is_valid(self) -> bool:
-        p = self.gamma.numerator  # the sign of gamma, read with no Fraction compared
-        return _psd_ints(*self.entries[:3]) and _psd_ints(*self.entries[3:]) and p >= 0 and (
-            self.scope is not LIMIT or p == 0
-        )
+        return _valid_ints(self.entries, self.gamma.numerator, self.scope)
 
 
 @dataclass(frozen=True)
@@ -394,30 +393,23 @@ def _checked(f: SymFormP, d: int, e, step, gamma: Fraction, gen_ints) -> SosCert
     """The certificate of the step (k, u, kind) of ``_smallest_u`` on the
     entries e over d, or None when kind is 0, checked on its integers
     before it is built.  Its blocks (``_blocks_at_u``) are integers over
-    2 d k, taken to lowest terms with one gcd, and the self-check reads
-    exactly those: both blocks PSD (``dualcone._psd_ints``), gamma >= 0,
-    gamma = 0 at LIMIT, and the block map ``_expansion`` with
-    (m, m gen) = ``gen_ints`` (``_NO_GEN`` at gamma = 0) sends them to f,
-    each of the five coefficients compared with ``f.nums`` over ``f.den``
-    cross-multiplied.  A certificate that fails raises AssertionError;
-    one that passes is built once, by ``SosCertificate._from_ints``."""
+    2 d k, and the self-check reads exactly those, unreduced, as signs and
+    cross-multiplied equalities do not need lowest terms: the validity of
+    ``_valid_ints`` (both blocks PSD, gamma >= 0, gamma = 0 at LIMIT), and
+    the block map ``_expansion`` with (m, m gen) = ``gen_ints``
+    (``_NO_GEN`` at gamma = 0) sends them to f, each of the five
+    coefficients compared with ``f.nums`` over ``f.den`` cross-multiplied.
+    A certificate that fails raises AssertionError; one that passes is
+    built once, and its constructor takes the one reduction."""
     k, u, kind = step
     if not kind:
         return None
     den, entries = 2 * d * k, _blocks_at_u(e, k, u)
-    h = gcd(den, *entries)
-    if h != 1:
-        den, entries = den // h, tuple([x // h for x in entries])
-    a11, a12, a22, b11, b12, b22 = entries
-    p = gamma.numerator
     big_d, (x4, x31, x22, x211, x1111) = _expansion(den, entries, gamma, gen_ints)
     c4, c31, c22, c211, c1111 = f.nums
     fd = f.den
     if not (
-        _psd_ints(a11, a12, a22)
-        and _psd_ints(b11, b12, b22)
-        and p >= 0
-        and (p == 0 or f.scope is not LIMIT)
+        _valid_ints(entries, gamma.numerator, f.scope)
         and x4 * fd == c4 * big_d
         and x31 * fd == c31 * big_d
         and x22 * fd == c22 * big_d
@@ -425,7 +417,7 @@ def _checked(f: SymFormP, d: int, e, step, gamma: Fraction, gen_ints) -> SosCert
         and x1111 * fd == c1111 * big_d
     ):
         raise AssertionError("internal error: certificate failed verification")
-    return SosCertificate._from_ints(den, entries, gamma, f.scope)
+    return SosCertificate(den, entries, gamma, f.scope)
 
 
 def _entries_at(blocks, gamma: Fraction) -> tuple[int, list[int]]:
@@ -775,7 +767,7 @@ def sos_boundary(f: SymFormP) -> tuple[str, DualFunctional | None]:
         return "OUTSIDE", None
     if not limit and _has_interior_gamma(f):
         return "INTERIOR", None
-    y = DualFunctional._from_ints(*_supporting_functional(verdict.certificate))
+    y = DualFunctional(*_supporting_functional(verdict.certificate))
     if not any(y.ys) or _pairing_ints(y, f) or not dual_membership(y, f.scope):
         raise AssertionError("internal error: supporting functional failed verification")
     return "BOUNDARY", y
@@ -796,12 +788,11 @@ def _chart_quartic(f: SymFormP) -> tuple[int, int, int, int, int]:
 
 
 def _separator(den: int, ys: tuple[int, ...], f: SymFormP) -> DualFunctional:
-    """The functional ys / den, den > 0, built by
-    ``DualFunctional._from_ints``, once the pairing with f is < 0, read as
-    the sign of ``dualcone._pairing_ints``, and
+    """The functional ys / den, den > 0, once the pairing with f is < 0,
+    read as the sign of ``dualcone._pairing_ints``, and
     ``dualcone.dual_membership`` holds on its integers; else
     AssertionError."""
-    ell = DualFunctional._from_ints(den, ys)
+    ell = DualFunctional(den, ys)
     if not (_pairing_ints(ell, f) < 0 and dual_membership(ell, f.scope)):
         raise AssertionError("internal error: separator failed verification")
     return ell

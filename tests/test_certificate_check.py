@@ -1,6 +1,6 @@
 """The self-checks of every certificate and functional that ``sos`` returns,
-the integer constructors that build them once the check has passed, and
-the half walk of the finite-n grid.
+the constructors that build them once the check has passed, and the half
+walk of the finite-n grid.
 
 Each self-check condition is broken on its own, with every other one kept,
 by rebinding a helper of ``sos`` or passing it wrong integers, and the
@@ -8,6 +8,7 @@ check must still raise AssertionError; the unbroken input must pass."""
 
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 import symquartic.positivity as positivity
 import symquartic.sos as sos
-from symquartic.algebra import _lowest_terms
 from symquartic.dualcone import DualFunctional, _gamma_gen_ints, _psd_ints, dual_membership
 from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.sos import _NO_GEN, SosCertificate, _expansion, expand_certificate
@@ -200,7 +200,7 @@ class TestFunctionalCheck:
 
 
 # ---------------------------------------------------------------------------
-# the integer constructors against the public ones
+# the constructors: one reduction to lowest terms
 # ---------------------------------------------------------------------------
 
 _BIG = st.integers(-(2**2000), 2**2000)
@@ -232,15 +232,17 @@ def _certificates(draw):
 @example((1, (0, 0, 0, 0, 0, 0), Fraction(1, 3), 5, 3**300))
 @seed(3801)
 @settings(max_examples=200, deadline=None)
-def test_certificate_from_ints_is_the_public_one(data):
-    """``SosCertificate._from_ints`` on the lowest terms, and ``_checked``
-    on the blocks times a common factor g (with ``_blocks_at_u`` rebound),
-    give the object of the public constructor: equal, with the same hash,
-    repr and integer fields."""
+def test_checked_certificate_is_the_constructors(data):
+    """The constructor on the integers times a common factor g, given as a
+    tuple or a list, and ``_checked`` on the blocks times g (with
+    ``_blocks_at_u`` rebound), give the certificate of the unscaled
+    integers: equal, with the same hash, repr and integer fields, in
+    lowest terms."""
     den, entries, gamma, scope, g = data
-    want = SosCertificate(g * den, tuple(g * x for x in entries), gamma, scope)
-    _same(SosCertificate._from_ints(*_lowest_terms(g * den, [g * x for x in entries], 6), gamma, scope), want)
-    _same(SosCertificate._from_ints(want.den, want.entries, gamma, scope), want)
+    want = SosCertificate(den, entries, gamma, scope)
+    assert want.den > 0 and gcd(want.den, *want.entries) == 1 and type(want.entries) is tuple
+    _same(SosCertificate(g * den, tuple(g * x for x in entries), gamma, scope), want)
+    _same(SosCertificate(g * den, [g * x for x in entries], gamma, scope), want)
     f = expand_certificate(want)
     gen_ints = _NO_GEN if gamma == 0 else _gamma_gen_ints(scope)
     blocks = tuple(2 * g * x for x in entries)
@@ -255,22 +257,25 @@ def test_certificate_from_ints_is_the_public_one(data):
 @example(1, (0, 0, 0, 0, 0), 3**300)
 @seed(3802)
 @settings(max_examples=200, deadline=None)
-def test_functional_from_ints_is_the_public_one(den, ys, g):
-    """``DualFunctional._from_ints`` on integers with a common factor g
-    gives the object of the public constructor."""
+def test_functional_constructor_takes_lowest_terms(den, ys, g):
+    """The constructor on integers with a common factor g, given as a
+    tuple or a list, gives the functional of the rational values ys / den
+    (``from_values``), in lowest terms."""
+    want = DualFunctional.from_values(*(Fraction(y, den) for y in ys))
+    assert want.den > 0 and gcd(want.den, *want.ys) == 1 and type(want.ys) is tuple
     scaled = tuple(g * y for y in ys)
-    _same(DualFunctional._from_ints(g * den, scaled), DualFunctional(g * den, scaled))
-    _same(DualFunctional._from_ints(g * den, list(scaled)), DualFunctional(den, ys))
+    _same(DualFunctional(g * den, scaled), want)
+    _same(DualFunctional(g * den, list(scaled)), want)
 
 
 @pytest.mark.parametrize(
     "make, size",
-    [(lambda den, xs: SosCertificate(den, xs, Fraction(0), 4), 6), (DualFunctional, 5), (DualFunctional._from_ints, 5)],
+    [(lambda den, xs: SosCertificate(den, xs, Fraction(0), 4), 6), (DualFunctional, 5)],
 )
 @pytest.mark.parametrize("den, extra", [(0, 0), (-1, 0), (-6, 0), (2, -1), (2, 1)])
 def test_constructors_refuse_bad_integers(make, size, den, extra):
-    """The public constructors, and ``DualFunctional._from_ints``, refuse
-    den <= 0 and a wrong count with ValueError, and take the right ones."""
+    """The constructors refuse den <= 0 and a wrong count with ValueError,
+    and take the right ones."""
     with pytest.raises(ValueError):
         make(den, (2,) * (size + extra))
     assert make(2, (2,) * size).den == 1
