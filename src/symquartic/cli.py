@@ -62,7 +62,6 @@ from .specht import Tableau, brute_symmetrize, q_blocks, specht_polynomial
 from .symfunc import (
     DEGREE_BOUND,
     LIMIT,
-    NoLimitError,
     SymFormP,
     SymFuncM,
     evaluate,
@@ -447,10 +446,9 @@ def cmd_plotdata(args) -> int:
             alpha = Fraction(i, args.samples)
             rows.append((alpha, fmt_val(delta(alpha))))
     else:
-        cs = phi_alpha_coeffs(f)
         for i in range(args.samples + 1):
             alpha = Fraction(i, args.samples)
-            value = _min_value(tuple(c(alpha) for c in cs))
+            value = _min_value(restrict_alpha(f, alpha))
             rows.append((alpha, "-inf" if value is None else fmt_val(value)))
     for alpha, value in rows:
         print(f"{fmt_val(alpha)}\t{value}")
@@ -723,10 +721,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except FormFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NoLimitError) as exc:
+    except ValueError as exc:  # FormFileError and NoLimitError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,13 +17,6 @@ Fractions are made only for the returned point.  No alpha-polynomial is
 built and no root is isolated.  Finding no point would contradict the
 theorem, and raises.
 
-At finite n, the alpha-cells (below) are cut at the roots of the
-polynomials whose signs the binary-quartic tests read
-(``binary_quartic_critical_polys``): on each open cell
-``binary_quartic_nonneg`` and ``binary_quartic_strictly_positive`` keep
-their verdicts at every alpha.  For a generic form these are the
-alpha-discriminant and the leading coefficient of Phi^alpha(x, 1).
-
 Finite n: the limit decides first.  The gamma = 0 blocks of ``sos`` do
 not depend on n, so when they are feasible f is a sum of squares, hence
 nonnegative, at every n, and when they are strictly feasible f is strictly
@@ -36,30 +29,36 @@ interior) reach the grid.  By the half-degree principle a symmetric
 quartic is nonnegative (strictly positive) iff Phi^alpha is, for every
 weight alpha = k/n of the grid W_n.  At alpha = 0 and 1 the binary form
 is the coefficient sum times y^4 or x^4, so both decisions read those two
-weights off its sign, on the gamma = 0 entries of ``sos``, and the grid
-paths below take only 0 < k < n.  On the open alpha-cells both
-properties are constant, so from ``_CELL_MIN_N`` on the decisions test
-only the grid weights the cells pick: k = 1, the weights inside each
-isolating interval of a root, refined to width 1/n, and the first weight
-right of each interval.  The roots are isolated one critical polynomial
+weights off its sign, on the gamma = 0 entries of ``sos``.
+
+Of the interior weights, both grid paths test only k <= n/2.  Swapping
+the two weights and the two points gives the same measure, so
+Phi^((n-k)/n)(x, y) = Phi^(k/n)(y, x): the binary quartic at n - k is the
+one at k reversed, the failing k are symmetric about n/2, and the first
+failing k is <= n/2 when there is one.  Below ``_CELL_MIN_N`` the
+decisions walk every k in 1..n/2.  From ``_CELL_MIN_N`` on they test only
+the weights that the alpha-cells pick (``_tested_ks``): on each open cell
+both properties are constant, and the cells are cut at the roots in
+(0, 1/2) of the polynomials whose signs the binary-quartic tests read
+(``binary_quartic_critical_polys``; for a generic form, the
+alpha-discriminant and the leading coefficient of Phi^alpha(x, 1)).  The
+picked weights are k = 1, the weights inside each isolating interval of a
+root, refined to width 1/n, the first weight right of each interval, and
+k = n/2 (rounded down), which stands for a root at alpha = 1/2, outside
+the open interval; all are clipped to k <= n/2.  That is a bounded number
+of tests whatever n is.  The roots are isolated one critical polynomial
 at a time, so the intervals of two polynomials may overlap and a shared
 root is isolated twice; the weights at every root and the first weight
-of every cell are still among those picked (``_tested_ks``).  That is a
-bounded number of tests whatever n is.  Below ``_CELL_MIN_N`` they walk
-the interior weights k <= n/2 alone, because isolating the roots then
-costs more than the walk.  Swapping the two weights and the two points
-gives the same measure, Phi^(k/n)(x, y) = Phi^((n-k)/n)(y, x), so the
-binary quartic at n - k is the one at k reversed, and the failing k are
-symmetric about n/2: the first failing k is <= n/2 when there is one.
-The cell path keeps every weight it picks.  On both paths ``is_nonneg``
-returns the first failing grid weight.  A weight is tested in integers:
-``_phi_at`` reads Phi^(k/n) at the integers (k, n), unreduced, as n^4
-times the integer alpha-coefficients, and the binary-quartic tests read
-signs on those ints as they come; a ``Fraction`` weight is made only for
-the returned witness.
-From ``_CELL_MIN_N`` on, the alpha-coefficients and the tested weights are
-built once per form object (``_cell_grid``, ``symfunc.per_form``), so
-asking both questions about one form pays for one cell build.
+of every cell are still among those picked.  Below ``_CELL_MIN_N``
+isolating the roots costs more than the walk.  On both paths
+``is_nonneg`` returns the first failing grid weight.  A weight is tested
+in integers: ``symfunc._phi_ints`` reads Phi^(k/n) at the integers
+(k, n - k, n), unreduced, as n^4 den Phi^(k/n), and the binary-quartic
+tests read signs on those ints as they come; a ``Fraction`` weight is
+made only for the returned witness.  Only the cells build the
+alpha-polynomials, for their cuts, and the tested weights are kept once
+per form object (``_cell_grid``, ``symfunc.per_form``), so asking both
+questions about one form pays for one cell build.
 """
 
 from __future__ import annotations
@@ -82,12 +81,11 @@ from .algebra import (
 )
 from .dualcone import DualFunctional
 from .sos import _gamma_zero_class, _gamma_zero_entries, sos_boundary
-from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, per_form
+from .symfunc import LIMIT, SymFormP, _phi_alpha_ints, _phi_ints, per_form
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-_PAD = (0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -124,88 +122,70 @@ _NO_WITNESS = {status: BoundaryVerdict(status) for status in ("INTERIOR", "OUTSI
 
 
 #: Below this n the finite-n decisions walk the grid (``_grid``).  Only
-#: forms that the gamma = 0 step leaves open reach either path, so it was
-#: measured on those, at n = 12..128: 24 boundary-family members (seeded as
-#: in the benchmark's workloads) with p_4 lowered by 1/64..1/1024, outside
-#: the limit cone (2-6 of them OUT at each n); 12 lowered by 10^-7, outside
-#: yet all IN; and 12 unlowered ones, which only ``is_strictly_positive``
-#: takes to the grid.  Mean per call on fresh form objects, min of 5 runs
-#: in each of two rounds, 2-vCPU VM: the cell path costs a flat 0.11-0.14 ms
-#: (unlowered, strict), 0.13-0.18 ms (1/64..1/1024) and 0.25-0.29 ms
-#: (10^-7, one question or both); the walk and the cells cross near n = 96
-#: for is_strictly_positive on the unlowered forms, at n = 80-96 for the
-#: pair on the 10^-7 forms, and above n = 128 otherwise.  The value 56 is where a
-#: costlier cell build crossed; no benchmark workload runs n in 9..55, and
-#: a larger value would move ``large_n`` (n = 64..128), so it stays until
-#: a workload can decide it.  These figures predate the half walk.
+#: forms that the gamma = 0 step leaves open reach either path, so the
+#: walk/cell crossover was measured on those, with both paths on k <= n/2:
+#: the 14 distinct ``large_n`` benchmark vectors of seeds 1-40 that reach
+#: a grid (all of them through ``is_strictly_positive`` alone, as
+#: gamma = 0 decides ``is_nonneg``), and boundary-family members seeded as
+#: in the benchmark's workloads: 24 with p_4 lowered by 1/64..1/1024, 12
+#: lowered by 10^-7 and 12 unlowered.  Mean per form on fresh form
+#: objects, min of 7 runs, 2-vCPU VM, n = 64..512: the cells cost a flat
+#: 0.35-0.40 ms on the ``large_n`` vectors, 0.10-0.11 ms unlowered,
+#: 0.10-0.13 ms at 10^-7 and 0.13-0.19 ms at 1/64..1/1024, and the walk
+#: grows with n.  They cross near n = 200 on the ``large_n`` vectors and on
+#: the unlowered forms; at 10^-7 near n = 150 for both questions and
+#: n = 300 for one; at 1/64..1/1024 near n = 400 for both and above 512
+#: for one.  So 56 is below every crossover.  It stays, because a larger
+#: value moves ``large_n`` (n = 64..128) onto the walk, a change of its own.
 _CELL_MIN_N = 56
 
 
-def _phi_at(cs, k: int, n: int) -> tuple[int, ...]:
-    """n**4 times the binary quartic of the integer coefficients ``cs``
-    (``symfunc._phi_alpha_ints``) at the weight alpha = k/n, n > 0: a
-    positive integer multiple of Phi^alpha, by homogeneous integer Horner
-    on the five alpha-coefficients.  k/n need not be in lowest terms, as
-    a common factor only scales the result by a positive fourth power."""
-    nn = n * n
-    n3, n4 = nn * n, nn * nn
-    out = []
-    for u in cs:
-        z = u.coeffs
-        a0, a1, a2, a3, a4 = z if len(z) == 5 else (z + _PAD)[:5]
-        out.append((((a4 * k + a3 * n) * k + a2 * nn) * k + a1 * n3) * k + a0 * n4)
-    return tuple(out)
-
-
 def _tested_ks(cs, n: int) -> tuple[int, ...]:
-    """Ascending k in 1..n-1 whose weights (k/n, (n-k)/n) decide
+    """Ascending k in 1..n/2 whose weights (k/n, (n-k)/n) decide
     Phi^alpha >= 0 (and > 0) on the interior of the grid W_n, for the
     alpha-coefficients ``cs`` of f (``symfunc._phi_alpha_ints``), from
     ``_CELL_MIN_N`` on.
 
-    The alpha-cells are cut at the roots in (0, 1) of
+    The alpha-cells are cut at the roots in (0, 1/2) of
     ``binary_quartic_critical_polys``, so both binary-quartic tests keep
     their verdicts on each open cell.  Each polynomial's roots are
     isolated on its own squarefree part, and each interval is refined to
     width <= 1/n.  The tested k are k = 1, every k/n in each interval
-    (which holds the root itself when it is some k/n) and the smallest
-    k/n to the right of each interval, clipped to 1..n-1.  Intervals of
-    different polynomials may overlap, and a shared root is isolated
-    twice; neither matters, as the list still holds the first interior
-    grid weight of every cell and every grid weight at a root.  So the
-    first failing k is the first failing interior k of the whole grid.
+    (which holds the root itself when it is some k/n), the smallest k/n
+    to the right of each interval, and k = n // 2, which is 1/2 when that
+    is a root, as the open interval leaves it out; all clipped to
+    1..n//2.  Intervals of different polynomials may overlap, and a shared
+    root is isolated twice; neither matters, as the list still holds the
+    first grid weight up to n/2 of every cell and every grid weight at a
+    root.  So the first failing k is the first failing k <= n/2 of the
+    grid, which is its first failing interior k (module docstring).
     """
-    width = Fraction(1, n)
-    ks = {1}
+    width, half = Fraction(1, n), n // 2
+    ks = {1, half}
     for q in binary_quartic_critical_polys(cs):
         part = UniPoly(_zsqf(_zpoly(q.coeffs)))
-        for a, b in isolate_real_roots(part, _ZERO, _ONE):
+        for a, b in isolate_real_roots(part, _ZERO, _HALF):
             a, b = refine_root_interval(part, a, b, width)
-            ks.update(range(max(ceil(a * n), 1), min(floor(b * n) + 2, n)))
+            ks.update(range(max(ceil(a * n), 1), min(floor(b * n) + 2, half + 1)))
     return tuple(sorted(ks))
 
 
 @per_form
-def _cell_grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...]]:
-    """The alpha-coefficients of f and ``_tested_ks``, built once per form
-    object: ``is_nonneg`` and ``is_strictly_positive`` both read them."""
-    cs = _phi_alpha_ints(f)[1]
-    return cs, _tested_ks(cs, f.scope)
+def _cell_grid(f: SymFormP) -> tuple[int, ...]:
+    """``_tested_ks`` of f, kept once per form object: ``is_nonneg`` and
+    ``is_strictly_positive`` both read it.  The alpha-coefficients it cuts
+    the cells with are not kept."""
+    return _tested_ks(_phi_alpha_ints(f)[1], f.scope)
 
 
-def _grid(f: SymFormP) -> tuple[tuple[UniPoly, ...], tuple[int, ...] | range]:
-    """The alpha-coefficients of f (``symfunc._phi_alpha_ints``) and the
-    ascending k in 1..n-1 whose weights decide it on the interior of W_n:
-    from ``_CELL_MIN_N`` on those of ``_cell_grid``, below it every k up
-    to n/2, as the binary quartic at n - k is the one at k reversed
-    (module docstring), so a k > n/2 fails only after n - k has.
-    The walk keeps nothing on the form,
-    as recomputing its coefficients costs little beside the walk itself,
-    while holding them costs memory for as long as the form lives."""
+def _grid(f: SymFormP) -> tuple[int, ...] | range:
+    """The ascending k in 1..n/2 whose weights decide f on the interior of
+    W_n (module docstring): below ``_CELL_MIN_N`` every one of them, from
+    it on those of ``_cell_grid``.  The walk keeps nothing on the form and
+    builds no alpha-polynomial; each weight is read by
+    ``symfunc._phi_ints`` on the form's integers."""
     n = f.scope
-    if n < _CELL_MIN_N:
-        return _phi_alpha_ints(f)[1], range(1, n // 2 + 1)
-    return _cell_grid(f)
+    return range(1, n // 2 + 1) if n < _CELL_MIN_N else _cell_grid(f)
 
 
 @per_form
@@ -217,14 +197,14 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     not depend on n, and f = (p_1^2, p_2) A (p_1^2, p_2)^T plus the mean
     over i of the hook square of B is then a sum of squares at every n.
     Otherwise the half-degree principle decides it on the grid W_n, and
-    OUT carries the first failing grid weight.
+    OUT carries the first failing grid weight, which is at most n/2
+    (``_grid``).
 
     The first grid weight, k = 0, puts every coordinate at y, where Phi is
     the coefficient sum times y^4.  That sum is a22 + s + (a11 - u) at
     gamma = 0, so its sign is read on the integers of
-    ``sos._gamma_zero_entries`` before the alpha-coefficients and the grid
-    of the interior weights are built; k = n, where Phi is the sum times
-    x^4, never fails first.
+    ``sos._gamma_zero_entries`` before the grid of the interior weights is
+    built; k = n, where Phi is the sum times x^4, never fails first.
     """
     if f.scope is LIMIT:
         raise ValueError("use is_nonneg_limit for LIMIT-scope forms")
@@ -235,10 +215,9 @@ def is_nonneg(f: SymFormP) -> NonnegVerdict:
     if sum(_gamma_zero_entries(f)[1][2:]) < 0:
         # at k = 0, Phi is the coefficient sum times y^4: negative at (1, 1)
         return NonnegVerdict("OUT", ((_ZERO, _ONE), (_ONE, _ONE)))
-    n = f.scope
-    cs, ks = _grid(f)
-    for k in ks:
-        h = _phi_at(cs, k, n)
+    n, nums = f.scope, f.nums
+    for k in _grid(f):
+        h = _phi_ints(nums, k, n - k, n)
         if not binary_quartic_nonneg(h):
             alpha = Fraction(k, n)
             return NonnegVerdict("OUT", ((alpha, 1 - alpha), binary_quartic_negative_point(h)))
@@ -259,8 +238,9 @@ def is_strictly_positive(f: SymFormP) -> bool:
     sign read on the gamma = 0 entries (``sos._gamma_zero_entries``).
     Then True when the gamma = 0 blocks of ``sos`` are strictly feasible:
     A positive definite gives f >= lambda_min(A) p_2^2 > 0 at every n, as
-    the hook square of B is >= 0.  Otherwise the interior weights of the
-    grid W_n decide it, by strict positivity of the binary quartic; at the
+    the hook square of B is >= 0.  Otherwise the interior weights k <= n/2
+    of the grid W_n decide it (``_grid``), by strict positivity of the
+    binary quartic, as the one at n - k is the one at k reversed; at the
     two end weights the binary form is the coefficient sum times y^4 or
     x^4, which the first test has read.
     """
@@ -272,9 +252,8 @@ def is_strictly_positive(f: SymFormP) -> bool:
         return False
     if _gamma_zero_class(f) == 2:
         return True
-    n = f.scope
-    cs, ks = _grid(f)
-    return all(binary_quartic_strictly_positive(_phi_at(cs, k, n)) for k in ks)
+    n, nums = f.scope, f.nums
+    return all(binary_quartic_strictly_positive(_phi_ints(nums, k, n - k, n)) for k in _grid(f))
 
 
 # ---------------------------------------------------------------------------

@@ -458,48 +458,54 @@ def evaluate(f: SymFormP, point) -> Fraction:
     return total
 
 
+def _phi_ints(nums, a, b, N) -> tuple:
+    """N^4 den Phi_f at the weights (a/N, b/N), with N = a + b != 0: five
+    coefficients, entry i that of x^{4-i} y^i, from the numerators
+    nums = (c4, c31, c22, c211, c1111) of a quartic f over den
+    (``SymFormP.nums``).
+
+    With p_i = (a x^i + b y^i) / N, the products over the parts of the five
+    partitions sum, times N^4, to
+
+        x^4:     (((c1111 a + c211 N) a + (c31 + c22) N^2) a + c4 N^3) a
+        x^3 y:   a b (c31 N^2 + 2 c211 N a + 4 c1111 a^2)
+        x^2 y^2: a b ((2 c22 + c211) N^2 + 6 c1111 a b)
+        x y^3:   a b (c31 N^2 + 2 c211 N b + 4 c1111 b^2)
+        y^4:     (((c1111 b + c211 N) b + (c31 + c22) N^2) b + c4 N^3) b
+
+    (a + b = N folds the a b (a + b) x^2 y^2 of p_(2,1^2)).  So swapping a
+    and b reverses the result: Phi^(b/N)(x, y) = Phi^(a/N)(y, x).  As in
+    ``algebra._quartic_invariants``, the same expressions serve ints and
+    integer ``UniPoly``: a grid weight k/n is (k, n - k, n), unreduced, as a
+    common factor g of k and n only scales the result by g^4; the
+    alpha-polynomials are (alpha, 1 - alpha, 1) (``_phi_alpha_ints``)."""
+    c4, c31, c22, c211, c1111 = nums
+    ab, nn, v = a * b, N * N, c211 * N
+    s, t, u, n3 = (c31 + c22) * nn, c31 * nn, 2 * v, c4 * nn * N
+    return (
+        (((c1111 * a + v) * a + s) * a + n3) * a,
+        ab * (t + (u + 4 * c1111 * a) * a),
+        ab * ((2 * c22 + c211) * nn + 6 * c1111 * ab),
+        ab * (t + (u + 4 * c1111 * b) * b),
+        (((c1111 * b + v) * b + s) * b + n3) * b,
+    )
+
+
 def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
     """(den, cs): den Phi_f(alpha, 1-alpha, x, y) as five integer
     ``UniPoly`` in alpha, cs[i] the coefficient of x^{4-i} y^i, with
-    den > 0 the lcm of the denominators of f (``SymFormP.den``).
+    den > 0 the lcm of the denominators of f (``SymFormP.den``):
+    ``_phi_ints`` at the weights (alpha, 1 - alpha) over N = 1.
 
-    Written in closed form on the numerators (c4, c31, c22, c211, c1111)
-    of f over den (``SymFormP.nums``).  With beta = 1 - alpha, p_a gives alpha x^a + beta y^a,
-    and the products over the parts of the five partitions sum to
-
-        x^4:     c4 alpha + (c31 + c22) alpha^2 + c211 alpha^3 + c1111 alpha^4
-        x^3 y:   alpha beta (c31 + 2 c211 alpha + 4 c1111 alpha^2)
-        x^2 y^2: alpha beta (2 c22 + c211 + 6 c1111 alpha beta)
-        x y^3:   alpha beta (c31 + 2 c211 beta + 4 c1111 beta^2)
-        y^4:     c4 beta + (c31 + c22) beta^2 + c211 beta^3 + c1111 beta^4
-
-    (alpha + beta = 1 folds the alpha beta (alpha + beta) x^2 y^2 of
-    p_(2,1^2)), expanded below in powers of alpha.  den is also the lcm of
-    the denominators of ``phi_alpha_coeffs``: the alpha-coefficients of x^4
-    are c4, c31 + c22, c211 and c1111, and the alpha coefficient of x^3 y
-    is c31, so every c_lambda is an integer combination of the
-    coefficients of Phi^alpha.  A positive scale leaves the signs, the
-    zeros and the negative points of Phi^alpha alone, which is all the
-    decisions read."""
+    den is also the lcm of the denominators of ``phi_alpha_coeffs``: the
+    alpha-coefficients of x^4 are c4, c31 + c22, c211 and c1111, and the
+    alpha coefficient of x^3 y is c31, so every numerator c_lambda is an
+    integer combination of the coefficients of den Phi^alpha.  A positive
+    scale leaves the signs, the zeros and the negative points of Phi^alpha
+    alone, which is all the decisions read."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
-    c4, c31, c22, c211, c1111 = f.nums
-    s, m = c31 + c22, 2 * c22 + c211
-    # the bracket of x y^3 in powers of alpha: e0 + e1 alpha + e2 alpha^2
-    e0, e1, e2 = c31 + 2 * c211 + 4 * c1111, -2 * c211 - 8 * c1111, 4 * c1111
-    return f.den, (
-        UniPoly((0, c4, s, c211, c1111)),
-        UniPoly((0, c31, 2 * c211 - c31, 4 * c1111 - 2 * c211, -4 * c1111)),
-        UniPoly((0, m, 6 * c1111 - m, -12 * c1111, 6 * c1111)),
-        UniPoly((0, e0, e1 - e0, e2 - e1, -e2)),
-        UniPoly((
-            c4 + s + c211 + c1111,
-            -c4 - 2 * s - 3 * c211 - 4 * c1111,
-            s + 3 * c211 + 6 * c1111,
-            -c211 - 4 * c1111,
-            c1111,
-        )),
-    )
+    return f.den, _phi_ints(f.nums, UniPoly((0, 1)), UniPoly((1, -1)), UniPoly((1,)))
 
 
 def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
@@ -508,7 +514,8 @@ def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
 
     Returns a 5-tuple in descending x-order: entry i is the UniPoly (in
     alpha) coefficient of x^{4-i} y^i: the integer polynomials of
-    ``_phi_alpha_ints`` divided by their scale den.
+    ``_phi_alpha_ints`` divided by their scale den.  The decisions do not
+    read it: the finite-n grid reads ``_phi_ints`` at its integer weights.
     """
     den, cs = _phi_alpha_ints(f)
     return tuple(UniPoly([Fraction(c, den) for c in u.coeffs]) for u in cs)
@@ -516,8 +523,15 @@ def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:
 
 def restrict_alpha(f: SymFormP, alpha) -> tuple[Fraction, ...]:
     """The binary quartic Phi_f^alpha(x, y), five coefficients in descending
-    x-order, for a rational alpha in [0, 1]."""
+    x-order, for a rational alpha = p/q in [0, 1] in lowest terms: the
+    integers of ``_phi_ints`` at (p, q - p, q), over q^4 den.  They equal
+    the alpha-polynomials of ``phi_alpha_coeffs`` at alpha, and no
+    polynomial is built."""
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    return tuple(u(alpha) for u in phi_alpha_coeffs(f))
+    if f.degree != 4:
+        raise ValueError("Phi^alpha is defined for quartics")
+    p, q = alpha.numerator, alpha.denominator
+    scale = f.den * q**4
+    return tuple([Fraction(c, scale) for c in _phi_ints(f.nums, p, q - p, q)])

@@ -20,7 +20,7 @@ import symquartic.sos as sos
 from symquartic.dualcone import DualFunctional, _gamma_gen_ints, _psd_ints, dual_membership
 from symquartic.identities import BoundaryParams, boundary_family_form
 from symquartic.sos import _NO_GEN, SosCertificate, _expansion, expand_certificate
-from symquartic.symfunc import LIMIT, SymFormP, _phi_alpha_ints
+from symquartic.symfunc import LIMIT, SymFormP, _phi_ints
 
 from conftest import big_fractions
 
@@ -313,11 +313,10 @@ def test_half_walk_is_the_full_walk():
     walked = failed_late = 0
     for n in range(4, 56):
         for f in _walk_forms(rng, n):
-            cs = _phi_alpha_ints(f)[1]
             for k in range(1, n):
-                assert positivity._phi_at(cs, n - k, n) == positivity._phi_at(cs, k, n)[::-1]
+                assert _phi_ints(f.nums, n - k, k, n) == _phi_ints(f.nums, k, n - k, n)[::-1]
             half = positivity.is_nonneg(SymFormP(4, f.coeffs, n)), positivity.is_strictly_positive(SymFormP(4, f.coeffs, n))
-            with mock.patch.object(positivity, "_grid", lambda g: (_phi_alpha_ints(g)[1], range(1, g.scope))):
+            with mock.patch.object(positivity, "_grid", lambda g: range(1, g.scope)):
                 full = positivity.is_nonneg(SymFormP(4, f.coeffs, n)), positivity.is_strictly_positive(SymFormP(4, f.coeffs, n))
             assert half == full
             if not sos._gamma_zero_class(f) and sum(sos._gamma_zero_entries(f)[1][2:]) >= 0:

@@ -31,9 +31,9 @@ from symquartic.algebra import (
     yun_decomposition,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
+from symquartic.identities import second_case_form
 from symquartic.positivity import (
     _negative_variance,
-    _phi_at,
     _tested_ks,
     boundary_status_limit,
     is_nonneg,
@@ -53,6 +53,7 @@ from symquartic.symfunc import (
     LIMIT,
     SymFormP,
     _phi_alpha_ints,
+    _phi_ints,
     evaluate,
     form_from_dict,
     phi_alpha_coeffs,
@@ -271,7 +272,8 @@ class TestFiniteNOracle:
                         _gamma_zero_off(monkeypatch)
                         monkeypatch.setattr(positivity, "_CELL_MIN_N", cells_from_n)
                     f = SymFormP(4, f.coeffs, n)
-                    assert set(_tested_ks(_phi_alpha_ints(f)[1], n)) <= set(range(1, n))
+                    ks = _tested_ks(_phi_alpha_ints(f)[1], n)
+                    assert set(ks) <= set(range(1, n // 2 + 1)) and n // 2 in ks
                     verdict = is_nonneg(f)
                     assert verdict.status == ("IN" if first_bad is None else "OUT"), (coeffs, n)
                     if first_bad is not None:
@@ -318,6 +320,26 @@ class TestFiniteNOracle:
             assert verdict.status == "OUT" and 0 < tests <= 10
 
 
+#: Two members of the second boundary family, whose Phi^(1/2) has a double
+#: zero at (1, -1) (``identities.verify_second_case_double_root``): the
+#: grid holds the weight 1/2 only at even n.
+HALF_TOUCH = (second_case_form(1, (1, 0, 1)).coeffs, second_case_form(2, (2, 1, 2)).coeffs)
+
+
+class TestHalfWeight:
+    """Both grid paths test k = n // 2: a form that fails strict positivity
+    at alpha = 1/2 alone, a root that the cells' open interval (0, 1/2)
+    leaves out, is not strictly positive at even n and is at odd n, on the
+    walk (n = 8, 9) and on the cells (n >= 56)."""
+
+    @pytest.mark.parametrize("n", [8, 9, 56, 57, 100, 101, 10**6, 10**6 + 1, 10**40, 10**40 + 1])
+    @pytest.mark.parametrize("coeffs", HALF_TOUCH)
+    def test_double_zero_at_one_half(self, coeffs, n):
+        f = SymFormP(4, coeffs, n)
+        assert is_nonneg(f).status == "IN"
+        assert is_strictly_positive(f) == (n % 2 == 1)
+
+
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -336,7 +358,7 @@ class TestCoefficientSumStep:
     def test_witness_is_the_walks_at_weight_zero(self, coeffs, n):
         f = SymFormP(4, coeffs, n)
         verdict = is_nonneg(f)
-        h0 = _phi_at(_phi_alpha_ints(f)[1], 0, 1)
+        h0 = _phi_ints(f.nums, 0, 1, 1)
         if sum(f.coeffs) < 0:
             assert not binary_quartic_nonneg(h0)
             assert verdict.witness == ((0, 1), binary_quartic_negative_point(h0))
@@ -351,9 +373,12 @@ class TestCoefficientSumStep:
         monkeypatch.setattr(positivity, "_phi_alpha_ints", unexpected)
         for n in (4, positivity._CELL_MIN_N - 1):
             assert is_nonneg(SymFormP(4, (1, -2, 0, 0, Fraction(1, 2)), n)).status == "OUT"
-        # a form with a nonnegative sum that is OUT needs them
+            # the walk reads every weight on the form's integers, so an OUT
+            # form with a nonnegative sum needs no alpha-coefficients either
+            assert is_nonneg(SymFormP(4, (1, -2, 0, 0, 1), n)).status == "OUT"
+        # the cells cut at the roots of polynomials in alpha, and build them
         with pytest.raises(AssertionError, match="alpha-coefficients built"):
-            is_nonneg(SymFormP(4, (1, -2, 0, 0, 1), 4))
+            is_nonneg(SymFormP(4, (1, -2, 0, 0, 1), positivity._CELL_MIN_N))
 
 
 #: The p-coefficients of the Choi-Lam form.
@@ -448,7 +473,7 @@ def walk_forms(seed=29, count=6):
 
 class TestIntegerWalk:
     """Below ``_CELL_MIN_N`` the walk reads Phi^(k/n) as integers at the
-    unreduced weight (``_phi_at``) and its signs on the ints as they come;
+    unreduced weight (``symfunc._phi_ints``) and its signs on the ints as they come;
     the first failing k and its witness are those of the Fraction walk."""
 
     def test_first_failing_weight_and_witness_match_the_fraction_walk(self):
@@ -468,14 +493,13 @@ class TestIntegerWalk:
         """At k/n with g = gcd(k, n), h is g^4 times the quartic at the
         reduced weight, and n^4 den times Phi^(k/n) exactly."""
         f = SymFormP(4, CHOI_LAM, n)
-        den, cs = _phi_alpha_ints(f)
         for k in range(n + 1):
-            h = _phi_at(cs, k, n)
+            h = _phi_ints(f.nums, k, n - k, n)
             alpha = Fraction(k, n)
-            g = n // alpha.denominator
+            p, q = alpha.numerator, alpha.denominator
             assert all(type(c) is int for c in h)
-            assert h == tuple(g**4 * c for c in _phi_at(cs, alpha.numerator, alpha.denominator))
-            assert h == tuple(n**4 * den * c for c in former_phi(f, alpha))
+            assert h == tuple((n // q) ** 4 * c for c in _phi_ints(f.nums, p, q - p, q))
+            assert h == tuple(n**4 * f.den * c for c in former_phi(f, alpha))
 
 
 class TestStrictPositivity:
@@ -949,12 +973,13 @@ class TestProjection:
         root, and one of odd multiplicity, which is all that the two
         binary-quartic tests read, follows from the signs of the
         invariants (``real_roots_from_signs``)."""
-        cs = _phi_alpha_ints(SymFormP(4, tuple(F(c) for c in coeffs), LIMIT))[1]
+        nums = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT).nums
         rng = random.Random(str(coeffs))
         tested = 0
         for _ in range(40):
             alpha = F(rng.randint(-30, 30), rng.randint(1, 12))
-            h = _phi_at(cs, alpha.numerator, alpha.denominator)
+            p, q = alpha.numerator, alpha.denominator
+            h = _phi_ints(nums, p, q - p, q)
             if any(h):
                 assert real_roots_from_signs(h) == real_roots_exact(h), h
                 tested += 1
@@ -987,7 +1012,8 @@ class TestProjection:
         grid, are shared or lie within 1/n of an end (``EDGE_ROOTS``):
         over ``_tested_ks`` the first failing k and strict positivity are
         those of the walk over the n - 1 interior weights (the coefficient
-        sum decides the two end weights), and every tested k is in 1..n-1.
+        sum decides the two end weights), every tested k is in 1..n//2, and
+        n//2 is tested.
 
         The diagonal forms are drawn with s (p_4 - p_(2,2)) and
         c (p_(2,1^2) - p_(1^4)) positive and d (p_(2,2) - p_(2,1^2))
@@ -1015,7 +1041,8 @@ class TestProjection:
         forms += EDGE_ROOTS.values()
         kinds, outcomes, inside, first = set(), set(), 0, {}
         for coeffs in forms:
-            cs = _phi_alpha_ints(SymFormP(4, tuple(coeffs), LIMIT))[1]
+            f = SymFormP(4, tuple(coeffs), LIMIT)
+            cs = _phi_alpha_ints(f)[1]
             if not any(cs):
                 continue
             kinds.add("lc" if cs[0].is_zero() else "disc" if disc_binary_quartic(cs).is_zero() else "generic")
@@ -1023,7 +1050,7 @@ class TestProjection:
                 # m (p_(3,1) - p_(2,2)): no cut inside (0, 1)
                 assert binary_quartic_critical_polys(cs) == []
             for n in (56, 57, 64, 97, 128, 200):
-                hs = [_phi_at(cs, a.numerator, a.denominator) for a in (F(k, n) for k in range(n + 1))]
+                hs = [_phi_ints(f.nums, k, n - k, n) for k in range(n + 1)]
                 ks = _tested_ks(cs, n)
 
                 def first_failing(over):
@@ -1032,7 +1059,7 @@ class TestProjection:
                 def strict(over):
                     return all(binary_quartic_strictly_positive(hs[k]) for k in over)
 
-                assert all(0 < k < n for k in ks)
+                assert all(0 < k <= n // 2 for k in ks) and n // 2 in ks
                 want = first_failing(range(1, n))
                 assert first_failing(ks) == want, (coeffs, n)
                 assert strict(ks) == strict(range(1, n)), (coeffs, n)

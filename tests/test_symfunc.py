@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import symquartic.positivity as positivity
@@ -23,6 +23,8 @@ from symquartic.symfunc import (
     LIMIT,
     SymFormP,
     SymFuncM,
+    _phi_alpha_ints,
+    _phi_ints,
     evaluate,
     form_from_dict,
     m_to_p,
@@ -319,6 +321,40 @@ class TestSubstitutionIdentity:
             (1 - alpha) ** 2,
         )
         assert values == expected
+
+
+@seed(3901)
+@given(
+    st.one_of(
+        st.tuples(*[st.fractions(-6, 6, max_denominator=6)] * 5),
+        st.tuples(*[big_fractions] * 5),
+    ),
+    st.integers(1, 10**6),
+    st.integers(0, 10**6),
+    st.fractions(0, 1, max_denominator=10**30),
+)
+@example((8, Fraction(-160, 3), -8, 128, Fraction(-128, 3)), 64, 32, Fraction(1, 3))
+@example((0, 1, -1, 0, 0), 9, 4, Fraction(1, 3))
+@settings(max_examples=120, deadline=None)
+def test_one_phi_at_every_weight(coeffs, n, k, beta):
+    """``_phi_ints`` at the integers (k, n - k, n) is n^4 times the
+    alpha-polynomials of ``_phi_alpha_ints`` at k/n, and g^4 times itself
+    at the reduced weight, g = gcd(k, n); it reverses under k <-> n - k;
+    and ``restrict_alpha`` is the Fraction route through
+    ``phi_alpha_coeffs``, at alpha in {0, 1}, at k/n and at a random alpha.
+    The coefficients are small, or have about 4000 bits."""
+    f = SymFormP(4, coeffs, LIMIT)
+    cs = _phi_alpha_ints(f)[1]
+    k %= n + 1
+    alpha = Fraction(k, n)
+    p, q = alpha.numerator, alpha.denominator
+    h = _phi_ints(f.nums, k, n - k, n)
+    assert all(type(c) is int for c in h)
+    assert h == tuple(n**4 * u(alpha) for u in cs)
+    assert h == tuple((n // q) ** 4 * c for c in _phi_ints(f.nums, p, q - p, q))
+    assert _phi_ints(f.nums, n - k, k, n) == h[::-1]
+    for a in (Fraction(0), Fraction(1), alpha, beta):
+        assert restrict_alpha(f, a) == tuple(u(a) for u in phi_alpha_coeffs(f))
 
 
 def brick_permutation_count(mu, nu):
