@@ -138,7 +138,7 @@ class UniPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = UniPoly([_ONE]) if self.coeffs or k == 0 else UniPoly()
+        result = UniPoly((1,)) if self.coeffs or k == 0 else UniPoly()
         base = self
         while k:
             if k & 1:
@@ -151,7 +151,7 @@ class UniPoly:
         if isinstance(other, UniPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return UniPoly([Fraction(other)])
+            return UniPoly((other,))
         return NotImplemented
 
     def scale(self, s) -> "UniPoly":

@@ -505,7 +505,7 @@ def _phi_alpha_ints(f: SymFormP) -> tuple[int, tuple[UniPoly, ...]]:
     alone, which is all the decisions read."""
     if f.degree != 4:
         raise ValueError("Phi^alpha is defined for quartics")
-    return f.den, _phi_ints(f.nums, UniPoly((0, 1)), UniPoly((1, -1)), UniPoly((1,)))
+    return f.den, _phi_ints(f.nums, UniPoly((0, 1)), UniPoly((1, -1)), 1)
 
 
 def phi_alpha_coeffs(f: SymFormP) -> tuple[UniPoly, ...]:

@@ -84,6 +84,18 @@ class TestUniPolyBasics:
         assert p(Fraction(1, 2)) == 0
         assert p(Fraction(0)) == 1
 
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(-9, 9), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_int_arithmetic_stays_int(self, ints, c, k):
+        """``+``, ``-`` and ``**`` with ints keep an integer polynomial
+        all-int, and equal, with the same hash, to the Fraction one."""
+        p, pf = UniPoly(ints), UniPoly([Fraction(x) for x in ints])
+        for got, want in ((p + c, pf + Fraction(c)), (c + p, Fraction(c) + pf), (p - c, pf - Fraction(c)),
+                          (c - p, Fraction(c) - pf), (p**k, pf**k)):
+            assert all(type(x) is int for x in got.coeffs), got
+            assert got == want and hash(got) == hash(want)
+        assert (UniPoly((0, 1)) + 1).coeffs == (1, 1)
+
     @given(unipolys(), unipolys())
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides_both(self, p, q):

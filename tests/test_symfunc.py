@@ -342,9 +342,11 @@ def test_one_phi_at_every_weight(coeffs, n, k, beta):
     at the reduced weight, g = gcd(k, n); it reverses under k <-> n - k;
     and ``restrict_alpha`` is the Fraction route through
     ``phi_alpha_coeffs``, at alpha in {0, 1}, at k/n and at a random alpha.
-    The coefficients are small, or have about 4000 bits."""
+    The coefficients are small, or have about 4000 bits, and the
+    alpha-polynomials stay all-int."""
     f = SymFormP(4, coeffs, LIMIT)
     cs = _phi_alpha_ints(f)[1]
+    assert all(type(c) is int for u in cs for c in u.coeffs)
     k %= n + 1
     alpha = Fraction(k, n)
     p, q = alpha.numerator, alpha.denominator
