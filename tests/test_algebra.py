@@ -20,7 +20,6 @@ from symquartic.algebra import (
     _zrem,
     _zroot_bound,
     _zsqf,
-    _zyun,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
@@ -36,6 +35,8 @@ from symquartic.algebra import (
     squarefree_part_field,
     yun_decomposition,
 )
+
+from test_oracles import quartic_nonneg, quartic_positive
 
 _x = sympy.Symbol("x")
 
@@ -355,13 +356,14 @@ class TestDescartesIsolation:
     """``isolate_real_roots`` against sympy on clustered roots and roots at
     the ends and midpoints of the bisection: as many intervals as roots in
     the open interval, sorted, each holding one root, and non-point
-    intervals with ends that are not roots."""
+    intervals with ends that are not roots.  The squarefree part and the
+    root counts come from sympy (``sqf_part``, ``count_roots``)."""
 
     @staticmethod
     def check(case):
         p, lo, hi = case
-        p = squarefree_part_field(p)
-        sp = to_sympy(p)
+        sp = to_sympy(p).sqf_part()
+        p = UniPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
         want = int(sp.count_roots(lo, hi)) - sum(1 for r in (lo, hi) if p(r) == 0)
         intervals = isolate_real_roots(p, lo, hi)
         assert len(intervals) == want
@@ -374,7 +376,7 @@ class TestDescartesIsolation:
                 assert lo < a < hi and p(a) == 0
             else:
                 assert p(a) != 0 and p(b) != 0
-                assert count_roots_open(p, a, b) == 1
+                assert sp.count_roots(a, b) == 1
 
     @given(mignotte())
     @settings(max_examples=40, deadline=None)
@@ -509,25 +511,6 @@ class TestMatrices:
         assert not psd2(SymMat2(Fraction(0), Fraction(1), Fraction(2)))
 
 
-def yun_sturm_nonneg(h) -> bool:
-    """Reference: nonnegativity of the binary quartic h from Yun's
-    decomposition of h(x, 1) and a real-root count of each odd-multiplicity
-    factor, the decision the closed-form test replaced."""
-    z = _zpoly(h[::-1])
-    if not z:
-        return True
-    if len(z) % 2 == 0 or z[-1] < 0:
-        return False
-    return len(z) == 1 or not any(
-        mult % 2 == 1 and count_real_roots(UniPoly(fac)) > 0 for fac, mult in _zyun(z)
-    )
-
-
-def sturm_strictly_positive(h) -> bool:
-    """Reference: h(1, 0) > 0 and no real root of h(x, 1)."""
-    return h[0] > 0 and count_real_roots(UniPoly(h[::-1])) == 0
-
-
 @st.composite
 def midpoint_root_quartics(draw):
     """c x (x - r)(x - s)(x - m), 0 < r < s, r + s < 1 and m = 1 + r + s, or
@@ -542,28 +525,6 @@ def midpoint_root_quartics(draw):
     p = linear(0) * linear(side * r) * linear(side * s) * linear(side * (1 + r + s))
     c = draw(st.sampled_from((Fraction(1), Fraction(3, 7), Fraction(-2))))
     return tuple(reversed(p.scale(c).coeffs))
-
-
-def sorted_rule_negative_point(h):
-    """``binary_quartic_negative_point`` as it was before the search
-    stopped at the first negative end: all the isolating intervals, sorted,
-    then every end and then every midpoint of neighbouring ends."""
-    if binary_quartic_nonneg(h):
-        return None
-    if h[0] < 0:
-        return (Fraction(1), Fraction(0))
-    z = _zpoly(h[::-1])
-    bound = _zroot_bound(z)
-    p = UniPoly(z)
-    for x in (bound, -bound):
-        if p(x) < 0:
-            return (x, Fraction(1))
-    intervals = sorted(isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound))
-    ends = [x for ab in intervals for x in ab]
-    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
-        if p(x) < 0:
-            return (x, Fraction(1))
-    raise AssertionError("no witness")
 
 
 class TestBinaryQuartics:
@@ -602,16 +563,18 @@ class TestBinaryQuartics:
             )
             assert value < 0
 
-    def test_closed_form_matches_yun_sturm_on_box(self):
+    def test_closed_form_matches_sympy_on_box(self):
+        """Against the binary-quartic oracle of ``test_oracles`` (sympy's
+        ``sqf_list`` and ``count_roots``)."""
         mismatches = [
             h for h in itertools.product(range(-3, 4), repeat=5)
-            if binary_quartic_nonneg(h) != yun_sturm_nonneg(h)
-            or binary_quartic_strictly_positive(h) != sturm_strictly_positive(h)
+            if binary_quartic_nonneg(h) != quartic_nonneg(h)
+            or binary_quartic_strictly_positive(h) != quartic_positive(h)
         ]
         assert mismatches == []
 
     @pytest.mark.parametrize("family", ["l2q", "q2", "l3m", "l4", "four_real"])
-    def test_closed_form_matches_yun_sturm_on_multiple_roots(self, family):
+    def test_closed_form_matches_sympy_on_multiple_roots(self, family):
         rng = random.Random(family)
 
         def r():
@@ -634,9 +597,9 @@ class TestBinaryQuartics:
                 * linear(rng.choice(pool)) * linear(rng.choice(pool)),
             }[family].scale(r() or 1)
             h = tuple(reversed(p.coeffs))
-            seen.add(yun_sturm_nonneg(h))
-            assert binary_quartic_nonneg(h) == yun_sturm_nonneg(h), h
-            assert binary_quartic_strictly_positive(h) == sturm_strictly_positive(h), h
+            seen.add(quartic_nonneg(h))
+            assert binary_quartic_nonneg(h) == quartic_nonneg(h), h
+            assert binary_quartic_strictly_positive(h) == quartic_positive(h), h
         assert seen == {True, False}
 
     def test_negative_point_next_to_a_close_root(self):
@@ -665,9 +628,8 @@ class TestBinaryQuartics:
         """The point search reads z and Rees' signs once: a quartic with
         Delta != 0 is squarefree and is isolated with no ``_zgcd`` call and
         no ``_zsqf``, while Delta = 0 (a double or a triple root) still
-        takes the squarefree part.  Either way the witness is the one of
-        the former rule (``sorted_rule_negative_point``), for int and
-        Fraction coefficients alike."""
+        takes the squarefree part.  Either way the witness is negative, for
+        int and Fraction coefficients alike."""
         p = UniPoly(extra)
         for r in roots:
             p = p * linear(r)
@@ -685,7 +647,7 @@ class TestBinaryQuartics:
         point = binary_quartic_negative_point(h)
         assert ("_zsqf" in calls) == ("_zgcd" in calls) == delta_zero
         monkeypatch.undo()
-        assert point is not None and point == sorted_rule_negative_point(h)
+        assert point is not None
         x, y = point
         assert sum(c * x ** (4 - i) * y**i for i, c in enumerate(h)) < 0
 
@@ -699,12 +661,15 @@ class TestBinaryQuartics:
 
     @given(st.one_of(st.tuples(rationals, rationals, rationals, rationals, rationals), midpoint_root_quartics()))
     @settings(max_examples=200, deadline=None)
-    def test_negative_point_matches_the_sorted_rule(self, h):
-        """The point search that stops at the first negative end returns
-        the witness of the rule it replaced (``sorted_rule_negative_point``),
-        and the intervals it walks come out ascending with no sort."""
+    def test_negative_point_exactly_when_not_nonneg(self, h):
+        """The point search returns a point exactly when the oracle says h
+        is not nonnegative, h is negative there, and the intervals it walks
+        come out ascending with no sort."""
         h = tuple(Fraction(c) for c in h)
-        assert binary_quartic_negative_point(h) == sorted_rule_negative_point(h)
+        point = binary_quartic_negative_point(h)
+        assert (point is None) == quartic_nonneg(h)
+        if point is not None:
+            assert sum(c * point[0] ** (4 - i) * point[1] ** i for i, c in enumerate(h)) < 0
         z = _zpoly(h[::-1])
         if len(z) > 1:
             bound = _zroot_bound(z)
@@ -790,10 +755,10 @@ class TestSimplestRational:
         assert q > 0 and gcd(p, q) == 1
         assert x == (Fraction(p, q) if lo > 0 else -Fraction(p, q))
 
-    def test_integer_walk_matches_the_fraction_loop(self):
+    def test_integer_walk_on_large_ends(self):
         """Seeded intervals of small and of 4096- to 16384-bit ends, with
-        positive, negative and zero-straddling ones, against
-        ``fraction_loop_simplest``."""
+        positive, negative and zero-straddling ones: the answer is the
+        simplest rational there (``is_simplest_between``)."""
         rng = random.Random(27)
 
         def rational(bits):
@@ -814,31 +779,7 @@ class TestSimplestRational:
         cases += [(Fraction(-1, 1 << 4096), Fraction(1, 3)), (Fraction(-5, 7), Fraction(0))]
         assert any(a < 0 < b for a, b in cases) and any(b < 0 for a, b in cases)
         for a, b in cases:
-            assert simplest_rational_between(a, b) == fraction_loop_simplest(a, b), (a, b)
-
-
-def fraction_loop_simplest(lo, hi):
-    """``simplest_rational_between`` as it was before the integer walk: one
-    continued-fraction step of ``Fraction`` arithmetic per term."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -fraction_loop_simplest(-hi, -lo)
-    terms = []
-    a, b = lo, hi
-    while True:
-        ia = a.numerator // a.denominator
-        if a == ia or ia + 1 <= b:
-            break
-        terms.append(ia)
-        a, b = 1 / (b - ia), 1 / (a - ia)
-    p, q = (ia if a == ia else ia + 1), 1
-    for t in reversed(terms):
-        p, q = t * p + q, p
-    return Fraction(p, q)
+            assert is_simplest_between(simplest_rational_between(a, b), a, b), (a, b)
 
 
 def recursive_simplest(lo, hi):
@@ -873,3 +814,15 @@ def is_simplest(x, lo, hi):
     a, d = (p * b - 1) // q, q - b
     c = p - a
     return q > 1 and lo <= x <= hi and Fraction(a, b) < lo and Fraction(c, d) > hi
+
+
+def is_simplest_between(x, lo, hi):
+    """x is the simplest rational of [lo, hi]: lo when lo = hi, 0 when the
+    interval holds 0, else the integer nearest 0 when it holds one, else
+    the rational of least denominator there (``is_simplest``)."""
+    if lo == hi or lo <= 0 <= hi:
+        return x == (lo if lo == hi else 0)
+    if hi < 0:
+        lo, hi, x = -hi, -lo, -x
+    k = -((-lo.numerator) // lo.denominator)  # ceil(lo)
+    return x == k if k <= hi else is_simplest(x, lo, hi)

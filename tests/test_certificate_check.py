@@ -23,15 +23,16 @@ from symquartic.sos import _NO_GEN, SosCertificate, _expansion, expand_certifica
 from symquartic.symfunc import LIMIT, SymFormP, _phi_ints
 
 from conftest import big_fractions
+from test_oracles import expand
 
 _EXAMPLE_6_10 = (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400))
 _IDENTITY_BLOCKS = (1, 0, 1, 1, 0, 1)  # A = B = I over 1
 
 
 def _form_of(entries, gamma, scope) -> SymFormP:
-    """The form that the block map sends the entries over 1 to, at gamma."""
-    gen_ints = _NO_GEN if gamma == 0 else _gamma_gen_ints(scope)
-    return SymFormP._from_ints(4, *_expansion(1, entries, Fraction(gamma), gen_ints), scope)
+    """The form that the block map sends the entries over 1 to, at gamma
+    (``test_oracles.expand``)."""
+    return SymFormP(4, expand(entries, gamma, scope), scope)
 
 
 def _checked_on(f, entries, gamma, gen_ints):

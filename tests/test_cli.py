@@ -176,11 +176,14 @@ class TestCheckCommand:
     def test_close_gamma_roots_bounded_time(self, tmp_path, k):
         # (1, 0, -1 + 10^-k, 0, 1): at n = 6 the gamma range is
         # (0, 4.5 * 10^-k), and two gamma-condition roots about 10^-3k
-        # apart lie about 10^-2k below its upper end.  Isolating them costs
+        # apart lie about 10^-2k below its upper end.  Isolating them cost
         # about 1 s at k = 400 and 4-8 s at k = 1200 on a 2-vCPU VM, but the
         # form is feasible at gamma = 0, the lower end, which sos_membership
-        # tests before it isolates any root.  The isolation itself is timed
-        # in-process in test_sos (TestCloseGammaRoots).
+        # tests first.  This times the whole CLI process; the gamma-scan
+        # isolates no root at all (test_sos.py::
+        # test_gamma_scan_isolates_no_root), and its in-process time next
+        # to an end is bounded by test_sos.py::
+        # test_gamma_scan_near_an_end_bounded_time.
         path = write_form(tmp_path, p_form({"4": "1", "2,2": f"{1 - 10**k}/{10**k}", "1,1,1,1": "1"}))
         env = cli_env()
         start = time.monotonic()

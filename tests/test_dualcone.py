@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symquartic.algebra import psd2
+from symquartic.algebra import SymMat2
 from symquartic.dualcone import (
     DualFunctional,
     boundary_family_functional,
@@ -20,7 +20,8 @@ from symquartic.positivity import boundary_status_limit
 from symquartic.sos import sos_boundary
 from symquartic.symfunc import LIMIT, SymFormP, evaluate, form_from_dict
 
-from conftest import big_fractions, fraction_dual_blocks, fraction_pair, weighted_point_functional
+from conftest import big_fractions, weighted_point_functional
+from test_oracles import dual_blocks_of, in_dual_cone
 
 
 class TestPairing:
@@ -234,12 +235,6 @@ _any_val = st.one_of(_val, big_fractions)
 _scope = st.sampled_from((4, 5, 6, 7, 8, 64, 10**30, 10**40, LIMIT))
 
 
-def reference_membership(ell, n):
-    """``dual_membership`` in Fractions, on the blocks themselves."""
-    m_triv, m_hook, m_tworow = fraction_dual_blocks(ell, n)
-    return psd2(m_triv) and psd2(m_hook) and (n is LIMIT or m_tworow >= 0)
-
-
 @st.composite
 def _functionals(draw, values=_val):
     """Functionals drawn directly, or as rank-1 trivial and hook blocks
@@ -261,7 +256,7 @@ class TestIntegerCore:
     def test_pair_is_the_fraction_sum(self, ys, cs, n):
         ell = DualFunctional.from_values(*ys)
         f = SymFormP(4, cs, n)
-        assert pair(ell, f) == sum((c * y for c, y in zip(cs, ys)), Fraction(0)) == fraction_pair(ell, f)
+        assert pair(ell, f) == sum((c * y for c, y in zip(cs, ys)), Fraction(0))
 
     @given(st.tuples(*[_val] * 4))
     @settings(max_examples=150, deadline=None)
@@ -281,19 +276,22 @@ class TestIntegerCore:
     @given(st.one_of(_functionals(), _functionals(_any_val)), _scope)
     @settings(max_examples=300, deadline=None)
     def test_membership_is_the_fraction_blocks(self, ell, n):
-        assert dual_membership(ell, n) == reference_membership(ell, n)
+        """Against the Fraction blocks of the ``dualcone`` docstring
+        (``test_oracles.dual_blocks_of``)."""
+        assert dual_membership(ell, n) == in_dual_cone(ell, n)
         if n is not LIMIT:
-            assert dual_blocks(ell, n) == fraction_dual_blocks(ell, n)
+            triv, hook, tworow = dual_blocks_of(ell, n)
+            assert dual_blocks(ell, n) == (SymMat2(*triv), SymMat2(*hook), tworow)
 
     def test_membership_branches(self):
         # each block decides one of these: the hook block fails, the
         # two-row block fails at n = 4 only, and all three hold
         hook_fails = DualFunctional.from_values(0, 0, 1, 0, 0)
-        assert not dual_membership(hook_fails, LIMIT) and not reference_membership(hook_fails, 4)
+        assert not dual_membership(hook_fails, LIMIT) and not in_dual_cone(hook_fails, 4)
         # y = (1 + w, 0, 1, 0, 0): tau >= 0 iff w <= (n-2)^2/(n-1), 4/3 at n = 4
         tworow = DualFunctional.from_values(3, 0, 1, 0, 0)
         assert [dual_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
-        assert [reference_membership(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
+        assert [in_dual_cone(tworow, n) for n in (4, 5, LIMIT)] == [False, True, True]
         edge = DualFunctional.from_values(Fraction(7, 3), 0, 1, 0, 0)
         assert dual_membership(edge, 4) and dual_blocks(edge, 4)[2] == 0
 

@@ -3,9 +3,9 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,22 +13,12 @@ import symquartic.algebra as algebra
 import symquartic.positivity as positivity
 from symquartic.algebra import (
     SymMat2,
-    UniPoly,
     _quartic_invariants,
-    _quartic_signs,
-    _zpoly,
-    _zroot_bound,
-    _zsign,
-    _zsqf,
     binary_quartic_critical_polys,
     binary_quartic_negative_point,
     binary_quartic_nonneg,
     binary_quartic_strictly_positive,
-    count_real_roots,
     disc_binary_quartic,
-    isolate_real_roots,
-    simplest_rational_between,
-    yun_decomposition,
 )
 from symquartic.dualcone import DualFunctional, dual_membership, pair
 from symquartic.identities import second_case_form
@@ -54,13 +44,13 @@ from symquartic.symfunc import (
     SymFormP,
     _phi_alpha_ints,
     _phi_ints,
-    evaluate,
     form_from_dict,
     phi_alpha_coeffs,
     restrict_alpha,
 )
 
-from conftest import former_feasible, former_gamma_zero_signs, former_strictly_feasible, random_form
+from conftest import random_form
+from test_oracles import check_certificate, feasible_at_gamma
 
 
 def witness_value(f, verdict):
@@ -84,29 +74,6 @@ class TestFiniteN:
             assert is_nonneg(form_from_dict(4, {(2, 2): 1, (1, 1, 1, 1): -1}, n)).status == "IN"
             assert is_nonneg(form_from_dict(4, {(4,): 1, (2, 2): -1}, n)).status == "IN"
             assert is_nonneg(form_from_dict(4, {(2, 2): 1, (4,): -1}, n)).status == "OUT"
-
-    def test_witness_soundness_random(self):
-        rng = random.Random(23)
-        outs = 0
-        for _ in range(60):
-            f = random_form(rng, 4)
-            verdict = is_nonneg(f)
-            if verdict.status == "OUT":
-                outs += 1
-                assert witness_value(f, verdict) < 0
-        assert outs > 0
-
-    def test_agrees_with_grid_sampling(self):
-        rng = random.Random(31)
-        grid = [Fraction(k, 2) for k in range(-4, 5)]
-        for _ in range(25):
-            f = random_form(rng, 4, bound=2, den=2)
-            verdict = is_nonneg(f)
-            if verdict.status == "IN":
-                for pt in _sample_points(rng, grid, 40):
-                    assert evaluate(f, pt) >= 0
-            else:
-                assert witness_value(f, verdict) < 0
 
     def test_downward_closure(self):
         rng = random.Random(41)
@@ -141,10 +108,6 @@ class TestFiniteN:
         assert verdict.status == "OUT" and verdict.witness == witness
         assert witness_value(f, verdict) < 0
 
-
-def _sample_points(rng, grid, count):
-    for _ in range(count):
-        yield tuple(rng.choice(grid) for _ in range(4))
 
 
 def grid_quartics(f):
@@ -254,14 +217,16 @@ class TestFiniteNOracle:
                 first_bad, strict = grid_nonneg(hs), grid_strictly_positive(hs)
                 outs += first_bad is not None
                 strict_differs += first_bad is None and not strict
-                # the gamma = 0 step: sound wherever it decides
-                signs = former_gamma_zero_signs(f)
-                if former_feasible(signs):
+                # the gamma = 0 step: sound wherever it decides; its
+                # blocks are feasible iff f is in the limit SOS cone, and
+                # strictly feasible iff f is inside it
+                limit = f.with_scope(LIMIT)
+                if sos_membership_limit(limit).status == "IN":
                     decided["nonneg"] += 1
                     assert first_bad is None, (coeffs, n)
                 elif first_bad is None:
                     decided["in_by_grid"] += 1
-                if former_strictly_feasible(signs):
+                if not f.is_zero() and boundary_status_limit(limit).status == "INTERIOR":
                     decided["strict"] += 1
                     assert strict, (coeffs, n)
                 # the decisions as shipped, then the cell path and the
@@ -382,126 +347,6 @@ class TestCoefficientSumStep:
 
 
 #: The p-coefficients of the Choi-Lam form.
-CHOI_LAM = (Fraction(8), Fraction(-160, 3), Fraction(-8), Fraction(128), Fraction(-128, 3))
-
-
-def former_phi(f, alpha):
-    """Phi_f(alpha, 1 - alpha, x, y) in Fractions straight from the power
-    sums: p_a is alpha x^a + (1 - alpha) y^a, and p_lambda the product
-    over its parts; five coefficients in descending x-order."""
-    total = [Fraction(0)] * 5  # ascending x-degree
-    for parts, c in zip(((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)), f.coeffs):
-        prod = [Fraction(1)]
-        for a in parts:
-            new = [Fraction(0)] * (len(prod) + a)
-            for i, u in enumerate(prod):
-                new[i] += u * (1 - alpha)
-                new[i + a] += u * alpha
-            prod = new
-        total = [t + c * u for t, u in zip(total, prod)]
-    return tuple(reversed(total))
-
-
-def former_nonneg(h):
-    """``binary_quartic_nonneg`` as it was: on the primitive ``_zpoly``."""
-    z = _zpoly(h[::-1])
-    if not z:
-        return True
-    if len(z) % 2 == 0 or z[-1] < 0:
-        return False
-    if len(z) == 1:
-        return True
-    if len(z) == 3:
-        return z[1] * z[1] <= 4 * z[0] * z[2]
-    delta, p, d, _r = _quartic_signs(z)
-    return delta >= 0 and not (p < 0 and d < 0)
-
-
-def former_negative_point(h):
-    """``binary_quartic_negative_point`` as it was: a second sign test, and
-    the squarefree part always taken before the first negative end of the
-    isolating intervals, then the midpoints."""
-    if former_nonneg(h):
-        return None
-    if h[0] < 0:
-        return (Fraction(1), Fraction(0))
-    z = _zpoly(h[::-1])
-    bound = _zroot_bound(z)
-    for x in (bound, -bound):
-        if _zsign(z, x) < 0:
-            return (x, Fraction(1))
-    intervals = isolate_real_roots(UniPoly(_zsqf(z)), -bound, bound)
-    ends = [x for ab in intervals for x in ab]
-    for x in ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]:
-        if _zsign(z, x) < 0:
-            return (x, Fraction(1))
-    raise AssertionError("no witness")
-
-
-def former_walk(f):
-    """The Fraction walk that ``is_nonneg`` replaced below ``_CELL_MIN_N``:
-    alpha = k/n for k = 0, 1, ..., n - 1 (alpha = 1 never fails first), and
-    the first failing weight with its negative point, or None."""
-    n = f.scope
-    for k in range(n):
-        alpha = Fraction(k, n)
-        h = former_phi(f, alpha)
-        if not former_nonneg(h):
-            return (alpha, 1 - alpha), former_negative_point(h)
-    return None
-
-
-def walk_forms(seed=29, count=6):
-    """Box forms, the Choi-Lam vector and near-boundary forms (rank-one
-    block expansions with one coefficient lowered by 1/1024), seeded."""
-    rng = random.Random(seed)
-
-    def small():
-        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
-
-    forms = [CHOI_LAM, (0, 3, Fraction(11, 3), -4, Fraction(3, 2))]
-    for i in range(count):
-        forms.append(random_form(rng, 4).coeffs)
-        a, b, c, d = small(), small(), small(), small()
-        coeffs = list(expand_certificate(SosCertificate.from_blocks(
-            SymMat2(a * a, a * b, b * b), SymMat2(c * c, c * d, d * d), Fraction(0), LIMIT
-        )).coeffs)
-        coeffs[i % 5] -= Fraction(1, 1024)
-        forms.append(tuple(coeffs))
-    return forms
-
-
-class TestIntegerWalk:
-    """Below ``_CELL_MIN_N`` the walk reads Phi^(k/n) as integers at the
-    unreduced weight (``symfunc._phi_ints``) and its signs on the ints as they come;
-    the first failing k and its witness are those of the Fraction walk."""
-
-    def test_first_failing_weight_and_witness_match_the_fraction_walk(self):
-        outs = 0
-        for coeffs in walk_forms():
-            for n in range(4, positivity._CELL_MIN_N):
-                f = SymFormP(4, coeffs, n)
-                want = former_walk(f)
-                verdict = is_nonneg(f)
-                assert verdict.witness == want, (coeffs, n)
-                assert verdict.status == ("IN" if want is None else "OUT")
-                outs += want is not None
-        assert outs > 200
-
-    @pytest.mark.parametrize("n", [5, 6, 8, 12, 55])
-    def test_unreduced_weight_scales_by_a_fourth_power(self, n):
-        """At k/n with g = gcd(k, n), h is g^4 times the quartic at the
-        reduced weight, and n^4 den times Phi^(k/n) exactly."""
-        f = SymFormP(4, CHOI_LAM, n)
-        for k in range(n + 1):
-            h = _phi_ints(f.nums, k, n - k, n)
-            alpha = Fraction(k, n)
-            p, q = alpha.numerator, alpha.denominator
-            assert all(type(c) is int for c in h)
-            assert h == tuple((n // q) ** 4 * c for c in _phi_ints(f.nums, p, q - p, q))
-            assert h == tuple(n**4 * f.den * c for c in former_phi(f, alpha))
-
-
 class TestStrictPositivity:
     def test_sum_of_fourth_powers(self):
         assert is_strictly_positive(form_from_dict(4, {(4,): 1}, 4))
@@ -617,18 +462,19 @@ _gamma_zero_forms = st.one_of(
 @example((1, 0, 1, 0, 0))
 @settings(max_examples=60, deadline=None)
 def test_gamma_zero_certificate_at_every_n(coeffs):
-    """Feasible gamma = 0 blocks are one certificate for every n: it is
-    valid and re-expands to f at each n, and ``is_nonneg`` is IN there.
-    The entries and signs at gamma = 0 do not depend on n."""
+    """Feasible gamma = 0 blocks (``test_oracles.feasible_at_gamma``) are
+    one certificate for every n: it passes the oracles' check at each n,
+    and ``is_nonneg`` is IN there.  The entries at gamma = 0 do not depend
+    on n."""
     forms = [SymFormP(4, coeffs, n) for n in (4, 7, 64, 10**6)]
-    entries, signs = _gamma_zero_entries(forms[0]), former_gamma_zero_signs(forms[0])
-    assert all((_gamma_zero_entries(f), former_gamma_zero_signs(f)) == (entries, signs) for f in forms)
-    if not former_feasible(signs):
+    entries = _gamma_zero_entries(forms[0])
+    assert all(_gamma_zero_entries(f) == entries for f in forms)
+    if not feasible_at_gamma(forms[0], 0):
         return
     for f in forms:
         cert = _certificate(f, *_gamma_zero_entries(f), Fraction(0), _NO_GEN)
         assert cert.is_valid() and cert.gamma == 0
-        assert expand_certificate(cert) == f
+        check_certificate(cert, f)
         assert is_nonneg(f).status == "IN"
 
 
@@ -636,9 +482,11 @@ def test_gamma_zero_certificate_at_every_n(coeffs):
 @example((1, 0, 1, 0, 0))
 @settings(max_examples=60, deadline=None)
 def test_strictly_feasible_gamma_zero_is_strictly_positive(coeffs):
-    """Strictly feasible gamma = 0 blocks give strict positivity on the
-    whole grid W_n, and ``is_strictly_positive`` says so."""
-    if not former_strictly_feasible(former_gamma_zero_signs(SymFormP(4, coeffs, 4))):
+    """Strictly feasible gamma = 0 blocks, those of a form inside the
+    limit cone, give strict positivity on the whole grid W_n, and
+    ``is_strictly_positive`` says so."""
+    limit = SymFormP(4, coeffs, LIMIT)
+    if limit.is_zero() or boundary_status_limit(limit).status != "INTERIOR":
         return
     for n in (4, 5, 33):
         f = SymFormP(4, coeffs, n)
@@ -699,27 +547,6 @@ class TestLimitCone:
                 for n in (4, 7, 11):
                     assert is_nonneg(f.with_scope(n)).status == "IN"
         assert hits > 0
-
-    def test_limit_agrees_with_dense_alpha_sampling(self):
-        rng = random.Random(59)
-        alphas = [Fraction(k, 97) for k in range(98)]
-        xs = [Fraction(k, 3) for k in range(-9, 10)]
-        for _ in range(20):
-            f = random_form(rng, LIMIT)
-            verdict = is_nonneg_limit(f)
-            sampled_negative = False
-            for alpha in alphas:
-                h = restrict_alpha(f, alpha)
-                for x in xs:
-                    if sum(c * x ** (4 - i) for i, c in enumerate(h)) < 0 or h[4] < 0:
-                        sampled_negative = True
-                        break
-                if sampled_negative:
-                    break
-            if verdict.status == "IN":
-                assert not sampled_negative
-            else:
-                assert witness_value(f, verdict) < 0
 
 
 class TestBoundaryStatus:
@@ -960,9 +787,12 @@ def real_roots_from_signs(h) -> tuple[bool, bool]:
 
 
 def real_roots_exact(h) -> tuple[bool, bool]:
-    """The same two facts from the squarefree decomposition of h(x, 1) and
-    a real-root count of each factor."""
-    factors = [(count_real_roots(q), m) for q, m in yun_decomposition(UniPoly(h[::-1]))]
+    """The same two facts from sympy: the squarefree decomposition of
+    h(x, 1) (``sqf_list``) and a count of the real roots of each factor
+    (``count_roots``)."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in h], x)
+    factors = [(q.count_roots(), m) for q, m in poly.sqf_list()[1]]
     return any(c and m % 2 for c, m in factors), any(c for c, _ in factors)
 
 
@@ -1193,78 +1023,6 @@ def _variance_branch_forms(draw):
     return _from_gamma_zero(b22, b12, a22, s, sigma - a22 - s)
 
 
-def former_limit_negative_point(f):
-    """``positivity._limit_negative_point`` as it was, in Fractions: the
-    entries divided by their scale, v from Fraction arithmetic, and t
-    tested and returned as a Fraction."""
-    zero, one, half = F(0), F(1), F(1, 2)
-    d, entries = _gamma_zero_entries(f)
-    if sum(entries[2:]) < 0:
-        return (zero, one), (zero, one)
-    b22, b12, a22, s, c0 = (F(e, d) for e in entries)
-    if a22 < 0:
-        return (half, half), (one, -one)
-    if b22 < 0:
-        _, c31, c22, c211, c1111 = f.coeffs
-        rest = abs(c31 + c22) + abs(c211) + abs(c1111)
-        alpha = b22 / (b22 - rest)
-        return (alpha, 1 - alpha), (one, zero)
-    v = former_negative_variance(b22, b12, a22, s, c0)
-    if v is None:
-        return None
-    t = former_variance_t(v, *entries)
-    alpha = t * t / (v + t * t)
-    return (alpha, 1 - alpha), (1 + v / t, 1 - t)
-
-
-def former_variance_t(v, b22, b12, a22, s, c0):
-    """``positivity._variance_t`` as it was: every candidate a Fraction."""
-    V, W = v.numerator, v.denominator
-    u = W + V
-    g = (a22 * u + s * W) * u + c0 * W * W
-
-    def negative(t):
-        p, q = t.numerator, t.denominator
-        m = W * p * q
-        B = 2 * m + V * q * q - W * p * p
-        return g * m * m + V * W * B * (b22 * B + 2 * b12 * m) < 0
-
-    if b22 == 0:
-
-        def power(j):
-            return F(1 << j) if b12 > 0 else F(1, 1 << j)
-
-        lo, hi = -1, 0
-        while not negative(power(hi)):
-            lo, hi = hi, 2 * hi + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if negative(power(mid)) else (mid, hi)
-        return power(hi)
-    cn, cd = 2 * b22 + b12, b22
-    rn, rd = cn * cn * W + 4 * V * cd * cd, cd * cd * W
-    j = 1
-    while True:
-        base = (cn << j) // cd + isqrt((rn << 2 * j) // rd)
-        lo, hi = F(base, 2 << j), F(base + 2, 2 << j)
-        if lo > 0 and negative(lo) and negative(hi):
-            return simplest_rational_between(lo, hi)
-        j *= 2
-
-
-def former_negative_variance(b22, b12, a22, s, c0):
-    """``positivity._negative_variance`` as it was, on Fraction entries."""
-    if b22 == 0 and b12 != 0:
-        return F(1)
-    k = b12 * b12 / b22 if b22 else F(0)
-    if a22 > 0:
-        w = (k - s) / (2 * a22)
-        if w > 1 and (a22 * w + s - k) * w + c0 + k < 0:
-            return w - 1
-        return None
-    return (c0 + k) / (k - s) if s < k else None
-
-
 #: Forms 10^-4000 outside the limit cone, with the branch each takes.
 _HOSTILE_LIMIT_FORMS = [
     ((EXAMPLE_6_10[0] - F(1, 10**4000),) + EXAMPLE_6_10[1:], "vertex"),
@@ -1384,42 +1142,3 @@ class TestLimitWitness:
         assert elapsed < 0.5, elapsed
 
 
-class TestIntegerLimitWitness:
-    """``_limit_negative_point`` reads the integer gamma = 0 entries in
-    every branch and makes Fractions only for the witness, which is the
-    former Fraction build's (``former_limit_negative_point``)."""
-
-    def test_seeded_sample(self):
-        outs = 0
-        for coeffs in _limit_witness_sample():
-            f = SymFormP(4, coeffs, LIMIT)
-            verdict = is_nonneg_limit(f)
-            if verdict.status == "OUT":
-                outs += 1
-                assert verdict.witness == former_limit_negative_point(f), coeffs
-            else:
-                assert former_limit_negative_point(f) is None
-        assert outs > 300
-
-    @settings(max_examples=150, deadline=None)
-    @given(_variance_branch_forms())
-    def test_variance_branches(self, coeffs):
-        f = SymFormP(4, coeffs, LIMIT)
-        assert is_nonneg_limit(f).witness == former_limit_negative_point(f)
-
-    @pytest.mark.parametrize(
-        "coeffs, branch", _HOSTILE_LIMIT_FORMS, ids=["example-6.10-lowered", "linear-up", "linear-down"]
-    )
-    def test_hostile_forms(self, coeffs, branch):
-        f = SymFormP(4, tuple(F(c) for c in coeffs), LIMIT)
-        assert is_nonneg_limit(f).witness == former_limit_negative_point(f)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5), st.integers(1, 10**6))
-    def test_negative_variance_is_scale_free(self, entries, scale):
-        """v is the former Fraction v of the entries over any positive
-        scale, wherever b22, a22 >= 0."""
-        entries[0], entries[2] = abs(entries[0]), abs(entries[2])
-        want = former_negative_variance(*(F(e, scale) for e in entries))
-        assert _negative_variance(*entries) == want
-        assert _negative_variance(*(e * scale for e in entries)) == want

@@ -35,6 +35,7 @@ from symquartic.symfunc import (
 )
 
 from conftest import big_fractions, coeff, kept_by, random_form
+from test_oracles import phi
 
 
 def random_point(rng, n):
@@ -338,21 +339,22 @@ class TestSubstitutionIdentity:
 @settings(max_examples=120, deadline=None)
 def test_one_phi_at_every_weight(coeffs, n, k, beta):
     """``_phi_ints`` at the integers (k, n - k, n) is n^4 times the
-    alpha-polynomials of ``_phi_alpha_ints`` at k/n, and g^4 times itself
+    alpha-polynomials of ``_phi_alpha_ints`` at k/n and n^4 den times
+    Phi^(k/n) of ``test_oracles.phi``, and g^4 times itself
     at the reduced weight, g = gcd(k, n); it reverses under k <-> n - k;
     and ``restrict_alpha`` is the Fraction route through
     ``phi_alpha_coeffs``, at alpha in {0, 1}, at k/n and at a random alpha.
     The coefficients are small, or have about 4000 bits, and the
-    alpha-polynomials stay all-int."""
+    alpha-polynomials stay all-int, over the scale den."""
     f = SymFormP(4, coeffs, LIMIT)
-    cs = _phi_alpha_ints(f)[1]
-    assert all(type(c) is int for u in cs for c in u.coeffs)
+    scale, cs = _phi_alpha_ints(f)
+    assert scale == f.den and all(type(c) is int for u in cs for c in u.coeffs)
     k %= n + 1
     alpha = Fraction(k, n)
     p, q = alpha.numerator, alpha.denominator
     h = _phi_ints(f.nums, k, n - k, n)
     assert all(type(c) is int for c in h)
-    assert h == tuple(n**4 * u(alpha) for u in cs)
+    assert h == tuple(n**4 * u(alpha) for u in cs) == tuple(n**4 * f.den * c for c in phi(f, alpha))
     assert h == tuple((n // q) ** 4 * c for c in _phi_ints(f.nums, p, q - p, q))
     assert _phi_ints(f.nums, n - k, k, n) == h[::-1]
     for a in (Fraction(0), Fraction(1), alpha, beta):
