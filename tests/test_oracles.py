@@ -4,8 +4,11 @@ Each oracle below computes what a decision means with ``Fraction`` and
 sympy, and this module imports from ``symquartic`` only names in
 ``symquartic.__all__`` (``test_oracles_use_only_public_names``).  So a
 refactor of ``src/`` is checked against the definitions, with no copy of
-the code it replaces; each public decision has one seeded Hypothesis test
-against its oracle here.
+the code it replaces.  Each public decision has one check against its
+oracle here (``check_*``), run by one seeded Hypothesis test and by two
+tables of named forms, one test per decision and form: the degenerate
+families (``DEGENERATE``) and forms that ``sos_membership`` decides inside
+its gamma-range (``OPEN_GAMMA``), which random forms rarely reach.
 
 - Phi and binary quartics.  Phi_f^alpha(x, y) is f at the measure with
   weight alpha at x and 1 - alpha at y: the power sums are
@@ -52,8 +55,9 @@ from functools import lru_cache
 from math import floor, gcd, lcm, prod
 from pathlib import Path
 
+import pytest
 import sympy
-from hypothesis import example, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import symquartic
@@ -700,18 +704,47 @@ def check_boundary(status, y, f: SymFormP) -> None:
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 _FINITE = st.sampled_from((*range(4, 17), 10**6, 10**40))
 
-#: forms whose Phi^alpha degenerates: window_1 (an identically zero
-#: alpha-discriminant), lc_zero_1 (an identically zero leading
-#: coefficient), two second-case forms (a double zero of Phi^(1/2) at
-#: (1, -1)), example 6.10 and Choi-Lam
-DEGENERATE = (
-    (2, 0, 9, -23, 12),
-    (0, 1, -1, 0, 0),
-    second_case_form(1, (1, 0, 1)).coeffs,
-    second_case_form(2, (2, 1, 2)).coeffs,
-    (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)),
-    (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3)),
-)
+#: forms whose Phi^alpha degenerates: an identically zero
+#: alpha-discriminant, an identically zero leading coefficient, a double
+#: zero of Phi^(1/2) at (1, -1) (the second case), example 6.10 and
+#: Choi-Lam, whose gamma-range is one point
+DEGENERATE = {
+    "window_1": (2, 0, 9, -23, 12),
+    "lc_zero_1": (0, 1, -1, 0, 0),
+    "second_case_1": second_case_form(1, (1, 0, 1)).coeffs,
+    "second_case_2": second_case_form(2, (2, 1, 2)).coeffs,
+    "example_6_10": (1, Fraction(-13, 5), 0, Fraction(179, 100), Fraction(-51, 400)),
+    "choi_lam": (8, Fraction(-160, 3), -8, 128, Fraction(-128, 3)),
+}
+
+
+def _lowered(coeffs, j):
+    return tuple(Fraction(c) - q / 2**j for c, q in zip(coeffs, _IDENTITY_IMAGE))
+
+
+#: (n, coeffs) of forms that sos_membership decides inside its gamma-range,
+#: both ends infeasible: block-map images of rank-one blocks whose feasible
+#: gammas lie inside the range (rank_one_*), two feasible at gamma = 1/3
+#: alone (single_gamma_*), each lowered by 2^-j q, which keeps it in the
+#: cone at another gamma or moves it out, and a boundary form lowered by
+#: 2^-4 p_(1^4), outside the cone, whose D is a negative constant in gamma
+#: (zero_slope_n8)
+_OPEN_GAMMA_PINS = {
+    name: (n, tuple(map(Fraction, coeffs)))
+    for name, (n, coeffs) in {
+        "rank_one_n5": (5, ("127/60", "98/15", "-421/240", "-109/24", "-5/48")),
+        "rank_one_n6": (6, ("7/144", "13/72", "59/240", "-181/80", "323/80")),
+        "rank_one_n7": (7, ("44/49", "167/49", "-965/2352", "-73/24", "7/48")),
+        "single_gamma_n5a": (5, ("73/75", "158/75", "-131/150", "-26/15", "1/6")),
+        "single_gamma_n5b": (5, ("94/225", "-92/75", "407/900", "1/5", "1/6")),
+    }.items()
+}
+OPEN_GAMMA = {
+    **_OPEN_GAMMA_PINS,
+    **{f"{name}_lowered_{j}": (n, _lowered(coeffs, j))
+       for name, (n, coeffs) in _OPEN_GAMMA_PINS.items() for j in (10, 30)},
+    "zero_slope_n8": (8, (1, -2, Fraction(-3, 4), Fraction(3, 2), Fraction(19, 16))),
+}
 
 
 @st.composite
@@ -725,7 +758,7 @@ def forms(draw, scopes):
     if kind == "box":
         return SymFormP(4, draw(st.tuples(*[_small] * 5)), scope)
     if kind == "degenerate":
-        return SymFormP(4, draw(st.sampled_from(DEGENERATE)), scope)
+        return SymFormP(4, draw(st.sampled_from(tuple(DEGENERATE.values()))), scope)
     gamma = 0 if scope is LIMIT else draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
     a, b, c, d, t = (draw(_small) for _ in range(5))
     if kind == "near":
@@ -739,26 +772,12 @@ def forms(draw, scopes):
     return SymFormP(4, tuple(x + step * (y - x) for x, y in zip(g, h)), scope)
 
 
-def _with_degenerate_examples(scopes):
-    def decorate(test):
-        for coeffs in DEGENERATE:
-            for scope in scopes:
-                test = example(SymFormP(4, coeffs, scope))(test)
-        return test
-
-    return decorate
-
-
 # ---------------------------------------------------------------------------
 # the decisions against their oracles
 # ---------------------------------------------------------------------------
 
 
-@seed(4001)
-@_with_degenerate_examples((6, 16, 10**6, 10**6 + 1))
-@given(forms(_FINITE))
-@settings(max_examples=60, deadline=None)
-def test_is_nonneg(f):
+def check_is_nonneg(f):
     """The first failing grid weight, and Phi < 0 at the witness."""
     k = first_failing_weight(f)
     verdict = is_nonneg(f)
@@ -770,19 +789,11 @@ def test_is_nonneg(f):
         assert value(phi(f, weights[0]), x, y) < 0
 
 
-@seed(4002)
-@_with_degenerate_examples((9, 16, 10**6, 10**6 + 1))
-@given(forms(_FINITE))
-@settings(max_examples=60, deadline=None)
-def test_is_strictly_positive(f):
+def check_is_strictly_positive(f):
     assert is_strictly_positive(f) == strictly_positive(f)
 
 
-@seed(4003)
-@_with_degenerate_examples((LIMIT,))
-@given(forms(st.just(LIMIT)))
-@settings(max_examples=60, deadline=None)
-def test_is_nonneg_limit(f):
+def check_is_nonneg_limit(f):
     """The verdict, Phi < 0 at an OUT witness, and the limit cones agree
     (the degree-4 theorem)."""
     member = limit_nonneg(f)
@@ -795,59 +806,125 @@ def test_is_nonneg_limit(f):
     assert member == in_cone(f)
 
 
-@seed(4004)
-@_with_degenerate_examples((LIMIT,))
-@given(forms(st.just(LIMIT)))
-@settings(max_examples=60, deadline=None)
-def test_boundary_status_limit(f):
-    if f.is_zero():
-        return
-    verdict = boundary_status_limit(f)
-    check_boundary(verdict.status, verdict.witness, f)
+def check_boundary_status_limit(f):
+    if not f.is_zero():
+        verdict = boundary_status_limit(f)
+        check_boundary(verdict.status, verdict.witness, f)
 
 
-@seed(4005)
-@_with_degenerate_examples((5, 16, 10**40))
-@given(forms(_FINITE))
-@settings(max_examples=60, deadline=None)
-def test_sos_membership(f):
+def check_sos_membership(f):
     verdict = sos_membership(f)
     assert verdict.status == ("IN" if in_cone(f) else "OUT")
     if verdict.status == "IN":
         check_certificate(verdict.certificate, f)
 
 
-@seed(4006)
-@_with_degenerate_examples((LIMIT,))
-@given(forms(st.just(LIMIT)))
-@settings(max_examples=60, deadline=None)
-def test_sos_membership_limit(f):
+def check_sos_membership_limit(f):
     verdict = sos_membership_limit(f)
     assert verdict.status == ("IN" if in_cone(f) else "OUT")
     if verdict.status == "IN":
         check_certificate(verdict.certificate, f)
 
 
-@seed(4007)
-@_with_degenerate_examples((5, 10**6))
-@given(forms(_FINITE))
-@settings(max_examples=40, deadline=None)
-def test_sos_boundary(f):
-    if f.is_zero():
-        return
-    check_boundary(*sos_boundary(f), f)
+def check_sos_boundary(f):
+    if not f.is_zero():
+        check_boundary(*sos_boundary(f), f)
 
 
-@seed(4008)
-@_with_degenerate_examples((4, 16, 10**40))
-@given(forms(_FINITE))
-@settings(max_examples=60, deadline=None)
-def test_find_separating_functional(f):
+def check_find_separating_functional(f):
     y = find_separating_functional(f)
     if in_cone(f):
         assert y is None
     else:
         assert y is not None and pairing(y, f) < 0 and in_dual_cone(y, f.scope)
+
+
+#: each decision's check, and the scopes at which the degenerate forms are
+#: checked
+DECISIONS = {
+    "is_nonneg": (check_is_nonneg, (6, 16, 10**6, 10**6 + 1)),
+    "is_strictly_positive": (check_is_strictly_positive, (9, 16, 10**6, 10**6 + 1)),
+    "is_nonneg_limit": (check_is_nonneg_limit, (LIMIT,)),
+    "boundary_status_limit": (check_boundary_status_limit, (LIMIT,)),
+    "sos_membership": (check_sos_membership, (5, 16, 10**40)),
+    "sos_membership_limit": (check_sos_membership_limit, (LIMIT,)),
+    "sos_boundary": (check_sos_boundary, (5, 10**6)),
+    "find_separating_functional": (check_find_separating_functional, (4, 16, 10**40)),
+}
+FINITE_DECISIONS = [name for name, (_, scopes) in DECISIONS.items() if LIMIT not in scopes]
+
+
+@seed(4001)
+@given(forms(_FINITE))
+@settings(max_examples=60, deadline=None)
+def test_is_nonneg(f):
+    check_is_nonneg(f)
+
+
+@seed(4002)
+@given(forms(_FINITE))
+@settings(max_examples=60, deadline=None)
+def test_is_strictly_positive(f):
+    check_is_strictly_positive(f)
+
+
+@seed(4003)
+@given(forms(st.just(LIMIT)))
+@settings(max_examples=60, deadline=None)
+def test_is_nonneg_limit(f):
+    check_is_nonneg_limit(f)
+
+
+@seed(4004)
+@given(forms(st.just(LIMIT)))
+@settings(max_examples=60, deadline=None)
+def test_boundary_status_limit(f):
+    check_boundary_status_limit(f)
+
+
+@seed(4005)
+@given(forms(_FINITE))
+@settings(max_examples=60, deadline=None)
+def test_sos_membership(f):
+    check_sos_membership(f)
+
+
+@seed(4006)
+@given(forms(st.just(LIMIT)))
+@settings(max_examples=60, deadline=None)
+def test_sos_membership_limit(f):
+    check_sos_membership_limit(f)
+
+
+@seed(4007)
+@given(forms(_FINITE))
+@settings(max_examples=40, deadline=None)
+def test_sos_boundary(f):
+    check_sos_boundary(f)
+
+
+@seed(4008)
+@given(forms(_FINITE))
+@settings(max_examples=60, deadline=None)
+def test_find_separating_functional(f):
+    check_find_separating_functional(f)
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+@pytest.mark.parametrize("decision", list(DECISIONS))
+def test_degenerate_forms(decision, name):
+    """Each degenerate form, at each of the decision's scopes."""
+    check, scopes = DECISIONS[decision]
+    for scope in scopes:
+        check(SymFormP(4, DEGENERATE[name], scope))
+
+
+@pytest.mark.parametrize("name", list(OPEN_GAMMA))
+@pytest.mark.parametrize("decision", FINITE_DECISIONS)
+def test_open_gamma_forms(decision, name):
+    """Each form decided inside its gamma-range, at its own scope."""
+    n, coeffs = OPEN_GAMMA[name]
+    DECISIONS[decision][0](SymFormP(4, coeffs, n))
 
 
 @seed(4009)
